@@ -7,10 +7,7 @@
    are given). Baseline/output default to
    bench/BENCH_baseline_pr{5,6,10}.json and
    bench/BENCH_pr{5,6,9,10}.json per gate. Exit 0 when every
-   requested gate holds, 1 otherwise.
-
-   Back-compat: a first argument ending in ".json" is treated as the
-   old [BASELINE OUT] form of the batch gate. *)
+   requested gate holds, 1 otherwise. *)
 
 let batch_defaults = ("bench/BENCH_baseline_pr5.json", "bench/BENCH_pr5.json")
 let churn_defaults = ("bench/BENCH_baseline_pr6.json", "bench/BENCH_pr6.json")
@@ -48,12 +45,6 @@ let () =
   let argv = Array.to_list Sys.argv in
   let ok =
     match argv with
-    | _ :: first :: rest when Filename.check_suffix first ".json" ->
-        (* Legacy form: bench_gate BASELINE [OUT] runs the batch gate. *)
-        let out =
-          match rest with o :: _ -> o | [] -> snd batch_defaults
-        in
-        run_gate "batch" ~baseline:first ~out
     | [ _ ] | [ _; "all" ] ->
         let a = run_with_defaults "batch" in
         let b = run_with_defaults "churn" in

@@ -651,29 +651,44 @@ let set_arx_handler t ~ctx f = t.arx_handlers.(ctx) <- f
 
 let dma_engine t = t.dma
 
-(* The context-queue stage DMAs the descriptor into the host ring;
-   libTOE sees it one polling period later. [range] is the stretch of
-   the RX payload buffer the notification makes readable — the bytes
-   the handler (and the application behind it) will touch, so the
-   sanitizer checks them against the payload DMA's writes. *)
-let notify_libtoe_now t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
+(* The ARX delivery chain: the context-queue stage DMAs one descriptor
+   into the host ring and libTOE sees it one polling period later.
+   [gseqs] are the RX lifecycles the descriptor closes, one per
+   notification it stands for: the fixed descriptor cost is paid once
+   plus [notify_coalesce] per absorbed notification. [ranges] are the
+   stretches of the RX payload buffer it makes readable — the bytes the
+   handler (and the application behind it) will touch, so the sanitizer
+   checks them against the payload DMA's writes. [tokens] are the
+   happens-before tokens of coalesced notifications, joined before the
+   host reads; an unbatched notification has none, its edge being the
+   descriptor DMA's own completion. *)
+let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
   let conn_idx = cs.Conn_state.idx in
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
   let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "ctx" ~conn:conn_idx in
+  let cycles =
+    c.Config.ctx_desc
+    + ((List.length gseqs - 1) * c.Config.notify_coalesce)
+    + trace_cycles t "ctx" ~conn:conn_idx
+  in
   let deliver ~join () =
-    sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:gseq;
-    if gseq >= 0 then sc_seg_end t ~track:"seg_rx" ~id:gseq;
+    List.iter
+      (fun g ->
+        sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:g;
+        if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
+      gseqs;
     match t.san with
     | None -> t.arx_handlers.(ctx) desc
     | Some s ->
         San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join (fun () ->
-            (match range with
-            | Some (off, len) when len > 0 ->
-                San.access s ~stage:"ctx" ~flow:conn_idx
-                  ~obj:Effects.Rx_payload ~range:(off, len) Effects.Read
-            | _ -> ());
+            List.iter (fun tok -> San.token_join s tok) tokens;
+            List.iter
+              (fun (off, len) ->
+                if len > 0 then
+                  San.access s ~stage:"ctx" ~flow:conn_idx
+                    ~obj:Effects.Rx_payload ~range:(off, len) Effects.Read)
+              ranges;
             t.arx_handlers.(ctx) desc;
             (* The app can only return RX-buffer credit for bytes it
                was notified of: publish the delivery so the Rx_credit
@@ -682,31 +697,27 @@ let notify_libtoe_now t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
                read. *)
             San.chan_send s ("arx#" ^ string_of_int conn_idx))
   in
-  Nfp.Fpc.submit fpc
-    [ Compute (c.Config.ctx_desc + extra) ]
-    (sc_span t ~stage:"ctx" ~conn:conn_idx ~id:gseq
-       ~cycles:(c.Config.ctx_desc + extra) (fun () ->
-      sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
-      if t.sabotage.sb_skip_notify_dma then
-        (* Sabotage: hand the descriptor to the host without the DMA
-           completion edge — the poll delay still elapses, but nothing
-           orders the handler after the payload write. *)
-        Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
-            deliver ~join:None ())
-      else
-        Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
-            let join =
-              match t.san with
-              | Some s -> Some (San.token_send s)
-              | None -> None
-            in
-            Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
-                deliver ~join ()))))
+  Nfp.Fpc.submit fpc [ Compute cycles ]
+    (sc_span t ~stage:"ctx" ~conn:conn_idx ~id ~cycles (fun () ->
+         sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
+         if t.sabotage.sb_skip_notify_dma then
+           (* Sabotage: hand the descriptor to the host without the DMA
+              completion edge — the poll delay still elapses, but
+              nothing orders the handler after the payload write. *)
+           Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
+               deliver ~join:None ())
+         else
+           Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
+               let join =
+                 match t.san with
+                 | Some s -> Some (San.token_send s)
+                 | None -> None
+               in
+               Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll
+                 (fun () -> deliver ~join ()))))
 
 (* Flush one connection's ARX accumulator: one context-queue descriptor,
    one 32B DMA and one host wakeup stand in for [aa_count] of each.
-   The fixed descriptor cost is paid once plus [notify_coalesce] per
-   absorbed notification; byte counts were summed at accumulation.
    Every absorbed notification's sanitizer token (captured in its
    payload-DMA completion context) is joined before the host reads, so
    the coalesced delivery keeps each payload-write -> host-read
@@ -715,12 +726,11 @@ let arx_flush t acc =
   if not acc.aa_flushed then begin
     acc.aa_flushed <- true;
     Hashtbl.remove t.arx_pending acc.aa_conn;
-    let conn_idx = acc.aa_conn in
     let gseqs = List.rev acc.aa_gseqs in
     (match t.scope with
     | Some sc -> Sim.Scope.record sc "batch/arx/coalesced" acc.aa_count
     | None -> ());
-    match conn t conn_idx with
+    match conn t acc.aa_conn with
     | None ->
         (* Torn down with a window pending: nothing to notify, but the
            RX lifecycles must still close. *)
@@ -728,7 +738,8 @@ let arx_flush t acc =
           (fun g -> if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
           gseqs
     | Some cs ->
-        let desc =
+        arx_deliver t cs ~id:(-1) ~gseqs ~ranges:(List.rev acc.aa_ranges)
+          ~tokens:(List.rev acc.aa_tokens)
           {
             Meta.x_opaque = acc.aa_opaque;
             x_rx_bytes = acc.aa_rx;
@@ -736,53 +747,6 @@ let arx_flush t acc =
             x_fin = acc.aa_fin;
             x_err = false;
           }
-        in
-        let ranges = List.rev acc.aa_ranges in
-        let tokens = List.rev acc.aa_tokens in
-        let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
-        let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-        let c = t.cfg.Config.costs in
-        let extra = trace_cycles t "ctx" ~conn:conn_idx in
-        let cycles =
-          c.Config.ctx_desc
-          + ((acc.aa_count - 1) * c.Config.notify_coalesce)
-          + extra
-        in
-        let deliver ~join () =
-          List.iter
-            (fun g ->
-              sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx
-                ~arg:g;
-              if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
-            gseqs;
-          match t.san with
-          | None -> t.arx_handlers.(ctx) desc
-          | Some s ->
-              San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join
-                (fun () ->
-                  List.iter (fun tok -> San.token_join s tok) tokens;
-                  List.iter
-                    (fun (off, len) ->
-                      if len > 0 then
-                        San.access s ~stage:"ctx" ~flow:conn_idx
-                          ~obj:Effects.Rx_payload ~range:(off, len)
-                          Effects.Read)
-                    ranges;
-                  t.arx_handlers.(ctx) desc;
-                  San.chan_send s ("arx#" ^ string_of_int conn_idx))
-        in
-        Nfp.Fpc.submit fpc [ Compute cycles ]
-          (sc_span t ~stage:"ctx" ~conn:conn_idx ~id:(-1) ~cycles (fun () ->
-               sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring
-                 Effects.Write;
-               Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
-                   let join =
-                     match t.san with
-                     | Some s -> Some (San.token_send s)
-                     | None -> None
-                   in
-                   Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll
-                     (fun () -> deliver ~join ()))))
   end
 
 (* Notification entry point. At [b_notify = 1] (or for error
@@ -799,7 +763,8 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
        match Hashtbl.find_opt t.arx_pending conn_idx with
        | Some acc -> arx_flush t acc
        | None -> ());
-    notify_libtoe_now t ?range ~gseq cs desc
+    arx_deliver t cs ~id:gseq ~gseqs:[ gseq ] ~ranges:(Option.to_list range)
+      ~tokens:[] desc
   end
   else begin
     (* Capture the happens-before token in the issuing context (the
@@ -1073,7 +1038,58 @@ let dma_stage t (w : dma_work) =
 
 (* --- Post-processing stage ----------------------------------------- *)
 
+(* A TX slot that produced no segment: nothing was sent, and the
+   scheduler's buffer credit comes back. *)
+let tx_nothing_sent t ~conn =
+  Scheduler.on_sent t.sch ~conn ~bytes:0 ~more:false;
+  Scheduler.credit_return t.sch
+
 let rtt_ewma old sample = if old = 0 then sample else ((7 * old) + sample) / 8
+
+(* The RX verdict's post-processing step, shared by the pipeline's
+   post-processor and the run-to-completion baseline: bump the
+   congestion-control counters the control plane reads, wake the flow's
+   TX side if the verdict asks, and describe the payload placement,
+   host notification and ACK it calls for as DMA-stage work. *)
+let rx_post_work t cs (v : Meta.rx_verdict) =
+  let post = cs.Conn_state.post in
+  post.Conn_state.cnt_ackb <- post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
+  post.Conn_state.cnt_ecnb <- post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
+  if v.Meta.v_fast_retx then begin
+    post.Conn_state.cnt_fretx <- post.Conn_state.cnt_fretx + 1;
+    t.st_fretx <- t.st_fretx + 1
+  end;
+  if v.Meta.v_rtt_sample_ns > 0 then
+    post.Conn_state.rtt_est_ns <-
+      rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
+  if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
+    Scheduler.wakeup t.sch ~conn:cs.Conn_state.idx;
+  {
+    dw_conn = cs.Conn_state.idx;
+    dw_gseq = v.Meta.v_gseq;
+    dw_payload = v.Meta.v_place;
+    dw_readable =
+      (match v.Meta.v_place with
+      | Some (pos, _) when v.Meta.v_rx_advance > 0 ->
+          Some (pos, v.Meta.v_rx_advance)
+      | _ -> None);
+    dw_fetch = None;
+    dw_ack = v.Meta.v_ack;
+    dw_notify =
+      (if
+         v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0
+         || v.Meta.v_fin_reached
+       then
+         Some
+           {
+             Meta.x_opaque = post.Conn_state.opaque;
+             x_rx_bytes = v.Meta.v_rx_advance;
+             x_tx_freed = v.Meta.v_tx_freed;
+             x_fin = v.Meta.v_fin_reached;
+             x_err = false;
+           }
+       else None);
+  }
 
 let postproc_stage t fg (w : post_work) =
   let c = t.cfg.Config.costs in
@@ -1131,8 +1147,7 @@ let postproc_stage t fg (w : post_work) =
           | Post_tx d ->
               Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
               sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
-              Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-              Scheduler.credit_return t.sch
+              tx_nothing_sent t ~conn:conn_idx
           | Post_rx v -> begin
               sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
               match v.Meta.v_ack with
@@ -1147,53 +1162,7 @@ let postproc_stage t fg (w : post_work) =
               | None -> ());
               t.hc_descs_free <- t.hc_descs_free + 1
         end
-      | Post_rx v, Some cs ->
-          let post = cs.Conn_state.post in
-          (* Stats step: congestion-control counters for the CP. *)
-          post.Conn_state.cnt_ackb <-
-            post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
-          post.Conn_state.cnt_ecnb <-
-            post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
-          if v.Meta.v_fast_retx then begin
-            post.Conn_state.cnt_fretx <- post.Conn_state.cnt_fretx + 1;
-            t.st_fretx <- t.st_fretx + 1
-          end;
-          if v.Meta.v_rtt_sample_ns > 0 then
-            post.Conn_state.rtt_est_ns <-
-              rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
-          if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
-            Scheduler.wakeup t.sch ~conn:conn_idx;
-          let notify =
-            if
-              v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0
-              || v.Meta.v_fin_reached
-            then
-              Some
-                {
-                  Meta.x_opaque = post.Conn_state.opaque;
-                  x_rx_bytes = v.Meta.v_rx_advance;
-                  x_tx_freed = v.Meta.v_tx_freed;
-                  x_fin = v.Meta.v_fin_reached;
-                  x_err = false;
-                }
-            else None
-          in
-          let readable =
-            match v.Meta.v_place with
-            | Some (pos, _) when v.Meta.v_rx_advance > 0 ->
-                Some (pos, v.Meta.v_rx_advance)
-            | _ -> None
-          in
-          dma_stage t
-            {
-              dw_conn = conn_idx;
-              dw_gseq = v.Meta.v_gseq;
-              dw_payload = v.Meta.v_place;
-              dw_readable = readable;
-              dw_fetch = None;
-              dw_ack = v.Meta.v_ack;
-              dw_notify = notify;
-            }
+      | Post_rx v, Some cs -> dma_stage t (rx_post_work t cs v)
       | Post_tx d, Some _ ->
           (* FS step: tell the scheduler what happened. *)
           Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:d.Meta.t_len
@@ -1256,79 +1225,68 @@ let proto_writeback t conn_idx ~reasm =
       end;
       San.span_end s ~stage:"protocol" ~flow:conn_idx
 
+(* The protocol stage's one critical section, shared by RX, TX and HC
+   work: take the connection's lock, fetch its state through the cache
+   hierarchy on the flow's protocol FPC, run [body] after [cost]
+   compute cycles, write the state back (the reassembly buffer too
+   when [reasm]) and release; [k] then continues with [body]'s result
+   outside the lock. *)
+let protocol_section t cs ~cost ~id ~reasm body k =
+  let idx = cs.Conn_state.idx in
+  acquire t idx (fun () ->
+      proto_span_begin t idx;
+      (* Sabotage: drop the lock before the critical section instead of
+         after — the classic too-early unlock. *)
+      let early = t.sabotage.sb_early_release in
+      if early then release t idx;
+      let phases = proto_state_phases t cs in
+      let extra = trace_cycles t "protocol" ~conn:idx in
+      Nfp.Fpc.submit (proto_fpc_for t cs)
+        (phases @ [ Compute (cost + extra) ])
+        (sc_span t ~stage:"protocol" ~conn:idx ~id ~cycles:(cost + extra)
+           (fun () ->
+             let r = body (Sim.Engine.now t.engine) in
+             proto_writeback t idx ~reasm;
+             if not early then release t idx;
+             k r)))
+
+let alloc_tx_gseq t () = Sequencer.next_seq t.tx_gro
+
 let protocol_rx t (s : Meta.rx_summary) =
   match conn t s.Meta.conn with
   | None -> ()
   | Some cs ->
-      let fg = cs.Conn_state.pre.Conn_state.flow_group in
-      acquire t s.Meta.conn (fun () ->
-          proto_span_begin t s.Meta.conn;
-          (* Sabotage: drop the lock before the critical section
-             instead of after — the classic too-early unlock. *)
-          let early = t.sabotage.sb_early_release in
-          if early then release t s.Meta.conn;
-          let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:s.Meta.conn in
-          let cost =
-            if Bytes.length s.Meta.payload = 0 && not s.Meta.fin then
-              c.Config.protocol_rx_ack
-            else c.Config.protocol_rx
-          in
-          Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (cost + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
-               ~cycles:(cost + extra) (fun () ->
-                 let v =
-                   Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs s
-                     ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t s.Meta.conn ~reasm:true;
-                 if not early then release t s.Meta.conn;
-                 trace_rx_verdict t v;
-                 postproc_stage t fg (Post_rx v))))
+      let c = t.cfg.Config.costs in
+      let cost =
+        if Bytes.length s.Meta.payload = 0 && not s.Meta.fin then
+          c.Config.protocol_rx_ack
+        else c.Config.protocol_rx
+      in
+      protocol_section t cs ~cost ~id:s.Meta.rx_gseq ~reasm:true
+        (fun now -> Protocol.rx t.cfg ~now cs s ~alloc_gseq:(alloc_tx_gseq t))
+        (fun v ->
+          trace_rx_verdict t v;
+          postproc_stage t cs.Conn_state.pre.Conn_state.flow_group (Post_rx v))
 
 let protocol_tx t ~conn:conn_idx =
   match conn t conn_idx with
-  | None ->
-      Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-      Scheduler.credit_return t.sch
+  | None -> tx_nothing_sent t ~conn:conn_idx
   | Some cs ->
-      let fg = cs.Conn_state.pre.Conn_state.flow_group in
-      acquire t conn_idx (fun () ->
-          proto_span_begin t conn_idx;
-          let early = t.sabotage.sb_early_release in
-          if early then release t conn_idx;
-          let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:conn_idx in
-          ignore fg;
-          Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (c.Config.protocol_tx + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:conn_idx ~id:(-1)
-               ~cycles:(c.Config.protocol_tx + extra) (fun () ->
-                 let d =
-                   Protocol.tx t.cfg ~now:(Sim.Engine.now t.engine) cs
-                     ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t conn_idx ~reasm:false;
-                 if not early then release t conn_idx;
-                 match d with
-                 | Some d ->
-                     trace_event t "protocol" "tx_seg" ~conn:conn_idx;
-                     sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx
-                       ~id:d.Meta.t_gseq;
-                     postproc_stage t fg (Post_tx d)
-                 | None ->
-                     Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0
-                       ~more:false;
-                     Scheduler.credit_return t.sch)))
+      protocol_section t cs ~cost:t.cfg.Config.costs.Config.protocol_tx
+        ~id:(-1) ~reasm:false
+        (fun now -> Protocol.tx t.cfg ~now cs ~alloc_gseq:(alloc_tx_gseq t))
+        (function
+          | Some d ->
+              trace_event t "protocol" "tx_seg" ~conn:conn_idx;
+              sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx ~id:d.Meta.t_gseq;
+              postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
+                (Post_tx d)
+          | None -> tx_nothing_sent t ~conn:conn_idx)
 
 let protocol_hc t (d : Meta.hc_desc) =
   match conn t d.Meta.h_conn with
   | None -> t.hc_descs_free <- t.hc_descs_free + 1
   | Some cs ->
-      let fg = cs.Conn_state.pre.Conn_state.flow_group in
       (* A credit doorbell is the host's "I consumed those bytes"
          edge: join the deliveries it follows, so the window advance
          it enables (and any buffer-position reuse behind it) is
@@ -1337,26 +1295,13 @@ let protocol_hc t (d : Meta.hc_desc) =
       | Some s, Meta.Rx_credit _ ->
           San.chan_recv s ("arx#" ^ string_of_int d.Meta.h_conn)
       | _ -> ());
-      acquire t d.Meta.h_conn (fun () ->
-          proto_span_begin t d.Meta.h_conn;
-          let early = t.sabotage.sb_early_release in
-          if early then release t d.Meta.h_conn;
-          let phases = proto_state_phases t cs in
-          let c = t.cfg.Config.costs in
-          let extra = trace_cycles t "protocol" ~conn:d.Meta.h_conn in
-          ignore fg;
-          Nfp.Fpc.submit (proto_fpc_for t cs)
-            (phases @ [ Compute (c.Config.protocol_hc + extra) ])
-            (sc_span t ~stage:"protocol" ~conn:d.Meta.h_conn ~id:(-1)
-               ~cycles:(c.Config.protocol_hc + extra) (fun () ->
-                 let r =
-                   Protocol.hc t.cfg ~now:(Sim.Engine.now t.engine) cs
-                     d.Meta.h_op ~alloc_gseq:(fun () ->
-                       Sequencer.next_seq t.tx_gro)
-                 in
-                 proto_writeback t d.Meta.h_conn ~reasm:false;
-                 if not early then release t d.Meta.h_conn;
-                 postproc_stage t fg (Post_hc (d.Meta.h_conn, r)))))
+      protocol_section t cs ~cost:t.cfg.Config.costs.Config.protocol_hc
+        ~id:(-1) ~reasm:false
+        (fun now ->
+          Protocol.hc t.cfg ~now cs d.Meta.h_op ~alloc_gseq:(alloc_tx_gseq t))
+        (fun r ->
+          postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
+            (Post_hc (d.Meta.h_conn, r)))
 
 (* --- GRO (RX reorder point) ----------------------------------------- *)
 
@@ -1463,6 +1408,32 @@ let forward_to_control t frame =
 let csum_cycles t frame =
   t.cfg.Config.costs.Config.preproc_csum + (S.frame_wire_len frame / 16)
 
+(* Whether a segment of an installed flow stays on the data path:
+   control segments and VLAN-tagged frames go to the control plane. *)
+let on_data_path (frame : S.frame) =
+  S.data_path_flags frame.S.seg.S.flags && frame.S.vlan = None
+
+(* The pre-processor's segment summary: the header fields the protocol
+   stage consumes, for the installed connection [conn]. *)
+let rx_summary t ~gseq ~conn (frame : S.frame) =
+  let seg = frame.S.seg in
+  {
+    Meta.rx_gseq = gseq;
+    conn;
+    seq = seg.S.seq;
+    ack_seq = seg.S.ack_seq;
+    has_ack = seg.S.flags.S.ack;
+    wnd = seg.S.window;
+    payload = seg.S.payload;
+    fin = seg.S.flags.S.fin;
+    psh = seg.S.flags.S.psh;
+    ece = seg.S.flags.S.ece;
+    cwr = seg.S.flags.S.cwr;
+    ecn_ce = frame.S.ecn = S.Ce;
+    ts = seg.S.options.S.ts;
+    arrival = Sim.Engine.now t.engine;
+  }
+
 let preproc_rx t gseq (frame : S.frame) =
   let c = t.cfg.Config.costs in
   let seg = frame.S.seg in
@@ -1509,30 +1480,10 @@ let preproc_rx t gseq (frame : S.frame) =
       | Some idx, true ->
           sa t ~stage:"preproc" ~flow:idx Effects.Conn_proto Effects.Read
       | _ -> ());
-      let datapath_ok =
-        S.data_path_flags seg.S.flags && frame.S.vlan = None
-      in
       match conn_idx with
-      | Some idx when datapath_ok ->
-          let summary =
-            {
-              Meta.rx_gseq = gseq;
-              conn = idx;
-              seq = seg.S.seq;
-              ack_seq = seg.S.ack_seq;
-              has_ack = seg.S.flags.S.ack;
-              wnd = seg.S.window;
-              payload = seg.S.payload;
-              fin = seg.S.flags.S.fin;
-              psh = seg.S.flags.S.psh;
-              ece = seg.S.flags.S.ece;
-              cwr = seg.S.flags.S.cwr;
-              ecn_ce = frame.S.ecn = S.Ce;
-              ts = seg.S.options.S.ts;
-              arrival = Sim.Engine.now t.engine;
-            }
-          in
-          Sequencer.submit t.rx_gro ~seq:gseq summary
+      | Some idx when on_data_path frame ->
+          Sequencer.submit t.rx_gro ~seq:gseq
+            (rx_summary t ~gseq ~conn:idx frame)
       | _ ->
           (* Control segment, VLAN-tagged, or unknown connection. *)
           sc_count t "preproc/to_control";
@@ -1576,61 +1527,26 @@ let rtc_rx t (frame : S.frame) =
         t.st_drop_csum <- t.st_drop_csum + 1
       else
       match Nfp.Lookup.lookup t.conn_db ~hash flow with
-      | Some idx when S.data_path_flags seg.S.flags -> begin
+      | Some idx when on_data_path frame -> begin
           match conn t idx with
           | None -> forward_to_control t frame
           | Some cs ->
-              let summary =
-                {
-                  Meta.rx_gseq = 0;
-                  conn = idx;
-                  seq = seg.S.seq;
-                  ack_seq = seg.S.ack_seq;
-                  has_ack = seg.S.flags.S.ack;
-                  wnd = seg.S.window;
-                  payload = seg.S.payload;
-                  fin = seg.S.flags.S.fin;
-                  psh = seg.S.flags.S.psh;
-                  ece = seg.S.flags.S.ece;
-                  cwr = seg.S.flags.S.cwr;
-                  ecn_ce = frame.S.ecn = S.Ce;
-                  ts = seg.S.options.S.ts;
-                  arrival = Sim.Engine.now t.engine;
-                }
-              in
               let v =
-                Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs summary
-                  ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
+                Protocol.rx t.cfg ~now:(Sim.Engine.now t.engine) cs
+                  (rx_summary t ~gseq:0 ~conn:idx frame)
+                  ~alloc_gseq:(alloc_tx_gseq t)
               in
-              let post = cs.Conn_state.post in
-              post.Conn_state.cnt_ackb <-
-                post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
-              post.Conn_state.cnt_ecnb <-
-                post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
-              if v.Meta.v_fast_retx then t.st_fretx <- t.st_fretx + 1;
-              if v.Meta.v_rtt_sample_ns > 0 then
-                post.Conn_state.rtt_est_ns <-
-                  rtt_ewma post.Conn_state.rtt_est_ns v.Meta.v_rtt_sample_ns;
-              (match v.Meta.v_place with
+              (* The post-processing and DMA work, done in place. *)
+              let w = rx_post_work t cs v in
+              (match w.dw_payload with
               | Some (pos, bytes) ->
-                  Host.Payload_buf.write post.Conn_state.rx_buf ~off:pos
-                    ~src:bytes ~src_off:0 ~len:(Bytes.length bytes)
+                  Host.Payload_buf.write cs.Conn_state.post.Conn_state.rx_buf
+                    ~off:pos ~src:bytes ~src_off:0 ~len:(Bytes.length bytes)
               | None -> ());
-              if v.Meta.v_wake_tx || v.Meta.v_fast_retx then
-                Scheduler.wakeup t.sch ~conn:idx;
-              if
-                v.Meta.v_rx_advance > 0 || v.Meta.v_tx_freed > 0
-                || v.Meta.v_fin_reached
-              then
-                notify_libtoe t cs
-                  {
-                    Meta.x_opaque = post.Conn_state.opaque;
-                    x_rx_bytes = v.Meta.v_rx_advance;
-                    x_tx_freed = v.Meta.v_tx_freed;
-                    x_fin = v.Meta.v_fin_reached;
-                    x_err = false;
-                  };
-              match v.Meta.v_ack with
+              (match w.dw_notify with
+              | Some d -> notify_libtoe t ?range:w.dw_readable cs d
+              | None -> ());
+              match w.dw_ack with
               | Some a ->
                   Sequencer.submit t.tx_gro ~seq:a.Meta.a_gseq (Eg_ack a)
               | None -> ()
@@ -1652,18 +1568,13 @@ let rtc_tx t ~conn:conn_idx =
   in
   Nfp.Fpc.submit t.rtc_fpc phases (fun () ->
       match conn t conn_idx with
-      | None ->
-          Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-          Scheduler.credit_return t.sch
+      | None -> tx_nothing_sent t ~conn:conn_idx
       | Some cs -> begin
-          let d =
+          match
             Protocol.tx t.cfg ~now:(Sim.Engine.now t.engine) cs
-              ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
-          in
-          match d with
-          | None ->
-              Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:0 ~more:false;
-              Scheduler.credit_return t.sch
+              ~alloc_gseq:(alloc_tx_gseq t)
+          with
+          | None -> tx_nothing_sent t ~conn:conn_idx
           | Some d ->
               Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:d.Meta.t_len
                 ~more:d.Meta.t_more;
@@ -1693,7 +1604,7 @@ let rtc_hc t (d : Meta.hc_desc) =
       | Some cs ->
           let r =
             Protocol.hc t.cfg ~now:(Sim.Engine.now t.engine) cs d.Meta.h_op
-              ~alloc_gseq:(fun () -> Sequencer.next_seq t.tx_gro)
+              ~alloc_gseq:(alloc_tx_gseq t)
           in
           if r.Protocol.hc_wake_tx then
             Scheduler.wakeup t.sch ~conn:d.Meta.h_conn;

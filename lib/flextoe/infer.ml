@@ -819,7 +819,7 @@ let builtin_stage_map =
     ("postproc", [ "postproc_stage" ]);
     ("dma", [ "dma_stage" ]);
     ("ctx",
-     [ "notify_libtoe"; "notify_libtoe_now"; "arx_flush"; "atx_drain";
+     [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
        "atx_drain_body" ]);
     ("sched", [ "dispatch_tx" ]);
     ("nbi", [ "nbi_emit"; "nbi_emit_one" ]);

@@ -5,21 +5,16 @@ type shaping = {
 }
 
 type t = {
-  engine : Sim.Engine.t;  (* home engine: every classic-mode port *)
+  engine : Sim.Engine.t;  (* default home of a port *)
   switch_latency : Sim.Time.t;
   seed : int64;
-  rng : Sim.Rng.t;  (* classic-mode loss draws (at forward time) *)
   mutable loss : float;
   mutable ports : port list;
   by_mac : (int, port) Hashtbl.t;
   by_ip : (int, port) Hashtbl.t;
-  (* Classic mode draws loss and routes at the switch, where there is
-     no port context; these two stay fabric-global there. *)
-  mutable dropped_loss : int;
-  mutable dropped_unroutable : int;
-  (* Partitioned mode: one conservative channel per ordered pair of
-     distinct port-home LPs, keyed by (src LP id, dst LP id), with
-     the switch latency as lookahead. *)
+  (* One conservative channel per ordered pair of distinct port-home
+     LPs, keyed by (src LP id, dst LP id), with the switch latency as
+     lookahead; empty until [partition]. *)
   mutable partitioned : bool;
   channels : (int * int, Sim.Engine.Cluster.channel) Hashtbl.t;
 }
@@ -38,13 +33,13 @@ and port = {
   mutable tx_fault : fault_hook option;
   mutable rx_fault : fault_hook option;
   (* Per-port statistics: bumped on the port's home LP, summed by the
-     fabric-wide accessors (identical totals in classic mode). *)
+     fabric-wide accessors. *)
   mutable p_delivered : int;
   mutable p_dropped_queue : int;
   mutable p_ecn_marked : int;
-  mutable p_dropped_loss : int;  (* partitioned: drawn at the source *)
-  mutable p_dropped_unroutable : int;  (* partitioned: routed at the source *)
-  p_rng : Sim.Rng.t;  (* partitioned-mode loss draws, keyed by mac *)
+  mutable p_dropped_loss : int;  (* drawn at the source *)
+  mutable p_dropped_unroutable : int;  (* routed at the source *)
+  p_rng : Sim.Rng.t;  (* loss draws, keyed by mac *)
 }
 
 (* A fault hook intercepts a frame and decides its fate by invoking
@@ -57,13 +52,10 @@ let create engine ?(switch_latency = Sim.Time.us 1) ?(seed = 42L) () =
     engine;
     switch_latency;
     seed;
-    rng = Sim.Rng.create seed;
     loss = 0.;
     ports = [];
     by_mac = Hashtbl.create 16;
     by_ip = Hashtbl.create 16;
-    dropped_loss = 0;
-    dropped_unroutable = 0;
     partitioned = false;
     channels = Hashtbl.create 16;
   }
@@ -178,16 +170,6 @@ let route t frame =
   | Some p -> Some p
   | None -> Hashtbl.find_opt t.by_ip frame.Tcp.Segment.seg.dst_ip
 
-(* Classic mode: the switch forwards at arrival time on the shared
-   engine — loss draw, then routing, then delivery. *)
-let forward t frame =
-  if t.loss > 0. && Sim.Rng.bool t.rng t.loss then
-    t.dropped_loss <- t.dropped_loss + 1
-  else
-    match route t frame with
-    | None -> t.dropped_unroutable <- t.dropped_unroutable + 1
-    | Some p -> deliver t p frame
-
 let transmit_clean port frame =
   let t = port.fabric in
   let now = Sim.Engine.now port.home in
@@ -196,13 +178,11 @@ let transmit_clean port frame =
   let start = max now port.tx_free in
   port.tx_free <- start + ser;
   let arrival = port.tx_free + t.switch_latency in
-  if not t.partitioned then
-    Sim.Engine.schedule_at port.home arrival (fun () -> forward t frame)
-  else if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then
-    (* Partitioned mode: the loss draw moves to the source port's own
-       stream (keyed by mac) and routing happens at transmit time —
-       the switch tables are immutable once partitioned, and the
-       destination LP must be known to pick the channel. *)
+  (* The loss draw comes from the source port's own stream (keyed by
+     mac) and routing happens at transmit time: the destination LP
+     must be known to pick the channel, and a per-port stream keeps
+     the draws independent of how ports are spread over LPs. *)
+  if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then
     port.p_dropped_loss <- port.p_dropped_loss + 1
   else
     match route t frame with
@@ -234,12 +214,8 @@ let port_engine p = p.home
 let sum_ports t f = List.fold_left (fun acc p -> acc + f p) 0 t.ports
 let delivered t = sum_ports t (fun p -> p.p_delivered)
 
-let dropped_loss t =
-  t.dropped_loss + sum_ports t (fun p -> p.p_dropped_loss)
-
+let dropped_loss t = sum_ports t (fun p -> p.p_dropped_loss)
 let dropped_queue t = sum_ports t (fun p -> p.p_dropped_queue)
-
-let dropped_unroutable t =
-  t.dropped_unroutable + sum_ports t (fun p -> p.p_dropped_unroutable)
+let dropped_unroutable t = sum_ports t (fun p -> p.p_dropped_unroutable)
 
 let ecn_marked t = sum_ports t (fun p -> p.p_ecn_marked)

@@ -10,16 +10,16 @@
     Frames are delivered to the destination port's receive callback at
     the virtual time the last byte arrives.
 
-    The fabric can run {e partitioned} for the parallel simulator:
-    each port names a home engine (its node's LP) and {!partition}
-    builds one conservative channel per ordered pair of distinct port
-    LPs, with the switch's forwarding latency as the lookahead — the
-    physical justification being that no frame crosses the switch in
-    less than its store-and-forward time. In partitioned mode the
-    loss draw moves to the source port's own RNG stream (keyed by
-    MAC) and routing happens at transmit time; the classic
-    single-engine path is byte-identical to the unpartitioned
-    fabric. *)
+    Each port names a home engine (its node's LP). A frame is routed,
+    and its loss drawn from the source port's own RNG stream (keyed by
+    MAC), when the port transmits it. A frame between ports that share
+    a home is scheduled on that engine; so a solo-engine fabric is
+    simply one whose ports all share one home. For the parallel
+    simulator, {!partition} builds one conservative channel per
+    ordered pair of distinct port LPs, with the switch's forwarding
+    latency as the lookahead — the physical justification being that
+    no frame crosses the switch in less than its store-and-forward
+    time. *)
 
 type t
 
@@ -31,7 +31,9 @@ val create :
     data-center ToR). *)
 
 val set_loss : t -> float -> unit
-(** Uniform random drop probability applied to every forwarded frame. *)
+(** Uniform random drop probability applied to every frame. The draw
+    is made per source port, at transmit time, from that port's own
+    MAC-keyed stream. *)
 
 val add_port :
   t ->
@@ -89,8 +91,8 @@ val port_ip : port -> int
 val port_engine : port -> Sim.Engine.t
 (** The port's home LP. *)
 
-(** Fabric-wide statistics (summed over ports; in partitioned mode
-    read them only while the cluster is not running). *)
+(** Fabric-wide statistics (summed over ports; on a partitioned
+    fabric read them only while the cluster is not running). *)
 
 val delivered : t -> int
 val dropped_loss : t -> int

@@ -83,7 +83,6 @@ let create ?(seed = 1L) () =
   mk_lp ~id:0 ~name:"main" ~rng:(Rng.create seed) ~cluster:None
 
 let now t = t.clock
-let rng t = t.lp_rng
 
 let schedule_at t time k =
   if time < t.clock then

@@ -29,21 +29,11 @@ type handle
 (** A cancellable scheduled callback. *)
 
 val create : ?seed:int64 -> unit -> t
-(** [create ~seed ()] is a fresh solo engine at time zero with a
-    deterministic root RNG ([seed] defaults to [1L]). *)
+(** [create ~seed ()] is a fresh solo engine at time zero whose
+    {!Local.rng} stream is seeded with [seed] (default [1L]). *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
-
-val rng : t -> Rng.t
-[@@ocaml.deprecated
-  "use Engine.Local.rng, this engine's per-LP stream. Direct root-RNG \
-   access predates the parallel engine: draws from a shared root made \
-   streams depend on global draw order, which cannot be reproduced \
-   across domain interleavings. Local.rng returns the same generator \
-   for a solo engine (existing seeds and traces are unaffected); \
-   cluster LPs get a stream derived from (cluster seed, LP id)."]
-(** The engine's root RNG. Deprecated — see the migration note. *)
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_at t time k] runs [k] at absolute [time]. Scheduling in

@@ -19,7 +19,6 @@ type t = {
   mutable order : point list;  (* reverse registration order *)
   mutable subs : subscription list;  (* subscription order *)
   mutable next_sub_id : int;
-  mutable sink_sub : subscription option;  (* the set_sink shim's handle *)
   mutable n_enabled : int;
   mutable shards : shard list;  (* reverse creation order *)
 }
@@ -42,7 +41,6 @@ let create () =
     order = [];
     subs = [];
     next_sub_id = 0;
-    sink_sub = None;
     n_enabled = 0;
     shards = [];
   }
@@ -95,13 +93,6 @@ let unsubscribe t s =
   end
 
 let subscriber_count t = List.length t.subs
-
-let set_sink t f =
-  (* Deprecated shim: behaves like the old single global sink by
-     replacing the shim's previous subscription (explicit [subscribe]
-     handles are untouched). *)
-  (match t.sink_sub with Some s -> unsubscribe t s | None -> ());
-  t.sink_sub <- Some (subscribe t f)
 
 let deliver t p ev =
   List.iter

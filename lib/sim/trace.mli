@@ -60,15 +60,6 @@ val unsubscribe : t -> subscription -> unit
 
 val subscriber_count : t -> int
 
-val set_sink : t -> (event -> unit) -> unit
-[@@ocaml.deprecated
-  "use Trace.subscribe, which supports multiple concurrent consumers. \
-   set_sink is a shim that installs one subscription, replacing the \
-   subscription installed by any previous set_sink call."]
-(** Install a callback receiving every hit of every enabled point.
-    Deprecated: this is the pre-subscription single-sink interface,
-    kept as a shim over {!subscribe}/{!unsubscribe}. *)
-
 val hit : t -> point -> now:Time.t -> conn:int -> arg:int -> unit
 (** Record a hit if the point is enabled (counter + subscribers). *)
 

@@ -26,19 +26,21 @@ let pseudo_header_sum ~src_ip ~dst_ip ~protocol ~length =
   + (dst_ip land 0xFFFF)
   + protocol + length
 
+(* Built eagerly at module initialisation and never written again, so
+   simulation LPs on different domains may read it concurrently (a
+   shared [lazy] raises [CamlinternalLazy.Undefined] when two domains
+   force it at once). *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+        else c := !c lsr 1
+      done;
+      !c)
 
 let crc32_update crc byte =
-  let table = Lazy.force crc_table in
-  table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
+  crc_table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
 
 let crc32 buf ~off ~len =
   let crc = ref 0xFFFFFFFF in

@@ -119,17 +119,59 @@ let test_fpc_busy_reporting () =
   check_bool "rtc FPC idle in pipelined mode" true
     (List.assoc "rtc0" busy = 0)
 
+let rtc_config =
+  Flextoe.Config.with_parallelism Flextoe.Config.default
+    Flextoe.Config.t3_baseline
+
 let test_rtc_uses_only_rtc_fpc () =
-  let config =
-    Flextoe.Config.with_parallelism Flextoe.Config.default
-      Flextoe.Config.t3_baseline
-  in
-  let engine, a, b = mk_pair ~config () in
+  let engine, a, b = mk_pair ~config:rtc_config () in
   ignore (echo_load engine a b ~conns:2 ~ms:10);
   let busy = Flextoe.Datapath.fpc_busy (Flextoe.datapath a) in
   check_bool "rtc FPC did the work" true (List.assoc "rtc0" busy > 0);
   check_int "protocol FPCs idle in run-to-completion" 0
     (List.assoc "proto0" busy)
+
+(* The run-to-completion baseline shares the pipeline's RX
+   post-processing step, so its fast retransmits reach the control
+   plane's congestion-control read like the pipeline's do. A sampler
+   polls every connection's CC counters far more often than the
+   control plane, so most bumps land in its sum. *)
+let test_rtc_fast_retx_reaches_cc () =
+  let engine = Sim.Engine.create ~seed:23L () in
+  let fabric = Netsim.Fabric.create engine () in
+  Netsim.Fabric.set_loss fabric 0.02;
+  let a = Flextoe.create_node engine ~fabric ~config:rtc_config ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ~config:rtc_config ~ip:ip_b () in
+  let dps = [ Flextoe.datapath a; Flextoe.datapath b ] in
+  let sampled = ref 0 in
+  let rec sample () =
+    List.iter
+      (fun dp ->
+        for conn = 0 to 63 do
+          let st = Flextoe.Datapath.read_cc_stats dp ~conn in
+          sampled := !sampled + st.Flextoe.Datapath.fretx
+        done)
+      dps;
+    Sim.Engine.schedule engine (Sim.Time.us 5) sample
+  in
+  sample ();
+  (* Requests of many segments, so one loss leaves enough segments
+     behind it in flight for three duplicate ACKs. *)
+  let stats = Host.Rpc.Stats.create engine in
+  Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
+    ~handler:Host.Rpc.echo_handler ();
+  ignore
+    (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint b) ~engine
+       ~server_ip:ip_a ~server_port:7 ~conns:4 ~pipeline:2 ~req_bytes:16384
+       ~stats ());
+  Sim.Engine.run ~until:(Sim.Time.ms 50) engine;
+  let fast_retx =
+    List.fold_left
+      (fun n dp -> n + (Flextoe.Datapath.stats dp).Flextoe.Datapath.fast_retx)
+      0 dps
+  in
+  check_bool "loss triggers fast retransmits" true (fast_retx > 0);
+  check_bool "fast retransmits reach the CC stats" true (!sampled > 0)
 
 let test_stats_consistency () =
   let engine, a, b = mk_pair () in
@@ -144,6 +186,65 @@ let test_stats_consistency () =
   check_bool "conservation a->b" true (abs (sent - seen) < 64);
   check_int "nothing dropped" 0 sa.Flextoe.Datapath.rx_dropped
 
+(* VLAN-tagged ingress: inject 10 tagged copies of a data-path segment
+   of an established flow toward [a] and count the frames [a] sends to
+   its control plane. Without the strip module tagged frames are not
+   data-path segments; with it they are stripped and stay on the data
+   path. *)
+let vlan_frames_to_control ?config ~with_strip () =
+  let engine = Sim.Engine.create () in
+  let fabric = Netsim.Fabric.create engine () in
+  let a = Flextoe.create_node engine ~fabric ?config ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ?config ~ip:ip_b () in
+  if with_strip then begin
+    let vs = Flextoe.Ext_vlan.create engine in
+    Flextoe.Ext_vlan.install vs (Flextoe.datapath a)
+  end;
+  Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:50
+    ~handler:Host.Rpc.echo_handler ();
+  (* Establish one normal connection first. *)
+  let sock = ref None in
+  (Flextoe.endpoint b).Host.Api.connect ~remote_ip:ip_a ~remote_port:7
+    ~on_connected:(fun r ->
+      match r with Ok s -> sock := Some s | Error e -> Alcotest.failf "%s" e);
+  Sim.Engine.run ~until:(Sim.Time.ms 2) engine;
+  let sock = Option.get !sock in
+  ignore (sock.Host.Api.send (Host.Framing.encode (Bytes.make 32 'x')));
+  Sim.Engine.run ~until:(Sim.Time.ms 5) engine;
+  let cs = Option.get (Flextoe.Datapath.conn (Flextoe.datapath b) 0) in
+  let flow = cs.Flextoe.Conn_state.flow in
+  let seg =
+    Tcp.Segment.make ~flags:Tcp.Segment.flags_ack ~payload:Bytes.empty
+      ~src_ip:flow.Tcp.Flow.local_ip ~dst_ip:flow.Tcp.Flow.remote_ip
+      ~src_port:flow.Tcp.Flow.local_port ~dst_port:flow.Tcp.Flow.remote_port
+      ~seq:
+        (Flextoe.Conn_state.tx_seq_of_pos cs
+           cs.Flextoe.Conn_state.proto.Flextoe.Conn_state.tx_next_pos)
+      ~ack_seq:
+        (Tcp.Reassembly.next
+           cs.Flextoe.Conn_state.proto.Flextoe.Conn_state.reasm)
+      ()
+  in
+  let tagged =
+    Tcp.Segment.make_frame ~vlan:(Some 7)
+      ~src_mac:(Flextoe.mac_of_ip ip_b) ~dst_mac:(Flextoe.mac_of_ip ip_a) seg
+  in
+  let port = Flextoe.Datapath.fabric_port (Flextoe.datapath b) in
+  let to_control () =
+    (Flextoe.Datapath.stats (Flextoe.datapath a)).Flextoe.Datapath
+      .rx_to_control
+  in
+  let before = to_control () in
+  for _ = 1 to 10 do
+    Netsim.Fabric.transmit port tagged
+  done;
+  Sim.Engine.run ~until:(Sim.Time.ms 8) engine;
+  to_control () - before
+
+let test_rtc_vlan_to_control () =
+  check_bool "tagged frames detour in run-to-completion" true
+    (vlan_frames_to_control ~config:rtc_config ~with_strip:false () >= 10)
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
@@ -156,81 +257,18 @@ let suite =
     Alcotest.test_case "fpc busy reporting" `Quick test_fpc_busy_reporting;
     Alcotest.test_case "run-to-completion placement" `Quick
       test_rtc_uses_only_rtc_fpc;
+    Alcotest.test_case "run-to-completion fast retx reaches CC" `Quick
+      test_rtc_fast_retx_reaches_cc;
+    Alcotest.test_case "run-to-completion VLAN frames to control" `Quick
+      test_rtc_vlan_to_control;
     Alcotest.test_case "segment conservation" `Quick test_stats_consistency;
   ]
 
-(* VLAN-tagged ingress end to end: without the strip module, tagged
-   frames are not data-path segments (they detour to the control
-   plane); with it, they flow normally. *)
 let test_vlan_ingress () =
-  let run with_strip =
-    let engine = Sim.Engine.create () in
-    let fabric = Netsim.Fabric.create engine () in
-    let a = Flextoe.create_node engine ~fabric ~ip:ip_a () in
-    let b = Flextoe.create_node engine ~fabric ~ip:ip_b () in
-    if with_strip then begin
-      let vs = Flextoe.Ext_vlan.create engine in
-      Flextoe.Ext_vlan.install vs (Flextoe.datapath a)
-    end;
-    let stats = Host.Rpc.Stats.create engine in
-    Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:50
-      ~handler:Host.Rpc.echo_handler ();
-    Host.Rpc.Stats.start_measuring stats;
-    (* Establish one normal connection first. *)
-    let sock = ref None in
-    (Flextoe.endpoint b).Host.Api.connect ~remote_ip:ip_a ~remote_port:7
-      ~on_connected:(fun r ->
-        match r with Ok s -> sock := Some s | Error e -> Alcotest.failf "%s" e);
-    Sim.Engine.run ~until:(Sim.Time.ms 2) engine;
-    let sock = Option.get !sock in
-    ignore (sock.Host.Api.send (Host.Framing.encode (Bytes.make 32 'x')));
-    Sim.Engine.run ~until:(Sim.Time.ms 5) engine;
-    let before = Host.Rpc.Stats.ops stats in
-    ignore before;
-    (* Now inject VLAN-tagged copies of a data segment directly into
-       the fabric toward the server. *)
-    let cs =
-      Option.get (Flextoe.Datapath.conn (Flextoe.datapath b) 0)
-    in
-    let flow = cs.Flextoe.Conn_state.flow in
-    let seg =
-      Tcp.Segment.make ~flags:Tcp.Segment.flags_ack
-        ~payload:Bytes.empty
-        ~src_ip:flow.Tcp.Flow.local_ip
-        ~dst_ip:flow.Tcp.Flow.remote_ip
-        ~src_port:flow.Tcp.Flow.local_port
-        ~dst_port:flow.Tcp.Flow.remote_port
-        ~seq:
-          (Flextoe.Conn_state.tx_seq_of_pos cs
-             cs.Flextoe.Conn_state.proto.Flextoe.Conn_state.tx_next_pos)
-        ~ack_seq:(Tcp.Reassembly.next cs.Flextoe.Conn_state.proto.Flextoe.Conn_state.reasm)
-        ()
-    in
-    let tagged =
-      Tcp.Segment.make_frame ~vlan:(Some 7)
-        ~src_mac:(Flextoe.mac_of_ip ip_b) ~dst_mac:(Flextoe.mac_of_ip ip_a)
-        seg
-    in
-    let port = Flextoe.Datapath.fabric_port (Flextoe.datapath b) in
-    let ctl_before =
-      (Flextoe.Datapath.stats (Flextoe.datapath a)).Flextoe.Datapath
-      .rx_to_control
-    in
-    for _ = 1 to 10 do
-      Netsim.Fabric.transmit port tagged
-    done;
-    Sim.Engine.run ~until:(Sim.Time.ms 8) engine;
-    let ctl_after =
-      (Flextoe.Datapath.stats (Flextoe.datapath a)).Flextoe.Datapath
-      .rx_to_control
-    in
-    ctl_after - ctl_before
-  in
-  (* Without the strip module, the 10 tagged frames detour to the
-     control plane; with it, they are stripped and handled by the
-     data path. *)
-  check_bool "tagged frames detour without strip" true (run false >= 10);
-  check_int "stripped frames stay on the data path" 0 (run true)
+  check_bool "tagged frames detour without strip" true
+    (vlan_frames_to_control ~with_strip:false () >= 10);
+  check_int "stripped frames stay on the data path" 0
+    (vlan_frames_to_control ~with_strip:true ())
 
 let vlan_suite =
   [ Alcotest.test_case "VLAN ingress with/without strip module" `Quick

@@ -11,8 +11,9 @@
      and on every send, per-channel FIFO + channel-id merge order at
      equal timestamps, min_slack never below the declared latency.
 
-   - The partitioned fabric delivers a byte- and time-identical trace
-     at every domain count, equal to the classic single-engine fabric.
+   - The fabric has one forwarding path: a partitioned fabric delivers
+     a byte- and time-identical trace at every domain count, equal to
+     the same fabric with both ports on one solo engine.
 
    - Scope/Trace shard merges are independent of cross-shard
      interleaving. *)
@@ -310,8 +311,8 @@ let mk_frame ?(payload = 100) ~src ~dst () =
 (* Bidirectional traffic between two ports; each port records every
    delivery as (port, home-LP time, wire length) into its own buffer.
    [mk_engines] yields the two home engines and a run function, so the
-   same world runs classic (both ports on one solo engine) or
-   partitioned (one LP each). *)
+   same world runs solo (both ports on one engine) or partitioned (one
+   LP each). *)
 let fabric_trace ~mk_engines () =
   let ea, eb, run, partition = mk_engines () in
   let fab = Netsim.Fabric.create ea () in
@@ -350,7 +351,7 @@ let fabric_trace ~mk_engines () =
   ( md5 (Buffer.contents bufs.(0) ^ Buffer.contents bufs.(1)),
     Netsim.Fabric.delivered fab )
 
-let classic_engines () =
+let solo_engines () =
   let e = Sim.Engine.create ~seed:5L () in
   (e, e, (fun () -> Sim.Engine.run ~until:(Sim.Time.ms 1) e), fun _ -> ())
 
@@ -363,11 +364,11 @@ let cluster_engines ~domains () =
     (fun () -> Cl.run ~until:(Sim.Time.ms 1) cl),
     fun fab -> Netsim.Fabric.partition fab ~cluster:cl )
 
-let test_partitioned_fabric_matches_classic () =
-  let classic_digest, classic_delivered =
-    fabric_trace ~mk_engines:classic_engines ()
+let test_partitioned_fabric_matches_solo () =
+  let solo_digest, solo_delivered =
+    fabric_trace ~mk_engines:solo_engines ()
   in
-  check_int "classic delivers everything" 70 classic_delivered;
+  check_int "solo engine delivers everything" 70 solo_delivered;
   List.iter
     (fun domains ->
       let digest, delivered =
@@ -379,8 +380,9 @@ let test_partitioned_fabric_matches_classic () =
         70 delivered;
       check_str
         (Printf.sprintf
-           "partitioned trace identical to classic at domains=%d" domains)
-        classic_digest digest)
+           "partitioned trace identical to solo engine at domains=%d"
+           domains)
+        solo_digest digest)
     domain_counts
 
 let test_fabric_partition_freezes_ports () =
@@ -481,8 +483,8 @@ let suite =
       test_slack_property;
     Alcotest.test_case "ping-pong identical across domains" `Quick
       test_pingpong_across_domains;
-    Alcotest.test_case "partitioned fabric = classic fabric" `Quick
-      test_partitioned_fabric_matches_classic;
+    Alcotest.test_case "partitioned fabric = solo-engine fabric" `Quick
+      test_partitioned_fabric_matches_solo;
     Alcotest.test_case "fabric partition freezes ports" `Quick
       test_fabric_partition_freezes_ports;
     Alcotest.test_case "scope shard merge deterministic" `Quick

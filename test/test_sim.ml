@@ -270,22 +270,6 @@ let test_trace_subscribe_group_filter () =
   check_int "group-filtered" 1 !proto_events;
   check_int "unfiltered" 2 !all_events
 
-let test_trace_set_sink_shim () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"proto" "rx" in
-  ignore (Sim.Trace.enable t ());
-  let a = ref 0 and b = ref 0 and sub_hits = ref 0 in
-  let _s = Sim.Trace.subscribe t (fun _ -> incr sub_hits) in
-  (Sim.Trace.set_sink t (fun _ -> incr a) [@alert "-deprecated"]);
-  Sim.Trace.hit t p ~now:0 ~conn:1 ~arg:0;
-  (* A second set_sink replaces the first's subscription but leaves
-     independent subscribers alone. *)
-  (Sim.Trace.set_sink t (fun _ -> incr b) [@alert "-deprecated"]);
-  Sim.Trace.hit t p ~now:1 ~conn:1 ~arg:0;
-  check_int "first sink saw one event" 1 !a;
-  check_int "second sink saw one event" 1 !b;
-  check_int "plain subscriber saw both" 2 !sub_hits
-
 (* --- Histogram _opt / empty behaviour ----------------------------------- *)
 
 let test_histogram_empty_opt () =
@@ -364,5 +348,4 @@ let suite =
       test_trace_subscribe_ordering;
     Alcotest.test_case "trace subscription group filter" `Quick
       test_trace_subscribe_group_filter;
-    Alcotest.test_case "trace set_sink shim" `Quick test_trace_set_sink_shim;
   ]
