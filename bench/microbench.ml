@@ -68,15 +68,26 @@ let test_ebpf_splice =
   Test.make ~name:"ebpf/splice-program-miss" (Staged.stage (fun () ->
       ignore (Flextoe.Ebpf.run prog ~maps:[| map |] ~now_ns:0L ~packet)))
 
-let test_event_queue =
-  Test.make ~name:"sim/event-queue-256" (Staged.stage (fun () ->
-      let q = Sim.Event_queue.create () in
-      for i = 0 to 255 do
-        Sim.Event_queue.push q ((i * 7919) mod 1024) i
-      done;
-      while not (Sim.Event_queue.is_empty q) do
-        ignore (Sim.Event_queue.pop q)
-      done))
+(* One pop plus one push on a wheel held at a fixed depth, with
+   timestamps spread like a cycle-level model's. The depths are the
+   median pending-event counts of the kv (67) and bulk (1,430) perfbench
+   workloads, so each run cross-checks their sim.wheel_ns_per_event. *)
+let test_event_queue depth =
+  let q = Sim.Event_queue.create () in
+  let x = ref 12_345 in
+  let next () =
+    x := ((!x * 1_103_515_245) + 12_345) land 0x3FFF_FFFF;
+    !x land 0xF_FFFF
+  in
+  for _ = 1 to depth do
+    Sim.Event_queue.push q (next ()) ()
+  done;
+  Test.make
+    ~name:(Printf.sprintf "sim/event-queue-push+pop-%d" depth)
+    (Staged.stage (fun () ->
+         let t = Sim.Event_queue.next_time q in
+         Sim.Event_queue.pop_next q;
+         Sim.Event_queue.push q (t + 1 + next ()) ()))
 
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
@@ -101,7 +112,8 @@ let benchmarks =
     test_reassembly;
     test_sequencer;
     test_ebpf_splice;
-    test_event_queue;
+    test_event_queue 67;
+    test_event_queue 1430;
     test_end_to_end_rpc;
   ]
 

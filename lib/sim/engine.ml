@@ -106,34 +106,39 @@ let solo_only t op =
     invalid_arg ("Engine." ^ op ^ ": engine is a cluster LP; drive it with \
                   Engine.Cluster.run")
 
+(* The one dispatch step, shared by [step], [run] and [Cluster.slice]:
+   take the earliest live event, due at [time], advance the clock to
+   it, count it and call it. *)
+let dispatch t time =
+  let k = Event_queue.pop_next t.queue in
+  if time > t.clock then t.clock <- time;
+  t.processed <- t.processed + 1;
+  k ()
+
+(* Dispatches events due at or before [limit], at most [budget] of
+   them; returns how many ran. *)
+let drain t ~limit ~budget =
+  let q = t.queue in
+  let rec go n =
+    if n >= budget || Event_queue.is_empty q then n
+    else
+      let time = Event_queue.next_time q in
+      if time > limit then n
+      else begin
+        dispatch t time;
+        go (n + 1)
+      end
+  in
+  go 0
+
 let step t =
   solo_only t "step";
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, k) ->
-      t.clock <- max t.clock time;
-      t.processed <- t.processed + 1;
-      k ();
-      true
+  drain t ~limit:max_int ~budget:1 = 1
 
-let run ?until ?max_events t =
+let run ?until ?(max_events = max_int) t =
   solo_only t "run";
-  let continue () =
-    (match max_events with Some m -> t.processed < m | None -> true)
-    &&
-    match (until, Event_queue.peek_time t.queue) with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some u, Some next -> next <= u
-  in
-  while continue () do
-    match Event_queue.pop t.queue with
-    | None -> ()
-    | Some (time, k) ->
-        t.clock <- max t.clock time;
-        t.processed <- t.processed + 1;
-        k ()
-  done;
+  let limit = Option.value until ~default:max_int in
+  ignore (drain t ~limit ~budget:max_events);
   match until with
   | Some u when t.clock < u -> t.clock <- u
   | _ -> ()
@@ -306,31 +311,13 @@ module Cluster = struct
       let limit =
         min (if horizon = max_int then max_int else horizon - 1) until
       in
-      let progressed = ref false in
-      let continue () =
-        match Event_queue.peek_time lp.queue with
-        | Some next -> next <= limit
-        | None -> false
-      in
-      while continue () do
-        match Event_queue.pop lp.queue with
-        | None -> ()
-        | Some (time, k) ->
-            lp.clock <- max lp.clock time;
-            lp.processed <- lp.processed + 1;
-            k ();
-            progressed := true
-      done;
+      let progressed = ref (drain lp ~limit ~budget:max_int > 0) in
       (* The earliest virtual time at which this LP could still
          execute anything: its next local event or the first instant
          an input could deliver. Any future send leaves at or after
          this, so (earliest + latency) is a sound, monotone output
          promise. *)
-      let earliest =
-        match Event_queue.peek_time lp.queue with
-        | Some nt -> min nt horizon
-        | None -> horizon
-      in
+      let earliest = min (Event_queue.next_time lp.queue) horizon in
       if earliest > until then begin
         lp.lp_done <- true;
         if lp.clock < until then lp.clock <- until;

@@ -52,7 +52,7 @@ val cancel : t -> handle -> unit
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run the event loop until the queue empties, [until] is reached
     (events at later times stay queued), or [max_events] callbacks
-    have run. Solo engines only; driving a cluster LP directly raises
+    have run in this call. Solo engines only; driving a cluster LP directly raises
     [Invalid_argument] — use {!Cluster.run}. *)
 
 val step : t -> bool

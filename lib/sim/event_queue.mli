@@ -1,8 +1,26 @@
 (** Priority queue of timed events.
 
-    A binary min-heap keyed on (time, insertion sequence). Events with
-    equal timestamps pop in insertion order, which makes simulations
-    deterministic without relying on heap tie-breaking accidents. *)
+    A binary min-heap stored as a structure of arrays: flat [int]
+    arrays hold each entry's time, its packed tie-break key and its
+    cancellation handle, and one ['a array] holds the values. Pushing
+    and popping allocate nothing (beyond doubling the arrays when they
+    fill), and a slot vacated by a pop never keeps the popped value
+    reachable.
+
+    {b Ordering.} Entries pop in increasing (time, major, minor, seq)
+    order, where seq is the wheel's insertion counter. {!push} uses
+    rank (major 1, minor 0), so plain events with equal timestamps pop
+    in insertion order; {!push_keyed} chooses the rank. Seq is unique,
+    so this is a total order: the pop sequence depends only on the
+    pushes (and cancellations), never on heap tie-breaking accidents,
+    which is what makes simulations deterministic. The key packs seq
+    into 40 bits: a wheel accepts 2^40 pushes over its life, and the
+    next one raises [Failure].
+
+    {b Cancellation.} {!cancel} marks a {!push_cancellable} event dead
+    at once ({!length} drops); its slot is reclaimed when it reaches
+    the top, and it is never returned. Cancelling an event that has
+    already popped, or was already cancelled, is a no-op. *)
 
 type 'a t
 
@@ -22,7 +40,8 @@ val push_keyed : 'a t -> Time.t -> major:int -> minor:int -> 'a -> unit
     channel id, so at equal timestamps channel messages run before
     local events, in channel-id order — an order independent of when
     the scheduler drained them into the wheel, which is what makes
-    multi-domain runs bit-reproducible. *)
+    multi-domain runs bit-reproducible. Raises [Invalid_argument]
+    unless [0 <= major < 4] and [0 <= minor < 2^20]. *)
 
 val push_cancellable : 'a t -> Time.t -> 'a -> handle
 (** Like {!push} but returns a handle for {!cancel}. *)
@@ -31,11 +50,18 @@ val cancel : 'a t -> handle -> unit
 (** Cancel a previously pushed event. Cancelling an event that has
     already popped (or was already cancelled) is a no-op. *)
 
+val next_time : 'a t -> Time.t
+(** Timestamp of the earliest live event, or [max_int] when there is
+    none. Drops cancelled entries that have reached the top; allocates
+    nothing. *)
+
+val pop_next : 'a t -> 'a
+(** Remove the earliest live event — the one {!next_time} reports —
+    and return its value without allocating. Raises [Invalid_argument]
+    when no live event is queued. *)
+
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live event. *)
-
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest live event, if any. *)
 
 val is_empty : 'a t -> bool
 

@@ -65,23 +65,125 @@ let test_queue_cancel () =
   Sim.Event_queue.cancel q h2;
   check_int "no corruption" 0 (Sim.Event_queue.length q)
 
-let prop_queue_sorted =
-  QCheck.Test.make ~name:"event queue pops in nondecreasing time order"
-    ~count:200
-    QCheck.(list (int_bound 100_000))
-    (fun times ->
-      let q = Sim.Event_queue.create () in
-      List.iter (fun t -> Sim.Event_queue.push q t t) times;
-      let rec drain prev acc =
-        match Sim.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (t, _) ->
-            if t < prev then raise Exit;
-            drain t (t :: acc)
+(* Model-based check of the wheel against a plain list. Times are drawn
+   from a tiny range so that equal timestamps, and so the (major,
+   minor, seq) tie-break, decide most pops. *)
+type queue_op =
+  | Push of int
+  | Push_keyed of int * int  (* time, minor; major 0 *)
+  | Push_cancellable of int
+  | Cancel of int  (* index into the handles issued so far *)
+  | Pop
+  | Pop_next  (* next_time, then pop_next *)
+
+let queue_op_gen =
+  let open QCheck.Gen in
+  let time = int_bound 4 in
+  frequency
+    [
+      (3, map (fun t -> Push t) time);
+      (2, map2 (fun t m -> Push_keyed (t, m)) time (int_bound 3));
+      (2, map (fun t -> Push_cancellable t) time);
+      (2, map (fun i -> Cancel i) (int_bound 8));
+      (2, return Pop);
+      (2, return Pop_next);
+    ]
+
+let show_queue_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Push_keyed (t, m) -> Printf.sprintf "push_keyed %d minor:%d" t m
+  | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Pop -> "pop"
+  | Pop_next -> "pop_next"
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+        Gen.(list_size (int_range 0 120) queue_op_gen))
+    (fun ops ->
+      let module Q = Sim.Event_queue in
+      let q = Q.create () in
+      (* Model entries are (time, major, minor, seq); the value pushed
+         is seq, so a pop names the entry it returned. *)
+      let model = ref [] and seq = ref 0 in
+      let handles = ref [||] in
+      let add time ~major ~minor =
+        let s = !seq in
+        incr seq;
+        model := List.sort compare ((time, major, minor, s) :: !model);
+        s
       in
-      let popped = drain min_int [] in
-      List.length popped = List.length times
-      && List.sort compare times = popped)
+      let model_pop () =
+        match !model with
+        | [] -> None
+        | (t, _, _, s) :: rest ->
+            model := rest;
+            Some (t, s)
+      in
+      let step op =
+        (match op with
+        | Push t -> Q.push q t (add t ~major:1 ~minor:0)
+        | Push_keyed (t, m) -> Q.push_keyed q t ~major:0 ~minor:m (add t ~major:0 ~minor:m)
+        | Push_cancellable t ->
+            let s = add t ~major:1 ~minor:0 in
+            handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
+        | Cancel i ->
+            if i < Array.length !handles then begin
+              let h, s = !handles.(i) in
+              Q.cancel q h;
+              model := List.filter (fun (_, _, _, s') -> s' <> s) !model
+            end
+        | Pop -> if Q.pop q <> model_pop () then QCheck.Test.fail_report "pop"
+        | Pop_next ->
+            let expected = model_pop () in
+            let t = Q.next_time q in
+            let got = if Q.is_empty q then None else Some (t, Q.pop_next q) in
+            if got <> expected then QCheck.Test.fail_report "pop_next");
+        if Q.length q <> List.length !model then
+          QCheck.Test.fail_reportf "length %d, model %d" (Q.length q)
+            (List.length !model)
+      in
+      List.iter step ops;
+      (* Drain what is left: the whole pop sequence must match. *)
+      let rec drain () =
+        let expected = model_pop () in
+        if Q.pop q <> expected then QCheck.Test.fail_report "drain";
+        if expected <> None then drain ()
+      in
+      drain ();
+      Q.next_time q = max_int)
+
+(* Popped values must become unreachable: a vacated slot may hold
+   neither the popped callback nor any other pushed value. *)
+let fill_capturing q registry n =
+  for i = 0 to n - 1 do
+    let block = Bytes.make 64 (Char.chr (i land 0xff)) in
+    Weak.set registry i (Some block);
+    Sim.Event_queue.push q (i * 7919 mod 97) (fun () ->
+        ignore (Sys.opaque_identity (Bytes.length block)))
+  done
+
+let drain_calling q =
+  while not (Sim.Event_queue.is_empty q) do
+    let k = Sim.Event_queue.pop_next q in
+    k ()
+  done
+
+let test_queue_releases_popped () =
+  let n = 200 in
+  let q = Sim.Event_queue.create () and registry = Weak.create n in
+  fill_capturing q registry n;
+  drain_calling q;
+  Gc.full_major ();
+  let retained = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check registry i then incr retained
+  done;
+  check_int "blocks still reachable after every pop" 0 !retained;
+  ignore (Sys.opaque_identity q)
 
 (* --- Engine ----------------------------------------------------------- *)
 
@@ -105,6 +207,17 @@ let test_engine_nested_schedule () =
   Sim.Engine.run e;
   Alcotest.(check (list string)) "nested" [ "inner"; "outer" ] !log;
   check_int "final time" 150 (Sim.Engine.now e)
+
+let test_engine_max_events_per_call () =
+  let e = Sim.Engine.create () in
+  let calls = ref 0 in
+  for i = 1 to 10 do
+    Sim.Engine.schedule e i (fun () -> incr calls)
+  done;
+  Sim.Engine.run ~max_events:3 e;
+  Sim.Engine.run ~max_events:3 e;
+  check_int "each run dispatches its own budget" 6 !calls;
+  check_int "the rest stays queued" 4 (Sim.Engine.pending e)
 
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
@@ -322,10 +435,14 @@ let suite =
     Alcotest.test_case "event queue ordering" `Quick test_queue_ordering;
     Alcotest.test_case "event queue FIFO ties" `Quick test_queue_fifo_ties;
     Alcotest.test_case "event queue cancel" `Quick test_queue_cancel;
-    QCheck_alcotest.to_alcotest prop_queue_sorted;
+    QCheck_alcotest.to_alcotest prop_queue_model;
+    Alcotest.test_case "event queue releases popped values" `Quick
+      test_queue_releases_popped;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_schedule;
+    Alcotest.test_case "engine max_events counts per run" `Quick
+      test_engine_max_events_per_call;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine rejects the past" `Quick
       test_engine_past_raises;
