@@ -12,6 +12,19 @@ let test_checksum =
   Test.make ~name:"checksum/internet-1448B" (Staged.stage (fun () ->
       ignore (Tcp.Checksum.internet buf ~off:0 ~len:1448)))
 
+(* The whole segment checksum as the datapath computes it on every
+   frame: pseudo-header and header fields plus a full-MSS payload. *)
+let test_segment_checksum =
+  let seg =
+    Tcp.Segment.make ~payload:(Bytes.make 1448 'x') ~src_ip:0x0A000001
+      ~dst_ip:0x0A000002 ~src_port:40000 ~dst_port:7 ~seq:123_456
+      ~ack_seq:654_321
+      ~options:{ Tcp.Segment.mss = None; ts = Some (1, 2) }
+      ()
+  in
+  Test.make ~name:"tcp/segment-checksum-1448B" (Staged.stage (fun () ->
+      ignore (Tcp.Segment.checksum seg)))
+
 let test_crc32 =
   let buf = Bytes.make 64 'x' in
   Test.make ~name:"checksum/crc32-64B" (Staged.stage (fun () ->
@@ -89,6 +102,20 @@ let test_event_queue depth =
          Sim.Event_queue.pop_next q;
          Sim.Event_queue.push q (t + 1 + next ()) ()))
 
+(* A push due at the last-popped time, then its pop, on a wheel held at
+   bulk's depth: the "start on the next tick" event an FPC issues for
+   every work item. *)
+let test_event_queue_same_instant =
+  let q = Sim.Event_queue.create () in
+  for i = 1 to 1430 do
+    Sim.Event_queue.push q (1_000 + (i * 7_919 mod 100_000)) ()
+  done;
+  let now = Sim.Event_queue.next_time q in
+  Sim.Event_queue.pop_next q;
+  Test.make ~name:"sim/event-queue-same-instant" (Staged.stage (fun () ->
+      Sim.Event_queue.push q now ();
+      Sim.Event_queue.pop_next q))
+
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
       let engine = Sim.Engine.create () in
@@ -107,6 +134,7 @@ let test_end_to_end_rpc =
 let benchmarks =
   [
     test_checksum;
+    test_segment_checksum;
     test_crc32;
     test_wire_roundtrip;
     test_reassembly;
@@ -114,6 +142,7 @@ let benchmarks =
     test_ebpf_splice;
     test_event_queue 67;
     test_event_queue 1430;
+    test_event_queue_same_instant;
     test_end_to_end_rpc;
   ]
 

@@ -11,45 +11,48 @@ type tracer = {
   tr_run : slot:int -> token:int -> (unit -> unit) -> unit;
 }
 
+(* A work item waiting for a hardware thread. *)
 type work = { phases : phase list; k : unit -> unit; token : int }
+
+(* A hardware thread. While it runs an item, [phases] holds the phases
+   still to execute, and [k] and [token] the item's continuation and
+   tracer token; [cycles] holds the compute burst it is waiting to
+   issue while it queues for the core. [resume] (continue with
+   [phases]) and [core_done] (end of a compute burst) are built once,
+   in [create], and scheduled for every phase, so running an item
+   allocates nothing. *)
+type hw = {
+  slot : int;
+  mutable phases : phase list;
+  mutable k : unit -> unit;
+  mutable token : int;
+  mutable cycles : int;
+  mutable resume : unit -> unit;
+  mutable core_done : unit -> unit;
+}
 
 type t = {
   engine : Sim.Engine.t;
   params : Params.t;
   name : string;
   threads : int;
-  mutable idle_threads : int;
-  mutable free_slots : int list;  (* idle hardware-thread ids *)
+  (* Idle hardware threads, a stack whose top is [idle.(idle_n - 1)]:
+     a finished thread is the next one handed out. *)
+  idle : hw array;
+  mutable idle_n : int;
   pending : work Queue.t;
-  (* Issue unit: serves one compute burst at a time. *)
+  (* Issue unit: serves one compute burst at a time; threads waiting
+     for it queue FIFO in a ring of [threads] entries (a thread waits
+     at most once at a time). *)
   mutable core_busy : bool;
-  core_waiters : (int * (unit -> unit)) Queue.t;
+  core_waiters : hw array;
+  mutable core_head : int;
+  mutable core_len : int;
   mutable busy : Sim.Time.t;
   mutable stall : Sim.Time.t;  (* cumulative thread-time in Mem phases *)
   mutable completed : int;
   mutable tracer : tracer option;
 }
-
-let create engine ~params ?threads ~name () =
-  let threads =
-    match threads with Some n -> n | None -> params.Params.fpc_threads
-  in
-  if threads <= 0 then invalid_arg "Fpc.create: threads must be positive";
-  {
-    engine;
-    params;
-    name;
-    threads;
-    idle_threads = threads;
-    free_slots = List.init threads Fun.id;
-    pending = Queue.create ();
-    core_busy = false;
-    core_waiters = Queue.create ();
-    busy = 0;
-    stall = 0;
-    completed = 0;
-    tracer = None;
-  }
 
 let set_tracer t tr = t.tracer <- tr
 
@@ -59,80 +62,135 @@ let mem_latency t level =
   Sim.Time.Freq.cycles t.params.Params.fpc_freq
     (Memory.latency_cycles t.params level)
 
-(* Grant the core to a compute burst; on completion, hand it to the
-   next waiter. *)
-let rec grant_core t cycles k =
+(* Grant the core to [hw]'s compute burst; [hw.core_done] hands it to
+   the next waiter. *)
+let grant_core t hw cycles =
   t.core_busy <- true;
   let dur = Sim.Time.Freq.cycles t.params.Params.fpc_freq cycles in
   t.busy <- t.busy + dur;
-  Sim.Engine.schedule t.engine dur (fun () ->
-      t.core_busy <- false;
-      release_core t;
-      k ())
+  Sim.Engine.schedule t.engine dur hw.core_done
 
-and release_core t =
-  if (not t.core_busy) && not (Queue.is_empty t.core_waiters) then begin
-    let cycles, k = Queue.pop t.core_waiters in
-    grant_core t cycles k
+let release_core t =
+  if (not t.core_busy) && t.core_len > 0 then begin
+    let hw = t.core_waiters.(t.core_head) in
+    t.core_head <- (t.core_head + 1) mod t.threads;
+    t.core_len <- t.core_len - 1;
+    grant_core t hw hw.cycles
   end
 
-let request_core t cycles k =
-  if t.core_busy then Queue.push (cycles, k) t.core_waiters
-  else grant_core t cycles k
+let request_core t hw cycles =
+  if t.core_busy then begin
+    hw.cycles <- cycles;
+    t.core_waiters.((t.core_head + t.core_len) mod t.threads) <- hw;
+    t.core_len <- t.core_len + 1
+  end
+  else grant_core t hw cycles
 
-let run_k t ~slot w =
-  match t.tracer with
-  | None -> w.k ()
-  | Some tr -> tr.tr_run ~slot ~token:w.token w.k
-
-let rec run_phases t ~slot w phases =
-  match phases with
+let rec run_phases t hw =
+  match hw.phases with
   | [] ->
       t.completed <- t.completed + 1;
-      run_k t ~slot w;
-      thread_done t ~slot
-  | Compute 0 :: rest -> run_phases t ~slot w rest
+      (match t.tracer with
+      | None -> hw.k ()
+      | Some tr -> tr.tr_run ~slot:hw.slot ~token:hw.token hw.k);
+      thread_done t hw
+  | Compute 0 :: rest ->
+      hw.phases <- rest;
+      run_phases t hw
   | Compute cycles :: rest ->
-      request_core t cycles (fun () -> run_phases t ~slot w rest)
+      hw.phases <- rest;
+      request_core t hw cycles
   | Mem level :: rest ->
+      hw.phases <- rest;
       let lat = mem_latency t level in
       t.stall <- t.stall + lat;
-      Sim.Engine.schedule t.engine lat (fun () -> run_phases t ~slot w rest)
+      Sim.Engine.schedule t.engine lat hw.resume
   | Sleep d :: rest ->
-      Sim.Engine.schedule t.engine d (fun () -> run_phases t ~slot w rest)
+      hw.phases <- rest;
+      Sim.Engine.schedule t.engine d hw.resume
 
-and thread_done t ~slot =
+and thread_done t hw =
   if Queue.is_empty t.pending then begin
-    t.idle_threads <- t.idle_threads + 1;
-    t.free_slots <- slot :: t.free_slots
+    (* Drop the finished continuation so it does not outlive its
+       item. *)
+    hw.k <- ignore;
+    t.idle.(t.idle_n) <- hw;
+    t.idle_n <- t.idle_n + 1
   end
   else begin
     (* The same hardware thread picks up the next queued item. *)
     let w = Queue.pop t.pending in
-    run_phases t ~slot w w.phases
+    hw.phases <- w.phases;
+    hw.k <- w.k;
+    hw.token <- w.token;
+    run_phases t hw
   end
+
+let create engine ~params ?threads ~name () =
+  let threads =
+    match threads with Some n -> n | None -> params.Params.fpc_threads
+  in
+  if threads <= 0 then invalid_arg "Fpc.create: threads must be positive";
+  let hws =
+    Array.init threads (fun slot ->
+        {
+          slot;
+          phases = [];
+          k = ignore;
+          token = 0;
+          cycles = 0;
+          resume = ignore;
+          core_done = ignore;
+        })
+  in
+  let t =
+    {
+      engine;
+      params;
+      name;
+      threads;
+      (* Slot 0 on top, as the first thread handed out. *)
+      idle = Array.init threads (fun i -> hws.(threads - 1 - i));
+      idle_n = threads;
+      pending = Queue.create ();
+      core_busy = false;
+      core_waiters = Array.make threads hws.(0);
+      core_head = 0;
+      core_len = 0;
+      busy = 0;
+      stall = 0;
+      completed = 0;
+      tracer = None;
+    }
+  in
+  Array.iter
+    (fun hw ->
+      hw.resume <- (fun () -> run_phases t hw);
+      hw.core_done <-
+        (fun () ->
+          t.core_busy <- false;
+          release_core t;
+          run_phases t hw))
+    hws;
+  t
 
 let submit t phases k =
   let token =
     match t.tracer with Some tr -> tr.tr_submit () | None -> 0
   in
-  let w = { phases; k; token } in
-  if t.idle_threads > 0 then begin
-    t.idle_threads <- t.idle_threads - 1;
-    let slot =
-      match t.free_slots with
-      | s :: rest ->
-          t.free_slots <- rest;
-          s
-      | [] -> 0
-    in
+  if t.idle_n > 0 then begin
+    t.idle_n <- t.idle_n - 1;
+    let hw = t.idle.(t.idle_n) in
+    hw.phases <- phases;
+    hw.k <- k;
+    hw.token <- token;
     (* Start on the next engine tick to keep submit non-reentrant. *)
-    Sim.Engine.schedule t.engine 0 (fun () -> run_phases t ~slot w w.phases)
+    Sim.Engine.schedule t.engine 0 hw.resume
   end
-  else Queue.push w t.pending
+  else Queue.push { phases; k; token } t.pending
 
 let queue_length t = Queue.length t.pending
-let in_flight t = t.threads - t.idle_threads
+let in_flight t = t.threads - t.idle_n
 let busy_time t = t.busy
 let stall_time t = t.stall
 let threads t = t.threads

@@ -8,8 +8,18 @@
     "intra-FPC parallelism" gain (Table 3).
 
     Work is submitted as a list of {!phase}s plus a completion
-    continuation. An idle hardware thread picks up the next item;
-    items queue FIFO when all threads are busy. *)
+    continuation. An idle hardware thread picks up the next item (the
+    most recently idled thread first); items queue FIFO when all
+    threads are busy, and compute bursts queue FIFO for the core.
+
+    {b Cost.} Each hardware thread is a record built once by {!create}
+    together with its two continuations, "run the next phase" and "end
+    of a compute burst", which it schedules for every phase. Running
+    an item on an idle thread therefore allocates nothing beyond the
+    caller's phase list; only an item that must wait for a thread is
+    boxed into the FIFO. The item's start is one zero-delay engine
+    event, which {!Sim.Event_queue}'s same-instant lane serves without
+    touching the heap. *)
 
 type phase =
   | Compute of int  (** Occupy the core for N cycles. *)
@@ -39,7 +49,9 @@ val name : t -> string
 
 val submit : t -> phase list -> (unit -> unit) -> unit
 (** Enqueue a work item; the continuation runs (at the virtual time of
-    completion) after all phases have executed. *)
+    completion) after all phases have executed. It never runs the item
+    inside the call: an idle thread starts it on the next engine tick
+    (a zero-delay event). *)
 
 val queue_length : t -> int
 (** Items waiting for a hardware thread. *)

@@ -10,17 +10,32 @@ type handle = Event_queue.handle
    executes events strictly below the minimum lower-bound-on-timestamp
    (lbts) promised by its input channels. *)
 type t = {
+  (* Seven words written only while the cluster is wired, then the
+     fields every dispatch or slice writes, then seven words of
+     padding: at least 56 bytes of this record lie on each side of the
+     written fields, so their cache line holds no other heap object.
+     Cluster LPs run on different domains, but one thread allocates
+     them and their worlds, so two LPs' records can land side by side;
+     sharing a line, each domain's dispatches would keep invalidating
+     the other's clock. *)
   lp_id : int;
   lp_name : string;
-  mutable clock : Time.t;
   queue : (unit -> unit) Event_queue.t;
   lp_rng : Rng.t;
-  mutable processed : int;
   cluster : cluster option;  (* [None] = solo engine *)
   mutable inputs : channel list;
   mutable outputs : channel list;
+  mutable clock : Time.t;
+  mutable processed : int;
   mutable worker : int;
   mutable lp_done : bool;  (* no more work below this run's horizon *)
+  _pad0 : int;
+  _pad1 : int;
+  _pad2 : int;
+  _pad3 : int;
+  _pad4 : int;
+  _pad5 : int;
+  _pad6 : int;
 }
 
 and channel = {
@@ -77,6 +92,13 @@ let mk_lp ~id ~name ~rng ~cluster =
     outputs = [];
     worker = 0;
     lp_done = false;
+    _pad0 = 0;
+    _pad1 = 0;
+    _pad2 = 0;
+    _pad3 = 0;
+    _pad4 = 0;
+    _pad5 = 0;
+    _pad6 = 0;
   }
 
 let create ?(seed = 1L) () =

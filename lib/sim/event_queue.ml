@@ -1,17 +1,28 @@
-type handle = int
+(* Two sorted sources, merged at pop time:
 
-(* A binary min-heap laid out as a structure of arrays. Heap position
-   [i] holds ([time.(i)], [key.(i)], [slot.(i)]); the entry's value and
-   cancellation handle live at [value.(slot.(i))] and [id.(slot.(i))]
-   and never move. Sifting moves a hole through the three int arrays
-   only, so it never runs the write barrier, and neither push nor pop
-   allocates.
+   - a binary min-heap laid out as a structure of arrays. Heap position
+     [i] holds ([time.(i)], [key.(i)], [slot.(i)]); the entry's value
+     and cancellation tag live at [value.(slot.(i))] and
+     [tag.(slot.(i))] and never move. Sifting moves a hole through the
+     three int arrays only, so it never runs the write barrier, and
+     neither push nor pop allocates.
 
-   [slot] is always a permutation of [0, capacity): positions below
-   [size] name the slots in use, and positions from [size] up are the
-   free slots, so a push takes the free slot sitting at its new
-   position and a pop leaves the freed slot at the position it
-   vacates.
+   - the same-instant lane: a FIFO ring of plain pushes that were due
+     at the time of the last pop ("start on the next tick" events,
+     which a cycle-level model issues for a third of its pushes). All
+     of its entries share one time, [lane_time], and have plain rank
+     with seqs in push order, so the ring is sorted as it stands and
+     pushing or popping it is O(1).
+
+   [next_time] and [pop_next] take whichever head is smaller under the
+   one (time, key) order, so the lane changes the cost of an entry,
+   never its place in the pop sequence.
+
+   In the heap, [slot] is always a permutation of [0, capacity):
+   positions below [size] name the slots in use, and positions from
+   [size] up are the free slots, so a push takes the free slot sitting
+   at its new position and a pop leaves the freed slot at the position
+   it vacates.
 
    [key] packs the tie-break (major, minor, seq) into one non-negative
    int, most significant first, so (time, key) compares as
@@ -31,8 +42,13 @@ type handle = int
    unique, no two entries compare equal, and the pop order is fixed by
    the pushes alone, whatever the heap's shape.
 
-   [id] is the cancellation handle, or -1 for events that cannot be
-   cancelled. *)
+   [tag] says whether a heap slot can be cancelled: [not_cancellable],
+   the entry's seq while it is a live cancellable entry (its handle
+   names the slot and that seq), or [cancelled]. A slot's tag is reset
+   when the slot is freed, and seqs are never reused, so a handle whose
+   entry has popped or was cancelled matches no slot again. *)
+
+type handle = { h_slot : int; h_seq : int }
 
 let seq_bits = 40
 let minor_bits = 20
@@ -41,18 +57,39 @@ let minor_limit = 1 lsl minor_bits
 let major_limit = 4
 let rank ~major ~minor = (major lsl (minor_bits + seq_bits)) lor (minor lsl seq_bits)
 let plain_rank = rank ~major:1 ~minor:0
+let not_cancellable = -1
+let cancelled = -2
 
 type 'a t = {
+  (* The arrays (replaced only when they grow), then the counters every
+     push or pop writes, then seven words of padding: at least 56 bytes
+     of this record lie on each side of the counters, so their cache
+     line holds no other heap object. The wheels of cluster LPs are
+     allocated by one thread and written by different domains; side by
+     side, they would falsely share a line on every event. *)
   mutable time : int array;
   mutable key : int array;
   mutable slot : int array;
   mutable value : 'a array;
-  mutable id : int array;
+  mutable tag : int array;
+  (* The lane: [lane_len] entries from [lane_head], modulo the ring's
+     power-of-two capacity, all due at [lane_time]. *)
+  mutable lane_key : int array;
+  mutable lane_value : 'a array;
   mutable size : int;
+  mutable lane_head : int;
+  mutable lane_len : int;
+  mutable lane_time : int;
+  mutable last_pop : int;
   mutable next_seq : int;
-  mutable next_id : int;
-  live_handles : (handle, unit) Hashtbl.t;
   mutable live : int;
+  _pad0 : int;
+  _pad1 : int;
+  _pad2 : int;
+  _pad3 : int;
+  _pad4 : int;
+  _pad5 : int;
+  _pad6 : int;
 }
 
 (* What a free slot holds. It must not be a pushed value: a popped
@@ -63,6 +100,7 @@ type 'a t = {
 let filler () : 'a = Obj.magic ()
 
 let initial_capacity = 64
+let initial_lane_capacity = 16
 
 let create () =
   {
@@ -70,12 +108,23 @@ let create () =
     key = Array.make initial_capacity 0;
     slot = Array.init initial_capacity Fun.id;
     value = Array.make initial_capacity (filler ());
-    id = Array.make initial_capacity 0;
+    tag = Array.make initial_capacity not_cancellable;
+    lane_key = Array.make initial_lane_capacity 0;
+    lane_value = Array.make initial_lane_capacity (filler ());
     size = 0;
+    lane_head = 0;
+    lane_len = 0;
+    lane_time = 0;
+    last_pop = min_int;
     next_seq = 0;
-    next_id = 0;
-    live_handles = Hashtbl.create 16;
     live = 0;
+    _pad0 = 0;
+    _pad1 = 0;
+    _pad2 = 0;
+    _pad3 = 0;
+    _pad4 = 0;
+    _pad5 = 0;
+    _pad6 = 0;
   }
 
 (* Only called when full: every slot is in use, and the new ones are
@@ -91,7 +140,21 @@ let grow q =
   q.key <- extend q.key 0;
   q.slot <- Array.init (2 * cap) (fun i -> if i < cap then q.slot.(i) else i);
   q.value <- extend q.value (filler ());
-  q.id <- extend q.id 0
+  q.tag <- extend q.tag not_cancellable
+
+(* Only called when the ring is full; unrolls it to start at 0. *)
+let grow_lane q =
+  let cap = Array.length q.lane_key in
+  let unroll a fill =
+    let b = Array.make (2 * cap) fill in
+    let first = cap - q.lane_head in
+    Array.blit a q.lane_head b 0 first;
+    Array.blit a 0 b first q.lane_head;
+    b
+  in
+  q.lane_key <- unroll q.lane_key 0;
+  q.lane_value <- unroll q.lane_value (filler ());
+  q.lane_head <- 0
 
 (* Position [src]'s entry moves into the hole at [dst]. *)
 let move q ~src ~dst =
@@ -140,36 +203,56 @@ let rec sift_down q i n time key =
     end
     else i
 
-let push_entry q time ~rank v id =
+let take_seq q =
   let seq = q.next_seq in
   if seq = seq_limit then failwith "Event_queue: insertion sequence exhausted";
   q.next_seq <- seq + 1;
+  seq
+
+(* Returns the slot the entry took. *)
+let push_heap q time ~rank v ~cancellable =
+  let seq = take_seq q in
   if q.size = Array.length q.time then grow q;
   let s = Array.unsafe_get q.slot q.size in
   Array.unsafe_set q.value s v;
-  Array.unsafe_set q.id s id;
+  Array.unsafe_set q.tag s (if cancellable then seq else not_cancellable);
   let key = rank lor seq in
   place q (sift_up q q.size time key) time key s;
   q.size <- q.size + 1;
+  q.live <- q.live + 1;
+  s
+
+let push_lane q time v =
+  let seq = take_seq q in
+  if q.lane_len = Array.length q.lane_key then grow_lane q;
+  let i = (q.lane_head + q.lane_len) land (Array.length q.lane_key - 1) in
+  Array.unsafe_set q.lane_key i (plain_rank lor seq);
+  Array.unsafe_set q.lane_value i v;
+  q.lane_time <- time;
+  q.lane_len <- q.lane_len + 1;
   q.live <- q.live + 1
 
-let push q time v = push_entry q time ~rank:plain_rank v (-1)
+(* A plain push due now joins the lane; its rank and fresh seq put it
+   after every lane entry, and the lane holds only entries of one
+   time. *)
+let push q time v =
+  if time = q.last_pop && (q.lane_len = 0 || time = q.lane_time) then
+    push_lane q time v
+  else ignore (push_heap q time ~rank:plain_rank v ~cancellable:false)
 
 let push_keyed q time ~major ~minor v =
   if major < 0 || major >= major_limit || minor < 0 || minor >= minor_limit then
     invalid_arg "Event_queue.push_keyed: major or minor out of range";
-  push_entry q time ~rank:(rank ~major ~minor) v (-1)
+  ignore (push_heap q time ~rank:(rank ~major ~minor) v ~cancellable:false)
 
 let push_cancellable q time v =
-  let id = q.next_id in
-  q.next_id <- id + 1;
-  Hashtbl.replace q.live_handles id ();
-  push_entry q time ~rank:plain_rank v id;
-  id
+  let s = push_heap q time ~rank:plain_rank v ~cancellable:true in
+  { h_slot = s; h_seq = Array.unsafe_get q.tag s }
 
 let cancel q h =
-  if Hashtbl.mem q.live_handles h then begin
-    Hashtbl.remove q.live_handles h;
+  if h.h_slot < Array.length q.tag && Array.unsafe_get q.tag h.h_slot = h.h_seq
+  then begin
+    Array.unsafe_set q.tag h.h_slot cancelled;
     q.live <- q.live - 1
   end
 
@@ -179,6 +262,7 @@ let cancel q h =
 let remove_top q =
   let s = Array.unsafe_get q.slot 0 in
   Array.unsafe_set q.value s (filler ());
+  Array.unsafe_set q.tag s not_cancellable;
   let n = q.size - 1 in
   q.size <- n;
   if n > 0 then begin
@@ -188,35 +272,55 @@ let remove_top q =
   end;
   Array.unsafe_set q.slot n s
 
-(* A cancellable entry is dead once its handle is no longer live, i.e.
-   [cancel] ran before it reached the top. Dead entries are dropped
-   when they surface. *)
+(* Cancelled entries are dropped when they surface. *)
 let rec skip_dead q =
-  if q.size > 0 then begin
-    let id = Array.unsafe_get q.id (Array.unsafe_get q.slot 0) in
-    if id >= 0 && not (Hashtbl.mem q.live_handles id) then begin
-      remove_top q;
-      skip_dead q
-    end
+  if q.size > 0
+     && Array.unsafe_get q.tag (Array.unsafe_get q.slot 0) = cancelled
+  then begin
+    remove_top q;
+    skip_dead q
   end
+
+(* Whether the lane's head orders before the heap's (live) top. *)
+let lane_first q =
+  q.lane_len > 0
+  && (q.size = 0
+     ||
+     let t = Array.unsafe_get q.time 0 in
+     q.lane_time < t
+     || q.lane_time = t
+        && Array.unsafe_get q.lane_key q.lane_head < Array.unsafe_get q.key 0)
 
 let next_time q =
   skip_dead q;
-  if q.size = 0 then max_int else Array.unsafe_get q.time 0
+  if lane_first q then q.lane_time
+  else if q.size = 0 then max_int
+  else Array.unsafe_get q.time 0
 
 let pop_next q =
   skip_dead q;
-  if q.size = 0 then invalid_arg "Event_queue.pop_next: no live event";
-  let s = Array.unsafe_get q.slot 0 in
-  let v = Array.unsafe_get q.value s and id = Array.unsafe_get q.id s in
-  if id >= 0 then Hashtbl.remove q.live_handles id;
-  q.live <- q.live - 1;
-  remove_top q;
-  v
+  if lane_first q then begin
+    let h = q.lane_head in
+    let v = Array.unsafe_get q.lane_value h in
+    Array.unsafe_set q.lane_value h (filler ());
+    q.lane_head <- (h + 1) land (Array.length q.lane_key - 1);
+    q.lane_len <- q.lane_len - 1;
+    q.live <- q.live - 1;
+    q.last_pop <- q.lane_time;
+    v
+  end
+  else begin
+    if q.size = 0 then invalid_arg "Event_queue.pop_next: no live event";
+    let v = Array.unsafe_get q.value (Array.unsafe_get q.slot 0) in
+    q.last_pop <- Array.unsafe_get q.time 0;
+    q.live <- q.live - 1;
+    remove_top q;
+    v
+  end
 
 let pop q =
   let time = next_time q in
-  if q.size = 0 then None else Some (time, pop_next q)
+  if q.live = 0 then None else Some (time, pop_next q)
 
 let is_empty q = q.live = 0
 let length q = q.live

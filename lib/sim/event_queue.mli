@@ -1,26 +1,37 @@
 (** Priority queue of timed events.
 
-    A binary min-heap stored as a structure of arrays: flat [int]
-    arrays hold each entry's time, its packed tie-break key and its
-    cancellation handle, and one ['a array] holds the values. Pushing
-    and popping allocate nothing (beyond doubling the arrays when they
-    fill), and a slot vacated by a pop never keeps the popped value
-    reachable.
+    Two sorted sources, merged at pop time. The main one is a binary
+    min-heap stored as a structure of arrays: flat [int] arrays hold
+    each entry's time, its packed tie-break key and its slot, and
+    per-slot arrays hold the values and cancellation tags. The other is
+    the {e same-instant lane}, a FIFO ring for plain {!push}es due at
+    the time of the last pop, the "start on the next tick" events a
+    cycle-level model issues in bulk. Its entries share one time and
+    arrive in seq order, so it is sorted as it stands and costs O(1)
+    per push and pop. Pushing and popping allocate nothing (beyond
+    doubling an array when it fills; {!push_cancellable} allocates its
+    handle), and a slot or ring cell vacated by a pop never keeps the
+    popped value reachable.
 
     {b Ordering.} Entries pop in increasing (time, major, minor, seq)
     order, where seq is the wheel's insertion counter. {!push} uses
     rank (major 1, minor 0), so plain events with equal timestamps pop
     in insertion order; {!push_keyed} chooses the rank. Seq is unique,
     so this is a total order: the pop sequence depends only on the
-    pushes (and cancellations), never on heap tie-breaking accidents,
-    which is what makes simulations deterministic. The key packs seq
-    into 40 bits: a wheel accepts 2^40 pushes over its life, and the
-    next one raises [Failure].
+    pushes (and cancellations), never on heap tie-breaking accidents or
+    on which source an entry sat in, which is what makes simulations
+    deterministic. {!next_time} and {!pop_next} compare the lane's head
+    with the heap's top under that order. Only plain pushes take the
+    lane; keyed and cancellable ones always go to the heap. The key
+    packs seq into 40 bits: a wheel accepts 2^40 pushes over its life,
+    and the next one raises [Failure].
 
     {b Cancellation.} {!cancel} marks a {!push_cancellable} event dead
     at once ({!length} drops); its slot is reclaimed when it reaches
-    the top, and it is never returned. Cancelling an event that has
-    already popped, or was already cancelled, is a no-op. *)
+    the top, and it is never returned. A handle names its entry's slot
+    and seq, and a slot forgets the seq when it is freed, so
+    cancelling an event that has already popped, or was already
+    cancelled, is a no-op even after its slot holds another entry. *)
 
 type 'a t
 

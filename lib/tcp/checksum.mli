@@ -7,8 +7,15 @@
     to pick flow groups. *)
 
 val ones_complement : Bytes.t -> off:int -> len:int -> init:int -> int
-(** Raw 16-bit ones'-complement sum (not yet complemented). An odd
-    trailing byte is padded with zero, per RFC 1071. *)
+(** [init] plus a raw ones'-complement sum of the [len] bytes at [off]
+    (not yet folded or complemented), read a 64-bit word at a time.
+    The result is not the plain sum of 16-bit big-endian words that RFC
+    1071 describes, but it is congruent to it modulo 0xFFFF and is zero
+    exactly when it is, so {!finish} yields the same checksum from
+    either, and it can be passed on as another call's [init]. An odd
+    trailing byte is padded with zero, per RFC 1071. [init] must be
+    non-negative. Raises [Invalid_argument] if the range is not within
+    [buf]; allocates nothing. *)
 
 val finish : int -> int
 (** Fold carries and complement, yielding the 16-bit checksum. *)
@@ -28,3 +35,7 @@ val crc32 : Bytes.t -> off:int -> len:int -> int
 val crc32_ints : int list -> int
 (** CRC-32 over a list of 32-bit big-endian words; convenient for
     hashing a 4-tuple without materialising bytes. *)
+
+val crc32_ints3 : int -> int -> int -> int
+(** [crc32_ints3 a b c = crc32_ints [ a; b; c ]], without building the
+    list: the flow-hash form, allocation-free. *)

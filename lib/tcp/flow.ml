@@ -25,8 +25,8 @@ let of_segment_rx (s : Segment.t) =
   }
 
 let hash t =
-  Checksum.crc32_ints
-    [ t.local_ip; t.remote_ip; (t.local_port lsl 16) lor t.remote_port ]
+  Checksum.crc32_ints3 t.local_ip t.remote_ip
+    ((t.local_port lsl 16) lor t.remote_port)
 
 let flow_group t ~groups = hash t mod groups
 

@@ -108,42 +108,37 @@ let flag_bits f =
    the payload. Computed on the structured representation rather than
    wire bytes (the data path never materialises frames), but covering
    every field {!Wire.encode} would serialise, so any in-flight
-   mutation of the segment is detectable. *)
+   mutation of the segment is detectable. The header's 16-bit words are
+   summed directly into the payload sum's [init]. *)
 let checksum seg =
-  let opt_words =
-    (match seg.options.mss with Some m -> [ 0x0204; m land 0xFFFF ] | None -> [])
-    @
+  let opt_sum =
+    (match seg.options.mss with Some m -> 0x0204 + (m land 0xFFFF) | None -> 0)
+    +
     match seg.options.ts with
     | Some (tsval, tsecr) ->
-        [
-          0x0101; 0x080A;
-          (tsval lsr 16) land 0xFFFF; tsval land 0xFFFF;
-          (tsecr lsr 16) land 0xFFFF; tsecr land 0xFFFF;
-        ]
-    | None -> []
+        0x0101 + 0x080A
+        + ((tsval lsr 16) land 0xFFFF) + (tsval land 0xFFFF)
+        + ((tsecr lsr 16) land 0xFFFF) + (tsecr land 0xFFFF)
+    | None -> 0
   in
-  let header_words =
-    [
-      seg.src_port land 0xFFFF;
-      seg.dst_port land 0xFFFF;
-      (seg.seq lsr 16) land 0xFFFF;
-      seg.seq land 0xFFFF;
-      (seg.ack_seq lsr 16) land 0xFFFF;
-      seg.ack_seq land 0xFFFF;
-      ((header_len seg / 4) lsl 12) lor flag_bits seg.flags;
-      seg.window land 0xFFFF;
-    ]
-    @ opt_words
+  let hlen = header_len seg and plen = payload_len seg in
+  let header_sum =
+    (seg.src_port land 0xFFFF)
+    + (seg.dst_port land 0xFFFF)
+    + ((seg.seq lsr 16) land 0xFFFF)
+    + (seg.seq land 0xFFFF)
+    + ((seg.ack_seq lsr 16) land 0xFFFF)
+    + (seg.ack_seq land 0xFFFF)
+    + (((hlen / 4) lsl 12) lor flag_bits seg.flags)
+    + (seg.window land 0xFFFF)
+    + opt_sum
   in
   let init =
     Checksum.pseudo_header_sum ~src_ip:seg.src_ip ~dst_ip:seg.dst_ip
-      ~protocol:6
-      ~length:(header_len seg + payload_len seg)
-    + List.fold_left ( + ) 0 header_words
+      ~protocol:6 ~length:(hlen + plen)
+    + header_sum
   in
-  Checksum.finish
-    (Checksum.ones_complement seg.payload ~off:0 ~len:(payload_len seg)
-       ~init)
+  Checksum.finish (Checksum.ones_complement seg.payload ~off:0 ~len:plen ~init)
 
 let make_frame ?(vlan = None) ?(ecn = Not_ect) ?csum ~src_mac ~dst_mac seg =
   let csum = match csum with Some c -> c | None -> checksum seg in

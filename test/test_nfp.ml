@@ -148,6 +148,88 @@ let test_fpc_utilization () =
     "50% busy over 2us" 0.5
     (Nfp.Fpc.utilization fpc ~total:(Sim.Time.us 2))
 
+(* Which hardware thread ran each item, and when it completed, under
+   core contention: 3 threads, more items than threads, compute bursts
+   that queue two deep for the issue unit, memory stalls and sleeps, a
+   submission from inside a completion and a later burst. The recording
+   tracer sees (token, slot, completion time in ps); the pinned
+   sequence is the model's timing contract, so a rewrite of the thread
+   machinery must reproduce it exactly. *)
+let test_fpc_contention_trace () =
+  let open Nfp.Fpc in
+  let e = Sim.Engine.create () in
+  let fpc = create e ~params ~threads:3 ~name:"t" () in
+  let next_token = ref 0 and log = ref [] in
+  set_tracer fpc
+    (Some
+       {
+         tr_submit =
+           (fun () ->
+             incr next_token;
+             !next_token);
+         tr_run =
+           (fun ~slot ~token k ->
+             log := (token, slot, Sim.Engine.now e) :: !log;
+             k ());
+       });
+  let items =
+    [
+      [ Compute 100; Mem Nfp.Memory.Emem; Compute 20 ];
+      [ Compute 40 ];
+      [ Compute 60; Mem Nfp.Memory.Cls; Sleep 3_000 ];
+      [ Compute 0; Compute 10 ];
+      [ Sleep 50_000; Compute 5 ];
+      [ Compute 70; Mem Nfp.Memory.Imem ];
+      [];
+    ]
+  in
+  List.iteri
+    (fun i phases ->
+      submit fpc phases (fun () ->
+          if i = 1 then submit fpc [ Compute 30; Compute 30 ] ignore))
+    items;
+  Sim.Engine.schedule e 400_000 (fun () ->
+      submit fpc [ Compute 15 ] ignore;
+      submit fpc [ Mem Nfp.Memory.Ctm; Compute 15 ] ignore);
+  Sim.Engine.run e;
+  Alcotest.(check (list (triple int int int)))
+    "(token, slot, completion ps)"
+    [
+      (2, 1, 175_000); (4, 1, 262_500); (5, 1, 318_750); (3, 2, 378_000);
+      (7, 2, 378_000); (8, 2, 481_250); (9, 2, 500_000); (10, 2, 643_750);
+      (6, 1, 718_750); (1, 0, 775_000);
+    ]
+    (List.rev !log);
+  check_int "items" 10 (items_completed fpc);
+  check_int "all threads idle" 0 (in_flight fpc)
+
+(* Running an item on an idle FPC allocates nothing: no work record,
+   no per-phase closure, no queued (cycles, k) pair. *)
+let test_fpc_compute_allocation () =
+  let e = Sim.Engine.create () in
+  let fpc = Nfp.Fpc.create e ~params ~threads:8 ~name:"t" () in
+  let phases = [ Nfp.Fpc.Compute 10 ] in
+  (* Each completion submits the next item, which an idle thread picks
+     up: one engine run drives the whole chain. *)
+  let completed = ref 0 and target = ref 0 in
+  let rec k () =
+    incr completed;
+    if !completed < !target then Nfp.Fpc.submit fpc phases k
+  in
+  let run n =
+    target := !completed + n;
+    Nfp.Fpc.submit fpc phases k;
+    Sim.Engine.run e
+  in
+  run 100;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  run n;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "items" (n + 100) !completed;
+  if words > 0.1 then
+    Alcotest.failf "%.2f minor words per [Compute c] item (bound 0.1)" words
+
 let test_phase_cost () =
   check_int "cost sums"
     ((100 * 1250) + (params.Nfp.Params.emem_cycles * 1250) + 7)
@@ -269,6 +351,10 @@ let suite =
     Alcotest.test_case "fpc queues work" `Quick
       test_fpc_queue_when_threads_busy;
     Alcotest.test_case "fpc utilization" `Quick test_fpc_utilization;
+    Alcotest.test_case "fpc contention trace" `Quick
+      test_fpc_contention_trace;
+    Alcotest.test_case "fpc compute item allocation" `Quick
+      test_fpc_compute_allocation;
     Alcotest.test_case "phase cost accounting" `Quick test_phase_cost;
     Alcotest.test_case "dma base latency" `Quick test_dma_base_latency;
     Alcotest.test_case "dma link serialisation" `Quick

@@ -65,11 +65,76 @@ let test_queue_cancel () =
   Sim.Event_queue.cancel q h2;
   check_int "no corruption" 0 (Sim.Event_queue.length q)
 
+(* A handle whose entry popped must not cancel the entry that reuses
+   its storage. *)
+let test_queue_stale_handle () =
+  let module Q = Sim.Event_queue in
+  let q = Q.create () in
+  let stale = Q.push_cancellable q 1 "first" in
+  ignore (Q.pop q);
+  let h = Q.push_cancellable q 2 "second" in
+  Q.cancel q stale;
+  check_int "reused entry still live" 1 (Q.length q);
+  Alcotest.(check (option (pair int string)))
+    "reused entry pops" (Some (2, "second")) (Q.pop q);
+  Q.cancel q h;
+  check_int "cancel after pop" 0 (Q.length q);
+  let h = Q.push_cancellable q 3 "third" in
+  Q.cancel q h;
+  Q.push q 4 "fourth";
+  Q.cancel q h;
+  check_int "double cancel" 1 (Q.length q);
+  Alcotest.(check (option (pair int string)))
+    "cancelled skipped" (Some (4, "fourth")) (Q.pop q)
+
+(* Plain pushes due at the last-popped time take the same-instant
+   lane; they must still interleave with heap entries of that time
+   by (major, minor, seq). *)
+let test_queue_same_instant () =
+  let module Q = Sim.Event_queue in
+  let q = Q.create () in
+  Q.push q 5 "a";
+  Q.push q 5 "b";
+  Q.push q 9 "z";
+  Alcotest.(check (option (pair int string))) "a" (Some (5, "a")) (Q.pop q);
+  Q.push q 5 "c";
+  Q.push_keyed q 5 ~major:0 ~minor:3 "k";
+  let h = Q.push_cancellable q 5 "x" in
+  Q.push q 5 "d";
+  Q.cancel q h;
+  let order =
+    List.init 5 (fun _ ->
+        match Q.pop q with Some (t, v) -> Printf.sprintf "%s@%d" v t | None -> "-")
+  in
+  Alcotest.(check (list string))
+    "keyed first, then seq order" [ "k@5"; "b@5"; "c@5"; "d@5"; "z@9" ] order;
+  (* Many same-instant pushes, popped in waves: the lane wraps and
+     grows and stays FIFO. *)
+  let q = Q.create () in
+  Q.push q 7 0;
+  ignore (Q.pop q);
+  let next = ref 1 and expect = ref 1 in
+  for wave = 1 to 6 do
+    for _ = 1 to 10 * wave do
+      Q.push q 7 !next;
+      incr next
+    done;
+    for _ = 1 to 7 * wave do
+      Alcotest.(check (option (pair int int)))
+        "fifo" (Some (7, !expect)) (Q.pop q);
+      incr expect
+    done
+  done;
+  check_int "left" (!next - !expect) (Q.length q)
+
 (* Model-based check of the wheel against a plain list. Times are drawn
    from a tiny range so that equal timestamps, and so the (major,
    minor, seq) tie-break, decide most pops. *)
+type now_kind = Now_plain | Now_cancellable | Now_keyed of int
+
 type queue_op =
   | Push of int
+  | Push_now of now_kind  (* at the last-popped time *)
   | Push_keyed of int * int  (* time, minor; major 0 *)
   | Push_cancellable of int
   | Cancel of int  (* index into the handles issued so far *)
@@ -82,6 +147,15 @@ let queue_op_gen =
   frequency
     [
       (3, map (fun t -> Push t) time);
+      ( 4,
+        map
+          (fun k -> Push_now k)
+          (frequency
+             [
+               (3, return Now_plain);
+               (1, return Now_cancellable);
+               (1, map (fun m -> Now_keyed m) (int_bound 3));
+             ]) );
       (2, map2 (fun t m -> Push_keyed (t, m)) time (int_bound 3));
       (2, map (fun t -> Push_cancellable t) time);
       (2, map (fun i -> Cancel i) (int_bound 8));
@@ -91,6 +165,9 @@ let queue_op_gen =
 
 let show_queue_op = function
   | Push t -> Printf.sprintf "push %d" t
+  | Push_now Now_plain -> "push now"
+  | Push_now Now_cancellable -> "push_cancellable now"
+  | Push_now (Now_keyed m) -> Printf.sprintf "push_keyed now minor:%d" m
   | Push_keyed (t, m) -> Printf.sprintf "push_keyed %d minor:%d" t m
   | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
   | Cancel i -> Printf.sprintf "cancel #%d" i
@@ -116,20 +193,29 @@ let prop_queue_model =
         model := List.sort compare ((time, major, minor, s) :: !model);
         s
       in
+      (* The time of the last pop: what "now" is to the wheel. *)
+      let now = ref 0 in
       let model_pop () =
         match !model with
         | [] -> None
         | (t, _, _, s) :: rest ->
             model := rest;
+            now := t;
             Some (t, s)
+      in
+      let push_cancellable t =
+        let s = add t ~major:1 ~minor:0 in
+        handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
       in
       let step op =
         (match op with
         | Push t -> Q.push q t (add t ~major:1 ~minor:0)
+        | Push_now Now_plain -> Q.push q !now (add !now ~major:1 ~minor:0)
+        | Push_now Now_cancellable -> push_cancellable !now
+        | Push_now (Now_keyed m) ->
+            Q.push_keyed q !now ~major:0 ~minor:m (add !now ~major:0 ~minor:m)
         | Push_keyed (t, m) -> Q.push_keyed q t ~major:0 ~minor:m (add t ~major:0 ~minor:m)
-        | Push_cancellable t ->
-            let s = add t ~major:1 ~minor:0 in
-            handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
+        | Push_cancellable t -> push_cancellable t
         | Cancel i ->
             if i < Array.length !handles then begin
               let h, s = !handles.(i) in
@@ -435,6 +521,10 @@ let suite =
     Alcotest.test_case "event queue ordering" `Quick test_queue_ordering;
     Alcotest.test_case "event queue FIFO ties" `Quick test_queue_fifo_ties;
     Alcotest.test_case "event queue cancel" `Quick test_queue_cancel;
+    Alcotest.test_case "event queue stale handle" `Quick
+      test_queue_stale_handle;
+    Alcotest.test_case "event queue same-instant lane" `Quick
+      test_queue_same_instant;
     QCheck_alcotest.to_alcotest prop_queue_model;
     Alcotest.test_case "event queue releases popped values" `Quick
       test_queue_releases_popped;

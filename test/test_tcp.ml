@@ -66,6 +66,159 @@ let test_crc32_ints_matches_bytes () =
     (Tcp.Checksum.crc32 b ~off:0 ~len:8)
     (Tcp.Checksum.crc32_ints [ 0x0A000001; 0x0A000002 ])
 
+(* RFC 1071 as written: big-endian 16-bit words, one byte at a time,
+   an odd trailing byte padded with zero. *)
+let bytewise_ones_complement buf ~off ~len ~init =
+  let sum = ref init and i = ref off in
+  let byte j = Char.code (Bytes.get buf j) in
+  while !i + 1 < off + len do
+    sum := !sum + (byte !i lsl 8) + byte (!i + 1);
+    i := !i + 2
+  done;
+  if !i < off + len then sum := !sum + (byte !i lsl 8);
+  !sum
+
+(* Buffers, ranges and [init]s for the word-at-a-time sum: lengths up to
+   40 cover odd lengths below and above one 8-byte word at every
+   alignment, and runs of 0xFF bytes drive the carries. *)
+let ones_complement_case_gen =
+  let open QCheck.Gen in
+  let* n = int_bound 40 in
+  let* bytes =
+    string_size ~gen:(frequency [ (3, char); (1, return '\xff') ]) (return n)
+  in
+  let* off = int_bound n in
+  let* len = int_bound (n - off) in
+  let* init = oneof [ return 0; int_bound 0xFFFF; int_bound 0xFFFF_FFFF ] in
+  return (Bytes.of_string bytes, off, len, init)
+
+let prop_ones_complement_bytewise =
+  QCheck.Test.make ~name:"checksum: word-at-a-time sum = byte-wise RFC 1071"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (b, off, len, init) ->
+         Printf.sprintf "%S off:%d len:%d init:%d" (Bytes.to_string b) off len
+           init)
+       ones_complement_case_gen)
+    (fun (buf, off, len, init) ->
+      let got = Tcp.Checksum.ones_complement buf ~off ~len ~init in
+      let want = bytewise_ones_complement buf ~off ~len ~init in
+      (* Equal as ones'-complement numbers: congruent modulo 0xFFFF and
+         zero together, so every fold of them agrees. *)
+      got mod 0xFFFF = want mod 0xFFFF
+      && (got = 0) = (want = 0)
+      && Tcp.Checksum.finish got = Tcp.Checksum.finish want
+      (* Chaining through [init] keeps agreeing too. *)
+      && Tcp.Checksum.finish
+           (Tcp.Checksum.ones_complement buf ~off:0 ~len:off ~init:got)
+         = Tcp.Checksum.finish
+             (bytewise_ones_complement buf ~off:0 ~len:off ~init:want))
+
+let test_ones_complement_bounds () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d len %d" off len)
+        (Invalid_argument "Checksum.ones_complement: range out of bounds")
+        (fun () -> ignore (Tcp.Checksum.ones_complement b ~off ~len ~init:0)))
+    [ (-1, 2); (0, 17); (9, 8); (16, 1); (4, -1) ];
+  check_int "empty range at the end" 7
+    (Tcp.Checksum.ones_complement b ~off:16 ~len:0 ~init:7)
+
+let flag_bits (f : S.flags) =
+  List.fold_left
+    (fun acc (set, bit) -> if set then acc lor bit else acc)
+    0
+    [
+      (f.S.fin, 0x01); (f.S.syn, 0x02); (f.S.rst, 0x04); (f.S.psh, 0x08);
+      (f.S.ack, 0x10); (f.S.urg, 0x20); (f.S.ece, 0x40); (f.S.cwr, 0x80);
+    ]
+
+(* The segment checksum as it was first written: the header as a list
+   of 16-bit words, folded, then the payload byte-wise. *)
+let list_form_checksum (seg : S.t) =
+  let opt_words =
+    (match seg.S.options.S.mss with
+    | Some m -> [ 0x0204; m land 0xFFFF ]
+    | None -> [])
+    @
+    match seg.S.options.S.ts with
+    | Some (tsval, tsecr) ->
+        [
+          0x0101; 0x080A;
+          (tsval lsr 16) land 0xFFFF; tsval land 0xFFFF;
+          (tsecr lsr 16) land 0xFFFF; tsecr land 0xFFFF;
+        ]
+    | None -> []
+  in
+  let header_words =
+    [
+      seg.S.src_port land 0xFFFF;
+      seg.S.dst_port land 0xFFFF;
+      (seg.S.seq lsr 16) land 0xFFFF;
+      seg.S.seq land 0xFFFF;
+      (seg.S.ack_seq lsr 16) land 0xFFFF;
+      seg.S.ack_seq land 0xFFFF;
+      ((S.header_len seg / 4) lsl 12) lor flag_bits seg.S.flags;
+      seg.S.window land 0xFFFF;
+    ]
+    @ opt_words
+  in
+  let init =
+    Tcp.Checksum.pseudo_header_sum ~src_ip:seg.S.src_ip ~dst_ip:seg.S.dst_ip
+      ~protocol:6
+      ~length:(S.header_len seg + S.payload_len seg)
+    + List.fold_left ( + ) 0 header_words
+  in
+  Tcp.Checksum.finish
+    (bytewise_ones_complement seg.S.payload ~off:0 ~len:(S.payload_len seg)
+       ~init)
+
+let segment_gen =
+  let open QCheck.Gen in
+  let u32 = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF)
+      (int_bound 0xFFFF) in
+  let* src_ip = u32 and* dst_ip = u32 and* seq = u32 and* ack_seq = u32 in
+  let* src_port = int_bound 0xFFFF and* dst_port = int_bound 0xFFFF in
+  let* window = int_bound 0xFFFF in
+  let* flags = int_bound 0xFF in
+  let* mss = opt (int_bound 0xFFFF) in
+  let* ts = opt (pair u32 u32) in
+  let* payload = string_size (int_bound 1500) in
+  let bit b = flags land b <> 0 in
+  return
+    (S.make
+       ~flags:
+         {
+           S.fin = bit 0x01; syn = bit 0x02; rst = bit 0x04; psh = bit 0x08;
+           ack = bit 0x10; urg = bit 0x20; ece = bit 0x40; cwr = bit 0x80;
+         }
+       ~window ~options:{ S.mss; ts } ~payload:(Bytes.of_string payload)
+       ~src_ip ~dst_ip ~src_port ~dst_port ~seq ~ack_seq ())
+
+let prop_segment_checksum_list_form =
+  QCheck.Test.make ~name:"segment checksum = list-form reference" ~count:500
+    (QCheck.make segment_gen) (fun seg ->
+      S.checksum seg = list_form_checksum seg)
+
+let test_segment_checksum_options () =
+  let base =
+    S.make ~payload:(Bytes.of_string "hello, world!") ~src_ip:0xC0A80001
+      ~dst_ip:0xC0A80002 ~src_port:0x0050 ~dst_port:0xABCD ~seq:0x11223344
+      ~ack_seq:0x55667788 ()
+  in
+  List.iter
+    (fun (name, options) ->
+      let seg = { base with S.options } in
+      check_int name (list_form_checksum seg) (S.checksum seg))
+    [
+      ("no options", S.no_options);
+      ("mss", { S.mss = Some 1448; ts = None });
+      ("timestamps", { S.mss = None; ts = Some (0xDEADBEEF, 0x01020304) });
+      ("mss + timestamps", { S.mss = Some 536; ts = Some (7, 0xFFFFFFFF) });
+    ]
+
 (* --- Flow ------------------------------------------------------------------ *)
 
 let test_flow_reverse () =
@@ -81,6 +234,31 @@ let test_flow_group_stable () =
   let g2 = Tcp.Flow.flow_group f ~groups:4 in
   check_int "deterministic" g1 g2;
   check_bool "in range" true (g1 >= 0 && g1 < 4)
+
+(* The flow hash is CRC-32 over the 12 big-endian bytes local IP,
+   remote IP, local port, remote port (the same algorithm as the
+   "123456789" check vector). *)
+let test_flow_hash_vector () =
+  let f = Tcp.Flow.v ~local_ip:0x0A000001 ~local_port:7 ~remote_ip:0x0A000002
+      ~remote_port:40000 in
+  let b = Bytes.create 12 in
+  Bytes.set_int32_be b 0 0x0A000001l;
+  Bytes.set_int32_be b 4 0x0A000002l;
+  Bytes.set_uint16_be b 8 7;
+  Bytes.set_uint16_be b 10 40000;
+  check_int "bytes form" (Tcp.Checksum.crc32 b ~off:0 ~len:12) (Tcp.Flow.hash f);
+  check_int "pinned" 0xC3FEE7E6 (Tcp.Flow.hash f)
+
+let prop_flow_hash_list_form =
+  QCheck.Test.make ~name:"flow hash = crc32_ints of the word list" ~count:500
+    QCheck.(
+      quad (int_bound 0xFFFFFFF) (int_bound 0xFFFF) (int_bound 0xFFFFFFF)
+        (int_bound 0xFFFF))
+    (fun (local_ip, local_port, remote_ip, remote_port) ->
+      let f = Tcp.Flow.v ~local_ip ~local_port ~remote_ip ~remote_port in
+      Tcp.Flow.hash f
+      = Tcp.Checksum.crc32_ints
+          [ local_ip; remote_ip; (local_port lsl 16) lor remote_port ])
 
 let test_flow_of_segment_rx () =
   let seg =
@@ -375,6 +553,14 @@ let suite =
       test_checksum_verification_roundtrip;
     Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
     Alcotest.test_case "crc32 int form" `Quick test_crc32_ints_matches_bytes;
+    QCheck_alcotest.to_alcotest prop_ones_complement_bytewise;
+    Alcotest.test_case "ones complement bounds" `Quick
+      test_ones_complement_bounds;
+    QCheck_alcotest.to_alcotest prop_segment_checksum_list_form;
+    Alcotest.test_case "segment checksum options" `Quick
+      test_segment_checksum_options;
+    Alcotest.test_case "flow hash vector" `Quick test_flow_hash_vector;
+    QCheck_alcotest.to_alcotest prop_flow_hash_list_form;
     Alcotest.test_case "flow reverse" `Quick test_flow_reverse;
     Alcotest.test_case "flow group stability" `Quick test_flow_group_stable;
     Alcotest.test_case "flow of rx segment" `Quick test_flow_of_segment_rx;
