@@ -116,6 +116,60 @@ let test_event_queue_same_instant =
       Sim.Event_queue.push q now ();
       Sim.Event_queue.pop_next q))
 
+(* Bulk's wheel with streams: 1,430 frames queued on one link, held
+   by a monotone stream, next to 24 other events in the heap. Each
+   step pops the earliest event, which schedules its successor the
+   same way, so the depth stays fixed and about 97% of the pops are
+   frames, as on bulk. With [~streams:false] the same events are all
+   plain wheel entries: a 1,454-entry heap. *)
+let test_engine_link ~streams =
+  let e = Sim.Engine.create () in
+  let s = Sim.Engine.Stream.create e in
+  let gap = 1_000 and frames = 1_430 in
+  let last = ref 0 in
+  let x = ref 12_345 in
+  let next () =
+    x := ((!x * 1_103_515_245) + 12_345) land 0x3FFF_FFFF;
+    !x mod (frames * gap)
+  in
+  let rec frame () =
+    last := !last + gap;
+    if streams then Sim.Engine.Stream.schedule_at s !last frame
+    else Sim.Engine.schedule_at e !last frame
+  in
+  let rec other () = Sim.Engine.schedule e (next ()) other in
+  for _ = 1 to frames do
+    frame ()
+  done;
+  for _ = 1 to 24 do
+    other ()
+  done;
+  Test.make
+    ~name:
+      (if streams then "sim/engine-stream-1430+heap-24"
+       else "sim/engine-heap-1454")
+    (Staged.stage (fun () -> ignore (Sim.Engine.step e)))
+
+(* A connection lookup as the datapath and libTOE make it per segment,
+   in the direct-indexed table and in the polymorphic Hashtbl it
+   replaced. *)
+let test_conn_lookup ~dense =
+  let n = 64 in
+  let table = Nfp.Conn_table.create () and tbl = Hashtbl.create 1024 in
+  for i = 0 to n - 1 do
+    Nfp.Conn_table.replace table i (ref i);
+    Hashtbl.replace tbl i (ref i)
+  done;
+  let k = ref 0 in
+  Test.make
+    ~name:(if dense then "nfp/conn-table-find" else "nfp/hashtbl-find")
+    (Staged.stage (fun () ->
+         k := (!k + 37) land (n - 1);
+         ignore
+           (Sys.opaque_identity
+              (if dense then Nfp.Conn_table.find_opt table !k
+               else Hashtbl.find_opt tbl !k))))
+
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
       let engine = Sim.Engine.create () in
@@ -143,6 +197,10 @@ let benchmarks =
     test_event_queue 67;
     test_event_queue 1430;
     test_event_queue_same_instant;
+    test_engine_link ~streams:true;
+    test_engine_link ~streams:false;
+    test_conn_lookup ~dense:true;
+    test_conn_lookup ~dense:false;
     test_end_to_end_rpc;
   ]
 

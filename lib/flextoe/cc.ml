@@ -13,7 +13,7 @@ let min_rate_bps = 2_000_000
    toward equal shares (pure proportional growth preserves ratios and
    never converges to fairness), while the rate/64 term keeps recovery
    of fat flows from taking thousands of RTTs. *)
-let ai_increment rate = max 8_000_000 (rate / 64)
+let ai_increment rate = Int.max 8_000_000 (rate / 64)
 
 let throughput_estimate obs =
   let s = Sim.Time.to_sec obs.interval in
@@ -22,7 +22,7 @@ let throughput_estimate obs =
 
 (* Clamp and convert a raw rate into a decision. *)
 let decide ~wire_bps bps =
-  if bps >= wire_bps then Uncongested else Rate (max bps min_rate_bps)
+  if bps >= wire_bps then Uncongested else Rate (Int.max bps min_rate_bps)
 
 module Dctcp = struct
   type t = { mutable alpha : float; mutable rate : int }

@@ -60,7 +60,7 @@ let split_payload ~mss payload =
     let n = (len + mss - 1) / mss in
     List.init n (fun i ->
         let off = i * mss in
-        Bytes.sub payload off (min mss (len - off)))
+        Bytes.sub payload off (Int.min mss (len - off)))
   end
 
 (* Number of wire frames a TSO descriptor of [len] bytes becomes. *)

@@ -52,7 +52,7 @@ let batch_none =
   { b_gro = 1; b_tso = 1; b_doorbell = 1; b_completion = 1; b_notify = 1 }
 
 let batch_of n =
-  let n = max 1 n in
+  let n = Int.max 1 n in
   { b_gro = n; b_tso = n; b_doorbell = n; b_completion = n; b_notify = n }
 
 (** FlexGuard: overload control and graceful degradation under
@@ -153,7 +153,7 @@ let scale_none =
   { s_on = false; s_shards = 1; s_emem_flows = 0; s_pin_hot = false }
 
 let scale_of n =
-  { s_on = true; s_shards = max 1 n; s_emem_flows = 0; s_pin_hot = true }
+  { s_on = true; s_shards = Int.max 1 n; s_emem_flows = 0; s_pin_hot = true }
 
 type congestion_control = Dctcp | Timely | Cc_none
 

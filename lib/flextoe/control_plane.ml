@@ -104,7 +104,7 @@ let wire_bps cfg =
 
 let ctl_frame t ?win ~flow ~seq ~ack_seq ~flags ~mss () =
   let default_win =
-    min 0xFFFF (t.cfg.Config.rx_buf_bytes lsr t.cfg.Config.window_scale)
+    Int.min 0xFFFF (t.cfg.Config.rx_buf_bytes lsr t.cfg.Config.window_scale)
   in
   let seg =
     S.make ~flags
@@ -207,7 +207,7 @@ let forget_flow t ~conn =
      match Datapath.conn t.dp conn with
      | Some cs ->
          let s = cs.Conn_state.pre.Conn_state.flow_group mod n in
-         t.shard_installed.(s) <- max 0 (t.shard_installed.(s) - 1)
+         t.shard_installed.(s) <- Int.max 0 (t.shard_installed.(s) - 1)
      | None -> ());
   Datapath.remove_conn t.dp ~conn;
   Hashtbl.remove t.flows conn
@@ -234,7 +234,7 @@ let retry_delay t attempt =
       let gc = Guard.config g in
       let d = ref gc.Config.g_syn_retry_base in
       for _ = 1 to attempt do
-        d := min (2 * !d) gc.Config.g_syn_retry_max
+        d := Int.min (2 * !d) gc.Config.g_syn_retry_max
       done;
       !d
 
@@ -652,7 +652,7 @@ let apply_rate t (f : cc_flow) bps =
      stricter of the two wins. *)
   let bps =
     if f.cf_limit_bps > 0 then
-      if bps = 0 then f.cf_limit_bps else min bps f.cf_limit_bps
+      if bps = 0 then f.cf_limit_bps else Int.min bps f.cf_limit_bps
     else bps
   in
   if bps <> f.cf_rate_bps then begin
@@ -669,7 +669,7 @@ let apply_decision t f = function
 let set_rate_limit t ~conn ~bps =
   match Hashtbl.find_opt t.flows conn with
   | Some f ->
-      f.cf_limit_bps <- max 0 bps;
+      f.cf_limit_bps <- Int.max 0 bps;
       (* Re-apply so the limit takes effect immediately. *)
       apply_rate t f f.cf_rate_bps
   | None -> ()
@@ -714,7 +714,7 @@ let iterate_flow t now (f : cc_flow) =
           { Meta.h_conn = f.cf_conn; h_op = Meta.Retransmit };
         f.cf_acc_fretx <- f.cf_acc_fretx + 1;
         f.cf_retries <- f.cf_retries + 1;
-        f.cf_rto <- min (2 * f.cf_rto) t.cfg.Config.rto_max;
+        f.cf_rto <- Int.min (2 * f.cf_rto) t.cfg.Config.rto_max;
         false
       end
     else false
@@ -725,7 +725,7 @@ let iterate_flow t now (f : cc_flow) =
     Datapath.cp_push t.dp { Meta.h_conn = f.cf_conn; h_op = Meta.Ack_flush };
   (* One congestion decision per (estimated) RTT. *)
   let decision_interval =
-    max t.cfg.Config.cc_interval (Sim.Time.ns st.Datapath.rtt_est_ns)
+    Int.max t.cfg.Config.cc_interval (Sim.Time.ns st.Datapath.rtt_est_ns)
   in
   if now - f.cf_last_decision >= decision_interval then begin
     let obs =

@@ -232,6 +232,9 @@ let builtin_graph ?(sabotage = no_sabotage) ~config () =
 type t = {
   engine : Sim.Engine.t;
   cfg : Config.t;
+  (* Host deliveries waiting out the fixed [libtoe_poll] delay: a
+     constant delay from a growing clock, so they form one stream. *)
+  poll : Sim.Engine.Stream.t;
   stages : stage list;
   sabotage : sabotage;
   san : San.t option;
@@ -243,10 +246,10 @@ type t = {
   ip : int;
   n_ctx : int;
   (* Connections *)
-  conns : (int, Conn_state.t) Hashtbl.t;
+  conns : Conn_state.t Nfp.Conn_table.t;  (* by connection index *)
   conn_db : Tcp.Flow.t Nfp.Lookup.t;
   mutable next_conn_idx : int;
-  locks : (int, conn_lock) Hashtbl.t;
+  locks : conn_lock Nfp.Conn_table.t;
   (* FPCs *)
   preproc_fpcs : Nfp.Fpc.t array;
   proto_fpcs : Nfp.Fpc.t array array;  (* per flow group, sharded *)
@@ -427,13 +430,13 @@ let pipelined t = t.cfg.Config.parallelism.Config.pipelined
 (* --- Per-connection protocol-stage lock --------------------------- *)
 
 let conn_lock t idx =
-  match Hashtbl.find_opt t.locks idx with
+  match Nfp.Conn_table.find_opt t.locks idx with
   | Some l -> l
   | None ->
       (* Lazy once-per-connection lock init, amortized over the flow's
          lifetime — not a per-segment allocation. flexinfer: alloc-exempt *)
       let l = { busy = false; waiters = Queue.create () } in
-      Hashtbl.replace t.locks idx l;
+      Nfp.Conn_table.replace t.locks idx l;
       l
 
 let acquire t idx k =
@@ -580,7 +583,7 @@ let alloc_conn_idx t =
   t.next_conn_idx <- i + 1;
   i
 
-let conn t idx = Hashtbl.find_opt t.conns idx
+let conn t idx = Nfp.Conn_table.find_opt t.conns idx
 
 let has_flow t flow =
   Nfp.Lookup.lookup t.conn_db ~hash:(Tcp.Flow.hash flow) flow <> None
@@ -588,7 +591,7 @@ let has_flow t flow =
 let conn_of_flow t flow =
   Nfp.Lookup.lookup t.conn_db ~hash:(Tcp.Flow.hash flow) flow
 
-let active_conns t = Hashtbl.length t.conns
+let active_conns t = Nfp.Conn_table.length t.conns
 
 let conn_state_bytes =
   Conn_state.state_bytes_pre + Conn_state.state_bytes_proto
@@ -597,7 +600,7 @@ let conn_state_bytes =
 let install_conn t cs ~k =
   (* CP writes ~108 B of state across PCIe. *)
   Nfp.Dma.issue t.dma ~queue:1 ~bytes:128 (fun () ->
-      Hashtbl.replace t.conns cs.Conn_state.idx cs;
+      Nfp.Conn_table.replace t.conns cs.Conn_state.idx cs;
       let flow = cs.Conn_state.flow in
       Nfp.Lookup.add t.conn_db ~hash:(Tcp.Flow.hash flow) flow
         cs.Conn_state.idx;
@@ -612,11 +615,11 @@ let install_conn t cs ~k =
       k ())
 
 let remove_conn t ~conn =
-  match Hashtbl.find_opt t.conns conn with
+  match Nfp.Conn_table.find_opt t.conns conn with
   | None -> ()
   | Some cs ->
       cs.Conn_state.active <- false;
-      Hashtbl.remove t.conns conn;
+      Nfp.Conn_table.remove t.conns conn;
       let flow = cs.Conn_state.flow in
       Nfp.Lookup.remove t.conn_db ~hash:(Tcp.Flow.hash flow) flow;
       Scheduler.forget t.sch ~conn;
@@ -704,8 +707,8 @@ let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
            (* Sabotage: hand the descriptor to the host without the DMA
               completion edge — the poll delay still elapses, but
               nothing orders the handler after the payload write. *)
-           Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll (fun () ->
-               deliver ~join:None ())
+           Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
+             (fun () -> deliver ~join:None ())
          else
            Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
                let join =
@@ -713,7 +716,7 @@ let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
                  | Some s -> Some (San.token_send s)
                  | None -> None
                in
-               Sim.Engine.schedule t.engine t.cfg.Config.libtoe_poll
+               Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
                  (fun () -> deliver ~join ()))))
 
 (* Flush one connection's ARX accumulator: one context-queue descriptor,
@@ -2057,8 +2060,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
            ())
     else None
   in
-  let groups = max 1 par.Config.flow_groups in
-  let threads = max 1 par.Config.fpc_threads in
+  let groups = Int.max 1 par.Config.flow_groups in
+  let threads = Int.max 1 par.Config.fpc_threads in
   let scale = cfg.Config.scale in
   let shards = Flow_group.shards_of scale in
   let mk ?(threads = threads) name i =
@@ -2103,6 +2106,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
       {
         engine;
         cfg;
+        poll = Sim.Engine.Stream.create engine;
         stages;
         sabotage;
         san;
@@ -2117,26 +2121,26 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         mac;
         ip;
         n_ctx = ctx_queues;
-        conns = Hashtbl.create 1024;
+        conns = Nfp.Conn_table.create ();
         conn_db = Nfp.Lookup.create ~equal:Tcp.Flow.equal;
         next_conn_idx = 0;
-        locks = Hashtbl.create 1024;
+        locks = Nfp.Conn_table.create ();
         preproc_fpcs =
           Array.init
-            (max 1 (par.Config.preproc_replicas * groups))
+            (Int.max 1 (par.Config.preproc_replicas * groups))
             (mk "pre");
         proto_fpcs =
           Array.init groups (fun g ->
               Array.init
-                (max 1 par.Config.proto_replicas)
+                (Int.max 1 par.Config.proto_replicas)
                 (fun i -> mk "proto" ((g * 10) + i)));
         postproc_fpcs =
           Array.init groups (fun g ->
               Array.init
-                (max 1 par.Config.postproc_replicas)
+                (Int.max 1 par.Config.postproc_replicas)
                 (fun i -> mk "post" ((g * 10) + i)));
-        dma_fpcs = Array.init (max 1 par.Config.dma_replicas) (mk "dma");
-        ctx_fpcs = Array.init (max 1 par.Config.ctx_replicas) (mk "ctx");
+        dma_fpcs = Array.init (Int.max 1 par.Config.dma_replicas) (mk "dma");
+        ctx_fpcs = Array.init (Int.max 1 par.Config.ctx_replicas) (mk "ctx");
         sch_fpc = mk "sch" 0;
         gro_fpc = mk "gro" 0;
         xdp_fpcs = Array.init (3 * groups) (mk "xdp");
@@ -2165,7 +2169,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
              Array.init shards (fun _ ->
                  Nfp.Lru.create
                    ~entries:
-                     (max 1 (p.Nfp.Params.emem_cache_entries / shards))));
+                     (Int.max 1 (p.Nfp.Params.emem_cache_entries / shards))));
         shards;
         emem_pressure =
           (if scale.Config.s_on then
@@ -2182,13 +2186,13 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         sch =
           Scheduler.create ~shards
             ~shard_of:(fun ~conn ->
-              match Hashtbl.find_opt (Lazy.force t).conns conn with
+              match Nfp.Conn_table.find_opt (Lazy.force t).conns conn with
               | Some cs ->
                   Flow_group.shard_of_group
                     cs.Conn_state.pre.Conn_state.flow_group ~shards
               | None -> 0)
             engine ~slot:cfg.Config.wheel_slot ~slots:cfg.Config.wheel_slots
-            ~credits:(min 256 p.Nfp.Params.seg_buffers)
+            ~credits:(Int.min 256 p.Nfp.Params.seg_buffers)
             ~dispatch:(fun ~conn -> dispatch_tx (Lazy.force t) ~conn);
         atx =
           Array.init ctx_queues (fun i ->

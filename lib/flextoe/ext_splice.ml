@@ -248,7 +248,7 @@ let splice_pair t ~dp ~(a : Control_plane.conn_handle)
       ack_delta = (pa.Conn_state.rx_isn - pb.Conn_state.tx_isn) land mask;
     };
   (* Window-update nudges: each endpoint now sees the other's window. *)
-  let scaled w = min 0xFFFF (w lsr 7) in
+  let scaled w = Int.min 0xFFFF (w lsr 7) in
   nudge dp a ~window:(scaled pb.Conn_state.remote_win);
   nudge dp b ~window:(scaled pa.Conn_state.remote_win)
 

@@ -16,7 +16,7 @@ let shard_of_flow flow ~groups ~shards =
   shard_of_group (group_of_flow flow ~groups) ~shards
 
 let shards_of (scale : Config.scale) =
-  if scale.Config.s_on then max 1 scale.Config.s_shards else 1
+  if scale.Config.s_on then Int.max 1 scale.Config.s_shards else 1
 
 let shard_of_config (cfg : Config.t) flow =
   shard_of_flow flow

@@ -186,8 +186,8 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
   let par = config.Config.parallelism in
   let b = config.Config.batch in
   let gc = config.Config.guard in
-  let threads = max 1 par.Config.fpc_threads in
-  let groups = max 1 par.Config.flow_groups in
+  let threads = Int.max 1 par.Config.fpc_threads in
+  let groups = Int.max 1 par.Config.flow_groups in
   let contract name =
     match List.find_opt (fun c -> c.c_stage = name) contracts with
     | Some c -> c
@@ -238,15 +238,15 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
   let nodes =
     [
       node "preproc" (Lp_island 0)
-        (max 1 (par.Config.preproc_replicas * groups) * threads);
+        (Int.max 1 (par.Config.preproc_replicas * groups) * threads);
       node "gro" Lp_service threads;
       node "protocol" (Lp_island 0)
         ~serialized:(not defects.d_early_release)
-        (max 1 par.Config.proto_replicas * groups * threads);
+        (Int.max 1 par.Config.proto_replicas * groups * threads);
       node "postproc" (Lp_island 0)
-        (max 1 (par.Config.postproc_replicas * groups) * threads);
-      node "dma" Lp_service (max 1 par.Config.dma_replicas * threads);
-      node "ctx" Lp_service (max 1 par.Config.ctx_replicas * threads);
+        (Int.max 1 (par.Config.postproc_replicas * groups) * threads);
+      node "dma" Lp_service (Int.max 1 par.Config.dma_replicas * threads);
+      node "ctx" Lp_service (Int.max 1 par.Config.ctx_replicas * threads);
       node "sched" Lp_service threads;
       node "nbi" Lp_service 1;
       host;
@@ -266,7 +266,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
   let flow ?(ordered = true) ?lookahead src dst label =
     e ?lookahead src dst label (Dataflow { df_ordered = ordered })
   in
-  let seg_credits = min 256 p.Nfp.Params.seg_buffers in
+  let seg_credits = Int.min 256 p.Nfp.Params.seg_buffers in
   let edges =
     [
       (* RX: wire → NBI buffer pool → preproc → flow-group sequencer
@@ -390,7 +390,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
                     n with
                     n_name = suffix n.n_name k;
                     n_lp = Lp_island k;
-                    n_slots = max 1 ((n.n_slots + shards - 1) / shards);
+                    n_slots = Int.max 1 ((n.n_slots + shards - 1) / shards);
                   })
             else [ n ])
           nodes

@@ -50,7 +50,7 @@ let counter t name =
 
 let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let established_shed t = counter t "established_shed"
 
@@ -66,7 +66,7 @@ let peak_depth t ~stage =
 
 let peak_depths t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.peaks []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* --- SYN cookies ------------------------------------------------------ *)
 
@@ -259,7 +259,7 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
           lg :=
             {
               !lg with
-              lg_peak_backlog = max !lg.lg_peak_backlog (Hashtbl.length pending);
+              lg_peak_backlog = Int.max !lg.lg_peak_backlog (Hashtbl.length pending);
             }
       | Ev_ack id ->
           if Hashtbl.mem pending id || Hashtbl.mem cookie_sent id then begin
@@ -271,7 +271,7 @@ let replay ?(tw_ticks = 1024) (g : Config.guard) events =
                 l with
                 lg_established = l.lg_established + 1;
                 lg_peak_established =
-                  max l.lg_peak_established (Hashtbl.length established);
+                  Int.max l.lg_peak_established (Hashtbl.length established);
               }
           end
       | Ev_seg id ->

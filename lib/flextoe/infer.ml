@@ -16,7 +16,7 @@
       call carrying both a literal [Effects.<Obj>] and a literal
       [Effects.Read]/[Effects.Write] argument (the [sa]/[San.access]
       idiom) — and by {e mapping} — known module operations
-      ([Hashtbl.*] on the connection table, [Nfp.Lookup.*],
+      ([Nfp.Conn_table.*] on the connection table, [Nfp.Lookup.*],
       [Host.Payload_buf.*], [Scheduler.*], [Nfp.Ring.*] on ATX
       rings, [Tcp.Reassembly.*]) plus field reads/writes on the
       partition records and the [st_*] statistics counters. Calls
@@ -179,7 +179,7 @@ type tag =
   | T_proto
   | T_post  (** connection-state partitions *)
   | T_reasm  (** [Tcp.Reassembly.t] (proto partition field) *)
-  | T_conns_tbl  (** [t.conns] — the Conn_db hashtable *)
+  | T_conns_tbl  (** [t.conns] — the Conn_db connection table *)
   | T_conn_db  (** [t.conn_db] — the Nfp.Lookup flow table *)
   | T_atx_arr  (** [t.atx] *)
   | T_atx_ring  (** one ATX descriptor ring *)
@@ -639,20 +639,22 @@ and walk_apply ctx ms env seen head args loc =
 and effect_of_call ctx (m, f) a0 loc =
   let r = record_access ctx E.Read and wr = record_access ctx E.Write in
   match (m, f, a0) with
-  (* The connection table: Hashtbl ops on [t.conns] only — the
-     datapath's other hashtables (locks, GRO/ARX accumulators) are
-     private scratch, not a shared region. *)
-  | "Hashtbl", ("find_opt" | "find" | "mem" | "length" | "iter" | "fold"), T_conns_tbl
-    ->
+  (* The connection table: [Conn_table] (or [Hashtbl]) ops on
+     [t.conns] only — the datapath's other tables (locks, GRO/ARX
+     accumulators) are private to it, not a shared region. *)
+  | ( ("Conn_table" | "Hashtbl"),
+      ("find_opt" | "find" | "mem" | "length" | "iter" | "fold"),
+      T_conns_tbl ) ->
       r E.Conn_db loc;
       Some (if f = "find_opt" then T_conn_opt
             else if f = "find" then T_conn
             else T_none)
-  | "Hashtbl", ("replace" | "add" | "remove" | "reset"), T_conns_tbl ->
+  | ("Conn_table" | "Hashtbl"), ("replace" | "add" | "remove" | "reset"),
+    T_conns_tbl ->
       r E.Conn_db loc;
       wr E.Conn_db loc;
       Some T_none
-  | "Hashtbl", _, _ -> Some T_none  (* private scratch tables *)
+  | ("Conn_table" | "Hashtbl"), _, _ -> Some T_none  (* private tables *)
   | "Lookup", ("lookup" | "mem" | "find"), T_conn_db ->
       r E.Conn_db loc;
       Some T_none
@@ -1159,6 +1161,7 @@ let seed_files paths =
   let fields = Hashtbl.create 64 in
   Hashtbl.iter
     (fun name votes ->
+      (* flexinfer: poly-compare-exempt — dedup of tag variants *)
       match List.sort_uniq compare votes with
       | [ Some v ] -> Hashtbl.replace fields name v
       | _ -> ()  (* ambiguous across records, or never Seq32 *))
@@ -1169,21 +1172,60 @@ let cmp_ops = [ "="; "<>"; "<"; ">"; "<="; ">="; "=="; "!=" ]
 let cmp_fns = [ "compare"; "min"; "max" ]
 
 let seq32_marker = "flexinfer: seq32-exempt"
+let poly_marker = "flexinfer: poly-compare-exempt"
 
 type seq_ctx = {
   q_seeds : seeds;
   q_mod : string;  (* module of the file being linted *)
   q_lines : string array;
+  mutable q_top : string list;  (* names bound by earlier top-level lets *)
   mutable q_findings : finding list;
+  mutable q_poly : finding list;  (* poly-compare hygiene findings *)
   mutable q_exempted : int;
 }
+
+(* Stage hygiene, file-wide: a bare [max]/[min]/[compare] is
+   [Stdlib]'s polymorphic one, which calls [caml_greaterequal] or
+   [compare_val] even on ints. [Int.max], [Float.min],
+   [String.compare] and friends are typed and cheap. A local or
+   top-level rebinding of the name is not flagged. *)
+let poly_compare ctx env (lid : Longident.t) loc =
+  let flagged =
+    match lid with
+    | Longident.Lident f ->
+        List.mem f cmp_fns
+        && (not (List.mem_assoc f env))
+        && not (List.mem f ctx.q_top)
+    | Longident.Ldot (Longident.Lident "Stdlib", f) -> List.mem f cmp_fns
+    | _ -> false
+  in
+  if flagged && not (exempted ctx.q_lines poly_marker (line_of loc)) then
+    let f = Option.value ~default:"" (lid_last lid) in
+    ctx.q_poly <-
+      {
+        f_rule = "poly-compare";
+        f_severity = Sev_warning;
+        f_stage = None;
+        f_file = file_of loc;
+        f_line = line_of loc;
+        f_msg =
+          Printf.sprintf
+            "bare '%s' is Stdlib's polymorphic %s (a C call per use); use \
+             Int.%s, Float.%s or a typed compare (or annotate '(* %s *)')"
+            f f f f poly_marker;
+      }
+      :: ctx.q_poly
 
 let rec swalk ctx env (e : Parsetree.expression) : seq_tag option =
   let w = swalk ctx env in
   match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident x; _ } -> (
+  | Pexp_ident { txt = Longident.Lident x as lid; loc } -> (
+      poly_compare ctx env lid loc;
       match List.assoc_opt x env with Some t -> t | None -> None)
-  | Pexp_ident _ | Pexp_constant _ -> None
+  | Pexp_ident { txt = lid; loc } ->
+      poly_compare ctx env lid loc;
+      None
+  | Pexp_constant _ -> None
   | Pexp_field (recv, fld) -> (
       ignore (w recv);
       match lid_last fld.Location.txt with
@@ -1302,10 +1344,14 @@ and swalk_apply ctx env head args loc =
         | Some mf -> mf
         | None -> ("", "")
       in
+      poly_compare ctx env lid.Location.txt lid.Location.loc;
+      (* [Int.compare] &c. are as wrap-unsafe on Seq32 values as the
+         polymorphic ones. *)
       let is_structural_cmp =
         (not shadowed)
-        && (m = "" || m = "Stdlib")
-        && (List.mem f cmp_ops || List.mem f cmp_fns)
+        && (((m = "" || m = "Stdlib")
+            && (List.mem f cmp_ops || List.mem f cmp_fns))
+           || (m = "Int" && List.mem f cmp_fns))
       in
       if is_structural_cmp then begin
         (match
@@ -1348,8 +1394,10 @@ and swalk_apply ctx env head args loc =
       None
 
 (* Lint a set of implementation files, seeding types from
-   [seed_paths] (defaults to the linted files plus their [.mli]s). *)
-let lint_seq32 ?seed_paths ~files () =
+   [seed_paths] (defaults to the linted files plus their [.mli]s).
+   Returns the Seq32 findings, the exempted Seq32 sites and the
+   poly-compare findings: one walk serves both lints. *)
+let lint_files ?seed_paths ~files () =
   let seed_paths =
     match seed_paths with
     | Some p -> p
@@ -1376,14 +1424,17 @@ let lint_seq32 ?seed_paths ~files () =
                   f_msg = e;
                 };
               ],
-              0 )
+              0,
+              [] )
         | Ok str ->
             let ctx =
               {
                 q_seeds = seeds;
                 q_mod = module_of_path path;
                 q_lines = file_lines path;
+                q_top = [];
                 q_findings = [];
+                q_poly = [];
                 q_exempted = 0;
               }
             in
@@ -1391,14 +1442,27 @@ let lint_seq32 ?seed_paths ~files () =
               (fun (item : Parsetree.structure_item) ->
                 match item.pstr_desc with
                 | Pstr_value (rf, vbs) ->
-                    ignore (swalk_bindings ctx [] rf vbs)
+                    ignore (swalk_bindings ctx [] rf vbs);
+                    List.iter
+                      (fun (vb : Parsetree.value_binding) ->
+                        ctx.q_top <- pat_vars vb.pvb_pat @ ctx.q_top)
+                      vbs
                 | _ -> ())
               str;
-            (List.rev ctx.q_findings, ctx.q_exempted))
+            (List.rev ctx.q_findings, ctx.q_exempted, List.rev ctx.q_poly))
       files
   in
-  ( List.concat_map fst results,
-    List.fold_left (fun n (_, e) -> n + e) 0 results )
+  ( List.concat_map (fun (f, _, _) -> f) results,
+    List.fold_left (fun n (_, e, _) -> n + e) 0 results,
+    List.concat_map (fun (_, _, p) -> p) results )
+
+let lint_seq32 ?seed_paths ~files () =
+  let findings, exempted, _ = lint_files ?seed_paths ~files () in
+  (findings, exempted)
+
+let lint_poly_compare ~files () =
+  let _, _, poly = lint_files ~files () in
+  poly
 
 (* ==================================================================== *)
 (* Repository-level drivers                                             *)
@@ -1421,7 +1485,7 @@ let ml_files_in dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | entries ->
-      List.sort compare
+      List.sort String.compare
         (List.filter_map
            (fun f ->
              if Filename.check_suffix f ".ml" then
@@ -1433,7 +1497,7 @@ let seed_paths_in dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | entries ->
-      List.sort compare
+      List.sort String.compare
         (List.filter_map
            (fun f ->
              if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
@@ -1486,15 +1550,15 @@ let analyze_repo ?(flags = []) ~declared ~root () =
         List.map (Filename.concat root) [ "lib/tcp"; "lib/flextoe" ]
       in
       let files = List.concat_map ml_files_in lint_dirs in
-      let seq_findings, exempted =
-        lint_seq32
+      let seq_findings, exempted, poly_findings =
+        lint_files
           ~seed_paths:(List.concat_map seed_paths_in lint_dirs)
           ~files ()
       in
       Ok
         {
           rp_footprints = footprints;
-          rp_findings = hygiene @ diff @ seq_findings;
+          rp_findings = hygiene @ diff @ seq_findings @ poly_findings;
           rp_seq32_exempted = exempted;
           rp_files_linted = List.length files;
         }

@@ -19,14 +19,17 @@
       stage's footprint into the caller. The result is diffed
       against the declared contracts.
     + {b Seq32 wrap-safety lint}: rejects structural
-      comparison/[compare]/[min]/[max] on [Tcp.Seq32.t]-typed values
+      comparison/[compare]/[min]/[max] (and their [Int.] forms) on
+      [Tcp.Seq32.t]-typed values
       (an [int] alias — structural [<] breaks at the 2^32 wrap),
       seeding types from [.mli] signatures and [.ml] type
       declarations. [(* flexinfer: seq32-exempt *)] on the same or
       preceding line exempts a deliberate use.
     + {b Stage hygiene}: no blocking/I-O calls in stage bodies;
       per-execution container allocation warns unless annotated
-      [(* flexinfer: alloc-exempt *)].
+      [(* flexinfer: alloc-exempt *)]; and, file-wide, a bare
+      polymorphic [max]/[min]/[compare] warns unless annotated
+      [(* flexinfer: poly-compare-exempt *)].
 
     The analysis is deliberately syntactic (DESIGN.md §15 lists the
     soundness caveats); it is a tripwire for contract rot, with
@@ -115,6 +118,16 @@ val lint_seq32 :
     present). Returns the findings and the count of exempted
     comparison sites. *)
 
+val lint_poly_compare : files:string list -> unit -> finding list
+(** Stage hygiene over whole files: flag each bare [max], [min] or
+    [compare] (or its [Stdlib.] form) that no local or earlier
+    top-level binding shadows. These are [Stdlib]'s polymorphic
+    functions, which compare through a C call even on ints; [Int.max],
+    [Float.min], [String.compare] and friends are typed. Rule
+    ["poly-compare"], a warning; [(* flexinfer: poly-compare-exempt *)]
+    on the same or the preceding line exempts a site. {!analyze_repo}
+    runs it over [lib/tcp] and [lib/flextoe]. *)
+
 (** {1 Repository driver} *)
 
 type report = {
@@ -144,7 +157,8 @@ val analyze_repo :
   unit ->
   (report, string) result
 (** The full FlexInfer run: footprint inference + contract diff over
-    the datapath, Seq32 lint over [lib/tcp] and [lib/flextoe]. *)
+    the datapath, Seq32 and poly-compare lints over [lib/tcp] and
+    [lib/flextoe]. *)
 
 (** {1 JSON} *)
 

@@ -24,7 +24,7 @@ type t = {
   dp : Datapath.t;
   control : Control_plane.t;
   cores : Host.Host_cpu.core array;
-  by_opaque : (int, sock) Hashtbl.t;
+  by_opaque : sock Nfp.Conn_table.t;  (* opaque = connection index *)
   mutable next_sock : int;
   mutable next_core : int;
   mutable atx_retries : int;
@@ -32,7 +32,7 @@ type t = {
   endpoint : Host.Api.endpoint;
 }
 
-let sockets_open t = Hashtbl.length t.by_opaque
+let sockets_open t = Nfp.Conn_table.length t.by_opaque
 let atx_retries t = t.atx_retries
 let sockets_aborted t = t.aborted
 
@@ -75,7 +75,7 @@ let rec flush_hc t sock =
     sock.hc_retry_armed <- true;
     t.atx_retries <- t.atx_retries + 1;
     let delay = sock.hc_retry_delay in
-    sock.hc_retry_delay <- min (2 * delay) hc_retry_max;
+    sock.hc_retry_delay <- Int.min (2 * delay) hc_retry_max;
     Sim.Engine.schedule t.engine delay (fun () ->
         sock.hc_retry_armed <- false;
         flush_hc t sock)
@@ -87,7 +87,7 @@ let do_send t sock data =
   if sock.closed then 0
   else begin
     charge sock t.cfg.Config.sockets_api_cycles;
-    let n = min (Bytes.length data) sock.tx_free in
+    let n = Int.min (Bytes.length data) sock.tx_free in
     if n > 0 then begin
       let buf = sock.handle.Control_plane.ch_state.Conn_state.post
                   .Conn_state.tx_buf
@@ -118,7 +118,7 @@ let do_send t sock data =
 
 let do_recv t sock ~max =
   charge sock t.cfg.Config.sockets_api_cycles;
-  let n = min max sock.rx_ready in
+  let n = Int.min max sock.rx_ready in
   if n <= 0 then Bytes.empty
   else begin
     let buf =
@@ -185,14 +185,14 @@ let make_sock t (handle : Control_plane.conn_handle) =
       }
   in
   let sock = Lazy.force sockref in
-  Hashtbl.replace t.by_opaque
+  Nfp.Conn_table.replace t.by_opaque
     handle.Control_plane.ch_state.Conn_state.post.Conn_state.opaque sock;
   sock
 
 (* --- ARX notification handling ------------------------------------- *)
 
 let on_arx t (d : Meta.arx_desc) =
-  match Hashtbl.find_opt t.by_opaque d.Meta.x_opaque with
+  match Nfp.Conn_table.find_opt t.by_opaque d.Meta.x_opaque with
   | None -> ()
   | Some sock ->
       Host.Host_cpu.exec sock.core ~category:"sockets"
@@ -207,7 +207,7 @@ let on_arx t (d : Meta.arx_desc) =
             sock.rx_credit_pending <- 0;
             sock.fin_pending <- false;
             t.aborted <- t.aborted + 1;
-            Hashtbl.remove t.by_opaque d.Meta.x_opaque;
+            Nfp.Conn_table.remove t.by_opaque d.Meta.x_opaque;
             sock.api.Host.Api.on_error ()
           end
           else begin
@@ -233,7 +233,7 @@ let create engine ~config ~datapath ~control ~cores () =
         dp = datapath;
         control;
         cores = Array.of_list cores;
-        by_opaque = Hashtbl.create 256;
+        by_opaque = Nfp.Conn_table.create ();
         next_sock = 0;
         next_core = 0;
         atx_retries = 0;

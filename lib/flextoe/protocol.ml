@@ -3,7 +3,7 @@ open Conn_state
 let us_of_time t = (t / 1_000_000) land 0xFFFF_FFFF
 
 let scaled_window cfg avail =
-  min 0xFFFF (avail lsr cfg.Config.window_scale)
+  Int.min 0xFFFF (avail lsr cfg.Config.window_scale)
 
 let make_ack cfg conn ~gseq =
   let p = conn.proto in
@@ -35,7 +35,7 @@ let process_ack cfg ~now conn (s : Meta.rx_summary) =
     let old_win = p.remote_win in
     let old_usable = p.remote_win - tx_unacked conn in
     p.remote_win <- s.Meta.wnd lsl cfg.Config.window_scale;
-    let acked_data = min ack_pos p.tx_tail_pos in
+    let acked_data = Int.min ack_pos p.tx_tail_pos in
     let freed = acked_data - p.tx_acked_pos in
     if freed > 0 || (p.fin_sent && ack_pos > p.tx_tail_pos) then begin
       if p.fin_sent && ack_pos > p.tx_tail_pos then p.fin_acked <- true;
@@ -196,7 +196,7 @@ let tx cfg ~now conn ~alloc_gseq =
      NBI splits it back into wire frames. At [b_tso = 1] the cap is
      exactly [mss], today's per-segment behavior. *)
   let cap = cfg.Config.mss * cfg.Config.batch.Config.b_tso in
-  let len = min cap (min (tx_avail conn) usable) in
+  let len = Int.min cap (Int.min (tx_avail conn) usable) in
   let emit ~len ~fin =
     let pos = p.tx_next_pos in
     let seq = tx_seq_of_pos conn pos in
@@ -263,7 +263,7 @@ let hc cfg ~now conn op ~alloc_gseq =
          buffer the control plane allocated (a static per-connection
          size, so reading it does not breach stage-state separation). *)
       let buf_size = Host.Payload_buf.size conn.post.Conn_state.rx_buf in
-      p.rx_avail <- min (p.rx_avail + n) buf_size;
+      p.rx_avail <- Int.min (p.rx_avail + n) buf_size;
       let update =
         if was_closed && p.rx_avail >= cfg.Config.mss then
           Some (make_ack cfg conn ~gseq:(alloc_gseq ()))

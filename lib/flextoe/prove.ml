@@ -71,7 +71,7 @@ let wellformed_findings (g : G.t) =
   let dup =
     List.filter
       (fun n -> List.length (List.filter (( = ) n) node_names) > 1)
-      (List.sort_uniq compare node_names)
+      (List.sort_uniq String.compare node_names)
   in
   let dups = List.map (fun n -> fail n "duplicate node name") dup in
   let endpoints =
@@ -324,7 +324,7 @@ let rec eval_bound (g : G.t) b : (int, string) result =
       | None -> Error (Printf.sprintf "bound references no queue edge %s" l))
   | G.Sum bs -> combine ( + ) bs
   | G.Prod bs -> combine ( * ) bs
-  | G.Min_of bs -> combine min bs
+  | G.Min_of bs -> combine Int.min bs
   | G.Unbounded_by s -> Error (Printf.sprintf "open-loop inflow from %s" s)
 
 let bounds (g : G.t) : report =
@@ -456,6 +456,7 @@ let partition (g : G.t) : report =
       (pairs g.G.g_nodes)
   in
   let lps =
+    (* flexinfer: poly-compare-exempt — dedup of LP variants *)
     List.sort_uniq compare (List.map (fun n -> n.G.n_lp) g.G.g_nodes)
   in
   {
@@ -536,6 +537,7 @@ let sharding (g : G.t) : report =
         in
         let lps = List.map (fun n -> n.G.n_lp) ns in
         let colocated =
+          (* flexinfer: poly-compare-exempt — dedup of LP variants *)
           if List.length (List.sort_uniq compare lps) = List.length ns
           then []
           else

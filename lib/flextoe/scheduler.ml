@@ -26,7 +26,7 @@ type t = {
   mutable credits : int;
   dispatch : conn:int -> unit;
   shard_of : conn:int -> int;
-  flows : (int, flow) Hashtbl.t;
+  flows : flow Nfp.Conn_table.t;  (* by connection index *)
   rr : flow Queue.t array;
       (* uncongested + due flows, one queue per shard group; length 1
          (and byte-identical dispatch order to the single-queue
@@ -50,7 +50,7 @@ let create ?(shards = 1) ?(shard_of = fun ~conn:_ -> 0) engine ~slot ~slots
     credits;
     dispatch;
     shard_of;
-    flows = Hashtbl.create 256;
+    flows = Nfp.Conn_table.create ();
     rr = Array.init shards (fun _ -> Queue.create ());
     pump_cursor = 0;
     in_wheel = 0;
@@ -62,7 +62,7 @@ let create ?(shards = 1) ?(shard_of = fun ~conn:_ -> 0) engine ~slot ~slots
 let set_tracer t tr = t.tracer <- tr
 
 let flow t conn =
-  match Hashtbl.find_opt t.flows conn with
+  match Nfp.Conn_table.find_opt t.flows conn with
   | Some f -> f
   | None ->
       let n = Array.length t.rr in
@@ -83,7 +83,7 @@ let flow t conn =
           wake_pending = false;
         }
       in
-      Hashtbl.replace t.flows conn f;
+      Nfp.Conn_table.replace t.flows conn f;
       f
 
 (* Dispatch loop: round-robin across the shard queues (trivially the
@@ -135,7 +135,7 @@ let park t f =
   end
   else begin
     let horizon = t.slot * t.slots in
-    let deadline = min f.next_time (now + horizon) in
+    let deadline = Int.min f.next_time (now + horizon) in
     let slot_deadline = (deadline + t.slot - 1) / t.slot * t.slot in
     t.in_wheel <- t.in_wheel + 1;
     note_peak t;
@@ -163,7 +163,7 @@ let on_sent t ~conn ~bytes ~more =
   if f.status = Dispatched then begin
     if bytes > 0 && f.ps_per_byte > 0 then begin
       let now = Sim.Engine.now t.engine in
-      let base = max f.next_time now in
+      let base = Int.max f.next_time now in
       f.next_time <- base + (bytes * f.ps_per_byte)
     end;
     if more || f.wake_pending then begin
@@ -183,10 +183,10 @@ let set_interval t ~conn ~ps_per_byte = (flow t conn).ps_per_byte <- ps_per_byte
 let interval t ~conn = (flow t conn).ps_per_byte
 
 let forget t ~conn =
-  (match Hashtbl.find_opt t.flows conn with
+  (match Nfp.Conn_table.find_opt t.flows conn with
   | Some f -> f.status <- Idle
   | None -> ());
-  Hashtbl.remove t.flows conn
+  Nfp.Conn_table.remove t.flows conn
 
 let credits_available t = t.credits
 

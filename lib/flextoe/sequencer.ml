@@ -1,4 +1,4 @@
-type 'a slot = Item of 'a | Skipped
+type 'a slot = Empty | Item of 'a | Skipped
 
 (* Observation hooks for the FlexSan sanitizer. Every submit/skip
    publishes the submitting context ([sq_submit]); a release joins the
@@ -14,11 +14,18 @@ type 'a t = {
   release : 'a -> unit;
   mutable next_alloc : int;
   mutable next_release : int;
-  waiting : (int, 'a slot) Hashtbl.t;
+  (* A ring indexed by seq: [waiting.(seq land (capacity - 1))] is the
+     slot of [seq] for every seq in [next_release, next_release +
+     capacity), and [Empty] until that seq is submitted or skipped. The capacity is a power of two and doubles when a seq
+     lands beyond the window. *)
+  mutable waiting : 'a slot array;
+  mutable waiting_count : int;
   mutable released : int;
   mutable reordered : int;
   mutable tracer : tracer option;
 }
+
+let initial_capacity = 64
 
 let create ~name ~release =
   {
@@ -26,7 +33,8 @@ let create ~name ~release =
     release;
     next_alloc = 0;
     next_release = 0;
-    waiting = Hashtbl.create 64;
+    waiting = Array.make initial_capacity Empty;
+    waiting_count = 0;
     released = 0;
     reordered = 0;
     tracer = None;
@@ -39,11 +47,15 @@ let next_seq t =
   t.next_alloc <- s + 1;
   s
 
+let index t seq = seq land (Array.length t.waiting - 1)
+
 let rec drain t =
-  match Hashtbl.find_opt t.waiting t.next_release with
-  | None -> ()
-  | Some slot ->
-      Hashtbl.remove t.waiting t.next_release;
+  let i = index t t.next_release in
+  match t.waiting.(i) with
+  | Empty -> ()
+  | slot ->
+      t.waiting.(i) <- Empty;
+      t.waiting_count <- t.waiting_count - 1;
       t.next_release <- t.next_release + 1;
       (match slot with
       | Item v ->
@@ -51,28 +63,48 @@ let rec drain t =
           (match t.tracer with
           | None -> t.release v
           | Some tr -> tr.sq_release (fun () -> t.release v))
-      | Skipped -> ());
+      | Skipped | Empty -> ());
       drain t
+
+(* Doubles the ring until [seq] falls inside the window, moving every
+   slot of the old window to its index in the new ring. *)
+let grow t seq =
+  let old = t.waiting in
+  let cap = ref (Array.length old) in
+  while seq - t.next_release >= !cap do
+    cap := 2 * !cap
+  done;
+  let ring = Array.make !cap Empty in
+  for s = t.next_release to t.next_release + Array.length old - 1 do
+    ring.(s land (!cap - 1)) <- old.(s land (Array.length old - 1))
+  done;
+  t.waiting <- ring
 
 let check_valid t seq =
   if seq >= t.next_alloc then
     invalid_arg (t.name ^ ": sequence number was never allocated");
-  if seq < t.next_release || Hashtbl.mem t.waiting seq then
+  if seq < t.next_release then
+    invalid_arg (t.name ^ ": duplicate sequence number");
+  if seq - t.next_release >= Array.length t.waiting then grow t seq
+  else if t.waiting.(index t seq) != Empty then
     invalid_arg (t.name ^ ": duplicate sequence number")
+
+let put t seq slot =
+  t.waiting.(index t seq) <- slot;
+  t.waiting_count <- t.waiting_count + 1;
+  drain t
 
 let submit t ~seq v =
   check_valid t seq;
   if seq <> t.next_release then t.reordered <- t.reordered + 1;
   (match t.tracer with Some tr -> tr.sq_submit () | None -> ());
-  Hashtbl.replace t.waiting seq (Item v);
-  drain t
+  put t seq (Item v)
 
 let skip t ~seq =
   check_valid t seq;
   (match t.tracer with Some tr -> tr.sq_submit () | None -> ());
-  Hashtbl.replace t.waiting seq Skipped;
-  drain t
+  put t seq Skipped
 
-let pending t = Hashtbl.length t.waiting
+let pending t = t.waiting_count
 let released t = t.released
 let reordered t = t.reordered

@@ -686,8 +686,8 @@ let step ~maps ~prog pc st0 =
               | _ -> (0, 0)
           in
           let st_t = st and st_f = copy_state st in
-          st_t.bound <- max st_t.bound t_gain;
-          st_f.bound <- max st_f.bound f_gain;
+          st_t.bound <- Int.max st_t.bound t_gain;
+          st_f.bound <- Int.max st_f.bound f_gain;
           [ (taken, st_t); (fall, st_f) ]
       | Null_or_map_value { map; size }, Scalar { lo = 0L; hi = 0L } -> (
           let as_ptr = Ptr_map_value { map; off = 0; size } in

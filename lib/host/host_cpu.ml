@@ -6,7 +6,13 @@ type core = {
   pending : work Queue.t;
   mutable busy : bool;
   mutable busy_time : Sim.Time.t;
-  accounting : (string, int ref) Hashtbl.t;
+  (* Cycles per category: [cat_names.(i)] has been charged
+     [cat_cycles.(i)], for i below [n_cats]. A core sees a handful of
+     categories, so a scan with [String.equal] (which tries physical
+     equality first) beats hashing the name on every [exec]. *)
+  mutable cat_names : string array;
+  mutable cat_cycles : int array;
+  mutable n_cats : int;
   rng : Sim.Rng.t;
   mutable noise_interval : int;  (* busy cycles per expected stall *)
   mutable noise_mean : int;
@@ -31,7 +37,9 @@ let create engine ?(freq = Sim.Time.Freq.of_ghz 2.0) ~cores () =
             pending = Queue.create ();
             busy = false;
             busy_time = 0;
-            accounting = Hashtbl.create 8;
+            cat_names = Array.make 8 "";
+            cat_cycles = Array.make 8 0;
+            n_cats = 0;
             rng = Sim.Rng.split (Sim.Engine.Local.rng engine);
             noise_interval = 0;
             noise_mean = 0;
@@ -50,16 +58,29 @@ let cores t = Array.length t.cs
 let core t i = t.cs.(i)
 let freq t = t.f
 
+let add_category c category =
+  let n = c.n_cats in
+  if n = Array.length c.cat_names then begin
+    let extend a fill =
+      let b = Array.make (2 * n) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    c.cat_names <- extend c.cat_names "";
+    c.cat_cycles <- extend c.cat_cycles 0
+  end;
+  c.cat_names.(n) <- category;
+  c.n_cats <- n + 1;
+  n
+
+let rec category_index c category i =
+  if i = c.n_cats then add_category c category
+  else if String.equal c.cat_names.(i) category then i
+  else category_index c category (i + 1)
+
 let account c category cycles =
-  let r =
-    match Hashtbl.find_opt c.accounting category with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.replace c.accounting category r;
-        r
-  in
-  r := !r + cycles
+  let i = category_index c category 0 in
+  c.cat_cycles.(i) <- c.cat_cycles.(i) + cycles
 
 let rec start c (w : work) =
   c.busy <- true;
@@ -98,11 +119,11 @@ let cycles_by_category t =
   let tbl = Hashtbl.create 8 in
   Array.iter
     (fun c ->
-      Hashtbl.iter
-        (fun cat r ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl cat) in
-          Hashtbl.replace tbl cat (cur + !r))
-        c.accounting)
+      for i = 0 to c.n_cats - 1 do
+        let cat = c.cat_names.(i) in
+        let cur = Option.value ~default:0 (Hashtbl.find_opt tbl cat) in
+        Hashtbl.replace tbl cat (cur + c.cat_cycles.(i))
+      done)
     t.cs;
   Hashtbl.fold (fun cat n acc -> (cat, n) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -97,7 +97,9 @@ let server ?(send_batch = 1) ?engine ?(batch_delay = 1_000_000) ~endpoint
           | [] -> ()
           | (msg, off) :: rest ->
               let remaining = Bytes.length msg - off in
-              let attempt = min remaining (max 0 (sock.Api.tx_space ())) in
+              let attempt =
+                Int.min remaining (Int.max 0 (sock.Api.tx_space ()))
+              in
               if attempt > 0 then begin
                 let n = sock.Api.send (Bytes.sub msg off attempt) in
                 if n = remaining then begin
@@ -181,7 +183,7 @@ let flush_backlog cs =
         let remaining = Bytes.length msg - off in
         (* Slice only what can be accepted, so a message much larger
            than the socket buffer is not re-copied on every flush. *)
-        let attempt = min remaining (max 0 (cs.sock.Api.tx_space ())) in
+        let attempt = Int.min remaining (Int.max 0 (cs.sock.Api.tx_space ())) in
         if attempt > 0 then begin
           let n = cs.sock.Api.send (Bytes.sub msg off attempt) in
           if n = remaining then begin

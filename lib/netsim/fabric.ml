@@ -28,6 +28,12 @@ and port = {
   rx : Tcp.Segment.frame -> unit;
   mutable tx_free : Sim.Time.t;  (* ingress serialisation *)
   mutable egress_free : Sim.Time.t;
+  (* Both links are FIFO servers whose finish times only grow, so each
+     keeps its in-flight frames in a stream on [home] rather than one
+     wheel entry per frame: [tx_stream] holds same-LP arrivals at the
+     switch output, [egress_stream] deliveries off the egress link. *)
+  tx_stream : Sim.Engine.Stream.t;
+  egress_stream : Sim.Engine.Stream.t;
   mutable egress_queued : int;  (* bytes committed but not yet delivered *)
   mutable shaping : shaping option;
   mutable tx_fault : fault_hook option;
@@ -76,6 +82,8 @@ let add_port t ?engine ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
       rx;
       tx_free = Sim.Time.zero;
       egress_free = Sim.Time.zero;
+      tx_stream = Sim.Engine.Stream.create engine;
+      egress_stream = Sim.Engine.Stream.create engine;
       egress_queued = 0;
       shaping = None;
       tx_fault = None;
@@ -118,7 +126,7 @@ let shape_port _t port ~rate_gbps ~queue_bytes ~ecn_threshold_bytes =
   port.shaping <- Some { rate_gbps; queue_bytes; ecn_threshold_bytes }
 
 let wire_time ~rate_gbps ~bytes =
-  let bytes = max bytes 64 in
+  let bytes = Int.max bytes 64 in
   let on_wire = bytes + 24 in
   int_of_float (Float.round (float_of_int (8 * on_wire) *. 1000. /. rate_gbps))
 
@@ -135,9 +143,10 @@ let deliver _t (dst : port) frame =
   | None ->
       (* Unshaped: serialise onto the destination link at port rate. *)
       let ser = wire_time ~rate_gbps:dst.rate_gbps ~bytes in
-      let start = max now dst.egress_free in
+      let start = Int.max now dst.egress_free in
       dst.egress_free <- start + ser;
-      Sim.Engine.schedule_at dst.home dst.egress_free (fun () ->
+      Sim.Engine.Stream.schedule_at dst.egress_stream dst.egress_free
+        (fun () ->
           dst.p_delivered <- dst.p_delivered + 1;
           rx_into dst frame)
   | Some s ->
@@ -157,9 +166,10 @@ let deliver _t (dst : port) frame =
         in
         dst.egress_queued <- dst.egress_queued + bytes;
         let ser = wire_time ~rate_gbps:s.rate_gbps ~bytes in
-        let start = max now dst.egress_free in
+        let start = Int.max now dst.egress_free in
         dst.egress_free <- start + ser;
-        Sim.Engine.schedule_at dst.home dst.egress_free (fun () ->
+        Sim.Engine.Stream.schedule_at dst.egress_stream dst.egress_free
+          (fun () ->
             dst.egress_queued <- dst.egress_queued - bytes;
             dst.p_delivered <- dst.p_delivered + 1;
             rx_into dst frame)
@@ -175,7 +185,7 @@ let transmit_clean port frame =
   let now = Sim.Engine.now port.home in
   let bytes = Tcp.Segment.frame_wire_len frame in
   let ser = wire_time ~rate_gbps:port.rate_gbps ~bytes in
-  let start = max now port.tx_free in
+  let start = Int.max now port.tx_free in
   port.tx_free <- start + ser;
   let arrival = port.tx_free + t.switch_latency in
   (* The loss draw comes from the source port's own stream (keyed by
@@ -189,7 +199,7 @@ let transmit_clean port frame =
     | None -> port.p_dropped_unroutable <- port.p_dropped_unroutable + 1
     | Some dst ->
         if dst.home == port.home then
-          Sim.Engine.schedule_at port.home arrival (fun () ->
+          Sim.Engine.Stream.schedule_at port.tx_stream arrival (fun () ->
               deliver t dst frame)
         else
           let key =

@@ -39,6 +39,10 @@ type fault = { f_rng : Sim.Rng.t; f_rate : float; f_max_retries : int }
 type t = {
   engine : Sim.Engine.t;
   params : Params.t;
+  (* Completions in flight: each is due [pcie_base_latency] after the
+     shared link frees, and [link_free] only grows, so they form one
+     stream. *)
+  completions : Sim.Engine.Stream.t;
   queues : queue_state array;
   mutable link_free : Sim.Time.t;  (* when the shared link next frees *)
   mutable completed : int;
@@ -60,6 +64,7 @@ let create engine ~params =
   {
     engine;
     params;
+    completions = Sim.Engine.Stream.create engine;
     queues =
       Array.init params.Params.dma_queues (fun _ ->
           {
@@ -86,8 +91,8 @@ let create engine ~params =
 let set_tracer t tr = t.tracer <- tr
 
 let set_batch t ~doorbell ~completion ~delay =
-  t.db_batch <- max 1 doorbell;
-  t.cp_batch <- max 1 completion;
+  t.db_batch <- Int.max 1 doorbell;
+  t.cp_batch <- Int.max 1 completion;
   t.batch_delay <- delay
 
 let set_fault t ?(seed = 0xD0AL) ~rate ?(max_retries = 8) () =
@@ -138,12 +143,10 @@ let rec start t qi q tk =
   q.inflight <- q.inflight + 1;
   let now = Sim.Engine.now t.engine in
   let ser = serialization_time t tk.tk_bytes in
-  let start_time = max now t.link_free in
+  let start_time = Int.max now t.link_free in
   t.link_free <- start_time + ser;
-  let completion =
-    start_time + ser + t.params.Params.pcie_base_latency - now
-  in
-  Sim.Engine.schedule t.engine completion (fun () ->
+  Sim.Engine.Stream.schedule_at t.completions
+    (t.link_free + t.params.Params.pcie_base_latency) (fun () ->
       q.inflight <- q.inflight - 1;
       (* Free slot: admit a waiter, if any. *)
       if not (Queue.is_empty q.waiting) then

@@ -7,7 +7,7 @@ type node = {
 
 type t = {
   entries : int;
-  tbl : (int, node) Hashtbl.t;
+  tbl : node Conn_table.t;
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
   mutable hits : int;
@@ -21,7 +21,7 @@ let create ~entries =
   if entries <= 0 then invalid_arg "Lru.create: entries must be positive";
   {
     entries;
-    tbl = Hashtbl.create (2 * entries);
+    tbl = Conn_table.create ();
     head = None;
     tail = None;
     hits = 0;
@@ -62,7 +62,7 @@ let victim t =
   | None -> ( match t.tail with Some n -> Some (n, true) | None -> None)
 
 let access ?(pin = false) t key =
-  match Hashtbl.find_opt t.tbl key with
+  match Conn_table.find_opt t.tbl key with
   | Some n ->
       t.hits <- t.hits + 1;
       if pin then n.pinned <- true;
@@ -71,36 +71,36 @@ let access ?(pin = false) t key =
       true
   | None ->
       t.misses <- t.misses + 1;
-      if Hashtbl.length t.tbl >= t.entries then begin
+      if Conn_table.length t.tbl >= t.entries then begin
         match victim t with
         | Some (lru, forced) ->
             unlink t lru;
-            Hashtbl.remove t.tbl lru.key;
+            Conn_table.remove t.tbl lru.key;
             t.evictions <- t.evictions + 1;
             if forced then t.pinned_evictions <- t.pinned_evictions + 1
         | None -> ()
       end;
       let n = { key; prev = None; next = None; pinned = pin } in
-      Hashtbl.replace t.tbl key n;
+      Conn_table.replace t.tbl key n;
       push_front t n;
       false
 
-let mem t key = Hashtbl.mem t.tbl key
+let mem t key = Conn_table.mem t.tbl key
 
 let unpin t key =
-  match Hashtbl.find_opt t.tbl key with
+  match Conn_table.find_opt t.tbl key with
   | Some n -> n.pinned <- false
   | None -> ()
 
 let remove t key =
-  match Hashtbl.find_opt t.tbl key with
+  match Conn_table.find_opt t.tbl key with
   | Some n ->
       unlink t n;
-      Hashtbl.remove t.tbl key;
+      Conn_table.remove t.tbl key;
       t.invalidations <- t.invalidations + 1
   | None -> ()
 
-let length t = Hashtbl.length t.tbl
+let length t = Conn_table.length t.tbl
 let capacity t = t.entries
 let hits t = t.hits
 let misses t = t.misses

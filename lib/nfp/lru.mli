@@ -1,4 +1,7 @@
-(** O(1) LRU set over integer keys, modelling the EMEM SRAM cache.
+(** O(1) LRU set over connection indices, modelling the EMEM SRAM
+    cache. Keys are non-negative and dense (they index a
+    {!Conn_table}); {!access} raises [Invalid_argument] on a negative
+    key.
 
     The 2 GB EMEM DRAM is fronted by a 3 MB SRAM cache (§2.3); with
     108 B of connection state the paper reports ~16 K connections

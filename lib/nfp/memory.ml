@@ -46,8 +46,8 @@ module Pressure = struct
     if t.bytes > t.peak_bytes then t.peak_bytes <- t.bytes
 
   let remove t ~bytes =
-    t.flows <- max 0 (t.flows - 1);
-    t.bytes <- max 0 (t.bytes - bytes)
+    t.flows <- Int.max 0 (t.flows - 1);
+    t.bytes <- Int.max 0 (t.bytes - bytes)
 
   let flows t = t.flows
   let bytes t = t.bytes
@@ -67,5 +67,5 @@ module Pressure = struct
     if t.capacity_flows <= 0 || t.flows <= t.capacity_flows then 0
     else
       let over = t.flows - t.capacity_flows in
-      min (4 * p.emem_cycles) (p.emem_cycles * over / t.capacity_flows)
+      Int.min (4 * p.emem_cycles) (p.emem_cycles * over / t.capacity_flows)
 end

@@ -75,7 +75,7 @@ let is_empty t = Queue.is_empty t.q
 let length t = Queue.length t.q
 let capacity t = t.capacity
 let set_notify t f = t.notify <- Some f
-let set_notify_batch t n = t.notify_batch <- max 1 n
+let set_notify_batch t n = t.notify_batch <- Int.max 1 n
 let pending_notify t = t.unnotified
 let max_occupancy t = t.max_occ
 let pushes t = t.pushes

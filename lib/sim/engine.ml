@@ -27,6 +27,7 @@ type t = {
   mutable outputs : channel list;
   mutable clock : Time.t;
   mutable processed : int;
+  mutable held : int;  (* stream entries queued behind their stream's head *)
   mutable worker : int;
   mutable lp_done : bool;  (* no more work below this run's horizon *)
   _pad0 : int;
@@ -87,6 +88,7 @@ let mk_lp ~id ~name ~rng ~cluster =
     queue = Event_queue.create ();
     lp_rng = rng;
     processed = 0;
+    held = 0;
     cluster;
     inputs = [];
     outputs = [];
@@ -114,12 +116,10 @@ let schedule_at t time k =
   Event_queue.push t.queue time k
 
 let schedule t delay k =
-  let delay = max 0 delay in
-  Event_queue.push t.queue (t.clock + delay) k
+  Event_queue.push t.queue (t.clock + Int.max 0 delay) k
 
 let schedule_cancellable t delay k =
-  let delay = max 0 delay in
-  Event_queue.push_cancellable t.queue (t.clock + delay) k
+  Event_queue.push_cancellable t.queue (t.clock + Int.max 0 delay) k
 
 let cancel t h = Event_queue.cancel t.queue h
 
@@ -166,7 +166,120 @@ let run ?until ?(max_events = max_int) t =
   | _ -> ()
 
 let events_processed t = t.processed
-let pending t = Event_queue.length t.queue
+let pending t = Event_queue.length t.queue + t.held
+
+(* A monotone stream keeps its entries in a ring, in schedule order,
+   each with the key [Event_queue.reserve] gave it then; only the head
+   sits in the wheel. When the head pops, [fire] pushes the next entry
+   under its own key before running the head's callback, so every
+   entry pops where a plain [schedule_at] would have put it.
+
+   The ring's fields are written on every event, and two cluster LPs'
+   streams are allocated by one thread, so the record follows the
+   padding rule of [t]: seven words written only when the ring grows,
+   then the per-event fields, then seven words of padding. *)
+module Stream = struct
+  type lp = t
+
+  type t = {
+    s_lp : lp;
+    mutable s_time : int array;
+    mutable s_key : int array;
+    mutable s_k : (unit -> unit) array;
+    mutable s_fire : unit -> unit;
+    _lead0 : int;
+    _lead1 : int;
+    mutable s_head : int;
+    mutable s_len : int;
+    mutable s_last : Time.t;
+    _pad0 : int;
+    _pad1 : int;
+    _pad2 : int;
+    _pad3 : int;
+    _pad4 : int;
+    _pad5 : int;
+    _pad6 : int;
+  }
+
+  let initial_capacity = 16
+
+  let fire s () =
+    let h = s.s_head in
+    let k = Array.unsafe_get s.s_k h in
+    Array.unsafe_set s.s_k h ignore;
+    s.s_head <- (h + 1) land (Array.length s.s_k - 1);
+    s.s_len <- s.s_len - 1;
+    if s.s_len > 0 then begin
+      let n = s.s_head in
+      s.s_lp.held <- s.s_lp.held - 1;
+      Event_queue.push_reserved s.s_lp.queue
+        (Array.unsafe_get s.s_time n)
+        ~key:(Array.unsafe_get s.s_key n)
+        s.s_fire
+    end;
+    k ()
+
+  let create lp =
+    let s =
+      {
+        s_lp = lp;
+        s_time = Array.make initial_capacity 0;
+        s_key = Array.make initial_capacity 0;
+        s_k = Array.make initial_capacity ignore;
+        s_fire = ignore;
+        _lead0 = 0;
+        _lead1 = 0;
+        s_head = 0;
+        s_len = 0;
+        s_last = Time.zero;
+        _pad0 = 0;
+        _pad1 = 0;
+        _pad2 = 0;
+        _pad3 = 0;
+        _pad4 = 0;
+        _pad5 = 0;
+        _pad6 = 0;
+      }
+    in
+    s.s_fire <- fire s;
+    s
+
+  (* Only called when the ring is full; unrolls it to start at 0. *)
+  let grow s =
+    let cap = Array.length s.s_k in
+    let unroll a fill =
+      let b = Array.make (2 * cap) fill in
+      let first = cap - s.s_head in
+      Array.blit a s.s_head b 0 first;
+      Array.blit a 0 b first s.s_head;
+      b
+    in
+    s.s_time <- unroll s.s_time 0;
+    s.s_key <- unroll s.s_key 0;
+    s.s_k <- unroll s.s_k ignore;
+    s.s_head <- 0
+
+  let schedule_at s time k =
+    let lp = s.s_lp in
+    if time < lp.clock || time < s.s_last then
+      invalid_arg
+        (Format.asprintf
+           "Engine.Stream.schedule_at: %a is before now (%a) or the \
+            stream's last time (%a)"
+           Time.pp time Time.pp lp.clock Time.pp s.s_last);
+    let key = Event_queue.reserve lp.queue in
+    s.s_last <- time;
+    if s.s_len = Array.length s.s_k then grow s;
+    let i = (s.s_head + s.s_len) land (Array.length s.s_k - 1) in
+    Array.unsafe_set s.s_time i time;
+    Array.unsafe_set s.s_key i key;
+    Array.unsafe_set s.s_k i k;
+    s.s_len <- s.s_len + 1;
+    if s.s_len = 1 then Event_queue.push_reserved lp.queue time ~key s.s_fire
+    else lp.held <- lp.held + 1
+
+  let schedule s delay k = schedule_at s (s.s_lp.clock + Int.max 0 delay) k
+end
 
 module Local = struct
   let id t = t.lp_id
@@ -319,7 +432,7 @@ module Cluster = struct
           (fun (at, k) ->
             Event_queue.push_keyed lp.queue at ~major:0 ~minor:ch.ch_id k)
           (List.rev pend);
-        min acc lb)
+        Int.min acc lb)
       max_int lp.inputs
 
   (* One scheduling slice of one LP: drain inputs, execute everything
@@ -331,7 +444,7 @@ module Cluster = struct
     else begin
       let horizon = drain_inputs lp in
       let limit =
-        min (if horizon = max_int then max_int else horizon - 1) until
+        Int.min (if horizon = max_int then max_int else horizon - 1) until
       in
       let progressed = ref (drain lp ~limit ~budget:max_int > 0) in
       (* The earliest virtual time at which this LP could still
@@ -339,7 +452,7 @@ module Cluster = struct
          an input could deliver. Any future send leaves at or after
          this, so (earliest + latency) is a sound, monotone output
          promise. *)
-      let earliest = min (Event_queue.next_time lp.queue) horizon in
+      let earliest = Int.min (Event_queue.next_time lp.queue) horizon in
       if earliest > until then begin
         lp.lp_done <- true;
         if lp.clock < until then lp.clock <- until;

@@ -62,7 +62,45 @@ val step : t -> bool
 val events_processed : t -> int
 
 val pending : t -> int
-(** Number of events currently queued. *)
+(** Number of events currently queued, counting every entry of every
+    {!Stream}, not only the heads that sit in the wheel. *)
+
+(** Monotone event streams: FIFO servers' completions without a wheel
+    entry each.
+
+    A stream belongs to one LP and holds events whose times never
+    decrease, such as the deliveries of a serialized link or the
+    completions of an in-order DMA engine. Only its earliest entry sits
+    in the LP's wheel; the rest wait in the stream's ring, so a link
+    with a thousand frames in flight costs the wheel one entry.
+
+    {b Ordering.} {!Stream.schedule_at} takes the entry's wheel key at
+    once, exactly as {!val:schedule_at} would ([Event_queue.reserve]).
+    When an entry pops, the next one is pushed under its own key before
+    the popped callback runs. Every entry therefore runs where
+    {!val:schedule_at} at the same moment would have run it: the
+    pop order, the clock and {!events_processed} are identical, and the
+    stream changes what an event costs, never when it runs.
+
+    Like {!Local}, a stream acts on its LP's private state: schedule on
+    it only from that LP's own events, or before the run starts.
+    Streams cannot be cancelled. *)
+module Stream : sig
+  type engine := t
+  type t
+
+  val create : engine -> t
+  (** An empty stream on the given LP. *)
+
+  val schedule_at : t -> Time.t -> (unit -> unit) -> unit
+  (** [schedule_at s time k] runs [k] at absolute [time], after every
+      entry already in [s]. Raises [Invalid_argument] if [time] is
+      before the LP's clock or before the time of the stream's last
+      entry. *)
+
+  val schedule : t -> Time.t -> (unit -> unit) -> unit
+  (** [schedule s delay k] is [schedule_at s (now + max 0 delay) k]. *)
+end
 
 (** The per-LP scheduling surface — the only part of the engine stage
     and actor code may touch. Everything here acts on the calling

@@ -209,18 +209,22 @@ let take_seq q =
   q.next_seq <- seq + 1;
   seq
 
-(* Returns the slot the entry took. *)
-let push_heap q time ~rank v ~cancellable =
-  let seq = take_seq q in
+(* Heap insertion under a key already taken; returns the slot the entry
+   took. *)
+let insert q time key v ~tag =
   if q.size = Array.length q.time then grow q;
   let s = Array.unsafe_get q.slot q.size in
   Array.unsafe_set q.value s v;
-  Array.unsafe_set q.tag s (if cancellable then seq else not_cancellable);
-  let key = rank lor seq in
+  Array.unsafe_set q.tag s tag;
   place q (sift_up q q.size time key) time key s;
   q.size <- q.size + 1;
   q.live <- q.live + 1;
   s
+
+let push_heap q time ~rank v ~cancellable =
+  let seq = take_seq q in
+  insert q time (rank lor seq) v
+    ~tag:(if cancellable then seq else not_cancellable)
 
 let push_lane q time v =
   let seq = take_seq q in
@@ -239,6 +243,16 @@ let push q time v =
   if time = q.last_pop && (q.lane_len = 0 || time = q.lane_time) then
     push_lane q time v
   else ignore (push_heap q time ~rank:plain_rank v ~cancellable:false)
+
+(* A stream's key is taken when its entry is scheduled, and its heap
+   push happens later, when the entry before it pops. *)
+let reserve q = plain_rank lor take_seq q
+
+let push_reserved q time ~key v =
+  if key lsr seq_bits <> plain_rank lsr seq_bits
+     || key land (seq_limit - 1) >= q.next_seq
+  then invalid_arg "Event_queue.push_reserved: not a reserved key";
+  ignore (insert q time key v ~tag:not_cancellable)
 
 let push_keyed q time ~major ~minor v =
   if major < 0 || major >= major_limit || minor < 0 || minor >= minor_limit then

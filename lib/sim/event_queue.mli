@@ -22,7 +22,8 @@
     on which source an entry sat in, which is what makes simulations
     deterministic. {!next_time} and {!pop_next} compare the lane's head
     with the heap's top under that order. Only plain pushes take the
-    lane; keyed and cancellable ones always go to the heap. The key
+    lane; keyed, cancellable and reserved ones always go to the heap.
+    {!reserve} takes a plain key ahead of its {!push_reserved}. The key
     packs seq into 40 bits: a wheel accepts 2^40 pushes over its life,
     and the next one raises [Failure].
 
@@ -53,6 +54,26 @@ val push_keyed : 'a t -> Time.t -> major:int -> minor:int -> 'a -> unit
     the scheduler drained them into the wheel, which is what makes
     multi-domain runs bit-reproducible. Raises [Invalid_argument]
     unless [0 <= major < 4] and [0 <= minor < 2^20]. *)
+
+val reserve : 'a t -> int
+(** [reserve q] takes, now, the key a {!push} made now would get: plain
+    rank (1, 0) and a fresh seq. Nothing is queued. The key is for one
+    later {!push_reserved}, which places its entry exactly where a
+    {!push} at the time of [reserve] would have placed it. This is what
+    lets a FIFO of entries with non-decreasing times keep only its head
+    in the wheel (see [Engine.Stream]): each entry's key is taken when
+    it is scheduled, and its push waits until the entry before it pops.
+    Entries of one FIFO then pop in FIFO order, since their keys and
+    times both grow, and the pop sequence is the one that pushing them
+    all up front would give. *)
+
+val push_reserved : 'a t -> Time.t -> key:int -> 'a -> unit
+(** [push_reserved q time ~key v] schedules [v] at [time] under a key
+    from {!reserve}. The entry always takes the heap: its key may
+    precede those of later pushes already in the same-instant lane. The
+    caller must push each reserved key at most once, and before the
+    wheel pops past ([time], [key]). Raises [Invalid_argument] for an
+    int that no {!reserve} on [q] returned. *)
 
 val push_cancellable : 'a t -> Time.t -> 'a -> handle
 (** Like {!push} but returns a handle for {!cancel}. *)

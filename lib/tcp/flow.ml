@@ -34,7 +34,18 @@ let equal a b =
   a.local_ip = b.local_ip && a.local_port = b.local_port
   && a.remote_ip = b.remote_ip && a.remote_port = b.remote_port
 
-let compare = Stdlib.compare
+(* Field by field, in declaration order: the order [Stdlib.compare]
+   gives a record of ints, without its generic C walk. *)
+let compare a b =
+  match Int.compare a.local_ip b.local_ip with
+  | 0 -> (
+      match Int.compare a.local_port b.local_port with
+      | 0 -> (
+          match Int.compare a.remote_ip b.remote_ip with
+          | 0 -> Int.compare a.remote_port b.remote_port
+          | c -> c)
+      | c -> c)
+  | c -> c
 
 let pp fmt t =
   Format.fprintf fmt "%a:%d<->%a:%d" Segment.pp_ip t.local_ip t.local_port

@@ -77,7 +77,7 @@ let mutate rng bytes =
   | 1 ->
       (* Truncation at a boundary the parser treats specially. *)
       let cuts = [ 0; 6; 12; 14; 18; 34; 38; 46; 54 ] in
-      let keep = min n (List.nth cuts (Sim.Rng.int rng (List.length cuts))) in
+      let keep = Int.min n (List.nth cuts (Sim.Rng.int rng (List.length cuts))) in
       (Bytes.sub bytes 0 keep, Printf.sprintf "truncate at boundary %d" keep)
   | 2 ->
       (* Single bit flip anywhere. *)

@@ -24,7 +24,7 @@ let process t ~seq ~len ~window =
     let off = if rel > 0 then rel else 0 in
     let eff_len = len - trim in
     (* Trim the tail to the advertised window. *)
-    let eff_len = min eff_len (window - off) in
+    let eff_len = Int.min eff_len (window - off) in
     if eff_len <= 0 then Drop_out_of_window
     else if off = 0 then begin
       (* In-order: window head advances. Possibly fills the hole. *)

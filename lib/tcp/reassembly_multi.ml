@@ -56,7 +56,7 @@ let process t ~seq ~len ~window =
   else begin
     let trim = if rel < 0 then -rel else 0 in
     let off = if rel > 0 then rel else 0 in
-    let eff_len = min (len - trim) (window - off) in
+    let eff_len = Int.min (len - trim) (window - off) in
     if eff_len <= 0 then Drop_out_of_window
     else if off = 0 then begin
       let before = t.next in

@@ -372,6 +372,57 @@ let prop_sequencer_any_permutation =
       List.rev !out = List.init n (fun i -> i)
       && Flextoe.Sequencer.pending s = 0)
 
+(* The ring of waiting slots starts at 64 entries: a window of several
+   hundred outstanding seqs, submitted and skipped out of order for
+   thousands of seqs, makes it wrap many times and grow. *)
+let test_sequencer_ring_wraps_and_grows () =
+  let rng = Sim.Rng.create 77L in
+  let out = ref [] in
+  let s =
+    Flextoe.Sequencer.create ~name:"t" ~release:(fun v -> out := v :: !out)
+  in
+  let skipped = Hashtbl.create 64 in
+  let outstanding = ref [] in
+  let settle seq =
+    if Sim.Rng.int rng 5 = 0 then begin
+      Hashtbl.replace skipped seq ();
+      Flextoe.Sequencer.skip s ~seq
+    end
+    else Flextoe.Sequencer.submit s ~seq seq
+  in
+  for round = 0 to 40 do
+    (* Windows grow to 200 seqs, then shrink again. *)
+    let width = if round < 20 then 10 * (round + 1) else 400 - (10 * round) in
+    for _ = 1 to width do
+      outstanding := Flextoe.Sequencer.next_seq s :: !outstanding
+    done;
+    let batch = Array.of_list !outstanding in
+    Sim.Rng.shuffle rng batch;
+    (* Settle all but a few; the rest stay outstanding across rounds. *)
+    let keep = Int.min 3 (Array.length batch) in
+    Array.iteri (fun i seq -> if i >= keep then settle seq) batch;
+    outstanding := Array.to_list (Array.sub batch 0 keep)
+  done;
+  List.iter settle !outstanding;
+  (* Seqs 0 .. allocated - 1 are all settled. *)
+  let allocated = Flextoe.Sequencer.next_seq s in
+  let rec expected seq acc =
+    if seq < 0 then acc
+    else expected (seq - 1) (if Hashtbl.mem skipped seq then acc else seq :: acc)
+  in
+  let expected = expected (allocated - 1) [] in
+  Alcotest.(check (list int)) "every submitted seq, in order" expected
+    (List.rev !out);
+  check_int "nothing pending" 0 (Flextoe.Sequencer.pending s);
+  check_int "released count" (List.length expected)
+    (Flextoe.Sequencer.released s);
+  Alcotest.check_raises "an already released seq is a duplicate"
+    (Invalid_argument "t: duplicate sequence number") (fun () ->
+      Flextoe.Sequencer.skip s ~seq:0);
+  Alcotest.check_raises "a seq past the allocated ones"
+    (Invalid_argument "t: sequence number was never allocated") (fun () ->
+      Flextoe.Sequencer.submit s ~seq:(allocated + 1) 0)
+
 (* --- Scheduler (Carousel) -------------------------------------------------------------- *)
 
 let test_scheduler_round_robin () =
@@ -522,6 +573,8 @@ let suite =
     Alcotest.test_case "sequencer duplicate rejection" `Quick
       test_sequencer_rejects_duplicates;
     QCheck_alcotest.to_alcotest prop_sequencer_any_permutation;
+    Alcotest.test_case "sequencer ring wraps and grows" `Quick
+      test_sequencer_ring_wraps_and_grows;
     Alcotest.test_case "scheduler round robin" `Quick
       test_scheduler_round_robin;
     Alcotest.test_case "scheduler pacing via time wheel" `Quick

@@ -195,6 +195,44 @@ let test_seq32_mli_seed () =
           check_int "result-type taint flags the compare" 1
             (List.length findings)))
 
+(* --- Seeded corpus: poly-compare hygiene -------------------------------- *)
+
+let poly_src =
+  {|
+let a x y = max x y
+
+let b x = List.sort compare x
+
+let c x y = Stdlib.min x y
+
+let typed x y = Int.max x y
+
+let shadowed ~max n = Int.min max n
+
+let exempt x y =
+  (* flexinfer: poly-compare-exempt *)
+  compare x y
+
+let min x y = if x < y then x else y
+
+let redefined x y = min x y
+|}
+
+let test_poly_compare_lint () =
+  with_tmp ".ml" poly_src (fun path ->
+      let findings = I.lint_poly_compare ~files:[ path ] () in
+      Alcotest.(check (list int))
+        "bare max, compare as a value, Stdlib.min" [ 2; 4; 6 ]
+        (List.map (fun f -> f.I.f_line) findings);
+      List.iter
+        (fun f ->
+          check_bool "rule" true (f.I.f_rule = "poly-compare");
+          check_bool "is a warning" true (f.I.f_severity = I.Sev_warning))
+        findings;
+      (* The Seq32 lint's own results are untouched by the new rule. *)
+      let seq_findings, _ = I.lint_seq32 ~files:[ path ] () in
+      check_int "no Seq32 findings" 0 (List.length seq_findings))
+
 (* --- Golden pin: the real tree --------------------------------------- *)
 
 let test_golden_clean () =
@@ -310,6 +348,8 @@ let suite =
     Alcotest.test_case "seeded: sanitizer witness" `Quick test_witness;
     Alcotest.test_case "seeded: Seq32 lint + exemption" `Quick test_seq32_lint;
     Alcotest.test_case "seeded: Seq32 .mli seeding" `Quick test_seq32_mli_seed;
+    Alcotest.test_case "seeded: poly-compare lint + exemption" `Quick
+      test_poly_compare_lint;
     Alcotest.test_case "golden: builtin diff empty" `Quick test_golden_clean;
     Alcotest.test_case "golden: full repo lint clean" `Quick
       test_repo_seq32_clean;

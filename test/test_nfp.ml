@@ -332,6 +332,43 @@ let test_lookup_readd () =
   Alcotest.(check (option int)) "latest" (Some 2)
     (Nfp.Lookup.lookup l ~hash:1 100)
 
+(* --- Connection table --------------------------------------------------- *)
+
+(* Random insert/replace/remove churn over a key range that outgrows the
+   initial capacity several times, against a Hashtbl oracle. *)
+let test_conn_table_matches_hashtbl () =
+  let module T = Nfp.Conn_table in
+  let rng = Random.State.make [| 0xc0ffee |] in
+  let t = T.create () and oracle = Hashtbl.create 16 in
+  let range = ref 8 in
+  for op = 0 to 20_000 do
+    if op mod 2_000 = 0 then range := 2 * !range;
+    let key = Random.State.int rng !range in
+    (match Random.State.int rng 3 with
+    | 0 ->
+        T.remove t key;
+        Hashtbl.remove oracle key
+    | _ ->
+        T.replace t key op;
+        Hashtbl.replace oracle key op);
+    let probe = Random.State.int rng (!range + 8) - 4 in
+    if T.find_opt t probe <> Hashtbl.find_opt oracle probe then
+      Alcotest.failf "op %d: key %d disagrees with the oracle" op probe;
+    if T.length t <> Hashtbl.length oracle then
+      Alcotest.failf "op %d: length %d, oracle %d" op (T.length t)
+        (Hashtbl.length oracle)
+  done;
+  for key = -2 to !range + 2 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "key %d" key)
+      (Hashtbl.find_opt oracle key) (T.find_opt t key);
+    check_bool "mem" (Hashtbl.mem oracle key) (T.mem t key)
+  done;
+  T.remove t (-1);
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Conn_table.replace: negative key") (fun () ->
+      T.replace t (-1) 0)
+
 let suite =
   [
     Alcotest.test_case "cam LRU eviction" `Quick test_cam_lru_eviction;
@@ -368,4 +405,6 @@ let suite =
     Alcotest.test_case "lookup collision chains" `Quick
       test_lookup_collisions;
     Alcotest.test_case "lookup re-add" `Quick test_lookup_readd;
+    Alcotest.test_case "conn table matches a Hashtbl" `Quick
+      test_conn_table_matches_hashtbl;
   ]

@@ -138,6 +138,7 @@ type queue_op =
   | Push_keyed of int * int  (* time, minor; major 0 *)
   | Push_cancellable of int
   | Cancel of int  (* index into the handles issued so far *)
+  | Reserve of int  (* key now, [push_reserved] just before the next pop *)
   | Pop
   | Pop_next  (* next_time, then pop_next *)
 
@@ -159,6 +160,7 @@ let queue_op_gen =
       (2, map2 (fun t m -> Push_keyed (t, m)) time (int_bound 3));
       (2, map (fun t -> Push_cancellable t) time);
       (2, map (fun i -> Cancel i) (int_bound 8));
+      (2, map (fun t -> Reserve t) time);
       (2, return Pop);
       (2, return Pop_next);
     ]
@@ -171,6 +173,7 @@ let show_queue_op = function
   | Push_keyed (t, m) -> Printf.sprintf "push_keyed %d minor:%d" t m
   | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
   | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Reserve t -> Printf.sprintf "reserve %d" t
   | Pop -> "pop"
   | Pop_next -> "pop_next"
 
@@ -207,7 +210,18 @@ let prop_queue_model =
         let s = add t ~major:1 ~minor:0 in
         handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
       in
+      (* Reserved keys wait here, newest first, until the next pop;
+         they are pushed newest first, so the pop order cannot come
+         from the push order. *)
+      let reserved = ref [] in
+      let push_reserved () =
+        List.iter (fun (t, key, s) -> Q.push_reserved q t ~key s) !reserved;
+        reserved := []
+      in
       let step op =
+        (match op with
+        | Pop | Pop_next -> push_reserved ()
+        | _ -> ());
         (match op with
         | Push t -> Q.push q t (add t ~major:1 ~minor:0)
         | Push_now Now_plain -> Q.push q !now (add !now ~major:1 ~minor:0)
@@ -222,17 +236,22 @@ let prop_queue_model =
               Q.cancel q h;
               model := List.filter (fun (_, _, _, s') -> s' <> s) !model
             end
+        | Reserve t ->
+            let key = Q.reserve q in
+            reserved := (t, key, add t ~major:1 ~minor:0) :: !reserved
         | Pop -> if Q.pop q <> model_pop () then QCheck.Test.fail_report "pop"
         | Pop_next ->
             let expected = model_pop () in
             let t = Q.next_time q in
             let got = if Q.is_empty q then None else Some (t, Q.pop_next q) in
             if got <> expected then QCheck.Test.fail_report "pop_next");
-        if Q.length q <> List.length !model then
-          QCheck.Test.fail_reportf "length %d, model %d" (Q.length q)
-            (List.length !model)
+        let held = List.length !reserved in
+        if Q.length q + held <> List.length !model then
+          QCheck.Test.fail_reportf "length %d + %d reserved, model %d"
+            (Q.length q) held (List.length !model)
       in
       List.iter step ops;
+      push_reserved ();
       (* Drain what is left: the whole pop sequence must match. *)
       let rec drain () =
         let expected = model_pop () in
@@ -321,6 +340,130 @@ let test_engine_past_raises () =
            "Engine.schedule_at: 50ps is in the past (now 100ps)") (fun () ->
           Sim.Engine.schedule_at e 50 ignore));
   Sim.Engine.run e
+
+(* --- Monotone streams --------------------------------------------------- *)
+
+let test_stream_contract () =
+  let module St = Sim.Engine.Stream in
+  let e = Sim.Engine.create () in
+  let s = St.create e in
+  let log = ref [] in
+  St.schedule_at s 10 (fun () -> log := "s10" :: !log);
+  St.schedule_at s 10 (fun () -> log := "s10'" :: !log);
+  Sim.Engine.schedule_at e 10 (fun () -> log := "p10" :: !log);
+  St.schedule_at s 30 (fun () -> log := "s30" :: !log);
+  check_int "pending counts entries held behind the head" 4
+    (Sim.Engine.pending e);
+  Alcotest.check_raises "below the stream's last time"
+    (Invalid_argument
+       "Engine.Stream.schedule_at: 20ps is before now (0ps) or the \
+        stream's last time (30ps)") (fun () -> St.schedule_at s 20 ignore);
+  check_int "a rejected entry is not queued" 4 (Sim.Engine.pending e);
+  Sim.Engine.run ~until:15 e;
+  Alcotest.(check (list string))
+    "schedule order at one instant" [ "s10"; "s10'"; "p10" ] (List.rev !log);
+  check_int "one entry left" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  check_int "now" 30 (Sim.Engine.now e);
+  check_int "events" 4 (Sim.Engine.events_processed e);
+  Alcotest.check_raises "below now"
+    (Invalid_argument
+       "Engine.Stream.schedule_at: 29ps is before now (30ps) or the \
+        stream's last time (30ps)") (fun () -> St.schedule_at s 29 ignore);
+  St.schedule s (-5) (fun () -> log := "now" :: !log);
+  Sim.Engine.run e;
+  check_int "a negative delay means now" 30 (Sim.Engine.now e);
+  check_int "drained" 0 (Sim.Engine.pending e)
+
+(* Model-based: one random script runs twice on a two-LP cluster. In
+   the reference every event is an ordinary wheel entry; in the other
+   run the stream ops use two [Engine.Stream]s. Plain, cancellable,
+   cancel and stream ops are drawn from the script as events run, and
+   keyed pushes come from channel messages sent into the LP. The runs
+   must log the same (time, id, pending) at every event and count the
+   same events. *)
+type stream_op =
+  | S_plain of int  (* delay *)
+  | S_cancellable of int
+  | S_cancel of int  (* index into the handles issued so far *)
+  | S_stream of int * int  (* stream, gap after max(now, its last) *)
+
+let stream_op_gen =
+  let open QCheck.Gen in
+  let delay = int_bound 3 in
+  frequency
+    [
+      (3, map (fun d -> S_plain d) delay);
+      (2, map (fun d -> S_cancellable d) delay);
+      (1, map (fun i -> S_cancel i) (int_bound 6));
+      (5, map2 (fun s g -> S_stream (s, g)) (int_bound 1) (int_bound 2));
+    ]
+
+let show_stream_op = function
+  | S_plain d -> Printf.sprintf "plain +%d" d
+  | S_cancellable d -> Printf.sprintf "cancellable +%d" d
+  | S_cancel i -> Printf.sprintf "cancel #%d" i
+  | S_stream (s, g) -> Printf.sprintf "stream%d +%d" s g
+
+let run_stream_script ~streams ops msgs =
+  let module E = Sim.Engine in
+  let cl = E.Cluster.create () in
+  let src = E.Cluster.add_lp cl and lp = E.Cluster.add_lp cl in
+  let ch = E.Cluster.channel cl ~src ~dst:lp ~min_latency:2 in
+  let ops = Array.of_list ops in
+  let cursor = ref 0 and next_id = ref 0 and log = ref [] in
+  let handles = ref [||] in
+  let st = [| E.Stream.create lp; E.Stream.create lp |] in
+  let last = [| 0; 0 |] in
+  let rec event () =
+    let id = !next_id in
+    incr next_id;
+    fun () ->
+      log := (E.now lp, id, E.pending lp) :: !log;
+      run_ops 2
+  and run_ops n =
+    if n > 0 && !cursor < Array.length ops then begin
+      let op = ops.(!cursor) in
+      incr cursor;
+      (match op with
+      | S_plain d -> E.schedule lp d (event ())
+      | S_cancellable d ->
+          let h = E.schedule_cancellable lp d (event ()) in
+          handles := Array.append !handles [| h |]
+      | S_cancel i ->
+          let n = Array.length !handles in
+          if n > 0 then E.cancel lp !handles.(i mod n)
+      | S_stream (i, g) ->
+          let time = Int.max (E.now lp) last.(i) + g in
+          last.(i) <- time;
+          if streams then E.Stream.schedule_at st.(i) time (event ())
+          else E.schedule_at lp time (event ()));
+      run_ops (n - 1)
+    end
+  in
+  List.iter (fun at -> E.Cluster.send ch ~at:(2 + at) (event ())) msgs;
+  run_ops 4;
+  E.Cluster.run ~until:1_000_000 cl;
+  (List.rev !log, E.events_processed lp, E.pending lp)
+
+let prop_stream_matches_heap =
+  QCheck.Test.make ~name:"streams pop in the order of an all-heap reference"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (ops, msgs) ->
+          String.concat "; " (List.map show_stream_op ops)
+          ^ " | msgs at " ^ String.concat "," (List.map string_of_int msgs))
+        Gen.(
+          pair
+            (list_size (int_range 0 150) stream_op_gen)
+            (list_size (int_range 0 8) (int_bound 12))))
+    (fun (ops, msgs) ->
+      let with_streams = run_stream_script ~streams:true ops msgs in
+      let reference = run_stream_script ~streams:false ops msgs in
+      let _, processed, pending = with_streams in
+      with_streams = reference && pending = 0
+      && processed >= List.length msgs)
 
 (* --- RNG ---------------------------------------------------------------- *)
 
@@ -536,6 +679,8 @@ let suite =
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine rejects the past" `Quick
       test_engine_past_raises;
+    Alcotest.test_case "stream contract" `Quick test_stream_contract;
+    QCheck_alcotest.to_alcotest prop_stream_matches_heap;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng bernoulli rate" `Quick test_rng_bool_rate;
