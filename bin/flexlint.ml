@@ -175,6 +175,17 @@ let verify_cmd =
 module D = Flextoe.Datapath
 module E = Flextoe.Effects
 module San = Flextoe.San
+module Defect = Flextoe.Defect
+
+(* Resolve a VARIANT argument against the defect catalogue, or fail
+   naming every variant. [flag] fills the FAIL line's subject column. *)
+let defect_of_arg flag v =
+  match Defect.of_name v with
+  | Some d -> d
+  | None ->
+      Format.printf "FAIL %-20s unknown variant %s (have: %s)@." flag v
+        (String.concat ", " (List.map Defect.name Defect.all));
+      exit 2
 
 let static_check () =
   let contracts = D.builtin_contracts () in
@@ -191,14 +202,14 @@ let static_check () =
       false
 
 (* Boot two sanitized nodes, run an echo workload, return the nodes'
-   sanitizers. [sabotage] seeds a defect for --seeded. *)
-let run_pipeline ?sabotage () =
+   sanitizers. [defect] seeds a defect for --seeded. *)
+let run_pipeline ?defect () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
   let config = { Flextoe.Config.default with Flextoe.Config.san = true } in
   let ip_a = 0x0A000001 and ip_b = 0x0A000002 in
-  let a = Flextoe.create_node engine ~fabric ~config ?sabotage ~ip:ip_a () in
-  let b = Flextoe.create_node engine ~fabric ~config ?sabotage ~ip:ip_b () in
+  let a = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_b () in
   let stats = Host.Rpc.Stats.create engine in
   Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
     ~handler:Host.Rpc.echo_handler ();
@@ -244,36 +255,28 @@ let run_san builtin seeded =
     match seeded with
     | None -> true
     | Some variant -> (
-        match List.assoc_opt variant D.sabotage_variants with
-        | None ->
-            Format.printf
-              "FAIL seeded               unknown variant %s (have: %s)@."
-              variant
-              (String.concat ", " (List.map fst D.sabotage_variants));
-            exit 2
-        | Some sabotage -> (
-            match run_pipeline ~sabotage () with
-            | exception E.Contract_violation cs ->
-                (* Static-layer variants are caught at create. *)
-                Format.printf
-                  "OK   seeded:%-13s caught statically: %s@." variant
-                  (E.conflict_to_string (List.hd cs));
-                true
-            | sans ->
-                let n =
-                  List.fold_left (fun a s -> a + San.report_count s) 0 sans
-                in
-                List.iter print_reports sans;
-                if n > 0 then begin
-                  Format.printf "OK   seeded:%-13s %d report%s@." variant n
-                    (if n = 1 then "" else "s");
-                  true
-                end
-                else begin
-                  Format.printf
-                    "FAIL seeded:%-13s defect went undetected@." variant;
-                  false
-                end))
+        let defect = defect_of_arg "seeded" variant in
+        match run_pipeline ~defect () with
+        | exception E.Contract_violation cs ->
+            (* Static-layer variants are caught at create. *)
+            Format.printf "OK   seeded:%-13s caught statically: %s@." variant
+              (E.conflict_to_string (List.hd cs));
+            true
+        | sans ->
+            let n =
+              List.fold_left (fun a s -> a + San.report_count s) 0 sans
+            in
+            List.iter print_reports sans;
+            if n > 0 then begin
+              Format.printf "OK   seeded:%-13s %d report%s@." variant n
+                (if n = 1 then "" else "s");
+              true
+            end
+            else begin
+              Format.printf "FAIL seeded:%-13s defect went undetected@."
+                variant;
+              false
+            end)
   in
   if not ok then exit 1
 
@@ -291,10 +294,14 @@ let seeded_t =
     & opt (some string) None
     & info [ "seeded" ] ~docv:"VARIANT"
         ~doc:
-          "Run a deliberately-broken datapath variant and require the \
-           sanitizer to flag it (detector self-test). Variants: no_lock, \
-           early_release, notify_before_payload, skip_notify_dma, \
-           postproc_writes_conn, preproc_reads_proto, bad_contract.")
+          ("Run a deliberately-broken datapath variant and require the \
+            sanitizer to flag it (detector self-test). Variants: "
+          ^ String.concat "; "
+              (List.map
+                 (fun d ->
+                   Printf.sprintf "$(b,%s): %s" (Defect.name d) (Defect.doc d))
+                 Defect.all)
+          ^ "."))
 
 let san_cmd =
   Cmd.v
@@ -772,20 +779,21 @@ let check_combo ~batch ~guard =
         fs;
       false
 
-(* One sabotage variant against the passes: caught statically, tagged
+(* One seeded defect against the passes: caught statically, tagged
    dynamic-only with its rationale, or — the CI-failing case — an
    unclassified gap in the safety story. *)
-let classify_variant (name, sb) =
+let classify_variant defect =
+  let name = Defect.name defect in
   match
     P.check_graph
-      (D.builtin_graph ~sabotage:sb ~config:Flextoe.Config.default ())
+      (D.builtin_graph ~defect ~config:Flextoe.Config.default ())
   with
   | Error fs ->
       Format.printf "OK   caught:%-13s %s@." name
         (P.finding_to_string (List.hd fs));
       true
   | Ok _ -> (
-      match List.assoc_opt name D.sabotage_dynamic_only with
+      match Defect.dynamic_only Defect.Flexprove defect with
       | Some why ->
           Format.printf "OK   dynamic:%-12s %s@." name why;
           true
@@ -804,14 +812,7 @@ let run_graph dot classify sabotage_v =
   | None -> ());
   let ok =
     match sabotage_v with
-    | Some v -> (
-        match List.assoc_opt v D.sabotage_variants with
-        | None ->
-            Format.printf
-              "FAIL sabotage             unknown variant %s (have: %s)@." v
-              (String.concat ", " (List.map fst D.sabotage_variants));
-            exit 2
-        | Some sb -> classify_variant (v, sb))
+    | Some v -> classify_variant (defect_of_arg "sabotage" v)
     | None ->
         let clean =
           List.fold_left
@@ -823,8 +824,8 @@ let run_graph dot classify sabotage_v =
         in
         if classify then
           List.fold_left
-            (fun acc v -> classify_variant v && acc)
-            clean D.sabotage_variants
+            (fun acc d -> classify_variant d && acc)
+            clean Defect.all
         else clean
   in
   if not ok then exit 1
@@ -997,49 +998,6 @@ let fsm_cmd =
 
 module I = Flextoe.Infer
 
-let flags_of_sb (sb : D.sabotage) =
-  List.filter
-    (fun n ->
-      match n with
-      | "sb_no_lock" -> sb.D.sb_no_lock
-      | "sb_early_release" -> sb.D.sb_early_release
-      | "sb_notify_before_payload" -> sb.D.sb_notify_before_payload
-      | "sb_skip_notify_dma" -> sb.D.sb_skip_notify_dma
-      | "sb_postproc_writes_conn" -> sb.D.sb_postproc_writes_conn
-      | "sb_preproc_reads_proto" -> sb.D.sb_preproc_reads_proto
-      | "sb_bad_contract" -> sb.D.sb_bad_contract
-      | "sb_mis_steer" -> sb.D.sb_mis_steer
-      | _ -> false)
-    [
-      "sb_no_lock"; "sb_early_release"; "sb_notify_before_payload";
-      "sb_skip_notify_dma"; "sb_postproc_writes_conn";
-      "sb_preproc_reads_proto"; "sb_bad_contract"; "sb_mis_steer";
-    ]
-
-(* The sabotage variants whose defect never shows in a stage's source
-   footprint: the code executed is access-identical to the healthy
-   build, only ordering/locking differs. FlexSan (or FlexProve's
-   graph extraction, for the lock variants) owns these. *)
-let infer_dynamic_only =
-  [
-    ( "no_lock",
-      "footprint-identical: the lock is skipped, not an access added; \
-       FlexProve's graph extraction catches the domain mismatch" );
-    ( "early_release",
-      "footprint-identical: same accesses, released too early; \
-       FlexProve/FlexSan territory" );
-    ( "notify_before_payload",
-      "footprint-identical: the notification is reordered, not a new \
-       access; FlexSan's happens-before layer at runtime" );
-    ( "skip_notify_dma",
-      "footprint-identical: the DMA-completion wait is dropped, the \
-       accesses are unchanged; dynamic-only" );
-    ( "mis_steer",
-      "footprint-identical: the declared per-flow-group wiring is \
-       intact, the defect is runtime indexing of a neighbor shard's \
-       caches; the steering self-check and FlexSan own it" );
-  ]
-
 let infer_root root_opt =
   match root_opt with
   | Some r -> r
@@ -1066,20 +1024,21 @@ let print_footprints fps =
         (names fp.I.fp_reads) (names fp.I.fp_writes))
     fps
 
-(* One sabotage variant: its source-level footprint (the analyzer
-   sees the sabotaged code via partial evaluation of the sb_* guards)
+(* One seeded defect: its source-level footprint (the analyzer sees
+   the defect's code via partial evaluation of the [Defect.is] guards)
    diffed against its declared contracts must yield findings — or the
-   variant must be tagged dynamic-only. *)
-let infer_classify_variant ~root (name, sb) =
+   defect must be tagged dynamic-only. *)
+let infer_classify_variant ~root defect =
+  let name = Defect.name defect in
   match
-    I.infer_repo_diff ~flags:(flags_of_sb sb)
-      ~declared:(D.builtin_contracts_under sb) ~root ()
+    I.infer_repo_diff ~defect
+      ~declared:(D.builtin_contracts ~defect ()) ~root ()
   with
   | Error e ->
       Format.printf "FAIL infer:%-13s %s@." name e;
       false
   | Ok (_, findings) -> (
-      match (findings, List.assoc_opt name infer_dynamic_only) with
+      match (findings, Defect.dynamic_only Defect.Flexinfer defect) with
       | f :: _, _ ->
           Format.printf "OK   caught:%-13s %s@." name (I.finding_to_string f);
           true
@@ -1096,14 +1055,9 @@ let infer_classify_variant ~root (name, sb) =
 let run_infer root_opt json footprints classify sabotage_v =
   let root = infer_root root_opt in
   match sabotage_v with
-  | Some v -> (
-      match List.assoc_opt v D.sabotage_variants with
-      | None ->
-          Format.printf
-            "FAIL sabotage             unknown variant %s (have: %s)@." v
-            (String.concat ", " (List.map fst D.sabotage_variants));
-          exit 2
-      | Some sb -> if not (infer_classify_variant ~root (v, sb)) then exit 1)
+  | Some v ->
+      if not (infer_classify_variant ~root (defect_of_arg "sabotage" v)) then
+        exit 1
   | None -> (
       match I.analyze_repo ~declared:(D.builtin_contracts ()) ~root () with
       | Error e ->
@@ -1125,8 +1079,8 @@ let run_infer root_opt json footprints classify sabotage_v =
           let classified =
             if classify then
               List.fold_left
-                (fun acc v -> infer_classify_variant ~root v && acc)
-                true D.sabotage_variants
+                (fun acc d -> infer_classify_variant ~root d && acc)
+                true Defect.all
             else true
           in
           if not (clean && classified) then exit 1)

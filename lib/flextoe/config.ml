@@ -143,17 +143,10 @@ type scale = {
           per-flow state overflows the cached working set and misses
           start paying the full DRAM penalty; 0 disables pressure
           accounting. *)
-  s_pin_hot : bool;
-      (** Never silently evict an Established flow's hot EMEM-cache
-          state: hot entries are pinned and eviction prefers cold
-          (closing/TIME_WAIT) state. *)
 }
 
-let scale_none =
-  { s_on = false; s_shards = 1; s_emem_flows = 0; s_pin_hot = false }
-
-let scale_of n =
-  { s_on = true; s_shards = Int.max 1 n; s_emem_flows = 0; s_pin_hot = true }
+let scale_none = { s_on = false; s_shards = 1; s_emem_flows = 0 }
+let scale_of n = { s_on = true; s_shards = Int.max 1 n; s_emem_flows = 0 }
 
 type congestion_control = Dctcp | Timely | Cc_none
 

@@ -147,13 +147,17 @@ val guard_default : guard
 (** FlexScale: sharded flow-group pipelines (DESIGN.md §17). Per-flow
     state is sharded across [s_shards] replicated protocol-stage
     pipelines keyed by the flow-group hash; each shard owns its own
-    CAM/CLS/EMEM-cache slice and runs as its own FlexPar LP. With
+    CAM/CLS/EMEM-cache slice. With
     {!scale_none} (the default) the sharded code paths are never
     entered; with [s_on] and [s_shards = 1] the sharded wiring is
     exercised but bit-identical to the single pipeline (the
     golden-trace gate pins this). *)
 type scale = {
-  s_on : bool;  (** Master enable. *)
+  s_on : bool;
+      (** Master enable. Also pins an Established flow's hot
+          CAM/EMEM-cache state: eviction prefers cold (closing or
+          TIME_WAIT) state, and a forced pinned eviction is counted
+          loudly rather than silent. *)
   s_shards : int;
       (** Replicated protocol-stage pipelines; flow group [fg] steers
           to shard [fg mod s_shards] — a pure function of the 4-tuple,
@@ -163,11 +167,6 @@ type scale = {
           fits the cached working set; past it, misses pay the full
           DRAM penalty (extra cycles grow with overcommit).
           0 disables pressure accounting. *)
-  s_pin_hot : bool;
-      (** Never silently evict an Established flow's hot EMEM-cache
-          state: hot entries are pinned, eviction prefers cold
-          (closing/TIME_WAIT) state, and a forced pinned eviction is
-          counted loudly rather than silent. *)
 }
 
 val scale_none : scale

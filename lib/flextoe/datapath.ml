@@ -78,155 +78,55 @@ type arx_acc = {
   mutable aa_flushed : bool;
 }
 
-(* --- Stages as first-class values (FlexSan layer 1) ------------------ *)
+(* --- Stage contracts (FlexSan layer 1) -------------------------------- *)
 
-(* A pipeline stage: its effect contract (which memory it may touch,
-   under which serialization discipline) plus the tracepoint group its
-   instrumentation hangs off. [create] checks the stage set with
-   [Effects.check] before wiring anything. *)
-type stage = { sg_contract : Effects.contract; sg_trace_group : string }
-
-(* Deliberate synchronization defects, for the sanitizer's regression
-   corpus: each flag removes or reorders exactly one ordering edge (or,
-   for [sb_bad_contract], mis-declares a footprint so the static layer
-   trips). All are behavior-preserving for the simulated TCP state
-   machine — the simulator is single-threaded, so the "races" they
-   open are visible only to FlexSan, exactly like a latent race on
-   real silicon. *)
-type sabotage = {
-  sb_no_lock : bool;  (** Protocol stage runs without the per-conn lock. *)
-  sb_early_release : bool;  (** Lock dropped before the critical section. *)
-  sb_notify_before_payload : bool;
-      (** ARX notification + ACK leave before the payload DMA lands. *)
-  sb_skip_notify_dma : bool;
-      (** Notification delivered without the DMA-completion edge. *)
-  sb_postproc_writes_conn : bool;  (** Post-processor pokes proto state. *)
-  sb_preproc_reads_proto : bool;  (** Pre-processor peeks at proto state. *)
-  sb_bad_contract : bool;  (** Post-processor declares a proto write. *)
-  sb_mis_steer : bool;
-      (** Protocol stage indexes a neighbor flow group's caches/FPCs. *)
-}
-
-let no_sabotage =
-  {
-    sb_no_lock = false;
-    sb_early_release = false;
-    sb_notify_before_payload = false;
-    sb_skip_notify_dma = false;
-    sb_postproc_writes_conn = false;
-    sb_preproc_reads_proto = false;
-    sb_bad_contract = false;
-    sb_mis_steer = false;
-  }
-
-let sabotage_variants =
-  [
-    ("no_lock", { no_sabotage with sb_no_lock = true });
-    ("early_release", { no_sabotage with sb_early_release = true });
-    ("notify_before_payload",
-     { no_sabotage with sb_notify_before_payload = true });
-    ("skip_notify_dma", { no_sabotage with sb_skip_notify_dma = true });
-    ("postproc_writes_conn",
-     { no_sabotage with sb_postproc_writes_conn = true });
-    ("preproc_reads_proto",
-     { no_sabotage with sb_preproc_reads_proto = true });
-    ("bad_contract", { no_sabotage with sb_bad_contract = true });
-    ("mis_steer", { no_sabotage with sb_mis_steer = true });
-  ]
-
-(* The built-in pipeline's effect contracts (§3.2's disjointness
-   argument, Table 5's memory map). [sb_bad_contract] swaps in a
-   post-processor that claims a protocol-partition write — statically
-   incompatible with the (serialized) protocol stage. *)
-let builtin_stages sb =
+(* The built-in pipeline's effect contracts: which memory each stage
+   may touch, under which serialization discipline (§3.2's
+   disjointness argument, Table 5's memory map). [create] checks them
+   with [Effects.check] before wiring anything. [Bad_contract] swaps
+   in a post-processor that claims a protocol-partition write —
+   statically incompatible with the (serialized) protocol stage. *)
+let builtin_contracts ?defect () =
   let open Effects in
-  let stage name group ~reads ~writes domain =
-    {
-      sg_contract =
-        { c_stage = name; c_reads = reads; c_writes = writes;
-          c_domain = domain };
-      sg_trace_group = group;
-    }
+  let stage name ~reads ~writes domain =
+    { c_stage = name; c_reads = reads; c_writes = writes; c_domain = domain }
   in
   [
-    stage "preproc" "preproc" ~reads:[ Conn_db ] ~writes:[ Global_stats ]
-      Serial_none;
-    stage "gro" "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro");
+    stage "preproc" ~reads:[ Conn_db ] ~writes:[ Global_stats ] Serial_none;
+    stage "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro");
     (* Global_stats: the FlexScale steering self-check counter
        (st_cross_shard) is bumped from protocol-stage state accesses;
        the region is atomic, so the declaration costs no static
        freedom. *)
-    stage "protocol" "protocol"
+    stage "protocol"
       ~reads:[ Conn_db; Conn_pre; Conn_proto; Reasm; Conn_post ]
       ~writes:[ Conn_proto; Reasm; Sched_state; Global_stats ] Serial_conn;
-    stage "postproc" "postproc" ~reads:[ Conn_db ]
+    stage "postproc" ~reads:[ Conn_db ]
       ~writes:
-        (if sb.sb_bad_contract then [ Conn_proto; Conn_post; Global_stats;
-                                      Sched_state ]
+        (if Defect.is defect Defect.Bad_contract then
+           [ Conn_proto; Conn_post; Global_stats; Sched_state ]
          else [ Conn_post; Global_stats; Sched_state ])
       Serial_none;
-    stage "dma" "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
+    stage "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
       ~writes:[ Rx_payload; Global_stats; Sched_state ]
       (Serial_queue "pcie-dma");
-    stage "ctx" "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
+    stage "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
       ~writes:[ Desc_ring ] (Serial_queue "ctx");
-    stage "sched" "sch" ~reads:[ Sched_state ] ~writes:[ Sched_state ]
-      Serial_none;
-    stage "nbi" "nbi" ~reads:[ Conn_pre; Conn_db ]
+    stage "sched" ~reads:[ Sched_state ] ~writes:[ Sched_state ] Serial_none;
+    stage "nbi" ~reads:[ Conn_pre; Conn_db ]
       ~writes:[ Global_stats; Sched_state ] (Serial_flow_group "tx-gro");
   ]
 
-let builtin_contracts () =
-  List.map (fun s -> s.sg_contract) (builtin_stages no_sabotage)
-
-let builtin_contracts_under sb =
-  List.map (fun s -> s.sg_contract) (builtin_stages sb)
-
 (* --- FlexProve extraction (static layer 0) --------------------------- *)
 
-(* Sabotage flags that change the as-built wiring or footprints map to
-   graph defects, so [flexlint graph --classify] can re-derive the
-   graph a sabotaged node actually runs. The contracts stay the
-   *declared* ones — [sb_no_lock] is precisely a stage whose
+(* The graph a node built with [defect] actually runs. The contracts
+   stay the *declared* ones — [No_lock] is precisely a stage whose
    declaration says [Serial_conn] while the implementation takes no
    lock, which the extraction models by patching the graph's domain,
    not the contract. *)
-let defects_of_sabotage sb =
-  {
-    Graph_ir.d_no_lock = sb.sb_no_lock;
-    d_early_release = sb.sb_early_release;
-    d_preproc_reads_proto = sb.sb_preproc_reads_proto;
-    d_postproc_writes_conn = sb.sb_postproc_writes_conn;
-  }
-
-(* The two notify-ordering defects leave the declared dma→ctx ordered
-   completion edge intact — the defect is the implementation not
-   honoring its own declaration, which no analysis of the declared
-   wiring can see. FlexSan's happens-before layer catches them at
-   runtime; [flexlint graph --classify] reports them as dynamic-only
-   with these rationales rather than pretending coverage. *)
-let sabotage_dynamic_only =
-  [
-    ( "notify_before_payload",
-      "the declared dma->ctx ordered completion edge is intact; the \
-       defect is signalling before the DMA lands, visible only to \
-       FlexSan's happens-before layer at runtime" );
-    ( "skip_notify_dma",
-      "same declared edge; delivery skips the completion wait at \
-       runtime, so the wiring FlexProve sees is the sound one" );
-    ( "mis_steer",
-      "the declared per-flow-group wiring is intact; the defect is the \
-       implementation indexing a neighbor group's caches and FPC pool \
-       at runtime, caught by the datapath's steering self-check and \
-       FlexSan" );
-  ]
-
-let builtin_graph ?(sabotage = no_sabotage) ~config () =
-  Graph_ir.builtin
-    ~defects:(defects_of_sabotage sabotage)
-    ~config
-    ~contracts:
-      (List.map (fun s -> s.sg_contract) (builtin_stages sabotage))
+let builtin_graph ?defect ~config () =
+  Graph_ir.builtin ?defect ~config
+    ~contracts:(builtin_contracts ?defect ())
     ()
 
 type t = {
@@ -235,8 +135,7 @@ type t = {
   (* Host deliveries waiting out the fixed [libtoe_poll] delay: a
      constant delay from a growing clock, so they form one stream. *)
   poll : Sim.Engine.Stream.t;
-  stages : stage list;
-  sabotage : sabotage;
+  defect : Defect.t option;  (* seeded-race corpus; None = healthy *)
   san : San.t option;
   scope : Sim.Scope.t option;
   guard : Guard.t option;  (* FlexGuard overload control; None = dormant *)
@@ -311,7 +210,6 @@ type t = {
 
 let engine t = t.engine
 let config t = t.cfg
-let stages t = t.stages
 let san t = t.san
 let scope t = t.scope
 let guard t = t.guard
@@ -440,8 +338,8 @@ let conn_lock t idx =
       l
 
 let acquire t idx k =
-  if t.sabotage.sb_no_lock then
-    (* Sabotage: the critical section runs unserialized. No
+  if Defect.is t.defect Defect.No_lock then
+    (* Defect: the critical section runs unserialized. No
        happens-before edge is recorded either — exactly what omitting
        the lock on hardware would mean. *)
     k ()
@@ -463,7 +361,7 @@ let acquire t idx k =
   end
 
 let release t idx =
-  if t.sabotage.sb_no_lock then ()
+  if Defect.is t.defect Defect.No_lock then ()
   else begin
     (match t.san with
     | Some s -> San.lock_release s ~flow:idx
@@ -478,11 +376,11 @@ let release t idx =
 
 (* The effective flow group a protocol-stage access indexes with. The
    steering invariant is that this equals the group pinned in the
-   connection's pre state; [sb_mis_steer] breaks it for every odd
+   connection's pre state; [Mis_steer] breaks it for every odd
    connection index, modelling a steering bug that sends a flow to a
    neighbor group's caches and FPC pool. *)
 let steer_fg t ~idx ~fg =
-  if t.sabotage.sb_mis_steer && idx land 1 = 1 then
+  if Defect.is t.defect Defect.Mis_steer && idx land 1 = 1 then
     (fg + 1) mod Array.length t.proto_cam
   else fg
 
@@ -516,7 +414,6 @@ let proto_state_phases t conn_state =
        (handshake / TIME_WAIT) entries first. *)
     let pin =
       t.cfg.Config.scale.Config.s_on
-      && t.cfg.Config.scale.Config.s_pin_hot
       && Conn_state.close_phase conn_state = Conn_state.Established
     in
     let cam = t.proto_cam.(fg_eff) in
@@ -703,8 +600,8 @@ let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
   Nfp.Fpc.submit fpc [ Compute cycles ]
     (sc_span t ~stage:"ctx" ~conn:conn_idx ~id ~cycles (fun () ->
          sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
-         if t.sabotage.sb_skip_notify_dma then
-           (* Sabotage: hand the descriptor to the host without the DMA
+         if Defect.is t.defect Defect.Skip_notify_dma then
+           (* Defect: hand the descriptor to the host without the DMA
               completion edge — the poll delay still elapses, but
               nothing orders the handler after the payload write. *)
            Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
@@ -994,10 +891,10 @@ let dma_stage t (w : dma_work) =
       in
       match (w.dw_payload, w.dw_fetch, cs) with
       | Some (pos, bytes), _, Some cs ->
-          (* Sabotage: notification and ACK escape before the payload
+          (* Defect: notification and ACK escape before the payload
              lands — the host (or the peer, via the ACK) can read
              bytes the DMA has not written yet. *)
-          if t.sabotage.sb_notify_before_payload then finish ();
+          if Defect.is t.defect Defect.Notify_before_payload then finish ();
           (* RX: payload to host receive buffer. *)
           sc_instant t ~track:"dma" ~name:"payload_rx_issue" ~conn:w.dw_conn
             ~arg:(Bytes.length bytes);
@@ -1010,7 +907,8 @@ let dma_stage t (w : dma_work) =
               Host.Payload_buf.write
                 cs.Conn_state.post.Conn_state.rx_buf ~off:pos ~src:bytes
                 ~src_off:0 ~len:(Bytes.length bytes);
-              if not t.sabotage.sb_notify_before_payload then finish ())
+              if not (Defect.is t.defect Defect.Notify_before_payload) then
+                finish ())
       | None, Some (desc, pos, len), Some cs ->
           (* TX: fetch payload from host transmit buffer. *)
           Nfp.Dma.issue t.dma ~queue:0 ~bytes:len (fun () ->
@@ -1132,8 +1030,8 @@ let postproc_stage t fg (w : post_work) =
       | Some s, Some cs ->
           San.access s ~stage:"postproc" ~flow:conn_idx
             ~obj:Effects.Conn_post Effects.Write;
-          if t.sabotage.sb_postproc_writes_conn then begin
-            (* Sabotage: poke the protocol partition from an
+          if Defect.is t.defect Defect.Postproc_writes_conn then begin
+            (* Defect: poke the protocol partition from an
                unserialized stage. The store is value-preserving (the
                TCP state machine cannot tell), but on hardware it
                would race the protocol stage's writes. *)
@@ -1238,9 +1136,9 @@ let protocol_section t cs ~cost ~id ~reasm body k =
   let idx = cs.Conn_state.idx in
   acquire t idx (fun () ->
       proto_span_begin t idx;
-      (* Sabotage: drop the lock before the critical section instead of
+      (* Defect: drop the lock before the critical section instead of
          after — the classic too-early unlock. *)
-      let early = t.sabotage.sb_early_release in
+      let early = Defect.is t.defect Defect.Early_release in
       if early then release t idx;
       let phases = proto_state_phases t cs in
       let extra = trace_cycles t "protocol" ~conn:idx in
@@ -1476,10 +1374,10 @@ let preproc_rx t gseq (frame : S.frame) =
       end
       else
       let conn_idx = Nfp.Lookup.lookup t.conn_db ~hash flow in
-      (* Sabotage: peek at the protocol partition from the replicated
+      (* Defect: peek at the protocol partition from the replicated
          pre-processor — e.g. "optimizing" the in-window test by
          reading [reasm] state outside the lock. *)
-      (match (conn_idx, t.sabotage.sb_preproc_reads_proto) with
+      (match (conn_idx, Defect.is t.defect Defect.Preproc_reads_proto) with
       | Some idx, true ->
           sa t ~stage:"preproc" ~flow:idx Effects.Conn_proto Effects.Read
       | _ -> ());
@@ -1983,25 +1881,6 @@ let fpc_pools t =
       ("gro", -1, [| t.gro_fpc |]);
     ]
 
-(* The LP partition plan for this node, consistent with [fpc_pools]:
-   per-flow-group pools land on their island's LP, service pools
-   (island index -1) on the service LP. The host model is not an FPC
-   pool; partitioners place it on [Graph_ir.Lp_host] themselves. *)
-(* At scale, each shard group gets its own island LP: flow group [fg]
-   lands on island [fg mod shards], so the [shards] replicated
-   pipelines run as distinct FlexPar LPs while service pools stay
-   shared. Unsharded, island = flow group, as before. *)
-let lp_plan t =
-  List.map
-    (fun (name, island, _fpcs) ->
-      ( name,
-        island,
-        if island < 0 then Graph_ir.Lp_service
-        else if t.cfg.Config.scale.Config.s_on then
-          Graph_ir.Lp_island (island mod t.shards)
-        else Graph_ir.Lp_island island ))
-    (fpc_pools t)
-
 let atx_rings t = t.atx
 
 (* --- Construction ----------------------------------------------------------- *)
@@ -2026,15 +1905,15 @@ let trace_point_names =
   ]
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
-    ?(sabotage = no_sabotage) () =
+    ?defect () =
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
-  let stages = builtin_stages sabotage in
+  let contracts = builtin_contracts ?defect () in
   (* Layer 1: the stage graph must be statically sound before any FPC
      is wired. An unserialized write/write or write/read overlap on a
      non-atomic, non-partitioned region fails construction with the
      conflicting (stage, region) pairs. *)
-  (match Effects.check (List.map (fun s -> s.sg_contract) stages) with
+  (match Effects.check contracts with
   | Ok () -> ()
   | Error cs -> raise (Effects.Contract_violation cs));
   (* Layer 0: FlexProve over the declared graph — whole-graph
@@ -2054,10 +1933,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      cannot exist. *)
   let san =
     if cfg.Config.san && par.Config.pipelined then
-      Some
-        (San.create ~engine
-           ~contracts:(List.map (fun s -> s.sg_contract) stages)
-           ())
+      Some (San.create ~engine ~contracts ())
     else None
   in
   let groups = Int.max 1 par.Config.flow_groups in
@@ -2107,8 +1983,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         engine;
         cfg;
         poll = Sim.Engine.Stream.create engine;
-        stages;
-        sabotage;
+        defect;
         san;
         scope;
         guard;
@@ -2161,15 +2036,12 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
                 ~entries:p.Nfp.Params.cls_cache_entries);
         emem_lru =
           (* Shards split the shared EMEM cache's working set; at
-             shards = 1 the single full-size LRU is bit-identical to
-             the unsharded hierarchy. *)
-          (if shards <= 1 then
-             [| Nfp.Lru.create ~entries:p.Nfp.Params.emem_cache_entries |]
-           else
-             Array.init shards (fun _ ->
-                 Nfp.Lru.create
-                   ~entries:
-                     (Int.max 1 (p.Nfp.Params.emem_cache_entries / shards))));
+             shards = 1 this is the single full-size LRU of the
+             unsharded hierarchy. *)
+          Array.init shards (fun _ ->
+              Nfp.Lru.create
+                ~entries:
+                  (Int.max 1 (p.Nfp.Params.emem_cache_entries / shards)));
         shards;
         emem_pressure =
           (if scale.Config.s_on then

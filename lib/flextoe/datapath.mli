@@ -21,69 +21,20 @@ type t
 
 (** {1 Stage-effect contracts (FlexSan)} *)
 
-(** A pipeline stage as a first-class value: its {!Effects.contract}
-    plus the tracepoint group its instrumentation hangs off. *)
-type stage = { sg_contract : Effects.contract; sg_trace_group : string }
+val builtin_contracts : ?defect:Defect.t -> unit -> Effects.contract list
+(** The pipeline's declared effect contracts (what [flexlint san]
+    checks statically without building a node). Only [Bad_contract]
+    changes a declaration; every other defect lies in the
+    implementation, which is exactly what [flexlint infer] diffs the
+    declarations against. *)
 
-(** Deliberate synchronization defects for the sanitizer's regression
-    corpus. Each flag removes or reorders exactly one ordering edge
-    (or mis-declares a footprint, for [sb_bad_contract]); all are
-    behavior-preserving under the single-threaded simulator, so only
-    FlexSan can tell a sabotaged node from a healthy one — exactly
-    like a latent race on real silicon. *)
-type sabotage = {
-  sb_no_lock : bool;  (** Protocol stage runs without the per-conn lock. *)
-  sb_early_release : bool;  (** Lock dropped before the critical section. *)
-  sb_notify_before_payload : bool;
-      (** ARX notification + ACK leave before the payload DMA lands. *)
-  sb_skip_notify_dma : bool;
-      (** Notification delivered without the DMA-completion edge. *)
-  sb_postproc_writes_conn : bool;  (** Post-processor pokes proto state. *)
-  sb_preproc_reads_proto : bool;  (** Pre-processor peeks at proto state. *)
-  sb_bad_contract : bool;
-      (** Post-processor declares a protocol-partition write: the
-          static layer rejects the stage graph at {!create}. *)
-  sb_mis_steer : bool;
-      (** Protocol stage indexes a neighbor flow group's caches and
-          FPC pool for odd connection indices — a steering bug that
-          breaks the shard-disjointness invariant. Caught at runtime
-          by the datapath's steering self-check
-          ({!cross_shard_accesses}) and reported to FlexSan as an
-          undeclared-stage access. *)
-}
-
-val no_sabotage : sabotage
-
-val sabotage_variants : (string * sabotage) list
-(** The seeded-race corpus, one variant per defect. *)
-
-val builtin_contracts : unit -> Effects.contract list
-(** The healthy pipeline's effect contracts (what [flexlint san]
-    checks statically without building a node). *)
-
-val builtin_contracts_under : sabotage -> Effects.contract list
-(** The contracts as declared under a sabotage variant — only
-    [sb_bad_contract] changes a declaration; the other defects lie in
-    the implementation, which is exactly what [flexlint infer]
-    diffs the declarations against. *)
-
-val builtin_graph : ?sabotage:sabotage -> config:Config.t -> unit -> Graph_ir.t
+val builtin_graph : ?defect:Defect.t -> config:Config.t -> unit -> Graph_ir.t
 (** FlexProve extraction of the built-in pipeline as actually wired
-    under [sabotage] (default healthy): stage slots from
+    with [defect] seeded (default healthy): stage slots from
     [config.parallelism], queue capacities from [config.params] and
     the ring sizes, batch degrees from [config.batch], the CP-queue
     bound from [config.guard]. [flexlint graph] and the create-time
     layer-0 check both go through this. *)
-
-val sabotage_dynamic_only : (string * string) list
-(** The sabotage variants no analysis of the declared wiring can see
-    (variant name, rationale): their declared ordering edge is intact
-    and the defect is the implementation not honoring it at runtime —
-    FlexSan's business. [flexlint graph --classify] requires every
-    {!sabotage_variants} entry to be statically caught or listed
-    here. *)
-
-val stages : t -> stage list
 
 val san : t -> San.t option
 (** The dynamic sanitizer, when enabled ([config.san] set and the
@@ -106,12 +57,15 @@ val create :
   mac:int ->
   ip:int ->
   ?ctx_queues:int ->
-  ?sabotage:sabotage ->
+  ?defect:Defect.t ->
   unit ->
   t
-(** Raises {!Effects.Contract_violation} if the stage set's contracts
-    are statically incompatible (layer 1 fails fast, before any FPC
-    is wired). *)
+(** [defect] seeds one entry of the race corpus ({!Defect}); the node
+    behaves like a healthy one under the single-threaded simulator, so
+    only the checkers can tell them apart. Raises
+    {!Effects.Contract_violation} if the stage set's contracts are
+    statically incompatible (layer 1 fails fast, before any FPC is
+    wired): the [Bad_contract] defect. *)
 
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t
@@ -269,7 +223,7 @@ val cross_shard_accesses : t -> int
 (** Steering self-check trips: protocol-stage accesses whose effective
     flow group differed from the one pinned at installation. Zero on a
     healthy node — nonzero means shard disjointness is broken (see
-    [sb_mis_steer]). *)
+    {!Defect.Mis_steer}). *)
 
 val emem_bytes_per_flow : t -> int
 (** Peak resident connection-state bytes per peak resident flow from
@@ -294,13 +248,6 @@ val fpc_pools : t -> (string * int * Nfp.Fpc.t array) list
     (preproc, protocol, postproc, xdp) carry their island index;
     service-island pools (dma, ctx, sch, gro) carry [-1]. Drives the
     {!Flexscope} utilization sampler. *)
-
-val lp_plan : t -> (string * int * Graph_ir.lp) list
-(** The LP partition plan for this node, consistent with
-    {!fpc_pools}: [(pool, island, lp)] where per-flow-group pools map
-    to [Graph_ir.Lp_island island] and service pools (island [-1]) to
-    [Graph_ir.Lp_service]. The host model is not an FPC pool;
-    partitioners place it on [Graph_ir.Lp_host] themselves. *)
 
 val atx_rings : t -> Meta.hc_desc Nfp.Ring.t array
 (** The per-context-queue ATX descriptor rings (queue-depth series in

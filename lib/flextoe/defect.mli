@@ -1,0 +1,57 @@
+(** The seeded-race corpus: one catalogue of the deliberate
+    synchronization defects a datapath can be built with
+    ([Datapath.create ?defect]), and of which checker owns each.
+
+    Each defect removes or reorders exactly one ordering edge, or (for
+    [Bad_contract]) mis-declares one footprint. All of them preserve
+    the simulated TCP behavior: the simulator is single-threaded, so
+    the races they open are visible only to the checkers, exactly like
+    a latent race on real silicon. The checkers are FlexProve over the
+    as-built graph ([Graph_ir.builtin ?defect]), FlexInfer over the
+    stage sources ([Infer.infer_footprints ?defect]), the layer-1
+    contract check at [Datapath.create], and FlexSan's happens-before
+    layer at runtime. Every defect is caught by at least one of them;
+    a static analyzer that cannot see a defect says why
+    ({!dynamic_only}). *)
+
+type t =
+  | No_lock
+  | Early_release
+  | Notify_before_payload
+  | Skip_notify_dma
+  | Postproc_writes_conn
+  | Preproc_reads_proto
+  | Bad_contract
+  | Mis_steer
+
+val all : t list
+(** Every defect, in corpus order. *)
+
+val name : t -> string
+(** The CLI and report spelling ([flexlint san --seeded NAME]); the
+    constructor name with a lower-case initial. *)
+
+val of_name : string -> t option
+
+val is : t option -> t -> bool
+(** [is seeded d]: the node was built with defect [d]. The datapath's
+    guard at each defect's site, which FlexInfer evaluates
+    statically. *)
+
+val doc : t -> string
+(** What the defect breaks, in one line. *)
+
+(** The static analyzers that classify the corpus. *)
+type analyzer =
+  | Flexprove  (** whole-graph passes over [Graph_ir.builtin ?defect] *)
+  | Flexinfer  (** source footprints diffed against the contracts *)
+
+val dynamic_only : analyzer -> t -> string option
+(** [None] when the analyzer catches the defect; otherwise the
+    rationale for why no analysis of its input can, naming the checker
+    that owns the defect instead. *)
+
+val rejected_at_create : t -> bool
+(** The layer-1 contract check rejects the declared stage set at
+    [Datapath.create] (only [Bad_contract]); every other defect builds
+    and FlexSan reports it at runtime. *)

@@ -7,6 +7,7 @@ module Protocol = Protocol
 module Sequencer = Sequencer
 module Scheduler = Scheduler
 module Effects = Effects
+module Defect = Defect
 module Graph_ir = Graph_ir
 module Prove = Prove
 module Infer = Infer
@@ -54,7 +55,7 @@ let verifier_violation_to_string = Verifier.violation_to_string
 let mac_of_ip = Control_plane.mac_of_ip
 
 let create_node engine ~fabric ?(config = Config.default) ?(app_cores = 1)
-    ?(sabotage = Datapath.no_sabotage) ~ip () =
+    ?defect ~ip () =
   let cpu = Host.Host_cpu.create engine ~cores:(app_cores + 1) () in
   (* Host jitter: small — libTOE busy-polls in user space and the TCP
      stack is on the NIC, but the application core still takes
@@ -63,7 +64,7 @@ let create_node engine ~fabric ?(config = Config.default) ?(app_cores = 1)
     ~mean_cycles:30_000;
   let dp =
     Datapath.create engine ~config ~fabric ~mac:(mac_of_ip ip) ~ip
-      ~ctx_queues:app_cores ~sabotage ()
+      ~ctx_queues:app_cores ?defect ()
   in
   let cp_core = Host.Host_cpu.core cpu app_cores in
   let cp = Control_plane.create engine ~config ~datapath:dp ~core:cp_core () in

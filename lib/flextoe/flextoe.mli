@@ -28,6 +28,7 @@ module Protocol = Protocol
 module Sequencer = Sequencer
 module Scheduler = Scheduler
 module Effects = Effects
+module Defect = Defect
 module Graph_ir = Graph_ir
 module Prove = Prove
 module Infer = Infer
@@ -74,15 +75,15 @@ val create_node :
   fabric:Netsim.Fabric.t ->
   ?config:Config.t ->
   ?app_cores:int ->
-  ?sabotage:Datapath.sabotage ->
+  ?defect:Defect.t ->
   ip:int ->
   unit ->
   t
 (** Build a node: host CPU with [app_cores] application cores (default
     1) plus one control-plane core, NIC data path with one context
     queue per application core, control plane, and libTOE.
-    [sabotage] (default {!Datapath.no_sabotage}) seeds a deliberate
-    synchronization defect for sanitizer regression tests. *)
+    [defect] (default none) seeds one deliberate synchronization
+    defect of the race corpus ({!Defect}). *)
 
 val endpoint : t -> Host.Api.endpoint
 val datapath : t -> Datapath.t

@@ -10,9 +10,9 @@
     against configured capacities.
 
     {!builtin} is the extraction of the built-in pipeline: it mirrors
-    the as-built wiring of [datapath.ml] (including, on request, the
-    seeded sabotage defects, so `flexlint graph` can classify each
-    variant as statically caught or dynamic-only). Capacities, batch
+    the as-built wiring of [datapath.ml] (including, on request, a
+    seeded {!Defect.t}, so `flexlint graph` can classify each defect
+    as statically caught or dynamic-only). Capacities, batch
     degrees and guard bounds come from {!Config.t}, never from
     constants of their own. *)
 
@@ -151,36 +151,19 @@ let is_cross_lp g e =
 
 (* --- Builtin-pipeline extraction -------------------------------------- *)
 
-(** The as-built defects that change the *declared* wiring or
-    footprints (the [Datapath.sabotage] flags minus the two notify
-    ordering defects, which leave the declared completion edge intact
-    and are detectable only by FlexSan at runtime). *)
-type defects = {
-  d_no_lock : bool;  (** Protocol stage loses its Serial_conn domain. *)
-  d_early_release : bool;
-      (** Protocol writes escape the per-conn critical section. *)
-  d_preproc_reads_proto : bool;
-  d_postproc_writes_conn : bool;
-}
-
-let no_defects =
-  {
-    d_no_lock = false;
-    d_early_release = false;
-    d_preproc_reads_proto = false;
-    d_postproc_writes_conn = false;
-  }
-
 (* The extraction mirrors [Datapath.create]'s wiring: same stage set
-   and serialization domains as [Datapath.builtin_stages], queue
+   and serialization domains as [Datapath.builtin_contracts], queue
    capacities from the same sources (Nfp.Params for the NBI pool and
    DMA in-flight window, the 512-slot ATX rings, the 128-descriptor HC
    pool, [min 256 seg_buffers] scheduler credits), batch degrees from
    [Config.batch] and the CP-queue bound from [Config.guard]. The two
    pseudo-nodes [host] (libTOE + applications) and the NBI bracket the
    PCIe and wire boundaries so payload-ordering obligations are
-   visible to the passes. *)
-let builtin ?(defects = no_defects) ~config ~contracts () =
+   visible to the passes. A seeded [defect] that changes the as-built
+   wiring or footprints patches the graph; the notify-ordering and
+   steering defects leave the declared wiring intact
+   ({!Defect.dynamic_only}). *)
+let builtin ?defect ~config ~contracts () =
   let open Effects in
   let p = config.Config.params in
   let par = config.Config.parallelism in
@@ -195,11 +178,11 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         invalid_arg ("Graph_ir.builtin: no contract for stage " ^ name)
   in
   let patch name c =
-    match name with
-    | "protocol" when defects.d_no_lock -> { c with c_domain = Serial_none }
-    | "preproc" when defects.d_preproc_reads_proto ->
+    match (name, defect) with
+    | "protocol", Some Defect.No_lock -> { c with c_domain = Serial_none }
+    | "preproc", Some Defect.Preproc_reads_proto ->
         { c with c_reads = Conn_proto :: c.c_reads }
-    | "postproc" when defects.d_postproc_writes_conn ->
+    | "postproc", Some Defect.Postproc_writes_conn ->
         { c with c_writes = Conn_proto :: c.c_writes }
     | _ -> c
   in
@@ -241,7 +224,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         (Int.max 1 (par.Config.preproc_replicas * groups) * threads);
       node "gro" Lp_service threads;
       node "protocol" (Lp_island 0)
-        ~serialized:(not defects.d_early_release)
+        ~serialized:(not (Defect.is defect Defect.Early_release))
         (Int.max 1 par.Config.proto_replicas * groups * threads);
       node "postproc" (Lp_island 0)
         (Int.max 1 (par.Config.postproc_replicas * groups) * threads);
@@ -300,7 +283,7 @@ let builtin ?(defects = no_defects) ~config ~contracts () =
         (Credit { cr_tokens = p.Nfp.Params.dma_inflight });
       (* Notification + ACK leave only after the payload DMA lands:
          this ordered edge is the declared obligation the
-         notify_before_payload / skip_notify_dma sabotage violate at
+         Notify_before_payload / Skip_notify_dma defects violate at
          runtime (the declaration stays intact — dynamic-only). *)
       flow "dma" "ctx" "ctx";
       e "ctx" "ctx" "arx-accum"

@@ -7,8 +7,7 @@
     passes ({!Prove}) can check an arbitrary stage graph, not just the
     built-in one. {!builtin} is the extraction of the built-in
     pipeline, parameterized by {!Config.t} (capacities, batch degrees,
-    guard bounds) and optionally by the as-built sabotage
-    {!defects}. *)
+    guard bounds) and optionally by a seeded {!Defect.t}. *)
 
 type capacity = Bounded of int | Unbounded
 
@@ -116,32 +115,22 @@ val is_cross_lp : t -> edge -> bool
 (** Does the edge cross an LP boundary? [false] when an endpoint is
     missing (well-formedness reports that separately). *)
 
-(** The as-built defects that change the declared wiring or
-    footprints: the [Datapath.sabotage] flags minus the two notify
-    ordering defects, which leave the declared completion edge intact
-    and are detectable only by FlexSan at runtime. *)
-type defects = {
-  d_no_lock : bool;  (** Protocol stage loses its Serial_conn domain. *)
-  d_early_release : bool;
-      (** Protocol writes escape the per-conn critical section. *)
-  d_preproc_reads_proto : bool;
-  d_postproc_writes_conn : bool;
-}
-
-val no_defects : defects
-
 val builtin :
-  ?defects:defects ->
+  ?defect:Defect.t ->
   config:Config.t ->
   contracts:Effects.contract list ->
   unit ->
   t
 (** Extraction of the built-in pipeline: mirrors the wiring of
     [Datapath.create] — same stages and serialization domains as
-    [Datapath.builtin_stages], queue capacities from the same sources
+    [Datapath.builtin_contracts], queue capacities from the same sources
     ([Nfp.Params], the ATX/HC ring sizes, scheduler credits), batch
     degrees from [Config.batch], CP-queue bound from [Config.guard].
-    Raises [Invalid_argument] if [contracts] lacks a builtin stage. *)
+    A [defect] that changes the as-built wiring is patched in: [No_lock]
+    drops the protocol stage's [Serial_conn] domain, [Early_release]
+    lets its writes escape the critical section, and
+    [Preproc_reads_proto] / [Postproc_writes_conn] add the stray
+    access. Raises [Invalid_argument] if [contracts] lacks a builtin stage. *)
 
 val bound_to_string : bound -> string
 val capacity_to_string : capacity -> string

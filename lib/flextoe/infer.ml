@@ -48,10 +48,11 @@
     Soundness caveats (documented in DESIGN.md §15): the analysis is
     syntactic. It sees one module boundary of helper calls, does not
     track values through containers or higher-order escapes beyond
-    literal closures, and partial-evaluates only the [t.sabotage.sb_*]
-    guards. It is exact on the current pipeline by construction (the
-    golden test pins the clean-tree diff to empty) and is a tripwire,
-    not a verifier: FlexSan layer 2 remains the runtime authority. *)
+    literal closures, and partial-evaluates only the
+    [Defect.is t.defect] guards. It is exact on the current pipeline
+    by construction (the golden test pins the clean-tree diff to
+    empty) and is a tripwire, not a verifier: FlexSan layer 2 remains
+    the runtime authority. *)
 
 module E = Effects
 
@@ -185,8 +186,8 @@ type tag =
   | T_atx_ring  (** one ATX descriptor ring *)
   | T_rxbuf
   | T_txbuf  (** host payload buffers *)
-  | T_sabotage
-  | T_bool of bool  (** statically-known boolean (sabotage flags) *)
+  | T_defect  (** [t.defect], the seeded corpus entry *)
+  | T_bool of bool  (** statically-known boolean (defect guards) *)
   | T_none
 
 type fn_info = {
@@ -210,7 +211,7 @@ type acc = {
 }
 
 type wctx = {
-  w_flags : string list;  (* sabotage record fields evaluated to true *)
+  w_defect : Defect.t option;  (* the seeded defect the walk assumes *)
   w_stage : string;
   w_entries : string list;  (* stage entries: never expanded (hand-offs) *)
   w_excluded : string list;  (* rtc baseline &c.: never expanded *)
@@ -388,6 +389,20 @@ let witness_of_args args =
   in
   match (obj, kind) with Some o, Some k -> Some (o, k) | _ -> None
 
+(* [Defect.is t.defect Defect.C] is true exactly when the walk assumes
+   defect [C], whose constructor is its catalogue name capitalized. An
+   argument that is not a literal constructor stays unknown. *)
+let defect_guard ctx args =
+  match args with
+  | [ _; (_, { Parsetree.pexp_desc = Pexp_construct (lid, None); _ }) ] -> (
+      let is_c d =
+        Some (String.capitalize_ascii (Defect.name d)) = lid_last lid.txt
+      in
+      match List.find_opt is_c Defect.all with
+      | Some d -> T_bool (Defect.is ctx.w_defect d)
+      | None -> T_none)
+  | _ -> T_none
+
 let rec walk ctx (ms : mod_scope) env seen (e : Parsetree.expression) : tag =
   let w = walk ctx ms env seen in
   match e.pexp_desc with
@@ -536,12 +551,11 @@ and walk_field ctx ms env seen recv fld loc =
   | T_dp, "conns" -> T_conns_tbl
   | T_dp, "conn_db" -> T_conn_db
   | T_dp, "atx" -> T_atx_arr
-  | T_dp, "sabotage" -> T_sabotage
+  | T_dp, "defect" -> T_defect
   | T_dp, f when starts_with "st_" f ->
       record_access ctx E.Read E.Global_stats loc;
       T_none
   | T_dp, _ -> T_none
-  | T_sabotage, f when starts_with "sb_" f -> T_bool (List.mem f ctx.w_flags)
   | T_conn, "pre" -> T_pre
   | T_conn, "proto" -> T_proto
   | T_conn, "post" -> T_post
@@ -614,8 +628,9 @@ and walk_apply ctx ms env seen head args loc =
       | Some _ -> T_none
       | None -> (
           hygiene ctx name2 loc;
-          (* Boolean operators over statically-known flags. *)
+          (* Defect guards and boolean operators over them. *)
           match (m, f, arg_tags) with
+          | "Defect", "is", [ (_, T_defect); _ ] -> defect_guard ctx args
           | "", "not", [ (_, T_bool b) ] -> T_bool (not b)
           | "", "&&", [ (_, T_bool a); (_, T_bool b) ] -> T_bool (a && b)
           | "", "&&", [ (_, T_bool false); _ ] | "", "&&", [ _, (T_bool false) ]
@@ -846,12 +861,12 @@ let dedup_objs l =
 
 (* Infer per-stage footprints from source.
 
-   [flags] names the [sb_*] sabotage fields assumed true (the clean
-   tree is all-false); [helper_files] maps helper module names to
-   paths; [stage_map] lists each stage's entry functions in
+   [defect] is the seeded defect the [Defect.is t.defect] guards
+   assume (the clean tree has none); [helper_files] maps helper
+   module names to paths; [stage_map] lists each stage's entry functions in
    [dp_file]. Returns the footprints plus the analysis findings
    (hygiene lint, missing entries). *)
-let infer_footprints ?(flags = []) ~dp_file
+let infer_footprints ?defect ~dp_file
     ?(helper_files : (string * string) list = [])
     ?(stage_map = builtin_stage_map) ?(excluded = builtin_excluded) () =
   match parse_impl dp_file with
@@ -883,7 +898,7 @@ let infer_footprints ?(flags = []) ~dp_file
             let acc = { ac_reads = []; ac_writes = []; ac_findings = [] } in
             let ctx =
               {
-                w_flags = flags;
+                w_defect = defect;
                 w_stage = stage;
                 w_entries = entries;
                 w_excluded = excluded;
@@ -1530,19 +1545,19 @@ let repo_helper_files root =
 (* Footprints + contract diff only (no Seq32 sweep): the per-variant
    classification path, where the lint result would be identical
    every time. *)
-let infer_repo_diff ?(flags = []) ~declared ~root () =
+let infer_repo_diff ?defect ~declared ~root () =
   let dp_file = repo_dp_file root in
   match
-    infer_footprints ~flags ~dp_file ~helper_files:(repo_helper_files root) ()
+    infer_footprints ?defect ~dp_file ~helper_files:(repo_helper_files root) ()
   with
   | Error e -> Error e
   | Ok (footprints, hygiene, locs) ->
       Ok (footprints, hygiene @ diff_contracts ~declared ~footprints ~locs ~dp_file)
 
-let analyze_repo ?(flags = []) ~declared ~root () =
+let analyze_repo ?defect ~declared ~root () =
   let dp_file = repo_dp_file root in
   let helper_files = repo_helper_files root in
-  match infer_footprints ~flags ~dp_file ~helper_files () with
+  match infer_footprints ?defect ~dp_file ~helper_files () with
   | Error e -> Error e
   | Ok (footprints, hygiene, locs) ->
       let diff = diff_contracts ~declared ~footprints ~locs ~dp_file in

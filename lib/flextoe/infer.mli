@@ -75,7 +75,7 @@ val builtin_excluded : string list
     stage). *)
 
 val infer_footprints :
-  ?flags:string list ->
+  ?defect:Defect.t ->
   dp_file:string ->
   ?helper_files:(string * string) list ->
   ?stage_map:(string * string list) list ->
@@ -86,12 +86,12 @@ val infer_footprints :
     * ((string * Effects.kind * Effects.obj) * (string * int)) list,
     string )
   result
-(** Parse [dp_file] and infer each stage's footprint. [flags] names
-    the sabotage record fields ([sb_*]) assumed true — the analyzer
-    partial-evaluates the [t.sabotage.sb_*] guards, so a clean run
-    (no flags) skips the sabotage blocks and a flagged run sees
-    them. [helper_files] maps module names ([Protocol], ...) to
-    their sources for the one-boundary call summaries. Returns
+(** Parse [dp_file] and infer each stage's footprint. The analyzer
+    partial-evaluates the [Defect.is t.defect] guards against
+    [defect], so a clean run (no defect) skips every defect's block
+    and a seeded run sees its own. [helper_files] maps module names
+    ([Protocol], ...) to their sources for the one-boundary call
+    summaries. Returns
     (footprints, hygiene/structural findings, first-occurrence
     source location per (stage, kind, obj)) or a parse error. *)
 
@@ -142,16 +142,16 @@ val find_root : ?start:string -> unit -> string option
     [lib/flextoe/datapath.ml]. *)
 
 val infer_repo_diff :
-  ?flags:string list ->
+  ?defect:Defect.t ->
   declared:Effects.contract list ->
   root:string ->
   unit ->
   (footprint list * finding list, string) result
 (** Footprint inference + contract diff only (no Seq32 sweep) — the
-    per-sabotage-variant classification path. *)
+    per-defect classification path. *)
 
 val analyze_repo :
-  ?flags:string list ->
+  ?defect:Defect.t ->
   declared:Effects.contract list ->
   root:string ->
   unit ->

@@ -389,7 +389,7 @@ let bounds (g : G.t) : report =
    (b) stages whose contracts share a serialization domain must live
        on the same LP — the critical section realizing the domain is
        LP-local state, it cannot span domains of the OCaml runtime.
-       (Early-release sabotage is irrelevant here: the *claim* of a
+       (The Early_release defect is irrelevant here: the *claim* of a
        shared domain already implies shared placement.)
 
    FlexScale exemption for (b): members of one replica family

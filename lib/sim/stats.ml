@@ -35,14 +35,14 @@ module Histogram = struct
     }
 
   (* Position of the most significant set bit of [v] (v >= 1). *)
-  let msb_position v =
+  let top_bit_position v =
     let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
     go v 0
 
   let index_of v =
     if v < sub_count then v
     else begin
-      let msb = msb_position v in
+      let msb = top_bit_position v in
       let octave = msb - sub_bits + 1 in
       let sub = (v lsr (msb - sub_bits)) land (sub_count - 1) in
       (octave * sub_count) + sub

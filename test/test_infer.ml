@@ -1,13 +1,17 @@
 (* FlexInfer tests: a seeded-violation corpus over synthetic sources
    (undeclared write, contract drift, wrap-unsafe compare, exempted
    compare), the golden pin — the inferred-vs-declared diff over the
-   real datapath's builtin stages is empty — and the sabotage corpus:
-   the three contract defects must be caught at source level while the
-   ordering defects stay footprint-identical. *)
+   real datapath's builtin stages is empty — and the seeded-defect
+   corpus: the three contract defects must be caught at source level,
+   and every defect's verdict from each checker must match the owner
+   its catalogue entry declares. *)
 
 module E = Flextoe.Effects
 module I = Flextoe.Infer
 module D = Flextoe.Datapath
+module P = Flextoe.Prove
+module Defect = Flextoe.Defect
+module Config = Flextoe.Config
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -260,29 +264,19 @@ let test_repo_seq32_clean () =
         (List.length r.I.rp_findings);
       check_bool "linted a realistic file count" true (r.I.rp_files_linted > 20)
 
-(* --- Sabotage corpus at source level --------------------------------- *)
+(* --- Defect corpus at source level ----------------------------------- *)
 
-let sabotage_diff name =
-  let sb = List.assoc name D.sabotage_variants in
-  let flags =
-    List.filter
-      (fun f -> f = "sb_" ^ name)
-      [
-        "sb_no_lock"; "sb_early_release"; "sb_notify_before_payload";
-        "sb_skip_notify_dma"; "sb_postproc_writes_conn";
-        "sb_preproc_reads_proto"; "sb_bad_contract";
-      ]
-  in
+let defect_diff defect =
   match
-    I.infer_repo_diff ~flags
-      ~declared:(D.builtin_contracts_under sb)
+    I.infer_repo_diff ~defect
+      ~declared:(D.builtin_contracts ~defect ())
       ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
   | Ok (_, findings) -> findings
 
 let test_catch_postproc_writes_conn () =
-  let findings = sabotage_diff "postproc_writes_conn" in
+  let findings = defect_diff Defect.Postproc_writes_conn in
   check_bool "undeclared conn.proto write caught" true
     (List.exists
        (fun f ->
@@ -292,7 +286,7 @@ let test_catch_postproc_writes_conn () =
        findings)
 
 let test_catch_preproc_reads_proto () =
-  let findings = sabotage_diff "preproc_reads_proto" in
+  let findings = defect_diff Defect.Preproc_reads_proto in
   check_bool "undeclared conn.proto read caught" true
     (List.exists
        (fun f ->
@@ -302,7 +296,7 @@ let test_catch_preproc_reads_proto () =
        findings)
 
 let test_catch_bad_contract () =
-  let findings = sabotage_diff "bad_contract" in
+  let findings = defect_diff Defect.Bad_contract in
   check_bool "phantom declared write drifts" true
     (List.exists
        (fun f ->
@@ -311,15 +305,50 @@ let test_catch_bad_contract () =
          && contains f.I.f_msg "conn.proto")
        findings)
 
-(* The ordering defects change no access, so the source diff must stay
-   clean — they are FlexSan/FlexProve territory, and a finding here
-   would mean the analyzer is reading ghosts. *)
-let test_ordering_defects_footprint_identical () =
+(* The corpus table: for every catalogue entry, the verdicts of
+   FlexProve over the as-built graph, of FlexInfer over the sources and
+   of the layer-1 check at [Datapath.create] match the owners the
+   catalogue declares. A FlexInfer finding on a defect the catalogue
+   calls footprint-identical would mean the analyzer reads ghosts; a
+   stale rationale on a defect a pass does catch fails too. FlexSan's
+   runtime verdict on every defect that builds is test_san's corpus. *)
+let test_corpus_owners () =
+  let graph_caught defect =
+    match P.check_graph (D.builtin_graph ~defect ~config:Config.default ()) with
+    | Error _ -> true
+    | Ok _ -> false
+  in
+  let rejected_at_create defect =
+    let engine = Sim.Engine.create () in
+    let fabric = Netsim.Fabric.create engine () in
+    match
+      D.create engine ~config:Config.default ~fabric ~mac:1 ~ip:0x0A000001
+        ~defect ()
+    with
+    | _ -> false
+    | exception E.Contract_violation _ -> true
+  in
   List.iter
-    (fun name ->
-      let findings = sabotage_diff name in
-      check_int (name ^ ": footprint-identical") 0 (List.length findings))
-    [ "no_lock"; "early_release"; "notify_before_payload"; "skip_notify_dma" ]
+    (fun d ->
+      let name = Defect.name d in
+      check_bool (name ^ ": name round-trips") true
+        (Defect.of_name name = Some d);
+      check_bool (name ^ ": FlexProve verdict matches the catalogue")
+        (Defect.dynamic_only Defect.Flexprove d = None)
+        (graph_caught d);
+      check_bool (name ^ ": FlexInfer verdict matches the catalogue")
+        (Defect.dynamic_only Defect.Flexinfer d = None)
+        (defect_diff d <> []);
+      check_bool (name ^ ": create-time verdict matches the catalogue")
+        (Defect.rejected_at_create d)
+        (rejected_at_create d))
+    Defect.all;
+  let caught = List.filter graph_caught Defect.all in
+  check_bool
+    (Printf.sprintf "at least 5 of %d defects caught statically (got %d)"
+       (List.length Defect.all) (List.length caught))
+    true
+    (List.length caught >= 5)
 
 (* --- JSON surface ----------------------------------------------------- *)
 
@@ -359,7 +388,7 @@ let suite =
       test_catch_preproc_reads_proto;
     Alcotest.test_case "sabotage: bad_contract drift caught" `Quick
       test_catch_bad_contract;
-    Alcotest.test_case "sabotage: ordering defects footprint-identical" `Quick
-      test_ordering_defects_footprint_identical;
+    Alcotest.test_case "corpus: verdicts match the catalogue" `Quick
+      test_corpus_owners;
     Alcotest.test_case "json: report round-trips" `Quick test_json_shape;
   ]

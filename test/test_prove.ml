@@ -1,9 +1,9 @@
 (* FlexProve tests: the Effects negative corpus (diagnostics must name
    the right stage and region, and the atomic/partitioned escapes must
    hold), the four graph passes on the real extracted pipeline and on
-   synthetic counterexample graphs, sabotage classification (every
-   seeded variant statically caught or explicitly dynamic-only), and
-   the teardown-FSM model check with its seeded mutations. *)
+   synthetic counterexample graphs, a seeded defect that still
+   constructs, and the teardown-FSM model check with its seeded
+   mutations. *)
 
 module E = Flextoe.Effects
 module G = Flextoe.Graph_ir
@@ -154,52 +154,16 @@ let test_builtin_graph_dot () =
       check_bool ("dot mentions " ^ needle) true (contains dot needle))
     [ "digraph"; "protocol"; "pcie-dma"; "nbi-pool"; "rx-gro" ]
 
-(* --- Sabotage classification ----------------------------------------- *)
-
-let test_sabotage_classification () =
-  let caught, missed =
-    List.partition
-      (fun (_, sb) ->
-        match
-          P.check_graph (D.builtin_graph ~sabotage:sb ~config:Config.default ())
-        with
-        | Error _ -> true
-        | Ok _ -> false)
-      D.sabotage_variants
-  in
-  check_bool
-    (Printf.sprintf "at least 5 of %d variants caught statically (got %d)"
-       (List.length D.sabotage_variants)
-       (List.length caught))
-    true
-    (List.length caught >= 5);
-  (* Every variant is either statically caught or explicitly declared
-     dynamic-only — no silent gaps. *)
-  List.iter
-    (fun (name, _) ->
-      check_bool (name ^ " is classified") true
-        (List.mem_assoc name D.sabotage_dynamic_only))
-    missed;
-  (* And the dynamic-only list is honest: nothing on it is actually
-     catchable (a variant both caught and tagged would mean the
-     rationale is stale). *)
-  List.iter
-    (fun (name, _) ->
-      check_bool (name ^ " on the dynamic-only list is indeed not caught")
-        true
-        (List.mem_assoc name (List.map (fun (n, _) -> (n, ())) missed |> fun l -> l)))
-    D.sabotage_dynamic_only
-
 let test_healthy_create_unaffected () =
   (* The create-time layer-0 check runs on the declared graph; a
-     sabotaged build must still construct (FlexSan owns the as-built
-     defects at runtime), except bad_contract which layer 1 rejects. *)
+     node seeded with a defect must still construct (FlexSan owns the
+     as-built defects at runtime), except bad_contract which layer 1
+     rejects. *)
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
-  let sb = List.assoc "no_lock" D.sabotage_variants in
   let dp =
     D.create engine ~config:Config.default ~fabric ~mac:1 ~ip:0x0A000001
-      ~sabotage:sb ()
+      ~defect:Flextoe.Defect.No_lock ()
   in
   ignore dp
 
@@ -522,8 +486,6 @@ let suite =
       test_builtin_graph_clean;
     Alcotest.test_case "graph: builtin DOT export" `Quick
       test_builtin_graph_dot;
-    Alcotest.test_case "graph: sabotage classification" `Quick
-      test_sabotage_classification;
     Alcotest.test_case "graph: sabotaged node still constructs" `Quick
       test_healthy_create_unaffected;
     Alcotest.test_case "graph: credit-cycle deadlock" `Quick

@@ -7,6 +7,7 @@
 module E = Flextoe.Effects
 module San = Flextoe.San
 module D = Flextoe.Datapath
+module Defect = Flextoe.Defect
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -101,10 +102,9 @@ let test_static_serialization_admits () =
 let test_bad_contract_fails_fast () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
-  let sab = List.assoc "bad_contract" D.sabotage_variants in
   match
-    Flextoe.create_node engine ~fabric ~config:san_config ~sabotage:sab
-      ~ip:ip_a ()
+    Flextoe.create_node engine ~fabric ~config:san_config
+      ~defect:Defect.Bad_contract ~ip:ip_a ()
   with
   | _ -> Alcotest.fail "bad contract accepted at create"
   | exception E.Contract_violation cs ->
@@ -258,11 +258,11 @@ let test_conformance_breach () =
 
 (* --- Healthy pipeline: zero reports --------------------------------- *)
 
-let echo_pair ?(config = san_config) ?sabotage ~conns ~pipeline ~ms () =
+let echo_pair ?(config = san_config) ?defect ~conns ~pipeline ~ms () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
-  let a = Flextoe.create_node engine ~fabric ~config ?sabotage ~ip:ip_a () in
-  let b = Flextoe.create_node engine ~fabric ~config ?sabotage ~ip:ip_b () in
+  let a = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_b () in
   let stats = Host.Rpc.Stats.create engine in
   Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
     ~handler:Host.Rpc.echo_handler ();
@@ -324,16 +324,16 @@ let test_san_off_by_default () =
 
 (* --- Seeded-race corpus --------------------------------------------- *)
 
-(* Objects a variant's diagnostics must mention, so reports point at
+(* Objects a defect's diagnostics must mention, so reports point at
    the defect and not just "something raced". *)
 let expected_objs = function
-  | "no_lock" | "early_release" -> [ E.Conn_proto; E.Reasm ]
-  | "notify_before_payload" | "skip_notify_dma" -> [ E.Rx_payload ]
-  | "postproc_writes_conn" | "preproc_reads_proto" -> [ E.Conn_proto ]
+  | Defect.No_lock | Early_release -> [ E.Conn_proto; E.Reasm ]
+  | Notify_before_payload | Skip_notify_dma -> [ E.Rx_payload ]
+  | Postproc_writes_conn | Preproc_reads_proto -> [ E.Conn_proto ]
   (* The steering self-check surfaces a mis-steer as an access from
      the undeclared "shard-steer" pseudo-stage on the conn partition. *)
-  | "mis_steer" -> [ E.Conn_proto ]
-  | v -> Alcotest.failf "unknown variant %s" v
+  | Mis_steer -> [ E.Conn_proto ]
+  | Bad_contract -> Alcotest.fail "bad_contract never builds"
 
 let report_objs r =
   match r with
@@ -342,14 +342,14 @@ let report_objs r =
       [ at_first.San.a_obj; at_intruder.San.a_obj ]
   | San.Contract_breach a -> [ a.San.a_obj ]
 
-let test_variant name () =
-  let sabotage = List.assoc name D.sabotage_variants in
+let test_variant defect () =
+  let name = Defect.name defect in
   (* Deep pipelining on a single connection keeps several segments of
      one flow in flight at once — the overlap the lock variants need
      before their defect is observable. mis_steer instead mis-indexes
      odd connection indices, so it needs more than one connection. *)
-  let conns = if name = "mis_steer" then 4 else 1 in
-  let stats, a, b = echo_pair ~sabotage ~conns ~pipeline:8 ~ms:20 () in
+  let conns = match defect with Defect.Mis_steer -> 4 | _ -> 1 in
+  let stats, a, b = echo_pair ~defect ~conns ~pipeline:8 ~ms:20 () in
   check_bool "workload ran" true (Host.Rpc.Stats.ops stats > 50);
   let reports = all_reports [ a; b ] in
   check_bool
@@ -361,24 +361,23 @@ let test_variant name () =
   check_bool
     (Printf.sprintf "%s diagnostics name the defect's region" name)
     true
-    (List.exists (fun o -> List.mem o objs) (expected_objs name))
+    (List.exists (fun o -> List.mem o objs) (expected_objs defect))
 
-(* The sabotaged pipelines must still be functionally correct (the
+(* The defects that build, and so are FlexSan's to catch at runtime. *)
+let dynamic_variants =
+  List.filter (fun d -> not (Defect.rejected_at_create d)) Defect.all
+
+(* The seeded pipelines must still be functionally correct (the
    defects are latent races, invisible to the single-threaded
    simulator) — otherwise the corpus would be testing breakage, not
    detection. *)
 let test_variants_behavior_preserved () =
   List.iter
-    (fun (name, sabotage) ->
-      if name <> "bad_contract" then begin
-        let stats, _, _ = echo_pair ~sabotage ~conns:1 ~pipeline:4 ~ms:10 () in
-        check_bool (name ^ " still serves traffic") true
-          (Host.Rpc.Stats.ops stats > 50)
-      end)
-    D.sabotage_variants
-
-let dynamic_variants =
-  List.filter (fun (n, _) -> n <> "bad_contract") D.sabotage_variants
+    (fun defect ->
+      let stats, _, _ = echo_pair ~defect ~conns:1 ~pipeline:4 ~ms:10 () in
+      check_bool (Defect.name defect ^ " still serves traffic") true
+        (Host.Rpc.Stats.ops stats > 50))
+    dynamic_variants
 
 let suite =
   [
@@ -418,6 +417,6 @@ let suite =
       test_variants_behavior_preserved;
   ]
   @ List.map
-      (fun (name, _) ->
-        Alcotest.test_case ("corpus: " ^ name) `Quick (test_variant name))
+      (fun d ->
+        Alcotest.test_case ("corpus: " ^ Defect.name d) `Quick (test_variant d))
       dynamic_variants
