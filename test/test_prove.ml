@@ -1,9 +1,10 @@
 (* FlexProve tests: the Effects negative corpus (diagnostics must name
    the right stage and region, and the atomic/partitioned escapes must
    hold), the four graph passes on the real extracted pipeline and on
-   synthetic counterexample graphs, a seeded defect that still
-   constructs, and the teardown-FSM model check with its seeded
-   mutations. *)
+   synthetic counterexample graphs, sabotage classification (every
+   catalogue defect's FlexProve verdict matches its owner), a seeded
+   defect that still constructs, and the teardown-FSM model check with
+   its seeded mutations. *)
 
 module E = Flextoe.Effects
 module G = Flextoe.Graph_ir
@@ -11,6 +12,7 @@ module P = Flextoe.Prove
 module C = Flextoe.Conn_state
 module D = Flextoe.Datapath
 module Config = Flextoe.Config
+module Defect = Flextoe.Defect
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -154,6 +156,32 @@ let test_builtin_graph_dot () =
       check_bool ("dot mentions " ^ needle) true (contains dot needle))
     [ "digraph"; "protocol"; "pcie-dma"; "nbi-pool"; "rx-gro" ]
 
+(* --- Sabotage classification ----------------------------------------- *)
+
+(* The FlexProve column of the corpus: over the as-built graph, every
+   defect the catalogue says FlexProve owns is caught and every one it
+   calls dynamic-only is not (a defect both caught and tagged would mean
+   the rationale is stale), and at least five are caught statically. *)
+let test_sabotage_classification () =
+  let graph_caught defect =
+    match P.check_graph (D.builtin_graph ~defect ~config:Config.default ()) with
+    | Error _ -> true
+    | Ok _ -> false
+  in
+  List.iter
+    (fun d ->
+      check_bool
+        (Defect.name d ^ ": FlexProve verdict matches the catalogue")
+        (Defect.dynamic_only Defect.Flexprove d = None)
+        (graph_caught d))
+    Defect.all;
+  let caught = List.filter graph_caught Defect.all in
+  check_bool
+    (Printf.sprintf "at least 5 of %d defects caught statically (got %d)"
+       (List.length Defect.all) (List.length caught))
+    true
+    (List.length caught >= 5)
+
 let test_healthy_create_unaffected () =
   (* The create-time layer-0 check runs on the declared graph; a
      node seeded with a defect must still construct (FlexSan owns the
@@ -163,7 +191,7 @@ let test_healthy_create_unaffected () =
   let fabric = Netsim.Fabric.create engine () in
   let dp =
     D.create engine ~config:Config.default ~fabric ~mac:1 ~ip:0x0A000001
-      ~defect:Flextoe.Defect.No_lock ()
+      ~defect:Defect.No_lock ()
   in
   ignore dp
 
@@ -486,6 +514,8 @@ let suite =
       test_builtin_graph_clean;
     Alcotest.test_case "graph: builtin DOT export" `Quick
       test_builtin_graph_dot;
+    Alcotest.test_case "graph: sabotage classification" `Quick
+      test_sabotage_classification;
     Alcotest.test_case "graph: sabotaged node still constructs" `Quick
       test_healthy_create_unaffected;
     Alcotest.test_case "graph: credit-cycle deadlock" `Quick
