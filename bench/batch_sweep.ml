@@ -9,10 +9,11 @@
    - batch=8 must beat batch=1 — coalescing has to actually pay.
 
    [run] prints the sweep table (harness mode); [gate] additionally
-   writes BENCH_pr5.json and exits non-zero on a regression (CI
-   mode, via bench/bench_gate.exe). *)
+   writes the BENCH_pr5.json record and checks it (CI mode, via
+   bench/bench_gate.exe). *)
 
 open Common
+module R = Bench_record
 
 let degrees = [ 1; 2; 4; 8 ]
 
@@ -101,33 +102,6 @@ let par_sweep ~domains =
     wall,
     Cl.workers_used cl )
 
-let write_par_json path ~cores ~workers ~wall1 ~walln ~speedup ~threshold
-    ~deterministic ~measured results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"par_speedup_pr9\",\n";
-      output_string oc
-        "  \"workload\": \"4 kv batch-degree worlds as cluster LPs, seed \
-         42\",\n";
-      Printf.fprintf oc "  \"cores\": %d,\n" cores;
-      Printf.fprintf oc "  \"workers\": %d,\n" workers;
-      Printf.fprintf oc
-        "  \"wall_s\": { \"domains_1\": %.3f, \"domains_8\": %.3f },\n" wall1
-        walln;
-      Printf.fprintf oc "  \"speedup\": %.3f,\n" speedup;
-      Printf.fprintf oc "  \"speedup_measured\": %b,\n" measured;
-      Printf.fprintf oc "  \"threshold\": %.3f,\n" threshold;
-      Printf.fprintf oc "  \"deterministic\": %b,\n" deterministic;
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i (b, v) ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" b v
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  }\n}\n")
-
 let par_results () =
   let r1, wall1, _ = par_sweep ~domains:1 in
   let rn, walln, workers = par_sweep ~domains:8 in
@@ -167,99 +141,41 @@ let run_par () =
   note "each LP is an isolated seeded world: results are bit-identical";
   note "across domain counts; only wall-clock changes."
 
-let par_gate ~baseline:_ ~out () =
+let par_gate ~baseline ~out () =
   header "FlexPar speedup gate";
   let results, wall1, walln, workers, cores, deterministic, speedup, threshold
       =
     par_results ()
   in
   print_par ~cores ~workers ~wall1 ~walln ~speedup ~threshold results;
-  (* With one worker both runs are the same sequential loop: their
-     ratio is noise and cache warmth, not a parallel speedup. *)
-  let measured = workers > 1 in
-  write_par_json out ~cores ~workers ~wall1 ~walln ~speedup ~threshold
-    ~deterministic ~measured results;
-  Printf.printf "wrote %s\n" out;
-  let ok = ref true in
-  if deterministic then
-    Printf.printf "OK   determinism          mOps bit-identical at domains=1 and 8\n"
-  else begin
-    Printf.printf "FAIL determinism          mOps differ across domain counts\n";
-    ok := false
-  end;
-  if not measured then
-    Printf.printf "SKIP speedup not measured (1 worker)\n"
-  else if speedup >= threshold then
-    Printf.printf "OK   speedup              %.2fx >= %.2fx\n" speedup threshold
-  else begin
-    Printf.printf "FAIL speedup              %.2fx < %.2fx\n" speedup threshold;
-    ok := false
-  end;
-  !ok
-
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path results =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"batch_sweep_pr5\",\n";
-      output_string oc "  \"workload\": \"kv 32x32, 2 clients, seed 42\",\n";
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i (b, v) ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" b v
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  }\n}\n")
-
-let read_baseline path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          match
-            Option.bind (Sim.Json.member "mops" j) (fun m ->
-                Option.bind (Sim.Json.member "1" m) Sim.Json.to_float_opt)
-          with
-          | Some v -> Ok v
-          | None -> Error "missing mops.1"))
+  R.gate ~baseline ~out
+    (R.make ~experiment:"par_speedup_pr9"
+       ~workload:"4 kv batch-degree worlds as cluster LPs, seed 42" ~workers
+       (R.series "mops" fst snd results
+       @ [
+           ("wall_s.domains_1", wall1);
+           ("wall_s.domains_8", walln);
+           ("speedup", speedup);
+           ("threshold", threshold);
+           ("deterministic", if deterministic then 1. else 0.);
+         ]))
+    [
+      R.check "determinism" (Cur "deterministic") Eq (Num 1.);
+      (* With one worker both runs are the same sequential loop: their
+         ratio is noise and cache warmth, not a parallel speedup. *)
+      (if workers > 1 then
+         R.check "speedup" (Cur "speedup") (Ge 1.) (Cur "threshold")
+       else R.skip "speedup" "not measured (1 worker)");
+    ]
 
 let gate ~baseline ~out () =
   let results = sweep () in
   print_table results;
-  write_json out results;
-  Printf.printf "wrote %s\n" out;
-  let b1 = List.assoc 1 results and b8 = List.assoc 8 results in
-  let ok = ref true in
-  (match read_baseline baseline with
-  | Error e ->
-      Printf.printf "FAIL baseline             %s: %s\n" baseline e;
-      ok := false
-  | Ok base1 ->
-      if b1 < 0.95 *. base1 then begin
-        Printf.printf
-          "FAIL batch=1              %.2f mOps < 95%% of baseline %.2f\n" b1
-          base1;
-        ok := false
-      end
-      else
-        Printf.printf "OK   batch=1              %.2f mOps (baseline %.2f)\n"
-          b1 base1);
-  if b8 <= b1 then begin
-    Printf.printf "FAIL batch=8              %.2f mOps <= batch=1 %.2f\n" b8
-      b1;
-    ok := false
-  end
-  else
-    Printf.printf "OK   batch=8              %.2f mOps = %.2fx batch=1\n" b8
-      (b8 /. b1);
-  !ok
+  R.gate ~baseline ~out
+    (R.make ~experiment:"batch_sweep_pr5"
+       ~workload:"kv 32x32, 2 clients, seed 42" ~workers:1
+       (R.series "mops" fst snd results))
+    [
+      R.check "batch=1" (Cur "mops.1") (Ge 0.95) (Base "mops.1");
+      R.check "batch=8" (Cur "mops.8") Gt (Cur "mops.1");
+    ]

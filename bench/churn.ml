@@ -9,8 +9,8 @@
    established-flow segments shed.
 
    [run] prints the sweep table (harness mode); [gate] additionally
-   writes BENCH_pr6.json and exits non-zero on a regression (CI mode,
-   via bench/bench_gate.exe):
+   writes the BENCH_pr6.json record and checks it (CI mode, via
+   bench/bench_gate.exe):
 
    - flood-free goodput within 5% of the checked-in baseline
      (bench/BENCH_baseline_pr6.json);
@@ -19,6 +19,7 @@
    - per-stage peak queue depths bounded (cp peak <= g_cp_queue). *)
 
 open Common
+module R = Bench_record
 
 let kv_port = 11211
 let base_rate_pps = 50_000
@@ -139,105 +140,33 @@ let run () =
   note "the attacker is open-loop: cookies cost no backlog state;";
   note "shed policy drops newest SYNs first, never established-flow segments."
 
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path results =
-  let base = (List.hd results).c_mops in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"churn_sweep_pr6\",\n";
-      output_string oc
-        "  \"workload\": \"kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, \
-         seed 42\",\n";
-      output_string oc "  \"retention_floor\": 0.80,\n";
-      output_string oc "  \"mops\": {\n";
-      List.iteri
-        (fun i o ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" o.c_mult o.c_mops
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  },\n  \"retention\": {\n";
-      List.iteri
-        (fun i o ->
-          Printf.fprintf oc "    \"%d\": %.4f%s\n" o.c_mult (o.c_mops /. base)
-            (if i = List.length results - 1 then "" else ","))
-        results;
-      output_string oc "  },\n  \"established_shed\": ";
-      Printf.fprintf oc "%d\n}\n"
-        (List.fold_left (fun a o -> a + o.c_est_shed) 0 results))
-
-let read_baseline path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          let f path' =
-            List.fold_left
-              (fun acc k -> Option.bind acc (Sim.Json.member k))
-              (Some j) path'
-            |> Fun.flip Option.bind Sim.Json.to_float_opt
-          in
-          match (f [ "mops"; "0" ], f [ "retention_floor" ]) with
-          | Some m0, Some floor -> Ok (m0, floor)
-          | _ -> Error "missing mops.0 or retention_floor"))
-
 let gate ~baseline ~out () =
   let results = sweep () in
   let base = print_table results in
-  write_json out results;
-  Printf.printf "wrote %s\n" out;
-  let at m = List.find (fun o -> o.c_mult = m) results in
-  let retention10 = (at 10).c_mops /. base in
-  let ok = ref true in
-  (match read_baseline baseline with
-  | Error e ->
-      Printf.printf "FAIL baseline             %s: %s\n" baseline e;
-      ok := false
-  | Ok (base0, floor) ->
-      if base < 0.95 *. base0 then begin
-        Printf.printf
-          "FAIL flood-free           %.2f mOps < 95%% of baseline %.2f\n" base
-          base0;
-        ok := false
-      end
-      else
-        Printf.printf "OK   flood-free           %.2f mOps (baseline %.2f)\n"
-          base base0;
-      if retention10 < floor then begin
-        Printf.printf "FAIL retention@10x        %.0f%% < floor %.0f%%\n"
-          (100. *. retention10) (100. *. floor);
-        ok := false
-      end
-      else
-        Printf.printf "OK   retention@10x        %.0f%% (floor %.0f%%)\n"
-          (100. *. retention10) (100. *. floor));
+  let per name f = R.series name (fun o -> o.c_mult) f results in
   let est_shed = List.fold_left (fun a o -> a + o.c_est_shed) 0 results in
-  if est_shed > 0 then begin
-    Printf.printf "FAIL established-shed     %d segments (must be 0)\n"
-      est_shed;
-    ok := false
-  end
-  else Printf.printf "OK   established-shed     0 segments at every multiplier\n";
-  let unbounded =
-    List.filter (fun o -> o.c_cp_bound > 0 && o.c_cp_peak > o.c_cp_bound)
-      results
-  in
-  if unbounded <> [] then begin
-    List.iter
-      (fun o ->
-        Printf.printf "FAIL cp-queue bound       x%d peak %d > bound %d\n"
-          o.c_mult o.c_cp_peak o.c_cp_bound)
-      unbounded;
-    ok := false
-  end
-  else Printf.printf "OK   cp-queue bound       peaks within g_cp_queue\n";
-  !ok
+  R.gate ~baseline ~out
+    (R.make ~experiment:"churn_sweep_pr6"
+       ~workload:"kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, seed 42"
+       ~workers:1
+       (* The floor is the baseline's: a baseline re-pinned from this
+          record keeps it. *)
+       ((("retention_floor", 0.80) :: per "mops" (fun o -> o.c_mops))
+       @ per "retention" (fun o -> o.c_mops /. base)
+       @ [ ("established_shed", float_of_int est_shed) ]
+       @ per "cp_peak" (fun o -> float_of_int o.c_cp_peak)
+       @ per "cp_bound" (fun o -> float_of_int o.c_cp_bound)))
+    ([
+       R.check "flood-free" (Cur "mops.0") (Ge 0.95) (Base "mops.0");
+       R.check "retention@10x" (Cur "retention.10") (Ge 1.)
+         (Base "retention_floor");
+       R.check "established-shed" (Cur "established_shed") Le (Num 0.);
+     ]
+    @ List.map
+        (fun o ->
+          let name = Printf.sprintf "cp-queue bound x%d" o.c_mult in
+          let key k = Printf.sprintf "%s.%d" k o.c_mult in
+          if o.c_cp_bound > 0 then
+            R.check name (Cur (key "cp_peak")) Le (Cur (key "cp_bound"))
+          else R.skip name "no g_cp_queue bound")
+        results)

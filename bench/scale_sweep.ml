@@ -31,6 +31,7 @@
 
 open Common
 module F = Flextoe
+module R = Bench_record
 module Cl = Sim.Engine.Cluster
 
 let shards = 4
@@ -207,7 +208,7 @@ let sweep () =
       points
   in
   Cl.run ~until:(horizon points) cl;
-  pts
+  (pts, Cl.workers_used cl)
 
 let print_table pts =
   columns (List.map (fun pt -> string_of_int pt.pt_flows) pts);
@@ -239,7 +240,7 @@ let run () =
   header
     (Printf.sprintf
        "FlexScale sweep: open-loop mOps vs #connections (shards=%d)" shards);
-  let pts = sweep () in
+  let pts, _ = sweep () in
   print_table pts;
   let first = List.hd pts and last = List.nth pts (List.length pts - 1) in
   log_result ~experiment:"scale"
@@ -252,101 +253,45 @@ let run () =
     shards;
   note "%d-flow EMEM working set pay the DRAM penalty." emem_capacity_flows
 
-(* --- JSON in/out ----------------------------------------------------- *)
-
-let write_json path pts =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "{\n  \"experiment\": \"scale_sweep_pr10\",\n";
-      Printf.fprintf oc
-        "  \"workload\": \"open-loop %d x %d B segments round-robin, \
-         shards %d, seed 42\",\n"
-        inject_total payload_bytes shards;
-      Printf.fprintf oc "  \"shards\": %d,\n" shards;
-      let section name f last_sep =
-        Printf.fprintf oc "  \"%s\": {\n" name;
-        List.iteri
-          (fun i pt ->
-            Printf.fprintf oc "    \"%d\": %s%s\n" pt.pt_flows (f pt)
-              (if i = List.length pts - 1 then "" else ","))
-          pts;
-        Printf.fprintf oc "  }%s\n" last_sep
-      in
-      section "mops" (fun pt -> Printf.sprintf "%.4f" (point_mops pt)) ",";
-      section "bytes_per_flow"
-        (fun pt ->
-          string_of_int (F.Datapath.emem_bytes_per_flow pt.pt_dp))
-        ",";
-      section "completed" (fun pt -> string_of_int pt.pt_done) "";
-      output_string oc "}\n")
-
-let read_baseline path ~flows =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | s -> (
-      match Sim.Json.of_string s with
-      | Error e -> Error e
-      | Ok j -> (
-          match
-            Option.bind (Sim.Json.member "mops" j) (fun m ->
-                Option.bind
-                  (Sim.Json.member (string_of_int flows) m)
-                  Sim.Json.to_float_opt)
-          with
-          | Some v -> Ok v
-          | None ->
-              Error (Printf.sprintf "missing mops.%d" flows)))
-
 let gate ~baseline ~out () =
   header
     (Printf.sprintf "FlexScale gate: open-loop sweep (shards=%d)" shards);
-  let pts = sweep () in
+  let pts, workers = sweep () in
   print_table pts;
-  write_json out pts;
-  Printf.printf "wrote %s\n" out;
-  let ok = ref true in
-  let pass fmt = Printf.printf ("OK   " ^^ fmt ^^ "\n") in
-  let fail fmt =
-    ok := false;
-    Printf.printf ("FAIL " ^^ fmt ^^ "\n")
-  in
-  List.iter
-    (fun pt ->
-      if pt.pt_done < inject_total then
-        fail "completion %8d     %d/%d segments within horizon" pt.pt_flows
-          pt.pt_done inject_total;
-      let bpf = F.Datapath.emem_bytes_per_flow pt.pt_dp in
-      if bpf <= 0 || bpf > 128 then
-        fail "bytes/flow %8d     %d B outside (0, 128]" pt.pt_flows bpf;
-      let cross = F.Datapath.cross_shard_accesses pt.pt_dp in
-      if cross > 0 then
-        fail "isolation %8d      %d cross-shard conn-state accesses"
-          pt.pt_flows cross)
-    pts;
-  if !ok then
-    pass "per-point              all points complete; <=128 B/flow; no \
-          cross-shard access";
+  let per name f = R.series name (fun pt -> pt.pt_flows) f pts in
+  let key k pt = Printf.sprintf "%s.%d" k pt.pt_flows in
   let first = List.hd pts and last = List.nth pts (List.length pts - 1) in
-  let m0 = point_mops first and mn = point_mops last in
-  if mn >= 0.9 *. m0 then
-    pass "steady-state           %.2f mOps at %d conns >= 90%% of %.2f at %d"
-      mn last.pt_flows m0 first.pt_flows
-  else
-    fail "steady-state           %.2f mOps at %d conns < 90%% of %.2f at %d"
-      mn last.pt_flows m0 first.pt_flows;
-  (match read_baseline baseline ~flows:first.pt_flows with
-  | Error e -> fail "baseline               %s: %s" baseline e
-  | Ok base ->
-      if m0 >= 0.95 *. base then
-        pass "baseline               %.2f mOps (baseline %.2f)" m0 base
-      else
-        fail "baseline               %.2f mOps < 95%% of baseline %.2f" m0
-          base);
-  !ok
+  R.gate ~baseline ~out
+    (R.make ~experiment:"scale_sweep_pr10"
+       ~workload:
+         (Printf.sprintf
+            "open-loop %d x %d B segments round-robin, shards %d, seed 42"
+            inject_total payload_bytes shards)
+       ~workers
+       ((("shards", float_of_int shards) :: per "mops" point_mops)
+       @ per "bytes_per_flow" (fun pt ->
+             float_of_int (F.Datapath.emem_bytes_per_flow pt.pt_dp))
+       @ per "completed" (fun pt -> float_of_int pt.pt_done)
+       @ per "cross_shard" (fun pt ->
+             float_of_int (F.Datapath.cross_shard_accesses pt.pt_dp))
+       @ per "pinned_evictions" (fun pt ->
+             float_of_int (F.Datapath.pinned_evictions pt.pt_dp))))
+    (List.concat_map
+       (fun pt ->
+         let name what = Printf.sprintf "%s %d" what pt.pt_flows in
+         [
+           R.check (name "completion") (Cur (key "completed" pt)) (Ge 1.)
+             (Num (float_of_int inject_total));
+           R.check (name "bytes/flow") (Cur (key "bytes_per_flow" pt)) Gt
+             (Num 0.);
+           R.check (name "bytes/flow") (Cur (key "bytes_per_flow" pt)) Le
+             (Num 128.);
+           R.check (name "isolation") (Cur (key "cross_shard" pt)) Le (Num 0.);
+         ])
+       pts
+    @ [
+        R.check "steady-state" (Cur (key "mops" last)) (Ge 0.9)
+          (Cur (key "mops" first));
+        R.check "baseline" (Cur (key "mops" first)) (Ge 0.95)
+          (Base (key "mops" first));
+      ])

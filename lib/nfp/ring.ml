@@ -9,8 +9,6 @@ type 'a t = {
   q : 'a Queue.t;
   capacity : int option;
   mutable notify : (unit -> unit) option;
-  mutable notify_batch : int;  (* fire notify every Nth push (default 1) *)
-  mutable unnotified : int;  (* pushes since notify last fired *)
   mutable max_occ : int;
   mutable pushes : int;
   mutable drops : int;
@@ -23,8 +21,6 @@ let create ?capacity ~name () =
     q = Queue.create ();
     capacity;
     notify = None;
-    notify_batch = 1;
-    unnotified = 0;
     max_occ = 0;
     pushes = 0;
     drops = 0;
@@ -47,22 +43,8 @@ let push t v =
     t.pushes <- t.pushes + 1;
     if Queue.length t.q > t.max_occ then t.max_occ <- Queue.length t.q;
     (match t.tracer with Some tr -> tr.rg_push () | None -> ());
-    (* Notify coalescing: the consumer is woken every [notify_batch]th
-       push (1 = every push, the default). Producers holding a partial
-       batch are responsible for [flush_notify]-ing it — the ring has
-       no timers of its own. *)
-    t.unnotified <- t.unnotified + 1;
-    if t.unnotified >= t.notify_batch then begin
-      t.unnotified <- 0;
-      match t.notify with Some f -> f () | None -> ()
-    end;
+    (match t.notify with Some f -> f () | None -> ());
     true
-  end
-
-let flush_notify t =
-  if t.unnotified > 0 then begin
-    t.unnotified <- 0;
-    match t.notify with Some f -> f () | None -> ()
   end
 
 let pop t =
@@ -75,8 +57,6 @@ let is_empty t = Queue.is_empty t.q
 let length t = Queue.length t.q
 let capacity t = t.capacity
 let set_notify t f = t.notify <- Some f
-let set_notify_batch t n = t.notify_batch <- Int.max 1 n
-let pending_notify t = t.unnotified
 let max_occupancy t = t.max_occ
 let pushes t = t.pushes
 let drops t = t.drops

@@ -37,19 +37,6 @@ val set_notify : 'a t -> (unit -> unit) -> unit
 (** [set_notify t f]: [f] is called after every successful push;
     consumers use it to schedule themselves. *)
 
-val set_notify_batch : 'a t -> int -> unit
-(** Notify coalescing (§3.4): fire the notify callback on every [n]th
-    successful push instead of every one (clamped to [>= 1]; the
-    default 1 is bit-identical to per-push notification). A producer
-    holding a partial batch must {!flush_notify} it — the ring keeps
-    no timers. *)
-
-val flush_notify : 'a t -> unit
-(** Fire the notify callback now if any pushes have gone unnotified. *)
-
-val pending_notify : 'a t -> int
-(** Pushes since the notify callback last fired. *)
-
 val max_occupancy : 'a t -> int
 (** High-water mark, for queue-occupancy tracing. *)
 

@@ -63,6 +63,46 @@ let to_string v =
   to_buffer buf v;
   Buffer.contents buf
 
+(* The shortest of %.15g..%.17g that reads back to the same double.
+   [to_string] keeps plain %.17g: golden digests pin its bytes. *)
+let float_repr f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 15
+
+let to_string_pretty v =
+  let buf = Buffer.create 256 in
+  let rec go ind = function
+    | Float f when Float.is_finite f && not (Float.is_integer f) ->
+        Buffer.add_string buf (float_repr f)
+    | List (_ :: _ as xs) -> block ind '[' ']' (go (ind + 2)) xs
+    | Obj (_ :: _ as kvs) ->
+        block ind '{' '}'
+          (fun (k, v) ->
+            to_buffer buf (String k);
+            Buffer.add_string buf ": ";
+            go (ind + 2) v)
+          kvs
+    | v -> to_buffer buf v
+  and block : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun ind op cl item xs ->
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i x ->
+        Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+        Buffer.add_string buf (String.make (ind + 2) ' ');
+        item x)
+      xs;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make ind ' ');
+    Buffer.add_char buf cl
+  in
+  go 0 v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* --- Parsing ---------------------------------------------------------- *)
 
 exception Parse_error of string

@@ -18,6 +18,11 @@ type t =
 val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 
+val to_string_pretty : t -> string
+(** Indented, newline-terminated, for files people read and diff.
+    Non-integral floats print in the shortest form that parses back
+    to the same double. *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document (trailing garbage is an
     error; surrounding whitespace is fine). *)
