@@ -1152,7 +1152,9 @@ let infer_cmd =
               lints lib/tcp and lib/flextoe for structural comparisons on \
               Tcp.Seq32.t values (broken at the 2^32 wrap; annotate \
               deliberate uses '(* flexinfer: seq32-exempt *)') and stage \
-              bodies for blocking calls and per-segment allocation. \
+              bodies for blocking calls and per-segment allocation, \
+              and rejects any use of Stdlib.Queue under lib/ (use \
+              Sim.Fifo). \
               $(b,--classify) replays the sabotage corpus through the \
               analyzer: source-visible defects must be caught here, the \
               rest must be tagged dynamic-only.";

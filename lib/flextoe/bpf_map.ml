@@ -7,16 +7,16 @@ type t = {
   max_entries : int;
   arena : Bytes.t;  (* max_entries fixed-size value slots *)
   slots : (string, int) Hashtbl.t;  (* key -> slot index (hash maps) *)
-  free : int Queue.t;
+  free : int Sim.Fifo.t;
   mutable used : int;  (* array maps: all slots considered live *)
 }
 
 let create kind ~key_size ~value_size ~max_entries =
   if key_size <= 0 || value_size <= 0 || max_entries <= 0 then
     invalid_arg "Bpf_map.create: sizes must be positive";
-  let free = Queue.create () in
+  let free = Sim.Fifo.create () in
   for i = 0 to max_entries - 1 do
-    Queue.push i free
+    Sim.Fifo.push i free
   done;
   {
     kind;
@@ -79,9 +79,9 @@ let update t ~key ~value =
               Bytes.blit value 0 t.arena (slot * t.value_size) t.value_size;
               Ok ()
           | None ->
-              if Queue.is_empty t.free then Error "map full"
+              if Sim.Fifo.is_empty t.free then Error "map full"
               else begin
-                let slot = Queue.pop t.free in
+                let slot = Sim.Fifo.pop t.free in
                 Hashtbl.replace t.slots k slot;
                 Bytes.blit value 0 t.arena (slot * t.value_size)
                   t.value_size;
@@ -103,7 +103,7 @@ let delete t ~key =
       | Some slot ->
           Hashtbl.remove t.slots k;
           Bytes.fill t.arena (slot * t.value_size) t.value_size '\000';
-          Queue.push slot t.free;
+          Sim.Fifo.push slot t.free;
           true
       | None -> false
     end

@@ -47,7 +47,7 @@ type post_work =
   | Post_tx of Meta.tx_desc
   | Post_hc of int * Protocol.hc_result  (* conn *)
 
-type conn_lock = { mutable busy : bool; waiters : (unit -> unit) Queue.t }
+type conn_lock = { mutable busy : bool; waiters : (unit -> unit) Sim.Fifo.t }
 
 (* A GRO coalescing window (§3.4, [Config.batch.b_gro] > 1 only): the
    adjacent in-sequence data segments of one flow accumulated since
@@ -333,7 +333,7 @@ let conn_lock t idx =
   | None ->
       (* Lazy once-per-connection lock init, amortized over the flow's
          lifetime — not a per-segment allocation. flexinfer: alloc-exempt *)
-      let l = { busy = false; waiters = Queue.create () } in
+      let l = { busy = false; waiters = Sim.Fifo.create () } in
       Nfp.Conn_table.replace t.locks idx l;
       l
 
@@ -353,7 +353,7 @@ let acquire t idx k =
             k ()
     in
     let l = conn_lock t idx in
-    if l.busy then Queue.push k l.waiters
+    if l.busy then Sim.Fifo.push k l.waiters
     else begin
       l.busy <- true;
       k ()
@@ -367,7 +367,7 @@ let release t idx =
     | Some s -> San.lock_release s ~flow:idx
     | None -> ());
     let l = conn_lock t idx in
-    match Queue.take_opt l.waiters with
+    match Sim.Fifo.take_opt l.waiters with
     | Some k -> k ()
     | None -> l.busy <- false
   end

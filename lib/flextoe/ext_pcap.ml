@@ -37,13 +37,13 @@ type t = {
   snaplen : int;
   limit : int;
   filter : filter;
-  records : record Queue.t;
+  records : record Sim.Fifo.t;
   mutable seen : int;
   mutable captured : int;
 }
 
 let create engine ?(snaplen = 96) ?(limit = 65536) ?(filter = All) () =
-  { engine; snaplen; limit; filter; records = Queue.create ();
+  { engine; snaplen; limit; filter; records = Sim.Fifo.create ();
     seen = 0; captured = 0 }
 
 let tap t (_dir : Datapath.direction) frame =
@@ -55,8 +55,8 @@ let tap t (_dir : Datapath.direction) frame =
     let data =
       if orig_len > t.snaplen then Bytes.sub bytes 0 t.snaplen else bytes
     in
-    Queue.push { ts = Sim.Engine.now t.engine; orig_len; data } t.records;
-    if Queue.length t.records > t.limit then ignore (Queue.pop t.records)
+    Sim.Fifo.push { ts = Sim.Engine.now t.engine; orig_len; data } t.records;
+    if Sim.Fifo.length t.records > t.limit then ignore (Sim.Fifo.pop t.records)
   end
 
 let attach t dp = Datapath.set_capture dp (Some (tap t))
@@ -76,7 +76,7 @@ let put_u16_le b off v =
 
 let to_pcap t =
   let total =
-    Queue.fold (fun n r -> n + 16 + Bytes.length r.data) 24 t.records
+    Sim.Fifo.fold (fun n r -> n + 16 + Bytes.length r.data) 24 t.records
   in
   let out = Bytes.make total '\000' in
   (* Global header. *)
@@ -86,7 +86,7 @@ let to_pcap t =
   put_u32_le out 16 t.snaplen;
   put_u32_le out 20 1;  (* LINKTYPE_ETHERNET *)
   let off = ref 24 in
-  Queue.iter
+  Sim.Fifo.iter
     (fun r ->
       let usec_total = int_of_float (Sim.Time.to_us r.ts) in
       put_u32_le out !off (usec_total / 1_000_000);

@@ -346,7 +346,7 @@ let blocking_bare =
 
 let alloc_calls =
   [
-    ("Hashtbl", "create"); ("Queue", "create"); ("Buffer", "create");
+    ("Hashtbl", "create"); ("Fifo", "create"); ("Buffer", "create");
     ("Stack", "create"); ("Array", "make"); ("Array", "init");
     ("Bytes", "make"); ("Bytes", "create");
   ]
@@ -1408,6 +1408,16 @@ and swalk_apply ctx env head args loc =
       ignore (swalk ctx env head);
       None
 
+let parse_error path msg =
+  {
+    f_rule = "parse-error";
+    f_severity = Sev_error;
+    f_stage = None;
+    f_file = path;
+    f_line = 1;
+    f_msg = msg;
+  }
+
 (* Lint a set of implementation files, seeding types from
    [seed_paths] (defaults to the linted files plus their [.mli]s).
    Returns the Seq32 findings, the exempted Seq32 sites and the
@@ -1428,19 +1438,7 @@ let lint_files ?seed_paths ~files () =
     List.map
       (fun path ->
         match parse_impl path with
-        | Error e ->
-            ( [
-                {
-                  f_rule = "parse-error";
-                  f_severity = Sev_error;
-                  f_stage = None;
-                  f_file = path;
-                  f_line = 1;
-                  f_msg = e;
-                };
-              ],
-              0,
-              [] )
+        | Error e -> ([ parse_error path e ], 0, [])
         | Ok str ->
             let ctx =
               {
@@ -1478,6 +1476,86 @@ let lint_seq32 ?seed_paths ~files () =
 let lint_poly_compare ~files () =
   let _, _, poly = lint_files ~files () in
   poly
+
+(* --- stdlib-queue ---------------------------------------------------- *)
+
+(* Whether [lid] names [Stdlib.Queue] or something in it. A bare
+   [Queue] is a module only where a module is expected: elsewhere it is
+   a constructor (the graph IR's edge kind). *)
+let is_stdlib_queue ~is_module lid =
+  match lid_parts lid with
+  | "Stdlib" :: "Queue" :: rest | "Queue" :: rest -> is_module || rest <> []
+  | _ -> false
+
+(* Every use of [Stdlib.Queue], at error severity and with no exemption
+   marker: a long-lived [Queue] promotes every value pushed through it
+   (DESIGN.md §18), and [Sim.Fifo] is its drop-in replacement. *)
+let lint_stdlib_queue ~files () =
+  List.concat_map
+    (fun path ->
+      let findings = ref [] in
+      let check ~is_module (lid : Longident.t Location.loc) =
+        if is_stdlib_queue ~is_module lid.txt then
+          findings :=
+            {
+              f_rule = "stdlib-queue";
+              f_severity = Sev_error;
+              f_stage = None;
+              f_file = path;
+              f_line = line_of lid.loc;
+              f_msg =
+                Printf.sprintf
+                  "'%s' is Stdlib.Queue, whose popped cells stay linked: \
+                   a long-lived queue promotes every value pushed \
+                   through it; use Sim.Fifo"
+                  (String.concat "." (lid_parts lid.txt));
+            }
+            :: !findings
+      in
+      let default = Ast_iterator.default_iterator in
+      let it =
+        {
+          default with
+          expr =
+            (fun it e ->
+              (match e.pexp_desc with
+              | Pexp_ident lid | Pexp_construct (lid, _) ->
+                  check ~is_module:false lid
+              | _ -> ());
+              default.expr it e);
+          pat =
+            (fun it p ->
+              (match p.ppat_desc with
+              | Ppat_construct (lid, _) -> check ~is_module:false lid
+              | _ -> ());
+              default.pat it p);
+          typ =
+            (fun it t ->
+              (match t.ptyp_desc with
+              | Ptyp_constr (lid, _) -> check ~is_module:false lid
+              | _ -> ());
+              default.typ it t);
+          module_expr =
+            (fun it m ->
+              (match m.pmod_desc with
+              | Pmod_ident lid -> check ~is_module:true lid
+              | _ -> ());
+              default.module_expr it m);
+          open_description =
+            (fun it o ->
+              check ~is_module:true o.popen_expr;
+              default.open_description it o);
+        }
+      in
+      let parsed =
+        if Filename.check_suffix path ".mli" then
+          Result.map (it.signature it) (parse_intf path)
+        else Result.map (it.structure it) (parse_impl path)
+      in
+      match parsed with
+      | Ok () -> List.rev !findings
+      | Error e -> [ parse_error path e ])
+    files
 
 (* ==================================================================== *)
 (* Repository-level drivers                                             *)
@@ -1520,9 +1598,20 @@ let seed_paths_in dir =
              else None)
            (Array.to_list entries))
 
+(* Every directory under lib/, sorted. *)
+let lib_dirs root =
+  let lib = Filename.concat root "lib" in
+  match Sys.readdir lib with
+  | exception Sys_error _ -> []
+  | entries ->
+      List.sort String.compare
+        (List.filter Sys.is_directory
+           (List.map (Filename.concat lib) (Array.to_list entries)))
+
 (* The full FlexInfer run over a repository checkout: footprint
-   inference + contract diff over the datapath, Seq32 lint over
-   lib/tcp and lib/flextoe. *)
+   inference + contract diff over the datapath, the Seq32 and
+   poly-compare lints over lib/tcp and lib/flextoe, and the
+   stdlib-queue lint over every directory under lib/. *)
 type report = {
   rp_footprints : footprint list;
   rp_findings : finding list;
@@ -1570,12 +1659,15 @@ let analyze_repo ?defect ~declared ~root () =
           ~seed_paths:(List.concat_map seed_paths_in lint_dirs)
           ~files ()
       in
+      let lib_files = List.concat_map seed_paths_in (lib_dirs root) in
       Ok
         {
           rp_footprints = footprints;
-          rp_findings = hygiene @ diff @ seq_findings @ poly_findings;
+          rp_findings =
+            hygiene @ diff @ seq_findings @ poly_findings
+            @ lint_stdlib_queue ~files:lib_files ();
           rp_seq32_exempted = exempted;
-          rp_files_linted = List.length files;
+          rp_files_linted = List.length lib_files;
         }
 
 (* --- JSON ------------------------------------------------------------ *)

@@ -5,7 +5,7 @@
     {!Effects.contract}s, and nothing — until this module — checked
     that the declarations describe what the stage code actually does.
     FlexInfer parses the real sources with compiler-libs and runs
-    three analyses:
+    four analyses:
 
     + {b Footprint inference} over the stage entry functions in
       [datapath.ml]: a syntactic access-path walk recognizing both
@@ -30,6 +30,9 @@
       [(* flexinfer: alloc-exempt *)]; and, file-wide, a bare
       polymorphic [max]/[min]/[compare] warns unless annotated
       [(* flexinfer: poly-compare-exempt *)].
+    + {b No [Stdlib.Queue]} anywhere under [lib/]: its popped cells
+      stay linked, so a long-lived queue promotes every value pushed
+      through it. [Sim.Fifo] replaces it; there is no exemption.
 
     The analysis is deliberately syntactic (DESIGN.md §15 lists the
     soundness caveats); it is a tripwire for contract rot, with
@@ -45,8 +48,8 @@ type finding = {
   f_rule : string;
       (** [undeclared-write], [undeclared-read], [contract-drift],
           [seq32-structural-compare], [stage-blocking-call],
-          [stage-alloc], [missing-entry], [unknown-stage],
-          [parse-error]. *)
+          [stage-alloc], [poly-compare], [stdlib-queue],
+          [missing-entry], [unknown-stage], [parse-error]. *)
   f_severity : severity;
   f_stage : string option;
   f_file : string;
@@ -128,13 +131,21 @@ val lint_poly_compare : files:string list -> unit -> finding list
     on the same or the preceding line exempts a site. {!analyze_repo}
     runs it over [lib/tcp] and [lib/flextoe]. *)
 
+val lint_stdlib_queue : files:string list -> unit -> finding list
+(** Flag every use of [Queue] or [Stdlib.Queue] in [files] ([.ml] or
+    [.mli]): a value, constructor or type in the module, or the module
+    itself (an alias, an [open]). Rule ["stdlib-queue"], an error with
+    no exemption marker. A bare [Queue] outside a module position is a
+    constructor and is not flagged. {!analyze_repo} runs it over every
+    directory under [lib/]. *)
+
 (** {1 Repository driver} *)
 
 type report = {
   rp_footprints : footprint list;
   rp_findings : finding list;
   rp_seq32_exempted : int;
-  rp_files_linted : int;
+  rp_files_linted : int;  (** Sources under [lib/] the lints read. *)
 }
 
 val find_root : ?start:string -> unit -> string option
@@ -158,7 +169,8 @@ val analyze_repo :
   (report, string) result
 (** The full FlexInfer run: footprint inference + contract diff over
     the datapath, Seq32 and poly-compare lints over [lib/tcp] and
-    [lib/flextoe]. *)
+    [lib/flextoe], and the stdlib-queue lint over every directory
+    under [lib/]. *)
 
 (** {1 JSON} *)
 

@@ -93,6 +93,14 @@ let process_ack cfg ~now conn (s : Meta.rx_summary) =
     end
   end
 
+(* The accepted bytes of a payload. A whole payload is shared, not
+   copied: nothing writes a frame's payload in place (XDP and eBPF see
+   [Wire.encode] copies, and fault injection copies before it
+   corrupts). *)
+let accepted payload ~trim ~len =
+  if trim = 0 && len = Bytes.length payload then payload
+  else Bytes.sub payload trim len
+
 let rx cfg ~now conn (s : Meta.rx_summary) ~alloc_gseq =
   let p = conn.proto in
   (* ECN: a CE mark on any arriving segment sets the echo state; CWR
@@ -117,7 +125,7 @@ let rx cfg ~now conn (s : Meta.rx_summary) ~alloc_gseq =
     with
     | Tcp.Reassembly.Accept { trim; len; advance = adv; filled_hole } ->
         let pos = rx_pos_of_seq conn (Tcp.Seq32.add s.Meta.seq trim) in
-        place := Some (pos, Bytes.sub s.Meta.payload trim len);
+        place := Some (pos, accepted s.Meta.payload ~trim ~len);
         p.rx_avail <- p.rx_avail - adv;
         advance := adv;
         need_ack := true;
@@ -129,7 +137,7 @@ let rx cfg ~now conn (s : Meta.rx_summary) ~alloc_gseq =
     | Tcp.Reassembly.Ooo_accept { trim; off; len } ->
         let pos = rx_next_pos conn + off in
         ignore trim;
-        place := Some (pos, Bytes.sub s.Meta.payload trim len);
+        place := Some (pos, accepted s.Meta.payload ~trim ~len);
         need_ack := true
     | Tcp.Reassembly.Duplicate | Tcp.Reassembly.Drop_merge_failed
     | Tcp.Reassembly.Drop_out_of_window ->

@@ -27,7 +27,7 @@ type t = {
   dispatch : conn:int -> unit;
   shard_of : conn:int -> int;
   flows : flow Nfp.Conn_table.t;  (* by connection index *)
-  rr : flow Queue.t array;
+  rr : flow Sim.Fifo.t array;
       (* uncongested + due flows, one queue per shard group; length 1
          (and byte-identical dispatch order to the single-queue
          scheduler) when unsharded *)
@@ -51,7 +51,7 @@ let create ?(shards = 1) ?(shard_of = fun ~conn:_ -> 0) engine ~slot ~slots
     dispatch;
     shard_of;
     flows = Nfp.Conn_table.create ();
-    rr = Array.init shards (fun _ -> Queue.create ());
+    rr = Array.init shards (fun _ -> Sim.Fifo.create ());
     pump_cursor = 0;
     in_wheel = 0;
     dispatched_total = 0;
@@ -96,13 +96,13 @@ let rec pump t =
       if i >= n then None
       else
         let qi = (t.pump_cursor + i) mod n in
-        if Queue.is_empty t.rr.(qi) then find (i + 1) else Some qi
+        if Sim.Fifo.is_empty t.rr.(qi) then find (i + 1) else Some qi
     in
     match find 0 with
     | None -> ()
     | Some qi ->
         t.pump_cursor <- (qi + 1) mod n;
-        let f = Queue.pop t.rr.(qi) in
+        let f = Sim.Fifo.pop t.rr.(qi) in
         if f.status = Ready then begin
           f.status <- Dispatched;
           t.credits <- t.credits - 1;
@@ -122,14 +122,14 @@ let rec pump t =
    clamps far-future deadlines, as a bounded hardware wheel must). *)
 let note_peak t =
   let d =
-    Array.fold_left (fun n q -> n + Queue.length q) t.in_wheel t.rr
+    Array.fold_left (fun n q -> n + Sim.Fifo.length q) t.in_wheel t.rr
   in
   if d > t.peak_ready then t.peak_ready <- d
 
 let park t f =
   let now = Sim.Engine.now t.engine in
   if f.ps_per_byte = 0 || f.next_time <= now then begin
-    Queue.push f t.rr.(f.shard);
+    Sim.Fifo.push f t.rr.(f.shard);
     note_peak t;
     pump t
   end
@@ -142,7 +142,7 @@ let park t f =
     Sim.Engine.schedule_at t.engine slot_deadline (fun () ->
         t.in_wheel <- t.in_wheel - 1;
         if f.status = Ready then begin
-          Queue.push f t.rr.(f.shard);
+          Sim.Fifo.push f t.rr.(f.shard);
           pump t
         end)
   end
@@ -193,7 +193,7 @@ let credits_available t = t.credits
 let ready t =
   Array.fold_left
     (fun acc q ->
-      Queue.fold (fun n f -> if f.status = Ready then n + 1 else n) acc q)
+      Sim.Fifo.fold (fun n f -> if f.status = Ready then n + 1 else n) acc q)
     t.in_wheel t.rr
 
 let dispatched_total t = t.dispatched_total

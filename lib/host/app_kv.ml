@@ -128,14 +128,14 @@ let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
         | Error _ -> ()
         | Ok sock ->
             let decoder = Framing.create () in
-            let outstanding = Queue.create () in
+            let outstanding = Sim.Fifo.create () in
             let send_one () =
               Host_cpu.exec sock.Api.core ~category:"app"
                 ~cycles:think_cycles (fun () ->
                   let msg =
                     Framing.encode (encode_request (make_request ()))
                   in
-                  Queue.push (Sim.Engine.now engine) outstanding;
+                  Sim.Fifo.push (Sim.Engine.now engine) outstanding;
                   ignore (sock.Api.send msg))
             in
             sock.Api.on_readable <-
@@ -143,7 +143,7 @@ let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
                 let chunk = sock.Api.recv ~max:max_int in
                 Framing.push decoder chunk;
                 Framing.iter_available decoder (fun resp ->
-                    (match Queue.take_opt outstanding with
+                    (match Sim.Fifo.take_opt outstanding with
                     | Some t0 ->
                         Rpc.Stats.record_rtt stats
                           (Sim.Engine.now engine - t0);

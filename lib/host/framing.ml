@@ -10,39 +10,46 @@ let encode payload =
 
 let encoded_len n = n + 4
 
-(* Stream bytes accumulate in [buf]; [pos] is the consumed prefix.
-   The prefix is dropped only when it dominates the buffer, keeping
-   every operation amortised O(1) per byte. *)
-type t = { mutable buf : Buffer.t; mutable pos : int }
+(* The undecoded stream is [len] bytes of [buf] from [pos]. A push
+   that would run past the end first moves them to the front, so the
+   buffer grows only when the undecoded bytes themselves outgrow it:
+   consumed bytes are never kept, and a decoder that keeps up with its
+   stream keeps the buffer [create] made. *)
+type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-let create () = { buf = Buffer.create 4096; pos = 0 }
+let create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
 
-let push t chunk = Buffer.add_bytes t.buf chunk
-
-let compact t =
-  if t.pos > 65536 && t.pos * 2 > Buffer.length t.buf then begin
-    let live = Buffer.length t.buf - t.pos in
-    let fresh = Buffer.create (max 4096 live) in
-    Buffer.add_subbytes fresh (Buffer.to_bytes t.buf) t.pos live;
-    t.buf <- fresh;
+let push t chunk =
+  let n = Bytes.length chunk in
+  if t.pos + t.len + n > Bytes.length t.buf then begin
+    let cap = ref (Bytes.length t.buf) in
+    while t.len + n > !cap do
+      cap := 2 * !cap
+    done;
+    let dst =
+      if !cap = Bytes.length t.buf then t.buf else Bytes.create !cap
+    in
+    Bytes.blit t.buf t.pos dst 0 t.len;
+    t.buf <- dst;
     t.pos <- 0
-  end
+  end;
+  Bytes.blit chunk 0 t.buf (t.pos + t.len) n;
+  t.len <- t.len + n
 
-let byte t i = Char.code (Buffer.nth t.buf (t.pos + i))
+let byte t i = Char.code (Bytes.get t.buf (t.pos + i))
 
 let next t =
-  let avail = Buffer.length t.buf - t.pos in
-  if avail < 4 then None
+  if t.len < 4 then None
   else begin
     let n =
       (byte t 0 lsl 24) lor (byte t 1 lsl 16) lor (byte t 2 lsl 8)
       lor byte t 3
     in
-    if avail < 4 + n then None
+    if t.len < 4 + n then None
     else begin
-      let payload = Bytes.of_string (Buffer.sub t.buf (t.pos + 4) n) in
-      t.pos <- t.pos + 4 + n;
-      compact t;
+      let payload = Bytes.sub t.buf (t.pos + 4) n in
+      t.len <- t.len - 4 - n;
+      t.pos <- (if t.len = 0 then 0 else t.pos + 4 + n);
       Some payload
     end
   end
@@ -54,4 +61,4 @@ let rec iter_available t f =
       iter_available t f
   | None -> ()
 
-let buffered t = Buffer.length t.buf - t.pos
+let buffered t = t.len

@@ -3,7 +3,7 @@ type work = { cycles : int; category : string; k : unit -> unit }
 type core = {
   engine : Sim.Engine.t;
   freq : Sim.Time.Freq.t;
-  pending : work Queue.t;
+  pending : work Sim.Fifo.t;
   mutable busy : bool;
   mutable busy_time : Sim.Time.t;
   (* Cycles per category: [cat_names.(i)] has been charged
@@ -34,7 +34,7 @@ let create engine ?(freq = Sim.Time.Freq.of_ghz 2.0) ~cores () =
           {
             engine;
             freq;
-            pending = Queue.create ();
+            pending = Sim.Fifo.create ();
             busy = false;
             busy_time = 0;
             cat_names = Array.make 8 "";
@@ -104,16 +104,16 @@ let rec start c (w : work) =
   Sim.Engine.schedule c.engine dur (fun () ->
       c.busy <- false;
       w.k ();
-      if (not c.busy) && not (Queue.is_empty c.pending) then
-        start c (Queue.pop c.pending))
+      if (not c.busy) && not (Sim.Fifo.is_empty c.pending) then
+        start c (Sim.Fifo.pop c.pending))
 
 let exec c ?(category = "other") ~cycles k =
   let w = { cycles; category; k } in
-  if c.busy then Queue.push w c.pending else start c w
+  if c.busy then Sim.Fifo.push w c.pending else start c w
 
 let exec_now c ?category ~cycles () = exec c ?category ~cycles (fun () -> ())
 let busy_time c = c.busy_time
-let queue_length c = Queue.length c.pending
+let queue_length c = Sim.Fifo.length c.pending
 
 let cycles_by_category t =
   let tbl = Hashtbl.create 8 in

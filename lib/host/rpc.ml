@@ -162,7 +162,7 @@ type conn_state = {
   conn_id : int;
   sock : Api.socket;
   decoder : Framing.t;
-  sent_at : Sim.Time.t Queue.t;  (* send time of outstanding requests *)
+  sent_at : Sim.Time.t Sim.Fifo.t;  (* send time of outstanding requests *)
   mutable backlog : (Bytes.t * int) list;
       (* app-side queue of (message, bytes already sent); messages can
          exceed the socket buffer, so sends may be partial *)
@@ -202,7 +202,7 @@ let make_conn ~engine ~stats ?(on_response = fun ~conn:_ _ -> ())
       conn_id;
       sock;
       decoder = Framing.create ();
-      sent_at = Queue.create ();
+      sent_at = Sim.Fifo.create ();
       backlog = [];
     }
   in
@@ -211,7 +211,7 @@ let make_conn ~engine ~stats ?(on_response = fun ~conn:_ _ -> ())
       let chunk = sock.Api.recv ~max:max_int in
       Framing.push cs.decoder chunk;
       Framing.iter_available cs.decoder (fun resp ->
-          (match Queue.take_opt cs.sent_at with
+          (match Sim.Fifo.take_opt cs.sent_at with
           | Some t0 ->
               Stats.record_rtt stats (Sim.Engine.now engine - t0);
               Stats.record_conn_op stats ~conn:conn_id
@@ -224,7 +224,7 @@ let make_conn ~engine ~stats ?(on_response = fun ~conn:_ _ -> ())
 
 let send_request ~engine cs req_bytes =
   let msg = Framing.encode (Bytes.make req_bytes 'Q') in
-  Queue.push (Sim.Engine.now engine) cs.sent_at;
+  Sim.Fifo.push (Sim.Engine.now engine) cs.sent_at;
   cs.backlog <- cs.backlog @ [ (msg, 0) ];
   flush_backlog cs
 

@@ -25,9 +25,9 @@ type tracer = {
 
 type queue_state = {
   mutable inflight : int;
-  waiting : ticket Queue.t;  (* blocked on an in-flight slot *)
-  order : ticket Queue.t;  (* issue order; head releases first *)
-  pending : ticket Queue.t;
+  waiting : ticket Sim.Fifo.t;  (* blocked on an in-flight slot *)
+  order : ticket Sim.Fifo.t;  (* issue order; head releases first *)
+  pending : ticket Sim.Fifo.t;
       (* issued but not yet rung in (doorbell batching, §3.4): the
          descriptors sit in the ring until a batch accumulates or the
          flush timer fires *)
@@ -69,9 +69,9 @@ let create engine ~params =
       Array.init params.Params.dma_queues (fun _ ->
           {
             inflight = 0;
-            waiting = Queue.create ();
-            order = Queue.create ();
-            pending = Queue.create ();
+            waiting = Sim.Fifo.create ();
+            order = Sim.Fifo.create ();
+            pending = Sim.Fifo.create ();
             db_armed = false;
           });
     link_free = Sim.Time.zero;
@@ -118,8 +118,10 @@ let serialization_time t bytes =
    always observes an idle queue and drains it). *)
 let drain_order t qi q =
   let release () =
-    while (not (Queue.is_empty q.order)) && (Queue.peek q.order).tk_done do
-      let tk = Queue.pop q.order in
+    while
+      (not (Sim.Fifo.is_empty q.order)) && (Sim.Fifo.peek q.order).tk_done
+    do
+      let tk = Sim.Fifo.pop q.order in
       match t.tracer with
       | None -> tk.tk_k ()
       | Some tr -> tr.dt_complete ~queue:qi ~token:tk.tk_token tk.tk_k
@@ -129,12 +131,14 @@ let drain_order t qi q =
   else begin
     let ready = ref 0 in
     (try
-       Queue.iter
+       Sim.Fifo.iter
          (fun tk -> if tk.tk_done then incr ready else raise Exit)
          q.order
      with Exit -> ());
     let idle =
-      q.inflight = 0 && Queue.is_empty q.waiting && Queue.is_empty q.pending
+      q.inflight = 0
+      && Sim.Fifo.is_empty q.waiting
+      && Sim.Fifo.is_empty q.pending
     in
     if !ready >= t.cp_batch || idle then release ()
   end
@@ -149,8 +153,8 @@ let rec start t qi q tk =
     (t.link_free + t.params.Params.pcie_base_latency) (fun () ->
       q.inflight <- q.inflight - 1;
       (* Free slot: admit a waiter, if any. *)
-      if not (Queue.is_empty q.waiting) then
-        start t qi q (Queue.pop q.waiting);
+      if not (Sim.Fifo.is_empty q.waiting) then
+        start t qi q (Sim.Fifo.pop q.waiting);
       (* The transfer occupied the link either way; an injected fault
          (flaky link: CRC error, completion timeout) means the payload
          must be re-sent, paying serialisation and latency again. *)
@@ -175,14 +179,14 @@ let rec start t qi q tk =
 
 and admit t qi q tk =
   if q.inflight < t.params.Params.dma_inflight then start t qi q tk
-  else Queue.push tk q.waiting
+  else Sim.Fifo.push tk q.waiting
 
 (* Ring the doorbell: admit every pending descriptor in one go. *)
 let flush_doorbell t qi q =
-  if not (Queue.is_empty q.pending) then begin
+  if not (Sim.Fifo.is_empty q.pending) then begin
     t.doorbells <- t.doorbells + 1;
-    while not (Queue.is_empty q.pending) do
-      admit t qi q (Queue.pop q.pending)
+    while not (Sim.Fifo.is_empty q.pending) do
+      admit t qi q (Sim.Fifo.pop q.pending)
     done
   end
 
@@ -199,11 +203,11 @@ let issue t ~queue ~bytes k =
     { tk_bytes = bytes; tk_k = k; tk_token = token; tk_attempt = 0;
       tk_done = false }
   in
-  Queue.push tk q.order;
+  Sim.Fifo.push tk q.order;
   if t.db_batch <= 1 then admit t qi q tk
   else begin
-    Queue.push tk q.pending;
-    if Queue.length q.pending >= t.db_batch then flush_doorbell t qi q
+    Sim.Fifo.push tk q.pending;
+    if Sim.Fifo.length q.pending >= t.db_batch then flush_doorbell t qi q
     else if not q.db_armed then begin
       q.db_armed <- true;
       Sim.Engine.schedule t.engine t.batch_delay (fun () ->
@@ -216,13 +220,13 @@ let in_flight t = Array.fold_left (fun n q -> n + q.inflight) 0 t.queues
 
 let queued t =
   Array.fold_left
-    (fun n q -> n + Queue.length q.waiting + Queue.length q.pending)
+    (fun n q -> n + Sim.Fifo.length q.waiting + Sim.Fifo.length q.pending)
     0 t.queues
 
 let doorbells t = t.doorbells
 
 let queue_stats t =
-  Array.map (fun q -> (q.inflight, Queue.length q.waiting)) t.queues
+  Array.map (fun q -> (q.inflight, Sim.Fifo.length q.waiting)) t.queues
 
 let transfers_completed t = t.completed
 let bytes_transferred t = t.bytes

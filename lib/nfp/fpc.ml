@@ -40,14 +40,11 @@ type t = {
      a finished thread is the next one handed out. *)
   idle : hw array;
   mutable idle_n : int;
-  pending : work Queue.t;
+  pending : work Sim.Fifo.t;
   (* Issue unit: serves one compute burst at a time; threads waiting
-     for it queue FIFO in a ring of [threads] entries (a thread waits
-     at most once at a time). *)
+     for it queue FIFO. *)
   mutable core_busy : bool;
-  core_waiters : hw array;
-  mutable core_head : int;
-  mutable core_len : int;
+  core_waiters : hw Sim.Fifo.t;
   mutable busy : Sim.Time.t;
   mutable stall : Sim.Time.t;  (* cumulative thread-time in Mem phases *)
   mutable completed : int;
@@ -71,18 +68,15 @@ let grant_core t hw cycles =
   Sim.Engine.schedule t.engine dur hw.core_done
 
 let release_core t =
-  if (not t.core_busy) && t.core_len > 0 then begin
-    let hw = t.core_waiters.(t.core_head) in
-    t.core_head <- (t.core_head + 1) mod t.threads;
-    t.core_len <- t.core_len - 1;
+  if (not t.core_busy) && not (Sim.Fifo.is_empty t.core_waiters) then begin
+    let hw = Sim.Fifo.pop t.core_waiters in
     grant_core t hw hw.cycles
   end
 
 let request_core t hw cycles =
   if t.core_busy then begin
     hw.cycles <- cycles;
-    t.core_waiters.((t.core_head + t.core_len) mod t.threads) <- hw;
-    t.core_len <- t.core_len + 1
+    Sim.Fifo.push hw t.core_waiters
   end
   else grant_core t hw cycles
 
@@ -110,7 +104,7 @@ let rec run_phases t hw =
       Sim.Engine.schedule t.engine d hw.resume
 
 and thread_done t hw =
-  if Queue.is_empty t.pending then begin
+  if Sim.Fifo.is_empty t.pending then begin
     (* Drop the finished continuation so it does not outlive its
        item. *)
     hw.k <- ignore;
@@ -119,7 +113,7 @@ and thread_done t hw =
   end
   else begin
     (* The same hardware thread picks up the next queued item. *)
-    let w = Queue.pop t.pending in
+    let w = Sim.Fifo.pop t.pending in
     hw.phases <- w.phases;
     hw.k <- w.k;
     hw.token <- w.token;
@@ -152,11 +146,9 @@ let create engine ~params ?threads ~name () =
       (* Slot 0 on top, as the first thread handed out. *)
       idle = Array.init threads (fun i -> hws.(threads - 1 - i));
       idle_n = threads;
-      pending = Queue.create ();
+      pending = Sim.Fifo.create ();
       core_busy = false;
-      core_waiters = Array.make threads hws.(0);
-      core_head = 0;
-      core_len = 0;
+      core_waiters = Sim.Fifo.create ();
       busy = 0;
       stall = 0;
       completed = 0;
@@ -187,9 +179,9 @@ let submit t phases k =
     (* Start on the next engine tick to keep submit non-reentrant. *)
     Sim.Engine.schedule t.engine 0 hw.resume
   end
-  else Queue.push { phases; k; token } t.pending
+  else Sim.Fifo.push { phases; k; token } t.pending
 
-let queue_length t = Queue.length t.pending
+let queue_length t = Sim.Fifo.length t.pending
 let in_flight t = t.threads - t.idle_n
 let busy_time t = t.busy
 let stall_time t = t.stall

@@ -6,7 +6,7 @@ type tracer = { rg_push : unit -> unit; rg_pop : unit -> unit }
 
 type 'a t = {
   name : string;
-  q : 'a Queue.t;
+  q : 'a Sim.Fifo.t;
   capacity : int option;
   mutable notify : (unit -> unit) option;
   mutable max_occ : int;
@@ -18,7 +18,7 @@ type 'a t = {
 let create ?capacity ~name () =
   {
     name;
-    q = Queue.create ();
+    q = Sim.Fifo.create ();
     capacity;
     notify = None;
     max_occ = 0;
@@ -32,29 +32,29 @@ let set_tracer t tr = t.tracer <- tr
 
 let push t v =
   let full =
-    match t.capacity with Some c -> Queue.length t.q >= c | None -> false
+    match t.capacity with Some c -> Sim.Fifo.length t.q >= c | None -> false
   in
   if full then begin
     t.drops <- t.drops + 1;
     false
   end
   else begin
-    Queue.push v t.q;
+    Sim.Fifo.push v t.q;
     t.pushes <- t.pushes + 1;
-    if Queue.length t.q > t.max_occ then t.max_occ <- Queue.length t.q;
+    if Sim.Fifo.length t.q > t.max_occ then t.max_occ <- Sim.Fifo.length t.q;
     (match t.tracer with Some tr -> tr.rg_push () | None -> ());
     (match t.notify with Some f -> f () | None -> ());
     true
   end
 
 let pop t =
-  match Queue.take_opt t.q with
+  match Sim.Fifo.take_opt t.q with
   | Some _ as r ->
       (match t.tracer with Some tr -> tr.rg_pop () | None -> ());
       r
   | None -> None
-let is_empty t = Queue.is_empty t.q
-let length t = Queue.length t.q
+let is_empty t = Sim.Fifo.is_empty t.q
+let length t = Sim.Fifo.length t.q
 let capacity t = t.capacity
 let set_notify t f = t.notify <- Some f
 let max_occupancy t = t.max_occ

@@ -83,6 +83,35 @@ let test_scale1_bit_identical () =
     seed_kv_strict r.strict_digest;
   check_str "kv shards=1 payload digest" seed_kv_payload r.payload_digest
 
+(* --- Promotion budget -------------------------------------------------- *)
+
+(* Words promoted per word allocated by the kv world between 1 and
+   10 ms, after its set-up has settled. Nearly every word the
+   simulator allocates dies young; what survives a minor collection is
+   the world's own state plus whatever a long-lived container still
+   holds. A FIFO that keeps popped cells linked ([Stdlib.Queue])
+   promotes every value that passes through it. With every queue on
+   [Sim.Fifo] this run promotes 0.49% of its words; with the DMA
+   engine's three queues alone back on [Stdlib.Queue], 0.74%. *)
+let kv_promoted_budget = 0.006
+
+let test_kv_promotion_budget () =
+  let engine = Sim.Engine.create ~seed:kv_seed () in
+  let fin = setup_kv ~engine () in
+  Sim.Engine.run ~until:(Sim.Time.ms 1) engine;
+  Gc.minor ();
+  let minor0, promoted0, _ = Gc.counters () in
+  Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
+  let minor1, promoted1, _ = Gc.counters () in
+  let r = fin () in
+  check_str "the pinned kv run" seed_kv_strict r.strict_digest;
+  let ratio = (promoted1 -. promoted0) /. (minor1 -. minor0) in
+  check_bool
+    (Printf.sprintf "promoted / minor words %.4f <= %.3f" ratio
+       kv_promoted_budget)
+    true
+    (ratio <= kv_promoted_budget)
+
 let batch_sizes = [ 4; 8; 16 ]
 
 (* --- Fixed-work runs (batch-invariance) ------------------------------- *)
@@ -287,6 +316,8 @@ let suite =
       test_echo_batch1_metrics;
     Alcotest.test_case "kv batch=1 strict digest" `Quick
       test_kv_batch1_strict;
+    Alcotest.test_case "kv promotion budget" `Quick
+      test_kv_promotion_budget;
     Alcotest.test_case "sharded datapath at shards=1 is bit-identical"
       `Quick test_scale1_bit_identical;
     Alcotest.test_case "echo payload-identical at batch>1" `Quick

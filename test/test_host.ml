@@ -130,6 +130,43 @@ let prop_framing_chunking_invariant =
       done;
       List.rev !out = msgs)
 
+(* Past the decoder's initial 4 KB: a long stream decoded as it
+   arrives (the undecoded bytes move to the front of the buffer), and
+   messages larger than the buffer pushed before any is decoded (the
+   buffer grows). *)
+let test_framing_long_streams () =
+  let sizes =
+    [ 10_000; 3; 5_000; 0; 70_000; 17 ] @ List.init 2_000 (fun i -> i mod 40)
+  in
+  let msgs =
+    List.mapi (fun i n -> Bytes.make n (Char.chr (i land 0xff))) sizes
+  in
+  let stream = Bytes.concat Bytes.empty (List.map Host.Framing.encode msgs) in
+  let decode ~chunk ~every =
+    let d = Host.Framing.create () and out = ref [] in
+    let n = Bytes.length stream in
+    let rec go i k =
+      if i < n then begin
+        let l = Int.min chunk (n - i) in
+        Host.Framing.push d (Bytes.sub stream i l);
+        if k mod every = 0 then
+          Host.Framing.iter_available d (fun m -> out := m :: !out);
+        go (i + l) (k + 1)
+      end
+    in
+    go 0 1;
+    Host.Framing.iter_available d (fun m -> out := m :: !out);
+    check_int "nothing left over" 0 (Host.Framing.buffered d);
+    check_bool
+      (Printf.sprintf "every message, in order (chunk %d, every %d)" chunk
+         every)
+      true
+      (List.rev !out = msgs)
+  in
+  decode ~chunk:13 ~every:1;
+  decode ~chunk:1_000 ~every:50;
+  decode ~chunk:9_000 ~every:3
+
 let test_framing_buffered () =
   let d = Host.Framing.create () in
   Host.Framing.push d (Bytes.of_string "\000\000");
@@ -225,6 +262,8 @@ let suite =
     Alcotest.test_case "framing simple" `Quick test_framing_simple;
     QCheck_alcotest.to_alcotest prop_framing_chunking_invariant;
     Alcotest.test_case "framing partial header" `Quick test_framing_buffered;
+    Alcotest.test_case "framing long streams and large messages" `Quick
+      test_framing_long_streams;
     Alcotest.test_case "kv request roundtrip" `Quick test_kv_request_roundtrip;
     Alcotest.test_case "kv response roundtrip" `Quick
       test_kv_response_roundtrip;

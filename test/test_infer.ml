@@ -237,6 +237,53 @@ let test_poly_compare_lint () =
       let seq_findings, _ = I.lint_seq32 ~files:[ path ] () in
       check_int "no Seq32 findings" 0 (List.length seq_findings))
 
+(* --- Seeded corpus: stdlib-queue ----------------------------------------- *)
+
+let queue_src =
+  {|
+type edge = Queue | Credit
+
+type 'a ring = { q : 'a Queue.t; fifo : 'a Sim.Fifo.t }
+
+let make () = { q = Queue.create (); fifo = Sim.Fifo.create () }
+
+let push r x = Stdlib.Queue.push x r.q; Sim.Fifo.push x r.fifo
+
+module Q = Queue
+
+let safe r = try Some (Q.pop r.q) with Queue.Empty -> None
+
+let kind e = match e with Queue -> 0 | Credit -> 1
+
+let wheel () = Sim.Event_queue.create ()
+
+let drain r = let open Stdlib.Queue in clear r.q
+|}
+
+let queue_mli = {|
+val make : unit -> int Queue.t
+val wheel : unit -> int Sim.Event_queue.t
+|}
+
+let test_stdlib_queue_lint () =
+  let lines findings = List.map (fun f -> f.I.f_line) findings in
+  with_tmp ".ml" queue_src (fun path ->
+      let findings = I.lint_stdlib_queue ~files:[ path ] () in
+      Alcotest.(check (list int))
+        "type, create, Stdlib.Queue.push, module alias, exception, open"
+        [ 4; 6; 8; 10; 12; 18 ] (lines findings);
+      List.iter
+        (fun f ->
+          check_bool "rule" true (f.I.f_rule = "stdlib-queue");
+          check_bool "is an error" true (f.I.f_severity = I.Sev_error))
+        findings;
+      check_bool "names the replacement" true
+        (List.for_all (fun f -> contains f.I.f_msg "Sim.Fifo") findings));
+  with_tmp ".mli" queue_mli (fun path ->
+      Alcotest.(check (list int))
+        "signatures are linted too" [ 2 ]
+        (lines (I.lint_stdlib_queue ~files:[ path ] ())))
+
 (* --- Golden pin: the real tree --------------------------------------- *)
 
 let test_golden_clean () =
@@ -260,7 +307,7 @@ let test_repo_seq32_clean () =
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      check_int "no findings across lib/tcp + lib/flextoe" 0
+      check_int "no findings across lib/" 0
         (List.length r.I.rp_findings);
       check_bool "linted a realistic file count" true (r.I.rp_files_linted > 20)
 
@@ -378,6 +425,8 @@ let suite =
     Alcotest.test_case "seeded: Seq32 .mli seeding" `Quick test_seq32_mli_seed;
     Alcotest.test_case "seeded: poly-compare lint + exemption" `Quick
       test_poly_compare_lint;
+    Alcotest.test_case "seeded: stdlib-queue lint" `Quick
+      test_stdlib_queue_lint;
     Alcotest.test_case "golden: builtin diff empty" `Quick test_golden_clean;
     Alcotest.test_case "golden: full repo lint clean" `Quick
       test_repo_seq32_clean;

@@ -290,6 +290,135 @@ let test_queue_releases_popped () =
   check_int "blocks still reachable after every pop" 0 !retained;
   ignore (Sys.opaque_identity q)
 
+(* --- Fifo ------------------------------------------------------------- *)
+
+let fifo_to_list q = List.rev (Sim.Fifo.fold (fun acc x -> x :: acc) [] q)
+
+let test_fifo_wrap_and_growth () =
+  let q = Sim.Fifo.create () in
+  for i = 0 to 5 do Sim.Fifo.push i q done;
+  for i = 0 to 3 do check_int "pop" i (Sim.Fifo.pop q) done;
+  (* The head has moved on: these pushes wrap past the ring's end, and
+     the ring grows while wrapped. *)
+  for i = 6 to 40 do Sim.Fifo.push i q done;
+  check_int "length" 37 (Sim.Fifo.length q);
+  Alcotest.(check (list int)) "in push order" (List.init 37 (fun i -> i + 4))
+    (fifo_to_list q);
+  for i = 4 to 40 do check_int "pop in order" i (Sim.Fifo.pop q) done;
+  check_bool "drained" true (Sim.Fifo.is_empty q)
+
+let test_fifo_empty () =
+  let q = Sim.Fifo.create () in
+  let raises_empty f =
+    match f q with _ -> false | exception Sim.Fifo.Empty -> true
+  in
+  let check_empty what =
+    check_bool (what ^ ": peek raises") true (raises_empty Sim.Fifo.peek);
+    check_bool (what ^ ": pop raises") true (raises_empty Sim.Fifo.pop);
+    check_bool (what ^ ": take_opt") true (Sim.Fifo.take_opt q = None);
+    check_int (what ^ ": length") 0 (Sim.Fifo.length q)
+  in
+  check_empty "fresh";
+  Sim.Fifo.push "a" q;
+  Alcotest.(check string) "peek leaves the head" "a" (Sim.Fifo.peek q);
+  check_int "length after peek" 1 (Sim.Fifo.length q);
+  check_bool "take_opt" true (Sim.Fifo.take_opt q = Some "a");
+  check_empty "drained"
+
+let test_fifo_iter_fold_clear () =
+  let q = Sim.Fifo.create () in
+  for i = 1 to 6 do Sim.Fifo.push i q done;
+  ignore (Sim.Fifo.pop q);
+  ignore (Sim.Fifo.pop q);
+  for i = 7 to 10 do Sim.Fifo.push i q done;
+  let seen = ref [] in
+  Sim.Fifo.iter (fun x -> seen := x :: !seen) q;
+  Alcotest.(check (list int)) "iter head to tail" [ 3; 4; 5; 6; 7; 8; 9; 10 ]
+    (List.rev !seen);
+  check_int "fold" (3 + 4 + 5 + 6 + 7 + 8 + 9 + 10)
+    (Sim.Fifo.fold ( + ) 0 q);
+  Sim.Fifo.clear q;
+  check_bool "cleared" true (Sim.Fifo.is_empty q);
+  check_bool "nothing left" true (Sim.Fifo.take_opt q = None);
+  check_int "fold over nothing" 0 (Sim.Fifo.fold ( + ) 0 q);
+  Sim.Fifo.push 11 q;
+  Sim.Fifo.push 12 q;
+  Alcotest.(check (list int)) "usable after clear" [ 11; 12 ] (fifo_to_list q)
+
+let prop_fifo_matches_queue =
+  QCheck.Test.make ~name:"fifo matches Stdlib.Queue" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 200) (option small_nat))
+    (fun ops ->
+      let q = Sim.Fifo.create () and model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+              Sim.Fifo.push x q;
+              Queue.push x model
+          | None ->
+              if Sim.Fifo.take_opt q <> Queue.take_opt model then
+                QCheck.Test.fail_report "pop");
+          Sim.Fifo.length q = Queue.length model
+          && fifo_to_list q = List.of_seq (Queue.to_seq model))
+        ops)
+
+(* A popped or cleared value is no longer reachable from the queue. *)
+let test_fifo_releases () =
+  let n = 20 in
+  let q = Sim.Fifo.create () and registry = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let block = Bytes.make 64 (Char.chr i) in
+      Weak.set registry i (Some block);
+      Sim.Fifo.push block q
+    done
+  in
+  let retained () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check registry) (List.init n Fun.id))
+  in
+  fill ();
+  for _ = 1 to n do ignore (Sim.Fifo.pop q) done;
+  check_int "popped values still reachable" 0 (retained ());
+  fill ();
+  Sim.Fifo.clear q;
+  check_int "cleared values still reachable" 0 (retained ());
+  ignore (Sys.opaque_identity q)
+
+(* Words promoted per word allocated while [n] MSS-sized buffers pass,
+   one in flight, through a queue that already lives in the major
+   heap. *)
+let promoted_share ~push ~pop q =
+  let n = 100_000 in
+  push (Bytes.create 1448) q;
+  Gc.full_major ();
+  let minor0, promoted0, _ = Gc.counters () in
+  for _ = 1 to n do
+    push (Bytes.create 1448) q;
+    ignore (Sys.opaque_identity (pop q))
+  done;
+  let minor1, promoted1, _ = Gc.counters () in
+  ignore (Sys.opaque_identity (pop q));
+  (promoted1 -. promoted0) /. (minor1 -. minor0)
+
+let test_fifo_promotion () =
+  let fifo =
+    promoted_share ~push:Sim.Fifo.push ~pop:Sim.Fifo.pop (Sim.Fifo.create ())
+  in
+  check_bool
+    (Printf.sprintf "Fifo promotes %.4f of the words allocated (< 1%%)" fifo)
+    true (fifo < 0.01);
+  (* The same traffic through [Stdlib.Queue]: the popped cells stay
+     linked from the promoted one, so nearly everything is promoted.
+     This is what the measurement exists to catch. *)
+  let queue =
+    promoted_share ~push:Queue.push ~pop:Queue.pop (Queue.create ())
+  in
+  check_bool
+    (Printf.sprintf "Stdlib.Queue promotes %.4f (> 50%%)" queue)
+    true (queue > 0.5)
+
 (* --- Engine ----------------------------------------------------------- *)
 
 let test_engine_run_until () =
@@ -671,6 +800,16 @@ let suite =
     QCheck_alcotest.to_alcotest prop_queue_model;
     Alcotest.test_case "event queue releases popped values" `Quick
       test_queue_releases_popped;
+    Alcotest.test_case "fifo order across wrap and growth" `Quick
+      test_fifo_wrap_and_growth;
+    Alcotest.test_case "fifo empty" `Quick test_fifo_empty;
+    Alcotest.test_case "fifo iter, fold and clear" `Quick
+      test_fifo_iter_fold_clear;
+    QCheck_alcotest.to_alcotest prop_fifo_matches_queue;
+    Alcotest.test_case "fifo releases popped and cleared values" `Quick
+      test_fifo_releases;
+    Alcotest.test_case "fifo popped buffers are not promoted" `Quick
+      test_fifo_promotion;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_schedule;
