@@ -1,6 +1,6 @@
 module J = Sim.Json
 
-type host = { cores : int; workers : int }
+type host = { cores : int; workers : int; rev : string; profile : string }
 
 type t = {
   experiment : string;
@@ -9,11 +9,26 @@ type t = {
   metrics : (string * float) list;
 }
 
+let git_rev () =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some rev when rev <> "" -> rev
+      | _ -> "unknown")
+
 let make ~experiment ~workload ~workers metrics =
   {
     experiment;
     workload;
-    host = { cores = Domain.recommended_domain_count (); workers };
+    host =
+      {
+        cores = Domain.recommended_domain_count ();
+        workers;
+        rev = git_rev ();
+        profile = Build_profile.name;
+      };
     metrics;
   }
 
@@ -34,8 +49,12 @@ let to_json t =
       ("workload", J.String t.workload);
       ( "host",
         J.Obj
-          [ ("cores", J.Int t.host.cores); ("workers", J.Int t.host.workers) ]
-      );
+          [
+            ("cores", J.Int t.host.cores);
+            ("workers", J.Int t.host.workers);
+            ("rev", J.String t.host.rev);
+            ("profile", J.String t.host.profile);
+          ] );
       ("metrics", J.Obj (List.map (fun (k, v) -> (k, number v)) t.metrics));
     ]
 
@@ -50,6 +69,13 @@ let of_json j =
   let* host = field j "host" Option.some in
   let* cores = field host "cores" J.to_int_opt in
   let* workers = field host "workers" J.to_int_opt in
+  (* Records written before these two fields existed lack them. *)
+  let provenance k =
+    if Option.is_none (J.member k host) then Ok "unknown"
+    else field host k J.to_string_opt
+  in
+  let* rev = provenance "rev" in
+  let* profile = provenance "profile" in
   let* kvs = field j "metrics" J.to_obj_opt in
   let* metrics =
     List.fold_right
@@ -60,7 +86,7 @@ let of_json j =
         | None -> Error ("metric " ^ k ^ " is not a number"))
       kvs (Ok [])
   in
-  Ok { experiment; workload; host = { cores; workers }; metrics }
+  Ok { experiment; workload; host = { cores; workers; rev; profile }; metrics }
 
 let write path t =
   Out_channel.with_open_text path (fun oc ->

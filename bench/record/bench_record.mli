@@ -6,7 +6,12 @@
     ["bytes_per_flow.16384"]. A gate is a list of checks over keys of
     the record it just measured and of a checked-in baseline record. *)
 
-type host = { cores : int; workers : int }
+type host = {
+  cores : int;
+  workers : int;
+  rev : string;  (** Git short revision of the source tree, or ["unknown"]. *)
+  profile : string;  (** The dune profile the bench was built in. *)
+}
 
 type t = {
   experiment : string;
@@ -22,7 +27,11 @@ val make :
   (string * float) list ->
   t
 (** [cores] is [Domain.recommended_domain_count ()]; [workers] is the
-    number of domains the run actually used. *)
+    number of domains the run actually used; [rev] is [git rev-parse
+    --short HEAD] in the working directory, or ["unknown"] outside a
+    checkout; [profile] is the dune profile this library was built in
+    (wall-clock numbers from a dev build, which compiles every module
+    [-opaque], are not comparable with a release build's). *)
 
 val series : string -> ('a -> int) -> ('a -> float) -> 'a list ->
   (string * float) list
@@ -32,7 +41,9 @@ val get : t -> string -> float option
 
 val write : string -> t -> unit
 val read : string -> (t, string) result
-(** [Error] on a missing file, a parse error or a malformed record. *)
+(** [Error] on a missing file, a parse error or a malformed record. A
+    record written before [rev] and [profile] existed reads with both
+    ["unknown"]. *)
 
 (** {1 Checks} *)
 

@@ -1,5 +1,6 @@
-(* The bench record and its checker: JSON round trip, each relation at
-   its exact bound, and the FAIL/SKIP rules every gate relies on. *)
+(* The bench record and its checker: JSON round trip, reading records
+   written before the provenance fields, each relation at its exact
+   bound, and the FAIL/SKIP rules every gate relies on. *)
 
 module R = Bench_record
 
@@ -23,7 +24,55 @@ let test_roundtrip () =
   in
   let path = tmp () in
   R.write path t;
-  Alcotest.(check bool) "same record" true (R.read path = Ok t)
+  Alcotest.(check bool) "same record" true (R.read path = Ok t);
+  let t = { t with host = { t.host with rev = "0123abc"; profile = "dev" } } in
+  R.write path t;
+  Alcotest.(check bool) "same provenance" true (R.read path = Ok t)
+
+let read_string s =
+  let path = tmp () in
+  Out_channel.with_open_text path (fun oc -> output_string oc s);
+  R.read path
+
+let test_old_format () =
+  let old =
+    {|{"experiment": "e", "workload": "w",
+       "host": {"cores": 2, "workers": 1}, "metrics": {"a": 1.5}}|}
+  in
+  (match read_string old with
+  | Ok t ->
+      Alcotest.(check (pair string string))
+        "rev, profile" ("unknown", "unknown") (t.host.rev, t.host.profile);
+      Alcotest.(check (option (float 0.))) "metric" (Some 1.5) (R.get t "a")
+  | Error e -> Alcotest.fail e);
+  let bad =
+    {|{"experiment": "e", "workload": "w",
+       "host": {"cores": 2, "workers": 1, "rev": 7}, "metrics": {}}|}
+  in
+  Alcotest.(check bool) "ill-typed rev" true (Result.is_error (read_string bad));
+  (* Every checked-in record, baselines included, still reads. *)
+  let files =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  in
+  Alcotest.(check bool) "checked-in records found" true (files <> []);
+  List.iter
+    (fun f ->
+      match R.read (Filename.concat ".." f) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    files
+
+let test_provenance () =
+  let h = (record []).host in
+  Alcotest.(check bool)
+    ("profile " ^ h.profile) true
+    (h.profile <> "" && h.profile <> "unknown");
+  let hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  Alcotest.(check bool)
+    ("rev " ^ h.rev) true
+    (h.rev = "unknown" || (String.length h.rev >= 4 && String.for_all hex h.rev))
 
 let test_bounds () =
   let cases =
@@ -83,5 +132,8 @@ let () =
           Alcotest.test_case "missing key, file or parse is FAIL" `Quick
             test_fail_rules;
           Alcotest.test_case "SKIP keeps the exit code" `Quick test_skip;
+          Alcotest.test_case "records without rev and profile read" `Quick
+            test_old_format;
+          Alcotest.test_case "rev and profile filled" `Quick test_provenance;
         ] );
     ]

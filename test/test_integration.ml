@@ -443,7 +443,9 @@ let test_builtin_extensions_verify () =
     (Flextoe.Ext_pcap.program ())
     [| { V.key_size = 4; value_size = 8 } |]
 
-let suite =
+(* The "integration" suite runs as two test executables that dune runs
+   in parallel: [suite_a] in run_e2e, [suite_b] in run_integration. *)
+let suite_a =
   [
     Alcotest.test_case "built-in extensions verify" `Quick
       test_builtin_extensions_verify;
@@ -458,6 +460,10 @@ let suite =
     Alcotest.test_case "FIN teardown both ways" `Quick test_fin_teardown;
     Alcotest.test_case "200 concurrent connections" `Quick
       test_many_connections;
+  ]
+
+let suite_b =
+  [
     Alcotest.test_case "interop matrix" `Quick test_interop_matrix;
     Alcotest.test_case "retransmission under loss" `Quick
       test_fast_retransmit_fires_under_loss;
