@@ -1,5 +1,5 @@
 (* End-to-end runs — the second half of the integration suite: interop,
-   loss recovery, incast, extensions and pipeline reordering. *)
+   loss recovery, incast, extensions and 200 concurrent connections. *)
 let () =
   Alcotest.run "flextoe-integration"
     [ ("integration", E2e_cases.Test_integration.suite_b) ]
