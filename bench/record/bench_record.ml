@@ -9,8 +9,14 @@ type t = {
   metrics : (string * float) list;
 }
 
+(* Tags are excluded so the name is always the abbreviated commit; a
+   tree with uncommitted changes gets "-dirty", so a record from an
+   edited copy does not claim its base commit's source. *)
 let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  match
+    Unix.open_process_in
+      "git describe --always --dirty --abbrev=7 --exclude='*' 2>/dev/null"
+  with
   | exception Unix.Unix_error _ -> "unknown"
   | ic -> (
       let line = In_channel.input_line ic in

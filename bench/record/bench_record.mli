@@ -9,7 +9,9 @@
 type host = {
   cores : int;
   workers : int;
-  rev : string;  (** Git short revision of the source tree, or ["unknown"]. *)
+  rev : string;
+      (** Git short revision of the source tree, with ["-dirty"] if it
+          has uncommitted changes, or ["unknown"]. *)
   profile : string;  (** The dune profile the bench was built in. *)
 }
 
@@ -27,11 +29,12 @@ val make :
   (string * float) list ->
   t
 (** [cores] is [Domain.recommended_domain_count ()]; [workers] is the
-    number of domains the run actually used; [rev] is [git rev-parse
-    --short HEAD] in the working directory, or ["unknown"] outside a
-    checkout; [profile] is the dune profile this library was built in
-    (wall-clock numbers from a dev build, which compiles every module
-    [-opaque], are not comparable with a release build's). *)
+    number of domains the run actually used; [rev] is the short git
+    revision of the working directory, suffixed ["-dirty"] when the
+    tree has uncommitted changes, or ["unknown"] outside a checkout;
+    [profile] is the dune profile this library was built in (wall-clock
+    numbers from a dev build, which compiles every module [-opaque],
+    are not comparable with a release build's). *)
 
 val series : string -> ('a -> int) -> ('a -> float) -> 'a list ->
   (string * float) list

@@ -70,9 +70,14 @@ let test_provenance () =
     ("profile " ^ h.profile) true
     (h.profile <> "" && h.profile <> "unknown");
   let hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  let commit =
+    match String.split_on_char '-' h.rev with
+    | [ c ] | [ c; "dirty" ] -> c
+    | _ -> ""
+  in
   Alcotest.(check bool)
     ("rev " ^ h.rev) true
-    (h.rev = "unknown" || (String.length h.rev >= 4 && String.for_all hex h.rev))
+    (h.rev = "unknown" || (String.length commit >= 4 && String.for_all hex commit))
 
 let test_bounds () =
   let cases =

@@ -1,12 +1,10 @@
-(* End-to-end runs — smoke, the first half of integration, fault
-   injection, coverage sweeps. run_integration has the second half. *)
-open E2e_cases
-
+(* Shard 7/8: end-to-end runs — smoke, integration, fault injection,
+   coverage sweeps. *)
 let () =
   Alcotest.run "flextoe-e2e"
     [
       ("smoke", Smoke.suite);
-      ("integration", Test_integration.suite_a);
+      ("integration", Test_integration.suite);
       ("integration-ext", Test_integration.extended_suite);
       ("faults", Test_faults.suite);
       ("coverage", Test_coverage.suite);

@@ -443,13 +443,7 @@ let test_builtin_extensions_verify () =
     (Flextoe.Ext_pcap.program ())
     [| { V.key_size = 4; value_size = 8 } |]
 
-(* The "integration" suite runs as two test executables that dune runs
-   in parallel: [suite_a] in run_e2e, [suite_b] in run_integration.
-   Alcotest cuts a long case name to fit the widest suite name of its
-   executable, so the cases with long names stay in run_e2e (beside
-   "integration-ext") where they print as they always have, and
-   "200 concurrent connections" keeps its index 6. *)
-let suite_a =
+let suite =
   [
     Alcotest.test_case "built-in extensions verify" `Quick
       test_builtin_extensions_verify;
@@ -462,12 +456,8 @@ let suite_a =
     Alcotest.test_case "multi-segment echo integrity" `Quick
       test_bidirectional_echo_integrity;
     Alcotest.test_case "FIN teardown both ways" `Quick test_fin_teardown;
-    Alcotest.test_case "pipeline reordering invisible to TCP" `Quick
-      test_gro_handles_pipeline_reordering;
-  ]
-
-let suite_b =
-  [
+    Alcotest.test_case "200 concurrent connections" `Quick
+      test_many_connections;
     Alcotest.test_case "interop matrix" `Quick test_interop_matrix;
     Alcotest.test_case "retransmission under loss" `Quick
       test_fast_retransmit_fires_under_loss;
@@ -478,10 +468,10 @@ let suite_b =
       test_tracepoints_and_capture;
     Alcotest.test_case "XDP firewall end to end" `Quick
       test_xdp_firewall_end_to_end;
-    Alcotest.test_case "200 concurrent connections" `Quick
-      test_many_connections;
     Alcotest.test_case "connection splicing end to end" `Quick
       test_splice_end_to_end;
+    Alcotest.test_case "pipeline reordering invisible to TCP" `Quick
+      test_gro_handles_pipeline_reordering;
   ]
 
 let test_delayed_acks_end_to_end () =
