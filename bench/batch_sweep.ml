@@ -25,7 +25,7 @@ let build_degree w b =
   let config =
     {
       Flextoe.Config.default with
-      Flextoe.Config.batch = Flextoe.Config.batch_of b;
+      Flextoe.Config.batch = b;
     }
   in
   let server = mk_node w FlexTOE ~app_cores:2 ~config ip_server in

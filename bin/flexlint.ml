@@ -4,10 +4,10 @@
    also the default so plain [flexlint --builtin] keeps working),
    [san] (stage-effect contracts + dynamic race sanitizer), [graph]
    (FlexProve whole-graph analysis: interference, deadlock, queue
-   bounds), [fsm] (teardown-FSM model check), [top] (FlexScope
-   metrics ranking), [trace-check] (trace_event schema validation),
-   [fuzz-wire] (wire-codec negative corpus), [churn] (admission-policy
-   replay).
+   bounds), [infer] (FlexInfer footprint inference and source lints),
+   [fsm] (teardown-FSM model check), [top] (FlexScope metrics
+   ranking), [trace-check] (trace_event schema validation),
+   [fuzz-wire] (wire-codec negative corpus).
 
    Exit status — uniform across subcommands: 0 all checks passed; 1 a
    checker's verdict failed; 2 usage, file-read or decode errors. *)
@@ -557,8 +557,7 @@ let run_trace_check path =
         done
       with End_of_file -> ());
   (* An empty trace is an input problem, not a schema verdict: exit 2
-     like every other unreadable/empty input across the subcommands
-     (churn does the same). *)
+     like every other unreadable/empty input across the subcommands. *)
   if !total = 0 then begin
     Format.printf "FAIL %-20s empty trace@." path;
     exit 2
@@ -593,138 +592,6 @@ let trace_check_cmd =
          ])
     Term.(const run_trace_check $ trace_file_t)
 
-(* --- churn: offline admission-policy replay -------------------------- *)
-
-module G = Flextoe.Guard
-
-(* Trace format: one event per line, [syn|ack|seg|close] ID, with
-   blank lines and #-comments skipped — the shape `flexlint churn`
-   shares with test fixtures and ad-hoc hand-written storms. *)
-let parse_churn_line ~lineno line =
-  match
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
-  with
-  | [] -> None
-  | kw :: _ when String.length kw > 0 && kw.[0] = '#' -> None
-  | [ kw; id ] -> (
-      match (kw, int_of_string_opt id) with
-      | "syn", Some id -> Some (G.Ev_syn id)
-      | "ack", Some id -> Some (G.Ev_ack id)
-      | "seg", Some id -> Some (G.Ev_seg id)
-      | "close", Some id -> Some (G.Ev_close id)
-      | _ ->
-          Format.printf "FAIL line %-12d expected [syn|ack|seg|close] ID@."
-            lineno;
-          exit 2)
-  | _ ->
-      Format.printf "FAIL line %-12d expected [syn|ack|seg|close] ID@." lineno;
-      exit 2
-
-let read_churn_trace path =
-  let ic =
-    if path = "-" then stdin
-    else
-      try open_in path
-      with Sys_error e ->
-        Format.printf "FAIL %-20s unreadable: %s@." path e;
-        exit 2
-  in
-  let events = ref [] and lineno = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> if path <> "-" then close_in_noerr ic)
-    (fun () ->
-      try
-        while true do
-          incr lineno;
-          match parse_churn_line ~lineno:!lineno (input_line ic) with
-          | Some ev -> events := ev :: !events
-          | None -> ()
-        done
-      with End_of_file -> ());
-  List.rev !events
-
-let run_churn path backlog max_conns no_cookies tw_ticks =
-  let g =
-    {
-      Flextoe.Config.guard_default with
-      Flextoe.Config.g_syn_backlog = backlog;
-      g_max_conns = max_conns;
-      g_syn_cookies = not no_cookies;
-    }
-  in
-  let events = read_churn_trace path in
-  if events = [] then begin
-    Format.printf "FAIL %-20s empty trace@." path;
-    exit 2
-  end;
-  let l = G.replay ~tw_ticks g events in
-  Format.printf "%a@." G.pp_ledger l;
-  if l.G.lg_established_shed > 0 then begin
-    Format.printf
-      "FAIL established-shed     %d established-flow segment(s) shed@."
-      l.G.lg_established_shed;
-    exit 1
-  end;
-  Format.printf
-    "OK   established-shed     0 of %d established-flow segment(s) shed@."
-    l.G.lg_segments
-
-let churn_trace_t =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"TRACE"
-        ~doc:
-          "Churn trace: one event per line ([syn|ack|seg|close] ID), \
-           #-comments allowed; - reads stdin.")
-
-let churn_backlog_t =
-  Arg.(
-    value
-    & opt int Flextoe.Config.guard_default.Flextoe.Config.g_syn_backlog
-    & info [ "backlog" ] ~docv:"N"
-        ~doc:"Stateful SYN backlog capacity (0 = unbounded).")
-
-let churn_max_conns_t =
-  Arg.(
-    value
-    & opt int Flextoe.Config.guard_default.Flextoe.Config.g_max_conns
-    & info [ "max-conns" ] ~docv:"N"
-        ~doc:"Admission cap on established + pending (0 = unbounded).")
-
-let churn_no_cookies_t =
-  Arg.(
-    value & flag
-    & info [ "no-cookies" ]
-        ~doc:"Disable the stateless SYN-cookie fallback on backlog overflow.")
-
-let churn_tw_ticks_t =
-  Arg.(
-    value & opt int 1024
-    & info [ "tw-ticks" ] ~docv:"N"
-        ~doc:"TIME_WAIT lifetime in trace events (default 1024).")
-
-let churn_cmd =
-  Cmd.v
-    (Cmd.info "churn" ~version
-       ~doc:
-         "Replay a connection-churn trace through the FlexGuard admission \
-          policy; any shed established-flow segment fails"
-       ~exits:exit_info
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Replays a churn trace (one $(b,syn)/$(b,ack)/$(b,seg)/\
-              $(b,close) event per line) through the FlexGuard admission \
-              policy offline and prints the resulting ledger. Shedding an \
-              established-flow segment fails the replay.";
-         ])
-    Term.(
-      const run_churn $ churn_trace_t $ churn_backlog_t $ churn_max_conns_t
-      $ churn_no_cookies_t $ churn_tw_ticks_t)
-
 (* --- graph: FlexProve whole-graph static analysis --------------------- *)
 
 module GI = Flextoe.Graph_ir
@@ -739,7 +606,7 @@ let graph_degrees = [ 1; 8; 16 ]
 let graph_config ~batch ~guard =
   {
     Flextoe.Config.default with
-    Flextoe.Config.batch = Flextoe.Config.batch_of batch;
+    Flextoe.Config.batch;
     guard =
       (if guard then Flextoe.Config.guard_default
        else Flextoe.Config.guard_none);
@@ -1185,7 +1052,6 @@ let group =
            `P "$(b,top) — rank a FlexScope metrics snapshot.";
            `P "$(b,trace-check) — validate a trace_event JSONL export.";
            `P "$(b,fuzz-wire) — wire-codec negative corpus.";
-           `P "$(b,churn) — FlexGuard admission-policy replay.";
            `P
              "All subcommands share the exit contract: 0 passed, 1 a \
               verdict failed, 2 input or usage error.";
@@ -1193,7 +1059,7 @@ let group =
     ~default:verify_term
     [
       verify_cmd; san_cmd; graph_cmd; infer_cmd; fsm_cmd; top_cmd;
-      trace_check_cmd; fuzz_wire_cmd; churn_cmd;
+      trace_check_cmd; fuzz_wire_cmd;
     ]
 
 let () =

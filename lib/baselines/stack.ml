@@ -71,8 +71,6 @@ type t = {
   mutable next_port : int;
   mutable rr_core : int;
   mutable nic_free : Sim.Time.t;  (* Chelsio ASIC serialisation *)
-  mutable seg_rx : int;
-  mutable seg_tx : int;
   mutable retx : int;
   mutable rto_count : int;
   endpoint : Host.Api.endpoint option ref;
@@ -82,8 +80,6 @@ let cpu t = t.cpu
 let fabric_port t = t.port
 let profile t = t.prof
 let active_conns t = Tcp.Flow.Tbl.length t.conns
-let segments_rx t = t.seg_rx
-let segments_tx t = t.seg_tx
 let retransmits t = t.retx
 let rto_fires t = t.rto_count
 
@@ -125,7 +121,6 @@ let via_nic t k =
       Sim.Engine.schedule t.engine delay k
 
 let transmit_frame t frame =
-  t.seg_tx <- t.seg_tx + 1;
   via_nic t (fun () -> Netsim.Fabric.transmit t.port frame)
 
 let tx_seq c pos = Seq32.add c.tx_isn (1 + pos)
@@ -659,7 +654,6 @@ let handle_ctl t (frame : S.frame) =
       end
 
 let rx_frame t (frame : S.frame) =
-  t.seg_rx <- t.seg_rx + 1;
   via_nic t (fun () ->
       let seg = frame.S.seg in
       let flow = Tcp.Flow.of_segment_rx seg in
@@ -675,14 +669,6 @@ let rx_frame t (frame : S.frame) =
       | _ -> handle_ctl t frame)
 
 (* --- Construction ----------------------------------------------------------- *)
-
-let debug_conns t =
-  Hashtbl.fold
-    (fun _ c acc ->
-      (c.tx_next - c.tx_acked, c.cwnd, c.remote_win,
-       c.tx_tail - c.tx_next, c.rx_avail, c.rx_ready)
-      :: acc)
-    t.by_id []
 
 let endpoint t = Option.get !(t.endpoint)
 
@@ -720,8 +706,6 @@ let create engine ~fabric ~profile:prof ~ip ?(app_cores = 1)
         next_port = 41_000;
         rr_core = 0;
         nic_free = Sim.Time.zero;
-        seg_rx = 0;
-        seg_tx = 0;
         retx = 0;
         rto_count = 0;
         endpoint = endpoint_ref;

@@ -32,14 +32,8 @@ val active_conns : t -> int
 
 (** Counters. *)
 
-val segments_rx : t -> int
-val segments_tx : t -> int
 val retransmits : t -> int
 val rto_fires : t -> int
 
 val mac_of_ip : int -> int
 (** Same fabric-wide convention as FlexTOE's control plane. *)
-
-val debug_conns : t -> (int * int * int * int * int * int) list
-(** Per connection: (flight, cwnd, remote window, unsent backlog,
-    rx_avail, rx_ready). Inspection/debugging only. *)

@@ -36,25 +36,6 @@ type stage_costs = {
   notify_coalesce : int;  (** Per absorbed ARX notification. *)
 }
 
-(** Batching degrees at each pipeline boundary (§3.4): how many units
-    amortize one fixed cost. All 1 = today's per-segment behavior,
-    bit-identical to the unbatched pipeline (the batch>1 code paths
-    are never entered). *)
-type batch = {
-  b_gro : int;  (** Adjacent in-order RX segments merged per GRO descriptor. *)
-  b_tso : int;  (** MSS units per TX descriptor; split at the NBI. *)
-  b_doorbell : int;  (** DMA descriptors rung per doorbell. *)
-  b_completion : int;  (** DMA completions coalesced per delivery. *)
-  b_notify : int;  (** ARX notifications coalesced per context-queue DMA. *)
-}
-
-let batch_none =
-  { b_gro = 1; b_tso = 1; b_doorbell = 1; b_completion = 1; b_notify = 1 }
-
-let batch_of n =
-  let n = Int.max 1 n in
-  { b_gro = n; b_tso = n; b_doorbell = n; b_completion = n; b_notify = n }
-
 (** FlexGuard: overload control and graceful degradation under
     connection churn. Everything is off by default ([guard_none]) —
     the guarded code paths are never entered and no extra engine
@@ -69,9 +50,6 @@ type guard = {
   g_syn_retries : int;  (** Max SYN / SYN-ACK retransmissions. *)
   g_syn_retry_base : Sim.Time.t;  (** First retry delay (doubles). *)
   g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
-  g_max_conns : int;
-      (** Admission cap on established + half-open connections;
-          0 = unlimited. *)
   g_time_wait : Sim.Time.t;
       (** TIME_WAIT hold after both directions close; 0 = immediate
           free (the pre-FlexGuard behavior). *)
@@ -99,7 +77,6 @@ let guard_none =
     g_syn_retries = 10;
     g_syn_retry_base = Sim.Time.ms 5;
     g_syn_retry_max = Sim.Time.ms 5;
-    g_max_conns = 0;
     g_time_wait = Sim.Time.zero;
     g_time_wait_max = 0;
     g_idle_timeout = Sim.Time.zero;
@@ -117,7 +94,6 @@ let guard_default =
     g_syn_retries = 6;
     g_syn_retry_base = Sim.Time.ms 1;
     g_syn_retry_max = Sim.Time.ms 8;
-    g_max_conns = 0;
     g_time_wait = Sim.Time.ms 10;
     g_time_wait_max = 4096;
     g_idle_timeout = Sim.Time.ms 20;
@@ -173,7 +149,7 @@ type t = {
   notify_cycles : int;
   san : bool;  (** Enable the FlexSan dynamic sanitizer (layer 2). *)
   scope : scope_mode;  (** FlexScope profiling (off / metrics / full). *)
-  batch : batch;  (** Pipeline-boundary batching degrees. *)
+  batch : int;  (** Batching degree at every boundary; see [batch_degree]. *)
   batch_delay : Sim.Time.t;
       (** How long a partial batch (GRO window, doorbell ring, ARX
           accumulator) may be held before a timer flushes it. *)
@@ -272,10 +248,11 @@ let default =
     notify_cycles = 60;
     san = san_env;
     scope = scope_env;
-    batch = batch_none;
+    batch = 1;
     batch_delay = Sim.Time.us 1;
     guard = guard_env;
     scale = scale_none;
   }
 
+let batch_degree t = Int.max 1 t.batch
 let with_parallelism t p = { t with parallelism = p }

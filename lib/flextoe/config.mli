@@ -59,41 +59,19 @@ type stage_costs = {
           only). *)
 }
 
-(** Batching degrees at each pipeline boundary (§3.4): how many units
-    amortize one fixed cost. All 1 (the default) preserves today's
-    per-segment behavior bit for bit — the batch>1 code paths are
-    never entered. *)
-type batch = {
-  b_gro : int;
-      (** Adjacent in-sequence RX data segments of a flow merged into
-          one descriptor before protocol processing. *)
-  b_tso : int;
-      (** MSS units one TX descriptor may carry; the NBI splits the
-          descriptor back into wire frames. *)
-  b_doorbell : int;  (** DMA descriptors rung per doorbell. *)
-  b_completion : int;  (** DMA completions coalesced per delivery. *)
-  b_notify : int;
-      (** ARX notifications per connection coalesced into one
-          context-queue DMA and host wakeup. *)
-}
-
-val batch_none : batch
-(** All degrees 1: bit-identical to the unbatched pipeline. *)
-
-val batch_of : int -> batch
-(** Uniform batching degree at every boundary (clamped to >= 1). *)
-
 (** FlexGuard: overload control and graceful degradation under
     connection churn (DESIGN.md §13). Listen-path protection (bounded
     SYN backlog with a stateless SYN-cookie fallback, bounded
     handshake retransmission with exponential backoff), a full
     teardown lifecycle (TIME_WAIT with recycling under pressure,
-    idle-timeout reaping, RST generation/handling), and admission
-    control with load shedding (bounded control-path queue; the shed
-    policy drops newest SYNs first and {e never} an established-flow
-    segment). With {!guard_none} (the default) every mechanism is
-    dormant: no extra engine events are scheduled and behavior is
-    bit-identical to the unguarded pipeline. *)
+    idle-timeout reaping, RST generation/handling), and load shedding
+    (bounded control-path queue; the shed policy drops newest SYNs
+    first and {e never} an established-flow segment). The connection
+    cap is not a guard knob: it is [Control_plane.set_connection_limit],
+    and the guard only counts its refusals. With {!guard_none} (the
+    default) every mechanism is dormant: no extra engine events are
+    scheduled and behavior is bit-identical to the unguarded
+    pipeline. *)
 type guard = {
   g_on : bool;  (** Master enable. *)
   g_syn_backlog : int;
@@ -108,9 +86,6 @@ type guard = {
       (** First retry delay; doubles per attempt (exponential
           backoff). On exhaustion a [connect] surfaces ["Etimedout"]. *)
   g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
-  g_max_conns : int;
-      (** Admission cap on established + half-open connections;
-          0 = unlimited. *)
   g_time_wait : Sim.Time.t;
       (** TIME_WAIT hold after both directions close; 0 = free
           immediately (the pre-FlexGuard behavior). A fresh SYN for a
@@ -236,9 +211,17 @@ type t = {
           host-side observation, like FlexSan); the modelled cost of
           {e tracepoints} remains a separate, per-point opt-in via
           {!Sim.Trace}. *)
-  batch : batch;
-      (** Pipeline-boundary batching degrees ({!batch_none} by
-          default). *)
+  batch : int;
+      (** Batching degree (§3.4), one for every pipeline boundary: how
+          many units amortize one fixed cost. It bounds the in-order
+          RX segments GRO merges into one descriptor, the MSS units
+          one TSO descriptor carries (the NBI splits it back into wire
+          frames), the DMA descriptors rung per doorbell, the DMA
+          completions coalesced per delivery, and the ARX
+          notifications per connection coalesced into one
+          context-queue DMA and host wakeup. 1 (the default) keeps the
+          per-segment pipeline bit for bit: the batch>1 code paths are
+          never entered. Read it through {!batch_degree}. *)
   batch_delay : Sim.Time.t;
       (** How long a partial batch (GRO window, doorbell ring, ARX
           accumulator) may be held before a timer flushes it. *)
@@ -256,6 +239,9 @@ val default : t
     {!Scope_full}, [metrics] for {!Scope_metrics}), and
     [default.guard] follows [FLEXGUARD] ([1]/[on]/[true]/[yes] arm
     {!guard_default}). *)
+
+val batch_degree : t -> int
+(** [t.batch] clamped to >= 1: the one place a degree is clamped. *)
 
 val with_parallelism : t -> parallelism -> t
 

@@ -59,13 +59,12 @@ type t = {
   mutable rto_count : int;
   mutable rto_aborts : int;
   mutable rto_log : (int * Sim.Time.t) list;  (* newest first *)
-  mutable on_rate_change : conn:int -> bps:int -> unit;
   mutable conn_limit : int option;
   mutable partitions : (int * int * int) list;  (* lo, hi, app *)
   shard_installed : int array;
       (* FlexScale: installed connections per shard group (length 1
-         when unsharded). Per-shard admission splits [g_max_conns]
-         across shards with this global accounting. *)
+         when unsharded). Per-shard admission splits the connection
+         limit across shards with this global accounting. *)
 }
 
 let active_flows t = Hashtbl.length t.flows
@@ -92,7 +91,6 @@ let guard_rst t =
 let retransmit_timeouts t = t.rto_count
 let retransmit_aborts t = t.rto_aborts
 let rto_events t = List.rev t.rto_log
-let set_on_rate_change t f = t.on_rate_change <- f
 
 let cp_cycles = 1800  (* handshake step on the CP core *)
 let cc_flow_cycles = 250  (* per-flow CC iteration *)
@@ -173,30 +171,27 @@ let alloc_ctx t =
 
 let set_connection_limit t limit = t.conn_limit <- limit
 
-let at_connection_limit t =
+(* The one admission predicate, consulted by every path that would
+   commit a connection-table slot: a listener's SYN, a cookie's
+   completing ACK, and a local [connect]. Half-open handshakes count
+   toward the limit, or a burst of simultaneous SYNs would blow past
+   it. Under FlexScale each shard group also gets an even slice
+   (ceiling) of the limit, so one shard's flash crowd cannot consume
+   the whole table and starve flows steered to the other shards.
+   Returns the guard counter that names the refusal. *)
+let admission_full t flow =
   match t.conn_limit with
+  | None -> None
   | Some l ->
-      (* Half-open handshakes count toward the limit, or a burst of
-         simultaneous SYNs would blow past it. *)
-      Hashtbl.length t.flows + Tcp.Flow.Tbl.length t.pending >= l
-  | None -> false
-
-(* FlexScale per-shard admission: the global [g_max_conns] budget is
-   split evenly (ceiling) across shard groups, so one shard's flash
-   crowd cannot consume the entire connection table and starve flows
-   steered to the other shards. The global [admission_full] check
-   stays in force; this only tightens it per shard. *)
-let shard_admission_full t flow =
-  let n = Array.length t.shard_installed in
-  if n <= 1 then false
-  else
-    match t.guard with
-    | None -> false
-    | Some g ->
-        let gc = Guard.config g in
-        gc.Config.g_max_conns > 0
+      let n = Array.length t.shard_installed in
+      if Hashtbl.length t.flows + Tcp.Flow.Tbl.length t.pending >= l then
+        Some "shed_admission"
+      else if
+        n > 1
         && t.shard_installed.(Flow_group.shard_of_config t.cfg flow)
-           >= (gc.Config.g_max_conns + n - 1) / n
+           >= (l + n - 1) / n
+      then Some "shed_admission_shard"
+      else None
 
 (* Drop an installed connection: release the datapath state and the
    CC record, and return the shard's admission slot. Every removal
@@ -340,27 +335,13 @@ let handle_syn t (frame : S.frame) =
               gc.Config.g_syn_backlog > 0
               && Tcp.Flow.Tbl.length t.pending >= gc.Config.g_syn_backlog
         in
-        let admission_full =
-          at_connection_limit t
-          ||
-          match t.guard with
-          | None -> false
-          | Some g ->
-              let gc = Guard.config g in
-              gc.Config.g_max_conns > 0
-              && Hashtbl.length t.flows + Tcp.Flow.Tbl.length t.pending
-                 >= gc.Config.g_max_conns
-        in
-        if admission_full then
-          (* Connection-table pressure: shedding the SYN (newest
-             first) is the only safe move — a cookie would only defer
-             the failure past the handshake. *)
-          gcount t "shed_admission"
-        else if shard_admission_full t flow then
-          (* The target shard's slice of the table is full even though
-             the global budget is not: shed rather than imbalance. *)
-          gcount t "shed_admission_shard"
-        else if backlog_full then begin
+        match admission_full t flow with
+        | Some shed ->
+            (* Connection-table pressure: shedding the SYN (newest
+               first) is the only safe move — a cookie would only
+               defer the failure past the handshake. *)
+            gcount t shed
+        | None when backlog_full -> (
           match t.guard with
           | Some g when (Guard.config g).Config.g_syn_cookies ->
               (* Backlog full: answer statelessly. The SYN-ACK's ISN
@@ -378,9 +359,8 @@ let handle_syn t (frame : S.frame) =
                        ~ack_seq:(Tcp.Seq32.succ seg.S.seq)
                        ~flags:{ S.no_flags with S.syn = true; ack = true }
                        ~mss:true ()))
-          | _ -> gcount t "shed_backlog"
-        end
-        else if not (Tcp.Flow.Tbl.mem t.pending flow) then begin
+          | _ -> gcount t "shed_backlog")
+        | None when not (Tcp.Flow.Tbl.mem t.pending flow) ->
           gcount t "syn_accepted";
           let our_isn = Tcp.Seq32.of_int (Sim.Rng.int t.rng 0x3FFFFFFF) in
           let p =
@@ -403,7 +383,7 @@ let handle_syn t (frame : S.frame) =
                    ~flags:{ S.no_flags with S.syn = true; ack = true }
                    ~mss:true ()));
           handshake_retry t flow 0
-        end
+        | None -> ()
       end
 
 let handle_synack t (p : pending) (frame : S.frame) =
@@ -548,14 +528,11 @@ let control_rx t (frame : S.frame) =
               (* Completing ACK of a stateless SYN-ACK. Admission is
                  re-checked here: cookies defer the table commitment
                  to this point. *)
-              if at_connection_limit t then gcount t "shed_admission"
-              else if shard_admission_full t flow then
-                gcount t "shed_admission_shard"
-              else
-                match listener with
-                | Some (win, on_accept) ->
-                    install_from_cookie t frame ~flow ~win ~on_accept
-                | None -> ()
+              match (admission_full t flow, listener) with
+              | Some shed, _ -> Guard.count g shed
+              | None, Some (win, on_accept) ->
+                  install_from_cookie t frame ~flow ~win ~on_accept
+              | None, None -> ()
             end
             else
               match Guard.tw_find g ~flow with
@@ -592,34 +569,34 @@ let listen t ?syn_ack_window ?(app = 0) ~port ~on_accept () =
   Hashtbl.replace t.listeners port (syn_ack_window, on_accept)
 
 let connect t ~remote_ip ~remote_port ~ctx ~on_connected =
-  if at_connection_limit t then
-    on_connected (Error "connection limit reached")
-  else
-  let local_port = t.next_port in
-  t.next_port <- t.next_port + 1;
   let flow =
-    Tcp.Flow.v ~local_ip:(Datapath.ip t.dp) ~local_port ~remote_ip
-      ~remote_port
+    Tcp.Flow.v ~local_ip:(Datapath.ip t.dp) ~local_port:t.next_port
+      ~remote_ip ~remote_port
   in
-  let our_isn = Tcp.Seq32.of_int (Sim.Rng.int t.rng 0x3FFFFFFF) in
-  let p =
-    {
-      p_flow = flow;
-      p_our_isn = our_isn;
-      p_peer_isn = Tcp.Seq32.zero;
-      p_win = None;
-      p_ctx = ctx;
-      p_kind = `Connect on_connected;
-      p_installing = false;
-    }
-  in
-  Tcp.Flow.Tbl.replace t.pending flow p;
-  Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles (fun () ->
-      Datapath.control_tx t.dp
-        (ctl_frame t ~flow ~seq:our_isn ~ack_seq:Tcp.Seq32.zero
-           ~flags:{ S.no_flags with S.syn = true }
-           ~mss:true ()));
-  handshake_retry t flow 0
+  if Option.is_some (admission_full t flow) then
+    on_connected (Error "connection limit reached")
+  else begin
+    t.next_port <- t.next_port + 1;
+    let our_isn = Tcp.Seq32.of_int (Sim.Rng.int t.rng 0x3FFFFFFF) in
+    let p =
+      {
+        p_flow = flow;
+        p_our_isn = our_isn;
+        p_peer_isn = Tcp.Seq32.zero;
+        p_win = None;
+        p_ctx = ctx;
+        p_kind = `Connect on_connected;
+        p_installing = false;
+      }
+    in
+    Tcp.Flow.Tbl.replace t.pending flow p;
+    Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles (fun () ->
+        Datapath.control_tx t.dp
+          (ctl_frame t ~flow ~seq:our_isn ~ack_seq:Tcp.Seq32.zero
+             ~flags:{ S.no_flags with S.syn = true }
+             ~mss:true ()));
+    handshake_retry t flow 0
+  end
 
 (* Idempotent: a second close, or a close racing teardown/abort
    (unknown conn), is a no-op — in particular no second FIN is pushed
@@ -657,7 +634,6 @@ let apply_rate t (f : cc_flow) bps =
   in
   if bps <> f.cf_rate_bps then begin
     f.cf_rate_bps <- bps;
-    t.on_rate_change ~conn:f.cf_conn ~bps;
     Datapath.set_rate t.dp ~conn:f.cf_conn ~bps
   end
 
@@ -867,7 +843,6 @@ let create engine ~config ~datapath ~core () =
       rto_count = 0;
       rto_aborts = 0;
       rto_log = [];
-      on_rate_change = (fun ~conn:_ ~bps:_ -> ());
       conn_limit = None;
       partitions = [];
       shard_installed =

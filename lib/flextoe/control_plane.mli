@@ -78,10 +78,8 @@ val active_flows : t -> int
 
 val shard_conns : t -> int array
 (** Installed connections per FlexScale shard group (a copy; length 1
-    when sharding is off). Per-shard admission sheds a SYN — counted
-    as [shed_admission_shard] — once its shard reaches its even slice
-    (ceiling) of [g_max_conns], while the global admission check stays
-    in force. *)
+    when sharding is off): the accounting behind the per-shard slice
+    of {!set_connection_limit}. *)
 
 val retransmit_timeouts : t -> int
 (** Timeout-triggered go-back-N retransmissions issued so far. *)
@@ -96,16 +94,14 @@ val rto_events : t -> (int * Sim.Time.t) list
     chronological order — consecutive gaps for one connection expose
     the exponential backoff. *)
 
-val set_on_rate_change : t -> (conn:int -> bps:int -> unit) -> unit
-(** Test/inspection hook: observe CC rate decisions. *)
-
 (** {1 Control-plane policies (§3.4)}
 
     Beyond congestion control, the control plane enforces
     administrative policies: per-connection rate limits (composed
-    with the congestion controller: the stricter wins), a
-    per-application limit on concurrent connections, and port
-    partitioning among applications. *)
+    with the congestion controller: the stricter wins), a limit on
+    concurrent connections, and port partitioning among applications.
+    The connection limit is the node's only admission cap: FlexGuard
+    has no cap of its own, it only counts the limit's refusals. *)
 
 val set_rate_limit : t -> conn:int -> bps:int -> unit
 (** Administrative ceiling for one flow; [0] removes it. Enforced by
@@ -115,8 +111,15 @@ val set_rate_limit : t -> conn:int -> bps:int -> unit
 val rate_limit : t -> conn:int -> int
 
 val set_connection_limit : t -> int option -> unit
-(** Cap on concurrent established connections: beyond it, incoming
-    SYNs are ignored and local [connect] fails. *)
+(** Cap on concurrent connections, installed plus half-open
+    ([None], the default, is unlimited). One predicate applies it at
+    every point that would commit a table slot: a listener's SYN, the
+    completing ACK of a SYN cookie, and a local [connect], which fails
+    with ["connection limit reached"]. Under FlexScale each shard group
+    also gets an even slice (ceiling) of the cap, so flows steered to
+    a full shard are refused while the global cap still has room.
+    With the guard on, each refused SYN or cookie ACK is counted as
+    [shed_admission] (global cap) or [shed_admission_shard] (slice). *)
 
 val reserve_ports : t -> lo:int -> hi:int -> app:int -> unit
 (** Partition a port range to application [app]; [listen] on a

@@ -49,7 +49,7 @@ type post_work =
 
 type conn_lock = { mutable busy : bool; waiters : (unit -> unit) Sim.Fifo.t }
 
-(* A GRO coalescing window (§3.4, [Config.batch.b_gro] > 1 only): the
+(* A GRO coalescing window (§3.4, batch degree > 1 only): the
    adjacent in-sequence data segments of one flow accumulated since
    the last flush. Segments are newest-first; [gc_next] is the
    sequence number the next chainable segment must carry. *)
@@ -60,7 +60,7 @@ type gro_acc = {
   mutable gc_flushed : bool;
 }
 
-(* An ARX notification accumulator ([Config.batch.b_notify] > 1 only):
+(* An ARX notification accumulator (batch degree > 1 only):
    per-connection deliveries coalesced into one context-queue DMA and
    host wakeup. Byte counts add; FIN sticks; the readable ranges,
    lifecycle ids and sanitizer tokens of every absorbed notification
@@ -649,12 +649,12 @@ let arx_flush t acc =
           }
   end
 
-(* Notification entry point. At [b_notify = 1] (or for error
+(* Notification entry point. At batch degree 1 (or for error
    notifications, which must not wait) this is exactly the unbatched
    delivery. Above 1, per-connection notifications accumulate and
    flush on FIN, a full window, or the batch-delay timer. *)
 let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
-  let b = t.cfg.Config.batch.Config.b_notify in
+  let b = Config.batch_degree t.cfg in
   let conn_idx = cs.Conn_state.idx in
   if b <= 1 || desc.Meta.x_err then begin
     (* An error notification overtaking coalesced data would reorder
@@ -795,9 +795,10 @@ let nbi_emit_one t eg =
   | Eg_ack _ | Eg_ctl _ -> ()
 
 (* TSO (§3.4): a descriptor wider than one MSS — only producible at
-   [b_tso > 1], where the protocol stage emits up to [b_tso * mss] per
-   descriptor — is segmented back into wire frames here at the NBI
-   boundary. One egress slot, one credit, [split_count] frames. *)
+   batch degree [b > 1], where the protocol stage emits up to
+   [b * mss] per descriptor — is segmented back into wire frames here
+   at the NBI boundary. One egress slot, one credit, [split_count]
+   frames. *)
 let nbi_emit t eg =
   match eg with
   | Eg_data (d, payload)
@@ -852,11 +853,11 @@ let dma_stage t (w : dma_work) =
   let fpc = next_dma_fpc t in
   let extra = trace_cycles t "dma" ~conn:w.dw_conn in
   (* Doorbell amortization: in batched mode the MMIO ring costs
-     [dma_doorbell] once per [b_doorbell] descriptors instead of being
+     [dma_doorbell] once per [b] descriptors instead of being
      folded into [dma_desc]. Unbatched mode leaves the counter (and
      the charge) untouched. *)
   let db =
-    let b = t.cfg.Config.batch.Config.b_doorbell in
+    let b = Config.batch_degree t.cfg in
     if b <= 1 then 0
     else begin
       t.st_dma_work <- t.st_dma_work + 1;
@@ -1005,7 +1006,7 @@ let postproc_stage t fg (w : post_work) =
     match w with
     | Post_rx _ -> c.Config.postproc_rx
     | Post_tx d when d.Meta.t_len > t.cfg.Config.mss ->
-        (* A TSO descriptor ([b_tso > 1] only): laying out the
+        (* A TSO descriptor (batch degree > 1 only): laying out the
            per-frame DMA gather list costs [tso_split] per extra wire
            frame on top of the ordinary descriptor work. *)
         c.Config.postproc_tx
@@ -1244,16 +1245,16 @@ let gro_flush t acc =
         gro_submit t ~merged:acc.gc_count merged
   end
 
-(* The RX sequencer's release point. At [b_gro = 1] every segment goes
-   straight through, bit-identically to the unbatched pipeline. Above
-   1, adjacent in-sequence data segments of a flow accumulate (the
+(* The RX sequencer's release point. At batch degree 1 every segment
+   goes straight through, bit-identically to the unbatched pipeline.
+   Above 1, adjacent in-sequence data segments of a flow accumulate (the
    sequencer has already put them in arrival order) and flush when the
    window fills, on FIN, on any non-chainable segment, or when the
    batch-delay timer fires. Pure ACKs never merge and never wait —
    duplicate-ACK counting must see each one — but they do flush the
    window ahead of themselves so the host's view stays ordered. *)
 let gro_release t (s : Meta.rx_summary) =
-  let b = t.cfg.Config.batch.Config.b_gro in
+  let b = Config.batch_degree t.cfg in
   if b <= 1 then gro_submit t ~merged:1 s
   else begin
     let pending = Hashtbl.find_opt t.gro_pending s.Meta.conn in
@@ -1649,7 +1650,7 @@ let atx_push t ~ctx (d : Meta.hc_desc) =
   | Some g ->
       Guard.note_depth g ~stage:"atx" (Nfp.Ring.length t.atx.(ctx))
   | None -> ());
-  let b = t.cfg.Config.batch.Config.b_doorbell in
+  let b = Config.batch_degree t.cfg in
   if ok && not t.atx_scheduled.(ctx) then begin
     if b <= 1 || Nfp.Ring.length t.atx.(ctx) >= b then begin
       t.atx_scheduled.(ctx) <- true;
@@ -1767,7 +1768,6 @@ let set_rate t ~conn:conn_idx ~bps =
   Sim.Engine.schedule t.engine t.cfg.Config.params.Nfp.Params.mmio_latency
     (fun () -> Scheduler.set_interval t.sch ~conn:conn_idx ~ps_per_byte)
 
-let wake_tx t ~conn = Scheduler.wakeup t.sch ~conn
 let sched_peak_ready t = Scheduler.peak_ready t.sch
 
 let set_xdp_ingress t h = t.xdp_ingress <- h
@@ -1844,11 +1844,6 @@ let emem_bytes_per_flow t =
   match t.emem_pressure with
   | None -> 0
   | Some pr -> Nfp.Memory.Pressure.bytes_per_flow pr
-
-let emem_resident_flows t =
-  match t.emem_pressure with
-  | None -> 0
-  | Some pr -> Nfp.Memory.Pressure.flows pr
 
 let pinned_evictions t =
   Array.fold_left (fun n c -> n + Nfp.Cam.pinned_evictions c) 0 t.proto_cam
@@ -2103,12 +2098,10 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
           Sim.Scope.count sc ~name:("guard/" ^ name) ())
   | _ -> ());
   (* Doorbell/completion batching on the PCIe engine ([set_batch] at
-     1/1 is a no-op, but skipping the call keeps the unbatched engine
-     provably untouched). *)
-  let b = cfg.Config.batch in
-  if b.Config.b_doorbell > 1 || b.Config.b_completion > 1 then
-    Nfp.Dma.set_batch t.dma ~doorbell:b.Config.b_doorbell
-      ~completion:b.Config.b_completion ~delay:cfg.Config.batch_delay;
+     degree 1 is a no-op, but skipping the call keeps the unbatched
+     engine provably untouched). *)
+  let b = Config.batch_degree cfg in
+  if b > 1 then Nfp.Dma.set_batch t.dma b ~delay:cfg.Config.batch_delay;
   (* Layer 2 wiring: give every execution context an identity and
      every ordering mechanism a happens-before edge. The RTC baseline
      FPC is deliberately left untraced (san is None for it anyway). *)

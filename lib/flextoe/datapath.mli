@@ -32,7 +32,7 @@ val builtin_graph : ?defect:Defect.t -> config:Config.t -> unit -> Graph_ir.t
 (** FlexProve extraction of the built-in pipeline as actually wired
     with [defect] seeded (default healthy): stage slots from
     [config.parallelism], queue capacities from [config.params] and
-    the ring sizes, batch degrees from [config.batch], the CP-queue
+    the ring sizes, the batch degree from [config.batch], the CP-queue
     bound from [config.guard]. [flexlint graph] and the create-time
     layer-0 check both go through this. *)
 
@@ -230,10 +230,6 @@ val emem_bytes_per_flow : t -> int
     the EMEM pressure model (the "scale" bench-gate footprint number);
     0 when scale is off. *)
 
-val emem_resident_flows : t -> int
-(** Currently resident flows in the EMEM pressure model; 0 when scale
-    is off. *)
-
 val pinned_evictions : t -> int
 (** Evictions that were forced to take a pinned (Established) flow's
     hot state, summed over the per-group CAMs and per-shard EMEM
@@ -261,6 +257,3 @@ val cache_stats : t -> (string * int * int) list
 
 (** {1 Internals exposed for the control plane and libTOE} *)
 
-val wake_tx : t -> conn:int -> unit
-(** Nudge the flow scheduler (used by the control plane after
-    installing a connection with pending data). *)

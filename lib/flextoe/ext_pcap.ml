@@ -60,7 +60,6 @@ let tap t (_dir : Datapath.direction) frame =
   end
 
 let attach t dp = Datapath.set_capture dp (Some (tap t))
-let detach dp = Datapath.set_capture dp None
 let captured t = t.captured
 let seen t = t.seen
 

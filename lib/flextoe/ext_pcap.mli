@@ -31,8 +31,6 @@ val create :
 val attach : t -> Datapath.t -> unit
 (** Install as the data path's capture tap. *)
 
-val detach : Datapath.t -> unit
-
 val captured : t -> int
 (** Packets recorded (post-filter). *)
 

@@ -155,11 +155,11 @@ let is_cross_lp g e =
    and serialization domains as [Datapath.builtin_contracts], queue
    capacities from the same sources (Nfp.Params for the NBI pool and
    DMA in-flight window, the 512-slot ATX rings, the 128-descriptor HC
-   pool, [min 256 seg_buffers] scheduler credits), batch degrees from
-   [Config.batch] and the CP-queue bound from [Config.guard]. The two
-   pseudo-nodes [host] (libTOE + applications) and the NBI bracket the
-   PCIe and wire boundaries so payload-ordering obligations are
-   visible to the passes. A seeded [defect] that changes the as-built
+   pool, [min 256 seg_buffers] scheduler credits), the batch degree
+   from [Config.batch_degree] and the CP-queue bound from
+   [Config.guard]. The two pseudo-nodes [host] (libTOE +
+   applications) and the NBI bracket the PCIe and wire boundaries so
+   payload-ordering obligations are visible to the passes. A seeded [defect] that changes the as-built
    wiring or footprints patches the graph; the notify-ordering and
    steering defects leave the declared wiring intact
    ({!Defect.dynamic_only}). *)
@@ -167,7 +167,7 @@ let builtin ?defect ~config ~contracts () =
   let open Effects in
   let p = config.Config.params in
   let par = config.Config.parallelism in
-  let b = config.Config.batch in
+  let b = Config.batch_degree config in
   let gc = config.Config.guard in
   let threads = Int.max 1 par.Config.fpc_threads in
   let groups = Int.max 1 par.Config.flow_groups in
@@ -270,7 +270,7 @@ let builtin ?defect ~config ~contracts () =
            {
              q_capacity = Unbounded;
              q_overflow = Reject;
-             q_batch = b.Config.b_gro;
+             q_batch = b;
              q_bound = Cap "nbi-pool";
            });
       flow "gro" "protocol" "rx-proto" ~lookahead:island_hop;
@@ -290,10 +290,10 @@ let builtin ?defect ~config ~contracts () =
         ~drain:"batch_delay timer flushes partial batches"
         (Queue
            {
-             q_capacity = Bounded b.Config.b_notify;
+             q_capacity = Bounded b;
              q_overflow = Reject;
-             q_batch = b.Config.b_notify;
-             q_bound = Const b.Config.b_notify;
+             q_batch = b;
+             q_bound = Const b;
            });
       flow "ctx" "host" "arx-notify"
         ~lookahead:p.Nfp.Params.pcie_base_latency;
@@ -321,7 +321,7 @@ let builtin ?defect ~config ~contracts () =
            {
              q_capacity = Bounded 512;
              q_overflow = Backpressure;
-             q_batch = b.Config.b_doorbell;
+             q_batch = b;
              q_bound = Cap "atx";
            });
       e "ctx" "protocol" "hc-pool" ~lookahead:island_hop
@@ -339,7 +339,7 @@ let builtin ?defect ~config ~contracts () =
            {
              q_capacity = Unbounded;
              q_overflow = Reject;
-             q_batch = b.Config.b_tso;
+             q_batch = b;
              q_bound = Sum [ Tokens "seg-credits"; Cap "nbi-pool" ];
            });
     ]

@@ -6,7 +6,7 @@
     imperatively; this module states it as data so the FlexProve
     passes ({!Prove}) can check an arbitrary stage graph, not just the
     built-in one. {!builtin} is the extraction of the built-in
-    pipeline, parameterized by {!Config.t} (capacities, batch degrees,
+    pipeline, parameterized by {!Config.t} (capacities, batch degree,
     guard bounds) and optionally by a seeded {!Defect.t}. *)
 
 type capacity = Bounded of int | Unbounded
@@ -124,8 +124,8 @@ val builtin :
 (** Extraction of the built-in pipeline: mirrors the wiring of
     [Datapath.create] — same stages and serialization domains as
     [Datapath.builtin_contracts], queue capacities from the same sources
-    ([Nfp.Params], the ATX/HC ring sizes, scheduler credits), batch
-    degrees from [Config.batch], CP-queue bound from [Config.guard].
+    ([Nfp.Params], the ATX/HC ring sizes, scheduler credits), the batch
+    degree from [Config.batch_degree], CP-queue bound from [Config.guard].
     A [defect] that changes the as-built wiring is patched in: [No_lock]
     drops the protocol stage's [Serial_conn] domain, [Early_release]
     lets its writes escape the critical section, and

@@ -1,11 +1,10 @@
-(* FlexGuard: the overload-control policy engine (DESIGN.md §13).
+(* FlexGuard: the overload-control mechanism state (DESIGN.md §13).
 
-   Owns the mechanism state the control plane and data path consult
-   under churn: the SYN-cookie secret, the TIME_WAIT table, the event
+   Owns the state the control plane and data path consult under
+   churn: the SYN-cookie secret, the TIME_WAIT table, the event
    counters, and the per-stage queue-depth high-water marks. The
-   module is deliberately simulator-light — decisions are pure
-   functions of explicit [now] arguments — so the same policy core
-   replays offline under `flexlint churn`. *)
+   admission decisions themselves live in the control plane, which
+   counts each one here. *)
 
 type tw_entry = {
   tw_flow : Tcp.Flow.t;
@@ -63,10 +62,6 @@ let note_depth t ~stage depth =
 
 let peak_depth t ~stage =
   match Hashtbl.find_opt t.peaks stage with Some r -> !r | None -> 0
-
-let peak_depths t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.peaks []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* --- SYN cookies ------------------------------------------------------ *)
 
@@ -162,162 +157,3 @@ let tw_reap t ~now =
       count t "tw_expired")
     dead;
   List.length dead
-
-(* --- Offline admission replay (flexlint churn) ------------------------ *)
-
-type churn_event =
-  | Ev_syn of int  (* connection attempt [id] arrives *)
-  | Ev_ack of int  (* handshake ACK for [id] *)
-  | Ev_seg of int  (* established-flow segment for [id] *)
-  | Ev_close of int  (* both directions of [id] closed *)
-
-type ledger = {
-  lg_syns : int;
-  lg_accepted : int;  (* entered the stateful backlog *)
-  lg_cookies : int;  (* answered statelessly *)
-  lg_shed : int;  (* SYNs dropped by backlog/admission pressure *)
-  lg_established : int;  (* handshakes completed *)
-  lg_segments : int;  (* established-flow segments passed *)
-  lg_established_shed : int;  (* MUST be 0: the policy never sheds these *)
-  lg_tw_recycled : int;  (* TIME_WAIT entries recycled under pressure *)
-  lg_peak_backlog : int;
-  lg_peak_established : int;
-}
-
-(* Replays the admission policy over an abstract trace: the same
-   decision order as the live control plane (TIME_WAIT check, then
-   backlog/admission, then cookie fallback), with logical time = event
-   index and a TIME_WAIT lifetime of [tw_ticks] events. *)
-let replay ?(tw_ticks = 1024) (g : Config.guard) events =
-  let pending = Hashtbl.create 64 in  (* id -> () *)
-  let cookie_sent = Hashtbl.create 64 in
-  let established = Hashtbl.create 64 in
-  let tw = Hashtbl.create 64 in  (* id -> expiry tick *)
-  let lg =
-    ref
-      {
-        lg_syns = 0;
-        lg_accepted = 0;
-        lg_cookies = 0;
-        lg_shed = 0;
-        lg_established = 0;
-        lg_segments = 0;
-        lg_established_shed = 0;
-        lg_tw_recycled = 0;
-        lg_peak_backlog = 0;
-        lg_peak_established = 0;
-      }
-  in
-  List.iteri
-    (fun tick ev ->
-      (* Expire TIME_WAIT entries. *)
-      let dead =
-        Hashtbl.fold
-          (fun id exp acc -> if tick >= exp then id :: acc else acc)
-          tw []
-      in
-      List.iter (Hashtbl.remove tw) dead;
-      let l = !lg in
-      match ev with
-      | Ev_syn id ->
-          let l = { l with lg_syns = l.lg_syns + 1 } in
-          let tw_blocked = Hashtbl.mem tw id in
-          let backlog_full =
-            g.Config.g_syn_backlog > 0
-            && Hashtbl.length pending >= g.Config.g_syn_backlog
-          in
-          let table_full =
-            g.Config.g_max_conns > 0
-            && Hashtbl.length established + Hashtbl.length pending
-               >= g.Config.g_max_conns
-          in
-          lg :=
-            if tw_blocked then
-              (* Old incarnation still in TIME_WAIT: the abstract trace
-                 carries no ISN, so treat the SYN as a pressure recycle
-                 (the live path compares ISNs). *)
-              begin
-                Hashtbl.remove tw id;
-                Hashtbl.replace pending id ();
-                {
-                  l with
-                  lg_tw_recycled = l.lg_tw_recycled + 1;
-                  lg_accepted = l.lg_accepted + 1;
-                }
-              end
-            else if table_full then { l with lg_shed = l.lg_shed + 1 }
-            else if backlog_full then
-              if g.Config.g_syn_cookies then begin
-                Hashtbl.replace cookie_sent id ();
-                { l with lg_cookies = l.lg_cookies + 1 }
-              end
-              else { l with lg_shed = l.lg_shed + 1 }
-            else begin
-              Hashtbl.replace pending id ();
-              { l with lg_accepted = l.lg_accepted + 1 }
-            end;
-          lg :=
-            {
-              !lg with
-              lg_peak_backlog = Int.max !lg.lg_peak_backlog (Hashtbl.length pending);
-            }
-      | Ev_ack id ->
-          if Hashtbl.mem pending id || Hashtbl.mem cookie_sent id then begin
-            Hashtbl.remove pending id;
-            Hashtbl.remove cookie_sent id;
-            Hashtbl.replace established id ();
-            lg :=
-              {
-                l with
-                lg_established = l.lg_established + 1;
-                lg_peak_established =
-                  Int.max l.lg_peak_established (Hashtbl.length established);
-              }
-          end
-      | Ev_seg id ->
-          (* The shed policy never touches established-flow segments;
-             a segment for a flow we admitted always passes. *)
-          if Hashtbl.mem established id then
-            lg := { l with lg_segments = l.lg_segments + 1 }
-      | Ev_close id ->
-          if Hashtbl.mem established id then begin
-            Hashtbl.remove established id;
-            if g.Config.g_time_wait > Sim.Time.zero then begin
-              (if
-                 g.Config.g_time_wait_max > 0
-                 && Hashtbl.length tw >= g.Config.g_time_wait_max
-               then
-                 let oldest =
-                   Hashtbl.fold
-                     (fun id' exp acc ->
-                       match acc with
-                       | Some (_, e) when e <= exp -> acc
-                       | _ -> Some (id', exp))
-                     tw None
-                 in
-                 match oldest with
-                 | Some (id', _) ->
-                     Hashtbl.remove tw id';
-                     lg := { !lg with lg_tw_recycled = !lg.lg_tw_recycled + 1 }
-                 | None -> ());
-              Hashtbl.replace tw id (tick + tw_ticks)
-            end
-          end)
-    events;
-  !lg
-
-let pp_ledger ppf l =
-  Format.fprintf ppf
-    "@[<v>syns         %8d@,\
-     accepted     %8d@,\
-     cookies      %8d@,\
-     shed         %8d@,\
-     established  %8d@,\
-     segments     %8d@,\
-     est. shed    %8d@,\
-     tw recycled  %8d@,\
-     peak backlog %8d@,\
-     peak estab.  %8d@]"
-    l.lg_syns l.lg_accepted l.lg_cookies l.lg_shed l.lg_established
-    l.lg_segments l.lg_established_shed l.lg_tw_recycled l.lg_peak_backlog
-    l.lg_peak_established

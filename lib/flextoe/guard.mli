@@ -1,14 +1,16 @@
-(** FlexGuard: the overload-control policy engine (DESIGN.md §13).
+(** FlexGuard: the overload-control mechanism state (DESIGN.md §13).
 
-    Holds the mechanism state consulted by the control plane and the
-    data path under connection churn: the SYN-cookie secret, the
-    TIME_WAIT table, the accept/shed/evict/reap counters, and the
-    per-stage queue-depth high-water marks. Created by the data path
-    when {!Config.guard} has [g_on] set; absent (a [None] option, one
+    Holds the state consulted by the control plane and the data path
+    under connection churn: the SYN-cookie secret, the TIME_WAIT
+    table, the accept/shed/evict/reap counters, and the per-stage
+    queue-depth high-water marks. Created by the data path when
+    {!Config.guard} has [g_on] set; absent (a [None] option, one
     branch per hook) otherwise.
 
-    Decisions are pure functions of explicit [now] arguments so the
-    same policy core replays offline under [flexlint churn]. *)
+    The admission policy has one implementation, the live one in the
+    control plane ({!Control_plane.set_connection_limit}); it counts
+    every decision here, and tests assert on these counters. Cookie
+    and TIME_WAIT checks take explicit [now] arguments. *)
 
 type t
 
@@ -34,7 +36,6 @@ val established_shed : t -> int
 
 val note_depth : t -> stage:string -> int -> unit
 val peak_depth : t -> stage:string -> int
-val peak_depths : t -> (string * int) list
 
 (** {1 SYN cookies}
 
@@ -71,36 +72,6 @@ val tw_reap : t -> now:Sim.Time.t -> int
 (** Expire entries past their deadline; returns how many. *)
 
 val tw_length : t -> int
-
-(** {1 Offline admission replay (flexlint churn)} *)
-
-type churn_event =
-  | Ev_syn of int
-  | Ev_ack of int
-  | Ev_seg of int
-  | Ev_close of int
-
-type ledger = {
-  lg_syns : int;
-  lg_accepted : int;
-  lg_cookies : int;
-  lg_shed : int;
-  lg_established : int;
-  lg_segments : int;
-  lg_established_shed : int;  (** Must be 0. *)
-  lg_tw_recycled : int;
-  lg_peak_backlog : int;
-  lg_peak_established : int;
-}
-
-val replay : ?tw_ticks:int -> Config.guard -> churn_event list -> ledger
-(** Replay the admission policy over an abstract churn trace, with
-    logical time = event index and TIME_WAIT lifetime [tw_ticks]
-    events (default 1024). Decision order matches the live control
-    plane: TIME_WAIT check, then admission cap, then backlog (cookie
-    fallback), and established-flow segments are never shed. *)
-
-val pp_ledger : Format.formatter -> ledger -> unit
 
 (**/**)
 

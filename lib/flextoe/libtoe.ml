@@ -32,7 +32,6 @@ type t = {
   endpoint : Host.Api.endpoint;
 }
 
-let sockets_open t = Nfp.Conn_table.length t.by_opaque
 let atx_retries t = t.atx_retries
 let sockets_aborted t = t.aborted
 
@@ -97,13 +96,13 @@ let do_send t sock data =
       sock.tx_tail <- sock.tx_tail + n;
       sock.tx_free <- sock.tx_free - n;
       sock.tx_avail_pending <- sock.tx_avail_pending + n;
-      (* HC-update coalescing (§3.4): at [b_notify > 1] small appends
+      (* HC-update coalescing (§3.4): above batch degree 1 small appends
          accumulate into one Tx_avail doorbell — posted as soon as a
          full segment's worth is pending, or when the batch-delay
          timer fires on a partial window. Degree 1 posts every
          append, exactly as before. *)
       if
-        t.cfg.Config.batch.Config.b_notify <= 1
+        Config.batch_degree t.cfg <= 1
         || sock.tx_avail_pending >= t.cfg.Config.mss
       then flush_hc t sock
       else if not sock.hc_batch_armed then begin

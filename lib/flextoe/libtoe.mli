@@ -30,8 +30,6 @@ val create :
 val endpoint : t -> Host.Api.endpoint
 (** The application-facing socket interface. *)
 
-val sockets_open : t -> int
-
 val atx_retries : t -> int
 (** Times a full ATX ring forced HC updates to be re-posted later.
     Retries back off exponentially (5 us doubling to 80 us) and reset

@@ -200,10 +200,10 @@ let tx cfg ~now conn ~alloc_gseq =
   ignore now;
   let p = conn.proto in
   let usable = p.remote_win - tx_unacked conn in
-  (* TSO (§3.4): one descriptor may carry up to [b_tso] MSS units; the
-     NBI splits it back into wire frames. At [b_tso = 1] the cap is
-     exactly [mss], today's per-segment behavior. *)
-  let cap = cfg.Config.mss * cfg.Config.batch.Config.b_tso in
+  (* TSO (§3.4): one descriptor may carry up to batch-degree MSS
+     units; the NBI splits it back into wire frames. At degree 1 the
+     cap is exactly [mss], today's per-segment behavior. *)
+  let cap = cfg.Config.mss * Config.batch_degree cfg in
   let len = Int.min cap (Int.min (tx_avail conn) usable) in
   let emit ~len ~fin =
     let pos = p.tx_next_pos in

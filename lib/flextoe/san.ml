@@ -225,8 +225,6 @@ let tid t name =
       Hashtbl.replace t.tids name i;
       i
 
-let env_tid t = tid t "env"
-
 let cur_clock t =
   let c = t.clocks.(t.cur) in
   if Array.length c <= t.cur then begin
@@ -593,4 +591,3 @@ let span_overlaps t = t.span_overlaps
 let closed_spans t = t.closed_spans
 let set_record_spans t v = t.record_spans <- v
 let threads t = t.n_threads
-let env_thread = env_tid

@@ -133,4 +133,3 @@ val span_overlaps : t -> int
 val threads : t -> int
 val closed_spans : t -> (int * string * Sim.Time.t * Sim.Time.t) list
 val set_record_spans : t -> bool -> unit
-val env_thread : t -> int

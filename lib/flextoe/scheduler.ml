@@ -188,8 +188,6 @@ let forget t ~conn =
   | None -> ());
   Nfp.Conn_table.remove t.flows conn
 
-let credits_available t = t.credits
-
 let ready t =
   Array.fold_left
     (fun acc q ->

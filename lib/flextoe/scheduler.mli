@@ -69,7 +69,6 @@ val interval : t -> conn:int -> int
 val forget : t -> conn:int -> unit
 (** Drop scheduler state for a closed connection. *)
 
-val credits_available : t -> int
 val ready : t -> int
 (** Flows currently queued (round-robin and wheel). *)
 

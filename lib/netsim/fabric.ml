@@ -217,10 +217,6 @@ let transmit port frame =
 let set_tx_fault port hook = port.tx_fault <- hook
 let set_rx_fault port hook = port.rx_fault <- hook
 
-let port_mac p = p.mac
-let port_ip p = p.ip
-let port_engine p = p.home
-
 let sum_ports t f = List.fold_left (fun acc p -> acc + f p) 0 t.ports
 let delivered t = sum_ports t (fun p -> p.p_delivered)
 

@@ -85,12 +85,6 @@ val set_rx_fault : port -> fault_hook option -> unit
 (** Intercept frames delivered to this port, at arrival time, before
     the receive callback. *)
 
-val port_mac : port -> int
-val port_ip : port -> int
-
-val port_engine : port -> Sim.Engine.t
-(** The port's home LP. *)
-
 (** Fabric-wide statistics (summed over ports; on a partitioned
     fabric read them only while the cluster is not running). *)
 

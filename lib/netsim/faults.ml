@@ -193,7 +193,6 @@ let hook t frame k =
   t.c.seen <- t.c.seen + 1;
   run t.stages frame
 
-let attach_tx t port = Fabric.set_tx_fault port (Some (hook t))
 let attach_rx t port = Fabric.set_rx_fault port (Some (hook t))
 
 (* ---- counters --------------------------------------------------------- *)
@@ -218,11 +217,6 @@ let counters t =
     ("corrupted", t.c.corrupted);
     ("delayed", t.c.delayed);
   ]
-
-let pp_counters ppf t =
-  Fmt.pf ppf "@[<h>%a@]"
-    (Fmt.list ~sep:Fmt.sp (fun ppf (k, v) -> Fmt.pf ppf "%s=%d" k v))
-    (List.filter (fun (_, v) -> v > 0) (counters t))
 
 (* ---- named schedules -------------------------------------------------- *)
 
@@ -257,9 +251,6 @@ let named = function
       ]
   | "jitter" -> [ Jitter { max_delay = Sim.Time.us 50 } ]
   | name -> invalid_arg ("Faults.named: unknown schedule " ^ name)
-
-let schedule_names =
-  [ "none"; "bursty-loss"; "reorder-heavy"; "corruption"; "blackout"; "jitter" ]
 
 (* ---- connection-churn load generators --------------------------------- *)
 

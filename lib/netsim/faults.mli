@@ -67,9 +67,6 @@ val hook : t -> Fabric.fault_hook
 (** The chain as a raw hook (for attaching outside the fabric, e.g.
     in tests that drive frames directly). *)
 
-val attach_tx : t -> Fabric.port -> unit
-(** Attach to a port's transmit side. *)
-
 val attach_rx : t -> Fabric.port -> unit
 (** Attach to a port's receive side. *)
 
@@ -95,9 +92,6 @@ val delayed : t -> int
 val counters : t -> (string * int) list
 (** All counters as name-value pairs (for digests and reports). *)
 
-val pp_counters : Format.formatter -> t -> unit
-(** Non-zero counters, space-separated. *)
-
 (** {1 Named schedules}
 
     Shared vocabulary between the chaos benchmarks and the fault
@@ -109,8 +103,6 @@ val pp_counters : Format.formatter -> t -> unit
 
 val named : string -> spec list
 (** Raises [Invalid_argument] on an unknown name. *)
-
-val schedule_names : string list
 
 (** {1 Connection-churn load generators}
 

@@ -52,10 +52,10 @@ type t = {
   mutable retries : int;
   mutable retries_exhausted : int;
   mutable tracer : tracer option;
-  (* Batching degrees (§3.4); both 1 by default, which keeps every
-     code path bit-identical to the unbatched engine. *)
-  mutable db_batch : int;  (* descriptors rung per doorbell *)
-  mutable cp_batch : int;  (* completions coalesced per delivery *)
+  (* Batching degree (§3.4): descriptors rung per doorbell and
+     completions coalesced per delivery. 1 by default, which keeps
+     every code path bit-identical to the unbatched engine. *)
+  mutable batch : int;
   mutable batch_delay : Sim.Time.t;  (* partial-batch hold bound *)
   mutable doorbells : int;  (* flushes rung (batched mode only) *)
 }
@@ -82,24 +82,20 @@ let create engine ~params =
     retries = 0;
     retries_exhausted = 0;
     tracer = None;
-    db_batch = 1;
-    cp_batch = 1;
+    batch = 1;
     batch_delay = Sim.Time.us 1;
     doorbells = 0;
   }
 
 let set_tracer t tr = t.tracer <- tr
 
-let set_batch t ~doorbell ~completion ~delay =
-  t.db_batch <- Int.max 1 doorbell;
-  t.cp_batch <- Int.max 1 completion;
+let set_batch t degree ~delay =
+  t.batch <- degree;
   t.batch_delay <- delay
 
 let set_fault t ?(seed = 0xD0AL) ~rate ?(max_retries = 8) () =
   t.fault <-
     Some { f_rng = Sim.Rng.create seed; f_rate = rate; f_max_retries = max_retries }
-
-let clear_fault t = t.fault <- None
 
 let serialization_time t bytes =
   if bytes <= 0 then 0
@@ -110,7 +106,7 @@ let serialization_time t bytes =
 
 (* Release finished tickets from the head of the queue's issue order:
    a still-retrying transfer ahead in the order holds everything
-   behind it. With completion coalescing ([cp_batch] > 1) a ready run
+   behind it. With completion coalescing ([batch] > 1) a ready run
    shorter than the batch is additionally held back — unless the queue
    has gone idle, in which case nothing else will ever top the batch
    up, so the stragglers are delivered now (this is what makes the
@@ -127,7 +123,7 @@ let drain_order t qi q =
       | Some tr -> tr.dt_complete ~queue:qi ~token:tk.tk_token tk.tk_k
     done
   in
-  if t.cp_batch <= 1 then release ()
+  if t.batch <= 1 then release ()
   else begin
     let ready = ref 0 in
     (try
@@ -140,7 +136,7 @@ let drain_order t qi q =
       && Sim.Fifo.is_empty q.waiting
       && Sim.Fifo.is_empty q.pending
     in
-    if !ready >= t.cp_batch || idle then release ()
+    if !ready >= t.batch || idle then release ()
   end
 
 let rec start t qi q tk =
@@ -204,10 +200,10 @@ let issue t ~queue ~bytes k =
       tk_done = false }
   in
   Sim.Fifo.push tk q.order;
-  if t.db_batch <= 1 then admit t qi q tk
+  if t.batch <= 1 then admit t qi q tk
   else begin
     Sim.Fifo.push tk q.pending;
-    if Sim.Fifo.length q.pending >= t.db_batch then flush_doorbell t qi q
+    if Sim.Fifo.length q.pending >= t.batch then flush_doorbell t qi q
     else if not q.db_armed then begin
       q.db_armed <- true;
       Sim.Engine.schedule t.engine t.batch_delay (fun () ->
@@ -230,7 +226,6 @@ let queue_stats t =
 
 let transfers_completed t = t.completed
 let bytes_transferred t = t.bytes
-let busy_until t = t.link_free
 let faults_injected t = t.faults_injected
 let retries t = t.retries
 let retries_exhausted t = t.retries_exhausted

@@ -26,17 +26,16 @@ val create : Sim.Engine.t -> params:Params.t -> t
 val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the completion tracer. Zero cost when unset. *)
 
-val set_batch : t -> doorbell:int -> completion:int -> delay:Sim.Time.t -> unit
-(** Batching degrees (§3.4), both clamped to [>= 1]; [1]/[1] (the
-    default) is bit-identical to the unbatched engine. With
-    [doorbell = n > 1], issued descriptors accumulate and are admitted
-    [n] at a time (or when [delay] elapses on a partial batch); the
-    issue-order FIFO and the sanitizer's issue tokens are fixed at
-    issue time, so completion semantics are unchanged. With
-    [completion = m > 1], a ready run of completions shorter than [m]
-    is held until it fills or the queue goes idle — the last
-    completion of any burst observes the idle queue and drains it, so
-    coalescing cannot deadlock. *)
+val set_batch : t -> int -> delay:Sim.Time.t -> unit
+(** [set_batch t n ~delay] sets the batching degree (§3.4); [n <= 1]
+    (the default is 1) is bit-identical to the unbatched engine. Above
+    1, issued descriptors accumulate and are admitted [n] at a time
+    (or when [delay] elapses on a partial batch); the issue-order FIFO
+    and the sanitizer's issue tokens are fixed at issue time, so
+    completion semantics are unchanged. A ready run of completions
+    shorter than [n] is held until it fills or the queue goes idle —
+    the last completion of any burst observes the idle queue and
+    drains it, so coalescing cannot deadlock. *)
 
 val doorbells : t -> int
 (** Doorbell flushes rung (counts only in batched mode). *)
@@ -67,9 +66,6 @@ val queue_stats : t -> (int * int) array
 val transfers_completed : t -> int
 val bytes_transferred : t -> int
 
-val busy_until : t -> Sim.Time.t
-(** Time at which the shared link drains, given current commitments. *)
-
 (** {1 Fault injection}
 
     A flaky PCIe link: each transfer attempt independently fails with
@@ -86,8 +82,6 @@ val set_fault : t -> ?seed:int64 -> rate:float -> ?max_retries:int -> unit -> un
 (** Enable per-attempt failure injection ([max_retries] defaults
     to 8; the RNG is private to the fault stage, so enabling it does
     not perturb other random streams). *)
-
-val clear_fault : t -> unit
 
 val faults_injected : t -> int
 (** Failed transfer attempts. *)

@@ -49,12 +49,6 @@ module Pressure = struct
     t.flows <- Int.max 0 (t.flows - 1);
     t.bytes <- Int.max 0 (t.bytes - bytes)
 
-  let flows t = t.flows
-  let bytes t = t.bytes
-  let peak_flows t = t.peak_flows
-  let peak_bytes t = t.peak_bytes
-  let capacity_flows t = t.capacity_flows
-
   let bytes_per_flow t =
     if t.peak_flows = 0 then 0
     else (t.peak_bytes + t.peak_flows - 1) / t.peak_flows

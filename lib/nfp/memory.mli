@@ -30,12 +30,6 @@ module Pressure : sig
   val remove : t -> bytes:int -> unit
   (** Release one connection's state (clamped at zero). *)
 
-  val flows : t -> int
-  val bytes : t -> int
-  val peak_flows : t -> int
-  val peak_bytes : t -> int
-  val capacity_flows : t -> int
-
   val bytes_per_flow : t -> int
   (** Peak resident bytes per peak resident flow, rounded up — the
       footprint number the "scale" bench gate pins. 0 before any

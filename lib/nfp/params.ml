@@ -48,5 +48,3 @@ let default =
     wire_gbps = 40.0;
     seg_buffers = 1024;
   }
-
-let total_fpcs t = t.islands * t.fpcs_per_island

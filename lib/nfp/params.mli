@@ -44,5 +44,3 @@ type t = {
 }
 
 val default : t
-
-val total_fpcs : t -> int

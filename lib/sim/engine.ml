@@ -379,8 +379,6 @@ module Cluster = struct
     ch
 
   let latency ch = ch.ch_latency
-  let channel_src ch = ch.ch_src
-  let channel_dst ch = ch.ch_dst
 
   let bump_epoch cl =
     Mutex.lock cl.cl_mu;

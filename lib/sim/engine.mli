@@ -182,8 +182,6 @@ module Cluster : sig
       [at >= Local.now src + latency ch]. *)
 
   val latency : channel -> Time.t
-  val channel_src : channel -> lp
-  val channel_dst : channel -> lp
 
   val channel_sent : channel -> int
   val channel_delivered : channel -> int

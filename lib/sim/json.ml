@@ -289,5 +289,4 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
-let to_list_opt = function List xs -> Some xs | _ -> None
 let to_obj_opt = function Obj kvs -> Some kvs | _ -> None

@@ -38,5 +38,4 @@ val to_float_opt : t -> float option
 (** [Int]s widen to float; everything else is [None]. *)
 
 val to_string_opt : t -> string option
-val to_list_opt : t -> t list option
 val to_obj_opt : t -> (string * t) list option

@@ -110,9 +110,6 @@ let count t ~name ?(n = 1) () =
   | Some r -> r := !r + n
   | None -> Hashtbl.replace t.counters name (ref n)
 
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
 let push_event t ev =
   if t.n_events < t.max_events then begin
     t.events <- ev :: t.events;

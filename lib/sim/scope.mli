@@ -64,7 +64,6 @@ val record : t -> string -> int -> unit
     use). *)
 
 val count : t -> name:string -> ?n:int -> unit -> unit
-val counter_value : t -> string -> int
 
 val sample : t -> series:string -> value:float -> unit
 (** Append a point to a named time series. Aggregates (last, min,

@@ -157,16 +157,6 @@ let pp fmt t =
     t.src_ip t.src_port pp_ip t.dst_ip t.dst_port Seq32.pp t.seq Seq32.pp
     t.ack_seq pp_flags t.flags t.window (payload_len t)
 
-let pp_frame fmt f =
-  let ecn =
-    match f.ecn with Not_ect -> "" | Ect0 -> " ect0" | Ect1 -> " ect1"
-    | Ce -> " CE"
-  in
-  let vlan =
-    match f.vlan with Some v -> Printf.sprintf " vlan=%d" v | None -> ""
-  in
-  Format.fprintf fmt "%a%s%s" pp f.seg vlan ecn
-
 let mtu = 1500
 let default_mss = mtu - 40
 let mss_with_timestamps = default_mss - 12

@@ -104,7 +104,6 @@ val csum_ok : frame -> bool
 (** Does the carried checksum match the segment's contents? *)
 
 val pp : Format.formatter -> t -> unit
-val pp_frame : Format.formatter -> frame -> unit
 val pp_ip : Format.formatter -> int -> unit
 (** Dotted-quad rendering of a 32-bit IPv4 address. *)
 

@@ -25,7 +25,7 @@ let md5 s = Digest.to_hex (Digest.string s)
 let cfg ~batch ~scope ~san ~scale =
   {
     Flextoe.Config.default with
-    Flextoe.Config.batch = Flextoe.Config.batch_of batch;
+    Flextoe.Config.batch;
     (* The digests pin the unguarded pipeline: FLEXGUARD=1 in the
        environment (the churn CI job) must not perturb them. *)
     guard = Flextoe.Config.guard_none;

@@ -1,6 +1,6 @@
 (* FlexGuard: teardown state machine, TIME_WAIT disambiguation,
    RST handling, bounded handshake retransmission, admission/backlog
-   policy — unit tests on the policy engine plus end-to-end churn
+   policy — unit tests on the mechanism state plus end-to-end churn
    scenarios with the guard armed. *)
 
 module F = Netsim.Faults
@@ -12,7 +12,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* --- Policy-engine unit tests --------------------------------------- *)
+(* --- Mechanism unit tests --------------------------------------------- *)
 
 let mk_guard ?(g = Config.guard_default) () =
   Guard.create ~g ~secret:0x5EED ()
@@ -88,63 +88,6 @@ let test_tw_capacity_recycles_oldest () =
   let past = Sim.Time.ms 1000 in
   check_int "reap expires remaining entries" 4 (Guard.tw_reap g ~now:past);
   check_int "table empty after reap" 0 (Guard.tw_length g)
-
-let test_replay_backlog_and_cookies () =
-  let g =
-    {
-      Config.guard_default with
-      Config.g_syn_backlog = 8;
-      g_max_conns = 0;
-      g_syn_cookies = true;
-    }
-  in
-  (* 100 SYNs, none ever ACKed: the first 8 fill the backlog, the rest
-     are answered statelessly. Nothing is shed. *)
-  let events = List.init 100 (fun i -> Guard.Ev_syn i) in
-  let l = Guard.replay g events in
-  check_int "backlog absorbed 8" 8 l.Guard.lg_accepted;
-  check_int "92 answered with cookies" 92 l.Guard.lg_cookies;
-  check_int "nothing shed with cookies on" 0 l.Guard.lg_shed;
-  check_int "peak backlog bounded" 8 l.Guard.lg_peak_backlog;
-  (* Same flood without cookies: the overflow is shed. *)
-  let l' = Guard.replay { g with Config.g_syn_cookies = false } events in
-  check_int "without cookies the overflow sheds" 92 l'.Guard.lg_shed;
-  check_int "established segments never shed (none here)" 0
-    l'.Guard.lg_established_shed
-
-let test_replay_established_never_shed () =
-  let g =
-    {
-      Config.guard_default with
-      Config.g_syn_backlog = 2;
-      g_max_conns = 4;
-      g_syn_cookies = false;
-    }
-  in
-  (* Four established flows exchanging segments under a SYN flood that
-     saturates both backlog and admission: every established segment
-     must still pass. *)
-  let establish i = [ Guard.Ev_syn i; Guard.Ev_ack i ] in
-  let flood = List.init 50 (fun i -> Guard.Ev_syn (1000 + i)) in
-  let traffic = List.init 40 (fun i -> Guard.Ev_seg (i mod 4)) in
-  let events = List.concat (List.init 4 establish) @ flood @ traffic in
-  let l = Guard.replay g events in
-  check_int "four established" 4 l.Guard.lg_established;
-  check_int "flood shed" 50 l.Guard.lg_shed;
-  check_int "all established segments passed" 40 l.Guard.lg_segments;
-  check_int "zero established segments shed" 0 l.Guard.lg_established_shed
-
-let test_replay_close_and_timewait () =
-  let g =
-    { Config.guard_default with Config.g_syn_backlog = 0; g_time_wait_max = 2 }
-  in
-  let conn i = [ Guard.Ev_syn i; Guard.Ev_ack i; Guard.Ev_close i ] in
-  let events = List.concat (List.init 5 conn) in
-  let l = Guard.replay ~tw_ticks:1_000 g events in
-  check_int "five established over the run" 5 l.Guard.lg_established;
-  (* TIME_WAIT capacity 2: three of the five closes recycled an
-     entry. *)
-  check_int "time-wait recycles under pressure" 3 l.Guard.lg_tw_recycled
 
 (* --- End-to-end worlds ------------------------------------------------ *)
 
@@ -415,6 +358,228 @@ let test_listener_pause_backpressure () =
   run_for w (Sim.Time.ms 20);
   check_int "handshake completes after resume" 1 !accepted
 
+(* --- Scripted admission storms ---------------------------------------- *)
+
+(* A script of SYN / handshake-ACK / data-segment / close events, fed
+   to a live guarded server from one raw peer port. Connection [id] is
+   source port [peer_port id] with ISN [peer_isn id]; the peer records
+   the server's SYN-ACKs and ACKs and acknowledges its FINs, as a real
+   stack would. Assertions read the server's own counters. *)
+type ev = Syn of int | Ack of int | Seg of int | Close of int
+
+type peer = {
+  pw : world;
+  mutable port : Netsim.Fabric.port option;
+  synack : (int, Tcp.Seq32.t) Hashtbl.t;  (* id -> server ISN *)
+  sent : (int, int) Hashtbl.t;  (* id -> payload bytes sent *)
+  acked : (int, Tcp.Seq32.t) Hashtbl.t;  (* id -> server's latest ACK *)
+}
+
+let peer_port id = 20_000 + id
+let peer_isn id = Tcp.Seq32.of_int (1_000_000 * (id + 1))
+let seg_bytes = 10
+let step = Sim.Time.us 50
+
+let peer_next p id =
+  Tcp.Seq32.add (peer_isn id)
+    (1 + Option.value ~default:0 (Hashtbl.find_opt p.sent id))
+
+let peer_send p id ?(payload = Bytes.empty) ~flags ~seq ~ack_seq () =
+  let seg =
+    S.make ~flags ~payload ~window:0xFFFF ~src_ip:ip_rogue ~dst_ip:ip_server
+      ~src_port:(peer_port id) ~dst_port:7 ~seq ~ack_seq ()
+  in
+  Option.iter
+    (fun port ->
+      Netsim.Fabric.transmit port
+        (S.make_frame ~src_mac:(mac_of_ip ip_rogue)
+           ~dst_mac:(mac_of_ip ip_server) seg))
+    p.port
+
+let peer_rx p (frame : S.frame) =
+  let seg = frame.S.seg in
+  let id = seg.S.dst_port - peer_port 0 in
+  let fl = seg.S.flags in
+  if fl.S.syn && fl.S.ack then Hashtbl.replace p.synack id seg.S.seq
+  else if fl.S.ack then Hashtbl.replace p.acked id seg.S.ack_seq;
+  if fl.S.fin then
+    (* Scripts always close from the peer first, so our FIN is out. *)
+    peer_send p id ~flags:S.flags_ack
+      ~seq:(Tcp.Seq32.succ (peer_next p id))
+      ~ack_seq:(Tcp.Seq32.add seg.S.seq (Bytes.length seg.S.payload + 1))
+      ()
+
+let mk_peer w =
+  let p =
+    {
+      pw = w;
+      port = None;
+      synack = Hashtbl.create 64;
+      sent = Hashtbl.create 64;
+      acked = Hashtbl.create 64;
+    }
+  in
+  p.port <-
+    Some
+      (Netsim.Fabric.add_port w.fabric ~mac:(mac_of_ip ip_rogue)
+         ~ip:ip_rogue ~rx:(peer_rx p) ());
+  p
+
+let server_flow id =
+  Tcp.Flow.v ~local_ip:ip_server ~local_port:7 ~remote_ip:ip_rogue
+    ~remote_port:(peer_port id)
+
+(* One event, then [step] of simulated time for the server to answer. *)
+let play p evs =
+  List.iter
+    (fun ev ->
+      (match ev with
+      | Syn id ->
+          peer_send p id
+            ~flags:{ S.no_flags with S.syn = true }
+            ~seq:(peer_isn id) ~ack_seq:Tcp.Seq32.zero ()
+      | Ack id | Seg id | Close id -> (
+          (* A SYN the server shed drew no SYN-ACK: nothing follows it.
+             A stateful and a cookie handshake complete alike. *)
+          match Hashtbl.find_opt p.synack id with
+          | None -> ()
+          | Some isn -> (
+              let seq = peer_next p id and ack_seq = Tcp.Seq32.succ isn in
+              match ev with
+              | Seg _ ->
+                  peer_send p id ~payload:(Bytes.make seg_bytes 'x')
+                    ~flags:S.flags_ack ~seq ~ack_seq ();
+                  Hashtbl.replace p.sent id
+                    (seg_bytes
+                    + Option.value ~default:0 (Hashtbl.find_opt p.sent id))
+              | Close _ -> (
+                  peer_send p id
+                    ~flags:{ S.flags_ack with S.fin = true }
+                    ~seq ~ack_seq ();
+                  run_for p.pw step;
+                  let server = p.pw.server in
+                  match
+                    Flextoe.Datapath.conn_of_flow (Flextoe.datapath server)
+                      (server_flow id)
+                  with
+                  | Some conn ->
+                      Flextoe.Control_plane.close (Flextoe.control server)
+                        ~conn
+                  | None -> ())
+              | _ -> peer_send p id ~flags:S.flags_ack ~seq ~ack_seq ())));
+      run_for p.pw step)
+    evs
+
+(* A guarded server listening on port 7 behind a scripted peer. *)
+let scripted ?limit g =
+  let w = mk_world ~config:{ Config.default with Config.guard = g } () in
+  (Flextoe.endpoint w.server).Host.Api.listen ~port:7
+    ~on_accept:(fun _ -> ());
+  Flextoe.Control_plane.set_connection_limit (Flextoe.control w.server) limit;
+  (w, mk_peer w)
+
+let test_replay_backlog_and_cookies () =
+  let g =
+    { Config.guard_default with Config.g_syn_backlog = 8; g_syn_cookies = true }
+  in
+  (* 100 SYNs, none ever ACKed: the first 8 fill the backlog, the rest
+     are answered statelessly. Nothing is shed. *)
+  let syns = List.init 100 (fun i -> Syn i) in
+  let w, p = scripted g in
+  play p syns;
+  let gd = server_guard w in
+  check_int "backlog absorbed 8" 8 (Guard.counter gd "syn_accepted");
+  check_int "92 answered with cookies" 92 (Guard.counter gd "cookie_sent");
+  check_int "nothing shed with cookies on" 0
+    (Guard.counter gd "shed_backlog" + Guard.counter gd "shed_admission");
+  (* Same flood without cookies: the overflow is shed. *)
+  let w, p = scripted { g with Config.g_syn_cookies = false } in
+  play p syns;
+  let gd = server_guard w in
+  check_int "backlog absorbed 8 without cookies" 8
+    (Guard.counter gd "syn_accepted");
+  check_int "without cookies the overflow sheds" 92
+    (Guard.counter gd "shed_backlog");
+  check_int "no cookies issued" 0 (Guard.counter gd "cookie_sent")
+
+let test_replay_established_never_shed () =
+  let g =
+    {
+      Config.guard_default with
+      Config.g_syn_backlog = 2;
+      g_syn_cookies = false;
+    }
+  in
+  (* Four established flows exchanging segments under a SYN flood that
+     meets a full connection table: every established segment must
+     still pass. *)
+  let establish i = [ Syn i; Ack i ] in
+  let flood = List.init 50 (fun i -> Syn (1000 + i)) in
+  let traffic = List.init 40 (fun i -> Seg (i mod 4)) in
+  let w, p = scripted ~limit:4 g in
+  play p (List.concat (List.init 4 establish) @ flood @ traffic);
+  let gd = server_guard w in
+  check_int "four established" 4
+    (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
+  check_int "flood shed at the cap" 50 (Guard.counter gd "shed_admission");
+  for i = 0 to 3 do
+    check_bool
+      (Printf.sprintf "flow %d: every established segment acknowledged" i)
+      true
+      (match Hashtbl.find_opt p.acked i with
+      | Some a -> Tcp.Seq32.diff a (peer_next p i) = 0
+      | None -> false)
+  done;
+  check_int "all 40 segments sent" 40
+    (Hashtbl.fold (fun _ n acc -> acc + n) p.sent 0 / seg_bytes);
+  check_int "zero established segments shed" 0 (Guard.established_shed gd)
+
+let test_replay_close_and_timewait () =
+  let g =
+    { Config.guard_default with Config.g_syn_backlog = 0; g_time_wait_max = 2 }
+  in
+  let conn i = [ Syn i; Ack i; Close i ] in
+  let w, p = scripted g in
+  play p (List.concat (List.init 5 conn));
+  run_for w (Sim.Time.ms 1);
+  let gd = server_guard w in
+  check_int "five established over the run" 5 (Guard.counter gd "syn_accepted");
+  check_int "all five torn down" 0
+    (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
+  check_int "five TIME_WAIT entries installed" 5
+    (Guard.counter gd "tw_installed");
+  (* TIME_WAIT capacity 2: three of the five closes recycled an
+     entry. *)
+  check_int "time-wait recycles under pressure" 3
+    (Guard.counter gd "tw_recycled_pressure");
+  check_int "table held at its cap" 2 (Guard.tw_length gd)
+
+(* The connection limit holds through SYN cookies: cookies defer the
+   table commitment to the completing ACK, so that ACK must meet the
+   same cap as a SYN. *)
+let test_cap_holds_through_cookies () =
+  let g =
+    { Config.guard_default with Config.g_syn_backlog = 2; g_syn_cookies = true }
+  in
+  let w = mk_world ~config:{ Config.default with Config.guard = g } () in
+  (Flextoe.endpoint w.server).Host.Api.listen ~port:7
+    ~on_accept:(fun _ -> ());
+  let cp = Flextoe.control w.server in
+  Flextoe.Control_plane.set_connection_limit cp (Some 4);
+  for _ = 1 to 8 do
+    (Flextoe.endpoint w.client).Host.Api.connect ~remote_ip:ip_server
+      ~remote_port:7 ~on_connected:(fun _ -> ())
+  done;
+  run_for w (Sim.Time.ms 2);
+  let gd = server_guard w in
+  check_int "server installed exactly the cap" 4
+    (Flextoe.Control_plane.active_flows cp);
+  check_bool "the overflow went through cookies" true
+    (Guard.counter gd "cookie_sent" > Guard.counter gd "cookie_accepted");
+  check_int "every turned-away cookie completion counted"
+    (Guard.counter gd "cookie_sent" - Guard.counter gd "cookie_accepted")
+    (Guard.counter gd "shed_admission")
+
 let test_guard_defaults_off () =
   (* [guard_none] (the default unless FLEXGUARD is set — pinned
      explicitly here so the churn CI job's FLEXGUARD=1 doesn't flip
@@ -464,6 +629,8 @@ let suite =
       test_syn_flood_cookies_and_shed;
     Alcotest.test_case "listener pause backpressure" `Slow
       test_listener_pause_backpressure;
+    Alcotest.test_case "connection cap holds through SYN cookies" `Slow
+      test_cap_holds_through_cookies;
     Alcotest.test_case "guard dormant at defaults" `Quick
       test_guard_defaults_off;
   ]

@@ -125,7 +125,7 @@ let test_effects_escapes () =
 let cfg ?(batch = 1) ?(guard = false) () =
   {
     Config.default with
-    Config.batch = Config.batch_of batch;
+    Config.batch;
     guard = (if guard then Config.guard_default else Config.guard_none);
   }
 

@@ -481,6 +481,64 @@ let test_guard_tw_pressure_recycles_oldest () =
       (Flextoe.Guard.tw_find guard ~flow:(tw_flow i) <> None)
   done
 
+(* --- Per-shard admission ---------------------------------------------- *)
+
+(* With a connection limit of 4 over two shards, each shard may hold
+   ceil(4 / 2) = 2 connections. Connects issued one at a time from the
+   client: the third flow steered to the first flow's shard is shed
+   while the global cap still has room, and the other shard keeps
+   admitting. *)
+let test_shard_admission_slice () =
+  let engine = Sim.Engine.create ~seed:42L () in
+  let fabric = Netsim.Fabric.create engine () in
+  let config =
+    {
+      Flextoe.Config.default with
+      Flextoe.Config.guard = Flextoe.Config.guard_default;
+      scale = Flextoe.Config.scale_of 2;
+    }
+  in
+  let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
+  let cp = Flextoe.control a in
+  Flextoe.Control_plane.set_connection_limit cp (Some 4);
+  (Flextoe.endpoint a).Host.Api.listen ~port:7 ~on_accept:(fun _ -> ());
+  (* The client numbers its local ports from 40000 in connect order;
+     steering is a pure function of the server-side 4-tuple. *)
+  let shard_of_port port =
+    FG.shard_of_config config
+      (Tcp.Flow.v ~local_ip:ip_a ~local_port:7 ~remote_ip:ip_b
+         ~remote_port:port)
+  in
+  let hot = shard_of_port 40_000 in
+  let rec connect_until port ~hot_left ~cold_left =
+    if hot_left > 0 || cold_left > 0 then begin
+      let is_hot = shard_of_port port = hot in
+      (Flextoe.endpoint b).Host.Api.connect ~remote_ip:ip_a ~remote_port:7
+        ~on_connected:(fun _ -> ());
+      Sim.Engine.run ~until:(Sim.Engine.now engine + Sim.Time.us 300) engine;
+      if is_hot then
+        connect_until (port + 1) ~hot_left:(hot_left - 1) ~cold_left
+      else
+        connect_until (port + 1) ~hot_left
+          ~cold_left:(Int.max 0 (cold_left - 1))
+    end
+  in
+  connect_until 40_000 ~hot_left:3 ~cold_left:1;
+  let g =
+    match D.guard (Flextoe.datapath a) with
+    | Some g -> g
+    | None -> Alcotest.fail "guard not armed"
+  in
+  let per_shard = Flextoe.Control_plane.shard_conns cp in
+  check_int "hot shard held at its slice" 2 per_shard.(hot);
+  check_int "cold shard still admits" 1 per_shard.(1 - hot);
+  check_int "global cap not reached" 3 (Flextoe.Control_plane.active_flows cp);
+  check_bool "third hot-shard flow shed by its slice" true
+    (Flextoe.Guard.counter g "shed_admission_shard" >= 1);
+  check_int "no global admission shed" 0
+    (Flextoe.Guard.counter g "shed_admission")
+
 let suite =
   [
     Alcotest.test_case "steering is a pure function of the 4-tuple" `Quick
@@ -507,4 +565,6 @@ let suite =
       test_fully_pinned_evicts_loudly;
     Alcotest.test_case "TIME_WAIT pressure recycles the oldest" `Quick
       test_guard_tw_pressure_recycles_oldest;
+    Alcotest.test_case "per-shard admission slice" `Quick
+      test_shard_admission_slice;
   ]
