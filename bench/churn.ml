@@ -15,7 +15,9 @@
    - flood-free goodput within 5% of the checked-in baseline
      (bench/BENCH_baseline_pr6.json);
    - retention at 10x at or above the baseline's retention_floor;
-   - established_shed identically 0 at every multiplier;
+   - established_shed identically 0 at every multiplier and in one
+     more 10x run against a 2-frame CP queue, where the shed policy
+     must engage (the sweep's floods never fill the 64-frame queue);
    - per-stage peak queue depths bounded (cp peak <= g_cp_queue). *)
 
 open Common
@@ -31,15 +33,17 @@ type outcome = {
   c_syns : int;  (* flood SYNs actually injected *)
   c_cookies : int;
   c_shed : int;  (* shed_backlog + shed_admission + shed_queue *)
+  c_shed_queue : int;  (* SYNs shed at a full CP queue *)
   c_est_shed : int;  (* must be 0 *)
   c_cp_peak : int;
   c_cp_bound : int;  (* g_cp_queue *)
   c_sched_peak : int;
 }
 
-let guarded_config () =
+let guarded_config ?(cp_queue = Flextoe.Config.guard_default.g_cp_queue) () =
   { Flextoe.Config.default with
-    Flextoe.Config.guard = Flextoe.Config.guard_default }
+    Flextoe.Config.guard =
+      { Flextoe.Config.guard_default with g_cp_queue = cp_queue } }
 
 let flex_node n = Option.get n.flex
 
@@ -65,9 +69,9 @@ let san_gate ~mult nodes =
     exit 1
   end
 
-let measure_mult mult =
+let measure_mult ?cp_queue mult =
   let w = mk_world ~seed:42L () in
-  let config = guarded_config () in
+  let config = guarded_config ?cp_queue () in
   let server = mk_node w FlexTOE ~app_cores:2 ~config ip_server in
   let client = mk_node w FlexTOE ~app_cores:2 ~config (ip_client 0) in
   let stats = Host.Rpc.Stats.create w.engine in
@@ -101,6 +105,7 @@ let measure_mult mult =
     c_cookies = c "cookie_sent";
     c_shed = c "shed_backlog" + c "shed_admission" + c "shed_queue"
              + c "shed_paused";
+    c_shed_queue = c "shed_queue";
     c_est_shed = Flextoe.Guard.established_shed g;
     c_cp_peak = Flextoe.Guard.peak_depth g ~stage:"cp";
     c_cp_bound = (Flextoe.Guard.config g).Flextoe.Config.g_cp_queue;
@@ -118,7 +123,9 @@ let print_table results =
   List.iter
     (fun o ->
       Printf.printf "%-8s %10.3f %9.1f%% %8d %8d %8d %9d %5d/%-2d %10d\n"
-        (Printf.sprintf "x%d" o.c_mult)
+        (Printf.sprintf "x%d%s" o.c_mult
+           (if o.c_cp_bound = Flextoe.Config.guard_default.g_cp_queue then ""
+            else Printf.sprintf "/cp%d" o.c_cp_bound))
         o.c_mops
         (100. *. o.c_mops /. base)
         o.c_syns o.c_cookies o.c_shed o.c_est_shed o.c_cp_peak o.c_cp_bound
@@ -142,9 +149,16 @@ let run () =
 
 let gate ~baseline ~out () =
   let results = sweep () in
-  let base = print_table results in
+  (* A 10x flood against a 2-frame CP queue engages the shed policy, so
+     the established-shed check has drops to count. Control frames
+     other than pure SYNs always pass, so its peak may exceed its bound
+     and it takes no cp-queue bound check. *)
+  let saturated = measure_mult ~cp_queue:2 10 in
+  let base = print_table (results @ [ saturated ]) in
   let per name f = R.series name (fun o -> o.c_mult) f results in
-  let est_shed = List.fold_left (fun a o -> a + o.c_est_shed) 0 results in
+  let est_shed =
+    List.fold_left (fun a o -> a + o.c_est_shed) 0 (saturated :: results)
+  in
   R.gate ~baseline ~out
     (R.make ~experiment:"churn_sweep_pr6"
        ~workload:"kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, seed 42"
@@ -153,13 +167,17 @@ let gate ~baseline ~out () =
           record keeps it. *)
        ((("retention_floor", 0.80) :: per "mops" (fun o -> o.c_mops))
        @ per "retention" (fun o -> o.c_mops /. base)
-       @ [ ("established_shed", float_of_int est_shed) ]
+       @ [
+           ("established_shed", float_of_int est_shed);
+           ("saturated.shed_queue", float_of_int saturated.c_shed_queue);
+         ]
        @ per "cp_peak" (fun o -> float_of_int o.c_cp_peak)
        @ per "cp_bound" (fun o -> float_of_int o.c_cp_bound)))
     ([
        R.check "flood-free" (Cur "mops.0") (Ge 0.95) (Base "mops.0");
        R.check "retention@10x" (Cur "retention.10") (Ge 1.)
          (Base "retention_floor");
+       R.check "shed engaged" (Cur "saturated.shed_queue") Gt (Num 0.);
        R.check "established-shed" (Cur "established_shed") Le (Num 0.);
      ]
     @ List.map

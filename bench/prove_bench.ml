@@ -16,7 +16,7 @@ let check_micros ~iters =
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     match
-      Flextoe.Prove.check_graph (Flextoe.Datapath.builtin_graph ~config ())
+      Flextoe.Prove.check_graph (Flextoe.Graph_ir.builtin ~config ())
     with
     | Ok _ -> ()
     | Error _ -> failwith "builtin graph rejected"

@@ -176,6 +176,7 @@ module D = Flextoe.Datapath
 module E = Flextoe.Effects
 module San = Flextoe.San
 module Defect = Flextoe.Defect
+module PL = Flextoe.Pipeline
 
 (* Resolve a VARIANT argument against the defect catalogue, or fail
    naming every variant. [flag] fills the FAIL line's subject column. *)
@@ -188,7 +189,7 @@ let defect_of_arg flag v =
       exit 2
 
 let static_check () =
-  let contracts = D.builtin_contracts () in
+  let contracts = PL.contracts PL.builtin in
   List.iter (Format.printf "     %a@." E.pp_contract) contracts;
   match E.check contracts with
   | Ok () ->
@@ -628,7 +629,7 @@ let check_combo ~batch ~guard =
   let mode = Printf.sprintf "batch=%-2d guard=%s" batch
       (if guard then "on " else "off") in
   match
-    P.check_graph (D.builtin_graph ~config:(graph_config ~batch ~guard) ())
+    P.check_graph (GI.builtin ~config:(graph_config ~batch ~guard) ())
   with
   | Ok reports ->
       List.iter
@@ -653,7 +654,7 @@ let classify_variant defect =
   let name = Defect.name defect in
   match
     P.check_graph
-      (D.builtin_graph ~defect ~config:Flextoe.Config.default ())
+      (GI.builtin ~defect ~config:Flextoe.Config.default ())
   with
   | Error fs ->
       Format.printf "OK   caught:%-13s %s@." name
@@ -675,7 +676,7 @@ let run_graph dot classify sabotage_v =
   (match dot with
   | Some path ->
       write_out path
-        (GI.to_dot (D.builtin_graph ~config:Flextoe.Config.default ()))
+        (GI.to_dot (GI.builtin ~config:Flextoe.Config.default ()))
   | None -> ());
   let ok =
     match sabotage_v with
@@ -863,7 +864,7 @@ let fsm_cmd =
 
 (* --- infer: FlexInfer source-level effect inference ------------------- *)
 
-module I = Flextoe.Infer
+module I = Analysis.Infer
 
 let infer_root root_opt =
   match root_opt with
@@ -899,7 +900,7 @@ let infer_classify_variant ~root defect =
   let name = Defect.name defect in
   match
     I.infer_repo_diff ~defect
-      ~declared:(D.builtin_contracts ~defect ()) ~root ()
+      ~declared:(PL.contracts ~defect PL.builtin) ~root ()
   with
   | Error e ->
       Format.printf "FAIL infer:%-13s %s@." name e;
@@ -926,7 +927,7 @@ let run_infer root_opt json footprints classify sabotage_v =
       if not (infer_classify_variant ~root (defect_of_arg "sabotage" v)) then
         exit 1
   | None -> (
-      match I.analyze_repo ~declared:(D.builtin_contracts ()) ~root () with
+      match I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root () with
       | Error e ->
           Format.printf "FAIL infer                %s@." e;
           exit 2

@@ -54,6 +54,7 @@
     empty) and is a tripwire, not a verifier: FlexSan layer 2 remains
     the runtime authority. *)
 
+open Flextoe
 module E = Effects
 
 type severity = Sev_error | Sev_warning
@@ -823,27 +824,6 @@ and bind_args params arg_tags =
 
 (* --- Stage analysis -------------------------------------------------- *)
 
-(* The built-in pipeline's stage entry points, by contract stage
-   name. [rtc_*] is the run-to-completion baseline: it reuses the
-   protocol helpers but belongs to no pipeline stage. *)
-let builtin_stage_map =
-  [
-    ("preproc",
-     [ "rx_frame"; "rx_datapath"; "guard_shed_rx"; "preproc_rx";
-       "forward_to_control" ]);
-    ("gro", [ "gro_release"; "gro_flush"; "gro_submit" ]);
-    ("protocol", [ "protocol_rx"; "protocol_tx"; "protocol_hc" ]);
-    ("postproc", [ "postproc_stage" ]);
-    ("dma", [ "dma_stage" ]);
-    ("ctx",
-     [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
-       "atx_drain_body" ]);
-    ("sched", [ "dispatch_tx" ]);
-    ("nbi", [ "nbi_emit"; "nbi_emit_one" ]);
-  ]
-
-let builtin_excluded = [ "rtc_rx"; "rtc_tx"; "rtc_hc"; "rtc_pcie_sleep" ]
-
 let default_entry_env params =
   List.fold_left
     (fun env ((_ : Asttypes.arg_label), pat) ->
@@ -868,7 +848,8 @@ let dedup_objs l =
    (hygiene lint, missing entries). *)
 let infer_footprints ?defect ~dp_file
     ?(helper_files : (string * string) list = [])
-    ?(stage_map = builtin_stage_map) ?(excluded = builtin_excluded) () =
+    ?(stage_map = Pipeline.stage_map Pipeline.builtin)
+    ?(excluded = Pipeline.excluded) () =
   match parse_impl dp_file with
   | Error e -> Error e
   | Ok str -> (
@@ -1610,8 +1591,8 @@ let lib_dirs root =
 
 (* The full FlexInfer run over a repository checkout: footprint
    inference + contract diff over the datapath, the Seq32 and
-   poly-compare lints over lib/tcp and lib/flextoe, and the
-   stdlib-queue lint over every directory under lib/. *)
+   poly-compare lints over lib/tcp, lib/flextoe and lib/analysis, and
+   the stdlib-queue lint over every directory under lib/. *)
 type report = {
   rp_footprints : footprint list;
   rp_findings : finding list;
@@ -1651,7 +1632,7 @@ let analyze_repo ?defect ~declared ~root () =
   | Ok (footprints, hygiene, locs) ->
       let diff = diff_contracts ~declared ~footprints ~locs ~dp_file in
       let lint_dirs =
-        List.map (Filename.concat root) [ "lib/tcp"; "lib/flextoe" ]
+        List.map (Filename.concat root) [ "lib/tcp"; "lib/flextoe"; "lib/analysis" ]
       in
       let files = List.concat_map ml_files_in lint_dirs in
       let seq_findings, exempted, poly_findings =

@@ -38,6 +38,8 @@
     soundness caveats); it is a tripwire for contract rot, with
     FlexSan layer 2 remaining the runtime authority. *)
 
+open Flextoe
+
 (** {1 Findings} *)
 
 type severity = Sev_error | Sev_warning
@@ -68,15 +70,6 @@ type footprint = {
   fp_writes : Effects.obj list;
 }
 
-val builtin_stage_map : (string * string list) list
-(** Contract stage name → entry functions in [datapath.ml] analyzed
-    as that stage's body. *)
-
-val builtin_excluded : string list
-(** Functions never expanded into any stage (the run-to-completion
-    baseline reuses stage helpers but belongs to no pipeline
-    stage). *)
-
 val infer_footprints :
   ?defect:Defect.t ->
   dp_file:string ->
@@ -94,7 +87,9 @@ val infer_footprints :
     [defect], so a clean run (no defect) skips every defect's block
     and a seeded run sees its own. [helper_files] maps module names
     ([Protocol], ...) to their sources for the one-boundary call
-    summaries. Returns
+    summaries. [stage_map] (stage name → entry functions) and
+    [excluded] (functions never expanded) default to the pipeline
+    table's ({!Pipeline.stage_map}, {!Pipeline.excluded}). Returns
     (footprints, hygiene/structural findings, first-occurrence
     source location per (stage, kind, obj)) or a parse error. *)
 
@@ -129,7 +124,7 @@ val lint_poly_compare : files:string list -> unit -> finding list
     [Float.min], [String.compare] and friends are typed. Rule
     ["poly-compare"], a warning; [(* flexinfer: poly-compare-exempt *)]
     on the same or the preceding line exempts a site. {!analyze_repo}
-    runs it over [lib/tcp] and [lib/flextoe]. *)
+    runs it over [lib/tcp], [lib/flextoe] and [lib/analysis]. *)
 
 val lint_stdlib_queue : files:string list -> unit -> finding list
 (** Flag every use of [Queue] or [Stdlib.Queue] in [files] ([.ml] or
@@ -168,9 +163,9 @@ val analyze_repo :
   unit ->
   (report, string) result
 (** The full FlexInfer run: footprint inference + contract diff over
-    the datapath, Seq32 and poly-compare lints over [lib/tcp] and
-    [lib/flextoe], and the stdlib-queue lint over every directory
-    under [lib/]. *)
+    the datapath, Seq32 and poly-compare lints over [lib/tcp],
+    [lib/flextoe] and [lib/analysis], and the stdlib-queue lint over
+    every directory under [lib/]. *)
 
 (** {1 JSON} *)
 

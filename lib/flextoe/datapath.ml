@@ -78,57 +78,6 @@ type arx_acc = {
   mutable aa_flushed : bool;
 }
 
-(* --- Stage contracts (FlexSan layer 1) -------------------------------- *)
-
-(* The built-in pipeline's effect contracts: which memory each stage
-   may touch, under which serialization discipline (§3.2's
-   disjointness argument, Table 5's memory map). [create] checks them
-   with [Effects.check] before wiring anything. [Bad_contract] swaps
-   in a post-processor that claims a protocol-partition write —
-   statically incompatible with the (serialized) protocol stage. *)
-let builtin_contracts ?defect () =
-  let open Effects in
-  let stage name ~reads ~writes domain =
-    { c_stage = name; c_reads = reads; c_writes = writes; c_domain = domain }
-  in
-  [
-    stage "preproc" ~reads:[ Conn_db ] ~writes:[ Global_stats ] Serial_none;
-    stage "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro");
-    (* Global_stats: the FlexScale steering self-check counter
-       (st_cross_shard) is bumped from protocol-stage state accesses;
-       the region is atomic, so the declaration costs no static
-       freedom. *)
-    stage "protocol"
-      ~reads:[ Conn_db; Conn_pre; Conn_proto; Reasm; Conn_post ]
-      ~writes:[ Conn_proto; Reasm; Sched_state; Global_stats ] Serial_conn;
-    stage "postproc" ~reads:[ Conn_db ]
-      ~writes:
-        (if Defect.is defect Defect.Bad_contract then
-           [ Conn_proto; Conn_post; Global_stats; Sched_state ]
-         else [ Conn_post; Global_stats; Sched_state ])
-      Serial_none;
-    stage "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
-      ~writes:[ Rx_payload; Global_stats; Sched_state ]
-      (Serial_queue "pcie-dma");
-    stage "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
-      ~writes:[ Desc_ring ] (Serial_queue "ctx");
-    stage "sched" ~reads:[ Sched_state ] ~writes:[ Sched_state ] Serial_none;
-    stage "nbi" ~reads:[ Conn_pre; Conn_db ]
-      ~writes:[ Global_stats; Sched_state ] (Serial_flow_group "tx-gro");
-  ]
-
-(* --- FlexProve extraction (static layer 0) --------------------------- *)
-
-(* The graph a node built with [defect] actually runs. The contracts
-   stay the *declared* ones — [No_lock] is precisely a stage whose
-   declaration says [Serial_conn] while the implementation takes no
-   lock, which the extraction models by patching the graph's domain,
-   not the contract. *)
-let builtin_graph ?defect ~config () =
-  Graph_ir.builtin ?defect ~config
-    ~contracts:(builtin_contracts ?defect ())
-    ()
-
 type t = {
   engine : Sim.Engine.t;
   cfg : Config.t;
@@ -159,6 +108,7 @@ type t = {
   gro_fpc : Nfp.Fpc.t;
   xdp_fpcs : Nfp.Fpc.t array;
   rtc_fpc : Nfp.Fpc.t;  (* run-to-completion baseline *)
+  pools : (string * int * Nfp.Fpc.t array) list;  (* all but rtc, by island *)
   mutable rr_pre : int;
   mutable rr_post : int;
   mutable rr_dma : int;
@@ -1531,7 +1481,8 @@ let rx_datapath t frame =
    frames already in flight to the CP) drop the newest pure SYNs at the
    NBI. Never anything else — established-flow segments and handshake
    completions always pass, so load shedding degrades accept rate, not
-   goodput. *)
+   goodput. A shed frame of an installed flow still counts as
+   [established_shed], the counter the churn gate pins at 0. *)
 let guard_shed_rx t frame =
   match t.guard with
   | None -> false
@@ -1540,6 +1491,8 @@ let guard_shed_rx t frame =
       let fl = frame.S.seg.S.flags in
       if q > 0 && t.cp_pending >= q && fl.S.syn && not fl.S.ack then begin
         Guard.count g "shed_queue";
+        if has_flow t (Tcp.Flow.of_segment_rx frame.S.seg) then
+          Guard.count g "established_shed";
         t.st_drop <- t.st_drop + 1;
         true
       end
@@ -1790,18 +1743,6 @@ let stats t =
     rx_completed = t.st_rx_done;
   }
 
-let all_fpcs t =
-  Array.concat
-    ([
-       t.preproc_fpcs;
-       Array.concat (Array.to_list t.proto_fpcs);
-       t.dma_fpcs;
-       t.ctx_fpcs;
-       [| t.sch_fpc; t.gro_fpc; t.rtc_fpc |];
-       t.xdp_fpcs;
-     ]
-    @ Array.to_list t.postproc_fpcs)
-
 let cache_stats t =
   let cams =
     Array.to_list
@@ -1850,31 +1791,13 @@ let pinned_evictions t =
   + Array.fold_left (fun n l -> n + Nfp.Lru.pinned_evictions l) 0 t.emem_lru
 
 let fpc_busy t =
-  Array.to_list (all_fpcs t)
+  List.concat_map (fun (_, _, a) -> Array.to_list a) t.pools @ [ t.rtc_fpc ]
   |> List.map (fun f -> (Nfp.Fpc.name f, Nfp.Fpc.busy_time f))
 
 (* Pools with their island assignment, for the FlexScope utilization
    sampler: per-flow-group pools carry their island index, service
-   island pools (DMA, context queues, scheduler, GRO) carry -1. *)
-let fpc_pools t =
-  let groups = Array.length t.proto_fpcs in
-  let split name arr =
-    let n = Array.length arr in
-    if groups > 0 && n > 0 && n mod groups = 0 then
-      List.init groups (fun g ->
-          (name, g, Array.sub arr (g * (n / groups)) (n / groups)))
-    else [ (name, 0, arr) ]
-  in
-  split "preproc" t.preproc_fpcs
-  @ List.init groups (fun g -> ("protocol", g, t.proto_fpcs.(g)))
-  @ List.init groups (fun g -> ("postproc", g, t.postproc_fpcs.(g)))
-  @ split "xdp" t.xdp_fpcs
-  @ [
-      ("dma", -1, t.dma_fpcs);
-      ("ctx", -1, t.ctx_fpcs);
-      ("sch", -1, [| t.sch_fpc |]);
-      ("gro", -1, [| t.gro_fpc |]);
-    ]
+   island pools carry -1. *)
+let fpc_pools t = t.pools
 
 let atx_rings t = t.atx
 
@@ -1900,10 +1823,11 @@ let trace_point_names =
   ]
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
-    ?defect () =
+    ?defect ?(pipeline = Pipeline.builtin) () =
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
-  let contracts = builtin_contracts ?defect () in
+  Pipeline.check pipeline;
+  let contracts = Pipeline.contracts ?defect pipeline in
   (* Layer 1: the stage graph must be statically sound before any FPC
      is wired. An unserialized write/write or write/read overlap on a
      non-atomic, non-partitioned region fails construction with the
@@ -1919,7 +1843,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      composition — a capacity that no longer covers a reorder buffer,
      a credit loop without a drain — fails construction before any
      FPC exists, at zero per-segment cost. *)
-  (match Prove.check_graph (builtin_graph ~config:cfg ()) with
+  (match Prove.check_graph (Graph_ir.builtin ~pipeline ~config:cfg ()) with
   | Ok _ -> ()
   | Error fs -> raise (Prove.Graph_rejected fs));
   (* Layer 2 only makes sense for the parallel pipeline: the
@@ -1931,15 +1855,34 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
       Some (San.create ~engine ~contracts ())
     else None
   in
-  let groups = Int.max 1 par.Config.flow_groups in
-  let threads = Int.max 1 par.Config.fpc_threads in
+  let groups = Pipeline.groups cfg in
   let scale = cfg.Config.scale in
   let shards = Flow_group.shards_of scale in
-  let mk ?(threads = threads) name i =
-    Nfp.Fpc.create engine ~params:p ~threads
-      ~name:(Printf.sprintf "%s%d" name i)
-      ()
+  let mk ?(threads = Pipeline.threads cfg) name =
+    Nfp.Fpc.create engine ~params:p ~threads ~name ()
   in
+  (* Every row's FPC pool, island by island, keyed by stage. *)
+  let build pool lp =
+    List.map
+      (fun (island, names) ->
+        (pool.Pipeline.p_name, island, Array.map mk names))
+      (Pipeline.fpc_names cfg pool lp)
+  in
+  let built =
+    List.map
+      (fun s ->
+        ( Pipeline.name s,
+          match s.Pipeline.s_exec with
+          | Pipeline.Fpcs pool -> build pool s.Pipeline.s_lp
+          | Pipeline.Units _ -> [] ))
+      pipeline
+  in
+  let xdp = build Pipeline.xdp (Pipeline.Lp_island 0) in
+  let fpcs s =
+    Array.of_list
+      (List.map (fun (_, _, a) -> a) (List.assoc (Pipeline.name s) built))
+  in
+  let flat arrays = Array.concat (Array.to_list arrays) in
   let traces = Sim.Trace.create () in
   let trace_groups = Hashtbl.create 16 in
   List.iter
@@ -1995,26 +1938,16 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         conn_db = Nfp.Lookup.create ~equal:Tcp.Flow.equal;
         next_conn_idx = 0;
         locks = Nfp.Conn_table.create ();
-        preproc_fpcs =
-          Array.init
-            (Int.max 1 (par.Config.preproc_replicas * groups))
-            (mk "pre");
-        proto_fpcs =
-          Array.init groups (fun g ->
-              Array.init
-                (Int.max 1 par.Config.proto_replicas)
-                (fun i -> mk "proto" ((g * 10) + i)));
-        postproc_fpcs =
-          Array.init groups (fun g ->
-              Array.init
-                (Int.max 1 par.Config.postproc_replicas)
-                (fun i -> mk "post" ((g * 10) + i)));
-        dma_fpcs = Array.init (Int.max 1 par.Config.dma_replicas) (mk "dma");
-        ctx_fpcs = Array.init (Int.max 1 par.Config.ctx_replicas) (mk "ctx");
-        sch_fpc = mk "sch" 0;
-        gro_fpc = mk "gro" 0;
-        xdp_fpcs = Array.init (3 * groups) (mk "xdp");
-        rtc_fpc = mk ~threads:1 "rtc" 0;
+        preproc_fpcs = flat (fpcs Pipeline.preproc);
+        proto_fpcs = fpcs Pipeline.protocol;
+        postproc_fpcs = fpcs Pipeline.postproc;
+        dma_fpcs = (fpcs Pipeline.dma).(0);
+        ctx_fpcs = (fpcs Pipeline.ctx).(0);
+        sch_fpc = (fpcs Pipeline.sched).(0).(0);
+        gro_fpc = (fpcs Pipeline.gro).(0).(0);
+        xdp_fpcs = flat (Array.of_list (List.map (fun (_, _, a) -> a) xdp));
+        rtc_fpc = mk ~threads:1 "rtc0";
+        pools = List.concat_map snd built @ xdp;
         rr_pre = 0;
         rr_post = 0;
         rr_dma = 0;
@@ -2059,16 +1992,16 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
                     cs.Conn_state.pre.Conn_state.flow_group ~shards
               | None -> 0)
             engine ~slot:cfg.Config.wheel_slot ~slots:cfg.Config.wheel_slots
-            ~credits:(Int.min 256 p.Nfp.Params.seg_buffers)
+            ~credits:(Pipeline.seg_credits p)
             ~dispatch:(fun ~conn -> dispatch_tx (Lazy.force t) ~conn);
         atx =
           Array.init ctx_queues (fun i ->
-              Nfp.Ring.create ~capacity:512
+              Nfp.Ring.create ~capacity:Pipeline.atx_slots
                 ~name:(Printf.sprintf "atx%d" i)
                 ());
         atx_scheduled = Array.make ctx_queues false;
         arx_handlers = Array.make ctx_queues (fun _ -> ());
-        hc_descs_free = 128;
+        hc_descs_free = Pipeline.hc_descs;
         gro_pending = Hashtbl.create 64;
         arx_pending = Hashtbl.create 64;
         atx_flush_armed = Array.make ctx_queues false;
@@ -2111,14 +2044,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
       let fpc f =
         Nfp.Fpc.set_tracer f (Some (San.fpc_tracer s ~name:(Nfp.Fpc.name f)))
       in
-      Array.iter fpc t.preproc_fpcs;
-      Array.iter (Array.iter fpc) t.proto_fpcs;
-      Array.iter (Array.iter fpc) t.postproc_fpcs;
-      Array.iter fpc t.dma_fpcs;
-      Array.iter fpc t.ctx_fpcs;
-      Array.iter fpc t.xdp_fpcs;
-      fpc t.sch_fpc;
-      fpc t.gro_fpc;
+      List.iter (fun (_, _, a) -> Array.iter fpc a) t.pools;
       Nfp.Dma.set_tracer t.dma (Some (San.dma_tracer s));
       Sequencer.set_tracer t.rx_gro (Some (San.seq_tracer s ~name:"rx-gro"));
       Sequencer.set_tracer t.tx_gro (Some (San.seq_tracer s ~name:"tx-gro"));

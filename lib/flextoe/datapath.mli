@@ -19,23 +19,6 @@
 
 type t
 
-(** {1 Stage-effect contracts (FlexSan)} *)
-
-val builtin_contracts : ?defect:Defect.t -> unit -> Effects.contract list
-(** The pipeline's declared effect contracts (what [flexlint san]
-    checks statically without building a node). Only [Bad_contract]
-    changes a declaration; every other defect lies in the
-    implementation, which is exactly what [flexlint infer] diffs the
-    declarations against. *)
-
-val builtin_graph : ?defect:Defect.t -> config:Config.t -> unit -> Graph_ir.t
-(** FlexProve extraction of the built-in pipeline as actually wired
-    with [defect] seeded (default healthy): stage slots from
-    [config.parallelism], queue capacities from [config.params] and
-    the ring sizes, the batch degree from [config.batch], the CP-queue
-    bound from [config.guard]. [flexlint graph] and the create-time
-    layer-0 check both go through this. *)
-
 val san : t -> San.t option
 (** The dynamic sanitizer, when enabled ([config.san] set and the
     pipeline parallelism active). *)
@@ -58,11 +41,16 @@ val create :
   ip:int ->
   ?ctx_queues:int ->
   ?defect:Defect.t ->
+  ?pipeline:Pipeline.t ->
   unit ->
   t
-(** [defect] seeds one entry of the race corpus ({!Defect}); the node
+(** Wires the stages of [pipeline] (default {!Pipeline.builtin}): its
+    FPC pools, its contracts (checked by FlexSan layer 1 and, through
+    {!Graph_ir.builtin}, by FlexProve) and its edge capacities.
+    [defect] seeds one entry of the race corpus ({!Defect}); the node
     behaves like a healthy one under the single-threaded simulator, so
-    only the checkers can tell them apart. Raises
+    only the checkers can tell them apart. Raises [Invalid_argument]
+    if {!Pipeline.check} rejects [pipeline], and
     {!Effects.Contract_violation} if the stage set's contracts are
     statically incompatible (layer 1 fails fast, before any FPC is
     wired): the [Bad_contract] defect. *)
@@ -240,10 +228,10 @@ val fpc_busy : t -> (string * Sim.Time.t) list
 (** Busy time per FPC, for utilisation reporting. *)
 
 val fpc_pools : t -> (string * int * Nfp.Fpc.t array) list
-(** FPC pools as [(pool, island, fpcs)]: per-flow-group pools
-    (preproc, protocol, postproc, xdp) carry their island index;
-    service-island pools (dma, ctx, sch, gro) carry [-1]. Drives the
-    {!Flexscope} utilization sampler. *)
+(** FPC pools as [(pool, island, fpcs)], one per island of each
+    {!Pipeline} row's pool in table order, then the XDP pool. Island
+    pools carry their island index, service-island pools [-1]. Drives
+    the {!Flexscope} utilization sampler. *)
 
 val atx_rings : t -> Meta.hc_desc Nfp.Ring.t array
 (** The per-context-queue ATX descriptor rings (queue-depth series in

@@ -29,9 +29,9 @@ module Sequencer = Sequencer
 module Scheduler = Scheduler
 module Effects = Effects
 module Defect = Defect
+module Pipeline = Pipeline
 module Graph_ir = Graph_ir
 module Prove = Prove
-module Infer = Infer
 module San = San
 module Guard = Guard
 module Datapath = Datapath

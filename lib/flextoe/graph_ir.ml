@@ -2,37 +2,24 @@
 
     The datapath's safety argument lives in its wiring — which stages
     exist, what serializes them, which queues sit between them, which
-    credits gate them. [Datapath.create] builds that wiring
-    imperatively; this module states it as data so the FlexProve
-    passes ({!Prove}) can check an *arbitrary* stage graph, not just
-    the built-in one: whole-graph interference, deadlock freedom in
-    the credit/backpressure graph, and worst-case queue occupancy
-    against configured capacities.
+    credits gate them. This module states that wiring as data so the
+    FlexProve passes ({!Prove}) can check an *arbitrary* stage graph,
+    not just the built-in one: whole-graph interference, deadlock
+    freedom in the credit/backpressure graph, and worst-case queue
+    occupancy against configured capacities.
 
-    {!builtin} is the extraction of the built-in pipeline: it mirrors
-    the as-built wiring of [datapath.ml] (including, on request, a
-    seeded {!Defect.t}, so `flexlint graph` can classify each defect
-    as statically caught or dynamic-only). Capacities, batch
-    degrees and guard bounds come from {!Config.t}, never from
-    constants of their own. *)
+    {!builtin} projects the pipeline table ({!Pipeline}) onto a graph:
+    nodes, slots and LPs come from the table's rows, edge capacities
+    from its shared constants and {!Config.t}. On request it patches
+    in a seeded {!Defect.t}, so `flexlint graph` can classify each
+    defect as statically caught or dynamic-only. *)
 
-(* --- Types ----------------------------------------------------------- *)
+(* --- Types (documented in graph_ir.mli) ------------------------------- *)
 
 type capacity = Bounded of int | Unbounded
 
-(** What happens when a queue is offered more than it can hold.
-    [Backpressure] blocks the producer (safe for occupancy, feeds the
-    deadlock pass); [Drop] sheds by a named policy (safe by design);
-    [Reject] means overflow would be a bug — the bounds pass must
-    prove worst-case occupancy fits the capacity. *)
 type overflow = Backpressure | Drop of string | Reject
 
-(** Worst-case-occupancy expressions, evaluated by the bounds pass
-    against the graph itself: [Slots s] is stage [s]'s concurrent
-    execution slots, [Tokens l] / [Cap l] the token count / capacity
-    of the edge labelled [l]. [Unbounded_by s] declares open-loop
-    inflow limited only by [s] — never acceptable on a [Reject]
-    queue. *)
 type bound =
   | Const of int
   | Slots of string
@@ -43,47 +30,27 @@ type bound =
   | Min_of of bound list
   | Unbounded_by of string
 
-(** Logical-process assignment for the parallel simulator's
-    partition: which LP a stage's executions live on. Per-flow-group
-    stages carry the island class [Lp_island g]; the graph's stage
-    nodes aggregate the per-group replicas, so the builtin extraction
-    uses the representative index 0 — two [Lp_island] stage nodes are
-    co-located exactly when flow-group steering keeps a segment's
-    processing inside one island, which is what the shared index
-    asserts. Service-island hardware (GRO sequencer, DMA, context
-    queues, scheduler, NBI) is [Lp_service]; libTOE and the
-    applications are [Lp_host]. *)
-type lp = Lp_host | Lp_service | Lp_island of int
+type lp = Pipeline.lp = Lp_host | Lp_service | Lp_island of int
 
-let lp_name = function
-  | Lp_host -> "host"
-  | Lp_service -> "service"
-  | Lp_island g -> "island" ^ string_of_int g
+let lp_name = Pipeline.lp_name
 
 type node = {
   n_name : string;
   n_contract : Effects.contract;
-  n_slots : int;  (** Concurrent execution slots (replicas × threads). *)
+  n_slots : int;
   n_serialized_writes : bool;
-      (** Writes happen inside the serialization domain's critical
-          section; [false] models an early-release defect. *)
-  n_lp : lp;  (** Logical process this stage's executions live on. *)
+  n_lp : lp;
 }
 
 type edge_kind =
   | Dataflow of { df_ordered : bool }
-      (** Work handed downstream; [df_ordered] = the hand-off
-          preserves completion order (FIFO / sequencer / waits for
-          DMA completion). *)
   | Queue of {
       q_capacity : capacity;
       q_overflow : overflow;
-      q_batch : int;  (** Units coalesced per hand-off. *)
-      q_bound : bound;  (** Worst-case occupancy. *)
+      q_batch : int;
+      q_bound : bound;
     }
   | Credit of { cr_tokens : int }
-      (** Backpressure loop: [src]'s execution is gated on tokens
-          that only [dst]'s progress returns. *)
 
 type edge = {
   e_src : string;
@@ -91,17 +58,7 @@ type edge = {
   e_label : string;
   e_kind : edge_kind;
   e_drain : string option;
-      (** For blocking edges (credits, backpressured queues): why the
-          block always clears without help from the blocked side
-          (timer flush, unconditional completion). [None] = clearing
-          needs the far side to make progress — such an edge cannot
-          break a deadlock cycle. *)
   e_lookahead : Sim.Time.t;
-      (** Minimum hand-off latency of this edge: the conservative
-          parallel simulator may claim it as lookahead on the channel
-          realizing the edge. Must be positive on every cross-LP edge
-          (the partition pass checks this); [Sim.Time.zero] is fine —
-          and expected — on edges whose endpoints share an LP. *)
 }
 
 type t = { g_name : string; g_nodes : node list; g_edges : edge list }
@@ -117,123 +74,69 @@ let edge_capacity e =
 let edge_tokens e =
   match e.e_kind with Credit c -> Some c.cr_tokens | _ -> None
 
-(** Edges a unit of work actually travels (queues and dataflow, not
-    credit returns), used for ordering-path searches. *)
 let is_dataflow e =
   match e.e_kind with Dataflow _ | Queue _ -> true | Credit _ -> false
 
-(** Does the edge preserve per-flow completion order? Queues are FIFO
-    by construction; dataflow edges declare it. *)
 let is_ordered e =
   match e.e_kind with
   | Queue _ -> true
   | Dataflow d -> d.df_ordered
   | Credit _ -> false
 
-(** Blocking edges: the source can stall until the far side clears
-    them. These form the wait-for graph of the deadlock pass. *)
 let is_blocking e =
   match e.e_kind with
   | Credit _ -> true
   | Queue { q_overflow = Backpressure; _ } -> true
   | Queue _ | Dataflow _ -> false
 
-(** The LPs of an edge's endpoints, when both resolve. *)
 let edge_lps g e =
   match (find_node g e.e_src, find_node g e.e_dst) with
   | Some a, Some b -> Some (a.n_lp, b.n_lp)
   | _ -> None
 
-(** Does the edge cross an LP boundary? [false] when an endpoint is
-    missing (well-formedness reports that separately). *)
 let is_cross_lp g e =
   match edge_lps g e with Some (a, b) -> a <> b | None -> false
 
 (* --- Builtin-pipeline extraction -------------------------------------- *)
 
-(* The extraction mirrors [Datapath.create]'s wiring: same stage set
-   and serialization domains as [Datapath.builtin_contracts], queue
-   capacities from the same sources (Nfp.Params for the NBI pool and
-   DMA in-flight window, the 512-slot ATX rings, the 128-descriptor HC
-   pool, [min 256 seg_buffers] scheduler credits), the batch degree
-   from [Config.batch_degree] and the CP-queue bound from
-   [Config.guard]. The two pseudo-nodes [host] (libTOE +
-   applications) and the NBI bracket the PCIe and wire boundaries so
-   payload-ordering obligations are visible to the passes. A seeded [defect] that changes the as-built
-   wiring or footprints patches the graph; the notify-ordering and
-   steering defects leave the declared wiring intact
-   ({!Defect.dynamic_only}). *)
-let builtin ?defect ~config ~contracts () =
+(* The two pseudo-nodes [host] (libTOE + applications) and the NBI
+   bracket the PCIe and wire boundaries so payload-ordering obligations
+   are visible to the passes. A seeded [defect] that changes the
+   as-built wiring or footprints patches the graph; the notify-ordering
+   and steering defects leave the declared wiring intact
+   ({!Defect.dynamic_only}). The contracts stay the *declared* ones:
+   [No_lock] is precisely a stage whose declaration says [Serial_conn]
+   while the implementation takes no lock, which the extraction models
+   by patching the graph's domain, not the contract. *)
+let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
   let open Effects in
+  let open Pipeline in
   let p = config.Config.params in
-  let par = config.Config.parallelism in
   let b = Config.batch_degree config in
   let gc = config.Config.guard in
-  let threads = Int.max 1 par.Config.fpc_threads in
-  let groups = Int.max 1 par.Config.flow_groups in
-  let contract name =
-    match List.find_opt (fun c -> c.c_stage = name) contracts with
-    | Some c -> c
-    | None ->
-        invalid_arg ("Graph_ir.builtin: no contract for stage " ^ name)
-  in
-  let patch name c =
-    match (name, defect) with
-    | "protocol", Some Defect.No_lock -> { c with c_domain = Serial_none }
-    | "preproc", Some Defect.Preproc_reads_proto ->
+  let is s row = name s = name row in
+  let patch s c =
+    match defect with
+    | Some Defect.No_lock when is s protocol -> { c with c_domain = Serial_none }
+    | Some Defect.Preproc_reads_proto when is s preproc ->
         { c with c_reads = Conn_proto :: c.c_reads }
-    | "postproc", Some Defect.Postproc_writes_conn ->
+    | Some Defect.Postproc_writes_conn when is s postproc ->
         { c with c_writes = Conn_proto :: c.c_writes }
     | _ -> c
   in
-  let node ?(serialized = true) name lp slots =
-    {
-      n_name = name;
-      n_contract = patch name (contract name);
-      n_slots = slots;
-      n_serialized_writes = serialized;
-      n_lp = lp;
-    }
-  in
-  let host =
-    (* libTOE + applications: drains notifications and Rx payload,
-       fills Tx payload, rings ATX doorbells. Descriptor rings are
-       single-producer/single-consumer per side (atomic region). *)
-    {
-      n_name = "host";
-      n_contract =
-        {
-          c_stage = "host";
-          c_reads = [ Rx_payload; Desc_ring ];
-          c_writes = [ Tx_payload; Desc_ring ];
-          c_domain = Serial_none;
-        };
-      n_slots = 4;
-      n_serialized_writes = true;
-      n_lp = Lp_host;
-    }
-  in
-  (* Per-flow-group pipeline stages share the representative island
-     LP (flow-group steering keeps a segment inside one island);
-     service-island hardware lives on the service LP. Mirrors
-     [Datapath.fpc_pools]: preproc/protocol/postproc carry an island
-     index there, gro/dma/ctx/sched carry -1. *)
+  let rows = pipeline @ [ host ] in
   let nodes =
-    [
-      node "preproc" (Lp_island 0)
-        (Int.max 1 (par.Config.preproc_replicas * groups) * threads);
-      node "gro" Lp_service threads;
-      node "protocol" (Lp_island 0)
-        ~serialized:(not (Defect.is defect Defect.Early_release))
-        (Int.max 1 par.Config.proto_replicas * groups * threads);
-      node "postproc" (Lp_island 0)
-        (Int.max 1 (par.Config.postproc_replicas * groups) * threads);
-      node "dma" Lp_service (Int.max 1 par.Config.dma_replicas * threads);
-      node "ctx" Lp_service (Int.max 1 par.Config.ctx_replicas * threads);
-      node "sched" Lp_service threads;
-      node "nbi" Lp_service 1;
-      host;
-    ]
+    List.map2
+      (fun s c ->
+        {
+          n_name = name s;
+          n_contract = patch s c;
+          n_slots = slots config s;
+          n_serialized_writes =
+            not (is s protocol && Defect.is defect Defect.Early_release);
+          n_lp = s.s_lp;
+        })
+      rows (contracts ?defect rows)
   in
   (* Cross-LP hand-off latencies, claimable as lookahead: an island
      boundary costs at least one distributed-switch push into the
@@ -243,18 +146,17 @@ let builtin ?defect ~config ~contracts () =
     Sim.Time.Freq.cycles p.Nfp.Params.fpc_freq p.Nfp.Params.island_hop_cycles
   in
   let e ?drain ?(lookahead = Sim.Time.zero) src dst label kind =
-    { e_src = src; e_dst = dst; e_label = label; e_kind = kind;
+    { e_src = name src; e_dst = name dst; e_label = label; e_kind = kind;
       e_drain = drain; e_lookahead = lookahead }
   in
   let flow ?(ordered = true) ?lookahead src dst label =
     e ?lookahead src dst label (Dataflow { df_ordered = ordered })
   in
-  let seg_credits = Int.min 256 p.Nfp.Params.seg_buffers in
   let edges =
     [
       (* RX: wire → NBI buffer pool → preproc → flow-group sequencer
          (GRO) → protocol → postproc → payload DMA → notify. *)
-      e "nbi" "preproc" "nbi-pool" ~lookahead:island_hop
+      e nbi preproc "nbi-pool" ~lookahead:island_hop
         (Queue
            {
              q_capacity = Bounded p.Nfp.Params.seg_buffers;
@@ -265,7 +167,7 @@ let builtin ?defect ~config ~contracts () =
       (* The rx-gro sequencer's reorder buffer is unbounded in code;
          the bounds pass proves its occupancy is capped by the NBI
          pool (every queued summary pins a segment buffer). *)
-      e "preproc" "gro" "rx-gro" ~lookahead:island_hop
+      e preproc gro "rx-gro" ~lookahead:island_hop
         (Queue
            {
              q_capacity = Unbounded;
@@ -273,20 +175,20 @@ let builtin ?defect ~config ~contracts () =
              q_batch = b;
              q_bound = Cap "nbi-pool";
            });
-      flow "gro" "protocol" "rx-proto" ~lookahead:island_hop;
-      flow "protocol" "postproc" "rx-post";
-      flow "postproc" "dma" "payload-dma" ~lookahead:island_hop;
+      flow gro protocol "rx-proto" ~lookahead:island_hop;
+      flow protocol postproc "rx-post";
+      flow postproc dma "payload-dma" ~lookahead:island_hop;
       (* The PCIe DMA engine: per-queue in-flight window; issuing
          blocks when full, completions are unconditional and FIFO. *)
-      e "dma" "dma" "pcie-dma"
+      e dma dma "pcie-dma"
         ~drain:"PCIe completions are unconditional and FIFO per queue"
         (Credit { cr_tokens = p.Nfp.Params.dma_inflight });
       (* Notification + ACK leave only after the payload DMA lands:
          this ordered edge is the declared obligation the
          Notify_before_payload / Skip_notify_dma defects violate at
          runtime (the declaration stays intact — dynamic-only). *)
-      flow "dma" "ctx" "ctx";
-      e "ctx" "ctx" "arx-accum"
+      flow dma ctx "ctx";
+      e ctx ctx "arx-accum"
         ~drain:"batch_delay timer flushes partial batches"
         (Queue
            {
@@ -295,12 +197,11 @@ let builtin ?defect ~config ~contracts () =
              q_batch = b;
              q_bound = Const b;
            });
-      flow "ctx" "host" "arx-notify"
-        ~lookahead:p.Nfp.Params.pcie_base_latency;
+      flow ctx host "arx-notify" ~lookahead:p.Nfp.Params.pcie_base_latency;
       (* Control-path frames to the CP: unguarded they are bounded
          only by the NBI pool; FlexGuard bounds them explicitly and
          names the shed policy. *)
-      e "nbi" "host" "cp-queue" ~lookahead:p.Nfp.Params.pcie_base_latency
+      e nbi host "cp-queue" ~lookahead:p.Nfp.Params.pcie_base_latency
         (Queue
            {
              q_capacity =
@@ -316,25 +217,23 @@ let builtin ?defect ~config ~contracts () =
            });
       (* TX / HC: ATX doorbells → ctx drain (gated by the HC
          descriptor pool) → protocol → scheduler dispatch. *)
-      e "host" "ctx" "atx" ~lookahead:p.Nfp.Params.mmio_latency
+      e host ctx "atx" ~lookahead:p.Nfp.Params.mmio_latency
         (Queue
            {
-             q_capacity = Bounded 512;
+             q_capacity = Bounded atx_slots;
              q_overflow = Backpressure;
              q_batch = b;
              q_bound = Cap "atx";
            });
-      e "ctx" "protocol" "hc-pool" ~lookahead:island_hop
-        (Credit { cr_tokens = 128 });
-      flow "ctx" "protocol" "hc-dispatch" ~lookahead:island_hop;
-      flow ~ordered:false "sched" "preproc" "tx-dispatch"
-        ~lookahead:island_hop;
-      e "sched" "nbi" "seg-credits" (Credit { cr_tokens = seg_credits });
-      flow ~ordered:false "postproc" "sched" "sched-update"
-        ~lookahead:island_hop;
+      e ctx protocol "hc-pool" ~lookahead:island_hop
+        (Credit { cr_tokens = hc_descs });
+      flow ctx protocol "hc-dispatch" ~lookahead:island_hop;
+      flow ~ordered:false sched preproc "tx-dispatch" ~lookahead:island_hop;
+      e sched nbi "seg-credits" (Credit { cr_tokens = seg_credits p });
+      flow ~ordered:false postproc sched "sched-update" ~lookahead:island_hop;
       (* TX reorder at the NBI: data descriptors are credit-gated,
          ACK egress is pinned to RX segments in flight. *)
-      e "dma" "nbi" "tx-gro"
+      e dma nbi "tx-gro"
         (Queue
            {
              q_capacity = Unbounded;
@@ -344,23 +243,28 @@ let builtin ?defect ~config ~contracts () =
            });
     ]
   in
-  (* FlexScale: replicate the per-flow-group stages across shard
-     islands. Each shard k gets its own copy of preproc/protocol/
-     postproc on [Lp_island k] (slots split evenly, rounded up) and
-     its own copies of every edge touching a sharded endpoint; edges
-     whose endpoints are both sharded pair same-k, because flow-group
-     steering keeps a segment inside one shard end to end. Shard 0
-     keeps the unsuffixed names and labels so bound expressions
-     ([Cap "nbi-pool"]) and serialization-domain realization
-     ([Serial_flow_group "rx-gro"]) keep resolving; replicas append
-     ["#k"], which {!Prove}'s sharding pass parses back into replica
-     families. At one shard the graph is exactly the unsharded one. *)
+  (* FlexScale: replicate the island stages across shard islands. Each
+     shard k gets its own copy of every [Lp_island] stage on
+     [Lp_island k] (slots split evenly, rounded up) and its own copies
+     of every edge touching a sharded endpoint; edges whose endpoints
+     are both sharded pair same-k, because flow-group steering keeps a
+     segment inside one shard end to end. Shard 0 keeps the unsuffixed
+     names and labels so bound expressions ([Cap "nbi-pool"]) and
+     serialization-domain realization ([Serial_flow_group "rx-gro"])
+     keep resolving; replicas append ["#k"], which {!Prove}'s sharding
+     pass parses back into replica families. At one shard the graph is
+     exactly the unsharded one. *)
   let shards = Flow_group.shards_of config.Config.scale in
   let nodes, edges =
     if shards <= 1 then (nodes, edges)
     else begin
-      let sharded = [ "preproc"; "protocol"; "postproc" ] in
-      let is_sharded name = List.mem name sharded in
+      let sharded =
+        List.filter_map
+          (fun n ->
+            match n.n_lp with Lp_island _ -> Some n.n_name | _ -> None)
+          nodes
+      in
+      let is_sharded n = List.mem n sharded in
       let suffix name k =
         if k = 0 then name else name ^ "#" ^ string_of_int k
       in

@@ -2,12 +2,11 @@
 
     The datapath's safety argument lives in its wiring — which stages
     exist, what serializes them, which queues sit between them, which
-    credits gate them. [Datapath.create] builds that wiring
-    imperatively; this module states it as data so the FlexProve
+    credits gate them. This module states it as data so the FlexProve
     passes ({!Prove}) can check an arbitrary stage graph, not just the
-    built-in one. {!builtin} is the extraction of the built-in
-    pipeline, parameterized by {!Config.t} (capacities, batch degree,
-    guard bounds) and optionally by a seeded {!Defect.t}. *)
+    built-in one. {!builtin} projects the pipeline table
+    ({!Pipeline}), parameterized by {!Config.t} (capacities, batch
+    degree, guard bounds) and optionally by a seeded {!Defect.t}. *)
 
 type capacity = Bounded of int | Unbounded
 
@@ -34,15 +33,8 @@ type bound =
   | Min_of of bound list
   | Unbounded_by of string
 
-(** Logical-process assignment for the parallel simulator's
-    partition ({!Sim.Engine.Cluster}): which LP a stage's executions
-    live on. Per-flow-group pipeline stages carry the island class
-    [Lp_island g] — the builtin extraction uses the representative
-    index 0, asserting that flow-group steering keeps a segment's
-    pipeline processing inside one island. Service-island hardware
-    (GRO sequencer, DMA, context queues, scheduler, NBI) is
-    [Lp_service]; libTOE and the applications are [Lp_host]. *)
-type lp = Lp_host | Lp_service | Lp_island of int
+(** Logical-process assignment, declared per stage in {!Pipeline}. *)
+type lp = Pipeline.lp = Lp_host | Lp_service | Lp_island of int
 
 val lp_name : lp -> string
 
@@ -116,21 +108,17 @@ val is_cross_lp : t -> edge -> bool
     missing (well-formedness reports that separately). *)
 
 val builtin :
-  ?defect:Defect.t ->
-  config:Config.t ->
-  contracts:Effects.contract list ->
-  unit ->
-  t
-(** Extraction of the built-in pipeline: mirrors the wiring of
-    [Datapath.create] — same stages and serialization domains as
-    [Datapath.builtin_contracts], queue capacities from the same sources
-    ([Nfp.Params], the ATX/HC ring sizes, scheduler credits), the batch
-    degree from [Config.batch_degree], CP-queue bound from [Config.guard].
-    A [defect] that changes the as-built wiring is patched in: [No_lock]
-    drops the protocol stage's [Serial_conn] domain, [Early_release]
-    lets its writes escape the critical section, and
+  ?defect:Defect.t -> ?pipeline:Pipeline.t -> config:Config.t -> unit -> t
+(** The graph of [pipeline] (default {!Pipeline.builtin}) as built for
+    [config]: one node per row plus the host pseudo-node, with the
+    row's contract, slots and LP; queue capacities from [Nfp.Params]
+    and the table's edge constants, the batch degree from
+    [Config.batch_degree], the CP-queue bound from [Config.guard].
+    A [defect] that changes the as-built wiring is patched in:
+    [No_lock] drops the protocol stage's [Serial_conn] domain,
+    [Early_release] lets its writes escape the critical section,
     [Preproc_reads_proto] / [Postproc_writes_conn] add the stray
-    access. Raises [Invalid_argument] if [contracts] lacks a builtin stage. *)
+    access, and [Bad_contract] takes its declared contract. *)
 
 val bound_to_string : bound -> string
 val capacity_to_string : capacity -> string

@@ -1,0 +1,213 @@
+(** The built-in FlexTOE pipeline, declared once (§3, Table 2).
+
+    One row per stage: its effect contract (whose [c_stage] is the
+    stage's name), what executes it (an FPC pool sized from
+    {!Config.t}, or a fixed number of non-FPC units), its LP class and
+    its entry functions in [datapath.ml]. The shared edge constants
+    sit beside the rows. Everything else is a projection of this
+    table: [Datapath.create]'s FPC pools, ring, descriptor-pool and
+    scheduler capacities and its layer-1 contract check, the FlexProve
+    graph ({!Graph_ir.builtin}) and FlexInfer's stage map. Only
+    construction and the analysis tools read it; the hot path holds
+    the arrays it built. *)
+
+(** Logical-process class of a stage's executions, for the parallel
+    simulator's partition. Per-flow-group stages carry the island
+    class [Lp_island g]; the table uses the representative index 0,
+    asserting that flow-group steering keeps a segment's pipeline
+    processing inside one island. Service-island hardware (GRO
+    sequencer, DMA, context queues, scheduler, NBI) is [Lp_service];
+    libTOE and the applications are [Lp_host]. *)
+type lp = Lp_host | Lp_service | Lp_island of int
+
+let lp_name = function
+  | Lp_host -> "host"
+  | Lp_service -> "service"
+  | Lp_island g -> "island" ^ string_of_int g
+
+type pool = {
+  p_name : string;  (** [Datapath.fpc_pools] name (perfbench's [nfp.*] keys). *)
+  p_prefix : string;  (** FPC names are the prefix and an index. *)
+  p_replicas : Config.parallelism -> int;
+      (** FPCs per flow group on an island, or in all on the service
+          island; at least one is built. *)
+  p_striped : bool;
+      (** Island pools: number the FPCs of all groups from 0, group [g]
+          owning the [g]-th slice; otherwise group [g]'s FPC [i] is
+          number [10g + i]. *)
+}
+
+(** What executes a stage: an FPC pool of [fpc_threads]-thread FPCs,
+    or a fixed number of execution units that are not FPCs. *)
+type exec = Fpcs of pool | Units of int
+
+type stage = {
+  s_contract : Effects.contract;  (** The healthy declaration. *)
+  s_exec : exec;
+  s_lp : lp;
+  s_entries : string list;
+      (** Functions in [datapath.ml] that FlexInfer analyzes as the
+          stage body. *)
+}
+
+type t = stage list
+
+let name s = s.s_contract.Effects.c_stage
+
+let row name ~reads ~writes domain exec lp entries =
+  {
+    s_contract =
+      { Effects.c_stage = name; c_reads = reads; c_writes = writes;
+        c_domain = domain };
+    s_exec = exec name;
+    s_lp = lp;
+    s_entries = entries;
+  }
+
+(* A pool named after its stage and FPCs named after their pool, unless
+   [name] or [prefix] says otherwise. *)
+let fpc_pool ?(striped = false) ?name ?prefix replicas stage =
+  let p_name = Option.value name ~default:stage in
+  { p_name; p_prefix = Option.value prefix ~default:p_name;
+    p_replicas = replicas; p_striped = striped }
+
+let pool ?striped ?name ?prefix replicas stage =
+  Fpcs (fpc_pool ?striped ?name ?prefix replicas stage)
+
+let units n (_ : string) = Units n
+
+(* Which memory each stage may touch, under which serialization
+   discipline: §3.2's disjointness argument over Table 5's memory map. *)
+open Effects
+
+let preproc =
+  row "preproc" ~reads:[ Conn_db ] ~writes:[ Global_stats ] Serial_none
+    (pool ~striped:true ~prefix:"pre" (fun p -> p.Config.preproc_replicas))
+    (Lp_island 0)
+    [ "rx_frame"; "rx_datapath"; "guard_shed_rx"; "preproc_rx";
+      "forward_to_control" ]
+
+let gro =
+  row "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro")
+    (pool (fun _ -> 1)) Lp_service
+    [ "gro_release"; "gro_flush"; "gro_submit" ]
+
+(* Global_stats: the FlexScale steering self-check counter
+   (st_cross_shard) is bumped from protocol-stage state accesses; the
+   region is atomic, so the declaration costs no static freedom. *)
+let protocol =
+  row "protocol"
+    ~reads:[ Conn_db; Conn_pre; Conn_proto; Reasm; Conn_post ]
+    ~writes:[ Conn_proto; Reasm; Sched_state; Global_stats ] Serial_conn
+    (pool ~prefix:"proto" (fun p -> p.Config.proto_replicas))
+    (Lp_island 0)
+    [ "protocol_rx"; "protocol_tx"; "protocol_hc" ]
+
+let postproc =
+  row "postproc" ~reads:[ Conn_db ]
+    ~writes:[ Conn_post; Global_stats; Sched_state ] Serial_none
+    (pool ~prefix:"post" (fun p -> p.Config.postproc_replicas))
+    (Lp_island 0) [ "postproc_stage" ]
+
+let dma =
+  row "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
+    ~writes:[ Rx_payload; Global_stats; Sched_state ]
+    (Serial_queue "pcie-dma")
+    (pool (fun p -> p.Config.dma_replicas))
+    Lp_service [ "dma_stage" ]
+
+let ctx =
+  row "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
+    ~writes:[ Desc_ring ] (Serial_queue "ctx")
+    (pool (fun p -> p.Config.ctx_replicas))
+    Lp_service
+    [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
+      "atx_drain_body" ]
+
+let sched =
+  row "sched" ~reads:[ Sched_state ] ~writes:[ Sched_state ] Serial_none
+    (pool ~name:"sch" (fun _ -> 1)) Lp_service [ "dispatch_tx" ]
+
+let nbi =
+  row "nbi" ~reads:[ Conn_pre; Conn_db ] ~writes:[ Global_stats; Sched_state ]
+    (Serial_flow_group "tx-gro") (units 1) Lp_service
+    [ "nbi_emit"; "nbi_emit_one" ]
+
+let builtin = [ preproc; gro; protocol; postproc; dma; ctx; sched; nbi ]
+
+(* libTOE and the applications, a pseudo-stage of the FlexProve graph
+   only: they drain notifications and Rx payload, fill Tx payload and
+   ring ATX doorbells. Descriptor rings are single-producer/single-
+   consumer per side (atomic region). *)
+let host =
+  row "host" ~reads:[ Rx_payload; Desc_ring ] ~writes:[ Tx_payload; Desc_ring ]
+    Serial_none (units 4) Lp_host []
+
+(* XDP modules run on the islands' spare FPCs ahead of the pipeline. *)
+let xdp = fpc_pool ~striped:true (fun _ -> 3) "xdp"
+
+(* The run-to-completion baseline reuses the stage helpers but belongs
+   to no stage: FlexInfer never expands these. *)
+let excluded = [ "rtc_rx"; "rtc_tx"; "rtc_hc"; "rtc_pcie_sleep" ]
+
+(* --- Shared edge constants -------------------------------------------- *)
+
+let atx_slots = 512  (* per-context-queue ATX descriptor ring *)
+let hc_descs = 128  (* host-control descriptor pool *)
+
+(* Scheduler segment credits: one per NBI segment buffer, at most 256. *)
+let seg_credits (p : Nfp.Params.t) = Int.min 256 p.Nfp.Params.seg_buffers
+
+(* --- Projections ------------------------------------------------------ *)
+
+(* [Bad_contract] declares a post-processor that claims a
+   protocol-partition write: statically incompatible with the
+   (serialized) protocol stage. *)
+let contracts ?defect (t : t) =
+  List.map
+    (fun s ->
+      let c = s.s_contract in
+      if name s = name postproc && Defect.is defect Defect.Bad_contract then
+        { c with c_writes = Conn_proto :: c.c_writes }
+      else c)
+    t
+
+let stage_map (t : t) = List.map (fun s -> (name s, s.s_entries)) t
+let threads (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.fpc_threads
+let groups (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.flow_groups
+
+(* A pool's FPC names by island: one entry per flow group on an island
+   LP, one entry with island -1 on the service island. *)
+let fpc_names (cfg : Config.t) p lp =
+  let r = Int.max 1 (p.p_replicas cfg.Config.parallelism) in
+  let fpc i = Array.init r (fun j -> p.p_prefix ^ string_of_int (i + j)) in
+  match lp with
+  | Lp_island _ ->
+      List.init (groups cfg) (fun g ->
+          (g, fpc (if p.p_striped then g * r else g * 10)))
+  | Lp_service | Lp_host -> [ (-1, fpc 0) ]
+
+(* Concurrent execution slots: FPCs × hardware threads. *)
+let slots cfg s =
+  match s.s_exec with
+  | Units n -> n
+  | Fpcs p ->
+      List.fold_left (fun n (_, fpcs) -> n + Array.length fpcs) 0
+        (fpc_names cfg p s.s_lp)
+      * threads cfg
+
+(* The datapath implements exactly the builtin stages: a row whose
+   contract names any other stage, a builtin stage with no row, or two
+   rows for one stage is a broken table. *)
+let check (t : t) =
+  let names = List.map name t and known = List.map name builtin in
+  let fail fmt = Printf.ksprintf invalid_arg ("Pipeline.check: " ^^ fmt) in
+  List.iter
+    (fun n ->
+      if not (List.mem n known) then fail "row %s matches no datapath stage" n;
+      if List.length (List.filter (String.equal n) names) > 1 then
+        fail "two rows for stage %s" n)
+    names;
+  List.iter
+    (fun n -> if not (List.mem n names) then fail "no row for stage %s" n)
+    known

@@ -429,8 +429,9 @@ let server_flow id =
   Tcp.Flow.v ~local_ip:ip_server ~local_port:7 ~remote_ip:ip_rogue
     ~remote_port:(peer_port id)
 
-(* One event, then [step] of simulated time for the server to answer. *)
-let play p evs =
+(* One event, then [step] of simulated time for the server to answer;
+   [~step:Sim.Time.zero] sends the events back to back. *)
+let play ?(step = step) p evs =
   List.iter
     (fun ev ->
       (match ev with
@@ -532,7 +533,21 @@ let test_replay_established_never_shed () =
   done;
   check_int "all 40 segments sent" 40
     (Hashtbl.fold (fun _ n acc -> acc + n) p.sent 0 / seg_bytes);
-  check_int "zero established segments shed" 0 (Guard.established_shed gd)
+  check_int "zero established segments shed" 0 (Guard.established_shed gd);
+  (* Again with a 2-frame CP queue and the flood sent back to back,
+     established segments among the SYNs: the queue fills, and only the
+     SYNs are shed at it. *)
+  let w, p = scripted ~limit:4 { g with Config.g_cp_queue = 2 } in
+  play p (List.concat (List.init 4 establish));
+  play ~step:Sim.Time.zero p
+    (List.concat
+       (List.init 40 (fun i -> [ Syn (1000 + i); Syn (2000 + i); Seg (i mod 4) ])));
+  run_for w step;
+  let gd = server_guard w in
+  check_bool "the burst fills the CP queue" true
+    (Guard.counter gd "shed_queue" > 0);
+  check_int "zero established segments shed at a full CP queue" 0
+    (Guard.established_shed gd)
 
 let test_replay_close_and_timewait () =
   let g =

@@ -8,9 +8,10 @@
    entry. *)
 
 module E = Flextoe.Effects
-module I = Flextoe.Infer
+module I = Analysis.Infer
 module D = Flextoe.Datapath
 module Defect = Flextoe.Defect
+module PL = Flextoe.Pipeline
 module Config = Flextoe.Config
 
 let check_bool = Alcotest.(check bool)
@@ -113,17 +114,32 @@ let test_contract_drift () =
   check_bool "names beta" true (f.I.f_stage = Some "beta");
   check_bool "names rx-payload" true (contains f.I.f_msg "rx-payload")
 
+(* Both over the synthetic source and over the real datapath, with the
+   builtin pipeline table's gro row naming an entry it lacks. *)
 let test_missing_entry () =
+  let missing ~dp_file stage_map =
+    match I.infer_footprints ~dp_file ~stage_map ~excluded:[] () with
+    | Error e -> Alcotest.fail e
+    | Ok (_, findings, _) ->
+        List.filter (fun f -> f.I.f_rule = "missing-entry") findings
+  in
   with_tmp ".ml" mini_dp (fun dp_file ->
-      match
-        I.infer_footprints ~dp_file
-          ~stage_map:[ ("alpha", [ "stage_gone" ]) ]
-          ~excluded:[] ()
-      with
-      | Error e -> Alcotest.fail e
-      | Ok (_, findings, _) ->
-          check_bool "missing entry reported" true
-            (List.exists (fun f -> f.I.f_rule = "missing-entry") findings))
+      check_bool "missing entry reported" true
+        (missing ~dp_file [ ("alpha", [ "stage_gone" ]) ] <> []));
+  let table =
+    List.map
+      (fun s ->
+        if PL.name s = PL.name PL.gro then
+          { s with PL.s_entries = s.PL.s_entries @ [ "stage_gone" ] }
+        else s)
+      PL.builtin
+  in
+  let dp_file = Filename.concat (root ()) "lib/flextoe/datapath.ml" in
+  match missing ~dp_file (PL.stage_map table) with
+  | [ f ] ->
+      check_bool "builtin table: the gro row's entry is missing" true
+        (f.I.f_stage = Some (PL.name PL.gro) && contains f.I.f_msg "stage_gone")
+  | fs -> Alcotest.failf "builtin table: %d missing entries" (List.length fs)
 
 (* Sanitizer witnesses: the sa/San.access idiom carries the region as
    literal constructors; the walker must pick the access up from the
@@ -288,12 +304,12 @@ let test_stdlib_queue_lint () =
 
 let test_golden_clean () =
   match
-    I.infer_repo_diff ~declared:(D.builtin_contracts ()) ~root:(root ()) ()
+    I.infer_repo_diff ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
   | Ok (footprints, findings) ->
       check_int "all builtin stages inferred"
-        (List.length (D.builtin_contracts ()))
+        (List.length (PL.contracts PL.builtin))
         (List.length footprints);
       List.iter
         (fun f -> Printf.printf "unexpected: %s\n" (I.finding_to_string f))
@@ -303,7 +319,7 @@ let test_golden_clean () =
 
 let test_repo_seq32_clean () =
   match
-    I.analyze_repo ~declared:(D.builtin_contracts ()) ~root:(root ()) ()
+    I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -316,7 +332,7 @@ let test_repo_seq32_clean () =
 let defect_diff defect =
   match
     I.infer_repo_diff ~defect
-      ~declared:(D.builtin_contracts ~defect ())
+      ~declared:(PL.contracts ~defect PL.builtin)
       ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
@@ -400,7 +416,7 @@ let test_corpus_owners () =
 
 let test_json_shape () =
   match
-    I.analyze_repo ~declared:(D.builtin_contracts ()) ~root:(root ()) ()
+    I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
   | Ok r -> (

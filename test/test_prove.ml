@@ -135,7 +135,7 @@ let test_builtin_graph_clean () =
       List.iter
         (fun guard ->
           match
-            P.check_graph (D.builtin_graph ~config:(cfg ~batch ~guard ()) ())
+            P.check_graph (G.builtin ~config:(cfg ~batch ~guard ()) ())
           with
           | Ok reports ->
               check_int
@@ -150,7 +150,7 @@ let test_builtin_graph_clean () =
     [ 1; 8; 16 ]
 
 let test_builtin_graph_dot () =
-  let dot = G.to_dot (D.builtin_graph ~config:Config.default ()) in
+  let dot = G.to_dot (G.builtin ~config:Config.default ()) in
   List.iter
     (fun needle ->
       check_bool ("dot mentions " ^ needle) true (contains dot needle))
@@ -164,7 +164,7 @@ let test_builtin_graph_dot () =
    the rationale is stale), and at least five are caught statically. *)
 let test_sabotage_classification () =
   let graph_caught defect =
-    match P.check_graph (D.builtin_graph ~defect ~config:Config.default ()) with
+    match P.check_graph (G.builtin ~defect ~config:Config.default ()) with
     | Error _ -> true
     | Ok _ -> false
   in
@@ -194,6 +194,143 @@ let test_healthy_create_unaffected () =
       ~defect:Defect.No_lock ()
   in
   ignore dp
+
+(* --- Pipeline table projections ---------------------------------------- *)
+
+module PL = Flextoe.Pipeline
+
+let new_dp ?pipeline config =
+  let engine = Sim.Engine.create () in
+  let fabric = Netsim.Fabric.create engine () in
+  D.create engine ~config ~fabric ~mac:1 ~ip:0x0A000001 ?pipeline ()
+
+let with_par f = Config.with_parallelism Config.default (f Config.default.Config.parallelism)
+
+let projection_configs =
+  [
+    ("default", Config.default);
+    ("flow_groups 1", with_par (fun p -> { p with Config.flow_groups = 1 }));
+    ("flow_groups 4", with_par (fun p -> { p with Config.flow_groups = 4 }));
+    ( "replicas 3/2/2/3",
+      with_par (fun p ->
+          { p with Config.preproc_replicas = 3; postproc_replicas = 2;
+                   dma_replicas = 2; ctx_replicas = 3 }) );
+    ("fpc_threads 1", with_par (fun p -> { p with Config.fpc_threads = 1 }));
+    ("fpc_threads 8", with_par (fun p -> { p with Config.fpc_threads = 8 }));
+    ("scale_of 4", { Config.default with Config.scale = Config.scale_of 4 });
+  ]
+
+(* The pools the datapath built before they came from the table, written
+   out independently: (pool, island, FPC names). *)
+let expected_pools (par : Config.parallelism) =
+  let g = Int.max 1 par.Config.flow_groups in
+  let names prefix first n =
+    List.init n (fun i -> prefix ^ string_of_int (first + i))
+  in
+  let per_group name prefix n ~first =
+    List.init g (fun i -> (name, i, names prefix (first i) n))
+  in
+  let r = Int.max 1 in
+  per_group "preproc" "pre" (r par.Config.preproc_replicas) ~first:(fun i ->
+      i * r par.Config.preproc_replicas)
+  @ per_group "protocol" "proto" (r par.Config.proto_replicas) ~first:(fun i ->
+        i * 10)
+  @ per_group "postproc" "post" (r par.Config.postproc_replicas)
+      ~first:(fun i -> i * 10)
+  @ per_group "xdp" "xdp" 3 ~first:(fun i -> i * 3)
+  @ [
+      ("dma", -1, names "dma" 0 (r par.Config.dma_replicas));
+      ("ctx", -1, names "ctx" 0 (r par.Config.ctx_replicas));
+      ("sch", -1, [ "sch0" ]);
+      ("gro", -1, [ "gro0" ]);
+    ]
+
+let test_pipeline_projections () =
+  List.iter
+    (fun (label, config) ->
+      let dp = new_dp config in
+      let pools = D.fpc_pools dp in
+      let got =
+        List.map
+          (fun (n, island, a) ->
+            (n, island, Array.to_list (Array.map Nfp.Fpc.name a)))
+          pools
+      in
+      Alcotest.(check (list (triple string int (list string))))
+        (label ^ ": fpc_pools names, islands and FPCs")
+        (List.sort compare (expected_pools config.Config.parallelism))
+        (List.sort compare got);
+      (* Every FPC-backed graph node's slots are the threads of the FPCs
+         built for its stage (of its shard's islands, when sharded). *)
+      let shards = Flextoe.Flow_group.shards_of config.Config.scale in
+      let checked = ref 0 in
+      List.iter
+        (fun (n : G.node) ->
+          let base, shard =
+            match String.index_opt n.G.n_name '#' with
+            | Some i ->
+                ( String.sub n.G.n_name 0 i,
+                  int_of_string
+                    (String.sub n.G.n_name (i + 1)
+                       (String.length n.G.n_name - i - 1)) )
+            | None -> (n.G.n_name, 0)
+          in
+          match List.find_opt (fun s -> PL.name s = base) PL.builtin with
+          | Some { PL.s_exec = PL.Fpcs pool; _ } ->
+              incr checked;
+              let threads =
+                List.fold_left
+                  (fun acc (name, island, a) ->
+                    if
+                      name = pool.PL.p_name
+                      && (island < 0
+                         || Flextoe.Flow_group.shard_of_group island ~shards
+                            = shard)
+                    then
+                      Array.fold_left (fun acc f -> acc + Nfp.Fpc.threads f)
+                        acc a
+                    else acc)
+                  0 pools
+              in
+              check_int
+                (Printf.sprintf "%s: %s slots = built FPC threads" label
+                   n.G.n_name)
+                threads n.G.n_slots
+          | _ -> ())
+        (G.builtin ~config ()).G.g_nodes;
+      check_bool (label ^ ": every FPC stage checked") true
+        (!checked >= 7))
+    projection_configs
+
+let test_pipeline_broken_tables () =
+  let raises label table =
+    match new_dp ~pipeline:table Config.default with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: Datapath.create accepted the table" label
+  in
+  let renamed =
+    { PL.gro with
+      PL.s_contract = { PL.gro.PL.s_contract with E.c_stage = "splice" } }
+  in
+  raises "row whose contract matches no stage" (PL.builtin @ [ renamed ]);
+  raises "stage with no contract row"
+    (List.filter (fun s -> PL.name s <> PL.name PL.gro) PL.builtin);
+  raises "two rows for one stage" (PL.builtin @ [ PL.gro ]);
+  (* A well-formed edit of the table reaches the wiring. *)
+  let wider =
+    List.map
+      (fun s ->
+        match s.PL.s_exec with
+        | PL.Fpcs p when PL.name s = PL.name PL.protocol ->
+            { s with PL.s_exec = PL.Fpcs { p with PL.p_replicas = (fun _ -> 3) } }
+        | _ -> s)
+      PL.builtin
+  in
+  let pools = D.fpc_pools (new_dp ~pipeline:wider Config.default) in
+  check_bool "edited protocol row: three FPCs per group" true
+    (List.for_all
+       (fun (n, _, a) -> n <> "protocol" || Array.length a = 3)
+       pools)
 
 (* --- Graph passes: synthetic counterexamples ------------------------- *)
 
@@ -518,6 +655,10 @@ let suite =
       test_sabotage_classification;
     Alcotest.test_case "graph: sabotaged node still constructs" `Quick
       test_healthy_create_unaffected;
+    Alcotest.test_case "pipeline: graph slots and pools match the built FPCs"
+      `Quick test_pipeline_projections;
+    Alcotest.test_case "pipeline: broken tables rejected at create" `Quick
+      test_pipeline_broken_tables;
     Alcotest.test_case "graph: credit-cycle deadlock" `Quick
       test_deadlock_cycle;
     Alcotest.test_case "graph: queue-bound overflow" `Quick

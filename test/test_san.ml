@@ -8,6 +8,7 @@ module E = Flextoe.Effects
 module San = Flextoe.San
 module D = Flextoe.Datapath
 module Defect = Flextoe.Defect
+module PL = Flextoe.Pipeline
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -21,7 +22,7 @@ let san_config =
 (* --- Layer 1: static contract checking ------------------------------ *)
 
 let test_builtin_contracts_sound () =
-  match E.check (D.builtin_contracts ()) with
+  match E.check (PL.contracts PL.builtin) with
   | Ok () -> ()
   | Error cs ->
       Alcotest.failf "builtin stage set rejected: %s"
