@@ -161,7 +161,9 @@ let gate ~baseline ~out () =
   in
   R.gate ~baseline ~out
     (R.make ~experiment:"churn_sweep_pr6"
-       ~workload:"kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps, seed 42"
+       ~workload:
+         "kv 32x32, 8 conns, syn flood 0/1/3/10x 50kpps and 10x against a \
+          2-frame cp queue, seed 42"
        ~workers:1
        (* The floor is the baseline's: a baseline re-pinned from this
           record keeps it. *)
