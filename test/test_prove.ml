@@ -204,7 +204,9 @@ let new_dp ?pipeline config =
   let fabric = Netsim.Fabric.create engine () in
   D.create engine ~config ~fabric ~mac:1 ~ip:0x0A000001 ?pipeline ()
 
-let with_par f = Config.with_parallelism Config.default (f Config.default.Config.parallelism)
+let with_par f =
+  Config.with_parallelism Config.default
+    (f Config.default.Config.parallelism)
 
 let projection_configs =
   [
@@ -220,8 +222,9 @@ let projection_configs =
     ("scale_of 4", { Config.default with Config.scale = Config.scale_of 4 });
   ]
 
-(* The pools the datapath built before they came from the table, written
-   out independently: (pool, island, FPC names). *)
+(* The FPC pools of a parallelism config, written out independently of
+   the table: (pool, island, FPC names). perfbench's nfp.* keys and the
+   sanitizer's thread names read these names. *)
 let expected_pools (par : Config.parallelism) =
   let g = Int.max 1 par.Config.flow_groups in
   let names prefix first n =
