@@ -150,6 +150,34 @@ let test_engine_link ~streams =
        else "sim/engine-heap-1454")
     (Staged.stage (fun () -> ignore (Sim.Engine.step e)))
 
+(* kv's wheel: 30 entries in the heap (kv's wheel depth, sampled each
+   simulated microsecond, is about 29), each a prebuilt callback that
+   reschedules itself a random delay ahead. With [~handlers:true] the
+   30 callbacks are registered engine handlers, as FPC threads and
+   streams are, and are scheduled by id. *)
+let test_engine_heap_30 ~handlers =
+  let e = Sim.Engine.create () in
+  let x = ref 12_345 in
+  let next () =
+    x := ((!x * 1_103_515_245) + 12_345) land 0x3FFF_FFFF;
+    1 + (!x land 0xFFFF)
+  in
+  for _ = 1 to 30 do
+    if handlers then begin
+      let h = Sim.Engine.register e ignore in
+      Sim.Engine.set_handler h (fun () ->
+          Sim.Engine.schedule_handler e (next ()) h);
+      Sim.Engine.schedule_handler e (next ()) h
+    end
+    else
+      let rec k () = Sim.Engine.schedule e (next ()) k in
+      Sim.Engine.schedule e (next ()) k
+  done;
+  Test.make
+    ~name:
+      (if handlers then "sim/engine-heap-30-handlers" else "sim/engine-heap-30")
+    (Staged.stage (fun () -> ignore (Sim.Engine.step e)))
+
 (* A connection lookup as the datapath and libTOE make it per segment,
    in the direct-indexed table and in the polymorphic Hashtbl it
    replaced. *)
@@ -199,6 +227,8 @@ let benchmarks =
     test_event_queue_same_instant;
     test_engine_link ~streams:true;
     test_engine_link ~streams:false;
+    test_engine_heap_30 ~handlers:false;
+    test_engine_heap_30 ~handlers:true;
     test_conn_lookup ~dense:true;
     test_conn_lookup ~dense:false;
     test_end_to_end_rpc;

@@ -1399,6 +1399,39 @@ let parse_error path msg =
     f_msg = msg;
   }
 
+(* Walks a structure's top-level bindings, and those of the modules it
+   defines (submodules, functor bodies and arguments): a nested
+   module's names shadow only inside it. *)
+let rec lint_structure ctx (str : Parsetree.structure) =
+  List.iter
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (rf, vbs) ->
+          ignore (swalk_bindings ctx [] rf vbs);
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              ctx.q_top <- pat_vars vb.pvb_pat @ ctx.q_top)
+            vbs
+      | Pstr_module mb -> lint_module ctx mb.pmb_expr
+      | Pstr_recmodule mbs ->
+          List.iter
+            (fun (mb : Parsetree.module_binding) -> lint_module ctx mb.pmb_expr)
+            mbs
+      | _ -> ())
+    str
+
+and lint_module ctx (me : Parsetree.module_expr) =
+  match me.pmod_desc with
+  | Pmod_structure str ->
+      let top = ctx.q_top in
+      lint_structure ctx str;
+      ctx.q_top <- top
+  | Pmod_constraint (me, _) | Pmod_functor (_, me) -> lint_module ctx me
+  | Pmod_apply (f, arg) ->
+      lint_module ctx f;
+      lint_module ctx arg
+  | _ -> ()
+
 (* Lint a set of implementation files, seeding types from
    [seed_paths] (defaults to the linted files plus their [.mli]s).
    Returns the Seq32 findings, the exempted Seq32 sites and the
@@ -1432,17 +1465,7 @@ let lint_files ?seed_paths ~files () =
                 q_exempted = 0;
               }
             in
-            List.iter
-              (fun (item : Parsetree.structure_item) ->
-                match item.pstr_desc with
-                | Pstr_value (rf, vbs) ->
-                    ignore (swalk_bindings ctx [] rf vbs);
-                    List.iter
-                      (fun (vb : Parsetree.value_binding) ->
-                        ctx.q_top <- pat_vars vb.pvb_pat @ ctx.q_top)
-                      vbs
-                | _ -> ())
-              str;
+            lint_structure ctx str;
             (List.rev ctx.q_findings, ctx.q_exempted, List.rev ctx.q_poly))
       files
   in
@@ -1591,7 +1614,8 @@ let lib_dirs root =
 
 (* The full FlexInfer run over a repository checkout: footprint
    inference + contract diff over the datapath, the Seq32 and
-   poly-compare lints over lib/tcp, lib/flextoe and lib/analysis, and
+   poly-compare lints over lib/sim, lib/tcp, lib/nfp, lib/netsim,
+   lib/host, lib/flextoe and lib/analysis, and
    the stdlib-queue lint over every directory under lib/. *)
 type report = {
   rp_footprints : footprint list;
@@ -1632,7 +1656,16 @@ let analyze_repo ?defect ~declared ~root () =
   | Ok (footprints, hygiene, locs) ->
       let diff = diff_contracts ~declared ~footprints ~locs ~dp_file in
       let lint_dirs =
-        List.map (Filename.concat root) [ "lib/tcp"; "lib/flextoe"; "lib/analysis" ]
+        List.map (Filename.concat root)
+          [
+            "lib/sim";
+            "lib/tcp";
+            "lib/nfp";
+            "lib/netsim";
+            "lib/host";
+            "lib/flextoe";
+            "lib/analysis";
+          ]
       in
       let files = List.concat_map ml_files_in lint_dirs in
       let seq_findings, exempted, poly_findings =

@@ -124,7 +124,7 @@ val lint_poly_compare : files:string list -> unit -> finding list
     [Float.min], [String.compare] and friends are typed. Rule
     ["poly-compare"], a warning; [(* flexinfer: poly-compare-exempt *)]
     on the same or the preceding line exempts a site. {!analyze_repo}
-    runs it over [lib/tcp], [lib/flextoe] and [lib/analysis]. *)
+    runs it over every [lib/] directory but [lib/baselines]. *)
 
 val lint_stdlib_queue : files:string list -> unit -> finding list
 (** Flag every use of [Queue] or [Stdlib.Queue] in [files] ([.ml] or
@@ -163,9 +163,10 @@ val analyze_repo :
   unit ->
   (report, string) result
 (** The full FlexInfer run: footprint inference + contract diff over
-    the datapath, Seq32 and poly-compare lints over [lib/tcp],
-    [lib/flextoe] and [lib/analysis], and the stdlib-queue lint over
-    every directory under [lib/]. *)
+    the datapath, Seq32 and poly-compare lints over [lib/sim],
+    [lib/tcp], [lib/nfp], [lib/netsim], [lib/host], [lib/flextoe] and
+    [lib/analysis] (top-level bindings and those of nested modules),
+    and the stdlib-queue lint over every directory under [lib/]. *)
 
 (** {1 JSON} *)
 

@@ -39,7 +39,7 @@ module Dctcp = struct
       (* Unpaced flow entering congestion: start from what it actually
          achieved. *)
       let est = throughput_estimate obs in
-      if est <= 0 then wire_bps else min est wire_bps
+      if est <= 0 then wire_bps else Int.min est wire_bps
     end
 
   let update t ~wire_bps obs =
@@ -89,7 +89,7 @@ module Timely = struct
     if t.rate > 0 then t.rate
     else begin
       let est = throughput_estimate obs in
-      if est <= 0 then wire_bps else min est wire_bps
+      if est <= 0 then wire_bps else Int.min est wire_bps
     end
 
   let apply t ~wire_bps bps =
@@ -121,7 +121,7 @@ module Timely = struct
         else begin
           let gradient =
             float_of_int (rtt - t.prev_rtt_ns)
-            /. float_of_int (max 1 t.min_rtt_ns)
+            /. float_of_int (Int.max 1 t.min_rtt_ns)
           in
           if gradient <= 0. then
             if t.rate > 0 then

@@ -74,22 +74,28 @@ let decode_response b =
       | _ -> None
   end
 
-type server = { store : (string, Bytes.t) Hashtbl.t }
+(* A typed table: a lookup hashes and compares the key as a string,
+   with no polymorphic [compare]. It is not iterated. *)
+module Store = Hashtbl.Make (String)
 
+type server = { store : Bytes.t Store.t }
+
+(* [decode_request]'s key is a fresh copy that nothing writes, so it
+   serves as the table's string key without a second copy. *)
 let handle t req =
   match decode_request req with
   | None -> encode_response Bad_request
   | Some (Get key) -> begin
-      match Hashtbl.find_opt t.store (Bytes.to_string key) with
+      match Store.find_opt t.store (Bytes.unsafe_to_string key) with
       | Some v -> encode_response (Value v)
       | None -> encode_response Miss
     end
   | Some (Set (key, value)) ->
-      Hashtbl.replace t.store (Bytes.to_string key) value;
+      Store.replace t.store (Bytes.unsafe_to_string key) value;
       encode_response Stored
 
 let server ~endpoint ~port ~app_cycles () =
-  let t = { store = Hashtbl.create 4096 } in
+  let t = { store = Store.create 4096 } in
   endpoint.Api.listen ~port ~on_accept:(fun sock ->
       let core = sock.Api.core in
       let decoder = Framing.create () in
@@ -104,7 +110,7 @@ let server ~endpoint ~port ~app_cycles () =
                   ignore (sock.Api.send (Framing.encode resp))))));
   t
 
-let entries t = Hashtbl.length t.store
+let entries t = Store.length t.store
 
 let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
     ~key_bytes ~value_bytes ~set_ratio ?(think_cycles = 200) ~stats () =
@@ -113,7 +119,7 @@ let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
   let key i =
     let b = Bytes.make key_bytes 'k' in
     let s = string_of_int i in
-    Bytes.blit_string s 0 b 0 (min (String.length s) key_bytes);
+    Bytes.blit_string s 0 b 0 (Int.min (String.length s) key_bytes);
     b
   in
   let make_request () =

@@ -1,3 +1,7 @@
+(* Typed tables: a lookup hashes and compares an int directly, with no
+   polymorphic [compare]. None of them is iterated. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 type shaping = {
   rate_gbps : float;
   queue_bytes : int;
@@ -10,13 +14,13 @@ type t = {
   seed : int64;
   mutable loss : float;
   mutable ports : port list;
-  by_mac : (int, port) Hashtbl.t;
-  by_ip : (int, port) Hashtbl.t;
+  by_mac : port Int_tbl.t;
+  by_ip : port Int_tbl.t;
   (* One conservative channel per ordered pair of distinct port-home
-     LPs, keyed by (src LP id, dst LP id), with the switch latency as
-     lookahead; empty until [partition]. *)
+     LPs, keyed by [lp_pair], with the switch latency as lookahead;
+     empty until [partition]. *)
   mutable partitioned : bool;
-  channels : (int * int, Sim.Engine.Cluster.channel) Hashtbl.t;
+  channels : Sim.Engine.Cluster.channel Int_tbl.t;
 }
 
 and port = {
@@ -60,10 +64,10 @@ let create engine ?(switch_latency = Sim.Time.us 1) ?(seed = 42L) () =
     seed;
     loss = 0.;
     ports = [];
-    by_mac = Hashtbl.create 16;
-    by_ip = Hashtbl.create 16;
+    by_mac = Int_tbl.create 16;
+    by_ip = Int_tbl.create 16;
     partitioned = false;
-    channels = Hashtbl.create 16;
+    channels = Int_tbl.create 16;
   }
 
 let set_loss t p = t.loss <- p
@@ -97,9 +101,14 @@ let add_port t ?engine ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
     }
   in
   t.ports <- port :: t.ports;
-  Hashtbl.replace t.by_mac mac port;
-  Hashtbl.replace t.by_ip ip port;
+  Int_tbl.replace t.by_mac mac port;
+  Int_tbl.replace t.by_ip ip port;
   port
+
+(* The (src, dst) pair of LP ids as one int key, allocating nothing:
+   LP ids count the LPs of one cluster, far below 2^31. *)
+let lp_pair src dst =
+  (Sim.Engine.Local.id src lsl 31) lor Sim.Engine.Local.id dst
 
 let partition t ~cluster =
   if t.partitioned then invalid_arg "Fabric.partition: already partitioned";
@@ -109,11 +118,9 @@ let partition t ~cluster =
       List.iter
         (fun (dst : port) ->
           if src.home != dst.home then begin
-            let key =
-              (Sim.Engine.Local.id src.home, Sim.Engine.Local.id dst.home)
-            in
-            if not (Hashtbl.mem t.channels key) then
-              Hashtbl.replace t.channels key
+            let key = lp_pair src.home dst.home in
+            if not (Int_tbl.mem t.channels key) then
+              Int_tbl.replace t.channels key
                 (Sim.Engine.Cluster.channel cluster ~src:src.home
                    ~dst:dst.home ~min_latency:t.switch_latency)
           end)
@@ -176,9 +183,9 @@ let deliver _t (dst : port) frame =
       end
 
 let route t frame =
-  match Hashtbl.find_opt t.by_mac frame.Tcp.Segment.dst_mac with
+  match Int_tbl.find_opt t.by_mac frame.Tcp.Segment.dst_mac with
   | Some p -> Some p
-  | None -> Hashtbl.find_opt t.by_ip frame.Tcp.Segment.seg.dst_ip
+  | None -> Int_tbl.find_opt t.by_ip frame.Tcp.Segment.seg.dst_ip
 
 let transmit_clean port frame =
   let t = port.fabric in
@@ -202,10 +209,7 @@ let transmit_clean port frame =
           Sim.Engine.Stream.schedule_at port.tx_stream arrival (fun () ->
               deliver t dst frame)
         else
-          let key =
-            (Sim.Engine.Local.id port.home, Sim.Engine.Local.id dst.home)
-          in
-          let ch = Hashtbl.find t.channels key in
+          let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
           Sim.Engine.Cluster.send ch ~at:arrival (fun () ->
               deliver t dst frame)
 

@@ -313,8 +313,8 @@ module Churn = struct
         fl_src_ip = src_ip;
         fl_dst_ip = dst_ip;
         fl_dst_port = dst_port;
-        fl_interval = max 1 (1_000_000_000_000 / rate_pps);
-        fl_src_ports = max 1 src_ports;
+        fl_interval = Int.max 1 (1_000_000_000_000 / rate_pps);
+        fl_src_ports = Int.max 1 src_ports;
         fl_next_port = 0;
         fl_sent = 0;
         fl_stopped = false;

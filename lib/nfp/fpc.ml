@@ -18,17 +18,18 @@ type work = { phases : phase list; k : unit -> unit; token : int }
    still to execute, and [k] and [token] the item's continuation and
    tracer token; [cycles] holds the compute burst it is waiting to
    issue while it queues for the core. [resume] (continue with
-   [phases]) and [core_done] (end of a compute burst) are built once,
-   in [create], and scheduled for every phase, so running an item
-   allocates nothing. *)
+   [phases]) and [core_done] (end of a compute burst) are registered
+   once with the engine, in [create], and scheduled by id for every
+   phase, so running an item neither allocates nor writes a pointer
+   into the wheel. *)
 type hw = {
   slot : int;
   mutable phases : phase list;
   mutable k : unit -> unit;
   mutable token : int;
   mutable cycles : int;
-  mutable resume : unit -> unit;
-  mutable core_done : unit -> unit;
+  resume : Sim.Engine.handler;
+  core_done : Sim.Engine.handler;
 }
 
 type t = {
@@ -65,7 +66,7 @@ let grant_core t hw cycles =
   t.core_busy <- true;
   let dur = Sim.Time.Freq.cycles t.params.Params.fpc_freq cycles in
   t.busy <- t.busy + dur;
-  Sim.Engine.schedule t.engine dur hw.core_done
+  Sim.Engine.schedule_handler t.engine dur hw.core_done
 
 let release_core t =
   if (not t.core_busy) && not (Sim.Fifo.is_empty t.core_waiters) then begin
@@ -98,10 +99,10 @@ let rec run_phases t hw =
       hw.phases <- rest;
       let lat = mem_latency t level in
       t.stall <- t.stall + lat;
-      Sim.Engine.schedule t.engine lat hw.resume
+      Sim.Engine.schedule_handler t.engine lat hw.resume
   | Sleep d :: rest ->
       hw.phases <- rest;
-      Sim.Engine.schedule t.engine d hw.resume
+      Sim.Engine.schedule_handler t.engine d hw.resume
 
 and thread_done t hw =
   if Sim.Fifo.is_empty t.pending then begin
@@ -133,8 +134,8 @@ let create engine ~params ?threads ~name () =
           k = ignore;
           token = 0;
           cycles = 0;
-          resume = ignore;
-          core_done = ignore;
+          resume = Sim.Engine.register engine ignore;
+          core_done = Sim.Engine.register engine ignore;
         })
   in
   let t =
@@ -157,8 +158,8 @@ let create engine ~params ?threads ~name () =
   in
   Array.iter
     (fun hw ->
-      hw.resume <- (fun () -> run_phases t hw);
-      hw.core_done <-
+      Sim.Engine.set_handler hw.resume (fun () -> run_phases t hw);
+      Sim.Engine.set_handler hw.core_done
         (fun () ->
           t.core_busy <- false;
           release_core t;
@@ -177,7 +178,7 @@ let submit t phases k =
     hw.k <- k;
     hw.token <- token;
     (* Start on the next engine tick to keep submit non-reentrant. *)
-    Sim.Engine.schedule t.engine 0 hw.resume
+    Sim.Engine.schedule_handler t.engine 0 hw.resume
   end
   else Sim.Fifo.push { phases; k; token } t.pending
 

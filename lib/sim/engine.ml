@@ -123,31 +123,38 @@ let schedule_cancellable t delay k =
 
 let cancel t h = Event_queue.cancel t.queue h
 
+type handler = (unit -> unit) Event_queue.handler
+
+let register t k = Event_queue.register t.queue k
+let set_handler = Event_queue.set_handler
+
+let schedule_handler t delay h =
+  Event_queue.push_handler t.queue (t.clock + Int.max 0 delay) h
+
 let solo_only t op =
   if t.cluster <> None then
     invalid_arg ("Engine." ^ op ^ ": engine is a cluster LP; drive it with \
                   Engine.Cluster.run")
 
-(* The one dispatch step, shared by [step], [run] and [Cluster.slice]:
-   take the earliest live event, due at [time], advance the clock to
-   it, count it and call it. *)
-let dispatch t time =
-  let k = Event_queue.pop_next t.queue in
-  if time > t.clock then t.clock <- time;
-  t.processed <- t.processed + 1;
-  k ()
+(* What [Event_queue.pop_due] returns when nothing is due; no event
+   is ever this closure. *)
+let no_event () = ()
 
 (* Dispatches events due at or before [limit], at most [budget] of
-   them; returns how many ran. *)
+   them; returns how many ran. Each pop decides once whether the lane
+   or the heap goes next, and the clock moves to the popped time. *)
 let drain t ~limit ~budget =
   let q = t.queue in
   let rec go n =
-    if n >= budget || Event_queue.is_empty q then n
+    if n >= budget then n
     else
-      let time = Event_queue.next_time q in
-      if time > limit then n
+      let k = Event_queue.pop_due q ~limit ~none:no_event in
+      if k == no_event then n
       else begin
-        dispatch t time;
+        let time = Event_queue.last_pop q in
+        if time > t.clock then t.clock <- time;
+        t.processed <- t.processed + 1;
+        k ();
         go (n + 1)
       end
   in
@@ -157,12 +164,16 @@ let step t =
   solo_only t "step";
   drain t ~limit:max_int ~budget:1 = 1
 
+(* The clock moves to [until] only once nothing due at or before it is
+   left: a run cut short by its budget leaves the clock at its last
+   event, so the next run dispatches the rest at their own times. *)
 let run ?until ?(max_events = max_int) t =
   solo_only t "run";
   let limit = Option.value until ~default:max_int in
   ignore (drain t ~limit ~budget:max_events);
   match until with
-  | Some u when t.clock < u -> t.clock <- u
+  | Some u when t.clock < u && Event_queue.next_time t.queue > u ->
+      t.clock <- u
   | _ -> ()
 
 let events_processed t = t.processed
@@ -186,7 +197,7 @@ module Stream = struct
     mutable s_time : int array;
     mutable s_key : int array;
     mutable s_k : (unit -> unit) array;
-    mutable s_fire : unit -> unit;
+    s_fire : handler;
     _lead0 : int;
     _lead1 : int;
     mutable s_head : int;
@@ -226,7 +237,7 @@ module Stream = struct
         s_time = Array.make initial_capacity 0;
         s_key = Array.make initial_capacity 0;
         s_k = Array.make initial_capacity ignore;
-        s_fire = ignore;
+        s_fire = register lp ignore;
         _lead0 = 0;
         _lead1 = 0;
         s_head = 0;
@@ -241,7 +252,7 @@ module Stream = struct
         _pad6 = 0;
       }
     in
-    s.s_fire <- fire s;
+    set_handler s.s_fire (fire s);
     s
 
   (* Only called when the ring is full; unrolls it to start at 0. *)
@@ -531,9 +542,9 @@ module Cluster = struct
        runs them one at a time). Worker count never affects results —
        the merge order is fixed by (time, kind, channel id, seq). *)
     let n_workers =
-      max 1
-        (min cl.cl_domains
-           (min (List.length lps) (Domain.recommended_domain_count ())))
+      Int.max 1
+        (Int.min cl.cl_domains
+           (Int.min (List.length lps) (Domain.recommended_domain_count ())))
     in
     cl.cl_workers <- n_workers;
     List.iteri (fun i lp -> lp.worker <- i mod n_workers) lps;
@@ -559,7 +570,7 @@ module Cluster = struct
   let workers_used cl = cl.cl_workers
 
   let gvt cl =
-    List.fold_left (fun acc lp -> min acc lp.clock) max_int cl.cl_lps
+    List.fold_left (fun acc lp -> Int.min acc lp.clock) max_int cl.cl_lps
 
   let events_processed cl =
     List.fold_left (fun acc lp -> acc + lp.processed) 0 cl.cl_lps

@@ -49,11 +49,46 @@ val schedule_cancellable : t -> Time.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 
+(** {2 Handlers}
+
+    A callback built once that lives as long as its LP, such as an FPC
+    hardware thread's "next phase" and "compute burst done"
+    continuations or a {!Stream}'s delivery, is registered once and
+    then scheduled by id ([Event_queue.push_handler]). Such an event
+    runs exactly where {!schedule} of the same callback would run it,
+    but scheduling and dispatching it store no pointer into the wheel,
+    so neither runs the GC's write barrier. The contract:
+    - register a handler once, when its owner is built, never per
+      event: the LP keeps every registered callback reachable for its
+      whole life;
+    - a handler is bound to the LP that registered it: scheduling it
+      on another raises [Invalid_argument]. *)
+
+type handler
+
+val register : t -> (unit -> unit) -> handler
+(** [register t k] registers [k] on [t] for [t]'s life. *)
+
+val set_handler : handler -> (unit -> unit) -> unit
+(** [set_handler h k] makes [h] run [k] from now on: register a
+    placeholder, build the record that holds [h], then set the
+    callback that captures that record. *)
+
+val schedule_handler : t -> Time.t -> handler -> unit
+(** [schedule_handler t delay h] is {!schedule} [t delay] of [h]'s
+    callback, by id. Raises [Invalid_argument] if [h] was registered
+    on another LP. *)
+
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run the event loop until the queue empties, [until] is reached
     (events at later times stay queued), or [max_events] callbacks
-    have run in this call. Solo engines only; driving a cluster LP directly raises
-    [Invalid_argument] — use {!Cluster.run}. *)
+    have run in this call. The clock then moves to [until] if no event
+    due at or before [until] is left; a run that stops on its
+    [max_events] budget leaves the clock at its last event, so a later
+    run dispatches the rest at their own times. Each dispatch decides
+    once whether the same-instant lane or the heap goes next
+    ([Event_queue.pop_due]). Solo engines only; driving a cluster LP
+    directly raises [Invalid_argument] — use {!Cluster.run}. *)
 
 val step : t -> bool
 (** Run a single event; [false] if the queue was empty. Solo engines
@@ -84,7 +119,9 @@ val pending : t -> int
 
     Like {!Local}, a stream acts on its LP's private state: schedule on
     it only from that LP's own events, or before the run starts.
-    Streams cannot be cancelled. *)
+    Streams cannot be cancelled. A stream's delivery is a {!handler}
+    of its LP, so create a stream once per owner that lives as long as
+    the LP, never per event. *)
 module Stream : sig
   type engine := t
   type t

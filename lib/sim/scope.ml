@@ -385,6 +385,10 @@ let hist_json h =
       ("p999", p 99.9);
     ]
 
+(* Hashtable keys are unique, so ordering the pairs by key alone is
+   the order a structural sort of the pairs gives. *)
+let by_name (a, _) (b, _) = String.compare a b
+
 let metrics t =
   let hists =
     List.rev_map
@@ -393,7 +397,7 @@ let metrics t =
   in
   let counters =
     Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) t.counters []
-    |> List.sort compare
+    |> List.sort by_name
   in
   let series =
     Hashtbl.fold
@@ -412,7 +416,7 @@ let metrics t =
             ] )
         :: acc)
       t.series []
-    |> List.sort compare
+    |> List.sort by_name
   in
   Json.Obj
     [
@@ -543,10 +547,10 @@ module Shard = struct
     let entries =
       List.stable_sort
         (fun (id1, e1) (id2, e2) ->
-          match compare e1.e_ts e2.e_ts with
+          match Int.compare e1.e_ts e2.e_ts with
           | 0 -> (
-              match compare e1.e_gseq e2.e_gseq with
-              | 0 -> compare id1 id2
+              match Int.compare e1.e_gseq e2.e_gseq with
+              | 0 -> Int.compare id1 id2
               | c -> c)
           | c -> c)
         entries

@@ -163,9 +163,9 @@ let sync t =
   let entries =
     List.stable_sort
       (fun (id1, _, ev1, g1) (id2, _, ev2, g2) ->
-        match compare ev1.time ev2.time with
+        match Int.compare ev1.time ev2.time with
         | 0 -> (
-            match compare g1 g2 with 0 -> compare id1 id2 | c -> c)
+            match Int.compare g1 g2 with 0 -> Int.compare id1 id2 | c -> c)
         | c -> c)
       entries
   in

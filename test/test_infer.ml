@@ -236,13 +236,22 @@ let exempt x y =
 let min x y = if x < y then x else y
 
 let redefined x y = min x y
+
+module M = struct
+  let d x y = max x y
+  let max x y = Int.max x y
+  let e x y = max x y
+end
+
+let f x y = max x y
 |}
 
 let test_poly_compare_lint () =
   with_tmp ".ml" poly_src (fun path ->
       let findings = I.lint_poly_compare ~files:[ path ] () in
       Alcotest.(check (list int))
-        "bare max, compare as a value, Stdlib.min" [ 2; 4; 6 ]
+        "bare max, compare as a value, Stdlib.min, in and after a module"
+        [ 2; 4; 6; 21; 26 ]
         (List.map (fun f -> f.I.f_line) findings);
       List.iter
         (fun f ->

@@ -129,26 +129,36 @@ let test_queue_same_instant () =
 
 (* Model-based check of the wheel against a plain list. Times are drawn
    from a tiny range so that equal timestamps, and so the (major,
-   minor, seq) tie-break, decide most pops. *)
-type now_kind = Now_plain | Now_cancellable | Now_keyed of int
+   minor, seq) tie-break, decide most pops. Closures push their seq as
+   their value; the handler pushes use a pool of four handlers whose
+   values are negative, so a pop names the entry it returned either
+   way. *)
+type now_kind = Now_plain | Now_cancellable | Now_keyed of int | Now_handler of int
 
 type queue_op =
   | Push of int
   | Push_now of now_kind  (* at the last-popped time *)
   | Push_keyed of int * int  (* time, minor; major 0 *)
   | Push_cancellable of int
+  | Push_handler of int * int  (* time, handler *)
   | Cancel of int  (* index into the handles issued so far *)
-  | Reserve of int  (* key now, [push_reserved] just before the next pop *)
+  | Reserve of int * int
+      (* time, handler: the key now, [push_reserved] just before the
+         next pop *)
   | Pop
   | Pop_next  (* next_time, then pop_next *)
+  | Pop_due of int  (* limit *)
+
+let n_queue_handlers = 4
+let handler_value i = -1 - i
 
 let queue_op_gen =
   let open QCheck.Gen in
-  let time = int_bound 4 in
+  let time = int_bound 4 and handler = int_bound (n_queue_handlers - 1) in
   frequency
     [
       (3, map (fun t -> Push t) time);
-      ( 4,
+      ( 5,
         map
           (fun k -> Push_now k)
           (frequency
@@ -156,13 +166,16 @@ let queue_op_gen =
                (3, return Now_plain);
                (1, return Now_cancellable);
                (1, map (fun m -> Now_keyed m) (int_bound 3));
+               (2, map (fun h -> Now_handler h) handler);
              ]) );
       (2, map2 (fun t m -> Push_keyed (t, m)) time (int_bound 3));
       (2, map (fun t -> Push_cancellable t) time);
+      (3, map2 (fun t h -> Push_handler (t, h)) time handler);
       (2, map (fun i -> Cancel i) (int_bound 8));
-      (2, map (fun t -> Reserve t) time);
+      (2, map2 (fun t h -> Reserve (t, h)) time handler);
       (2, return Pop);
       (2, return Pop_next);
+      (2, map (fun l -> Pop_due l) time);
     ]
 
 let show_queue_op = function
@@ -170,12 +183,15 @@ let show_queue_op = function
   | Push_now Now_plain -> "push now"
   | Push_now Now_cancellable -> "push_cancellable now"
   | Push_now (Now_keyed m) -> Printf.sprintf "push_keyed now minor:%d" m
+  | Push_now (Now_handler h) -> Printf.sprintf "push_handler now h%d" h
   | Push_keyed (t, m) -> Printf.sprintf "push_keyed %d minor:%d" t m
   | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
+  | Push_handler (t, h) -> Printf.sprintf "push_handler %d h%d" t h
   | Cancel i -> Printf.sprintf "cancel #%d" i
-  | Reserve t -> Printf.sprintf "reserve %d" t
+  | Reserve (t, h) -> Printf.sprintf "reserve %d h%d" t h
   | Pop -> "pop"
   | Pop_next -> "pop_next"
+  | Pop_due l -> Printf.sprintf "pop_due %d" l
 
 let prop_queue_model =
   QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:500
@@ -186,41 +202,53 @@ let prop_queue_model =
     (fun ops ->
       let module Q = Sim.Event_queue in
       let q = Q.create () in
-      (* Model entries are (time, major, minor, seq); the value pushed
-         is seq, so a pop names the entry it returned. *)
+      let handlers =
+        Array.init n_queue_handlers (fun i -> Q.register q (handler_value i))
+      in
+      (* Model entries are (time, major, minor, seq, value). *)
       let model = ref [] and seq = ref 0 in
       let handles = ref [||] in
-      let add time ~major ~minor =
+      let add ?value time ~major ~minor =
         let s = !seq in
         incr seq;
-        model := List.sort compare ((time, major, minor, s) :: !model);
-        s
+        let v = Option.value value ~default:s in
+        model := List.sort compare ((time, major, minor, s, v) :: !model);
+        v
+      in
+      let add_handler time h =
+        ignore (add ~value:(handler_value h) time ~major:1 ~minor:0)
       in
       (* The time of the last pop: what "now" is to the wheel. *)
       let now = ref 0 in
       let model_pop () =
         match !model with
         | [] -> None
-        | (t, _, _, s) :: rest ->
+        | (t, _, _, _, v) :: rest ->
             model := rest;
             now := t;
-            Some (t, s)
+            Some (t, v)
       in
       let push_cancellable t =
         let s = add t ~major:1 ~minor:0 in
         handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
+      in
+      let push_handler t h =
+        add_handler t h;
+        Q.push_handler q t handlers.(h)
       in
       (* Reserved keys wait here, newest first, until the next pop;
          they are pushed newest first, so the pop order cannot come
          from the push order. *)
       let reserved = ref [] in
       let push_reserved () =
-        List.iter (fun (t, key, s) -> Q.push_reserved q t ~key s) !reserved;
+        List.iter
+          (fun (t, key, h) -> Q.push_reserved q t ~key handlers.(h))
+          !reserved;
         reserved := []
       in
       let step op =
         (match op with
-        | Pop | Pop_next -> push_reserved ()
+        | Pop | Pop_next | Pop_due _ -> push_reserved ()
         | _ -> ());
         (match op with
         | Push t -> Q.push q t (add t ~major:1 ~minor:0)
@@ -228,27 +256,45 @@ let prop_queue_model =
         | Push_now Now_cancellable -> push_cancellable !now
         | Push_now (Now_keyed m) ->
             Q.push_keyed q !now ~major:0 ~minor:m (add !now ~major:0 ~minor:m)
+        | Push_now (Now_handler h) -> push_handler !now h
         | Push_keyed (t, m) -> Q.push_keyed q t ~major:0 ~minor:m (add t ~major:0 ~minor:m)
         | Push_cancellable t -> push_cancellable t
+        | Push_handler (t, h) -> push_handler t h
         | Cancel i ->
             if i < Array.length !handles then begin
               let h, s = !handles.(i) in
               Q.cancel q h;
-              model := List.filter (fun (_, _, _, s') -> s' <> s) !model
+              model := List.filter (fun (_, _, _, s', _) -> s' <> s) !model
             end
-        | Reserve t ->
+        | Reserve (t, h) ->
             let key = Q.reserve q in
-            reserved := (t, key, add t ~major:1 ~minor:0) :: !reserved
+            add_handler t h;
+            reserved := (t, key, h) :: !reserved
         | Pop -> if Q.pop q <> model_pop () then QCheck.Test.fail_report "pop"
         | Pop_next ->
             let expected = model_pop () in
             let t = Q.next_time q in
             let got = if Q.is_empty q then None else Some (t, Q.pop_next q) in
-            if got <> expected then QCheck.Test.fail_report "pop_next");
+            if got <> expected then QCheck.Test.fail_report "pop_next"
+        | Pop_due limit ->
+            let expected =
+              match !model with
+              | (t, _, _, _, _) :: _ when t <= limit -> model_pop ()
+              | _ -> None
+            in
+            let v = Q.pop_due q ~limit ~none:max_int in
+            let got = if v = max_int then None else Some (Q.last_pop q, v) in
+            if got <> expected then QCheck.Test.fail_report "pop_due");
         let held = List.length !reserved in
         if Q.length q + held <> List.length !model then
           QCheck.Test.fail_reportf "length %d + %d reserved, model %d"
-            (Q.length q) held (List.length !model)
+            (Q.length q) held (List.length !model);
+        let model_next =
+          match !model with (t, _, _, _, _) :: _ -> t | [] -> max_int
+        in
+        if held = 0 && Q.next_time q <> model_next then
+          QCheck.Test.fail_reportf "next_time %d, model %d" (Q.next_time q)
+            model_next
       in
       List.iter step ops;
       push_reserved ();
@@ -260,6 +306,32 @@ let prop_queue_model =
       in
       drain ();
       Q.next_time q = max_int)
+
+(* A handler belongs to the wheel, and so to the LP, that registered
+   it. *)
+let test_handler_foreign_wheel () =
+  let module Q = Sim.Event_queue in
+  let a = Q.create () and b = Q.create () in
+  let h = Q.register a "a" in
+  let foreign = Invalid_argument "Event_queue: handler registered on another wheel" in
+  Alcotest.check_raises "push" foreign (fun () -> Q.push_handler b 1 h);
+  let key = Q.reserve b in
+  Alcotest.check_raises "push_reserved" foreign (fun () ->
+      Q.push_reserved b 1 ~key h);
+  check_int "nothing queued" 0 (Q.length b);
+  let e1 = Sim.Engine.create () and e2 = Sim.Engine.create () in
+  let fired = ref 0 in
+  let h1 = Sim.Engine.register e1 (fun () -> incr fired) in
+  Alcotest.check_raises "another LP" foreign (fun () ->
+      Sim.Engine.schedule_handler e2 5 h1);
+  Sim.Engine.schedule_handler e1 5 h1;
+  Sim.Engine.schedule_handler e1 0 h1;
+  Sim.Engine.set_handler h1 (fun () -> fired := !fired + 10);
+  Sim.Engine.run e1;
+  Sim.Engine.run e2;
+  check_int "both pops run the callback set last" 20 !fired;
+  check_int "clock" 5 (Sim.Engine.now e1);
+  check_int "the other LP ran nothing" 0 (Sim.Engine.events_processed e2)
 
 (* Popped values must become unreachable: a vacated slot may hold
    neither the popped callback nor any other pushed value. *)
@@ -277,17 +349,46 @@ let drain_calling q =
     k ()
   done
 
+let retained registry =
+  Gc.full_major ();
+  let n = ref 0 in
+  for i = 0 to Weak.length registry - 1 do
+    if Weak.check registry i then incr n
+  done;
+  !n
+
 let test_queue_releases_popped () =
   let n = 200 in
   let q = Sim.Event_queue.create () and registry = Weak.create n in
   fill_capturing q registry n;
   drain_calling q;
-  Gc.full_major ();
-  let retained = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check registry i then incr retained
-  done;
-  check_int "blocks still reachable after every pop" 0 !retained;
+  check_int "blocks still reachable after every pop" 0 (retained registry);
+  ignore (Sys.opaque_identity q)
+
+(* Handler entries share the heap and the lane with closures; the
+   closures' slots and lane cells must still be cleared. Each handler
+   pop pushes a capturing closure due now (the lane) and, while any
+   are left, the handler again one tick later (the heap). *)
+let test_queue_mixed_releases_popped () =
+  let module Q = Sim.Event_queue in
+  let n = 200 in
+  let q = Q.create () and registry = Weak.create (2 * n) in
+  fill_capturing q registry n;
+  let next = ref n and h = Q.register q ignore in
+  Q.set_handler h (fun () ->
+      if !next < 2 * n then begin
+        let i = !next in
+        incr next;
+        let block = Bytes.make 64 (Char.chr (i land 0xff)) in
+        Weak.set registry i (Some block);
+        Q.push q (Q.last_pop q) (fun () ->
+            ignore (Sys.opaque_identity (Bytes.length block)));
+        Q.push_handler q (Q.last_pop q + 1) h
+      end);
+  Q.push_handler q 0 h;
+  drain_calling q;
+  check_int "every tick ran" (2 * n) !next;
+  check_int "blocks still reachable after every pop" 0 (retained registry);
   ignore (Sys.opaque_identity q)
 
 (* --- Fifo ------------------------------------------------------------- *)
@@ -431,6 +532,22 @@ let test_engine_run_until () =
   check_int "clock advanced to until" (Sim.Time.us 20) (Sim.Engine.now e);
   Sim.Engine.run e;
   Alcotest.(check (list int)) "second fired" [ 30; 10 ] !hits
+
+(* A run cut short by its event budget must not move the clock past
+   the events it left queued. *)
+let test_engine_run_budget_clock () =
+  let e = Sim.Engine.create () in
+  let seen = ref [] in
+  List.iter
+    (fun at ->
+      Sim.Engine.schedule_at e at (fun () -> seen := Sim.Engine.now e :: !seen))
+    [ 10; 20; 30 ];
+  Sim.Engine.run ~until:100 ~max_events:1 e;
+  check_int "clock at the last event run" 10 (Sim.Engine.now e);
+  Sim.Engine.run ~until:100 e;
+  Alcotest.(check (list int)) "each event at its own time" [ 10; 20; 30 ]
+    (List.rev !seen);
+  check_int "clock advanced to until" 100 (Sim.Engine.now e)
 
 let test_engine_nested_schedule () =
   let e = Sim.Engine.create () in
@@ -798,8 +915,12 @@ let suite =
     Alcotest.test_case "event queue same-instant lane" `Quick
       test_queue_same_instant;
     QCheck_alcotest.to_alcotest prop_queue_model;
+    Alcotest.test_case "event queue handler bound to its wheel" `Quick
+      test_handler_foreign_wheel;
     Alcotest.test_case "event queue releases popped values" `Quick
       test_queue_releases_popped;
+    Alcotest.test_case "event queue with handlers releases popped closures"
+      `Quick test_queue_mixed_releases_popped;
     Alcotest.test_case "fifo order across wrap and growth" `Quick
       test_fifo_wrap_and_growth;
     Alcotest.test_case "fifo empty" `Quick test_fifo_empty;
@@ -811,6 +932,8 @@ let suite =
     Alcotest.test_case "fifo popped buffers are not promoted" `Quick
       test_fifo_promotion;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
+    Alcotest.test_case "engine run budget keeps the clock" `Quick
+      test_engine_run_budget_clock;
     Alcotest.test_case "engine nested scheduling" `Quick
       test_engine_nested_schedule;
     Alcotest.test_case "engine max_events counts per run" `Quick
