@@ -6,8 +6,9 @@
 OUTPUT is the standard output of `perfbench/run.py --workload WORKLOAD
 --seed S` where S is the seed in bench/perfbench_sim_pins.json; its last
 line is the JSON verdict. Each pinned simulated metric must be
-bit-identical to the run's. Exits 1, naming every metric that moved,
-otherwise 0.
+bit-identical to the run's, and each metric with a ceiling (such as
+kv's peak_heap_mb) must read at most that ceiling. Exits 1, naming
+every metric that moved or is over its ceiling, otherwise 0.
 """
 
 import json
@@ -24,7 +25,9 @@ def main():
         return 2
     workload, output = sys.argv[1], sys.argv[2]
     with open(PINS) as f:
-        pins = json.load(f)["workloads"][workload]
+        doc = json.load(f)
+    pins = doc["workloads"][workload]
+    ceilings = doc.get("ceilings", {}).get(workload, {})
     with open(output) as f:
         verdict = json.loads(f.read().strip().splitlines()[-1])
     moved = 0
@@ -34,6 +37,12 @@ def main():
         print("%s %s: %r (pinned %r)%s"
               % (workload, name, got, want, "" if same else "  MOVED"))
         moved += not same
+    for name, top in sorted(ceilings.items()):
+        got = verdict["metrics"].get(name, {}).get("value")
+        under = got is not None and got <= top
+        print("%s %s: %r (ceiling %r)%s"
+              % (workload, name, got, top, "" if under else "  OVER"))
+        moved += not under
     return 1 if moved else 0
 
 

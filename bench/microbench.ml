@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the hot data structures underneath the
    experiments: wire codec + checksums, reassembly, the sequencer, the
-   eBPF VM, the event queue, and the end-to-end simulator itself.
+   eBPF VM, the event queue, host payload buffers, and the end-to-end
+   simulator itself.
    These quantify the cost of the simulation substrate, not FlexTOE's
    modelled performance. *)
 
@@ -198,6 +199,21 @@ let test_conn_lookup ~dense =
               (if dense then Nfp.Conn_table.find_opt table !k
                else Hashtbl.find_opt tbl !k))))
 
+(* One MSS through a host payload buffer as a TX segment takes it:
+   libTOE's write, the DMA stage's fetch and the release once it is
+   acknowledged. Every segment straddles a chunk boundary, so each
+   write maps two spare chunks and each release returns both. *)
+let test_payload_buf =
+  let b = Host.Payload_buf.create ~size:(256 * 1024) in
+  let src = Bytes.make 1448 'm' and dst = Bytes.create 1448 in
+  let chunk = Host.Payload_buf.chunk in
+  let off = ref (chunk - 724) in
+  Test.make ~name:"host/payload-buf-1448B" (Staged.stage (fun () ->
+      Host.Payload_buf.write b ~off:!off ~src ~src_off:0 ~len:1448;
+      Host.Payload_buf.read_into b ~off:!off ~dst ~dst_off:0 ~len:1448;
+      Host.Payload_buf.release b ~upto:(!off + 1448);
+      off := !off + chunk))
+
 let test_end_to_end_rpc =
   Test.make ~name:"sim/flextoe-1ms-echo" (Staged.stage (fun () ->
       let engine = Sim.Engine.create () in
@@ -231,6 +247,7 @@ let benchmarks =
     test_engine_heap_30 ~handlers:true;
     test_conn_lookup ~dense:true;
     test_conn_lookup ~dense:false;
+    test_payload_buf;
     test_end_to_end_rpc;
   ]
 

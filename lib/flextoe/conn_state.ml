@@ -44,12 +44,21 @@ type post = {
   mutable rate_bps : int;
 }
 
+type tx_fetches = {
+  mutable tf_out : int;
+  mutable tf_acked : int;
+  mutable tf_upto : int;
+  mutable tf_before : int;
+  mutable tf_wait : int;
+}
+
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
   pre : pre;
   proto : proto;
   post : post;
+  tx_fetch : tx_fetches;
   mutable active : bool;
 }
 
@@ -105,6 +114,8 @@ let create ~idx ~flow ~peer_mac ~flow_group ~tx_isn ~rx_isn
         rtt_est_ns = 0;
         rate_bps = 0;
       };
+    tx_fetch =
+      { tf_out = 0; tf_acked = 0; tf_upto = -1; tf_before = 0; tf_wait = 0 };
     active = true;
   }
 

@@ -73,12 +73,32 @@ type post = {
   mutable rate_bps : int;  (** 0 = uncongested (unpaced). *)
 }
 
+(** The data path's record of its TX payload fetches, which decides
+    when TX buffer bytes may be released ([Datapath] keeps it).
+    Simulator bookkeeping for the host buffer, not NIC state: it has
+    no place in Table 5's partitions. A fetch counts from the
+    protocol stage's descriptor to the DMA stage's read. An ACK may
+    overtake a fetch issued before it (a retransmission), so bytes
+    below the ACK point are released only once every fetch issued
+    before that ACK has read. *)
+type tx_fetches = {
+  mutable tf_out : int;  (** Fetches issued and not yet read. *)
+  mutable tf_acked : int;  (** [tx_acked_pos] as of the last ACK. *)
+  mutable tf_upto : int;
+      (** A release waiting for earlier fetches, or -1 for none. *)
+  mutable tf_before : int;
+      (** The TX gseq allocated next when [tf_upto] was set: the
+          fetches it waits for are those with a smaller gseq. *)
+  mutable tf_wait : int;  (** How many of those are still out. *)
+}
+
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
   pre : pre;
   proto : proto;
   post : post;
+  tx_fetch : tx_fetches;
   mutable active : bool;
 }
 

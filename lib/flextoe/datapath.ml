@@ -33,6 +33,8 @@ type stats = {
   egress_reordered : int;
   dma_bytes : int;
   rx_completed : int;
+  tx_fetch_acked : int;
+  tx_fetch_part_acked : int;
 }
 
 (* What leaves through the NBI, in egress-sequencer order. *)
@@ -156,6 +158,8 @@ type t = {
   mutable st_fretx : int;
   mutable st_rx_done : int;  (* RX segments fully processed by the DMA stage *)
   mutable st_cross_shard : int;  (* steering self-check trips (mis-steer) *)
+  mutable st_fetch_acked : int;  (* TX fetches wholly acked when read *)
+  mutable st_fetch_part_acked : int;  (* ... partly acked when read *)
 }
 
 let engine t = t.engine
@@ -439,6 +443,20 @@ let conn_of_flow t flow =
   Nfp.Lookup.lookup t.conn_db ~hash:(Tcp.Flow.hash flow) flow
 
 let active_conns t = Nfp.Conn_table.length t.conns
+
+let payload_held_bytes t =
+  let n = ref 0 in
+  for i = 0 to t.next_conn_idx - 1 do
+    match conn t i with
+    | Some cs ->
+        let post = cs.Conn_state.post in
+        n :=
+          !n
+          + Host.Payload_buf.held_bytes post.Conn_state.rx_buf
+          + Host.Payload_buf.held_bytes post.Conn_state.tx_buf
+    | None -> ()
+  done;
+  !n
 
 let conn_state_bytes =
   Conn_state.state_bytes_pre + Conn_state.state_bytes_proto
@@ -779,6 +797,55 @@ let nbi_emit t eg =
     end
   | _ -> nbi_emit_one t eg
 
+(* --- TX buffer release ---------------------------------------------- *)
+
+(* The data path releases TX payload bytes itself. libTOE's
+   [x_tx_freed] says the peer holds them, but a fetch issued before
+   that ACK (a retransmission the ACK overtook) may still be on its way
+   to the DMA stage, and it must read what the host wrote. So bytes
+   below an ACK point go only once every fetch issued before the ACK
+   has read; a fetch issued after it starts at or above it
+   ([Protocol] keeps [tx_next_pos >= tx_acked_pos]). A fetch of a
+   connection torn down mid-pipeline is never read: its count dies
+   with the connection. The run-to-completion path reads each fetch as
+   it issues it, so nothing of it is ever outstanding. *)
+let tx_release_acked t cs =
+  let f = cs.Conn_state.tx_fetch in
+  if f.Conn_state.tf_out = 0 then
+    Host.Payload_buf.release cs.Conn_state.post.Conn_state.tx_buf
+      ~upto:f.Conn_state.tf_acked
+  else begin
+    f.Conn_state.tf_upto <- f.Conn_state.tf_acked;
+    f.Conn_state.tf_before <- Sequencer.allocated t.tx_gro;
+    f.Conn_state.tf_wait <- f.Conn_state.tf_out
+  end
+
+(* After an ACK that advanced [tx_acked_pos]. *)
+let tx_acked t cs =
+  let f = cs.Conn_state.tx_fetch in
+  f.Conn_state.tf_acked <- cs.Conn_state.proto.Conn_state.tx_acked_pos;
+  if f.Conn_state.tf_upto < 0 then tx_release_acked t cs
+
+(* The DMA stage has read fetch [d]. *)
+let tx_fetch_read t cs (d : Meta.tx_desc) =
+  let f = cs.Conn_state.tx_fetch in
+  let acked = f.Conn_state.tf_acked in
+  if d.Meta.t_pos + d.Meta.t_len <= acked then
+    t.st_fetch_acked <- t.st_fetch_acked + 1
+  else if d.Meta.t_pos < acked then
+    t.st_fetch_part_acked <- t.st_fetch_part_acked + 1;
+  f.Conn_state.tf_out <- f.Conn_state.tf_out - 1;
+  if f.Conn_state.tf_upto >= 0 && d.Meta.t_gseq < f.Conn_state.tf_before
+  then begin
+    f.Conn_state.tf_wait <- f.Conn_state.tf_wait - 1;
+    if f.Conn_state.tf_wait = 0 then begin
+      let upto = f.Conn_state.tf_upto in
+      f.Conn_state.tf_upto <- -1;
+      Host.Payload_buf.release cs.Conn_state.post.Conn_state.tx_buf ~upto;
+      if acked > upto then tx_release_acked t cs
+    end
+  end
+
 (* --- DMA stage ------------------------------------------------------ *)
 
 type dma_work = {
@@ -870,9 +937,14 @@ let dma_stage t (w : dma_work) =
                    ~range:(pos, len) Effects.Read);
               let payload =
                 if len = 0 then Bytes.empty
-                else
-                  Host.Payload_buf.read
-                    cs.Conn_state.post.Conn_state.tx_buf ~off:pos ~len
+                else begin
+                  let p =
+                    Host.Payload_buf.read
+                      cs.Conn_state.post.Conn_state.tx_buf ~off:pos ~len
+                  in
+                  tx_fetch_read t cs desc;
+                  p
+                end
               in
               finish ();
               Sequencer.submit t.tx_gro ~seq:desc.Meta.t_gseq
@@ -1117,6 +1189,7 @@ let protocol_rx t (s : Meta.rx_summary) =
       protocol_section t cs ~cost ~id:s.Meta.rx_gseq ~reasm:true
         (fun now -> Protocol.rx t.cfg ~now cs s ~alloc_gseq:(alloc_tx_gseq t))
         (fun v ->
+          if v.Meta.v_tx_freed > 0 then tx_acked t cs;
           trace_rx_verdict t v;
           postproc_stage t cs.Conn_state.pre.Conn_state.flow_group (Post_rx v))
 
@@ -1129,6 +1202,10 @@ let protocol_tx t ~conn:conn_idx =
         (fun now -> Protocol.tx t.cfg ~now cs ~alloc_gseq:(alloc_tx_gseq t))
         (function
           | Some d ->
+              if d.Meta.t_len > 0 then begin
+                let f = cs.Conn_state.tx_fetch in
+                f.Conn_state.tf_out <- f.Conn_state.tf_out + 1
+              end;
               trace_event t "protocol" "tx_seg" ~conn:conn_idx;
               sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx ~id:d.Meta.t_gseq;
               postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
@@ -1388,6 +1465,7 @@ let rtc_rx t (frame : S.frame) =
                   (rx_summary t ~gseq:0 ~conn:idx frame)
                   ~alloc_gseq:(alloc_tx_gseq t)
               in
+              if v.Meta.v_tx_freed > 0 then tx_acked t cs;
               (* The post-processing and DMA work, done in place. *)
               let w = rx_post_work t cs v in
               (match w.dw_payload with
@@ -1741,6 +1819,8 @@ let stats t =
     egress_reordered = Sequencer.reordered t.tx_gro;
     dma_bytes = Nfp.Dma.bytes_transferred t.dma;
     rx_completed = t.st_rx_done;
+    tx_fetch_acked = t.st_fetch_acked;
+    tx_fetch_part_acked = t.st_fetch_part_acked;
   }
 
 let cache_stats t =
@@ -2020,6 +2100,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         st_fretx = 0;
         st_rx_done = 0;
         st_cross_shard = 0;
+        st_fetch_acked = 0;
+        st_fetch_part_acked = 0;
       }
   in
   let t = Lazy.force t in

@@ -84,6 +84,10 @@ val has_flow : t -> Tcp.Flow.t -> bool
 
 val active_conns : t -> int
 
+val payload_held_bytes : t -> int
+(** Host memory held by the payload buffers of the installed
+    connections ({!Host.Payload_buf.held_bytes}, RX and TX). *)
+
 val conn_of_flow : t -> Tcp.Flow.t -> int option
 (** Connection index currently installed for a 4-tuple (the RST and
     teardown paths need the index, not just presence). *)
@@ -198,6 +202,13 @@ type stats = {
       (** RX segments whose datapath work (through the DMA stage)
           finished — the completion counter open-loop harnesses poll
           against the number of injected segments. *)
+  tx_fetch_acked : int;
+      (** TX payload fetches whose whole range the peer had already
+          acknowledged when the DMA stage read it: a retransmission
+          the ACK overtook in the pipeline. It still goes out, and the
+          receiver drops it as a duplicate. *)
+  tx_fetch_part_acked : int;
+      (** TX payload fetches partly acknowledged when read. *)
 }
 
 val stats : t -> stats

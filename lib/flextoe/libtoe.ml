@@ -125,6 +125,7 @@ let do_recv t sock ~max =
     in
     let out = Host.Payload_buf.read buf ~off:sock.rx_read ~len:n in
     sock.rx_read <- sock.rx_read + n;
+    Host.Payload_buf.release buf ~upto:sock.rx_read;
     sock.rx_ready <- sock.rx_ready - n;
     (* Return buffer space to the data path's receive window; credits
        are coalesced (the paper batches HC updates per doorbell) and

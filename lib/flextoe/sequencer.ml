@@ -47,6 +47,8 @@ let next_seq t =
   t.next_alloc <- s + 1;
   s
 
+let allocated t = t.next_alloc
+
 let index t seq = seq land (Array.length t.waiting - 1)
 
 let rec drain t =

@@ -28,6 +28,10 @@ val set_tracer : 'a t -> tracer option -> unit
 val next_seq : 'a t -> int
 (** Allocate the next pipeline sequence number (at pipeline entry). *)
 
+val allocated : 'a t -> int
+(** How many sequence numbers [next_seq] has handed out: every number
+    allocated from here on is at least this. *)
+
 val submit : 'a t -> seq:int -> 'a -> unit
 (** Hand an item (back) to the sequencer; it is released once all
     earlier sequence numbers have been submitted or skipped. Raises

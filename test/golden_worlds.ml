@@ -184,11 +184,12 @@ let kv_client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
   done
 
 let setup_kv ?(batch = 1) ?(scope = false) ?(san = false) ?(scale = 0)
-    ~engine () =
+    ?(nodes = ref []) ~engine () =
   let fabric = Netsim.Fabric.create engine () in
   let config = cfg ~batch ~scope ~san ~scale in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
+  nodes := [ a; b ];
   ignore
     (Host.App_kv.server ~endpoint:(Flextoe.endpoint a) ~port:11211
        ~app_cycles:300 ());

@@ -315,28 +315,52 @@ let test_connect_blackhole_etimedout () =
     (Flextoe.Control_plane.active_flows (Flextoe.control w.client))
 
 let test_syn_flood_cookies_and_shed () =
-  let w = mk_world () in
-  (Flextoe.endpoint w.server).Host.Api.listen ~port:7
-    ~on_accept:(fun _ -> ());
+  (* A 2-frame CP queue, which this flood keeps full: the ingress shed
+     policy engages (at the default 64 frames it never does). *)
+  let g_cfg = { Config.guard_default with Config.g_cp_queue = 2 } in
+  let w = mk_world ~config:{ Config.default with Config.guard = g_cfg } () in
+  let s, c = establish w in
+  (* One established flow streams through the whole flood, 1 KB every
+     12.5 us: its segments meet a full CP queue among the SYNs, and
+     shedding must pick the SYNs only. *)
+  let piece = 1000 and pieces = 400 in
+  let data =
+    Bytes.init (piece * pieces) (fun i -> Char.chr ((i * 7) land 0xFF))
+  in
+  let sent = ref 0 in
+  let got = Buffer.create (Bytes.length data) in
+  s.Host.Api.on_readable <-
+    (fun () ->
+      Buffer.add_bytes got (s.Host.Api.recv ~max:(s.Host.Api.rx_available ())));
+  let rec send_piece k () =
+    sent := !sent + c.Host.Api.send (Bytes.sub data (k * piece) piece);
+    if k + 1 < pieces then
+      Sim.Engine.schedule w.engine (Sim.Time.ns 12_500) (send_piece (k + 1))
+  in
   let flood =
     F.Churn.syn_flood w.engine w.fabric ~src_ip:ip_rogue ~dst_ip:ip_server
-      ~dst_port:7 ~rate_pps:400_000 ()
+      ~dst_port:7 ~rate_pps:4_000_000 ()
   in
-  run_for w (Sim.Time.ms 20);
+  send_piece 0 ();
+  run_for w (Sim.Time.ms 5);
   F.Churn.stop flood;
   run_for w (Sim.Time.ms 5);
   let g = server_guard w in
   check_bool "flood was substantial" true (F.Churn.sent flood > 1000);
+  check_bool "the flood fills the CP queue" true
+    (Guard.counter g "shed_queue" > 0);
   check_bool "backlog overflow answered with cookies" true
     (Guard.counter g "cookie_sent" > 0);
   check_bool "stateful backlog stayed bounded" true
     (Guard.counter g "syn_accepted"
-     <= Config.guard_default.Config.g_syn_backlog
-        * Config.guard_default.Config.g_syn_retries);
-  check_int "nothing established by an open-loop attacker" 0
+     <= g_cfg.Config.g_syn_backlog * g_cfg.Config.g_syn_retries);
+  check_int "only the established flow is installed" 1
     (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
   check_int "established-flow segments never shed" 0
-    (Guard.established_shed g)
+    (Guard.established_shed g);
+  check_int "every byte was sent" (Bytes.length data) !sent;
+  check_bool "the stream arrived whole" true
+    (Bytes.equal data (Buffer.to_bytes got))
 
 let test_listener_pause_backpressure () =
   let w = mk_world () in

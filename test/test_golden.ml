@@ -112,6 +112,40 @@ let test_kv_promotion_budget () =
     true
     (ratio <= kv_promoted_budget)
 
+(* --- Payload memory ------------------------------------------------------ *)
+
+(* Host payload memory of the kv world after 10 ms, summed over both
+   nodes' connections. No kv connection ever has 1 KB in flight, so a
+   buffer holds at most the two chunks an unlucky write straddles,
+   however large [rx_buf_bytes] and [tx_buf_bytes] are (256 KB each).
+   A ring allocated whole at install holds 64 chunks per buffer. *)
+let kv_chunks_per_buffer = 2
+
+let test_kv_payload_memory () =
+  let engine = Sim.Engine.create ~seed:kv_seed () in
+  let nodes = ref [] in
+  let fin = setup_kv ~nodes ~engine () in
+  Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
+  let r = fin () in
+  check_str "the pinned kv run" seed_kv_strict r.strict_digest;
+  let dps = List.map Flextoe.datapath !nodes in
+  let sum f = List.fold_left (fun n dp -> n + f dp) 0 dps in
+  let buffers = 2 * sum Flextoe.Datapath.active_conns in
+  let held = sum Flextoe.Datapath.payload_held_bytes in
+  let bound = buffers * kv_chunks_per_buffer * Host.Payload_buf.chunk in
+  check_bool "every connection installed" true (buffers = 4 * conns);
+  check_bool
+    (Printf.sprintf "payload bytes held %d <= %d" held bound)
+    true (held <= bound);
+  (* A loss-free run never fetches acknowledged bytes. *)
+  List.iter
+    (fun dp ->
+      let st = Flextoe.Datapath.stats dp in
+      Alcotest.(check int) "no acknowledged TX fetch" 0
+        (st.Flextoe.Datapath.tx_fetch_acked
+       + st.Flextoe.Datapath.tx_fetch_part_acked))
+    dps
+
 let batch_sizes = [ 4; 8; 16 ]
 
 (* --- Fixed-work runs (batch-invariance) ------------------------------- *)
@@ -318,6 +352,7 @@ let suite =
       test_kv_batch1_strict;
     Alcotest.test_case "kv promotion budget" `Quick
       test_kv_promotion_budget;
+    Alcotest.test_case "kv payload memory" `Quick test_kv_payload_memory;
     Alcotest.test_case "sharded datapath at shards=1 is bit-identical"
       `Quick test_scale1_bit_identical;
     Alcotest.test_case "echo payload-identical at batch>1" `Quick

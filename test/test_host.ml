@@ -97,6 +97,93 @@ let test_payload_oversize_rejected () =
     (Invalid_argument "Payload_buf.write: larger than buffer") (fun () ->
       Host.Payload_buf.write b ~off:0 ~src:(Bytes.create 9) ~src_off:0 ~len:9)
 
+(* Model check of the chunked ring against a flat [Bytes] ring of the
+   same size, which is what a buffer is meant to behave as. Random
+   appends at the write head, in-window rewrites and out-of-order
+   writes ahead of it, reads, releases and reads of released bytes, over
+   many wraps. Sizes include one below a chunk, non-powers of two and
+   non-multiples of the chunk. The model remembers, per ring index,
+   the stream offset last written there: only bytes written at their
+   current offset may be read back. The bytes in flight span at most
+   ceil (in-flight / chunk) + 1 chunks, and one more where the ring
+   wraps inside a partial last chunk. *)
+let payload_model_sizes =
+  [ 1; 7; 100; 1448; 4096; 5000; 8192; (3 * Host.Payload_buf.chunk) + 17 ]
+
+let prop_payload_chunked_model =
+  QCheck.Test.make ~name:"payload buffer: chunked ring matches a flat ring"
+    ~count:300
+    QCheck.(
+      pair
+        (int_bound (List.length payload_model_sizes - 1))
+        (list_of_size (Gen.return 200)
+           (triple (int_bound 5) (int_bound 100_000) (int_bound 100_000))))
+    (fun (si, ops) ->
+      let module B = Host.Payload_buf in
+      let size = List.nth payload_model_sizes si in
+      let b = B.create ~size in
+      let flat = Bytes.make size '\000' in
+      let at = Array.make size (-1) in
+      let rel = ref 0 and hw = ref 0 and fresh = ref 0 in
+      let write off len =
+        let src =
+          Bytes.init len (fun _ ->
+              incr fresh;
+              Char.chr (!fresh land 0xFF))
+        in
+        B.write b ~off ~src ~src_off:0 ~len;
+        for i = 0 to len - 1 do
+          Bytes.set flat ((off + i) mod size) (Bytes.get src i);
+          at.((off + i) mod size) <- off + i
+        done;
+        if off + len > !hw then hw := off + len
+      in
+      let valid p = p >= !rel && at.(p mod size) = p in
+      let raises f = try f (); false with Invalid_argument _ -> true in
+      List.for_all
+        (fun (kind, x, y) ->
+          let room = !rel + size in
+          let ok =
+            match kind with
+            | 0 ->
+                (* Append at the write head. *)
+                let off = Int.max !hw !rel in
+                if off < room then write off (1 + (y mod (room - off)));
+                true
+            | 1 ->
+                (* Anywhere in the window: a rewrite, or data ahead of
+                   a gap. *)
+                let off = !rel + (x mod size) in
+                write off (1 + (y mod (room - off)));
+                true
+            | 2 | 3 ->
+                (* Read back a run of valid bytes. *)
+                if !hw <= !rel then true
+                else begin
+                  let p = !rel + (x mod (!hw - !rel)) in
+                  let n = ref 0 in
+                  while !n < 1 + (y mod size) && valid (p + !n) do incr n done;
+                  let want i = Bytes.get flat ((p + i) mod size) in
+                  !n = 0
+                  || Bytes.equal (B.read b ~off:p ~len:!n) (Bytes.init !n want)
+                end
+            | 4 ->
+                rel := !rel + (x mod (!hw - !rel + 1));
+                B.release b ~upto:!rel;
+                true
+            | _ ->
+                (* Released bytes are never read back. *)
+                !rel = 0
+                || raises (fun () ->
+                       ignore
+                         (B.read b ~off:(!rel - 1 - (x mod Int.min !rel size))
+                            ~len:1))
+          in
+          ok
+          && B.mapped_chunks b <= ((!hw - !rel + B.chunk - 1) / B.chunk) + 2
+          && B.released b = !rel)
+        ops)
+
 (* --- Framing ------------------------------------------------------------------ *)
 
 let test_framing_simple () =
@@ -257,6 +344,7 @@ let suite =
     Alcotest.test_case "payload buffer wraparound" `Quick
       test_payload_wraparound;
     QCheck_alcotest.to_alcotest prop_payload_stream_semantics;
+    QCheck_alcotest.to_alcotest prop_payload_chunked_model;
     Alcotest.test_case "payload oversize rejected" `Quick
       test_payload_oversize_rejected;
     Alcotest.test_case "framing simple" `Quick test_framing_simple;

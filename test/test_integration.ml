@@ -275,7 +275,18 @@ let test_dctcp_reacts_to_incast () =
            ~pipeline:2 ~req_bytes:65536 ~stats ()))
     clients;
   Sim.Engine.run ~until:(Sim.Time.ms 60) w.engine;
-  check_bool "incast progresses" true (Host.Rpc.Stats.ops stats > 100)
+  check_bool "incast progresses" true (Host.Rpc.Stats.ops stats > 100);
+  (* Recovery here retransmits bytes that an ACK overtook in the
+     pipeline: the DMA stage still reads them from the TX buffer,
+     which must hold them until that read. *)
+  let acked_fetches =
+    List.fold_left
+      (fun n c ->
+        let st = Flextoe.Datapath.stats (Flextoe.datapath c) in
+        n + st.Flextoe.Datapath.tx_fetch_acked)
+      0 clients
+  in
+  check_bool "acknowledged TX fetches read back" true (acked_fetches > 0)
 
 let test_rtc_baseline_mode_works () =
   (* Run-to-completion (Table 3 row 1) must be functional, just slow. *)
