@@ -31,25 +31,31 @@ let exit_info =
 let spec k v = { V.key_size = k; value_size = v }
 
 (* Name, instruction array, map shapes the program is verified
-   against — mirrors what each extension's constructor builds.
-   [None] means "no metadata": the verifier falls back to its weaker
-   map-id/buffer checks. *)
+   against — the shapes of the maps each extension's constructor
+   loads it with. [None] means "no metadata": the verifier falls back
+   to its weaker map-id/buffer checks. *)
 let builtins () =
+  let shapes maps = Some (Flextoe.Ebpf.map_specs maps) in
+  let pcap_maps = shapes [| Flextoe.Ext_pcap.counter_map () |] in
   [
     ( "null",
       Flextoe.Ebpf.instructions (Flextoe.Xdp.null_program ()),
       Some [||] );
-    ("ext_firewall", Flextoe.Ext_firewall.program (), Some [| spec 4 4 |]);
+    ( "ext_firewall",
+      Flextoe.Ext_firewall.program (),
+      shapes (Flextoe.Ext_firewall.maps ()) );
     ( "ext_classifier",
       Flextoe.Ext_classifier.program (),
-      Some [| spec 2 4; spec 4 8 |] );
+      shapes (Flextoe.Ext_classifier.maps ()) );
     ("ext_vlan", Flextoe.Ext_vlan.program (), Some [||]);
-    ("ext_splice", Flextoe.Ext_splice.program (), Some [| spec 12 24 |]);
-    ("ext_pcap", Flextoe.Ext_pcap.program (), Some [| spec 4 8 |]);
+    ( "ext_splice",
+      Flextoe.Ext_splice.program (),
+      shapes (Flextoe.Ext_splice.maps ()) );
+    ("ext_pcap", Flextoe.Ext_pcap.program (), pcap_maps);
     ( "ext_pcap(syn|fin)",
       Flextoe.Ext_pcap.(
         program_of_filter (Or (Tcp_flag `Syn, Tcp_flag `Fin))),
-      Some [| spec 4 8 |] );
+      pcap_maps );
   ]
 
 let dump_states insns (a : V.analysis) =

@@ -22,6 +22,70 @@ type t =
   | Call of int
   | Exit
 
+let stack_size = 512
+let width_of = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
+
+(* --- Semantics -------------------------------------------------------- *)
+
+let alu64 op a b =
+  let open Int64 in
+  match op with
+  | Add -> add a b
+  | Sub -> sub a b
+  | Mul -> mul a b
+  | Div -> if b = 0L then 0L else unsigned_div a b
+  | Or -> logor a b
+  | And -> logand a b
+  | Lsh -> shift_left a (to_int (logand b 63L))
+  | Rsh -> shift_right_logical a (to_int (logand b 63L))
+  | Neg -> neg a
+  | Mod -> if b = 0L then a else unsigned_rem a b
+  | Xor -> logxor a b
+  | Mov -> b
+  | Arsh -> shift_right a (to_int (logand b 63L))
+
+let mask32 v = Int64.logand v 0xFFFFFFFFL
+
+let alu32 op a b =
+  let a = mask32 a and b = mask32 b in
+  let open Int64 in
+  let r =
+    match op with
+    | Add -> add a b
+    | Sub -> sub a b
+    | Mul -> mul a b
+    | Div -> if b = 0L then 0L else unsigned_div a b
+    | Or -> logor a b
+    | And -> logand a b
+    | Lsh -> shift_left a (to_int (logand b 31L))
+    | Rsh -> shift_right_logical a (to_int (logand b 31L))
+    | Neg -> neg a
+    | Mod -> if b = 0L then a else unsigned_rem a b
+    | Xor -> logxor a b
+    | Mov -> b
+    | Arsh ->
+        (* sign-extend the 32-bit value before shifting *)
+        let sa = shift_right (shift_left a 32) 32 in
+        shift_right sa (to_int (logand b 31L))
+  in
+  mask32 r
+
+let jump_taken cond a b =
+  let u = Int64.unsigned_compare a b in
+  let sg = Int64.compare a b in
+  match cond with
+  | Jeq -> a = b
+  | Jne -> a <> b
+  | Jgt -> u > 0
+  | Jge -> u >= 0
+  | Jlt -> u < 0
+  | Jle -> u <= 0
+  | Jset -> Int64.logand a b <> 0L
+  | Jsgt -> sg > 0
+  | Jsge -> sg >= 0
+  | Jslt -> sg < 0
+  | Jsle -> sg <= 0
+
 let helper_map_lookup = 1
 let helper_map_update = 2
 let helper_map_delete = 3

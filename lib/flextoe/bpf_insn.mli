@@ -34,6 +34,32 @@ type t =
   | Call of int  (** Helper call by id. *)
   | Exit
 
+val stack_size : int
+(** Bytes in the program's stack frame (512); r10 points at its end. *)
+
+val width_of : size -> int
+(** Access width in bytes. *)
+
+(** {1 Semantics}
+
+    The one definition of what the ALU and jump instructions compute,
+    shared by the VM ({!Ebpf.run}) and the verifier's constant
+    folding. *)
+
+val alu64 : alu_op -> int64 -> int64 -> int64
+(** [alu64 op dst src]: the new 64-bit [dst]. Division by zero gives
+    0 and modulo by zero leaves [dst]; shift counts are taken mod 64;
+    [Neg] ignores [src]. *)
+
+val alu32 : alu_op -> int64 -> int64 -> int64
+(** As {!alu64} on the low 32 bits of both operands (shift counts mod
+    32, [Arsh] sign-extends from bit 31); the result is
+    zero-extended. *)
+
+val jump_taken : jmp_cond -> int64 -> int64 -> bool
+(** [jump_taken cond dst src]: whether [Jmp (cond, ...)] jumps.
+    [Jgt]..[Jle] compare unsigned, [Jsgt]..[Jsle] signed. *)
+
 (** Helper ids understood by the VM:
     - [helper_map_lookup]: r1=map id, r2=key ptr; r0=value ptr or 0;
     - [helper_map_update]: r1=map, r2=key ptr, r3=value ptr; r0=0;

@@ -102,7 +102,10 @@ type guard = {
   g_cp_queue : int;
       (** Bound on control-path frames in flight to the CP; beyond it
           the NBI sheds newest SYNs first ({e never} established-flow
-          segments). 0 = unbounded. *)
+          segments). 0 = unbounded. A frame counts only for the ~1 µs
+          of ctx-FPC and DMA work that carries it to the CP, so at the
+          default of 64 the shed never engages, even under a 4 Mpps
+          SYN flood; the churn tests and gate use 2 (DESIGN.md §13). *)
   g_rst : bool;
       (** RST generation (to no-such-connection, to cookie failures)
           and handling (abort on RST, including during half-close). *)

@@ -8,96 +8,25 @@ let instructions p = p.insns
 let ctx_base = 0x1000_0000
 let pkt_base = 0x2000_0000
 let stack_base = 0x3000_0000
-let stack_size = 512
 let map_base = 0x4000_0000
 let map_stride = 0x0100_0000
 
-let known_helpers =
-  [
-    helper_map_lookup;
-    helper_map_update;
-    helper_map_delete;
-    helper_ktime;
-    helper_adjust_head;
-    helper_csum_fixup;
-  ]
+let map_specs maps =
+  Array.map
+    (fun m ->
+      {
+        Verifier.key_size = Bpf_map.key_size m;
+        value_size = Bpf_map.value_size m;
+      })
+    maps
 
-(* Syntactic pre-pass: the original per-instruction scan. Cheap, and
-   kept as a fast filter in front of the abstract-interpretation
-   verifier; [load_unverified] uses only this (for tests of the VM's
-   dynamic guards). *)
-let validate_syntactic ?(max_insns = 4096) insns =
-  let n = Array.length insns in
-  if n = 0 then Error "empty program"
-  else if n > max_insns then Error "program too long"
-  else begin
-    let has_exit = Array.exists (fun i -> i = Exit) insns in
-    if not has_exit then Error "no exit instruction"
-    else begin
-      let err = ref None in
-      let reg_ok r = r >= 0 && r <= 10 in
-      let src_ok = function Reg r -> reg_ok r | Imm _ -> true in
-      let jump_ok i off =
-        let t = i + 1 + off in
-        t >= 0 && t < n
-      in
-      (* An instruction that can fall through must have an in-range
-         fallthrough edge. Only Exit and Ja never fall through: a
-         conditional jump's not-taken edge is i+1 like any other. *)
-      let falls_through = function Exit | Ja _ -> false | _ -> true in
-      Array.iteri
-        (fun i insn ->
-          if !err = None then
-            let bad msg = err := Some (Printf.sprintf "insn %d: %s" i msg) in
-            (match insn with
-            | Alu64 (_, d, s) | Alu32 (_, d, s) ->
-                if not (reg_ok d && src_ok s) then bad "bad register"
-                else if d = 10 then bad "write to r10"
-            | Endian_be (d, bits) ->
-                if not (reg_ok d) then bad "bad register"
-                else if d = 10 then bad "write to r10"
-                else if bits <> 16 && bits <> 32 && bits <> 64 then
-                  bad "bad endian width"
-            | Ld_imm64 (d, _) ->
-                if not (reg_ok d) then bad "bad register"
-                else if d = 10 then bad "write to r10"
-            | Ldx (_, d, s, _) ->
-                if not (reg_ok d && reg_ok s) then bad "bad register"
-                else if d = 10 then bad "write to r10"
-            | St_imm (_, d, _, _) -> if not (reg_ok d) then bad "bad register"
-            | Stx (_, d, _, s) ->
-                if not (reg_ok d && reg_ok s) then bad "bad register"
-            | Ja off -> if not (jump_ok i off) then bad "jump out of bounds"
-            | Jmp (_, d, s, off) ->
-                if not (reg_ok d && src_ok s) then bad "bad register"
-                else if not (jump_ok i off) then bad "jump out of bounds"
-            | Call id ->
-                if not (List.mem id known_helpers) then bad "unknown helper"
-            | Exit -> ());
-            if !err = None && i = n - 1 && falls_through insn then
-              bad "control falls through off the end of the program")
-        insns;
-      match !err with Some e -> Error e | None -> Ok ()
-    end
-  end
-
-let verify_full ?max_insns insns =
-  match validate_syntactic ?max_insns insns with
-  | Error e -> Error e
-  | Ok () -> (
-      match Verifier.verify ?max_insns insns with
-      | Ok _ -> Ok ()
-      | Error v -> Error (Verifier.violation_to_string v))
-
-let load ?max_insns insns =
-  match verify_full ?max_insns insns with
-  | Ok () -> Ok { insns = Array.copy insns }
-  | Error e -> Error e
+let load ?max_insns ?maps insns =
+  Verifier.verify ?max_insns ?maps:(Option.map map_specs maps) insns
+  |> Result.map (fun _ -> { insns = Array.copy insns })
 
 let load_unverified ?max_insns insns =
-  match validate_syntactic ?max_insns insns with
-  | Ok () -> Ok { insns = Array.copy insns }
-  | Error e -> Error e
+  Verifier.check_syntax ?max_insns insns
+  |> Result.map (fun () -> { insns = Array.copy insns })
 
 type outcome = { ret : int; insns_executed : int; packet : Bytes.t }
 
@@ -111,15 +40,9 @@ type memory = {
   ctx : Bytes.t;  (* 16 bytes: data, data_end as u64 LE *)
 }
 
-let u64_to_bytes_le b off v =
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done
-
 let refresh_ctx m =
-  u64_to_bytes_le m.ctx 0 (Int64.of_int (pkt_base + m.head));
-  u64_to_bytes_le m.ctx 8 (Int64.of_int (pkt_base + Bytes.length m.pkt))
+  Bytes.set_int64_le m.ctx 0 (Int64.of_int (pkt_base + m.head));
+  Bytes.set_int64_le m.ctx 8 (Int64.of_int (pkt_base + Bytes.length m.pkt))
 
 (* Resolve an address to (backing bytes, offset), checking [width]. *)
 let resolve m addr width =
@@ -140,8 +63,6 @@ let resolve m addr width =
     else raise (Fault "bad map pointer")
   end
   else raise (Fault (Printf.sprintf "bad memory access at 0x%x" a))
-
-let width_of = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
 
 let load_mem m addr size =
   let width = width_of size in
@@ -201,67 +122,6 @@ let run p ~maps ~now_ns ~packet =
     Bytes.sub m.pkt m.head (Bytes.length m.pkt - m.head)
   in
   let src_val = function Reg r -> regs.(r) | Imm v -> Int64.of_int v in
-  let alu64 op dst s =
-    let a = regs.(dst) and b = src_val s in
-    let open Int64 in
-    regs.(dst) <-
-      (match op with
-      | Add -> add a b
-      | Sub -> sub a b
-      | Mul -> mul a b
-      | Div -> if b = 0L then 0L else unsigned_div a b
-      | Or -> logor a b
-      | And -> logand a b
-      | Lsh -> shift_left a (to_int (logand b 63L))
-      | Rsh -> shift_right_logical a (to_int (logand b 63L))
-      | Neg -> neg a
-      | Mod -> if b = 0L then a else unsigned_rem a b
-      | Xor -> logxor a b
-      | Mov -> b
-      | Arsh -> shift_right a (to_int (logand b 63L)))
-  in
-  let mask32 v = Int64.logand v 0xFFFFFFFFL in
-  let alu32 op dst s =
-    let a = mask32 regs.(dst) and b = mask32 (src_val s) in
-    let open Int64 in
-    let r =
-      match op with
-      | Add -> add a b
-      | Sub -> sub a b
-      | Mul -> mul a b
-      | Div -> if b = 0L then 0L else unsigned_div a b
-      | Or -> logor a b
-      | And -> logand a b
-      | Lsh -> shift_left a (to_int (logand b 31L))
-      | Rsh -> shift_right_logical a (to_int (logand b 31L))
-      | Neg -> neg a
-      | Mod -> if b = 0L then a else unsigned_rem a b
-      | Xor -> logxor a b
-      | Mov -> b
-      | Arsh ->
-          (* sign-extend the 32-bit value before shifting *)
-          let sa = shift_right (shift_left a 32) 32 in
-          shift_right sa (to_int (logand b 31L))
-    in
-    regs.(dst) <- mask32 r
-  in
-  let jump_taken cond dst s =
-    let a = regs.(dst) and b = src_val s in
-    let u = Int64.unsigned_compare a b in
-    let sg = Int64.compare a b in
-    match cond with
-    | Jeq -> a = b
-    | Jne -> a <> b
-    | Jgt -> u > 0
-    | Jge -> u >= 0
-    | Jlt -> u < 0
-    | Jle -> u <= 0
-    | Jset -> Int64.logand a b <> 0L
-    | Jsgt -> sg > 0
-    | Jsge -> sg >= 0
-    | Jslt -> sg < 0
-    | Jsle -> sg <= 0
-  in
   let helper id =
     if id = helper_ktime then regs.(0) <- now_ns
     else if id = helper_adjust_head then begin
@@ -315,12 +175,12 @@ let run p ~maps ~now_ns ~packet =
     if !count >= budget then raise (Fault "instruction budget exceeded");
     incr count;
     match p.insns.(pc) with
-    | Exit -> Int64.to_int (mask32 regs.(0))
+    | Exit -> Int64.to_int (Int64.logand regs.(0) 0xFFFFFFFFL)
     | Alu64 (op, d, s) ->
-        alu64 op d s;
+        regs.(d) <- alu64 op regs.(d) (src_val s);
         exec (pc + 1)
     | Alu32 (op, d, s) ->
-        alu32 op d s;
+        regs.(d) <- alu32 op regs.(d) (src_val s);
         exec (pc + 1)
     | Endian_be (d, bits) ->
         regs.(d) <- be_swap regs.(d) bits;
@@ -341,7 +201,8 @@ let run p ~maps ~now_ns ~packet =
         exec (pc + 1)
     | Ja off -> exec (pc + 1 + off)
     | Jmp (cond, d, s, off) ->
-        if jump_taken cond d s then exec (pc + 1 + off) else exec (pc + 1)
+        if jump_taken cond regs.(d) (src_val s) then exec (pc + 1 + off)
+        else exec (pc + 1)
     | Call id ->
         helper id;
         exec (pc + 1)

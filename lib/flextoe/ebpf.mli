@@ -13,24 +13,29 @@
 
 type program
 
-val load : ?max_insns:int -> Bpf_insn.t array -> (program, string) result
-(** Verify and load: the legacy syntactic scan (register indices,
-    jump targets, fallthrough, known helpers, [Exit] present), then
-    {!Verifier.verify} — abstract interpretation proving initialized
-    reads, in-bounds guarded packet access, helper-argument types,
-    and termination. Errors are {!Verifier.violation_to_string}
-    renderings; callers that want the structured
-    {!Verifier.violation} (re-exported as
-    {!Flextoe.verifier_violation}) should call the verifier
-    directly. *)
+val load :
+  ?max_insns:int ->
+  ?maps:Bpf_map.t array ->
+  Bpf_insn.t array ->
+  (program, Verifier.violation) result
+(** The one way onto the data path: {!Verifier.verify} the program
+    against the shapes of [maps], the maps it will run with, so map
+    ids and key/value buffers are checked exactly ([~maps:[||]]
+    refuses every map helper). Without [maps] the verifier's weaker
+    map checks apply (DESIGN.md §9). Every XDP attach point and
+    extension constructor loads through here. *)
 
 val load_unverified :
-  ?max_insns:int -> Bpf_insn.t array -> (program, string) result
-(** Load after only the weak syntactic pre-pass, skipping the abstract
-    interpreter. Exists so tests and benchmarks can exercise the VM's
+  ?max_insns:int -> Bpf_insn.t array -> (program, Verifier.violation) result
+(** Load after only {!Verifier.check_syntax}, the shape checks the
+    interpreter relies on. For tests and benchmarks of the VM's
     {e dynamic} defenses (runtime bounds faults, the instruction
-    budget) with programs the static verifier would refuse. Data-path
-    attach points never use this. *)
+    budget) with programs the static verifier would refuse; nothing
+    in the library calls it. *)
+
+val map_specs : Bpf_map.t array -> Verifier.map_spec array
+(** The verifier's view (key/value sizes) of a concrete map set, as
+    {!load} computes it. *)
 
 val instructions : program -> Bpf_insn.t array
 

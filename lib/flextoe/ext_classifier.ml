@@ -2,9 +2,6 @@ open Bpf_insn
 
 let classes = 8
 
-(* Map 0: dst port (2B, network order) -> class id (u32 LE).
-   Map 1: array of per-class u64 packet counters. *)
-
 let program () =
   assemble
     [
@@ -42,43 +39,36 @@ let program () =
 
 type t = { xdp : Xdp.t; port_map : Bpf_map.t; counters : Bpf_map.t }
 
-let create engine =
-  let port_map =
+(* Map 0: dst port (2B, network order) -> class id (u32 LE).
+   Map 1: array of per-class u64 packet counters. *)
+let maps () =
+  [|
     Bpf_map.create Bpf_map.Hash_map ~key_size:2 ~value_size:4
-      ~max_entries:256
-  in
-  let counters =
+      ~max_entries:256;
     Bpf_map.create Bpf_map.Array_map ~key_size:4 ~value_size:8
-      ~max_entries:classes
-  in
-  let insns = program () in
-  (match
-     Verifier.verify ~maps:(Xdp.map_specs [| port_map; counters |]) insns
-   with
-  | Ok _ -> ()
+      ~max_entries:classes;
+  |]
+
+let create engine =
+  let maps = maps () in
+  match Ebpf.load ~maps (program ()) with
+  | Ok program ->
+      { xdp = Xdp.create engine ~program ~maps; port_map = maps.(0);
+        counters = maps.(1) }
   | Error v ->
-      invalid_arg ("Ext_classifier: " ^ Verifier.violation_to_string v));
-  match Ebpf.load_unverified insns with
-  | Ok p ->
-      { xdp = Xdp.create engine ~program:p ~maps:[| port_map; counters |];
-        port_map; counters }
-  | Error e -> invalid_arg ("Ext_classifier: " ^ e)
+      invalid_arg ("Ext_classifier: " ^ Verifier.violation_to_string v)
 
 let xdp t = t.xdp
 let install t dp = Xdp.install t.xdp dp
 
 let port_key port =
   let b = Bytes.create 2 in
-  Bytes.set b 0 (Char.chr ((port lsr 8) land 0xFF));
-  Bytes.set b 1 (Char.chr (port land 0xFF));
+  Bytes.set_uint16_be b 0 port;
   b
 
 let u32_le v =
   let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr (v land 0xFF));
-  Bytes.set b 1 (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b 2 (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b 3 (Char.chr ((v lsr 24) land 0xFF));
+  Bytes.set_int32_le b 0 (Int32.of_int v);
   b
 
 let classify t ~port ~cls =
@@ -98,8 +88,5 @@ let class_of_port t ~port =
 
 let count t ~cls =
   match Bpf_map.lookup t.counters ~key:(u32_le cls) with
-  | Some v ->
-      let b i = Char.code (Bytes.get v i) in
-      b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-      lor (b 4 lsl 32) lor (b 5 lsl 40)
+  | Some v -> Int64.to_int (Bytes.get_int64_le v 0)
   | None -> 0

@@ -13,6 +13,12 @@ val classes : int
 (** Number of traffic classes (8). *)
 
 val program : unit -> Bpf_insn.t array
+
+val maps : unit -> Bpf_map.t array
+(** Fresh maps of the shapes {!create} loads {!program} against: the
+    port-to-class hash map (map 0) and the per-class counters
+    (map 1). *)
+
 val create : Sim.Engine.t -> t
 val xdp : t -> Xdp.t
 val install : t -> Datapath.t -> unit

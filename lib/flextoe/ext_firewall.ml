@@ -46,32 +46,25 @@ let program () =
       I Exit;
     ]
 
-let create engine =
-  let map =
+let maps () =
+  [|
     Bpf_map.create Bpf_map.Hash_map ~key_size:4 ~value_size:4
-      ~max_entries:1024
-  in
-  let insns = program () in
-  (match Verifier.verify ~maps:(Xdp.map_specs [| map |]) insns with
-  | Ok _ -> ()
+      ~max_entries:1024;
+  |]
+
+let create engine =
+  let maps = maps () in
+  match Ebpf.load ~maps (program ()) with
+  | Ok program -> { xdp = Xdp.create engine ~program ~maps; map = maps.(0) }
   | Error v ->
-      invalid_arg ("Ext_firewall: " ^ Verifier.violation_to_string v));
-  let prog =
-    match Ebpf.load_unverified insns with
-    | Ok p -> p
-    | Error e -> invalid_arg ("Ext_firewall: " ^ e)
-  in
-  { xdp = Xdp.create engine ~program:prog ~maps:[| map |]; map }
+      invalid_arg ("Ext_firewall: " ^ Verifier.violation_to_string v)
 
 let xdp t = t.xdp
 let install t dp = Xdp.install t.xdp dp
 
 let ip_key ip =
   let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((ip lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((ip lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((ip lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (ip land 0xFF));
+  Bytes.set_int32_be b 0 (Int32.of_int ip);
   b
 
 let block t ~ip =

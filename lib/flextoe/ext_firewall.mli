@@ -8,6 +8,10 @@ val create : Sim.Engine.t -> t
 val program : unit -> Bpf_insn.t array
 (** The eBPF program (exposed for tests and inspection). *)
 
+val maps : unit -> Bpf_map.t array
+(** Fresh maps of the shapes {!create} loads {!program} against: the
+    source-IP blacklist. *)
+
 val xdp : t -> Xdp.t
 val install : t -> Datapath.t -> unit
 val block : t -> ip:int -> unit

@@ -63,15 +63,8 @@ let attach t dp = Datapath.set_capture dp (Some (tap t))
 let captured t = t.captured
 let seen t = t.seen
 
-let put_u32_le b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
-
-let put_u16_le b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF))
+let put_u32_le b off v = Bytes.set_int32_le b off (Int32.of_int v)
+let put_u16_le = Bytes.set_uint16_le
 
 let to_pcap t =
   let total =
@@ -268,11 +261,4 @@ let counter_map () =
 let match_count map =
   match Bpf_map.lookup map ~key:(Bytes.make 4 '\000') with
   | None -> 0L
-  | Some v ->
-      let n = ref 0L in
-      for i = 7 downto 0 do
-        n :=
-          Int64.logor (Int64.shift_left !n 8)
-            (Int64.of_int (Char.code (Bytes.get v i)))
-      done;
-      !n
+  | Some v -> Bytes.get_int64_le v 0

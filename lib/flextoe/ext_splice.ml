@@ -111,41 +111,28 @@ let program () =
 
 type t = { xdp : Xdp.t; map : Bpf_map.t }
 
+let maps () =
+  [| Bpf_map.create Bpf_map.Hash_map ~key_size:12 ~value_size
+       ~max_entries:4096 |]
+
 let create engine =
-  let map =
-    Bpf_map.create Bpf_map.Hash_map ~key_size:12 ~value_size
-      ~max_entries:4096
-  in
-  let insns = program () in
-  (match Verifier.verify ~maps:(Xdp.map_specs [| map |]) insns with
-  | Ok _ -> ()
-  | Error v -> invalid_arg ("Ext_splice: " ^ Verifier.violation_to_string v));
-  match Ebpf.load_unverified insns with
-  | Ok p -> { xdp = Xdp.create engine ~program:p ~maps:[| map |]; map }
-  | Error e -> invalid_arg ("Ext_splice: " ^ e)
+  let maps = maps () in
+  match Ebpf.load ~maps (program ()) with
+  | Ok program -> { xdp = Xdp.create engine ~program ~maps; map = maps.(0) }
+  | Error v -> invalid_arg ("Ext_splice: " ^ Verifier.violation_to_string v)
 
 let xdp t = t.xdp
 let install t dp = Xdp.install t.xdp dp
 
 (* --- Control-plane side -------------------------------------------- *)
 
-let put_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 1) (Char.chr (v land 0xFF))
-
-let put_u32 b off v =
-  put_u16 b off ((v lsr 16) land 0xFFFF);
-  put_u16 b (off + 2) (v land 0xFFFF)
-
-let put_u32_le b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
+let put_u16 = Bytes.set_uint16_be
+let put_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let put_u32_le b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let put_u48 b off v =
   put_u16 b off ((v lsr 32) land 0xFFFF);
-  put_u32 b (off + 2) (v land 0xFFFFFFFF)
+  put_u32 b (off + 2) v
 
 (* Key as it appears in an arriving packet at the proxy: the sender's
    4-tuple in network byte order. *)
@@ -172,8 +159,8 @@ let encode_rewrite r =
   put_u32 b 8 r.remote_ip;
   put_u16 b 12 r.local_port;
   put_u16 b 14 r.remote_port;
-  put_u32_le b 16 (r.seq_delta land 0xFFFFFFFF);
-  put_u32_le b 20 (r.ack_delta land 0xFFFFFFFF);
+  put_u32_le b 16 r.seq_delta;
+  put_u32_le b 20 r.ack_delta;
   b
 
 let add t ~src_ip ~dst_ip ~src_port ~dst_port rewrite =

@@ -10,6 +10,11 @@ type t
 
 val program : unit -> Bpf_insn.t array
 val value_size : int
+
+val maps : unit -> Bpf_map.t array
+(** Fresh maps of the shapes {!create} loads {!program} against: the
+    4-tuple-keyed splice table. *)
+
 val create : Sim.Engine.t -> t
 val xdp : t -> Xdp.t
 val install : t -> Datapath.t -> unit

@@ -35,13 +35,9 @@ let program () =
 type t = { xdp : Xdp.t }
 
 let create engine =
-  let insns = program () in
-  (match Verifier.verify insns with
-  | Ok _ -> ()
-  | Error v -> invalid_arg ("Ext_vlan: " ^ Verifier.violation_to_string v));
-  match Ebpf.load_unverified insns with
-  | Ok p -> { xdp = Xdp.create engine ~program:p ~maps:[||] }
-  | Error e -> invalid_arg ("Ext_vlan: " ^ e)
+  match Ebpf.load ~maps:[||] (program ()) with
+  | Ok program -> { xdp = Xdp.create engine ~program ~maps:[||] }
+  | Error v -> invalid_arg ("Ext_vlan: " ^ Verifier.violation_to_string v)
 
 let xdp t = t.xdp
 let install t dp = Xdp.install t.xdp dp

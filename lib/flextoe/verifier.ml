@@ -4,8 +4,6 @@
 
 open Bpf_insn
 
-let stack_size = 512
-
 type map_spec = { key_size : int; value_size : int }
 
 type interval = { lo : int64; hi : int64 }
@@ -30,6 +28,7 @@ type reason =
   | Bad_endian_width of int
   | Jump_out_of_bounds of { target : int }
   | Fallthrough_off_end
+  | No_exit
   | Unreachable_insn
   | Unknown_helper of int
   | Uninitialized_register of int
@@ -126,6 +125,7 @@ let pp_reason fmt = function
       Format.fprintf fmt "jump out of bounds (target %d)" target
   | Fallthrough_off_end ->
       Format.fprintf fmt "control falls through off the end of the program"
+  | No_exit -> Format.fprintf fmt "no exit instruction"
   | Unreachable_insn -> Format.fprintf fmt "unreachable instruction"
   | Unknown_helper id -> Format.fprintf fmt "unknown helper %d" id
   | Uninitialized_register r ->
@@ -201,8 +201,6 @@ let width_scalar = function
   | W32 -> u32_interval
   | W64 -> unknown
 
-let width_of = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
-
 let is_ptr = function
   | Ptr_ctx _ | Ptr_pkt _ | Ptr_pkt_end | Ptr_stack _ | Ptr_map_value _
   | Null_or_map_value _ ->
@@ -233,50 +231,6 @@ let subsumed ~old st =
   done;
   !ok
 
-(* --- Constant ALU semantics (mirrors Ebpf.run) ------------------------ *)
-
-let alu64_const op a b =
-  let open Int64 in
-  match op with
-  | Add -> add a b
-  | Sub -> sub a b
-  | Mul -> mul a b
-  | Div -> if b = 0L then 0L else unsigned_div a b
-  | Or -> logor a b
-  | And -> logand a b
-  | Lsh -> shift_left a (to_int (logand b 63L))
-  | Rsh -> shift_right_logical a (to_int (logand b 63L))
-  | Neg -> neg a
-  | Mod -> if b = 0L then a else unsigned_rem a b
-  | Xor -> logxor a b
-  | Mov -> b
-  | Arsh -> shift_right a (to_int (logand b 63L))
-
-let mask32 v = Int64.logand v 0xFFFFFFFFL
-
-let alu32_const op a b =
-  let a = mask32 a and b = mask32 b in
-  let open Int64 in
-  let r =
-    match op with
-    | Add -> add a b
-    | Sub -> sub a b
-    | Mul -> mul a b
-    | Div -> if b = 0L then 0L else unsigned_div a b
-    | Or -> logor a b
-    | And -> logand a b
-    | Lsh -> shift_left a (to_int (logand b 31L))
-    | Rsh -> shift_right_logical a (to_int (logand b 31L))
-    | Neg -> neg a
-    | Mod -> if b = 0L then a else unsigned_rem a b
-    | Xor -> logxor a b
-    | Mov -> b
-    | Arsh ->
-        let sa = shift_right (shift_left a 32) 32 in
-        shift_right sa (to_int (logand b 31L))
-  in
-  mask32 r
-
 let add_no_ov x y =
   let s = Int64.add x y in
   if (x > 0L && y > 0L && s < 0L) || (x < 0L && y < 0L && s >= 0L) then None
@@ -285,7 +239,7 @@ let add_no_ov x y =
 (* Interval result of a 64-bit scalar op. Consts stay exact; a few
    shapes keep useful bounds; everything else widens to unknown. *)
 let alu64_scalar op a b =
-  if a.lo = a.hi && b.lo = b.hi then const (alu64_const op a.lo b.lo)
+  if a.lo = a.hi && b.lo = b.hi then const (alu64 op a.lo b.lo)
   else
     match op with
     | Mov -> Scalar b
@@ -300,22 +254,6 @@ let alu64_scalar op a b =
         | Some lo, Some hi when b.hi <> Int64.min_int -> Scalar { lo; hi }
         | _ -> unknown)
     | _ -> unknown
-
-let eval_cond cond a b =
-  let u = Int64.unsigned_compare a b in
-  let sg = Int64.compare a b in
-  match cond with
-  | Jeq -> a = b
-  | Jne -> a <> b
-  | Jgt -> u > 0
-  | Jge -> u >= 0
-  | Jlt -> u < 0
-  | Jle -> u <= 0
-  | Jset -> Int64.logand a b <> 0L
-  | Jsgt -> sg > 0
-  | Jsge -> sg >= 0
-  | Jslt -> sg < 0
-  | Jsle -> sg <= 0
 
 (* --- Helper signatures ------------------------------------------------ *)
 
@@ -413,7 +351,13 @@ let syntactic_pass ~max_insns insns =
             reject pc (Unknown_helper id)
       | Exit -> ());
       if pc = n - 1 && can_fallthrough insn then reject pc Fallthrough_off_end)
-    insns
+    insns;
+  if not (Array.mem Exit insns) then reject 0 No_exit
+
+let check_syntax ?(max_insns = 4096) insns =
+  match syntactic_pass ~max_insns insns with
+  | () -> Ok ()
+  | exception Reject v -> Error v
 
 (* Reachability from instruction 0 and back-edge classification. *)
 let cfg_pass insns =
@@ -466,9 +410,10 @@ let step ~maps ~prog pc st0 =
     | _ -> reject ~state:st pc (Pointer_arithmetic what)
   in
   (* Memory access through [ptr] (register [reg]) at [ptr + ioff],
-     [width] bytes. For stores, [value] is the stored abstract value
+     [sz] wide. For stores, [value] is the stored abstract value
      (None for St_imm). Returns the loaded value for loads. *)
-  let access ~store ~reg ?value ptr ioff width =
+  let access ~store ~reg ?value ptr ioff sz =
+    let width = width_of sz in
     let storing_ptr =
       store && match value with Some v -> is_ptr v | None -> false
     in
@@ -486,7 +431,7 @@ let step ~maps ~prog pc st0 =
         if a < 0 || a + width > st.bound then
           reject ~state:st pc
             (Pkt_out_of_bounds { off = a; width; bound = st.bound });
-        width_scalar (match width with 1 -> W8 | 2 -> W16 | 4 -> W32 | _ -> W64)
+        width_scalar sz
     | Ptr_stack o ->
         let a = o + ioff in
         if a < 0 || a + width > stack_size then
@@ -502,8 +447,7 @@ let step ~maps ~prog pc st0 =
               reject ~state:st pc
                 (Uninitialized_stack { off = a - stack_size; width })
           done;
-          width_scalar
-            (match width with 1 -> W8 | 2 -> W16 | 4 -> W32 | _ -> W64)
+          width_scalar sz
         end
     | Ptr_map_value { off; size; _ } ->
         if storing_ptr then
@@ -514,7 +458,7 @@ let step ~maps ~prog pc st0 =
           reject ~state:st pc
             (Map_value_out_of_bounds
                { off = a; width; size = (match size with Some s -> s | None -> -1) });
-        width_scalar (match width with 1 -> W8 | 2 -> W16 | 4 -> W32 | _ -> W64)
+        width_scalar sz
     | Null_or_map_value _ -> reject ~state:st pc (Possibly_null_deref reg)
     | (Ptr_pkt_end | Scalar _) as v ->
         reject ~state:st pc
@@ -620,7 +564,7 @@ let step ~maps ~prog pc st0 =
       (match (vd, vs) with
       | Scalar a, Scalar b ->
           if a.lo = a.hi && b.lo = b.hi then
-            st.regs.(d) <- const (alu32_const op a.lo b.lo)
+            st.regs.(d) <- const (alu32 op a.lo b.lo)
           else st.regs.(d) <- u32_interval
       | a, b ->
           reject ~state:st pc
@@ -629,15 +573,15 @@ let step ~maps ~prog pc st0 =
                   (aval_to_string b))));
       [ (next, st) ]
   | Ldx (sz, d, s, off) ->
-      let v = access ~store:false ~reg:s (read s) off (width_of sz) in
+      let v = access ~store:false ~reg:s (read s) off sz in
       st.regs.(d) <- v;
       [ (next, st) ]
   | St_imm (sz, d, off, _) ->
-      ignore (access ~store:true ~reg:d (read d) off (width_of sz));
+      ignore (access ~store:true ~reg:d (read d) off sz);
       [ (next, st) ]
   | Stx (sz, d, off, s) ->
       let value = read s in
-      ignore (access ~store:true ~reg:d ~value (read d) off (width_of sz));
+      ignore (access ~store:true ~reg:d ~value (read d) off sz);
       [ (next, st) ]
   | Ja off -> [ (pc + 1 + off, st) ]
   | Jmp (cond, d, s, off) -> (
@@ -648,7 +592,7 @@ let step ~maps ~prog pc st0 =
       | Scalar a, Scalar b when a.lo = a.hi && b.lo = b.hi ->
           (* Statically decided branch: prune the dead edge. This is
              what makes bounded loops verifiable. *)
-          if eval_cond cond a.lo b.lo then [ (taken, st) ] else [ (fall, st) ]
+          if jump_taken cond a.lo b.lo then [ (taken, st) ] else [ (fall, st) ]
       | Ptr_pkt o, Ptr_pkt_end | Ptr_pkt_end, Ptr_pkt o ->
           (* Length-guard refinement: comparing data+o against
              data_end proves a packet bound on one edge. *)

@@ -5,8 +5,10 @@
     past packet bounds, or stall an FPC. This module proves those
     properties statically, in the style of the Linux kernel verifier:
 
-    - a CFG pass checks every jump target, rejects fallthrough off the
-      end of the program and unreachable instructions;
+    - a syntactic pass ({!check_syntax}) checks register indices,
+      jump targets, helper ids and endian widths, and rejects
+      fallthrough off the end and programs with no [Exit]; a CFG pass
+      then rejects unreachable instructions;
     - a symbolic execution pass tracks an abstract value per register
       (uninitialized, scalar with signed bounds, pointer to
       context/packet/packet-end/stack/map-value, or
@@ -60,8 +62,6 @@ type state = {
   mutable bound : int;  (** proven accessible packet bytes from data *)
 }
 
-val stack_size : int
-
 (** {1 Diagnostics} *)
 
 type reason =
@@ -72,6 +72,7 @@ type reason =
   | Bad_endian_width of int
   | Jump_out_of_bounds of { target : int }
   | Fallthrough_off_end
+  | No_exit  (** no [Exit] anywhere: the program can never return *)
   | Unreachable_insn
   | Unknown_helper of int
   | Uninitialized_register of int
@@ -126,4 +127,12 @@ val verify :
   (analysis, violation) result
 (** Verify a program for the XDP entry convention (r1 = context
     pointer, r10 = frame pointer). [maps] enables exact key/value-size
-    and map-id checking. *)
+    and map-id checking. Most callers want {!Ebpf.load}, which runs
+    this against the maps the program will run with. *)
+
+val check_syntax :
+  ?max_insns:int -> Bpf_insn.t array -> (unit, violation) result
+(** The syntactic pass of {!verify} alone: the shape checks that keep
+    the VM's interpreter loop in bounds (every register, jump target
+    and helper id valid, no fallthrough off the end, an [Exit]
+    present). {!Ebpf.load_unverified} runs only this. *)

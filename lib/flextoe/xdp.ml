@@ -23,18 +23,9 @@ let create engine ~program ~maps =
     insns = 0;
   }
 
-let map_specs maps =
-  Array.map
-    (fun m ->
-      {
-        Verifier.key_size = Bpf_map.key_size m;
-        value_size = Bpf_map.value_size m;
-      })
-    maps
-
 let null_program () =
   match
-    Ebpf.load
+    Ebpf.load ~maps:[||]
       [|
         Bpf_insn.Alu64 (Bpf_insn.Mov, 0, Bpf_insn.Imm Bpf_insn.xdp_pass);
         Bpf_insn.Exit;
@@ -101,17 +92,11 @@ let install t dp = Datapath.set_xdp_ingress dp (Some (hook t))
 let uninstall dp = Datapath.set_xdp_ingress dp None
 
 let attach engine ~insns ~maps dp =
-  match Verifier.verify ~maps:(map_specs maps) insns with
-  | Error v -> Error v
-  | Ok _ -> (
-      (* The abstract interpreter just accepted the program, so the
-         syntactic-only load cannot fail. *)
-      match Ebpf.load_unverified insns with
-      | Error _ -> assert false
-      | Ok program ->
-          let t = create engine ~program ~maps in
-          install t dp;
-          Ok t)
+  Ebpf.load ~maps insns
+  |> Result.map (fun program ->
+         let t = create engine ~program ~maps in
+         install t dp;
+         t)
 
 let maps t = t.maps
 let runs t = t.runs

@@ -12,9 +12,8 @@ type t
 
 val create :
   Sim.Engine.t -> program:Ebpf.program -> maps:Bpf_map.t array -> t
-
-val map_specs : Bpf_map.t array -> Verifier.map_spec array
-(** Verifier metadata (key/value sizes) for a concrete map set. *)
+(** Wrap a program from {!Ebpf.load}; [maps] should be the array it
+    was loaded against. *)
 
 val attach :
   Sim.Engine.t ->
@@ -22,10 +21,9 @@ val attach :
   maps:Bpf_map.t array ->
   Datapath.t ->
   (t, Verifier.violation) result
-(** The safe front door: verify [insns] against the real shapes of
-    [maps] with {!Verifier.verify}, and only if the proof succeeds
-    load the program and install it as the data path's XDP ingress
-    hook. Unverifiable programs never reach the data path. *)
+(** Load [insns] with {!Ebpf.load} against [maps], and only if the
+    verifier accepts the program install it as the data path's XDP
+    ingress hook. Unverifiable programs never reach the data path. *)
 
 val null_program : unit -> Ebpf.program
 (** [return XDP_PASS] — the paper's null-module overhead probe. *)

@@ -3,6 +3,7 @@
 
 module I = Flextoe.Bpf_insn
 module E = Flextoe.Ebpf
+module V = Flextoe.Verifier
 module Map = Flextoe.Bpf_map
 
 let check_int = Alcotest.(check int)
@@ -11,14 +12,15 @@ let check_bool = Alcotest.(check bool)
 let load insns =
   match E.load insns with
   | Ok p -> p
-  | Error e -> Alcotest.failf "load failed: %s" e
+  | Error v -> Alcotest.failf "load failed: %s" (V.violation_to_string v)
 
 (* For tests of the VM's *dynamic* guards (runtime bounds faults, the
    instruction budget) whose programs the static verifier refuses. *)
 let load_unverified insns =
   match E.load_unverified insns with
   | Ok p -> p
-  | Error e -> Alcotest.failf "load_unverified failed: %s" e
+  | Error v ->
+      Alcotest.failf "load_unverified failed: %s" (V.violation_to_string v)
 
 let run ?(maps = [||]) ?(packet = Bytes.make 64 '\000') insns =
   E.run (load insns) ~maps ~now_ns:0L ~packet
@@ -197,6 +199,7 @@ let reject insns msg =
 let test_verifier_rejections () =
   reject [||] "empty accepted";
   reject [| I.Alu64 (I.Mov, 0, I.Imm 0) |] "no exit accepted";
+  reject [| I.Ja (-1) |] "exit-free loop accepted";
   reject [| I.Alu64 (I.Mov, 10, I.Imm 0); I.Exit |] "write to r10 accepted";
   reject [| I.Ja 5; I.Exit |] "oob jump accepted";
   reject [| I.Call 9999; I.Exit |] "unknown helper accepted";
@@ -206,6 +209,38 @@ let reject_syntactic insns msg =
   match E.load_unverified insns with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail msg
+
+let test_load_checks_map_shapes () =
+  (* A well-formed lookup (initialized 4-byte stack key, null-checked
+     result): it verifies without map metadata, against a map of its
+     key size, and not against an empty map set. *)
+  let lookup =
+    [|
+      I.St_imm (I.W32, 10, -4, 0);
+      I.Alu64 (I.Mov, 1, I.Imm 0);
+      I.Alu64 (I.Mov, 2, I.Reg 10);
+      I.Alu64 (I.Add, 2, I.Imm (-4));
+      I.Call I.helper_map_lookup;
+      I.Alu64 (I.Mov, 0, I.Imm I.xdp_pass);
+      I.Exit;
+    |]
+  in
+  let map = Map.create Map.Hash_map ~key_size:4 ~value_size:4 ~max_entries:4 in
+  check_bool "loads without shapes" true (Result.is_ok (E.load lookup));
+  check_bool "loads against its map" true
+    (Result.is_ok (E.load ~maps:[| map |] lookup));
+  (match E.load ~maps:[||] lookup with
+  | Error { V.reason = V.Bad_map_id { n_maps = 0; _ }; pc = 4; _ } -> ()
+  | Error v ->
+      Alcotest.failf "wrong diagnostic: %s" (V.violation_to_string v)
+  | Ok _ -> Alcotest.fail "map lookup accepted with no maps");
+  (* A map whose key is wider than the 4-byte buffer at fp-4. *)
+  let wide = Map.create Map.Hash_map ~key_size:8 ~value_size:4 ~max_entries:4 in
+  match E.load ~maps:[| wide |] lookup with
+  | Error { V.reason = V.Stack_out_of_bounds { off = -4; width = 8 }; _ } -> ()
+  | Error v ->
+      Alcotest.failf "wrong diagnostic: %s" (V.violation_to_string v)
+  | Ok _ -> Alcotest.fail "8-byte key read from a 4-byte buffer accepted"
 
 let test_validate_edge_regressions () =
   (* Regressions for the syntactic pass's CFG edge handling: control
@@ -221,15 +256,23 @@ let test_validate_edge_regressions () =
     [| I.Jmp (I.Jeq, 0, I.Imm 0, 1); I.Exit |]
     "jump target one past the end accepted";
   reject_syntactic [| I.Ja (-2); I.Exit |] "jump before start accepted";
+  (* No Exit anywhere: in range and never off the end, but it can
+     never return. *)
+  (match E.load_unverified [| I.Ja (-1) |] with
+  | Error { V.reason = V.No_exit; _ } -> ()
+  | Error v ->
+      Alcotest.failf "wrong diagnostic: %s" (V.violation_to_string v)
+  | Ok _ -> Alcotest.fail "exit-free program accepted");
   (* A trailing Exit or unconditional jump cannot fall through. *)
   (match E.load_unverified [| I.Alu64 (I.Mov, 0, I.Imm 0); I.Exit |] with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "valid program rejected: %s" e);
+  | Error v ->
+      Alcotest.failf "valid program rejected: %s" (V.violation_to_string v));
   match
     E.load_unverified [| I.Jmp (I.Jeq, 0, I.Imm 0, 1); I.Exit; I.Ja (-3) |]
   with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "trailing Ja rejected: %s" e
+  | Error v -> Alcotest.failf "trailing Ja rejected: %s" (V.violation_to_string v)
 
 (* --- Wire codec -------------------------------------------------------------------- *)
 
@@ -494,6 +537,8 @@ let suite =
     Alcotest.test_case "runaway loop cut off" `Quick
       test_runaway_loop_cut_off;
     Alcotest.test_case "verifier rejections" `Quick test_verifier_rejections;
+    Alcotest.test_case "load checks map shapes" `Quick
+      test_load_checks_map_shapes;
     Alcotest.test_case "validate edge regressions" `Quick
       test_validate_edge_regressions;
     Alcotest.test_case "unguarded packet store rejected" `Quick

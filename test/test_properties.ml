@@ -255,12 +255,138 @@ let prop_vm_alu64_matches_reference =
         match E.load prog with
         | Ok p ->
             (E.run p ~maps:[||] ~now_ns:0L ~packet:(Bytes.make 64 ' ')).E.ret
-        | Error e -> failwith e
+        | Error v -> failwith (Flextoe.Verifier.violation_to_string v)
       in
       let expected =
         Int64.to_int (Int64.logand (reference_alu64 op a b) 0xFFFFFFFFL)
       in
       lo32 = expected)
+
+(* The VM and the verifier's constant folding share one copy of the
+   ALU and jump semantics ([Bpf_insn.alu32], [Bpf_insn.jump_taken]);
+   these references are written differently (on Int32, and with the
+   unsigned order taken by flipping the sign bit) so that each checks
+   that copy rather than restating it. Every program also goes
+   through the verifier, whose folded constants must agree. *)
+
+let run_ret prog =
+  match E.load prog with
+  | Ok p -> (E.run p ~maps:[||] ~now_ns:0L ~packet:(Bytes.make 64 ' ')).E.ret
+  | Error v -> failwith (Flextoe.Verifier.violation_to_string v)
+
+(* Abstract in-states the verifier reached instruction [pc] with. *)
+let verified_states prog pc =
+  match Flextoe.Verifier.verify prog with
+  | Ok a -> a.Flextoe.Verifier.trace.(pc)
+  | Error v -> failwith (Flextoe.Verifier.violation_to_string v)
+
+let operand_pair_gen =
+  let open QCheck.Gen in
+  let edge =
+    oneofl
+      [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x7FFFFFFFL;
+        0x80000000L; 0xFFFFFFFFL; 0x100000000L ]
+  in
+  let operand = frequency [ (3, ui64); (1, edge) ] in
+  frequency
+    [ (3, pair operand operand); (1, map (fun a -> (a, a)) operand) ]
+
+let reference_alu32 op a b =
+  let a = Int64.to_int32 a and b = Int64.to_int32 b in
+  let sh = Int32.to_int (Int32.logand b 31l) in
+  let r =
+    let open Int32 in
+    match op with
+    | I.Add -> add a b
+    | I.Sub -> sub a b
+    | I.Mul -> mul a b
+    | I.Div -> if b = 0l then 0l else unsigned_div a b
+    | I.Or -> logor a b
+    | I.And -> logand a b
+    | I.Lsh -> shift_left a sh
+    | I.Rsh -> shift_right_logical a sh
+    | I.Neg -> neg a
+    | I.Mod -> if b = 0l then a else unsigned_rem a b
+    | I.Xor -> logxor a b
+    | I.Mov -> b
+    | I.Arsh -> shift_right a sh
+  in
+  (* zero-extended to 64 bits *)
+  Int64.logand (Int64.of_int32 r) 0xFFFFFFFFL
+
+let prop_vm_alu32_matches_reference =
+  let op_gen =
+    QCheck.Gen.oneofl
+      [ I.Add; I.Sub; I.Mul; I.Div; I.Or; I.And; I.Lsh; I.Rsh; I.Neg;
+        I.Mod; I.Xor; I.Mov; I.Arsh ]
+  in
+  QCheck.Test.make ~name:"ebpf: alu32 agrees with the Int32 reference"
+    ~count:500
+    QCheck.(make Gen.(pair op_gen operand_pair_gen))
+    (fun (op, (a, b)) ->
+      (* [shift] 32 exposes the upper half, which must be zero. *)
+      let prog shift =
+        [|
+          I.Ld_imm64 (1, a);
+          I.Ld_imm64 (2, b);
+          I.Alu32 (op, 1, I.Reg 2);
+          I.Alu64 (I.Rsh, 1, I.Imm shift);
+          I.Alu64 (I.Mov, 0, I.Reg 1);
+          I.Exit;
+        |]
+      in
+      let expected = reference_alu32 op a b in
+      let folded =
+        List.map
+          (fun st -> st.Flextoe.Verifier.regs.(0))
+          (verified_states (prog 0) 5)
+      in
+      run_ret (prog 0) = Int64.to_int expected
+      && run_ret (prog 32) = 0
+      && folded = [ Flextoe.Verifier.Scalar { lo = expected; hi = expected } ])
+
+let reference_jump cond a b =
+  let flip x = Int64.logxor x Int64.min_int in
+  let u = compare (flip a) (flip b) and s = compare a b in
+  match cond with
+  | I.Jeq -> s = 0
+  | I.Jne -> s <> 0
+  | I.Jgt -> u > 0
+  | I.Jge -> u >= 0
+  | I.Jlt -> u < 0
+  | I.Jle -> u <= 0
+  | I.Jset -> Int64.logand a b <> 0L
+  | I.Jsgt -> s > 0
+  | I.Jsge -> s >= 0
+  | I.Jslt -> s < 0
+  | I.Jsle -> s <= 0
+
+let prop_jump_conditions_match_reference =
+  let cond_gen =
+    QCheck.Gen.oneofl
+      [ I.Jeq; I.Jne; I.Jgt; I.Jge; I.Jlt; I.Jle; I.Jset; I.Jsgt; I.Jsge;
+        I.Jslt; I.Jsle ]
+  in
+  QCheck.Test.make
+    ~name:"ebpf: every jump condition agrees with the reference order"
+    ~count:500
+    QCheck.(make Gen.(pair cond_gen operand_pair_gen))
+    (fun (cond, (a, b)) ->
+      let prog =
+        [|
+          I.Ld_imm64 (1, a);
+          I.Ld_imm64 (2, b);
+          I.Alu64 (I.Mov, 0, I.Imm 1);
+          I.Jmp (cond, 1, I.Reg 2, 1);
+          I.Alu64 (I.Mov, 0, I.Imm 0);
+          I.Exit;
+        |]
+      in
+      let taken = reference_jump cond a b in
+      (* The verifier follows only the edge it folds the branch to, so
+         it reaches the fallthrough (pc 4) iff the jump is not taken. *)
+      run_ret prog = Bool.to_int taken
+      && (verified_states prog 4 = []) = taken)
 
 (* --- Determinism ----------------------------------------------------------- *)
 
@@ -716,6 +842,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reassembly_single_oracle;
     QCheck_alcotest.to_alcotest prop_reassembly_multi_oracle;
     QCheck_alcotest.to_alcotest prop_vm_alu64_matches_reference;
+    QCheck_alcotest.to_alcotest prop_vm_alu32_matches_reference;
+    QCheck_alcotest.to_alcotest prop_jump_conditions_match_reference;
     QCheck_alcotest.to_alcotest prop_sequencer_releases_in_order;
     QCheck_alcotest.to_alcotest prop_ring_fifo_wraparound;
     QCheck_alcotest.to_alcotest prop_split_merge_id;

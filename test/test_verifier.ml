@@ -82,6 +82,12 @@ let test_unbounded_loop () =
     |]
     ~expect:(function V.Unbounded_loop _ -> true | _ -> false)
 
+let test_no_exit () =
+  (* Every edge is in range and nothing falls off the end, yet the
+     program can never return. *)
+  reject ~pc:0 ~name:"no exit" [| I.Ja (-1) |]
+    ~expect:(function V.No_exit -> true | _ -> false)
+
 let test_write_through_ctx () =
   reject ~pc:0 ~name:"ctx write"
     [| I.St_imm (I.W32, 1, 0, 7); I.Alu64 (I.Mov, 0, I.Imm 2); I.Exit |]
@@ -279,7 +285,8 @@ let test_pcap_counting_matches_host_filter () =
       let prog =
         match E.load_unverified (Flextoe.Ext_pcap.program_of_filter f) with
         | Ok p -> p
-        | Error e -> Alcotest.failf "pcap %s: load: %s" name e
+        | Error v ->
+            Alcotest.failf "pcap %s: load: %s" name (V.violation_to_string v)
       in
       let expected = ref 0 in
       List.iter
@@ -332,6 +339,7 @@ let suite =
     Alcotest.test_case "uninitialized key buffer" `Quick
       test_uninitialized_key_buffer;
     Alcotest.test_case "unbounded loop" `Quick test_unbounded_loop;
+    Alcotest.test_case "no exit" `Quick test_no_exit;
     Alcotest.test_case "write through ctx" `Quick test_write_through_ctx;
     Alcotest.test_case "unreachable code" `Quick test_unreachable_code;
     Alcotest.test_case "possibly null deref" `Quick test_possibly_null_deref;
