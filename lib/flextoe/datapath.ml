@@ -146,7 +146,6 @@ type t = {
   (* Flexibility *)
   mutable xdp_ingress : xdp_hook option;
   traces : Sim.Trace.t;
-  trace_groups : (string, Sim.Trace.point array) Hashtbl.t;
   mutable capture : (direction -> S.frame -> unit) option;
   (* Stats *)
   mutable st_rx : int;
@@ -224,58 +223,40 @@ let ip t = t.ip
 let num_ctx t = t.n_ctx
 let traces t = t.traces
 
-let trace_group_points t group =
-  match Hashtbl.find_opt t.trace_groups group with
-  | Some pts -> pts
-  | None -> [||]
-
 (* Per-segment tracepoint overhead for a stage: each enabled point in
    the stage's group costs a few cycles (instrumentation executes
    whether or not the event fires); event counters themselves are
    recorded semantically by [trace_event]. *)
-let trace_cycles t group ~conn =
-  ignore conn;
+let trace_cycles t group =
   if Sim.Trace.enabled_count t.traces = 0 then 0
-  else begin
-    let pts = trace_group_points t group in
-    let n = ref 0 in
-    Array.iter (fun p -> if Sim.Trace.enabled p then incr n) pts;
-    !n * t.cfg.Config.costs.Config.tracepoint
-  end
+  else
+    Sim.Trace.group_enabled t.traces group
+    * t.cfg.Config.costs.Config.tracepoint
 
 (* Record a semantic event on one named tracepoint (counts only when
-   that point is enabled). *)
-let trace_event t group name ~conn =
-  (* Fast path: tracing disabled costs one branch, like the real
-     thing. *)
-  if Sim.Trace.enabled_count t.traces > 0 then begin
-    let full = group ^ ":" ^ name in
-    let pts = trace_group_points t group in
-    Array.iter
-      (fun p ->
-        if Sim.Trace.enabled p && Sim.Trace.point_name p = full then
-          Sim.Trace.hit t.traces p ~now:(Sim.Engine.now t.engine) ~conn
-            ~arg:0)
-      pts
-  end
+   that point is enabled). Tracing disabled costs one branch, like the
+   real thing. *)
+let trace_event t group name =
+  if Sim.Trace.enabled_count t.traces > 0 then
+    Sim.Trace.hit (Sim.Trace.find t.traces ~group name)
 
 (* Transport events worth counting, derived from an RX verdict: the
    bpftrace-style tracepoints of §5.1. *)
 let trace_rx_verdict t (v : Meta.rx_verdict) =
   if Sim.Trace.enabled_count t.traces = 0 then ()
-  else
-  let conn = v.Meta.v_conn in
-  trace_event t "protocol" "rx_seg" ~conn;
-  if v.Meta.v_fast_retx then trace_event t "protocol" "fast_retx" ~conn;
-  if v.Meta.v_fin_reached then trace_event t "protocol" "fin" ~conn;
+  else begin
+  trace_event t "protocol" "rx_seg";
+  if v.Meta.v_fast_retx then trace_event t "protocol" "fast_retx";
+  if v.Meta.v_fin_reached then trace_event t "protocol" "fin";
   (match v.Meta.v_place with
   | Some _ when v.Meta.v_rx_advance = 0 ->
-      trace_event t "protocol" "ooo_seg" ~conn
+      trace_event t "protocol" "ooo_seg"
   | _ -> ());
   if v.Meta.v_ack <> None && v.Meta.v_rx_advance = 0 && v.Meta.v_place = None
-  then trace_event t "protocol" "dup_ack" ~conn;
-  if v.Meta.v_wake_tx then trace_event t "protocol" "win_update" ~conn;
-  if v.Meta.v_ack <> None then trace_event t "postproc" "ack_gen" ~conn
+  then trace_event t "protocol" "dup_ack";
+  if v.Meta.v_wake_tx then trace_event t "protocol" "win_update";
+  if v.Meta.v_ack <> None then trace_event t "postproc" "ack_gen"
+  end
 
 let pipelined t = t.cfg.Config.parallelism.Config.pipelined
 
@@ -538,7 +519,7 @@ let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
   let cycles =
     c.Config.ctx_desc
     + ((List.length gseqs - 1) * c.Config.notify_coalesce)
-    + trace_cycles t "ctx" ~conn:conn_idx
+    + trace_cycles t "ctx"
   in
   let deliver ~join () =
     List.iter
@@ -868,7 +849,7 @@ type dma_work = {
 let dma_stage t (w : dma_work) =
   let c = t.cfg.Config.costs in
   let fpc = next_dma_fpc t in
-  let extra = trace_cycles t "dma" ~conn:w.dw_conn in
+  let extra = trace_cycles t "dma" in
   (* Doorbell amortization: in batched mode the MMIO ring costs
      [dma_doorbell] once per [b] descriptors instead of being
      folded into [dma_desc]. Unbatched mode leaves the counter (and
@@ -1042,7 +1023,7 @@ let postproc_stage t fg (w : post_work) =
     | Some _, Post_tx _ -> c.Config.pcap_capture
     | _ -> 0
   in
-  let extra = trace_cycles t "postproc" ~conn:conn_idx in
+  let extra = trace_cycles t "postproc" in
   let gseq = match w with Post_rx v -> v.Meta.v_gseq | _ -> -1 in
   Nfp.Fpc.submit fpc
     [ Nfp.Fpc.Mem Nfp.Memory.Cls; Compute (cost + extra + capture_extra) ]
@@ -1164,7 +1145,7 @@ let protocol_section t cs ~cost ~id ~reasm body k =
       let early = Defect.is t.defect Defect.Early_release in
       if early then release t idx;
       let phases = proto_state_phases t cs in
-      let extra = trace_cycles t "protocol" ~conn:idx in
+      let extra = trace_cycles t "protocol" in
       Nfp.Fpc.submit (proto_fpc_for t cs)
         (phases @ [ Compute (cost + extra) ])
         (sc_span t ~stage:"protocol" ~conn:idx ~id ~cycles:(cost + extra)
@@ -1206,7 +1187,7 @@ let protocol_tx t ~conn:conn_idx =
                 let f = cs.Conn_state.tx_fetch in
                 f.Conn_state.tf_out <- f.Conn_state.tf_out + 1
               end;
-              trace_event t "protocol" "tx_seg" ~conn:conn_idx;
+              trace_event t "protocol" "tx_seg";
               sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx ~id:d.Meta.t_gseq;
               postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
                 (Post_tx d)
@@ -1239,7 +1220,7 @@ let protocol_hc t (d : Meta.hc_desc) =
    paid once per descriptor, plus [gro_merge] per absorbed segment. *)
 let gro_submit t ~merged (s : Meta.rx_summary) =
   let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "gro" ~conn:s.Meta.conn in
+  let extra = trace_cycles t "gro" in
   let cycles =
     c.Config.sequencer + extra + ((merged - 1) * c.Config.gro_merge)
   in
@@ -1372,7 +1353,7 @@ let preproc_rx t gseq (frame : S.frame) =
   let capture_extra =
     match t.capture with Some _ -> c.Config.pcap_capture | None -> 0
   in
-  let extra = trace_cycles t "preproc" ~conn:(-1) in
+  let extra = trace_cycles t "preproc" in
   let span_cycles =
     c.Config.preproc_validate + csum_cycles t frame + capture_extra + extra
     + c.Config.preproc_lookup_hit + c.Config.preproc_summary
@@ -1395,7 +1376,7 @@ let preproc_rx t gseq (frame : S.frame) =
            retransmission (dup-ACK or RTO), exactly as for loss. *)
         t.st_drop_csum <- t.st_drop_csum + 1;
         sa t ~stage:"preproc" ~flow:(-1) Effects.Global_stats Effects.Write;
-        trace_event t "preproc" "seg_invalid" ~conn:(-1);
+        trace_event t "preproc" "seg_invalid";
         sc_count t "preproc/drop_csum";
         sc_seg_end t ~track:"seg_rx" ~id:gseq;
         Sequencer.skip t.rx_gro ~seq:gseq
@@ -1607,7 +1588,7 @@ let dispatch_tx t ~conn:conn_idx =
   if not (pipelined t) then rtc_tx t ~conn:conn_idx
   else begin
     let c = t.cfg.Config.costs in
-    let extra = trace_cycles t "sch" ~conn:conn_idx in
+    let extra = trace_cycles t "sch" in
     Nfp.Fpc.submit t.sch_fpc
       [ Compute (c.Config.scheduler_pick + extra) ]
       (sc_span t ~stage:"sched" ~conn:conn_idx ~id:(-1)
@@ -1616,7 +1597,7 @@ let dispatch_tx t ~conn:conn_idx =
              Effects.Write;
            (* Pre-processing: segment alloc + Ethernet/IP headers. *)
            let fpc = next_preproc t in
-           let pre_extra = trace_cycles t "preproc" ~conn:conn_idx in
+           let pre_extra = trace_cycles t "preproc" in
            Nfp.Fpc.submit fpc
              [ Compute (c.Config.preproc_summary + pre_extra) ]
              (fun () -> protocol_tx t ~conn:conn_idx)))
@@ -1655,7 +1636,7 @@ and atx_drain_body t ctx =
       | Some desc ->
           t.hc_descs_free <- t.hc_descs_free - 1;
           let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-          let extra = trace_cycles t "ctx" ~conn:desc.Meta.h_conn in
+          let extra = trace_cycles t "ctx" in
           Nfp.Fpc.submit fpc
             [ Compute (c.Config.ctx_desc + extra) ]
             (fun () ->
@@ -1964,13 +1945,9 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   in
   let flat arrays = Array.concat (Array.to_list arrays) in
   let traces = Sim.Trace.create () in
-  let trace_groups = Hashtbl.create 16 in
   List.iter
     (fun (group, names) ->
-      let pts =
-        List.map (fun n -> Sim.Trace.register traces ~group n) names
-      in
-      Hashtbl.replace trace_groups group (Array.of_list pts))
+      List.iter (fun n -> ignore (Sim.Trace.register traces ~group n)) names)
     trace_point_names;
   (* FlexScope (host-side observation, like FlexSan): constructed once
      here so every data-path hook is a single branch on an immutable
@@ -2089,7 +2066,6 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         control_rx = (fun _ -> ());
         xdp_ingress = None;
         traces;
-        trace_groups;
         capture = None;
         st_rx = 0;
         st_tx = 0;

@@ -122,7 +122,7 @@ let test_trace_reset () =
   let t = Sim.Trace.create () in
   let p = Sim.Trace.register t ~group:"g" "x" in
   ignore (Sim.Trace.enable t ());
-  Sim.Trace.hit t p ~now:0 ~conn:0 ~arg:0;
+  Sim.Trace.hit p;
   check_int "hit" 1 (Sim.Trace.hits p);
   Sim.Trace.reset_counts t;
   check_int "reset" 0 (Sim.Trace.hits p)

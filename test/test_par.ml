@@ -441,27 +441,6 @@ let test_scope_shard_merge_deterministic () =
   check_int "capacity respected" 2 (S.pending s);
   check_int "overflow counted" 1 (S.dropped s)
 
-let test_trace_shard_merge_deterministic () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"g" "p" in
-  ignore (Sim.Trace.enable t ());
-  let seen = ref [] in
-  ignore (Sim.Trace.subscribe t (fun ev -> seen := ev.Sim.Trace.arg :: !seen));
-  let s0 = Sim.Trace.shard t ~id:0 () in
-  let s1 = Sim.Trace.shard t ~id:1 () in
-  (* Arrival order adversarial to the merged order: the sync must
-     deliver by (time, then shard-local sequence, then shard id). *)
-  Sim.Trace.shard_hit s1 p ~now:(Sim.Time.ns 20) ~conn:1 ~arg:1;
-  Sim.Trace.shard_hit s0 p ~now:(Sim.Time.ns 10) ~conn:0 ~arg:2;
-  Sim.Trace.shard_hit s0 p ~now:(Sim.Time.ns 20) ~conn:0 ~arg:3;
-  check_int "buffered, not delivered" 0 (Sim.Trace.hits p);
-  Sim.Trace.sync t;
-  check_int "hit counters bumped at sync" 3 (Sim.Trace.hits p);
-  Alcotest.(check (list int))
-    "delivery order (time, gseq, shard)" [ 2; 1; 3 ] (List.rev !seen);
-  check_int "shards drained" 0
-    (Sim.Trace.shard_pending s0 + Sim.Trace.shard_pending s1)
-
 let suite =
   [
     Alcotest.test_case "golden worlds bit-identical at domains=1,2,4,8"
@@ -489,6 +468,4 @@ let suite =
       test_fabric_partition_freezes_ports;
     Alcotest.test_case "scope shard merge deterministic" `Quick
       test_scope_shard_merge_deterministic;
-    Alcotest.test_case "trace shard merge deterministic" `Quick
-      test_trace_shard_merge_deterministic;
   ]

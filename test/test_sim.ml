@@ -807,56 +807,16 @@ let test_trace_registry () =
   let _p2 = Sim.Trace.register t ~group:"proto" "tx" in
   let _p3 = Sim.Trace.register t ~group:"dma" "desc" in
   check_int "enable group" 2 (Sim.Trace.enable t ~group:"proto" ());
-  Sim.Trace.hit t p1 ~now:0 ~conn:1 ~arg:0;
-  Sim.Trace.hit t p1 ~now:1 ~conn:1 ~arg:0;
+  Sim.Trace.hit p1;
+  Sim.Trace.hit p1;
   check_int "hits recorded" 2 (Sim.Trace.hits p1);
   check_int "enable all" 3 (Sim.Trace.enable t ());
   check_int "disable one" 2 (Sim.Trace.disable t ~group:"dma" ~name:"desc" ());
-  let events = ref 0 in
-  let sub = Sim.Trace.subscribe t (fun _ -> incr events) in
-  Sim.Trace.hit t p1 ~now:2 ~conn:1 ~arg:7;
-  check_int "subscriber called" 1 !events;
-  Sim.Trace.unsubscribe t sub;
+  check_int "group count" 2 (Sim.Trace.group_enabled t "proto");
+  check_int "disabled group" 0 (Sim.Trace.group_enabled t "dma");
+  check_int "unknown group" 0 (Sim.Trace.group_enabled t "nbi");
+  check_bool "find by name" true (Sim.Trace.find t ~group:"proto" "rx" == p1);
   check_int "registered" 3 (List.length (Sim.Trace.points t))
-
-let test_trace_subscribe_ordering () =
-  let t = Sim.Trace.create () in
-  let p = Sim.Trace.register t ~group:"proto" "rx" in
-  ignore (Sim.Trace.enable t ());
-  let log = ref [] in
-  let s1 = Sim.Trace.subscribe t (fun _ -> log := 1 :: !log) in
-  let s2 = Sim.Trace.subscribe t (fun _ -> log := 2 :: !log) in
-  Sim.Trace.hit t p ~now:0 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "oldest first" [ 1; 2 ] (List.rev !log);
-  (* Unsubscribing the first leaves the second; double-unsubscribe is
-     a no-op. *)
-  Sim.Trace.unsubscribe t s1;
-  Sim.Trace.unsubscribe t s1;
-  check_int "one left" 1 (Sim.Trace.subscriber_count t);
-  log := [];
-  Sim.Trace.hit t p ~now:1 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "only s2" [ 2 ] !log;
-  (* Re-registration after unsubscribe appends at the tail. *)
-  let _s3 = Sim.Trace.subscribe t (fun _ -> log := 3 :: !log) in
-  log := [];
-  Sim.Trace.hit t p ~now:2 ~conn:1 ~arg:0;
-  Alcotest.(check (list int)) "s2 then s3" [ 2; 3 ] (List.rev !log);
-  Sim.Trace.unsubscribe t s2
-
-let test_trace_subscribe_group_filter () =
-  let t = Sim.Trace.create () in
-  let p_proto = Sim.Trace.register t ~group:"proto" "rx" in
-  let p_dma = Sim.Trace.register t ~group:"dma" "desc" in
-  ignore (Sim.Trace.enable t ());
-  let proto_events = ref 0 and all_events = ref 0 in
-  let _sp =
-    Sim.Trace.subscribe t ~group:"proto" (fun _ -> incr proto_events)
-  in
-  let _sa = Sim.Trace.subscribe t (fun _ -> incr all_events) in
-  Sim.Trace.hit t p_proto ~now:0 ~conn:1 ~arg:0;
-  Sim.Trace.hit t p_dma ~now:1 ~conn:1 ~arg:0;
-  check_int "group-filtered" 1 !proto_events;
-  check_int "unfiltered" 2 !all_events
 
 (* --- Histogram _opt / empty behaviour ----------------------------------- *)
 
@@ -958,8 +918,4 @@ let suite =
     Alcotest.test_case "jain fairness index" `Quick test_jain;
     Alcotest.test_case "throughput meter" `Quick test_meter;
     Alcotest.test_case "tracepoint registry" `Quick test_trace_registry;
-    Alcotest.test_case "trace subscribe ordering" `Quick
-      test_trace_subscribe_ordering;
-    Alcotest.test_case "trace subscription group filter" `Quick
-      test_trace_subscribe_group_filter;
   ]
