@@ -44,8 +44,6 @@ open Flextoe
 
 type severity = Sev_error | Sev_warning
 
-val severity_name : severity -> string
-
 type finding = {
   f_rule : string;
       (** [undeclared-write], [undeclared-read], [contract-drift],
@@ -170,6 +168,4 @@ val analyze_repo :
 
 (** {1 JSON} *)
 
-val finding_json : finding -> Sim.Json.t
-val footprint_json : footprint -> Sim.Json.t
 val report_json : report -> Sim.Json.t

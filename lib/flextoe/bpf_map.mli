@@ -35,7 +35,6 @@ val delete : t -> key:Bytes.t -> bool
 val lookup_slot : t -> key:Bytes.t -> int option
 (** Arena byte offset of the value (stable until delete). *)
 
-val slot_of_index : t -> int -> int option
 val arena : t -> Bytes.t
 (** The value arena; the VM reads and writes values through it. *)
 

@@ -24,13 +24,6 @@ type decision =
 
 val min_rate_bps : int
 
-val ai_increment : int -> int
-(** Per-decision rate increase for a paced flow:
-    [max 8 Mbps (rate/64)] — additive-dominated near fair shares (so
-    flows converge to equality, as DCTCP's +1 MSS/RTT does) with a
-    mild proportional term so fat flows recover in tens rather than
-    thousands of RTTs. *)
-
 val throughput_estimate : observation -> int
 (** Achieved bits per second over the interval (used to initialise
     the rate of a previously unpaced flow entering congestion). *)

@@ -139,15 +139,6 @@ let close_phase t =
   | false, true -> Close_wait
   | true, true -> if p.fin_acked then Closed else Closing
 
-let pp_close_phase ppf ph =
-  Format.pp_print_string ppf
-    (match ph with
-    | Established -> "ESTABLISHED"
-    | Fin_wait_1 -> "FIN_WAIT_1"
-    | Fin_wait_2 -> "FIN_WAIT_2"
-    | Close_wait -> "CLOSE_WAIT"
-    | Closing -> "CLOSING"
-    | Closed -> "CLOSED")
 
 (* --- Teardown lifecycle as a pure transition table ------------------- *)
 
@@ -195,7 +186,12 @@ let all_events =
   ]
 
 let lifecycle_name = function
-  | Phase ph -> Format.asprintf "%a" pp_close_phase ph
+  | Phase Established -> "ESTABLISHED"
+  | Phase Fin_wait_1 -> "FIN_WAIT_1"
+  | Phase Fin_wait_2 -> "FIN_WAIT_2"
+  | Phase Close_wait -> "CLOSE_WAIT"
+  | Phase Closing -> "CLOSING"
+  | Phase Closed -> "CLOSED"
   | Time_wait -> "TIME_WAIT"
   | Reclaimed -> "RECLAIMED"
 

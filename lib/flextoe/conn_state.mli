@@ -133,7 +133,6 @@ type close_phase =
   | Closed
 
 val close_phase : t -> close_phase
-val pp_close_phase : Format.formatter -> close_phase -> unit
 
 (** {1 Teardown lifecycle (shared transition table)}
 

@@ -336,46 +336,41 @@ let steer_check t ~idx ~fg ~fg_eff =
 
 let proto_state_phases t conn_state =
   let open Nfp.Fpc in
-  if not (pipelined t) then
-    (* Naive baseline: no multi-level caching, state lives in EMEM. *)
-    [ Mem Nfp.Memory.Emem; Mem Nfp.Memory.Emem ]
-  else begin
-    let idx = conn_state.Conn_state.idx in
-    let fg = conn_state.Conn_state.pre.Conn_state.flow_group in
-    let fg_eff = steer_fg t ~idx ~fg in
-    steer_check t ~idx ~fg ~fg_eff;
-    (* Hot-state pinning (scale mode): an Established flow's CAM/EMEM$
-       entries are sticky — eviction pressure from churn takes cold
-       (handshake / TIME_WAIT) entries first. *)
-    let pin =
-      t.cfg.Config.scale.Config.s_on
-      && Conn_state.close_phase conn_state = Conn_state.Established
-    in
-    let cam = t.proto_cam.(fg_eff) in
-    match Nfp.Cam.find cam idx with
-    | Some () -> [ Mem Nfp.Memory.Local ]
-    | None ->
-        ignore (Nfp.Cam.insert ~pin cam idx ());
-        if Nfp.Direct_cache.access t.fg_cls.(fg_eff) idx then
-          [ Mem Nfp.Memory.Cls ]
-        else begin
-          let lru = t.emem_lru.(fg_eff mod Array.length t.emem_lru) in
-          if Nfp.Lru.access ~pin lru idx then [ Mem Nfp.Memory.Emem_cached ]
-          else
-            (* Full miss: a DRAM walk, plus the overcommit penalty once
-               resident per-flow state exceeds the EMEM cache's working
-               set (zero at or below capacity). *)
-            match t.emem_pressure with
-            | None -> [ Mem Nfp.Memory.Emem ]
-            | Some pr ->
-                let extra =
-                  Nfp.Memory.Pressure.extra_miss_cycles pr
-                    t.cfg.Config.params
-                in
-                if extra = 0 then [ Mem Nfp.Memory.Emem ]
-                else [ Mem Nfp.Memory.Emem; Compute extra ]
-        end
-  end
+  let idx = conn_state.Conn_state.idx in
+  let fg = conn_state.Conn_state.pre.Conn_state.flow_group in
+  let fg_eff = steer_fg t ~idx ~fg in
+  steer_check t ~idx ~fg ~fg_eff;
+  (* Hot-state pinning (scale mode): an Established flow's CAM/EMEM$
+     entries are sticky — eviction pressure from churn takes cold
+     (handshake / TIME_WAIT) entries first. *)
+  let pin =
+    t.cfg.Config.scale.Config.s_on
+    && Conn_state.close_phase conn_state = Conn_state.Established
+  in
+  let cam = t.proto_cam.(fg_eff) in
+  match Nfp.Cam.find cam idx with
+  | Some () -> [ Mem Nfp.Memory.Local ]
+  | None ->
+      ignore (Nfp.Cam.insert ~pin cam idx ());
+      if Nfp.Direct_cache.access t.fg_cls.(fg_eff) idx then
+        [ Mem Nfp.Memory.Cls ]
+      else begin
+        let lru = t.emem_lru.(fg_eff mod Array.length t.emem_lru) in
+        if Nfp.Lru.access ~pin lru idx then [ Mem Nfp.Memory.Emem_cached ]
+        else
+          (* Full miss: a DRAM walk, plus the overcommit penalty once
+             resident per-flow state exceeds the EMEM cache's working
+             set (zero at or below capacity). *)
+          match t.emem_pressure with
+          | None -> [ Mem Nfp.Memory.Emem ]
+          | Some pr ->
+              let extra =
+                Nfp.Memory.Pressure.extra_miss_cycles pr
+                  t.cfg.Config.params
+              in
+              if extra = 0 then [ Mem Nfp.Memory.Emem ]
+              else [ Mem Nfp.Memory.Emem; Compute extra ]
+      end
 
 let preproc_lookup_phases t hash =
   let open Nfp.Fpc in

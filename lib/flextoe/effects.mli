@@ -78,8 +78,6 @@ type contract = {
 
 type kind = Read | Write
 
-val kind_name : kind -> string
-
 (** A static conflict: two (stage, region) accesses that may run
     concurrently for the same flow and overlap unsafely. *)
 type conflict = {

@@ -9,9 +9,6 @@
 
 type t
 
-val classes : int
-(** Number of traffic classes (8). *)
-
 val program : unit -> Bpf_insn.t array
 
 val maps : unit -> Bpf_map.t array

@@ -28,8 +28,6 @@ type rewrite = {
   ack_delta : int;
 }
 
-val encode_rewrite : rewrite -> Bytes.t
-
 val add :
   t ->
   src_ip:int ->

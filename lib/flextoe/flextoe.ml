@@ -41,7 +41,7 @@ type t = {
 
 (* Re-export the verifier's error surface so callers embedding the
    eBPF toolchain only need the umbrella module: a rejection is a
-   [verifier_violation] and renders with {!verifier_violation_to_string}. *)
+   [verifier_violation]. *)
 type verifier_reason = Verifier.reason
 
 type verifier_violation = Verifier.violation = {
@@ -49,8 +49,6 @@ type verifier_violation = Verifier.violation = {
   reason : verifier_reason;
   state : Verifier.state option;
 }
-
-let verifier_violation_to_string = Verifier.violation_to_string
 
 let mac_of_ip = Control_plane.mac_of_ip
 

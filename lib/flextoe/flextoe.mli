@@ -64,8 +64,6 @@ type verifier_violation = Verifier.violation = {
   state : Verifier.state option;
 }
 
-val verifier_violation_to_string : verifier_violation -> string
-
 (** {1 Assembled node} *)
 
 type t

@@ -121,7 +121,6 @@ val builtin :
     access, and [Bad_contract] takes its declared contract. *)
 
 val bound_to_string : bound -> string
-val capacity_to_string : capacity -> string
 
 val to_dot : t -> string
 (** Graphviz rendering: queues bold (capacity/batch), credits dashed,

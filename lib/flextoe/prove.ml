@@ -592,14 +592,11 @@ let sharding (g : G.t) : report =
 
 (* --- Graph driver ------------------------------------------------------ *)
 
-let graph_reports g =
-  [ interference g; deadlock g; bounds g; partition g; sharding g ]
-let reports_ok rs = List.for_all (fun r -> r.r_findings = []) rs
-let report_findings rs = List.concat_map (fun r -> r.r_findings) rs
-
 let check_graph g =
-  let rs = graph_reports g in
-  if reports_ok rs then Ok rs else Error (report_findings rs)
+  let rs = [ interference g; deadlock g; bounds g; partition g; sharding g ] in
+  match List.concat_map (fun r -> r.r_findings) rs with
+  | [] -> Ok rs
+  | fs -> Error fs
 
 (* --- Pass 4: teardown FSM model check ---------------------------------- *)
 

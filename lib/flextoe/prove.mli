@@ -48,8 +48,6 @@ val bounds : Graph_ir.t -> report
     bounded. Findings name the overflowing edge and the bound that
     exceeded it. *)
 
-val eval_bound : Graph_ir.t -> Graph_ir.bound -> (int, string) result
-
 val partition : Graph_ir.t -> report
 (** Soundness of the LP partition for the conservative parallel
     simulator ({!Sim.Engine.Cluster}): every cross-LP edge must carry
@@ -61,10 +59,6 @@ val partition : Graph_ir.t -> report
     realizes their shared per-conn domain member-locally, and
     {!sharding} discharges the obligations that make that sound. *)
 
-val family : string -> string
-(** Replica family of a node name: the part before the ["#k"] shard
-    suffix (["protocol#2"] → ["protocol"]; shard 0 is unsuffixed). *)
-
 val sharding : Graph_ir.t -> report
 (** Soundness of FlexScale replica families: members of each family
     with ≥ 2 members must be footprint-identical (same reads, writes
@@ -73,12 +67,6 @@ val sharding : Graph_ir.t -> report
     [Serial_flow_group] — the domains flow-group steering realizes
     member-locally, which is what makes members' conn-state
     footprints disjoint. Vacuously holds on unsharded graphs. *)
-
-val graph_reports : Graph_ir.t -> report list
-(** The five graph passes, in order. *)
-
-val reports_ok : report list -> bool
-val report_findings : report list -> finding list
 
 val check_graph : Graph_ir.t -> (report list, finding list) result
 (** All five passes; [Error] carries every finding. *)
@@ -98,11 +86,6 @@ type fsm_counterexample = {
   fc_state : Conn_state.lifecycle;  (** The state where the spec breaks. *)
   fc_msg : string;
 }
-
-val path_to_string :
-  (Conn_state.lifecycle * Conn_state.close_event) list ->
-  Conn_state.lifecycle ->
-  string
 
 val counterexample_to_string : fsm_counterexample -> string
 

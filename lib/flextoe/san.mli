@@ -47,7 +47,6 @@ type report =
     }
   | Contract_breach of access
 
-val access_to_string : access -> string
 val report_to_string : report -> string
 
 type t

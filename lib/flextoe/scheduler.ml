@@ -33,7 +33,6 @@ type t = {
          scheduler) when unsharded *)
   mutable pump_cursor : int;  (* next shard queue the pump offers to *)
   mutable in_wheel : int;
-  mutable dispatched_total : int;
   mutable peak_ready : int;  (* high-water mark of ready t *)
   mutable tracer : tracer option;
 }
@@ -54,7 +53,6 @@ let create ?(shards = 1) ?(shard_of = fun ~conn:_ -> 0) engine ~slot ~slots
     rr = Array.init shards (fun _ -> Sim.Fifo.create ());
     pump_cursor = 0;
     in_wheel = 0;
-    dispatched_total = 0;
     peak_ready = 0;
     tracer = None;
   }
@@ -106,7 +104,6 @@ let rec pump t =
         if f.status = Ready then begin
           f.status <- Dispatched;
           t.credits <- t.credits - 1;
-          t.dispatched_total <- t.dispatched_total + 1;
           (match t.tracer with
           | None -> t.dispatch ~conn:f.conn
           | Some tr ->
@@ -194,5 +191,4 @@ let ready t =
       Sim.Fifo.fold (fun n f -> if f.status = Ready then n + 1 else n) acc q)
     t.in_wheel t.rr
 
-let dispatched_total t = t.dispatched_total
 let peak_ready t = t.peak_ready

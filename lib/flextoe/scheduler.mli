@@ -72,8 +72,6 @@ val forget : t -> conn:int -> unit
 val ready : t -> int
 (** Flows currently queued (round-robin and wheel). *)
 
-val dispatched_total : t -> int
-
 val peak_ready : t -> int
 (** High-water mark of the queued-flow count (round-robin + wheel),
     for FlexGuard's bounded-queue-depth gate. Always tracked — a bare

@@ -103,10 +103,7 @@ type reason =
 
 type violation = { pc : int; reason : reason; state : state option }
 
-val pp_aval : Format.formatter -> aval -> unit
 val pp_state : Format.formatter -> state -> unit
-val pp_reason : Format.formatter -> reason -> unit
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 (** {1 Verification} *)

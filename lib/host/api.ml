@@ -23,8 +23,6 @@ type endpoint = {
   app_core : Host_cpu.core;
 }
 
-let null_handler () = ()
-
 let make_socket ~sock_id ~core ~send ~recv ~rx_available ~tx_space ~close =
   {
     send;
@@ -34,8 +32,8 @@ let make_socket ~sock_id ~core ~send ~recv ~rx_available ~tx_space ~close =
     close;
     sock_id;
     core;
-    on_readable = null_handler;
-    on_writable = null_handler;
-    on_peer_closed = null_handler;
-    on_error = null_handler;
+    on_readable = ignore;
+    on_writable = ignore;
+    on_peer_closed = ignore;
+    on_error = ignore;
   }

@@ -46,8 +46,6 @@ type endpoint = {
       (** The core application handlers should charge their work to. *)
 }
 
-val null_handler : unit -> unit
-
 val make_socket :
   sock_id:int ->
   core:Host_cpu.core ->

@@ -62,15 +62,10 @@ module Stats = struct
     if d <= 0 then 0.
     else float_of_int (8 * t.bytes) /. Sim.Time.to_sec d /. 1e9
 
-  let rtt_percentile_us_opt t p =
-    Option.map
-      (fun v -> float_of_int v /. 1e3)
-      (Sim.Stats.Histogram.percentile_opt t.rtt p)
-
   let rtt_percentile_us t p =
-    match rtt_percentile_us_opt t p with Some v -> v | None -> Float.nan
-
-  let rtt_mean_us t = Sim.Stats.Histogram.mean t.rtt /. 1e3
+    match Sim.Stats.Histogram.percentile_opt t.rtt p with
+    | Some v -> float_of_int v /. 1e3
+    | None -> Float.nan
 
   let conn_throughputs t =
     Hashtbl.fold (fun _ r acc -> float_of_int !r :: acc) t.per_conn []

@@ -22,20 +22,15 @@ module Stats : sig
       counter (for fairness metrics). *)
 
   val ops : t -> int
-  val measured_duration : t -> Sim.Time.t
   val mops : t -> float
   val gbps : t -> float
   (** Application-payload goodput. *)
 
-  val rtt_percentile_us_opt : t -> float -> float option
-  (** [None] when no RTT was recorded in the window — a run that
-      measured nothing reads as absent, not as a 0 us latency. *)
-
   val rtt_percentile_us : t -> float -> float
-  (** Like {!rtt_percentile_us_opt} but [Float.nan] on an empty
-      window (renders as [n/a] in the bench tables). *)
+  (** [Float.nan] when no RTT was recorded in the window (renders as
+      [n/a] in the bench tables): a run that measured nothing reads as
+      absent, not as a 0 us latency. *)
 
-  val rtt_mean_us : t -> float
   val conn_throughputs : t -> float array
   (** Per-connection ops counts over the window (only connections
       touched via {!record_conn_op}). *)

@@ -200,7 +200,6 @@ let attach_rx t port = Fabric.set_rx_fault port (Some (hook t))
 let seen t = t.c.seen
 let passed t = t.c.passed
 let dropped_loss t = t.c.dropped_loss
-let dropped_blackout t = t.c.dropped_blackout
 let duplicated t = t.c.duplicated
 let reordered t = t.c.reordered
 let corrupted t = t.c.corrupted

@@ -83,7 +83,6 @@ val passed : t -> int
     [seen - drops]). *)
 
 val dropped_loss : t -> int
-val dropped_blackout : t -> int
 val duplicated : t -> int
 val reordered : t -> int
 val corrupted : t -> int

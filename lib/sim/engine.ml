@@ -295,14 +295,7 @@ end
 module Local = struct
   let id t = t.lp_id
   let name t = t.lp_name
-  let now = now
   let rng t = t.lp_rng
-  let schedule_at = schedule_at
-  let schedule = schedule
-  let schedule_cancellable = schedule_cancellable
-  let cancel = cancel
-  let events_processed = events_processed
-  let pending = pending
 end
 
 module Cluster = struct

@@ -139,18 +139,15 @@ module Stream : sig
   (** [schedule s delay k] is [schedule_at s (now + max 0 delay) k]. *)
 end
 
-(** The per-LP scheduling surface — the only part of the engine stage
-    and actor code may touch. Everything here acts on the calling
-    LP's private state and is safe exactly because of that
-    confinement: an LP's wheel, clock and RNG are only ever accessed
-    by the domain currently running that LP. *)
+(** An LP's identity and private random stream. Stage and actor code
+    schedule on their own LP with the top-level functions above; like
+    those, everything here acts on the calling LP's private state,
+    which only the domain currently running that LP ever touches. *)
 module Local : sig
   val id : t -> int
   (** LP id: 0 for a solo engine, creation order within a cluster. *)
 
   val name : t -> string
-
-  val now : t -> Time.t
 
   val rng : t -> Rng.t
   (** This LP's deterministic stream. For a solo engine this is the
@@ -160,13 +157,6 @@ module Local : sig
       LP id), independent of domain interleaving. Actors needing
       their own streams should {!Rng.split} it at construction
       time. *)
-
-  val schedule_at : t -> Time.t -> (unit -> unit) -> unit
-  val schedule : t -> Time.t -> (unit -> unit) -> unit
-  val schedule_cancellable : t -> Time.t -> (unit -> unit) -> handle
-  val cancel : t -> handle -> unit
-  val events_processed : t -> int
-  val pending : t -> int
 end
 
 (** The coordinator surface: partition construction (LPs and the

@@ -16,7 +16,6 @@ type t =
   | Obj of (string * t) list  (** Key order is preserved. *)
 
 val to_string : t -> string
-val to_buffer : Buffer.t -> t -> unit
 
 val to_string_pretty : t -> string
 (** Indented, newline-terminated, for files people read and diff.

@@ -35,6 +35,4 @@ module Freq = struct
 
   let to_cycles f t =
     (t + f.ps_per_cycle - 1) / f.ps_per_cycle
-
-  let mhz f = 1e6 /. float_of_int f.ps_per_cycle
 end

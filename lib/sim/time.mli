@@ -61,6 +61,4 @@ module Freq : sig
   val to_cycles : t -> time -> int
   (** [to_cycles f t] is [t] expressed in whole cycles of [f],
       rounding up (a partial cycle still occupies the core). *)
-
-  val mhz : t -> float
 end

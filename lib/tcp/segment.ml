@@ -157,6 +157,6 @@ let pp fmt t =
     t.src_ip t.src_port pp_ip t.dst_ip t.dst_port Seq32.pp t.seq Seq32.pp
     t.ack_seq pp_flags t.flags t.window (payload_len t)
 
-let mtu = 1500
-let default_mss = mtu - 40
-let mss_with_timestamps = default_mss - 12
+(* 1500 B MTU minus IPv4 and TCP headers (40 B) and the timestamp
+   option (12 B). *)
+let mss_with_timestamps = 1448

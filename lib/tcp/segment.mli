@@ -18,7 +18,6 @@ type flags = {
 
 val no_flags : flags
 val flags_ack : flags
-val pp_flags : Format.formatter -> flags -> unit
 
 val data_path_flags : flags -> bool
 (** True iff a segment with these flags belongs on FlexTOE's
@@ -106,13 +105,5 @@ val csum_ok : frame -> bool
 val pp : Format.formatter -> t -> unit
 val pp_ip : Format.formatter -> int -> unit
 (** Dotted-quad rendering of a 32-bit IPv4 address. *)
-
-val mtu : int
-(** Ethernet payload MTU: 1500. *)
-
-val default_mss : int
-(** MTU minus IPv4 and plain TCP headers: 1460. FlexTOE uses
-    timestamps, so the effective data-path MSS is
-    {!default_mss} - 12 = 1448. *)
 
 val mss_with_timestamps : int

@@ -63,13 +63,8 @@ let flags_of_bits b =
   }
 
 (* Offsets for untagged frames. *)
-let off_eth_dst = 0
-let off_eth_src = 6
 let off_ethertype = 12
 let off_ip = 14
-let off_ip_ecn = off_ip + 1
-let off_ip_proto = off_ip + 9
-let off_ip_csum = off_ip + 10
 let off_ip_src = off_ip + 12
 let off_ip_dst = off_ip + 16
 let off_tcp = off_ip + 20
@@ -78,7 +73,6 @@ let off_tcp_dport = off_tcp + 2
 let off_tcp_seq = off_tcp + 4
 let off_tcp_ack = off_tcp + 8
 let off_tcp_flags = off_tcp + 13
-let off_tcp_csum = off_tcp + 16
 
 let write_tcp_checksum buf ~ip_off ~tcp_off ~tcp_len =
   let src_ip = get_u32 buf (ip_off + 12) in

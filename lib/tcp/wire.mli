@@ -27,13 +27,8 @@ val decode : ?verify_checksums:bool -> Bytes.t -> (Segment.frame, error) result
     programs and header-patching extensions. For VLAN-tagged frames
     add 4 to every offset at or beyond {!off_ethertype}. *)
 
-val off_eth_dst : int
-val off_eth_src : int
 val off_ethertype : int
 val off_ip : int
-val off_ip_ecn : int
-val off_ip_proto : int
-val off_ip_csum : int
 val off_ip_src : int
 val off_ip_dst : int
 val off_tcp : int
@@ -42,7 +37,6 @@ val off_tcp_dport : int
 val off_tcp_seq : int
 val off_tcp_ack : int
 val off_tcp_flags : int
-val off_tcp_csum : int
 
 val fixup_tcp_checksum : Bytes.t -> unit
 (** Recompute and rewrite the TCP and IPv4 checksums of an encoded,

@@ -226,12 +226,12 @@ let test_slack_property () =
       incr sent;
       let extra = Sim.Rng.int rng 500 in
       Cl.send ch
-        ~at:(Sim.Engine.Local.now a + la + extra)
-        (fun () -> arrivals := Sim.Engine.Local.now b :: !arrivals);
-      Sim.Engine.Local.schedule a (1 + Sim.Rng.int rng 300) sender
+        ~at:(Sim.Engine.now a + la + extra)
+        (fun () -> arrivals := Sim.Engine.now b :: !arrivals);
+      Sim.Engine.schedule a (1 + Sim.Rng.int rng 300) sender
     end
   in
-  Sim.Engine.Local.schedule a 0 sender;
+  Sim.Engine.schedule a 0 sender;
   Cl.run ~until:(Sim.Time.ms 1) cl;
   check_int "all messages delivered" n (List.length !arrivals);
   check_int "sent counter" n (Cl.channel_sent ch);
@@ -274,10 +274,10 @@ let pingpong ~domains =
   let rec tick lp buf () =
     Buffer.add_string buf (Printf.sprintf "tick@%d\n" (Sim.Engine.now lp));
     if Sim.Engine.now lp < Sim.Time.us 40 then
-      Sim.Engine.Local.schedule lp (Sim.Time.ns 125) (tick lp buf)
+      Sim.Engine.schedule lp (Sim.Time.ns 125) (tick lp buf)
   in
-  Sim.Engine.Local.schedule a 0 (tick a log_a);
-  Sim.Engine.Local.schedule b 0 (tick b log_b);
+  Sim.Engine.schedule a 0 (tick a log_a);
+  Sim.Engine.schedule b 0 (tick b log_b);
   Cl.run ~until:(Sim.Time.us 100) cl;
   ( md5 (Buffer.contents log_a ^ Buffer.contents log_b),
     Cl.events_processed cl,
