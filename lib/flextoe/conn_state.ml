@@ -52,6 +52,11 @@ type tx_fetches = {
   mutable tf_wait : int;
 }
 
+type rx_slot = {
+  rs_queue : rx_slot Sim.Fifo.t;
+  mutable rs_finish : (unit -> unit) option;
+}
+
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
@@ -59,6 +64,8 @@ type t = {
   proto : proto;
   post : post;
   tx_fetch : tx_fetches;
+  rx_slots : rx_slot Sim.Fifo.t;
+  mutable rx_notified : int;
   mutable active : bool;
 }
 
@@ -116,6 +123,8 @@ let create ~idx ~flow ~peer_mac ~flow_group ~tx_isn ~rx_isn
       };
     tx_fetch =
       { tf_out = 0; tf_acked = 0; tf_upto = -1; tf_before = 0; tf_wait = 0 };
+    rx_slots = Sim.Fifo.create ();
+    rx_notified = 0;
     active = true;
   }
 

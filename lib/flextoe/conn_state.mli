@@ -92,6 +92,20 @@ type tx_fetches = {
   mutable tf_wait : int;  (** How many of those are still out. *)
 }
 
+(** One RX verdict's place in its connection's protocol order
+    ([Datapath] keeps these; simulator bookkeeping like
+    {!tx_fetches}). Replicated post-processors and DMA FPCs can issue
+    one connection's payload DMAs out of protocol order, so a
+    verdict's notification and ACK wait until every verdict the
+    protocol stage produced before it has finished: the host never
+    learns of bytes whose payload DMA has not landed (§3.1.3). *)
+type rx_slot = {
+  rs_queue : rx_slot Sim.Fifo.t;
+      (** The connection's unfinished slots, oldest first. *)
+  mutable rs_finish : (unit -> unit) option;
+      (** Set once the slot's DMA-stage work is done. *)
+}
+
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
@@ -99,6 +113,10 @@ type t = {
   proto : proto;
   post : post;
   tx_fetch : tx_fetches;
+  rx_slots : rx_slot Sim.Fifo.t;
+  mutable rx_notified : int;
+      (** Stream bytes notified to the host so far: the next
+          notification makes the bytes from here on readable. *)
   mutable active : bool;
 }
 

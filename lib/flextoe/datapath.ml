@@ -45,7 +45,7 @@ type egress =
 
 (* Work arriving at a post-processor. *)
 type post_work =
-  | Post_rx of Meta.rx_verdict
+  | Post_rx of Meta.rx_verdict * Conn_state.rx_slot
   | Post_tx of Meta.tx_desc
   | Post_hc of int * Protocol.hc_result  (* conn *)
 
@@ -74,7 +74,6 @@ type arx_acc = {
   mutable aa_rx : int;
   mutable aa_txf : int;
   mutable aa_fin : bool;
-  mutable aa_ranges : (int * int) list;  (* newest first *)
   mutable aa_gseqs : int list;  (* newest first *)
   mutable aa_tokens : int list;  (* newest first *)
   mutable aa_flushed : bool;
@@ -499,15 +498,17 @@ let dma_engine t = t.dma
    into the host ring and libTOE sees it one polling period later.
    [gseqs] are the RX lifecycles the descriptor closes, one per
    notification it stands for: the fixed descriptor cost is paid once
-   plus [notify_coalesce] per absorbed notification. [ranges] are the
-   stretches of the RX payload buffer it makes readable — the bytes the
-   handler (and the application behind it) will touch, so the sanitizer
-   checks them against the payload DMA's writes. [tokens] are the
+   plus [notify_coalesce] per absorbed notification. The bytes it makes
+   readable follow the connection's notified stream position: they are
+   the bytes libTOE consumes next, so the sanitizer checks them against
+   the payload DMA's writes. [tokens] are the
    happens-before tokens of coalesced notifications, joined before the
    host reads; an unbatched notification has none, its edge being the
    descriptor DMA's own completion. *)
-let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
+let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
   let conn_idx = cs.Conn_state.idx in
+  let readable = (cs.Conn_state.rx_notified, desc.Meta.x_rx_bytes) in
+  cs.Conn_state.rx_notified <- cs.Conn_state.rx_notified + desc.Meta.x_rx_bytes;
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
   let c = t.cfg.Config.costs in
@@ -527,12 +528,9 @@ let arx_deliver t cs ~id ~gseqs ~ranges ~tokens (desc : Meta.arx_desc) =
     | Some s ->
         San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join (fun () ->
             List.iter (fun tok -> San.token_join s tok) tokens;
-            List.iter
-              (fun (off, len) ->
-                if len > 0 then
-                  San.access s ~stage:"ctx" ~flow:conn_idx
-                    ~obj:Effects.Rx_payload ~range:(off, len) Effects.Read)
-              ranges;
+            if desc.Meta.x_rx_bytes > 0 then
+              San.access s ~stage:"ctx" ~flow:conn_idx ~obj:Effects.Rx_payload
+                ~range:readable Effects.Read;
             t.arx_handlers.(ctx) desc;
             (* The app can only return RX-buffer credit for bytes it
                was notified of: publish the delivery so the Rx_credit
@@ -582,8 +580,7 @@ let arx_flush t acc =
           (fun g -> if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
           gseqs
     | Some cs ->
-        arx_deliver t cs ~id:(-1) ~gseqs ~ranges:(List.rev acc.aa_ranges)
-          ~tokens:(List.rev acc.aa_tokens)
+        arx_deliver t cs ~id:(-1) ~gseqs ~tokens:(List.rev acc.aa_tokens)
           {
             Meta.x_opaque = acc.aa_opaque;
             x_rx_bytes = acc.aa_rx;
@@ -597,7 +594,7 @@ let arx_flush t acc =
    notifications, which must not wait) this is exactly the unbatched
    delivery. Above 1, per-connection notifications accumulate and
    flush on FIN, a full window, or the batch-delay timer. *)
-let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
+let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
   let b = Config.batch_degree t.cfg in
   let conn_idx = cs.Conn_state.idx in
   if b <= 1 || desc.Meta.x_err then begin
@@ -607,8 +604,7 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
        match Hashtbl.find_opt t.arx_pending conn_idx with
        | Some acc -> arx_flush t acc
        | None -> ());
-    arx_deliver t cs ~id:gseq ~gseqs:[ gseq ] ~ranges:(Option.to_list range)
-      ~tokens:[] desc
+    arx_deliver t cs ~id:gseq ~gseqs:[ gseq ] ~tokens:[] desc
   end
   else begin
     (* Capture the happens-before token in the issuing context (the
@@ -623,9 +619,6 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
         acc.aa_rx <- acc.aa_rx + desc.Meta.x_rx_bytes;
         acc.aa_txf <- acc.aa_txf + desc.Meta.x_tx_freed;
         acc.aa_fin <- acc.aa_fin || desc.Meta.x_fin;
-        (match range with
-        | Some r -> acc.aa_ranges <- r :: acc.aa_ranges
-        | None -> ());
         acc.aa_gseqs <- gseq :: acc.aa_gseqs;
         (match tok with
         | Some tk -> acc.aa_tokens <- tk :: acc.aa_tokens
@@ -640,7 +633,6 @@ let notify_libtoe t ?range ?(gseq = -1) cs (desc : Meta.arx_desc) =
             aa_rx = desc.Meta.x_rx_bytes;
             aa_txf = desc.Meta.x_tx_freed;
             aa_fin = desc.Meta.x_fin;
-            aa_ranges = (match range with Some r -> [ r ] | None -> []);
             aa_gseqs = [ gseq ];
             aa_tokens = (match tok with Some tk -> [ tk ] | None -> []);
             aa_flushed = false;
@@ -824,18 +816,54 @@ let tx_fetch_read t cs (d : Meta.tx_desc) =
 
 (* --- DMA stage ------------------------------------------------------ *)
 
+(* RX work finishes in protocol order (see [Conn_state.rx_slot]): the
+   protocol stage takes a slot per verdict, and whatever finishes the
+   verdict downstream runs once every earlier slot has run its own. *)
+let rx_slot_take cs =
+  let q = cs.Conn_state.rx_slots in
+  let s = { Conn_state.rs_queue = q; rs_finish = None } in
+  Sim.Fifo.push s q;
+  s
+
+let rec rx_slot_drain q =
+  if not (Sim.Fifo.is_empty q) then
+    match (Sim.Fifo.peek q).Conn_state.rs_finish with
+    | Some k ->
+        ignore (Sim.Fifo.pop q);
+        k ();
+        rx_slot_drain q
+    | None -> ()
+
+let rx_slot_finish t (s : Conn_state.rx_slot) k =
+  let q = s.rs_queue in
+  if Sim.Fifo.peek q == s then begin
+    ignore (Sim.Fifo.pop q);
+    k ();
+    rx_slot_drain q
+  end
+  else
+    (* Held: it runs in the context of the completion that releases
+       it, so it carries the happens-before edge of its own completion
+       (its payload write) along, as the sanitizer's token. *)
+    s.rs_finish <-
+      Some
+        (match t.san with
+        | None -> k
+        | Some san ->
+            let tok = San.token_send san in
+            fun () ->
+              San.token_join san tok;
+              k ())
+
 type dma_work = {
   dw_conn : int;
   dw_gseq : int;
       (* RX sequencer slot of the segment this work answers (-1 for
          TX/HC-originated work): FlexScope lifecycle attribution. *)
   dw_payload : (int * Bytes.t) option;  (* RX placement *)
-  dw_readable : (int * int) option;
-      (* In-order bytes the notification makes host-visible: (pos,
-         len) from the pre-advance stream position. Distinct from
-         [dw_payload]: an out-of-order placement writes bytes the
-         host cannot read yet, and a hole-filling segment delivers
-         more than it places (the previously-placed OOO tail). *)
+  dw_slot : Conn_state.rx_slot option;
+      (* The RX verdict's place in protocol order: its notification
+         and ACK run only after those of every earlier verdict. *)
   dw_fetch : (Meta.tx_desc * int * int) option;  (* TX fetch (desc,pos,len) *)
   dw_ack : Meta.ack_info option;
   dw_notify : Meta.arx_desc option;
@@ -868,12 +896,13 @@ let dma_stage t (w : dma_work) =
            egress are downstream of this point): the open-loop scale
            sweep polls this counter for completion. *)
         if w.dw_gseq >= 0 then t.st_rx_done <- t.st_rx_done + 1;
-        (* Notification and ACK leave only after payload DMA (§3.1.3:
-           neither host nor peer may learn of data that has not landed
-           in the receive buffer). *)
+        (* Notification and ACK leave only after payload DMA, and
+           after those of every earlier segment of the connection
+           (§3.1.3: neither host nor peer may learn of data that has
+           not landed in the receive buffer). *)
         (match (w.dw_notify, cs) with
         | Some d, Some cs ->
-            notify_libtoe t ?range:w.dw_readable ~gseq:w.dw_gseq cs d
+            notify_libtoe t ~gseq:w.dw_gseq cs d
         | _ ->
             (* No notification will fire: the RX lifecycle ends here,
                with the segment fully processed by the data path. *)
@@ -882,6 +911,11 @@ let dma_stage t (w : dma_work) =
         | Some a ->
             Sequencer.submit t.tx_gro ~seq:a.Meta.a_gseq (Eg_ack a)
         | None -> ()
+      in
+      let finish () =
+        match w.dw_slot with
+        | Some s -> rx_slot_finish t s finish
+        | None -> finish ()
       in
       match (w.dw_payload, w.dw_fetch, cs) with
       | Some (pos, bytes), _, Some cs ->
@@ -951,7 +985,7 @@ let rtt_ewma old sample = if old = 0 then sample else ((7 * old) + sample) / 8
    congestion-control counters the control plane reads, wake the flow's
    TX side if the verdict asks, and describe the payload placement,
    host notification and ACK it calls for as DMA-stage work. *)
-let rx_post_work t cs (v : Meta.rx_verdict) =
+let rx_post_work t cs ~slot (v : Meta.rx_verdict) =
   let post = cs.Conn_state.post in
   post.Conn_state.cnt_ackb <- post.Conn_state.cnt_ackb + v.Meta.v_ack_bytes;
   post.Conn_state.cnt_ecnb <- post.Conn_state.cnt_ecnb + v.Meta.v_ecn_bytes;
@@ -968,11 +1002,7 @@ let rx_post_work t cs (v : Meta.rx_verdict) =
     dw_conn = cs.Conn_state.idx;
     dw_gseq = v.Meta.v_gseq;
     dw_payload = v.Meta.v_place;
-    dw_readable =
-      (match v.Meta.v_place with
-      | Some (pos, _) when v.Meta.v_rx_advance > 0 ->
-          Some (pos, v.Meta.v_rx_advance)
-      | _ -> None);
+    dw_slot = slot;
     dw_fetch = None;
     dw_ack = v.Meta.v_ack;
     dw_notify =
@@ -996,7 +1026,7 @@ let postproc_stage t fg (w : post_work) =
   let fpc = next_postproc t fg in
   let conn_idx =
     match w with
-    | Post_rx v -> v.Meta.v_conn
+    | Post_rx (v, _) -> v.Meta.v_conn
     | Post_tx d -> d.Meta.t_conn
     | Post_hc (i, _) -> i
   in
@@ -1019,7 +1049,7 @@ let postproc_stage t fg (w : post_work) =
     | _ -> 0
   in
   let extra = trace_cycles t "postproc" in
-  let gseq = match w with Post_rx v -> v.Meta.v_gseq | _ -> -1 in
+  let gseq = match w with Post_rx (v, _) -> v.Meta.v_gseq | _ -> -1 in
   Nfp.Fpc.submit fpc
     [ Nfp.Fpc.Mem Nfp.Memory.Cls; Compute (cost + extra + capture_extra) ]
     (sc_span t ~stage:"postproc" ~conn:conn_idx ~id:gseq
@@ -1048,12 +1078,12 @@ let postproc_stage t fg (w : post_work) =
               Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
               sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
               tx_nothing_sent t ~conn:conn_idx
-          | Post_rx v -> begin
-              sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
-              match v.Meta.v_ack with
-              | Some a -> Sequencer.skip t.tx_gro ~seq:a.Meta.a_gseq
-              | None -> ()
-            end
+          | Post_rx (v, slot) ->
+              rx_slot_finish t slot (fun () ->
+                  sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
+                  match v.Meta.v_ack with
+                  | Some a -> Sequencer.skip t.tx_gro ~seq:a.Meta.a_gseq
+                  | None -> ())
           | Post_hc (_, r) ->
               (* Release the window-update's egress slot and the HC
                  descriptor, or both leak on teardown races. *)
@@ -1062,7 +1092,8 @@ let postproc_stage t fg (w : post_work) =
               | None -> ());
               t.hc_descs_free <- t.hc_descs_free + 1
         end
-      | Post_rx v, Some cs -> dma_stage t (rx_post_work t cs v)
+      | Post_rx (v, slot), Some cs ->
+          dma_stage t (rx_post_work t cs ~slot:(Some slot) v)
       | Post_tx d, Some _ ->
           (* FS step: tell the scheduler what happened. *)
           Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:d.Meta.t_len
@@ -1072,7 +1103,7 @@ let postproc_stage t fg (w : post_work) =
               dw_conn = conn_idx;
               dw_gseq = -1;
               dw_payload = None;
-              dw_readable = None;
+              dw_slot = None;
               dw_fetch = Some (d, d.Meta.t_pos, d.Meta.t_len);
               dw_ack = None;
               dw_notify = None;
@@ -1086,7 +1117,7 @@ let postproc_stage t fg (w : post_work) =
                   dw_conn = conn_idx;
                   dw_gseq = -1;
                   dw_payload = None;
-                  dw_readable = None;
+                  dw_slot = None;
                   dw_fetch = None;
                   dw_ack = Some a;
                   dw_notify = None;
@@ -1167,7 +1198,8 @@ let protocol_rx t (s : Meta.rx_summary) =
         (fun v ->
           if v.Meta.v_tx_freed > 0 then tx_acked t cs;
           trace_rx_verdict t v;
-          postproc_stage t cs.Conn_state.pre.Conn_state.flow_group (Post_rx v))
+          postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
+            (Post_rx (v, rx_slot_take cs)))
 
 let protocol_tx t ~conn:conn_idx =
   match conn t conn_idx with
@@ -1443,14 +1475,14 @@ let rtc_rx t (frame : S.frame) =
               in
               if v.Meta.v_tx_freed > 0 then tx_acked t cs;
               (* The post-processing and DMA work, done in place. *)
-              let w = rx_post_work t cs v in
+              let w = rx_post_work t cs ~slot:None v in
               (match w.dw_payload with
               | Some (pos, bytes) ->
                   Host.Payload_buf.write cs.Conn_state.post.Conn_state.rx_buf
                     ~off:pos ~src:bytes ~src_off:0 ~len:(Bytes.length bytes)
               | None -> ());
               (match w.dw_notify with
-              | Some d -> notify_libtoe t ?range:w.dw_readable cs d
+              | Some d -> notify_libtoe t cs d
               | None -> ());
               match w.dw_ack with
               | Some a ->

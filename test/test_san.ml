@@ -257,6 +257,37 @@ let test_conformance_breach () =
         San.Write);
   check_bool "undeclared access flagged" true (has_breach s)
 
+(* A delivery that overtakes an earlier, still-pending payload write,
+   as the data path's accesses record it: segment B's payload lands
+   and its notification reaches the host while segment A's DMA, for
+   the bytes just before B's, is still in flight. The host reads from
+   the connection's notified stream position, which is A's range, so
+   A's late write races that read. Checking the notifying segment's
+   own placement (B's range) instead would stay silent. *)
+let test_overtaking_delivery () =
+  let contracts =
+    [
+      mk_contract "dma" ~writes:[ E.Rx_payload ] E.Serial_none;
+      mk_contract "ctx" ~reads:[ E.Rx_payload ] E.Serial_none;
+    ]
+  in
+  let s = mk_san ~contracts () in
+  let landed = ref 0 in
+  San.run_as s ~thread:"dmaq0" (fun () ->
+      San.access s ~stage:"dma" ~flow:0 ~obj:E.Rx_payload ~range:(64, 64)
+        San.Write;
+      landed := San.token_send s);
+  San.run_as s ~thread:"hostctx0" ~join:!landed (fun () ->
+      San.access s ~stage:"ctx" ~flow:0 ~obj:E.Rx_payload ~range:(0, 64)
+        San.Read);
+  check_int "the read itself conflicts with nothing yet" 0
+    (San.report_count s);
+  San.run_as s ~thread:"dmaq0" (fun () ->
+      San.access s ~stage:"dma" ~flow:0 ~obj:E.Rx_payload ~range:(0, 64)
+        San.Write);
+  check_bool "the late payload write races the host's read" true
+    (has_race s)
+
 (* --- Healthy pipeline: zero reports --------------------------------- *)
 
 let echo_pair ?(config = san_config) ?defect ~conns ~pipeline ~ms () =
@@ -304,6 +335,42 @@ let test_healthy_pipeline_clean () =
         (San.report_to_string r));
   check_int "no reports on either node" 0
     (San.report_count sa + San.report_count sb)
+
+(* Table 2's tcpdump load (as in test_datapath), sanitized on the
+   server: the replicated post-processors and DMA FPCs issue some of a
+   connection's payload DMAs out of protocol order, yet every delivery
+   is of bytes that have landed, so the run is clean. *)
+let test_capture_load_clean () =
+  let engine = Sim.Engine.create ~seed:42L () in
+  let fabric = Netsim.Fabric.create engine () in
+  let server =
+    Flextoe.create_node engine ~fabric ~config:san_config ~app_cores:12
+      ~ip:ip_a ()
+  in
+  let pcap =
+    Flextoe.Ext_pcap.create engine ~snaplen:96 ~limit:4096
+      ~filter:Flextoe.Ext_pcap.All ()
+  in
+  Flextoe.Ext_pcap.attach pcap (Flextoe.datapath server);
+  let stats = Host.Rpc.Stats.create engine in
+  Host.Rpc.server ~endpoint:(Flextoe.endpoint server) ~port:7 ~app_cycles:100
+    ~handler:Host.Rpc.echo_handler ();
+  Host.Rpc.Stats.start_measuring stats;
+  for i = 0 to 3 do
+    let client =
+      Flextoe.create_node engine ~fabric ~app_cores:8 ~ip:(0x0A000010 + i) ()
+    in
+    ignore
+      (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint client) ~engine
+         ~server_ip:ip_a ~server_port:7 ~conns:32 ~pipeline:8 ~req_bytes:64
+         ~stats ~req_cycles:150 ())
+  done;
+  Sim.Engine.run ~until:(Sim.Time.ms 1) engine;
+  check_bool "workload ran" true (Host.Rpc.Stats.ops stats > 1000);
+  match all_reports [ server ] with
+  | [] -> ()
+  | r :: _ ->
+      Alcotest.failf "capture load reported: %s" (San.report_to_string r)
 
 let test_rtc_mode_no_san () =
   let config =
@@ -411,6 +478,10 @@ let suite =
       test_conformance_breach;
     Alcotest.test_case "pipeline: healthy run is clean" `Quick
       test_healthy_pipeline_clean;
+    Alcotest.test_case "dynamic: overtaking delivery" `Quick
+      test_overtaking_delivery;
+    Alcotest.test_case "pipeline: capture load is clean" `Quick
+      test_capture_load_clean;
     Alcotest.test_case "pipeline: rtc mode exempt" `Quick test_rtc_mode_no_san;
     Alcotest.test_case "pipeline: off by default" `Quick
       test_san_off_by_default;
