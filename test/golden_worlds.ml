@@ -208,10 +208,12 @@ let run_kv ?batch ?scope ?san ?scale () =
 
 (* --- Seed digests ------------------------------------------------------ *)
 
-(* Captured from the unmodified tree (before any batching code), via
-   GOLDEN_PRINT=1 on the sequential harness. *)
-let seed_echo_strict = "bd511369406deaef96f92a8d118748ad"
-let seed_echo_payload = "2a277c4b87cde33bb32368982d98f12c"
-let seed_echo_metrics = "c85f2da43844762cefa887de087bd145"
-let seed_kv_strict = "21e9156d5e55d06f16eaaa64ec86fd4e"
-let seed_kv_payload = "b2fbd14d1ebc42d27ccebe4524469f24"
+(* Captured via GOLDEN_PRINT=1 on the sequential harness. Last
+   re-pinned when a connection's RX work began finishing in protocol
+   order: both worlds hold some notifications behind an earlier
+   segment's payload DMA, which shifts their timing. *)
+let seed_echo_strict = "2d31885966565dc6b24ea5b209ab6a0e"
+let seed_echo_payload = "0ad208ea78dc8286e1d8a5cf9df1059a"
+let seed_echo_metrics = "2b4fae03e324478bacd464e690b3fc7d"
+let seed_kv_strict = "515d9140a8e5b1df9fa32749704d94f9"
+let seed_kv_payload = "d186c0a25ec2b44cf75240b02fed6d6e"
