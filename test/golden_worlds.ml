@@ -134,6 +134,35 @@ let run_echo ?batch ?scope ?san ?scale () =
   Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
   fin ()
 
+(* --- Table 2's tcpdump load ------------------------------------------ *)
+
+(* Table 2's tcpdump row at its load: a capture-enabled 64 B echo from
+   four clients of 32 connections (pipeline 8) against a 12-core
+   server [config]. The replicated post-processors and DMA FPCs issue
+   some of a connection's payload DMAs out of protocol order here,
+   hundreds of times per simulated millisecond. Returns the server and
+   the echo stats. *)
+let setup_capture_load ?config ~engine () =
+  let fabric = Netsim.Fabric.create engine () in
+  let server =
+    Flextoe.create_node engine ~fabric ?config ~app_cores:12 ~ip:ip_a ()
+  in
+  Flextoe.Ext_pcap.attach
+    (Flextoe.Ext_pcap.create engine ~snaplen:96 ~limit:4096
+       ~filter:Flextoe.Ext_pcap.All ())
+    (Flextoe.datapath server);
+  let client_eps =
+    List.init 4 (fun i ->
+        Flextoe.endpoint
+          (Flextoe.create_node engine ~fabric ~app_cores:8
+             ~ip:(0x0A000010 + i) ()))
+  in
+  let stats = Host.Rpc.Stats.create engine in
+  echo_workload ~conns:128 ~pipeline:8 ~req_bytes:64 ~req_cycles:150 ~engine
+    ~server_ip:ip_a ~server_ep:(Flextoe.endpoint server) ~client_eps ~stats
+    ();
+  (server, stats)
+
 (* --- KV workload ------------------------------------------------------ *)
 
 let kv_seed = 43L

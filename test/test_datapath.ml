@@ -245,36 +245,14 @@ let test_rtc_vlan_to_control () =
   check_bool "tagged frames detour in run-to-completion" true
     (vlan_frames_to_control ~config:rtc_config ~with_strip:false () >= 10)
 
-(* Table 2's tcpdump row at its load, in a short window: a
-   capture-enabled 64 B echo from four clients of 32 connections
-   (pipeline 8) against a 12-core server. Here the replicated
-   post-processors and DMA FPCs issue some of a connection's payload
-   DMAs out of protocol order. The host must still be told only of
-   bytes that have landed: a notification that overtook an earlier
-   segment's payload DMA let libTOE read and release that segment's
-   range, and the late DMA then wrote into released buffer memory. *)
+(* Table 2's tcpdump load, in a short window. The host must be told
+   only of bytes that have landed: a notification that overtook an
+   earlier segment's payload DMA let libTOE read and release that
+   segment's range, and the late DMA then wrote into released buffer
+   memory. *)
 let test_rx_order_under_capture () =
   let engine = Sim.Engine.create ~seed:42L () in
-  let fabric = Netsim.Fabric.create engine () in
-  let server = Flextoe.create_node engine ~fabric ~app_cores:12 ~ip:ip_a () in
-  let pcap =
-    Flextoe.Ext_pcap.create engine ~snaplen:96 ~limit:4096
-      ~filter:Flextoe.Ext_pcap.All ()
-  in
-  Flextoe.Ext_pcap.attach pcap (Flextoe.datapath server);
-  let stats = Host.Rpc.Stats.create engine in
-  Host.Rpc.server ~endpoint:(Flextoe.endpoint server) ~port:7 ~app_cycles:100
-    ~handler:Host.Rpc.echo_handler ();
-  Host.Rpc.Stats.start_measuring stats;
-  for i = 0 to 3 do
-    let client =
-      Flextoe.create_node engine ~fabric ~app_cores:8 ~ip:(0x0A000010 + i) ()
-    in
-    ignore
-      (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint client) ~engine
-         ~server_ip:ip_a ~server_port:7 ~conns:32 ~pipeline:8 ~req_bytes:64
-         ~stats ~req_cycles:150 ())
-  done;
+  let _, stats = Golden_worlds.setup_capture_load ~engine () in
   Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
   check_bool "echo load ran" true (Host.Rpc.Stats.ops stats > 10_000)
 

@@ -336,35 +336,14 @@ let test_healthy_pipeline_clean () =
   check_int "no reports on either node" 0
     (San.report_count sa + San.report_count sb)
 
-(* Table 2's tcpdump load (as in test_datapath), sanitized on the
-   server: the replicated post-processors and DMA FPCs issue some of a
-   connection's payload DMAs out of protocol order, yet every delivery
-   is of bytes that have landed, so the run is clean. *)
+(* Table 2's tcpdump load, sanitized on the server: some of a
+   connection's payload DMAs complete out of protocol order, yet every
+   delivery is of bytes that have landed, so the run is clean. *)
 let test_capture_load_clean () =
   let engine = Sim.Engine.create ~seed:42L () in
-  let fabric = Netsim.Fabric.create engine () in
-  let server =
-    Flextoe.create_node engine ~fabric ~config:san_config ~app_cores:12
-      ~ip:ip_a ()
+  let server, stats =
+    Golden_worlds.setup_capture_load ~config:san_config ~engine ()
   in
-  let pcap =
-    Flextoe.Ext_pcap.create engine ~snaplen:96 ~limit:4096
-      ~filter:Flextoe.Ext_pcap.All ()
-  in
-  Flextoe.Ext_pcap.attach pcap (Flextoe.datapath server);
-  let stats = Host.Rpc.Stats.create engine in
-  Host.Rpc.server ~endpoint:(Flextoe.endpoint server) ~port:7 ~app_cycles:100
-    ~handler:Host.Rpc.echo_handler ();
-  Host.Rpc.Stats.start_measuring stats;
-  for i = 0 to 3 do
-    let client =
-      Flextoe.create_node engine ~fabric ~app_cores:8 ~ip:(0x0A000010 + i) ()
-    in
-    ignore
-      (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint client) ~engine
-         ~server_ip:ip_a ~server_port:7 ~conns:32 ~pipeline:8 ~req_bytes:64
-         ~stats ~req_cycles:150 ())
-  done;
   Sim.Engine.run ~until:(Sim.Time.ms 1) engine;
   check_bool "workload ran" true (Host.Rpc.Stats.ops stats > 1000);
   match all_reports [ server ] with
