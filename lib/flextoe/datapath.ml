@@ -499,16 +499,16 @@ let dma_engine t = t.dma
    [gseqs] are the RX lifecycles the descriptor closes, one per
    notification it stands for: the fixed descriptor cost is paid once
    plus [notify_coalesce] per absorbed notification. The bytes it makes
-   readable follow the connection's notified stream position: they are
-   the bytes libTOE consumes next, so the sanitizer checks them against
-   the payload DMA's writes. [tokens] are the
-   happens-before tokens of coalesced notifications, joined before the
-   host reads; an unbatched notification has none, its edge being the
-   descriptor DMA's own completion. *)
+   readable start at the connection's notified stream position: they
+   are the bytes libTOE consumes next, so the sanitizer checks them
+   against the payload DMA's writes. [tokens] are the happens-before
+   tokens of coalesced notifications, joined before the host reads; an
+   unbatched notification has none, its edge being the descriptor
+   DMA's own completion. *)
 let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
   let conn_idx = cs.Conn_state.idx in
-  let readable = (cs.Conn_state.rx_notified, desc.Meta.x_rx_bytes) in
-  cs.Conn_state.rx_notified <- cs.Conn_state.rx_notified + desc.Meta.x_rx_bytes;
+  let off = cs.Conn_state.rx_notified and len = desc.Meta.x_rx_bytes in
+  cs.Conn_state.rx_notified <- off + len;
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
   let c = t.cfg.Config.costs in
@@ -528,9 +528,9 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
     | Some s ->
         San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join (fun () ->
             List.iter (fun tok -> San.token_join s tok) tokens;
-            if desc.Meta.x_rx_bytes > 0 then
+            if len > 0 then
               San.access s ~stage:"ctx" ~flow:conn_idx ~obj:Effects.Rx_payload
-                ~range:readable Effects.Read;
+                ~range:(off, len) Effects.Read;
             t.arx_handlers.(ctx) desc;
             (* The app can only return RX-buffer credit for bytes it
                was notified of: publish the delivery so the Rx_credit

@@ -54,7 +54,6 @@ let enabled_count t = t.n_enabled
 let group_enabled t group =
   match Hashtbl.find_opt t.groups group with Some n -> !n | None -> 0
 
-let enabled p = p.on
 let hit p = if p.on then p.count <- p.count + 1
 let hits p = p.count
 let points t = List.rev t.order

@@ -38,8 +38,6 @@ val enabled_count : t -> int
 val group_enabled : t -> string -> int
 (** Enabled points in one group (0 for an unknown group). *)
 
-val enabled : point -> bool
-
 val hit : point -> unit
 (** Count a hit if the point is enabled. *)
 
