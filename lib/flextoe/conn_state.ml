@@ -148,7 +148,6 @@ let close_phase t =
   | false, true -> Close_wait
   | true, true -> if p.fin_acked then Closed else Closing
 
-
 (* --- Teardown lifecycle as a pure transition table ------------------- *)
 
 (* The control plane's teardown decisions (CP teardown poll, FlexGuard
