@@ -4,7 +4,9 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig9 table3 ...   # a subset
-   Experiment ids: table1..table4, fig9..fig16, micro. *)
+   Experiment ids: table1..table4, fig9..fig16, micro and the others
+   listed below. An unknown id exits with status 2 before anything
+   runs. *)
 
 let experiments =
   [
@@ -36,21 +38,27 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in
+  (* Every name is checked before any experiment runs: a misspelled
+     one fails the whole command instead of being skipped. *)
+  let unknown =
+    List.filter (fun n -> not (List.mem_assoc n experiments)) requested
+  in
+  if unknown <> [] then begin
+    List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+    Printf.eprintf "known: %s\n"
+      (String.concat " " (List.map fst experiments));
+    exit 2
+  end;
   print_endline "FlexTOE reproduction: experiment harness";
   print_endline
     "(shape reproduction on a simulated NFP-4000; see EXPERIMENTS.md)";
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some run ->
-          let t = Unix.gettimeofday () in
-          run ();
-          Printf.printf "  [%s done in %.1fs]\n%!" name
-            (Unix.gettimeofday () -. t)
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" name
-            (String.concat " " (List.map fst experiments)))
+      let t = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      Printf.printf "  [%s done in %.1fs]\n%!" name
+        (Unix.gettimeofday () -. t))
     requested;
   Printf.printf "\nTotal: %.1fs\n" (Unix.gettimeofday () -. t0);
   if !Common.result_log <> [] then begin

@@ -50,6 +50,7 @@ type tx_fetches = {
   mutable tf_upto : int;
   mutable tf_before : int;
   mutable tf_wait : int;
+  mutable tf_high : int;
 }
 
 type rx_slot = {
@@ -122,7 +123,14 @@ let create ~idx ~flow ~peer_mac ~flow_group ~tx_isn ~rx_isn
         rate_bps = 0;
       };
     tx_fetch =
-      { tf_out = 0; tf_acked = 0; tf_upto = -1; tf_before = 0; tf_wait = 0 };
+      {
+        tf_out = 0;
+        tf_acked = 0;
+        tf_upto = -1;
+        tf_before = 0;
+        tf_wait = 0;
+        tf_high = 0;
+      };
     rx_slots = Sim.Fifo.create ();
     rx_notified = 0;
     active = true;

@@ -90,6 +90,10 @@ type tx_fetches = {
       (** The TX gseq allocated next when [tf_upto] was set: the
           fetches it waits for are those with a smaller gseq. *)
   mutable tf_wait : int;  (** How many of those are still out. *)
+  mutable tf_high : int;
+      (** The end of the furthest fetch issued so far: a fetch that
+          starts at or above it is the first transmission of its
+          bytes, which the data path may send by reference. *)
 }
 
 (** One RX verdict's place in its connection's protocol order

@@ -35,18 +35,31 @@ type stats = {
   rx_completed : int;
   tx_fetch_acked : int;
   tx_fetch_part_acked : int;
+  tx_deferred : int;
+  tx_copied : int;
 }
 
-(* What leaves through the NBI, in egress-sequencer order. *)
+(* What leaves through the NBI, in egress-sequencer order. A data
+   segment carries its payload copied out of the host TX buffer, or
+   (the first transmission of its bytes) a reader of that buffer that
+   the fabric calls when it builds the frame (see [dma_stage]). *)
 type egress =
   | Eg_data of Meta.tx_desc * Bytes.t
+  | Eg_data_ref of Meta.tx_desc * (unit -> Bytes.t)
   | Eg_ack of Meta.ack_info
   | Eg_ctl of S.frame
+
+(* The one place a by-reference payload is read before the fabric has
+   the frame: a retransmission, a captured frame, a TSO descriptor. *)
+let materialize eg =
+  match eg with
+  | Eg_data_ref (d, read) -> Eg_data (d, read ())
+  | Eg_data _ | Eg_ack _ | Eg_ctl _ -> eg
 
 (* Work arriving at a post-processor. *)
 type post_work =
   | Post_rx of Meta.rx_verdict * Conn_state.rx_slot
-  | Post_tx of Meta.tx_desc
+  | Post_tx of Meta.tx_desc * bool  (* first transmission of its bytes *)
   | Post_hc of int * Protocol.hc_result  (* conn *)
 
 type conn_lock = { mutable busy : bool; waiters : (unit -> unit) Sim.Fifo.t }
@@ -158,6 +171,8 @@ type t = {
   mutable st_cross_shard : int;  (* steering self-check trips (mis-steer) *)
   mutable st_fetch_acked : int;  (* TX fetches wholly acked when read *)
   mutable st_fetch_part_acked : int;  (* ... partly acked when read *)
+  mutable st_tx_deferred : int;  (* data frames sent with unread payload *)
+  mutable st_tx_copied : int;  (* ... with payload read before sending *)
 }
 
 let engine t = t.engine
@@ -647,7 +662,8 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
 
 (* --- NBI egress ---------------------------------------------------- *)
 
-let build_data_frame t cs (d : Meta.tx_desc) payload =
+(* A data frame's segment; [csum] as for [S.make_frame]. *)
+let build_data_frame ?csum t cs (d : Meta.tx_desc) payload =
   let pre = cs.Conn_state.pre in
   let now_us = Protocol.us_of_time (Sim.Engine.now t.engine) in
   let seg =
@@ -666,7 +682,8 @@ let build_data_frame t cs (d : Meta.tx_desc) payload =
       ~src_port:pre.Conn_state.local_port ~dst_port:pre.Conn_state.remote_port
       ~seq:d.Meta.t_seq ~ack_seq:d.Meta.t_ack ()
   in
-  S.make_frame ~ecn:S.Ect0 ~src_mac:t.mac ~dst_mac:pre.Conn_state.peer_mac seg
+  S.make_frame ?csum ~ecn:S.Ect0 ~src_mac:t.mac
+    ~dst_mac:pre.Conn_state.peer_mac seg
 
 let build_ack_frame t cs (a : Meta.ack_info) =
   let pre = cs.Conn_state.pre in
@@ -685,6 +702,11 @@ let build_ack_frame t cs (a : Meta.ack_info) =
   in
   S.make_frame ~src_mac:t.mac ~dst_mac:pre.Conn_state.peer_mac seg
 
+(* Send one data frame, counting how its payload went out. *)
+let transmit_data t f ~len =
+  if len > 0 then t.st_tx_copied <- t.st_tx_copied + 1;
+  Netsim.Fabric.transmit t.port f
+
 let nbi_emit_one t eg =
   let frame =
     match eg with
@@ -694,6 +716,16 @@ let nbi_emit_one t eg =
             sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
               Effects.Read;
             Some (build_data_frame t cs d payload)
+        | None -> None
+      end
+    | Eg_data_ref (d, _) -> begin
+        match conn t d.Meta.t_conn with
+        | Some cs ->
+            sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
+              Effects.Read;
+            (* The header alone: the fabric reads the payload and
+               computes the checksum when it builds the frame. *)
+            Some (build_data_frame ~csum:0 t cs d Bytes.empty)
         | None -> None
       end
     | Eg_ack a -> begin
@@ -707,35 +739,49 @@ let nbi_emit_one t eg =
     | Eg_ctl f -> Some f
   in
   (match frame with
-  | Some f ->
+  | Some f -> (
       (match t.capture with Some cap -> cap Dir_tx f | None -> ());
       (match eg with
-      | Eg_data _ -> t.st_tx <- t.st_tx + 1
-      | Eg_ack _ -> t.st_tx_acks <- t.st_tx_acks + 1
-      | Eg_ctl _ -> ());
-      (match eg with
-      | Eg_data (d, _) -> sc_count t "nbi/tx_frames";
+      | Eg_data (d, _) | Eg_data_ref (d, _) ->
+          t.st_tx <- t.st_tx + 1;
+          sc_count t "nbi/tx_frames";
           sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
-      | Eg_ack _ -> sc_count t "nbi/tx_acks"
+      | Eg_ack _ ->
+          t.st_tx_acks <- t.st_tx_acks + 1;
+          sc_count t "nbi/tx_acks"
       | Eg_ctl _ -> sc_count t "nbi/tx_ctl");
-      Netsim.Fabric.transmit t.port f
+      match eg with
+      | Eg_data_ref (d, read) ->
+          if Netsim.Fabric.transmit_ref t.port f ~len:d.Meta.t_len ~read then
+            t.st_tx_deferred <- t.st_tx_deferred + 1
+          else t.st_tx_copied <- t.st_tx_copied + 1
+      | Eg_data (d, _) -> transmit_data t f ~len:d.Meta.t_len
+      | Eg_ack _ | Eg_ctl _ -> Netsim.Fabric.transmit t.port f)
   | None -> (
       (* Connection torn down before NBI: close the TX lifecycle or
          the open-span table leaks. *)
       match eg with
-      | Eg_data (d, _) -> sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
+      | Eg_data (d, _) | Eg_data_ref (d, _) ->
+          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
       | _ -> ()));
   (* A data segment's buffer (credit) frees on transmission. *)
   match eg with
-  | Eg_data _ -> Scheduler.credit_return t.sch
+  | Eg_data _ | Eg_data_ref _ -> Scheduler.credit_return t.sch
   | Eg_ack _ | Eg_ctl _ -> ()
 
 (* TSO (§3.4): a descriptor wider than one MSS — only producible at
    batch degree [b > 1], where the protocol stage emits up to
    [b * mss] per descriptor — is segmented back into wire frames here
    at the NBI boundary. One egress slot, one credit, [split_count]
-   frames. *)
+   frames. A captured or split segment needs its payload here. *)
 let nbi_emit t eg =
+  let eg =
+    match eg with
+    | Eg_data_ref (d, _)
+      when Option.is_some t.capture || d.Meta.t_len > t.cfg.Config.mss ->
+        materialize eg
+    | _ -> eg
+  in
   match eg with
   | Eg_data (d, payload)
     when Bytes.length payload > t.cfg.Config.mss -> begin
@@ -758,7 +804,7 @@ let nbi_emit t eg =
               (match t.capture with Some cap -> cap Dir_tx f | None -> ());
               t.st_tx <- t.st_tx + 1;
               sc_count t "nbi/tx_frames";
-              Netsim.Fabric.transmit t.port f)
+              transmit_data t f ~len:dc.Meta.t_len)
             chunks;
           sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
           Scheduler.credit_return t.sch
@@ -864,7 +910,9 @@ type dma_work = {
   dw_slot : Conn_state.rx_slot option;
       (* The RX verdict's place in protocol order: its notification
          and ACK run only after those of every earlier verdict. *)
-  dw_fetch : (Meta.tx_desc * int * int) option;  (* TX fetch (desc,pos,len) *)
+  dw_fetch : (Meta.tx_desc * bool) option;
+      (* TX fetch, and whether it is the first transmission of its
+         bytes *)
   dw_ack : Meta.ack_info option;
   dw_notify : Meta.arx_desc option;
 }
@@ -937,29 +985,38 @@ let dma_stage t (w : dma_work) =
                 ~src_off:0 ~len:(Bytes.length bytes);
               if not (Defect.is t.defect Defect.Notify_before_payload) then
                 finish ())
-      | None, Some (desc, pos, len), Some cs ->
+      | None, Some (desc, first), Some cs ->
           (* TX: fetch payload from host transmit buffer. *)
+          let pos = desc.Meta.t_pos and len = desc.Meta.t_len in
           Nfp.Dma.issue t.dma ~queue:0 ~bytes:len (fun () ->
               sc_instant t ~track:"dma" ~name:"payload_tx_fetched"
                 ~conn:w.dw_conn ~arg:len;
               (if len > 0 then
                  sa_range t ~stage:"dma" ~flow:w.dw_conn Effects.Tx_payload
                    ~range:(pos, len) Effects.Read);
-              let payload =
-                if len = 0 then Bytes.empty
+              let eg =
+                if len = 0 then Eg_data (desc, Bytes.empty)
                 else begin
-                  let p =
-                    Host.Payload_buf.read
-                      cs.Conn_state.post.Conn_state.tx_buf ~off:pos ~len
+                  (* A first transmission carries the reader until the
+                     fabric builds its frame: the bytes of an
+                     undelivered first transmission stay in the buffer
+                     (DESIGN.md §7). *)
+                  let eg =
+                    Eg_data_ref
+                      ( desc,
+                        fun () ->
+                          Host.Payload_buf.read
+                            cs.Conn_state.post.Conn_state.tx_buf ~off:pos
+                            ~len )
                   in
+                  let eg = if first then eg else materialize eg in
                   tx_fetch_read t cs desc;
-                  p
+                  eg
                 end
               in
               finish ();
-              Sequencer.submit t.tx_gro ~seq:desc.Meta.t_gseq
-                (Eg_data (desc, payload)))
-      | None, Some (desc, _, _), None ->
+              Sequencer.submit t.tx_gro ~seq:desc.Meta.t_gseq eg)
+      | None, Some (desc, _), None ->
           (* The connection was torn down mid-pipeline: the egress
              sequence number must still be released or the whole TX
              reorder stream stalls, and the buffer credit must come
@@ -1027,13 +1084,13 @@ let postproc_stage t fg (w : post_work) =
   let conn_idx =
     match w with
     | Post_rx (v, _) -> v.Meta.v_conn
-    | Post_tx d -> d.Meta.t_conn
+    | Post_tx (d, _) -> d.Meta.t_conn
     | Post_hc (i, _) -> i
   in
   let cost =
     match w with
     | Post_rx _ -> c.Config.postproc_rx
-    | Post_tx d when d.Meta.t_len > t.cfg.Config.mss ->
+    | Post_tx (d, _) when d.Meta.t_len > t.cfg.Config.mss ->
         (* A TSO descriptor (batch degree > 1 only): laying out the
            per-frame DMA gather list costs [tso_split] per extra wire
            frame on top of the ordinary descriptor work. *)
@@ -1074,7 +1131,7 @@ let postproc_stage t fg (w : post_work) =
       | _, None -> begin
           (* Connection vanished mid-pipeline: drop cleanly. *)
           match w with
-          | Post_tx d ->
+          | Post_tx (d, _) ->
               Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
               sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
               tx_nothing_sent t ~conn:conn_idx
@@ -1094,7 +1151,7 @@ let postproc_stage t fg (w : post_work) =
         end
       | Post_rx (v, slot), Some cs ->
           dma_stage t (rx_post_work t cs ~slot:(Some slot) v)
-      | Post_tx d, Some _ ->
+      | Post_tx (d, first), Some _ ->
           (* FS step: tell the scheduler what happened. *)
           Scheduler.on_sent t.sch ~conn:conn_idx ~bytes:d.Meta.t_len
             ~more:d.Meta.t_more;
@@ -1104,7 +1161,7 @@ let postproc_stage t fg (w : post_work) =
               dw_gseq = -1;
               dw_payload = None;
               dw_slot = None;
-              dw_fetch = Some (d, d.Meta.t_pos, d.Meta.t_len);
+              dw_fetch = Some (d, first);
               dw_ack = None;
               dw_notify = None;
             }
@@ -1210,14 +1267,20 @@ let protocol_tx t ~conn:conn_idx =
         (fun now -> Protocol.tx t.cfg ~now cs ~alloc_gseq:(alloc_tx_gseq t))
         (function
           | Some d ->
+              (* Fetches are counted, and first transmissions told
+                 apart, in protocol order: the order of their TX gseqs
+                 and so of their frames on the wire. *)
+              let f = cs.Conn_state.tx_fetch in
+              let first = d.Meta.t_pos >= f.Conn_state.tf_high in
               if d.Meta.t_len > 0 then begin
-                let f = cs.Conn_state.tx_fetch in
-                f.Conn_state.tf_out <- f.Conn_state.tf_out + 1
+                f.Conn_state.tf_out <- f.Conn_state.tf_out + 1;
+                if first then
+                  f.Conn_state.tf_high <- d.Meta.t_pos + d.Meta.t_len
               end;
               trace_event t "protocol" "tx_seg";
               sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx ~id:d.Meta.t_gseq;
               postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
-                (Post_tx d)
+                (Post_tx (d, first))
           | None -> tx_nothing_sent t ~conn:conn_idx)
 
 let protocol_hc t (d : Meta.hc_desc) =
@@ -1829,6 +1892,8 @@ let stats t =
     rx_completed = t.st_rx_done;
     tx_fetch_acked = t.st_fetch_acked;
     tx_fetch_part_acked = t.st_fetch_part_acked;
+    tx_deferred = t.st_tx_deferred;
+    tx_copied = t.st_tx_copied;
   }
 
 let cache_stats t =
@@ -2011,8 +2076,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         guard;
         cp_pending = 0;
         port =
-          Netsim.Fabric.add_port fabric ~rate_gbps:p.Nfp.Params.wire_gbps
-            ~mac ~ip
+          Netsim.Fabric.add_port fabric ~engine
+            ~rate_gbps:p.Nfp.Params.wire_gbps ~mac ~ip
             ~rx:(fun frame -> rx_frame (Lazy.force t) frame)
             ();
         mac;
@@ -2105,6 +2170,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         st_cross_shard = 0;
         st_fetch_acked = 0;
         st_fetch_part_acked = 0;
+        st_tx_deferred = 0;
+        st_tx_copied = 0;
       }
   in
   let t = Lazy.force t in

@@ -209,6 +209,15 @@ type stats = {
           receiver drops it as a duplicate. *)
   tx_fetch_part_acked : int;
       (** TX payload fetches partly acknowledged when read. *)
+  tx_deferred : int;
+      (** Data frames handed to the fabric with their payload unread:
+          first transmissions, which the fabric reads from the host TX
+          buffer when it builds the frame. *)
+  tx_copied : int;
+      (** Data frames with a payload read before the fabric took them:
+          retransmissions, captured or TSO-split frames, frames a TX
+          fault hook sees or that cross LPs, and every frame of the
+          run-to-completion baseline. *)
 }
 
 val stats : t -> stats

@@ -84,33 +84,38 @@ let flow t conn =
       Nfp.Conn_table.replace t.flows conn f;
       f
 
+(* The first non-empty shard queue from the cursor on, or -1; a loop,
+   so a dispatch allocates no closure or option. *)
+let next_queue t =
+  let n = Array.length t.rr in
+  let i = ref 0 and qi = ref (-1) in
+  while !qi < 0 && !i < n do
+    let q = (t.pump_cursor + !i) mod n in
+    if not (Sim.Fifo.is_empty t.rr.(q)) then qi := q;
+    incr i
+  done;
+  !qi
+
 (* Dispatch loop: round-robin across the shard queues (trivially the
    old single-queue behavior at one shard), popping one Ready flow per
    visit so no shard can starve another while credits last. *)
 let rec pump t =
   if t.credits > 0 then begin
-    let n = Array.length t.rr in
-    let rec find i =
-      if i >= n then None
-      else
-        let qi = (t.pump_cursor + i) mod n in
-        if Sim.Fifo.is_empty t.rr.(qi) then find (i + 1) else Some qi
-    in
-    match find 0 with
-    | None -> ()
-    | Some qi ->
-        t.pump_cursor <- (qi + 1) mod n;
-        let f = Sim.Fifo.pop t.rr.(qi) in
-        if f.status = Ready then begin
-          f.status <- Dispatched;
-          t.credits <- t.credits - 1;
-          (match t.tracer with
-          | None -> t.dispatch ~conn:f.conn
-          | Some tr ->
-              tr.sc_dispatch ~conn:f.conn (fun () -> t.dispatch ~conn:f.conn));
-          pump t
-        end
-        else pump t
+    let qi = next_queue t in
+    if qi >= 0 then begin
+      t.pump_cursor <- (qi + 1) mod Array.length t.rr;
+      let f = Sim.Fifo.pop t.rr.(qi) in
+      if f.status = Ready then begin
+        f.status <- Dispatched;
+        t.credits <- t.credits - 1;
+        (match t.tracer with
+        | None -> t.dispatch ~conn:f.conn
+        | Some tr ->
+            tr.sc_dispatch ~conn:f.conn (fun () -> t.dispatch ~conn:f.conn));
+        pump t
+      end
+      else pump t
+    end
   end
 
 (* Park a Ready flow: straight onto the round-robin queue when

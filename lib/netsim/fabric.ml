@@ -137,15 +137,36 @@ let wire_time ~rate_gbps ~bytes =
   let on_wire = bytes + 24 in
   int_of_float (Float.round (float_of_int (8 * on_wire) *. 1000. /. rate_gbps))
 
+(* A frame in flight is a frame plus, for a payload carried by
+   reference, the payload's length and the function that reads it; a
+   frame whose payload is already in its segment has length 0 and the
+   reader [built]. A by-reference frame holds an empty payload and no
+   checksum until [build] reads the payload and computes the checksum:
+   when the frame is handed to the destination port, before a fault
+   hook sees it, or before it crosses LPs. A dropped frame is never
+   built. *)
+let built : unit -> Bytes.t =
+ fun () -> invalid_arg "Fabric: frame already built"
+
+let build frame read =
+  if read == built then frame
+  else
+    let open Tcp.Segment in
+    make_frame ~vlan:frame.vlan ~ecn:frame.ecn ~src_mac:frame.src_mac
+      ~dst_mac:frame.dst_mac
+      { frame.seg with payload = read () }
+
 (* Hand a frame to the destination port's receiver, through its
    ingress fault stage if one is attached. *)
-let rx_into (dst : port) frame =
+let rx_into (dst : port) frame read =
+  let frame = build frame read in
   match dst.rx_fault with None -> dst.rx frame | Some hook -> hook frame dst.rx
 
-(* Runs on the destination port's home LP. *)
-let deliver _t (dst : port) frame =
+(* Runs on the destination port's home LP. [len] is the length of a
+   by-reference payload (0 for a built frame). *)
+let deliver _t (dst : port) frame len read =
   let now = Sim.Engine.now dst.home in
-  let bytes = Tcp.Segment.frame_wire_len frame in
+  let bytes = Tcp.Segment.frame_wire_len frame + len in
   match dst.shaping with
   | None ->
       (* Unshaped: serialise onto the destination link at port rate. *)
@@ -155,7 +176,7 @@ let deliver _t (dst : port) frame =
       Sim.Engine.Stream.schedule_at dst.egress_stream dst.egress_free
         (fun () ->
           dst.p_delivered <- dst.p_delivered + 1;
-          rx_into dst frame)
+          rx_into dst frame read)
   | Some s ->
       if dst.egress_queued + bytes > s.queue_bytes then
         dst.p_dropped_queue <- dst.p_dropped_queue + 1
@@ -179,7 +200,7 @@ let deliver _t (dst : port) frame =
           (fun () ->
             dst.egress_queued <- dst.egress_queued - bytes;
             dst.p_delivered <- dst.p_delivered + 1;
-            rx_into dst frame)
+            rx_into dst frame read)
       end
 
 let route t frame =
@@ -187,10 +208,13 @@ let route t frame =
   | Some p -> Some p
   | None -> Int_tbl.find_opt t.by_ip frame.Tcp.Segment.seg.dst_ip
 
-let transmit_clean port frame =
+(* Returns [false] if it read a by-reference payload: a frame crossing
+   LPs is built here, on the source LP, which owns the payload's
+   buffer. *)
+let transmit_clean port frame len read =
   let t = port.fabric in
   let now = Sim.Engine.now port.home in
-  let bytes = Tcp.Segment.frame_wire_len frame in
+  let bytes = Tcp.Segment.frame_wire_len frame + len in
   let ser = wire_time ~rate_gbps:port.rate_gbps ~bytes in
   let start = Int.max now port.tx_free in
   port.tx_free <- start + ser;
@@ -199,24 +223,42 @@ let transmit_clean port frame =
      mac) and routing happens at transmit time: the destination LP
      must be known to pick the channel, and a per-port stream keeps
      the draws independent of how ports are spread over LPs. *)
-  if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then
-    port.p_dropped_loss <- port.p_dropped_loss + 1
+  if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then begin
+    port.p_dropped_loss <- port.p_dropped_loss + 1;
+    true
+  end
   else
     match route t frame with
-    | None -> port.p_dropped_unroutable <- port.p_dropped_unroutable + 1
+    | None ->
+        port.p_dropped_unroutable <- port.p_dropped_unroutable + 1;
+        true
     | Some dst ->
-        if dst.home == port.home then
+        if dst.home == port.home then begin
           Sim.Engine.Stream.schedule_at port.tx_stream arrival (fun () ->
-              deliver t dst frame)
-        else
+              deliver t dst frame len read);
+          true
+        end
+        else begin
+          let frame = build frame read in
           let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
           Sim.Engine.Cluster.send ch ~at:arrival (fun () ->
-              deliver t dst frame)
+              deliver t dst frame 0 built);
+          read == built
+        end
+
+let transmit_built port frame = ignore (transmit_clean port frame 0 built)
 
 let transmit port frame =
   match port.tx_fault with
-  | None -> transmit_clean port frame
-  | Some hook -> hook frame (transmit_clean port)
+  | None -> transmit_built port frame
+  | Some hook -> hook frame (transmit_built port)
+
+let transmit_ref port frame ~len ~read =
+  match port.tx_fault with
+  | None -> transmit_clean port frame len read
+  | Some hook ->
+      hook (build frame read) (transmit_built port);
+      false
 
 let set_tx_fault port hook = port.tx_fault <- hook
 let set_rx_fault port hook = port.rx_fault <- hook

@@ -3,7 +3,9 @@
 
 type 'a slot = {
   mutable key : int;
-  mutable value : 'a;
+  mutable found : 'a option;
+      (* [Some value]: what [find] returns on a hit, allocated once
+         per insert rather than once per lookup. *)
   mutable stamp : int;
   mutable pinned : bool;
 }
@@ -34,35 +36,40 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let find_slot t key =
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else
-      match t.slots.(i) with
-      | Some s when s.key = key -> Some s
-      | _ -> go (i + 1)
-  in
-  go 0
+(* The index of [key]'s slot, or -1: a loop that allocates nothing. *)
+let find_index t key =
+  let slots = t.slots in
+  let i = ref 0 and found = ref (-1) in
+  while !found < 0 && !i < Array.length slots do
+    (match slots.(!i) with Some s when s.key = key -> found := !i | _ -> ());
+    incr i
+  done;
+  !found
 
 let find t key =
-  match find_slot t key with
-  | Some s ->
-      t.hits <- t.hits + 1;
-      s.stamp <- tick t;
-      Some s.value
-  | None ->
+  match find_index t key with
+  | -1 ->
       t.misses <- t.misses + 1;
       None
+  | i -> (
+      match t.slots.(i) with
+      | Some s ->
+          t.hits <- t.hits + 1;
+          s.stamp <- tick t;
+          s.found
+      | None -> assert false)
 
 let insert ?(pin = false) t key value =
-  match find_slot t key with
-  | Some s ->
-      s.value <- value;
-      s.stamp <- tick t;
-      if pin then s.pinned <- true;
-      None
-  | None -> begin
+  match find_index t key with
+  | i when i >= 0 -> (
+      match t.slots.(i) with
+      | Some s ->
+          s.found <- Some value;
+          s.stamp <- tick t;
+          if pin then s.pinned <- true;
+          None
+      | None -> assert false)
+  | _ -> begin
       let n = Array.length t.slots in
       (* Prefer an empty slot; otherwise evict the LRU unpinned slot,
          falling back to the LRU pinned one (counted, never silent). *)
@@ -85,17 +92,19 @@ let insert ?(pin = false) t key value =
             end
       done;
       if !free >= 0 then begin
-        t.slots.(!free) <- Some { key; value; stamp = tick t; pinned = pin };
+        t.slots.(!free) <-
+          Some { key; found = Some value; stamp = tick t; pinned = pin };
         None
       end
       else begin
         let idx, forced = if !lru >= 0 then (!lru, false) else (!plru, true) in
         let evicted =
           match t.slots.(idx) with
-          | Some s -> (s.key, s.value)
-          | None -> assert false
+          | Some { key; found = Some value; _ } -> (key, value)
+          | _ -> assert false
         in
-        t.slots.(idx) <- Some { key; value; stamp = tick t; pinned = pin };
+        t.slots.(idx) <-
+          Some { key; found = Some value; stamp = tick t; pinned = pin };
         t.evictions <- t.evictions + 1;
         if forced then t.pinned_evictions <- t.pinned_evictions + 1;
         Some evicted
@@ -103,7 +112,10 @@ let insert ?(pin = false) t key value =
     end
 
 let unpin t key =
-  match find_slot t key with Some s -> s.pinned <- false | None -> ()
+  match find_index t key with
+  | -1 -> ()
+  | i -> (
+      match t.slots.(i) with Some s -> s.pinned <- false | None -> ())
 
 let remove t key =
   Array.iteri
@@ -114,7 +126,7 @@ let remove t key =
       | _ -> ())
     t.slots
 
-let mem t key = find_slot t key <> None
+let mem t key = find_index t key >= 0
 
 let length t =
   Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 t.slots
@@ -129,4 +141,6 @@ let pinned_evictions t = t.pinned_evictions
 let clear t = Array.fill t.slots 0 (Array.length t.slots) None
 
 let iter f t =
-  Array.iter (function Some s -> f s.key s.value | None -> ()) t.slots
+  Array.iter
+    (function Some { key; found = Some v; _ } -> f key v | _ -> ())
+    t.slots

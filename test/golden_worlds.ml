@@ -115,11 +115,12 @@ let echo_workload ?(conns = conns) ?(pipeline = 4) ?(req_bytes = 700)
     client_eps
 
 let setup_echo ?(batch = 1) ?(scope = false) ?(san = false) ?(scale = 0)
-    ~engine () =
+    ?(nodes = ref []) ~engine () =
   let fabric = Netsim.Fabric.create engine () in
   let config = cfg ~batch ~scope ~san ~scale in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
+  nodes := [ a; b ];
   let stats = Host.Rpc.Stats.create engine in
   let streams = Array.init conns (fun _ -> Buffer.create 4096) in
   echo_workload ~engine ~server_ip:ip_a ~server_ep:(Flextoe.endpoint a)
@@ -234,6 +235,75 @@ let run_kv ?batch ?scope ?san ?scale () =
   let fin = setup_kv ?batch ?scope ?san ?scale ~engine () in
   Sim.Engine.run ~until:(Sim.Time.ms 10) engine;
   fin ()
+
+(* --- Byte-checked stream ---------------------------------------------- *)
+
+(* The byte at offset [i] of every connection's stream. *)
+let stream_byte i = Char.unsafe_chr (((i * 31) + 7) land 0xFF)
+
+type stream_result = {
+  run : run_result;
+  received : int;  (* stream bytes the sink read, over all connections *)
+  corrupt : int;  (* of those, bytes that differ from [stream_byte] *)
+}
+
+(* [conns] connections from a client (node b) each stream [total]
+   bytes in 16 KB writes into a sink on node a, which checks every
+   byte it reads. The client may live on its own engine
+   ([client_engine], an LP of [cluster] like [engine]): the fabric is
+   then partitioned, so every frame crosses LPs. [loss] is the
+   fabric's random drop probability. Unpinned: tests compare its
+   digests across runs of one build. *)
+let setup_stream ?(conns = 2) ?(total = 256 * 1024) ?(loss = 0.)
+    ?client_engine ?cluster ?(nodes = ref []) ~engine () =
+  let fabric = Netsim.Fabric.create engine () in
+  Netsim.Fabric.set_loss fabric loss;
+  let config = cfg ~batch:1 ~scope:false ~san:false ~scale:0 in
+  let client_engine = Option.value client_engine ~default:engine in
+  let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
+  let b = Flextoe.create_node client_engine ~fabric ~config ~ip:ip_b () in
+  nodes := [ a; b ];
+  Option.iter (fun cluster -> Netsim.Fabric.partition fabric ~cluster) cluster;
+  let streams = Array.init conns (fun _ -> Buffer.create total) in
+  let corrupt = ref 0 and next = ref 0 in
+  (Flextoe.endpoint a).Host.Api.listen ~port:5001 ~on_accept:(fun sock ->
+      let buf = streams.(!next mod conns) in
+      incr next;
+      sock.Host.Api.on_readable <-
+        (fun () ->
+          let data = sock.Host.Api.recv ~max:max_int in
+          let off = Buffer.length buf in
+          Bytes.iteri
+            (fun i c -> if c <> stream_byte (off + i) then incr corrupt)
+            data;
+          Buffer.add_bytes buf data));
+  let chunk = 16 * 1024 in
+  for _ = 1 to conns do
+    (Flextoe.endpoint b).Host.Api.connect ~remote_ip:ip_a ~remote_port:5001
+      ~on_connected:(function
+      | Error e -> failwith ("stream connect: " ^ e)
+      | Ok sock ->
+          let sent = ref 0 in
+          let rec push () =
+            if !sent < total then begin
+              let n = Int.min chunk (total - !sent) in
+              let off = !sent in
+              let data = Bytes.init n (fun i -> stream_byte (off + i)) in
+              let accepted = sock.Host.Api.send data in
+              sent := !sent + accepted;
+              if accepted = n then push ()
+            end
+          in
+          sock.Host.Api.on_writable <- push;
+          push ())
+  done;
+  fun () ->
+    let received = Array.fold_left (fun n b -> n + Buffer.length b) 0 streams in
+    {
+      run = finish ~engine ~server:a ~streams ~ops:received;
+      received;
+      corrupt = !corrupt;
+    }
 
 (* --- Seed digests ------------------------------------------------------ *)
 

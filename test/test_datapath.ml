@@ -256,9 +256,91 @@ let test_rx_order_under_capture () =
   Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
   check_bool "echo load ran" true (Host.Rpc.Stats.ops stats > 10_000)
 
+(* --- First transmissions by reference ---------------------------------- *)
+
+let sum_stats nodes f =
+  List.fold_left
+    (fun n node -> n + f (Flextoe.Datapath.stats (Flextoe.datapath node)))
+    0 nodes
+
+let deferred nodes = sum_stats nodes (fun st -> st.Flextoe.Datapath.tx_deferred)
+let copied nodes = sum_stats nodes (fun st -> st.Flextoe.Datapath.tx_copied)
+
+(* A pass-through fault hook on a port makes the fabric build every
+   frame it sends or receives before the hook sees it: the eager path
+   the by-reference one must be indistinguishable from. *)
+let pass_through nodes =
+  List.iter
+    (fun node ->
+      let port = Flextoe.Datapath.fabric_port (Flextoe.datapath node) in
+      Netsim.Fabric.set_tx_fault port (Some (fun f k -> k f));
+      Netsim.Fabric.set_rx_fault port (Some (fun f k -> k f)))
+    nodes
+
+let run_world ~hooks ~seed ~ms setup =
+  let engine = Sim.Engine.create ~seed () in
+  let nodes = ref [] in
+  let fin = setup ~nodes ~engine in
+  if hooks then pass_through !nodes;
+  Sim.Engine.run ~until:(Sim.Time.ms ms) engine;
+  (fin (), !nodes)
+
+let test_tx_by_reference_equivalent () =
+  let module W = Golden_worlds in
+  let digests (r : W.run_result) = (r.W.payload_digest, r.W.strict_digest) in
+  let check name ~seed ~ms setup =
+    let lazy_run, lazy_nodes = run_world ~hooks:false ~seed ~ms setup in
+    let eager_run, eager_nodes = run_world ~hooks:true ~seed ~ms setup in
+    let lazy_p, lazy_s = digests lazy_run in
+    let eager_p, eager_s = digests eager_run in
+    Alcotest.(check string) (name ^ ": payload digest") eager_p lazy_p;
+    Alcotest.(check string) (name ^ ": strict digest") eager_s lazy_s;
+    check_bool (name ^ ": frames went by reference") true
+      (deferred lazy_nodes > 0);
+    check_int (name ^ ": hooks force every frame eager") 0
+      (deferred eager_nodes);
+    check_int (name ^ ": every data frame counted once")
+      (deferred lazy_nodes + copied lazy_nodes)
+      (copied eager_nodes)
+  in
+  check "echo" ~seed:W.echo_seed ~ms:10 (fun ~nodes ~engine ->
+      W.setup_echo ~nodes ~engine ());
+  check "kv" ~seed:W.kv_seed ~ms:10 (fun ~nodes ~engine ->
+      W.setup_kv ~nodes ~engine ());
+  check "stream" ~seed:5L ~ms:3 (fun ~nodes ~engine ->
+      let fin = W.setup_stream ~nodes ~engine () in
+      fun () ->
+        let r = fin () in
+        check_int "stream: every byte arrived" (2 * 256 * 1024) r.W.received;
+        check_int "stream: no corrupt byte" 0 r.W.corrupt;
+        r.W.run)
+
+(* Over a lossy fabric, fast retransmit and go-back-N resend bytes
+   whose first copy is still queued in the fabric. Those resends copy
+   their payload at the DMA stage: by the time one is delivered, the
+   ACK for its first copy may have released the bytes. *)
+let test_tx_retransmissions_copy () =
+  let module W = Golden_worlds in
+  let engine = Sim.Engine.create ~seed:9L () in
+  let nodes = ref [] in
+  let fin = W.setup_stream ~conns:4 ~loss:0.01 ~nodes ~engine () in
+  Sim.Engine.run ~until:(Sim.Time.ms 60) engine;
+  let r = fin () in
+  check_int "every byte arrived" (4 * 256 * 1024) r.W.received;
+  check_int "no corrupt byte" 0 r.W.corrupt;
+  check_bool "loss caused fast retransmits" true
+    (sum_stats !nodes (fun st -> st.Flextoe.Datapath.fast_retx) > 0);
+  check_bool "retransmissions were copied" true (copied !nodes > 0);
+  check_bool "first transmissions went by reference" true
+    (deferred !nodes > 0)
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
+    Alcotest.test_case "TX by reference equals eager TX" `Quick
+      test_tx_by_reference_equivalent;
+    Alcotest.test_case "TX retransmissions copy under loss" `Quick
+      test_tx_retransmissions_copy;
     Alcotest.test_case "semantic tracepoints (clean)" `Quick
       test_semantic_tracepoints;
     Alcotest.test_case "semantic tracepoints (loss)" `Quick

@@ -449,6 +449,34 @@ let test_scheduler_round_robin () =
   Alcotest.(check (list int)) "alternates fairly" [ 1; 2; 1; 2; 1; 2 ]
     first_six
 
+(* A dispatch cycle (the flow requeued, its credit back, the pump
+   dispatching it again) allocates nothing once the flow and its
+   queue exist. *)
+let test_scheduler_dispatch_allocation () =
+  let e = Sim.Engine.create () in
+  let dispatched = ref 0 in
+  let s =
+    Flextoe.Scheduler.create e ~shards:2 ~slot:(Sim.Time.us 1) ~slots:256
+      ~credits:1 ~dispatch:(fun ~conn:_ -> incr dispatched)
+  in
+  Flextoe.Scheduler.wakeup s ~conn:1;
+  let cycle () =
+    Flextoe.Scheduler.on_sent s ~conn:1 ~bytes:100 ~more:true;
+    Flextoe.Scheduler.credit_return s
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "dispatched every cycle" (n + 101) !dispatched;
+  if words > 0.1 then
+    Alcotest.failf "%.2f minor words per dispatch cycle (bound 0.1)" words
+
 let test_scheduler_pacing () =
   let e = Sim.Engine.create () in
   let times = ref [] in
@@ -577,6 +605,8 @@ let suite =
       test_sequencer_ring_wraps_and_grows;
     Alcotest.test_case "scheduler round robin" `Quick
       test_scheduler_round_robin;
+    Alcotest.test_case "scheduler dispatch allocation" `Quick
+      test_scheduler_dispatch_allocation;
     Alcotest.test_case "scheduler pacing via time wheel" `Quick
       test_scheduler_pacing;
     Alcotest.test_case "scheduler uncongested bypass" `Quick

@@ -230,6 +230,28 @@ let test_fpc_compute_allocation () =
   if words > 0.1 then
     Alcotest.failf "%.2f minor words per [Compute c] item (bound 0.1)" words
 
+(* CAM lookups, hits and misses alike, allocate nothing. *)
+let test_cam_find_allocation () =
+  let c = Nfp.Cam.create ~entries:16 in
+  for k = 0 to 15 do
+    ignore (Nfp.Cam.insert c k ())
+  done;
+  let hits = ref 0 in
+  let lookups n =
+    for i = 1 to n do
+      match Nfp.Cam.find c (i mod 20) with Some () -> incr hits | None -> ()
+    done
+  in
+  lookups 100;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  lookups n;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "hits" (Nfp.Cam.hits c) !hits;
+  check_bool "misses too" true (Nfp.Cam.misses c > 0);
+  if words > 0.1 then
+    Alcotest.failf "%.2f minor words per CAM lookup (bound 0.1)" words
+
 let test_phase_cost () =
   check_int "cost sums"
     ((100 * 1250) + (params.Nfp.Params.emem_cycles * 1250) + 7)
@@ -392,6 +414,8 @@ let suite =
       test_fpc_contention_trace;
     Alcotest.test_case "fpc compute item allocation" `Quick
       test_fpc_compute_allocation;
+    Alcotest.test_case "cam lookup allocation" `Quick
+      test_cam_find_allocation;
     Alcotest.test_case "phase cost accounting" `Quick test_phase_cost;
     Alcotest.test_case "dma base latency" `Quick test_dma_base_latency;
     Alcotest.test_case "dma link serialisation" `Quick

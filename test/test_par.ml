@@ -402,6 +402,41 @@ let test_fabric_partition_freezes_ports () =
   expect_invalid "partition twice" (fun () ->
       Netsim.Fabric.partition fab ~cluster:cl)
 
+(* FlexTOE nodes on two LPs of a partitioned fabric: every frame
+   crosses LPs, and a data frame whose payload the sender's fabric
+   port would carry by reference is built on the source LP before
+   [Cluster.send], so the destination LP never reads the sender's
+   buffer. *)
+let run_partitioned_stream ~domains =
+  let cl = Cl.create ~seed:7L ~domains () in
+  let server = Cl.add_lp ~name:"server" ~seed:11L cl in
+  let client = Cl.add_lp ~name:"client" ~seed:12L cl in
+  let nodes = ref [] in
+  let fin =
+    W.setup_stream ~engine:server ~client_engine:client ~cluster:cl ~nodes ()
+  in
+  Cl.run ~until:(Sim.Time.ms 3) cl;
+  let stat f =
+    List.fold_left
+      (fun n node -> n + f (Flextoe.Datapath.stats (Flextoe.datapath node)))
+      0 !nodes
+  in
+  ( fin (),
+    stat (fun st -> st.Flextoe.Datapath.tx_deferred),
+    stat (fun st -> st.Flextoe.Datapath.tx_copied) )
+
+let test_partitioned_stream_across_domains () =
+  let one, deferred, copied = run_partitioned_stream ~domains:1 in
+  check_int "every byte crossed LPs" (2 * 256 * 1024) one.W.received;
+  check_int "no corrupt byte" 0 one.W.corrupt;
+  check_int "no frame crossed LPs unbuilt" 0 deferred;
+  check_bool "data frames were built at the source" true (copied > 0);
+  let two, _, _ = run_partitioned_stream ~domains:2 in
+  check_str "strict digest at domains=2" one.W.run.W.strict_digest
+    two.W.run.W.strict_digest;
+  check_str "payload digest at domains=2" one.W.run.W.payload_digest
+    two.W.run.W.payload_digest
+
 (* --- Scope / Trace shard merges ---------------------------------------- *)
 
 let test_scope_shard_merge_deterministic () =
@@ -466,6 +501,8 @@ let suite =
       test_partitioned_fabric_matches_solo;
     Alcotest.test_case "fabric partition freezes ports" `Quick
       test_fabric_partition_freezes_ports;
+    Alcotest.test_case "partitioned FlexTOE stream at domains=1,2" `Quick
+      test_partitioned_stream_across_domains;
     Alcotest.test_case "scope shard merge deterministic" `Quick
       test_scope_shard_merge_deterministic;
   ]
