@@ -710,22 +710,18 @@ let transmit_data t f ~len =
 let nbi_emit_one t eg =
   let frame =
     match eg with
-    | Eg_data (d, payload) -> begin
+    | Eg_data (d, _) | Eg_data_ref (d, _) -> begin
         match conn t d.Meta.t_conn with
         | Some cs ->
             sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
               Effects.Read;
-            Some (build_data_frame t cs d payload)
-        | None -> None
-      end
-    | Eg_data_ref (d, _) -> begin
-        match conn t d.Meta.t_conn with
-        | Some cs ->
-            sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
-              Effects.Read;
-            (* The header alone: the fabric reads the payload and
-               computes the checksum when it builds the frame. *)
-            Some (build_data_frame ~csum:0 t cs d Bytes.empty)
+            Some
+              (match eg with
+              | Eg_data (_, payload) -> build_data_frame t cs d payload
+              | _ ->
+                  (* The header alone: the fabric reads the payload and
+                     computes the checksum when it builds the frame. *)
+                  build_data_frame ~csum:0 t cs d Bytes.empty)
         | None -> None
       end
     | Eg_ack a -> begin
