@@ -67,6 +67,7 @@ type t = {
   tx_fetch : tx_fetches;
   rx_slots : rx_slot Sim.Fifo.t;
   mutable rx_notified : int;
+  mutable tx_source : Netsim.Fabric.source option;
   mutable active : bool;
 }
 
@@ -133,6 +134,7 @@ let create ~idx ~flow ~peer_mac ~flow_group ~tx_isn ~rx_isn
       };
     rx_slots = Sim.Fifo.create ();
     rx_notified = 0;
+    tx_source = None;
     active = true;
   }
 

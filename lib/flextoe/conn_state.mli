@@ -121,6 +121,12 @@ type t = {
   mutable rx_notified : int;
       (** Stream bytes notified to the host so far: the next
           notification makes the bytes from here on readable. *)
+  mutable tx_source : Netsim.Fabric.source option;
+      (** The fabric's description of this connection's data frames
+          (the {!pre} identifiers and a reader of [tx_buf]), made when
+          the data path installs the connection: a first transmission
+          waits for the wire as integers naming it. Simulator
+          bookkeeping like {!tx_fetches}. *)
   mutable active : bool;
 }
 

@@ -41,20 +41,14 @@ type stats = {
 
 (* What leaves through the NBI, in egress-sequencer order. A data
    segment carries its payload copied out of the host TX buffer, or
-   (the first transmission of its bytes) a reader of that buffer that
-   the fabric calls when it builds the frame (see [dma_stage]). *)
+   (the first transmission of its bytes) only its descriptor: the
+   fabric reads the payload through the connection's
+   [Conn_state.tx_source] when it builds the frame (see [dma_stage]). *)
 type egress =
   | Eg_data of Meta.tx_desc * Bytes.t
-  | Eg_data_ref of Meta.tx_desc * (unit -> Bytes.t)
+  | Eg_data_ref of Meta.tx_desc
   | Eg_ack of Meta.ack_info
   | Eg_ctl of S.frame
-
-(* The one place a by-reference payload is read before the fabric has
-   the frame: a retransmission, a captured frame, a TSO descriptor. *)
-let materialize eg =
-  match eg with
-  | Eg_data_ref (d, read) -> Eg_data (d, read ())
-  | Eg_data _ | Eg_ack _ | Eg_ctl _ -> eg
 
 (* Work arriving at a post-processor. *)
 type post_work =
@@ -453,6 +447,14 @@ let conn_state_bytes =
   + Conn_state.state_bytes_post
 
 let install_conn t cs ~k =
+  (let pre = cs.Conn_state.pre in
+   cs.Conn_state.tx_source <-
+     Some
+       (Netsim.Fabric.source ~src_mac:t.mac ~dst_mac:pre.Conn_state.peer_mac
+          ~src_ip:pre.Conn_state.local_ip ~dst_ip:pre.Conn_state.peer_ip
+          ~src_port:pre.Conn_state.local_port
+          ~dst_port:pre.Conn_state.remote_port
+          ~read:(Host.Payload_buf.read cs.Conn_state.post.Conn_state.tx_buf)));
   (* CP writes ~108 B of state across PCIe. *)
   Nfp.Dma.issue t.dma ~queue:1 ~bytes:128 (fun () ->
       Nfp.Conn_table.replace t.conns cs.Conn_state.idx cs;
@@ -662,40 +664,32 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
 
 (* --- NBI egress ---------------------------------------------------- *)
 
-(* A data frame's segment; [csum] as for [S.make_frame]. *)
-let build_data_frame ?csum t cs (d : Meta.tx_desc) payload =
-  let pre = cs.Conn_state.pre in
-  let now_us = Protocol.us_of_time (Sim.Engine.now t.engine) in
-  let seg =
-    S.make
-      ~flags:
-        {
-          S.no_flags with
-          S.ack = true;
-          psh = true;
-          fin = d.Meta.t_fin;
-          cwr = d.Meta.t_cwr;
-        }
-      ~window:d.Meta.t_wnd
-      ~options:{ S.mss = None; ts = Some (now_us, d.Meta.t_ts_ecr) }
-      ~payload ~src_ip:pre.Conn_state.local_ip ~dst_ip:pre.Conn_state.peer_ip
-      ~src_port:pre.Conn_state.local_port ~dst_port:pre.Conn_state.remote_port
-      ~seq:d.Meta.t_seq ~ack_seq:d.Meta.t_ack ()
-  in
-  S.make_frame ?csum ~ecn:S.Ect0 ~src_mac:t.mac
-    ~dst_mac:pre.Conn_state.peer_mac seg
+let now_us t = Protocol.us_of_time (Sim.Engine.now t.engine)
+
+let tx_source cs =
+  match cs.Conn_state.tx_source with
+  | Some src -> src
+  | None -> invalid_arg "Datapath: connection not installed"
+
+(* A data segment's TCP flag byte: ACK and PSH, plus FIN and CWR. *)
+let data_flags (d : Meta.tx_desc) =
+  0x18 lor (if d.Meta.t_fin then 0x01 else 0) lor if d.Meta.t_cwr then 0x80 else 0
+
+let build_data_frame t cs (d : Meta.tx_desc) payload =
+  Netsim.Fabric.segment_frame (tx_source cs) ~seq:d.Meta.t_seq
+    ~ack:d.Meta.t_ack ~flags:(data_flags d) ~window:d.Meta.t_wnd
+    ~tsval:(now_us t) ~tsecr:d.Meta.t_ts_ecr ~payload
 
 let build_ack_frame t cs (a : Meta.ack_info) =
   let pre = cs.Conn_state.pre in
   (* The frame's sequence number is [a_seq], snapshotted under the
      protocol lock — not the live [tx_next_pos], which a concurrent TX
      workflow may have advanced by NBI time (a race FlexSan flags). *)
-  let now_us = Protocol.us_of_time (Sim.Engine.now t.engine) in
   let seg =
     S.make
       ~flags:{ S.flags_ack with S.ece = a.Meta.a_ece }
       ~window:a.Meta.a_wnd
-      ~options:{ S.mss = None; ts = Some (now_us, a.Meta.a_ts_ecr) }
+      ~options:{ S.mss = None; ts = Some (now_us t, a.Meta.a_ts_ecr) }
       ~src_ip:pre.Conn_state.local_ip ~dst_ip:pre.Conn_state.peer_ip
       ~src_port:pre.Conn_state.local_port ~dst_port:pre.Conn_state.remote_port
       ~seq:a.Meta.a_seq ~ack_seq:a.Meta.a_ack ()
@@ -707,59 +701,53 @@ let transmit_data t f ~len =
   if len > 0 then t.st_tx_copied <- t.st_tx_copied + 1;
   Netsim.Fabric.transmit t.port f
 
+let count_tx_frame t (d : Meta.tx_desc) =
+  t.st_tx <- t.st_tx + 1;
+  sc_count t "nbi/tx_frames";
+  sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
+
 let nbi_emit_one t eg =
-  let frame =
-    match eg with
-    | Eg_data (d, _) | Eg_data_ref (d, _) -> begin
-        match conn t d.Meta.t_conn with
-        | Some cs ->
-            sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
-              Effects.Read;
-            Some
-              (match eg with
-              | Eg_data (_, payload) -> build_data_frame t cs d payload
-              | _ ->
-                  (* The header alone: the fabric reads the payload and
-                     computes the checksum when it builds the frame. *)
-                  build_data_frame ~csum:0 t cs d Bytes.empty)
-        | None -> None
-      end
-    | Eg_ack a -> begin
-        match conn t a.Meta.a_conn with
-        | Some cs ->
-            sa t ~stage:"nbi" ~flow:a.Meta.a_conn Effects.Conn_pre
-              Effects.Read;
-            Some (build_ack_frame t cs a)
-        | None -> None
-      end
-    | Eg_ctl f -> Some f
-  in
-  (match frame with
-  | Some f -> (
-      (match t.capture with Some cap -> cap Dir_tx f | None -> ());
-      (match eg with
-      | Eg_data (d, _) | Eg_data_ref (d, _) ->
-          t.st_tx <- t.st_tx + 1;
-          sc_count t "nbi/tx_frames";
-          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
-      | Eg_ack _ ->
+  (match eg with
+  | Eg_data (d, _) | Eg_data_ref d -> (
+      match conn t d.Meta.t_conn with
+      | Some cs -> (
+          sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre Effects.Read;
+          match eg with
+          | Eg_data (_, payload) ->
+              let f = build_data_frame t cs d payload in
+              (match t.capture with Some cap -> cap Dir_tx f | None -> ());
+              count_tx_frame t d;
+              transmit_data t f ~len:d.Meta.t_len
+          | _ ->
+              (* A first transmission waits for the wire as integers:
+                 the fabric builds its frame, header, payload and
+                 checksum, when it leaves the switch. *)
+              count_tx_frame t d;
+              if
+                Netsim.Fabric.transmit_segment t.port (tx_source cs)
+                  ~seq:d.Meta.t_seq ~ack:d.Meta.t_ack ~flags:(data_flags d)
+                  ~window:d.Meta.t_wnd ~tsval:(now_us t)
+                  ~tsecr:d.Meta.t_ts_ecr ~pos:d.Meta.t_pos ~len:d.Meta.t_len
+              then t.st_tx_deferred <- t.st_tx_deferred + 1
+              else t.st_tx_copied <- t.st_tx_copied + 1)
+      | None ->
+          (* Connection torn down before NBI: close the TX lifecycle or
+             the open-span table leaks. *)
+          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq)
+  | Eg_ack a -> (
+      match conn t a.Meta.a_conn with
+      | Some cs ->
+          sa t ~stage:"nbi" ~flow:a.Meta.a_conn Effects.Conn_pre Effects.Read;
+          let f = build_ack_frame t cs a in
+          (match t.capture with Some cap -> cap Dir_tx f | None -> ());
           t.st_tx_acks <- t.st_tx_acks + 1;
-          sc_count t "nbi/tx_acks"
-      | Eg_ctl _ -> sc_count t "nbi/tx_ctl");
-      match eg with
-      | Eg_data_ref (d, read) ->
-          if Netsim.Fabric.transmit_ref t.port f ~len:d.Meta.t_len ~read then
-            t.st_tx_deferred <- t.st_tx_deferred + 1
-          else t.st_tx_copied <- t.st_tx_copied + 1
-      | Eg_data (d, _) -> transmit_data t f ~len:d.Meta.t_len
-      | Eg_ack _ | Eg_ctl _ -> Netsim.Fabric.transmit t.port f)
-  | None -> (
-      (* Connection torn down before NBI: close the TX lifecycle or
-         the open-span table leaks. *)
-      match eg with
-      | Eg_data (d, _) | Eg_data_ref (d, _) ->
-          sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
-      | _ -> ()));
+          sc_count t "nbi/tx_acks";
+          Netsim.Fabric.transmit t.port f
+      | None -> ())
+  | Eg_ctl f ->
+      (match t.capture with Some cap -> cap Dir_tx f | None -> ());
+      sc_count t "nbi/tx_ctl";
+      Netsim.Fabric.transmit t.port f);
   (* A data segment's buffer (credit) frees on transmission. *)
   match eg with
   | Eg_data _ | Eg_data_ref _ -> Scheduler.credit_return t.sch
@@ -773,9 +761,18 @@ let nbi_emit_one t eg =
 let nbi_emit t eg =
   let eg =
     match eg with
-    | Eg_data_ref (d, _)
-      when Option.is_some t.capture || d.Meta.t_len > t.cfg.Config.mss ->
-        materialize eg
+    | Eg_data_ref d
+      when Option.is_some t.capture || d.Meta.t_len > t.cfg.Config.mss -> (
+        (* The one place a first transmission's payload is read before
+           the fabric has the frame: a captured frame or a TSO
+           descriptor. *)
+        match conn t d.Meta.t_conn with
+        | Some cs ->
+            Eg_data
+              ( d,
+                Netsim.Fabric.source_read (tx_source cs) ~off:d.Meta.t_pos
+                  ~len:d.Meta.t_len )
+        | None -> eg)
     | _ -> eg
   in
   match eg with
@@ -993,19 +990,19 @@ let dma_stage t (w : dma_work) =
               let eg =
                 if len = 0 then Eg_data (desc, Bytes.empty)
                 else begin
-                  (* A first transmission carries the reader until the
+                  (* A first transmission goes by reference until the
                      fabric builds its frame: the bytes of an
                      undelivered first transmission stay in the buffer
-                     (DESIGN.md §7). *)
+                     (DESIGN.md §7). A retransmission copies them now. *)
                   let eg =
-                    Eg_data_ref
-                      ( desc,
-                        fun () ->
+                    if first then Eg_data_ref desc
+                    else
+                      Eg_data
+                        ( desc,
                           Host.Payload_buf.read
-                            cs.Conn_state.post.Conn_state.tx_buf ~off:pos
-                            ~len )
+                            cs.Conn_state.post.Conn_state.tx_buf ~off:pos ~len
+                        )
                   in
-                  let eg = if first then eg else materialize eg in
                   tx_fetch_read t cs desc;
                   eg
                 end

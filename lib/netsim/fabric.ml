@@ -8,6 +8,19 @@ type shaping = {
   ecn_threshold_bytes : int;
 }
 
+(* A connection's constant frame fields and the reader of its payload
+   bytes: a deferred segment names its source instead of carrying a
+   header or a payload of its own. *)
+type source = {
+  s_src_mac : int;
+  s_dst_mac : int;
+  s_src_ip : int;
+  s_dst_ip : int;
+  s_src_port : int;
+  s_dst_port : int;
+  s_read : off:int -> len:int -> Bytes.t;
+}
+
 type t = {
   engine : Sim.Engine.t;  (* default home of a port *)
   switch_latency : Sim.Time.t;
@@ -38,6 +51,15 @@ and port = {
      switch output, [egress_stream] deliveries off the egress link. *)
   tx_stream : Sim.Engine.Stream.t;
   egress_stream : Sim.Engine.Stream.t;
+  (* The deferred-segment FIFO (see [transmit_segment]): a ring of
+     [q_src]/[q_dst] slots and [stride] ints per segment, whose entries
+     [tx_stream] pops in order through [q_pop], one closure per port. *)
+  mutable q_src : source array;
+  mutable q_dst : port array;
+  mutable q_int : int array;
+  mutable q_head : int;
+  mutable q_len : int;
+  mutable q_pop : unit -> unit;
   mutable egress_queued : int;  (* bytes committed but not yet delivered *)
   mutable shaping : shaping option;
   mutable tx_fault : fault_hook option;
@@ -71,39 +93,6 @@ let create engine ?(switch_latency = Sim.Time.us 1) ?(seed = 42L) () =
   }
 
 let set_loss t p = t.loss <- p
-
-let add_port t ?engine ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
-  if t.partitioned then
-    invalid_arg "Fabric.add_port: fabric is already partitioned";
-  let engine = match engine with Some e -> e | None -> t.engine in
-  let port =
-    {
-      fabric = t;
-      home = engine;
-      mac;
-      ip;
-      rate_gbps;
-      rx;
-      tx_free = Sim.Time.zero;
-      egress_free = Sim.Time.zero;
-      tx_stream = Sim.Engine.Stream.create engine;
-      egress_stream = Sim.Engine.Stream.create engine;
-      egress_queued = 0;
-      shaping = None;
-      tx_fault = None;
-      rx_fault = None;
-      p_delivered = 0;
-      p_dropped_queue = 0;
-      p_ecn_marked = 0;
-      p_dropped_loss = 0;
-      p_dropped_unroutable = 0;
-      p_rng = Sim.Rng.stream ~seed:t.seed ~key:mac;
-    }
-  in
-  t.ports <- port :: t.ports;
-  Int_tbl.replace t.by_mac mac port;
-  Int_tbl.replace t.by_ip ip port;
-  port
 
 (* The (src, dst) pair of LP ids as one int key, allocating nothing:
    LP ids count the LPs of one cluster, far below 2^31. *)
@@ -203,46 +192,58 @@ let deliver _t (dst : port) frame len read =
             rx_into dst frame read)
       end
 
-let route t frame =
-  match Int_tbl.find_opt t.by_mac frame.Tcp.Segment.dst_mac with
-  | Some p -> Some p
-  | None -> Int_tbl.find_opt t.by_ip frame.Tcp.Segment.seg.dst_ip
+(* Routing allocates nothing: [Not_found] for an unroutable frame. *)
+let route t ~mac ~ip =
+  match Int_tbl.find t.by_mac mac with
+  | p -> p
+  | exception Not_found -> Int_tbl.find t.by_ip ip
 
-(* Returns [false] if it read a by-reference payload: a frame crossing
-   LPs is built here, on the source LP, which owns the payload's
-   buffer. *)
-let transmit_clean port frame len read =
+(* Ingress serialisation of [bytes] and the loss draw, both at
+   transmit time: [false] for a frame lost in the fabric. The loss draw
+   comes from the source port's own stream (keyed by mac), so the draws
+   do not depend on how ports are spread over LPs. *)
+let serialise port ~bytes =
   let t = port.fabric in
-  let now = Sim.Engine.now port.home in
-  let bytes = Tcp.Segment.frame_wire_len frame + len in
   let ser = wire_time ~rate_gbps:port.rate_gbps ~bytes in
-  let start = Int.max now port.tx_free in
-  port.tx_free <- start + ser;
-  let arrival = port.tx_free + t.switch_latency in
-  (* The loss draw comes from the source port's own stream (keyed by
-     mac) and routing happens at transmit time: the destination LP
-     must be known to pick the channel, and a per-port stream keeps
-     the draws independent of how ports are spread over LPs. *)
+  port.tx_free <- Int.max (Sim.Engine.now port.home) port.tx_free + ser;
   if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then begin
     port.p_dropped_loss <- port.p_dropped_loss + 1;
-    true
+    false
   end
+  else true
+
+let arrival port = port.tx_free + port.fabric.switch_latency
+
+(* Send a frame that crosses LPs: built here, on the source LP, which
+   owns the payload's buffer. *)
+let send_across port dst frame =
+  let t = port.fabric in
+  let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
+  Sim.Engine.Cluster.send ch ~at:(arrival port) (fun () ->
+      deliver t dst frame 0 built)
+
+(* Returns [false] if it read a by-reference payload. Routing happens
+   at transmit time: the destination LP must be known to pick the
+   channel. *)
+let transmit_clean port frame len read =
+  let t = port.fabric in
+  if not (serialise port ~bytes:(Tcp.Segment.frame_wire_len frame + len))
+  then true
   else
-    match route t frame with
-    | None ->
+    match
+      route t ~mac:frame.Tcp.Segment.dst_mac ~ip:frame.Tcp.Segment.seg.dst_ip
+    with
+    | exception Not_found ->
         port.p_dropped_unroutable <- port.p_dropped_unroutable + 1;
         true
-    | Some dst ->
+    | dst ->
         if dst.home == port.home then begin
-          Sim.Engine.Stream.schedule_at port.tx_stream arrival (fun () ->
-              deliver t dst frame len read);
+          Sim.Engine.Stream.schedule_at port.tx_stream (arrival port)
+            (fun () -> deliver t dst frame len read);
           true
         end
         else begin
-          let frame = build frame read in
-          let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
-          Sim.Engine.Cluster.send ch ~at:arrival (fun () ->
-              deliver t dst frame 0 built);
+          send_across port dst (build frame read);
           read == built
         end
 
@@ -259,6 +260,162 @@ let transmit_ref port frame ~len ~read =
   | Some hook ->
       hook (build frame read) (transmit_built port);
       false
+
+(* --- Deferred segments ---------------------------------------------- *)
+
+let source ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~read =
+  {
+    s_src_mac = src_mac;
+    s_dst_mac = dst_mac;
+    s_src_ip = src_ip;
+    s_dst_ip = dst_ip;
+    s_src_port = src_port;
+    s_dst_port = dst_port;
+    s_read = read;
+  }
+
+let source_read src ~off ~len = src.s_read ~off ~len
+
+let segment_frame src ~seq ~ack ~flags ~window ~tsval ~tsecr ~payload =
+  let open Tcp.Segment in
+  make_frame ~ecn:Ect0 ~src_mac:src.s_src_mac ~dst_mac:src.s_dst_mac
+    (make ~flags:(flags_of_bits flags) ~window
+       ~options:{ mss = None; ts = Some (tsval, tsecr) }
+       ~payload ~src_ip:src.s_src_ip ~dst_ip:src.s_dst_ip
+       ~src_port:src.s_src_port ~dst_port:src.s_dst_port ~seq ~ack_seq:ack ())
+
+(* The wire bytes of a segment frame other than its payload. *)
+let segment_overhead =
+  Tcp.Segment.frame_overhead ~vlan:None
+    { Tcp.Segment.mss = None; ts = Some (0, 0) }
+
+(* A popped FIFO slot's source: the slot must not keep a torn-down
+   connection's buffer alive. *)
+let no_source =
+  source ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0 ~src_port:0 ~dst_port:0
+    ~read:(fun ~off:_ ~len:_ -> Bytes.empty)
+
+(* Ints per FIFO entry: seq, ack, flags, window, tsval, tsecr, payload
+   position, payload length. *)
+let stride = 8
+
+(* Only called when the ring is full; unrolls it to start at 0. *)
+let grow_fifo port dst =
+  let cap = Array.length port.q_src in
+  let cap' = Int.max 16 (2 * cap) in
+  let unroll a fill width =
+    let b = Array.make (cap' * width) fill in
+    let first = (cap - port.q_head) * width in
+    Array.blit a (port.q_head * width) b 0 first;
+    Array.blit a 0 b first (port.q_head * width);
+    b
+  in
+  port.q_src <- unroll port.q_src no_source 1;
+  port.q_dst <- unroll port.q_dst dst 1;
+  port.q_int <- unroll port.q_int 0 stride;
+  port.q_head <- 0
+
+(* [tx_stream]'s callback for a deferred segment: the FIFO's head
+   leaves the switch and is built, header, payload and checksum at
+   once. *)
+let pop_segment port () =
+  let h = port.q_head in
+  let src = Array.unsafe_get port.q_src h
+  and dst = Array.unsafe_get port.q_dst h
+  and q = port.q_int
+  and i = h * stride in
+  Array.unsafe_set port.q_src h no_source;
+  port.q_head <- (h + 1) land (Array.length port.q_src - 1);
+  port.q_len <- port.q_len - 1;
+  let frame =
+    segment_frame src ~seq:q.(i) ~ack:q.(i + 1) ~flags:q.(i + 2)
+      ~window:q.(i + 3) ~tsval:q.(i + 4) ~tsecr:q.(i + 5)
+      ~payload:(src.s_read ~off:q.(i + 6) ~len:q.(i + 7))
+  in
+  deliver port.fabric dst frame 0 built
+
+let transmit_segment port src ~seq ~ack ~flags ~window ~tsval ~tsecr ~pos
+    ~len =
+  match port.tx_fault with
+  | Some hook ->
+      hook
+        (segment_frame src ~seq ~ack ~flags ~window ~tsval ~tsecr
+           ~payload:(src.s_read ~off:pos ~len))
+        (transmit_built port);
+      false
+  | None -> (
+      let t = port.fabric in
+      if not (serialise port ~bytes:(segment_overhead + len)) then true
+      else
+        match route t ~mac:src.s_dst_mac ~ip:src.s_dst_ip with
+        | exception Not_found ->
+            port.p_dropped_unroutable <- port.p_dropped_unroutable + 1;
+            true
+        | dst when dst.home != port.home ->
+            send_across port dst
+              (segment_frame src ~seq ~ack ~flags ~window ~tsval ~tsecr
+                 ~payload:(src.s_read ~off:pos ~len));
+            false
+        | dst ->
+            if port.q_len = Array.length port.q_src then grow_fifo port dst;
+            let slot =
+              (port.q_head + port.q_len) land (Array.length port.q_src - 1)
+            in
+            let q = port.q_int and i = slot * stride in
+            Array.unsafe_set port.q_src slot src;
+            Array.unsafe_set port.q_dst slot dst;
+            q.(i) <- seq;
+            q.(i + 1) <- ack;
+            q.(i + 2) <- flags;
+            q.(i + 3) <- window;
+            q.(i + 4) <- tsval;
+            q.(i + 5) <- tsecr;
+            q.(i + 6) <- pos;
+            q.(i + 7) <- len;
+            port.q_len <- port.q_len + 1;
+            Sim.Engine.Stream.schedule_at port.tx_stream (arrival port)
+              port.q_pop;
+            true)
+
+let add_port t ?engine ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
+  if t.partitioned then
+    invalid_arg "Fabric.add_port: fabric is already partitioned";
+  let engine = match engine with Some e -> e | None -> t.engine in
+  let port =
+    {
+      fabric = t;
+      home = engine;
+      mac;
+      ip;
+      rate_gbps;
+      rx;
+      tx_free = Sim.Time.zero;
+      egress_free = Sim.Time.zero;
+      tx_stream = Sim.Engine.Stream.create engine;
+      egress_stream = Sim.Engine.Stream.create engine;
+      q_src = [||];
+      q_dst = [||];
+      q_int = [||];
+      q_head = 0;
+      q_len = 0;
+      q_pop = ignore;
+      egress_queued = 0;
+      shaping = None;
+      tx_fault = None;
+      rx_fault = None;
+      p_delivered = 0;
+      p_dropped_queue = 0;
+      p_ecn_marked = 0;
+      p_dropped_loss = 0;
+      p_dropped_unroutable = 0;
+      p_rng = Sim.Rng.stream ~seed:t.seed ~key:mac;
+    }
+  in
+  port.q_pop <- pop_segment port;
+  t.ports <- port :: t.ports;
+  Int_tbl.replace t.by_mac mac port;
+  Int_tbl.replace t.by_ip ip port;
+  port
 
 let set_tx_fault port hook = port.tx_fault <- hook
 let set_rx_fault port hook = port.rx_fault <- hook

@@ -83,6 +83,74 @@ val transmit_ref :
     or a destination on another LP), [true] if its payload is still
     unread. *)
 
+(** {1 Deferred segments}
+
+    A TCP segment whose header fields are plain integers and whose
+    payload the sender reads from a buffer that keeps it until the
+    segment is delivered: a TCP offload engine's first transmission.
+    While it waits for the wire, such a segment holds no frame: the
+    port keeps its integers in its own transmit FIFO, and the fabric
+    builds the frame (header, payload and checksum at once) when the
+    segment leaves that FIFO at the switch. *)
+
+type source
+(** One connection's constant frame fields and the reader of its
+    payload bytes; make it once per connection. *)
+
+val source :
+  src_mac:int ->
+  dst_mac:int ->
+  src_ip:int ->
+  dst_ip:int ->
+  src_port:int ->
+  dst_port:int ->
+  read:(off:int -> len:int -> Bytes.t) ->
+  source
+(** [read ~off ~len] returns the payload bytes at position [off] of
+    the connection's stream. *)
+
+val source_read : source -> off:int -> len:int -> Bytes.t
+(** The source's payload bytes at [off]: for a sender that needs a
+    segment's payload before the fabric has it. *)
+
+val segment_frame :
+  source ->
+  seq:Tcp.Seq32.t ->
+  ack:Tcp.Seq32.t ->
+  flags:int ->
+  window:int ->
+  tsval:int ->
+  tsecr:int ->
+  payload:Bytes.t ->
+  Tcp.Segment.frame
+(** The frame of one of the source's segments: untagged, ECN-capable
+    (ECT(0)), with the TCP flag byte [flags]
+    ({!Tcp.Segment.flag_bits}), the timestamp option [(tsval, tsecr)]
+    and no other, and its checksum computed. *)
+
+val transmit_segment :
+  port ->
+  source ->
+  seq:Tcp.Seq32.t ->
+  ack:Tcp.Seq32.t ->
+  flags:int ->
+  window:int ->
+  tsval:int ->
+  tsecr:int ->
+  pos:int ->
+  len:int ->
+  bool
+(** Send the source's segment whose [len] payload bytes are at
+    position [pos]. Serialisation (by the full wire length, computed
+    without building anything), the loss draw and routing happen now,
+    exactly as for {!transmit} of the built frame, and the frame
+    arrives when and as that frame would. A segment for a port on the
+    same LP waits in the port's FIFO and is built, reading its payload
+    once, when it leaves the switch; a dropped one is never read. With
+    a TX fault hook on the port, or a destination on another LP, the
+    frame is built during the call. Returns [false] if it was, [true]
+    otherwise. *)
+
 (** {1 Fault injection}
 
     A fault hook intercepts every frame crossing a port boundary and

@@ -2,7 +2,8 @@
 
     A splitmix64 generator: fast, statistically adequate for workload
     generation and loss injection, and fully deterministic given a
-    seed, so every experiment in the repository is reproducible. *)
+    seed, so every experiment in the repository is reproducible. Its
+    state is stored unboxed, so a draw allocates nothing. *)
 
 type t
 

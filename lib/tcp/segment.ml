@@ -35,6 +35,28 @@ let pp_flags fmt f =
 
 let data_path_flags f = not (f.syn || f.rst || f.urg)
 
+let flag_bits f =
+  (if f.cwr then 0x80 else 0)
+  lor (if f.ece then 0x40 else 0)
+  lor (if f.urg then 0x20 else 0)
+  lor (if f.ack then 0x10 else 0)
+  lor (if f.psh then 0x08 else 0)
+  lor (if f.rst then 0x04 else 0)
+  lor (if f.syn then 0x02 else 0)
+  lor if f.fin then 0x01 else 0
+
+let flags_of_bits b =
+  {
+    fin = b land 0x01 <> 0;
+    syn = b land 0x02 <> 0;
+    rst = b land 0x04 <> 0;
+    psh = b land 0x08 <> 0;
+    ack = b land 0x10 <> 0;
+    urg = b land 0x20 <> 0;
+    ece = b land 0x40 <> 0;
+    cwr = b land 0x80 <> 0;
+  }
+
 type tcp_options = { mss : int option; ts : (int * int) option }
 
 let no_options = { mss = None; ts = None }
@@ -71,12 +93,13 @@ let options_len o =
   let ts = match o.ts with Some _ -> 12 | None -> 0 in
   mss + ts
 
-let header_len t = 20 + ((options_len t.options + 3) / 4 * 4)
+let tcp_header_len options = 20 + ((options_len options + 3) / 4 * 4)
+let header_len t = tcp_header_len t.options
 
-let eth_header_len vlan = match vlan with Some _ -> 18 | None -> 14
+let frame_overhead ~vlan options =
+  (match vlan with Some _ -> 18 | None -> 14) + 20 + tcp_header_len options
 
-let frame_wire_len f =
-  eth_header_len f.vlan + 20 + header_len f.seg + payload_len f.seg
+let frame_wire_len f = frame_overhead ~vlan:f.vlan f.seg.options + payload_len f.seg
 
 let make ?(flags = no_flags) ?(window = 0xFFFF) ?(options = no_options)
     ?(payload = Bytes.empty) ~src_ip ~dst_ip ~src_port ~dst_port ~seq
@@ -93,16 +116,6 @@ let make ?(flags = no_flags) ?(window = 0xFFFF) ?(options = no_options)
     options;
     payload;
   }
-
-let flag_bits f =
-  (if f.cwr then 0x80 else 0)
-  lor (if f.ece then 0x40 else 0)
-  lor (if f.urg then 0x20 else 0)
-  lor (if f.ack then 0x10 else 0)
-  lor (if f.psh then 0x08 else 0)
-  lor (if f.rst then 0x04 else 0)
-  lor (if f.syn then 0x02 else 0)
-  lor if f.fin then 0x01 else 0
 
 (* TCP checksum over the pseudo-header, the logical header fields and
    the payload. Computed on the structured representation rather than

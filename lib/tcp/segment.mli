@@ -19,6 +19,12 @@ type flags = {
 val no_flags : flags
 val flags_ack : flags
 
+val flag_bits : flags -> int
+(** The TCP header's flag byte (FIN = 0x01 ... CWR = 0x80). *)
+
+val flags_of_bits : int -> flags
+(** Inverse of {!flag_bits} on its low 8 bits. *)
+
 val data_path_flags : flags -> bool
 (** True iff a segment with these flags belongs on FlexTOE's
     data path (§3.1.3): only ACK, FIN, PSH, ECE, CWR may be set.
@@ -68,6 +74,11 @@ val header_len : t -> int
 
 val frame_wire_len : frame -> int
 (** Total on-wire bytes: Ethernet (+VLAN) + IPv4 + TCP + payload. *)
+
+val frame_overhead : vlan:int option -> tcp_options -> int
+(** The on-wire bytes of a frame other than its payload: Ethernet
+    (+VLAN), IPv4 and a TCP header carrying these options. Option
+    values do not matter, only which are present. *)
 
 val make :
   ?flags:flags ->

@@ -40,28 +40,6 @@ let get_u48 b off = (get_u16 b off lsl 32) lor get_u32 b (off + 2)
 let ecn_bits = function Not_ect -> 0 | Ect0 -> 2 | Ect1 -> 1 | Ce -> 3
 let ecn_of_bits = function 0 -> Not_ect | 2 -> Ect0 | 1 -> Ect1 | _ -> Ce
 
-let flag_bits f =
-  (if f.fin then 0x01 else 0)
-  lor (if f.syn then 0x02 else 0)
-  lor (if f.rst then 0x04 else 0)
-  lor (if f.psh then 0x08 else 0)
-  lor (if f.ack then 0x10 else 0)
-  lor (if f.urg then 0x20 else 0)
-  lor (if f.ece then 0x40 else 0)
-  lor if f.cwr then 0x80 else 0
-
-let flags_of_bits b =
-  {
-    fin = b land 0x01 <> 0;
-    syn = b land 0x02 <> 0;
-    rst = b land 0x04 <> 0;
-    psh = b land 0x08 <> 0;
-    ack = b land 0x10 <> 0;
-    urg = b land 0x20 <> 0;
-    ece = b land 0x40 <> 0;
-    cwr = b land 0x80 <> 0;
-  }
-
 (* Offsets for untagged frames. *)
 let off_ethertype = 12
 let off_ip = 14

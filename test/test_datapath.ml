@@ -334,9 +334,39 @@ let test_tx_retransmissions_copy () =
   check_bool "first transmissions went by reference" true
     (deferred !nodes > 0)
 
+(* Eight connections stream at link rate, so about a thousand frames
+   wait in the sender's fabric port at any time. A first transmission
+   waiting there must hold no heap block of its own, or each one lives
+   long enough to be promoted out of the minor heap. The ratio is
+   taken over simulated 1 to 6 ms, past the connections' set-up. *)
+let test_stream_promotion_budget () =
+  let module W = Golden_worlds in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let nodes = ref [] in
+  let total = 4 * 1024 * 1024 in
+  let fin = W.setup_stream ~conns:8 ~total ~nodes ~engine () in
+  Sim.Engine.run ~until:(Sim.Time.ms 1) engine;
+  let g0 = Gc.quick_stat () in
+  Sim.Engine.run ~until:(Sim.Time.ms 6) engine;
+  let g1 = Gc.quick_stat () in
+  Sim.Engine.run ~until:(Sim.Time.ms 12) engine;
+  let r = fin () in
+  check_int "every byte arrived" (8 * total) r.W.received;
+  check_int "no corrupt byte" 0 r.W.corrupt;
+  check_bool "first transmissions went by reference" true
+    (deferred !nodes > 0);
+  let ratio =
+    (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+    /. (g1.Gc.minor_words -. g0.Gc.minor_words)
+  in
+  if ratio > 0.025 then
+    Alcotest.failf "promoted/minor words %.3f over 1-6 ms (bound 0.025)" ratio
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
+    Alcotest.test_case "stream promotion budget" `Quick
+      test_stream_promotion_budget;
     Alcotest.test_case "TX by reference equals eager TX" `Quick
       test_tx_by_reference_equivalent;
     Alcotest.test_case "TX retransmissions copy under loss" `Quick

@@ -738,6 +738,61 @@ let test_rng_bool_rate () =
   let rate = float_of_int !hits /. float_of_int n in
   check_bool "2% +- 0.5%" true (rate > 0.015 && rate < 0.025)
 
+(* The first outputs of each way to make a generator, as splitmix64
+   gives them: a change to how the state is stored must not move a
+   single draw. *)
+let test_rng_pinned_outputs () =
+  let pins =
+    [
+      (0L, "create", [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L ], 611, 0x1.b39896a51a87p-4, true);
+      (0L, "split", [ -6411193824288604561L; -5511663747979980962L; 7141179953334974231L ], 609, 0x1.936b5c20cd31ep-1, true);
+      (0L, "stream", [ 5629846650018757432L; -6636457705877975743L; -8187234709408407387L ], 194, 0x1.1b2bf34a8fffp-3, false);
+      (42L, "create", [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ], 941, 0x1.378b0b448904p-5, false);
+      (42L, "split", [ 6332618229526065668L; -816328817471504299L; 8971565426155258802L ], 674, 0x1.5a94b320c5fa2p-1, true);
+      (42L, "stream", [ 3676294358273406211L; 8857862703798441688L; 1204335706493366942L ], 949, 0x1.4e2aadab2288ap-1, false);
+      (-7L, "create", [ 7790691224305936752L; 8829294814793142954L; -1715519743840680431L ], 472, 0x1.21bef7b15d6efp-1, false);
+      (-7L, "split", [ 1533972906235141153L; 6759016261732985689L; 3304354537809254571L ], 991, 0x1.f3aaa7d50305p-2, false);
+      (-7L, "stream", [ -346580035362130434L; -1610868779559996261L; 7222378427977658783L ], 38, 0x1.01a3193bcdb84p-3, true);
+    ]
+  in
+  List.iter
+    (fun (seed, how, raw, i, f, b) ->
+      let r =
+        match how with
+        | "create" -> Sim.Rng.create seed
+        | "split" -> Sim.Rng.split (Sim.Rng.create seed)
+        | _ -> Sim.Rng.stream ~seed ~key:3
+      in
+      let name = Printf.sprintf "%s %Ld" how seed in
+      List.iter
+        (fun want -> Alcotest.(check int64) name want (Sim.Rng.next64 r))
+        raw;
+      check_int (name ^ " int") i (Sim.Rng.int r 1000);
+      Alcotest.(check (float 0.)) (name ^ " float") f (Sim.Rng.float r 1.0);
+      check_bool (name ^ " bool") b (Sim.Rng.bool r 0.5))
+    pins
+
+(* A draw allocates nothing: hosts draw once per job and the fabric
+   once per frame on a lossy link. *)
+let test_rng_draw_allocation () =
+  let r = Sim.Rng.create 5L in
+  let hits = ref 0 in
+  let draws n =
+    for i = 1 to n do
+      if Sim.Rng.bool r 0.5 then incr hits;
+      if Sim.Rng.int r 7 = i land 7 then incr hits;
+      if Sim.Rng.float r 2.0 < 1.0 then incr hits
+    done
+  in
+  draws 100;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  draws n;
+  let words = (Gc.minor_words () -. before) /. float_of_int (3 * n) in
+  check_bool "some hits" true (!hits > 0);
+  if words > 0.01 then
+    Alcotest.failf "%.2f minor words per draw (bound 0.01)" words
+
 (* --- Stats ----------------------------------------------------------------- *)
 
 let test_histogram_exact_small () =
@@ -906,6 +961,8 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng bernoulli rate" `Quick test_rng_bool_rate;
+    Alcotest.test_case "rng pinned outputs" `Quick test_rng_pinned_outputs;
+    Alcotest.test_case "rng draw allocation" `Quick test_rng_draw_allocation;
     Alcotest.test_case "histogram small values exact" `Quick
       test_histogram_exact_small;
     QCheck_alcotest.to_alcotest prop_histogram_bounds;
