@@ -3,8 +3,7 @@
    Examples:
      flextoe-sim echo --stack flextoe --conns 64 --size 2048 --loss 0.01
      flextoe-sim stream --stack linux --conns 8 --duration-ms 100
-     flextoe-sim kv --stack tas --cores 8
-     flextoe-sim ablation *)
+     flextoe-sim kv --stack tas --cores 8 *)
 
 open Cmdliner
 
@@ -216,45 +215,6 @@ let run_kv stack conns cores duration_ms profile trace_out metrics_out =
   | Some n -> report_profile ~trace_out ~metrics_out n
   | None -> ()
 
-let run_ablation () =
-  let rows =
-    [
-      ("baseline (run-to-completion)", Flextoe.Config.t3_baseline);
-      ("+ pipelining", Flextoe.Config.t3_pipelined);
-      ("+ intra-FPC threads", Flextoe.Config.t3_threads);
-      ("+ replicated pre/post", Flextoe.Config.t3_replicated);
-      ("+ flow-group islands", Flextoe.Config.t3_flow_groups);
-    ]
-  in
-  List.iter
-    (fun (name, par) ->
-      let engine = Sim.Engine.create () in
-      let fabric = Netsim.Fabric.create engine () in
-      let config =
-        Flextoe.Config.with_parallelism Flextoe.Config.default par
-      in
-      let server =
-        Flextoe.create_node engine ~fabric ~config ~app_cores:8
-          ~ip:0x0A000001 ()
-      in
-      let client =
-        Flextoe.create_node engine ~fabric ~app_cores:8 ~ip:0x0A000002 ()
-      in
-      let stats = Host.Rpc.Stats.create engine in
-      Host.Rpc.server ~endpoint:(Flextoe.endpoint server) ~port:7
-        ~app_cycles:100 ~handler:Host.Rpc.echo_handler ();
-      ignore
-        (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint client)
-           ~engine ~server_ip:0x0A000001 ~server_port:7 ~conns:64
-           ~pipeline:1 ~req_bytes:2048 ~stats ());
-      Sim.Engine.run ~until:(Sim.Time.ms 20) engine;
-      Host.Rpc.Stats.start_measuring stats;
-      Sim.Engine.run ~until:(Sim.Time.ms 60) engine;
-      Printf.printf "%-30s %10.1f mbps   median %8.1f us\n" name
-        (2. *. Host.Rpc.Stats.gbps stats *. 1000.)
-        (Host.Rpc.Stats.rtt_percentile_us stats 50.))
-    rows
-
 (* --- Cmdliner plumbing -------------------------------------------------- *)
 
 let stack_t =
@@ -328,13 +288,9 @@ let kv_cmd =
     Term.(const run_kv $ stack_t $ conns_t $ cores_t $ duration_t
           $ profile_t $ trace_out_t $ metrics_out_t)
 
-let ablation_cmd =
-  Cmd.v (Cmd.info "ablation" ~doc:"Data-path parallelism ablation (Table 3)")
-    Term.(const run_ablation $ const ())
-
 let () =
   let info =
     Cmd.info "flextoe-sim" ~version:"1.0.0"
       ~doc:"FlexTOE reproduction: single-experiment simulator driver"
   in
-  exit (Cmd.eval (Cmd.group info [ echo_cmd; stream_cmd; kv_cmd; ablation_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ echo_cmd; stream_cmd; kv_cmd ]))

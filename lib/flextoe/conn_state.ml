@@ -53,11 +53,6 @@ type tx_fetches = {
   mutable tf_high : int;
 }
 
-type rx_slot = {
-  rs_queue : rx_slot Sim.Fifo.t;
-  mutable rs_finish : (unit -> unit) option;
-}
-
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
@@ -65,7 +60,7 @@ type t = {
   proto : proto;
   post : post;
   tx_fetch : tx_fetches;
-  rx_slots : rx_slot Sim.Fifo.t;
+  rx_order : (unit -> unit) Sequencer.t;
   mutable rx_notified : int;
   mutable tx_source : Netsim.Fabric.source option;
   mutable active : bool;
@@ -132,7 +127,7 @@ let create ~idx ~flow ~peer_mac ~flow_group ~tx_isn ~rx_isn
         tf_wait = 0;
         tf_high = 0;
       };
-    rx_slots = Sim.Fifo.create ();
+    rx_order = Sequencer.create ~name:"rx-order" ~release:(fun k -> k ());
     rx_notified = 0;
     tx_source = None;
     active = true;

@@ -96,20 +96,6 @@ type tx_fetches = {
           bytes, which the data path may send by reference. *)
 }
 
-(** One RX verdict's place in its connection's protocol order
-    ([Datapath] keeps these; simulator bookkeeping like
-    {!tx_fetches}). Replicated post-processors and DMA FPCs can issue
-    one connection's payload DMAs out of protocol order, so a
-    verdict's notification and ACK wait until every verdict the
-    protocol stage produced before it has finished: the host never
-    learns of bytes whose payload DMA has not landed (§3.1.3). *)
-type rx_slot = {
-  rs_queue : rx_slot Sim.Fifo.t;
-      (** The connection's unfinished slots, oldest first. *)
-  mutable rs_finish : (unit -> unit) option;
-      (** Set once the slot's DMA-stage work is done. *)
-}
-
 type t = {
   idx : int;
   flow : Tcp.Flow.t;
@@ -117,7 +103,16 @@ type t = {
   proto : proto;
   post : post;
   tx_fetch : tx_fetches;
-  rx_slots : rx_slot Sim.Fifo.t;
+  rx_order : (unit -> unit) Sequencer.t;
+      (** The connection's RX verdicts in protocol order (simulator
+          bookkeeping like {!tx_fetches}). Replicated post-processors
+          and DMA FPCs can issue one connection's payload DMAs out of
+          protocol order, so the protocol stage takes a seq per
+          verdict and whatever finishes the verdict downstream (its
+          notification and ACK) is submitted as a closure that runs
+          once every earlier verdict has finished: the host never
+          learns of bytes whose payload DMA has not landed
+          (§3.1.3). *)
   mutable rx_notified : int;
       (** Stream bytes notified to the host so far: the next
           notification makes the bytes from here on readable. *)

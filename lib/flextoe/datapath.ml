@@ -50,9 +50,16 @@ type egress =
   | Eg_ack of Meta.ack_info
   | Eg_ctl of S.frame
 
+(* An RX verdict's place in its connection's protocol order: the
+   connection's [Conn_state.rx_order] and the seq the protocol stage
+   took for the verdict. Whatever finishes the verdict downstream is
+   submitted there, so a torn-down connection's held work still
+   drains. *)
+type rx_turn = (unit -> unit) Sequencer.t * int
+
 (* Work arriving at a post-processor. *)
 type post_work =
-  | Post_rx of Meta.rx_verdict * Conn_state.rx_slot
+  | Post_rx of Meta.rx_verdict * rx_turn
   | Post_tx of Meta.tx_desc * bool  (* first transmission of its bytes *)
   | Post_hc of int * Protocol.hc_result  (* conn *)
 
@@ -455,6 +462,11 @@ let install_conn t cs ~k =
           ~src_port:pre.Conn_state.local_port
           ~dst_port:pre.Conn_state.remote_port
           ~read:(Host.Payload_buf.read cs.Conn_state.post.Conn_state.tx_buf)));
+  (match t.san with
+  | Some s ->
+      Sequencer.set_tracer cs.Conn_state.rx_order
+        (Some (San.rx_order_tracer s ~flow:cs.Conn_state.idx))
+  | None -> ());
   (* CP writes ~108 B of state across PCIe. *)
   Nfp.Dma.issue t.dma ~queue:1 ~bytes:128 (fun () ->
       Nfp.Conn_table.replace t.conns cs.Conn_state.idx cs;
@@ -855,52 +867,13 @@ let tx_fetch_read t cs (d : Meta.tx_desc) =
 
 (* --- DMA stage ------------------------------------------------------ *)
 
-(* RX work finishes in protocol order (see [Conn_state.rx_slot]): the
-   protocol stage takes a slot per verdict, and whatever finishes the
-   verdict downstream runs once every earlier slot has run its own. *)
-let rx_slot_take cs =
-  let q = cs.Conn_state.rx_slots in
-  let s = { Conn_state.rs_queue = q; rs_finish = None } in
-  Sim.Fifo.push s q;
-  s
-
-let rec rx_slot_drain q =
-  if not (Sim.Fifo.is_empty q) then
-    match (Sim.Fifo.peek q).Conn_state.rs_finish with
-    | Some k ->
-        ignore (Sim.Fifo.pop q);
-        k ();
-        rx_slot_drain q
-    | None -> ()
-
-let rx_slot_finish t (s : Conn_state.rx_slot) k =
-  let q = s.rs_queue in
-  if Sim.Fifo.peek q == s then begin
-    ignore (Sim.Fifo.pop q);
-    k ();
-    rx_slot_drain q
-  end
-  else
-    (* Held: it runs in the context of the completion that releases
-       it, so it carries the happens-before edge of its own completion
-       (its payload write) along, as the sanitizer's token. *)
-    s.rs_finish <-
-      Some
-        (match t.san with
-        | None -> k
-        | Some san ->
-            let tok = San.token_send san in
-            fun () ->
-              San.token_join san tok;
-              k ())
-
 type dma_work = {
   dw_conn : int;
   dw_gseq : int;
       (* RX sequencer slot of the segment this work answers (-1 for
          TX/HC-originated work): FlexScope lifecycle attribution. *)
   dw_payload : (int * Bytes.t) option;  (* RX placement *)
-  dw_slot : Conn_state.rx_slot option;
+  dw_slot : rx_turn option;
       (* The RX verdict's place in protocol order: its notification
          and ACK run only after those of every earlier verdict. *)
   dw_fetch : (Meta.tx_desc * bool) option;
@@ -955,7 +928,7 @@ let dma_stage t (w : dma_work) =
       in
       let finish () =
         match w.dw_slot with
-        | Some s -> rx_slot_finish t s finish
+        | Some (order, seq) -> Sequencer.submit order ~seq finish
         | None -> finish ()
       in
       match (w.dw_payload, w.dw_fetch, cs) with
@@ -1128,8 +1101,8 @@ let postproc_stage t fg (w : post_work) =
               Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
               sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
               tx_nothing_sent t ~conn:conn_idx
-          | Post_rx (v, slot) ->
-              rx_slot_finish t slot (fun () ->
+          | Post_rx (v, (order, seq)) ->
+              Sequencer.submit order ~seq (fun () ->
                   sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
                   match v.Meta.v_ack with
                   | Some a -> Sequencer.skip t.tx_gro ~seq:a.Meta.a_gseq
@@ -1249,7 +1222,8 @@ let protocol_rx t (s : Meta.rx_summary) =
           if v.Meta.v_tx_freed > 0 then tx_acked t cs;
           trace_rx_verdict t v;
           postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
-            (Post_rx (v, rx_slot_take cs)))
+            (let order = cs.Conn_state.rx_order in
+             Post_rx (v, (order, Sequencer.next_seq order))))
 
 let protocol_tx t ~conn:conn_idx =
   match conn t conn_idx with

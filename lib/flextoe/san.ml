@@ -520,6 +520,8 @@ let access t ~stage ~flow ~obj ?range kind =
 
 (* --- Flow lifecycle ------------------------------------------------ *)
 
+let rx_order_name flow = "rx#" ^ string_of_int flow
+
 let flow_init t ~flow =
   List.iter
     (fun o ->
@@ -528,7 +530,8 @@ let flow_init t ~flow =
     E.all_objs;
   Hashtbl.remove t.open_spans flow;
   Hashtbl.remove t.chans (lock_chan flow);
-  Hashtbl.remove t.chans ("arx#" ^ string_of_int flow)
+  Hashtbl.remove t.chans ("arx#" ^ string_of_int flow);
+  Hashtbl.remove t.chans ("seq#" ^ rx_order_name flow)
 
 let flow_forget = flow_init
 
@@ -559,6 +562,8 @@ let seq_tracer t ~name =
         chan_recv t chan;
         k ());
   }
+
+let rx_order_tracer t ~flow = seq_tracer t ~name:(rx_order_name flow)
 
 let sch_tracer t =
   let chan conn = "sch#" ^ string_of_int conn in

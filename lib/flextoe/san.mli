@@ -118,6 +118,11 @@ val flow_forget : t -> flow:int -> unit
 val fpc_tracer : t -> name:string -> Nfp.Fpc.tracer
 val dma_tracer : t -> Nfp.Dma.tracer
 val seq_tracer : t -> name:string -> Sequencer.tracer
+
+val rx_order_tracer : t -> flow:int -> Sequencer.tracer
+(** {!seq_tracer} for connection [flow]'s RX order: its channel is
+    per connection, and {!flow_init} clears it. *)
+
 val sch_tracer : t -> Scheduler.tracer
 val ring_tracer : t -> name:string -> Nfp.Ring.tracer
 

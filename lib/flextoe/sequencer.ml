@@ -16,8 +16,10 @@ type 'a t = {
   mutable next_release : int;
   (* A ring indexed by seq: [waiting.(seq land (capacity - 1))] is the
      slot of [seq] for every seq in [next_release, next_release +
-     capacity), and [Empty] until that seq is submitted or skipped. The capacity is a power of two and doubles when a seq
-     lands beyond the window. *)
+     capacity), and [Empty] until that seq is submitted or skipped. The
+     capacity is a power of two and doubles when a seq lands beyond the
+     window. A fresh sequencer has no ring: the first submit or skip
+     makes it, so an unused sequencer costs only its record. *)
   mutable waiting : 'a slot array;
   mutable waiting_count : int;
   mutable released : int;
@@ -25,15 +27,13 @@ type 'a t = {
   mutable tracer : tracer option;
 }
 
-let initial_capacity = 64
-
 let create ~name ~release =
   {
     name;
     release;
     next_alloc = 0;
     next_release = 0;
-    waiting = Array.make initial_capacity Empty;
+    waiting = [||];
     waiting_count = 0;
     released = 0;
     reordered = 0;
@@ -68,11 +68,12 @@ let rec drain t =
       | Skipped | Empty -> ());
       drain t
 
-(* Doubles the ring until [seq] falls inside the window, moving every
-   slot of the old window to its index in the new ring. *)
+(* Doubles the ring (from one slot, if there is none yet) until [seq]
+   falls inside the window, moving every slot of the old window to its
+   index in the new ring. *)
 let grow t seq =
   let old = t.waiting in
-  let cap = ref (Array.length old) in
+  let cap = ref (Int.max 1 (Array.length old)) in
   while seq - t.next_release >= !cap do
     cap := 2 * !cap
   done;

@@ -20,7 +20,8 @@ type tracer = {
 }
 
 val create : name:string -> release:('a -> unit) -> 'a t
-(** [release] is called, in sequence order, for every submitted item. *)
+(** [release] is called, in sequence order, for every submitted item.
+    The reorder ring is made by the first {!submit} or {!skip}. *)
 
 val set_tracer : 'a t -> tracer option -> unit
 (** Install (or clear) the tracer. Zero cost when unset. *)

@@ -126,36 +126,15 @@ let wire_time ~rate_gbps ~bytes =
   let on_wire = bytes + 24 in
   int_of_float (Float.round (float_of_int (8 * on_wire) *. 1000. /. rate_gbps))
 
-(* A frame in flight is a frame plus, for a payload carried by
-   reference, the payload's length and the function that reads it; a
-   frame whose payload is already in its segment has length 0 and the
-   reader [built]. A by-reference frame holds an empty payload and no
-   checksum until [build] reads the payload and computes the checksum:
-   when the frame is handed to the destination port, before a fault
-   hook sees it, or before it crosses LPs. A dropped frame is never
-   built. *)
-let built : unit -> Bytes.t =
- fun () -> invalid_arg "Fabric: frame already built"
-
-let build frame read =
-  if read == built then frame
-  else
-    let open Tcp.Segment in
-    make_frame ~vlan:frame.vlan ~ecn:frame.ecn ~src_mac:frame.src_mac
-      ~dst_mac:frame.dst_mac
-      { frame.seg with payload = read () }
-
 (* Hand a frame to the destination port's receiver, through its
    ingress fault stage if one is attached. *)
-let rx_into (dst : port) frame read =
-  let frame = build frame read in
+let rx_into (dst : port) frame =
   match dst.rx_fault with None -> dst.rx frame | Some hook -> hook frame dst.rx
 
-(* Runs on the destination port's home LP. [len] is the length of a
-   by-reference payload (0 for a built frame). *)
-let deliver _t (dst : port) frame len read =
+(* Runs on the destination port's home LP. *)
+let deliver (dst : port) frame =
   let now = Sim.Engine.now dst.home in
-  let bytes = Tcp.Segment.frame_wire_len frame + len in
+  let bytes = Tcp.Segment.frame_wire_len frame in
   match dst.shaping with
   | None ->
       (* Unshaped: serialise onto the destination link at port rate. *)
@@ -165,7 +144,7 @@ let deliver _t (dst : port) frame len read =
       Sim.Engine.Stream.schedule_at dst.egress_stream dst.egress_free
         (fun () ->
           dst.p_delivered <- dst.p_delivered + 1;
-          rx_into dst frame read)
+          rx_into dst frame)
   | Some s ->
       if dst.egress_queued + bytes > s.queue_bytes then
         dst.p_dropped_queue <- dst.p_dropped_queue + 1
@@ -189,7 +168,7 @@ let deliver _t (dst : port) frame len read =
           (fun () ->
             dst.egress_queued <- dst.egress_queued - bytes;
             dst.p_delivered <- dst.p_delivered + 1;
-            rx_into dst frame read)
+            rx_into dst frame)
       end
 
 (* Routing allocates nothing: [Not_found] for an unroutable frame. *)
@@ -214,52 +193,32 @@ let serialise port ~bytes =
 
 let arrival port = port.tx_free + port.fabric.switch_latency
 
-(* Send a frame that crosses LPs: built here, on the source LP, which
+(* Send a frame that crosses LPs. It was built on the source LP, which
    owns the payload's buffer. *)
 let send_across port dst frame =
   let t = port.fabric in
   let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
-  Sim.Engine.Cluster.send ch ~at:(arrival port) (fun () ->
-      deliver t dst frame 0 built)
+  Sim.Engine.Cluster.send ch ~at:(arrival port) (fun () -> deliver dst frame)
 
-(* Returns [false] if it read a by-reference payload. Routing happens
-   at transmit time: the destination LP must be known to pick the
-   channel. *)
-let transmit_clean port frame len read =
+(* Routing happens at transmit time: the destination LP must be known
+   to pick the channel. *)
+let transmit_clean port frame =
   let t = port.fabric in
-  if not (serialise port ~bytes:(Tcp.Segment.frame_wire_len frame + len))
-  then true
-  else
+  if serialise port ~bytes:(Tcp.Segment.frame_wire_len frame) then
     match
       route t ~mac:frame.Tcp.Segment.dst_mac ~ip:frame.Tcp.Segment.seg.dst_ip
     with
     | exception Not_found ->
-        port.p_dropped_unroutable <- port.p_dropped_unroutable + 1;
-        true
-    | dst ->
-        if dst.home == port.home then begin
-          Sim.Engine.Stream.schedule_at port.tx_stream (arrival port)
-            (fun () -> deliver t dst frame len read);
-          true
-        end
-        else begin
-          send_across port dst (build frame read);
-          read == built
-        end
-
-let transmit_built port frame = ignore (transmit_clean port frame 0 built)
+        port.p_dropped_unroutable <- port.p_dropped_unroutable + 1
+    | dst when dst.home == port.home ->
+        Sim.Engine.Stream.schedule_at port.tx_stream (arrival port) (fun () ->
+            deliver dst frame)
+    | dst -> send_across port dst frame
 
 let transmit port frame =
   match port.tx_fault with
-  | None -> transmit_built port frame
-  | Some hook -> hook frame (transmit_built port)
-
-let transmit_ref port frame ~len ~read =
-  match port.tx_fault with
-  | None -> transmit_clean port frame len read
-  | Some hook ->
-      hook (build frame read) (transmit_built port);
-      false
+  | None -> transmit_clean port frame
+  | Some hook -> hook frame (transmit_clean port)
 
 (* --- Deferred segments ---------------------------------------------- *)
 
@@ -332,7 +291,7 @@ let pop_segment port () =
       ~window:q.(i + 3) ~tsval:q.(i + 4) ~tsecr:q.(i + 5)
       ~payload:(src.s_read ~off:q.(i + 6) ~len:q.(i + 7))
   in
-  deliver port.fabric dst frame 0 built
+  deliver dst frame
 
 let transmit_segment port src ~seq ~ack ~flags ~window ~tsval ~tsecr ~pos
     ~len =
@@ -341,7 +300,7 @@ let transmit_segment port src ~seq ~ack ~flags ~window ~tsval ~tsecr ~pos
       hook
         (segment_frame src ~seq ~ack ~flags ~window ~tsval ~tsecr
            ~payload:(src.s_read ~off:pos ~len))
-        (transmit_built port);
+        (transmit_clean port);
       false
   | None -> (
       let t = port.fabric in

@@ -68,21 +68,6 @@ val shape_port :
 val transmit : port -> Tcp.Segment.frame -> unit
 (** Send a frame into the fabric from this port. *)
 
-val transmit_ref :
-  port -> Tcp.Segment.frame -> len:int -> read:(unit -> Bytes.t) -> bool
-(** Send a frame whose payload the fabric carries by reference: the
-    frame given is the header (its segment's payload empty, its
-    checksum unset), [len] the payload's length, and [read] returns
-    the payload. The fabric serialises by the full wire length and
-    builds the frame ([read], then {!Tcp.Segment.make_frame} for the
-    checksum) when it hands the frame to the destination port, before
-    a TX or RX fault hook sees it, or before the frame crosses LPs,
-    on the source LP; a dropped frame is never read. [read] must
-    return the same bytes whenever it runs before delivery. Returns
-    [false] if the frame was built during the call (a TX fault hook
-    or a destination on another LP), [true] if its payload is still
-    unread. *)
-
 (** {1 Deferred segments}
 
     A TCP segment whose header fields are plain integers and whose

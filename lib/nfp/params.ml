@@ -2,7 +2,6 @@ type t = {
   fpc_freq : Sim.Time.Freq.t;
   fpc_threads : int;
   islands : int;
-  fpcs_per_island : int;
   local_mem_cycles : int;
   cls_cycles : int;
   ctm_cycles : int;
@@ -28,7 +27,6 @@ let default =
     fpc_freq = Sim.Time.Freq.of_mhz 800;
     fpc_threads = 8;
     islands = 5;
-    fpcs_per_island = 12;
     local_mem_cycles = 2;
     cls_cycles = 100;
     ctm_cycles = 100;

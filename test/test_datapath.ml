@@ -256,6 +256,37 @@ let test_rx_order_under_capture () =
   Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
   check_bool "echo load ran" true (Host.Rpc.Stats.ops stats > 10_000)
 
+(* The same load, with half of the server's connections torn down
+   under it, one every 200 ns: verdicts still in the pipeline reach a
+   post-processor that no longer finds their connection, and must
+   still release their ACK's egress slot. One left held would stall
+   the egress of every connection. *)
+let test_rx_vanished_conn_releases_egress () =
+  let engine = Sim.Engine.create ~seed:42L () in
+  let server, stats = Golden_worlds.setup_capture_load ~engine () in
+  let dp = Flextoe.datapath server in
+  Sim.Engine.run ~until:(Sim.Time.ms 1) engine;
+  let live =
+    List.filter
+      (fun i -> Flextoe.Datapath.conn dp i <> None)
+      (List.init 256 Fun.id)
+  in
+  check_bool "connections installed" true (List.length live > 64);
+  List.iteri
+    (fun n conn ->
+      if n mod 2 = 0 then begin
+        Sim.Engine.run ~until:(Sim.Time.ms 1 + Sim.Time.ns (200 * n)) engine;
+        Flextoe.Datapath.remove_conn dp ~conn
+      end)
+    live;
+  let before = Host.Rpc.Stats.ops stats in
+  Sim.Engine.run ~until:(Sim.Time.ms 2) engine;
+  let mid = Host.Rpc.Stats.ops stats in
+  Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
+  let after = Host.Rpc.Stats.ops stats in
+  check_bool "the other connections keep completing" true
+    (after - mid > (mid - before) / 2 && after - mid > 1_000)
+
 (* --- First transmissions by reference ---------------------------------- *)
 
 let sum_stats nodes f =
@@ -387,6 +418,8 @@ let suite =
     Alcotest.test_case "segment conservation" `Quick test_stats_consistency;
     Alcotest.test_case "RX notifications in protocol order under capture"
       `Quick test_rx_order_under_capture;
+    Alcotest.test_case "RX of a vanished connection releases its egress slot"
+      `Quick test_rx_vanished_conn_releases_egress;
   ]
 
 let test_vlan_ingress () =

@@ -355,6 +355,18 @@ let test_sequencer_rejects_duplicates () =
     (Invalid_argument "t: duplicate sequence number") (fun () ->
       Flextoe.Sequencer.submit s ~seq:s0 ())
 
+(* Every connection owns an RX-order sequencer, so one that never
+   receives must cost only its record: [create] allocates no ring, and
+   the first submit makes one. *)
+let test_sequencer_fresh_holds_no_ring () =
+  let s = Flextoe.Sequencer.create ~name:"t" ~release:ignore in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let fresh = words () in
+  if fresh >= 32 then
+    Alcotest.failf "a fresh sequencer reaches %d words (bound 32)" fresh;
+  Flextoe.Sequencer.submit s ~seq:(Flextoe.Sequencer.next_seq s) ();
+  check_bool "the first submit grows the ring" true (words () > fresh)
+
 let prop_sequencer_any_permutation =
   QCheck.Test.make ~name:"sequencer: any submit order releases in order"
     ~count:200
@@ -600,6 +612,8 @@ let suite =
     Alcotest.test_case "sequencer skip" `Quick test_sequencer_skip;
     Alcotest.test_case "sequencer duplicate rejection" `Quick
       test_sequencer_rejects_duplicates;
+    Alcotest.test_case "sequencer: a fresh sequencer holds no ring" `Quick
+      test_sequencer_fresh_holds_no_ring;
     QCheck_alcotest.to_alcotest prop_sequencer_any_permutation;
     Alcotest.test_case "sequencer ring wraps and grows" `Quick
       test_sequencer_ring_wraps_and_grows;

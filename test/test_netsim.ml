@@ -149,71 +149,6 @@ let test_fifo_per_destination () =
     "in-order delivery" (List.init 20 (fun i -> i + 1))
     (List.rev !order)
 
-(* A frame sent by reference arrives when and as the built frame
-   would, reads its payload once, at delivery, and a dropped one never
-   reads it. A TX fault hook sees a built frame. *)
-let test_transmit_ref () =
-  let header f =
-    let seg = { f.Tcp.Segment.seg with payload = Bytes.empty } in
-    { f with Tcp.Segment.seg; csum = 0 }
-  in
-  let run ~send =
-    let e = Sim.Engine.create () in
-    let fab = Netsim.Fabric.create e () in
-    let got = ref [] in
-    let a = Netsim.Fabric.add_port fab ~mac:1 ~ip:1 ~rx:(fun _ -> ()) () in
-    let _b =
-      Netsim.Fabric.add_port fab ~mac:2 ~ip:2
-        ~rx:(fun f -> got := (Sim.Engine.now e, f) :: !got)
-        ()
-    in
-    send e a;
-    Sim.Engine.run e;
-    List.rev !got
-  in
-  let frame = mk_frame ~payload:700 ~src:1 ~dst:2 () in
-  let built = run ~send:(fun _ a -> Netsim.Fabric.transmit a frame) in
-  let reads = ref [] in
-  let by_ref =
-    run ~send:(fun e a ->
-        let read () =
-          reads := Sim.Engine.now e :: !reads;
-          frame.Tcp.Segment.seg.payload
-        in
-        check_bool "carried unread" true
-          (Netsim.Fabric.transmit_ref a (header frame) ~len:700 ~read);
-        check_int "not read at transmit" 0 (List.length !reads))
-  in
-  (match (built, by_ref) with
-  | [ (t0, f0) ], [ (t1, f1) ] ->
-      check_int "same arrival" t0 t1;
-      check_int "same checksum" f0.Tcp.Segment.csum f1.Tcp.Segment.csum;
-      check_bool "checksum valid" true (Tcp.Segment.csum_ok f1);
-      Alcotest.(check (list int)) "read once, at delivery" [ t1 ] !reads
-  | _ -> Alcotest.fail "one frame each");
-  let dropped =
-    run ~send:(fun _ a ->
-        ignore
-          (Netsim.Fabric.transmit_ref a
-             (header (mk_frame ~src:1 ~dst:99 ()))
-             ~len:100
-             ~read:(fun () -> Alcotest.fail "dropped frame read")))
-  in
-  check_int "unroutable dropped" 0 (List.length dropped);
-  let hooked =
-    run ~send:(fun _ a ->
-        Netsim.Fabric.set_tx_fault a
-          (Some
-             (fun f k ->
-               check_int "hook sees the payload" 700
-                 (Tcp.Segment.payload_len f.Tcp.Segment.seg);
-               k f));
-        check_bool "hook forces the build" false
-          (Netsim.Fabric.transmit_ref a (header frame) ~len:700
-             ~read:(fun () -> frame.Tcp.Segment.seg.payload)))
-  in
-  check_int "hooked frame delivered" 1 (List.length hooked)
-
 (* A deferred segment's source: port 1 to port [dst], reading [data]
    at stream position [off] and logging each read. *)
 let segment_source ?(dst = 2) ~log data =
@@ -352,7 +287,6 @@ let suite =
     Alcotest.test_case "deferred segments" `Quick test_transmit_segment;
     Alcotest.test_case "deferred backlog allocation" `Quick
       test_deferred_backlog_allocation;
-    Alcotest.test_case "payload by reference" `Quick test_transmit_ref;
     Alcotest.test_case "delivery and latency" `Quick
       test_delivery_and_latency;
     Alcotest.test_case "unroutable frames dropped" `Quick
