@@ -107,7 +107,7 @@ let measure_mult ?cp_queue mult =
              + c "shed_paused";
     c_shed_queue = c "shed_queue";
     c_est_shed = Flextoe.Guard.established_shed g;
-    c_cp_peak = Flextoe.Guard.peak_depth g ~stage:"cp";
+    c_cp_peak = Flextoe.Guard.peak_depth g ~queue:"cp";
     c_cp_bound = (Flextoe.Guard.config g).Flextoe.Config.g_cp_queue;
     c_sched_peak = Flextoe.Datapath.sched_peak_ready sdp;
   }

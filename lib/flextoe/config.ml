@@ -5,8 +5,6 @@ type parallelism = {
   postproc_replicas : int;
   proto_replicas : int;
   flow_groups : int;
-  dma_replicas : int;
-  ctx_replicas : int;
 }
 
 type stage_costs = {
@@ -190,8 +188,6 @@ let t3_flow_groups =
     postproc_replicas = 4;
     proto_replicas = 2;
     flow_groups = 4;
-    dma_replicas = 4;
-    ctx_replicas = 4;
   }
 
 let t3_replicated =

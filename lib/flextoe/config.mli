@@ -20,8 +20,6 @@ type parallelism = {
           connection-scalability benchmark runs the protocol stage on
           8 FPCs, two per island). *)
   flow_groups : int;  (** Protocol islands (1..4 on the Agilio CX). *)
-  dma_replicas : int;  (** DMA-manager FPCs on the service island. *)
-  ctx_replicas : int;  (** Context-queue FPCs. *)
 }
 
 (** Per-stage instruction budgets, in FPC cycles. These calibrate the

@@ -37,6 +37,8 @@ type stats = {
   tx_fetch_part_acked : int;
   tx_deferred : int;
   tx_copied : int;
+  rx_vanished : int;
+  tx_vanished : int;
 }
 
 (* What leaves through the NBI, in egress-sequencer order. A data
@@ -150,8 +152,8 @@ type t = {
   arx_handlers : (Meta.arx_desc -> unit) array;
   mutable hc_descs_free : int;
   (* Batching state (empty/untouched at batch degree 1) *)
-  gro_pending : (int, gro_acc) Hashtbl.t;  (* conn -> window *)
-  arx_pending : (int, arx_acc) Hashtbl.t;  (* conn -> accumulator *)
+  gro_pending : gro_acc Nfp.Conn_table.t;  (* conn -> window *)
+  arx_pending : arx_acc Nfp.Conn_table.t;  (* conn -> accumulator *)
   mutable atx_flush_armed : bool array;  (* partial-doorbell timers *)
   mutable st_dma_work : int;  (* doorbell-amortization counter *)
   (* Control plane hooks *)
@@ -174,6 +176,8 @@ type t = {
   mutable st_fetch_part_acked : int;  (* ... partly acked when read *)
   mutable st_tx_deferred : int;  (* data frames sent with unread payload *)
   mutable st_tx_copied : int;  (* ... with payload read before sending *)
+  mutable st_rx_vanished : int;  (* RX verdicts whose connection went *)
+  mutable st_tx_vanished : int;  (* TX and HC work whose connection went *)
 }
 
 let engine t = t.engine
@@ -183,37 +187,15 @@ let scope t = t.scope
 let guard t = t.guard
 let fabric_port t = t.port
 
-(* Sanitizer access shorthands: no-ops (one test of an immutable
-   option) when the sanitizer is off. *)
-let sa t ~stage ~flow obj kind =
+(* Sanitizer access shorthand, labelled with stage [row]: a no-op (one
+   test of an immutable option) when the sanitizer is off. *)
+let sa t row ~flow ?range obj kind =
   match t.san with
   | None -> ()
-  | Some s -> San.access s ~stage ~flow ~obj kind
-
-let sa_range t ~stage ~flow obj ~range kind =
-  match t.san with
-  | None -> ()
-  | Some s -> San.access s ~stage ~flow ~obj ~range kind
+  | Some s -> San.access s ~stage:(Pipeline.name row) ~flow ~obj ?range kind
 
 (* FlexScope shorthands: like the sanitizer's, each is one test of an
-   immutable option when profiling is off.
-
-   [sc_span] wraps a stage's completion continuation in a span whose
-   wall clock runs from work submission (queueing and memory stalls
-   included) and whose [cycles] are exactly the compute cycles the
-   pipeline model charges — so the per-stage histograms are directly
-   comparable to the configured stage costs. RX-chain spans carry the
-   segment's RX sequencer slot as [id] (lifecycle attribution); spans
-   with no owning RX segment use [id = -1]. *)
-let sc_span t ~stage ~conn ~id ~cycles k =
-  match t.scope with
-  | None -> k
-  | Some sc ->
-      let sp = Sim.Scope.span_begin sc ~stage ~conn ~id in
-      fun () ->
-        Sim.Scope.span_end sc sp ~cycles;
-        k ()
-
+   immutable option when profiling is off. *)
 let sc_seg_begin t ~track ~conn ~id =
   match t.scope with
   | None -> ()
@@ -224,10 +206,10 @@ let sc_seg_end t ~track ~id =
   | None -> ()
   | Some sc -> Sim.Scope.seg_end sc ~track ~id
 
-let sc_instant t ~track ~name ~conn ~arg =
+let sc_instant t row ~name ~conn ~arg =
   match t.scope with
   | None -> ()
-  | Some sc -> Sim.Scope.instant sc ~track ~name ~conn ~arg
+  | Some sc -> Sim.Scope.instant sc ~track:(Pipeline.name row) ~name ~conn ~arg
 
 let sc_count t name =
   match t.scope with
@@ -238,39 +220,75 @@ let ip t = t.ip
 let num_ctx t = t.n_ctx
 let traces t = t.traces
 
-(* Per-segment tracepoint overhead for a stage: each enabled point in
-   the stage's group costs a few cycles (instrumentation executes
-   whether or not the event fires); event counters themselves are
-   recorded semantically by [trace_event]. *)
-let trace_cycles t group =
+(* Per-execution tracepoint overhead of stage [row]: each enabled
+   point in the row's group costs a few cycles (instrumentation
+   executes whether or not the event fires); event counters themselves
+   are recorded semantically by [trace_event]. *)
+let trace_cycles t row =
   if Sim.Trace.enabled_count t.traces = 0 then 0
   else
-    Sim.Trace.group_enabled t.traces group
+    Sim.Trace.group_enabled t.traces (Pipeline.name row)
     * t.cfg.Config.costs.Config.tracepoint
 
-(* Record a semantic event on one named tracepoint (counts only when
-   that point is enabled). Tracing disabled costs one branch, like the
-   real thing. *)
-let trace_event t group name =
+(* Record a semantic event on one of [row]'s tracepoints (counts only
+   when that point is enabled). Tracing disabled costs one branch,
+   like the real thing. *)
+let trace_event t row name =
   if Sim.Trace.enabled_count t.traces > 0 then
-    Sim.Trace.hit (Sim.Trace.find t.traces ~group name)
+    Sim.Trace.hit (Sim.Trace.find t.traces ~group:(Pipeline.name row) name)
+
+(* One execution of stage [row] on [fpc]: the [before] phases, then
+   the stage's own [cycles] of compute plus what the row's extensions
+   charge (its enabled tracepoints and, when the caller [tap]s frames
+   and capture is on, [pcap_capture]), then the [after] phases. [k]
+   runs on completion, inside the row's FlexScope span unless [span]
+   is false. The span's wall clock runs from submission (queueing and
+   memory stalls included); its [cycles] are the charged compute and
+   any compute [after] it, so the per-stage histograms compare
+   directly with the configured costs ([before] is the protocol
+   stage's state fetch). RX-chain spans carry the segment's RX
+   sequencer slot as [id] (lifecycle attribution), others [-1]. *)
+let run_stage t row ?(tap = false) ?(span = true) ?(before = []) ?(after = [])
+    fpc ~conn ~id cycles k =
+  let cycles =
+    cycles + trace_cycles t row
+    +
+    match t.capture with
+    | Some _ when tap -> t.cfg.Config.costs.Config.pcap_capture
+    | _ -> 0
+  in
+  let k =
+    match t.scope with
+    | Some sc when span ->
+        let sp = Sim.Scope.span_begin sc ~stage:(Pipeline.name row) ~conn ~id in
+        let cycles =
+          List.fold_left
+            (fun n -> function Nfp.Fpc.Compute c -> n + c | _ -> n)
+            cycles after
+        in
+        fun () ->
+          Sim.Scope.span_end sc sp ~cycles;
+          k ()
+    | _ -> k
+  in
+  Nfp.Fpc.submit fpc (before @ (Nfp.Fpc.Compute cycles :: after)) k
 
 (* Transport events worth counting, derived from an RX verdict: the
    bpftrace-style tracepoints of §5.1. *)
 let trace_rx_verdict t (v : Meta.rx_verdict) =
   if Sim.Trace.enabled_count t.traces = 0 then ()
   else begin
-  trace_event t "protocol" "rx_seg";
-  if v.Meta.v_fast_retx then trace_event t "protocol" "fast_retx";
-  if v.Meta.v_fin_reached then trace_event t "protocol" "fin";
+  let proto = Pipeline.protocol in
+  trace_event t proto "rx_seg";
+  if v.Meta.v_fast_retx then trace_event t proto "fast_retx";
+  if v.Meta.v_fin_reached then trace_event t proto "fin";
   (match v.Meta.v_place with
-  | Some _ when v.Meta.v_rx_advance = 0 ->
-      trace_event t "protocol" "ooo_seg"
+  | Some _ when v.Meta.v_rx_advance = 0 -> trace_event t proto "ooo_seg"
   | _ -> ());
   if v.Meta.v_ack <> None && v.Meta.v_rx_advance = 0 && v.Meta.v_place = None
-  then trace_event t "protocol" "dup_ack";
-  if v.Meta.v_wake_tx then trace_event t "protocol" "win_update";
-  if v.Meta.v_ack <> None then trace_event t "postproc" "ack_gen"
+  then trace_event t proto "dup_ack";
+  if v.Meta.v_wake_tx then trace_event t proto "win_update";
+  if v.Meta.v_ack <> None then trace_event t Pipeline.postproc "ack_gen"
   end
 
 let pipelined t = t.cfg.Config.parallelism.Config.pipelined
@@ -345,8 +363,8 @@ let steer_check t ~idx ~fg ~fg_eff =
     match t.san with
     | None -> ()
     | Some s ->
-        San.access s ~stage:"shard-steer" ~flow:idx ~obj:Effects.Conn_proto
-          Effects.Read
+        San.access s ~stage:Pipeline.shard_steer ~flow:idx
+          ~obj:Effects.Conn_proto Effects.Read
   end
 
 let proto_state_phases t conn_state =
@@ -541,15 +559,10 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
   let c = t.cfg.Config.costs in
-  let cycles =
-    c.Config.ctx_desc
-    + ((List.length gseqs - 1) * c.Config.notify_coalesce)
-    + trace_cycles t "ctx"
-  in
   let deliver ~join () =
     List.iter
       (fun g ->
-        sc_instant t ~track:"ctx" ~name:"arx_delivery" ~conn:conn_idx ~arg:g;
+        sc_instant t Pipeline.ctx ~name:"arx_delivery" ~conn:conn_idx ~arg:g;
         if g >= 0 then sc_seg_end t ~track:"seg_rx" ~id:g)
       gseqs;
     match t.san with
@@ -558,8 +571,8 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
         San.run_as s ~thread:("hostctx" ^ string_of_int ctx) ?join (fun () ->
             List.iter (fun tok -> San.token_join s tok) tokens;
             if len > 0 then
-              San.access s ~stage:"ctx" ~flow:conn_idx ~obj:Effects.Rx_payload
-                ~range:(off, len) Effects.Read;
+              sa t Pipeline.ctx ~flow:conn_idx ~range:(off, len)
+                Effects.Rx_payload Effects.Read;
             t.arx_handlers.(ctx) desc;
             (* The app can only return RX-buffer credit for bytes it
                was notified of: publish the delivery so the Rx_credit
@@ -568,24 +581,25 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
                read. *)
             San.chan_send s ("arx#" ^ string_of_int conn_idx))
   in
-  Nfp.Fpc.submit fpc [ Compute cycles ]
-    (sc_span t ~stage:"ctx" ~conn:conn_idx ~id ~cycles (fun () ->
-         sa t ~stage:"ctx" ~flow:conn_idx Effects.Desc_ring Effects.Write;
-         if Defect.is t.defect Defect.Skip_notify_dma then
-           (* Defect: hand the descriptor to the host without the DMA
-              completion edge — the poll delay still elapses, but
-              nothing orders the handler after the payload write. *)
-           Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
-             (fun () -> deliver ~join:None ())
-         else
-           Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
-               let join =
-                 match t.san with
-                 | Some s -> Some (San.token_send s)
-                 | None -> None
-               in
-               Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
-                 (fun () -> deliver ~join ()))))
+  run_stage t Pipeline.ctx fpc ~conn:conn_idx ~id
+    (c.Config.ctx_desc + ((List.length gseqs - 1) * c.Config.notify_coalesce))
+    (fun () ->
+      sa t Pipeline.ctx ~flow:conn_idx Effects.Desc_ring Effects.Write;
+      if Defect.is t.defect Defect.Skip_notify_dma then
+        (* Defect: hand the descriptor to the host without the DMA
+           completion edge — the poll delay still elapses, but nothing
+           orders the handler after the payload write. *)
+        Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll (fun () ->
+            deliver ~join:None ())
+      else
+        Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
+            let join =
+              match t.san with
+              | Some s -> Some (San.token_send s)
+              | None -> None
+            in
+            Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
+              (fun () -> deliver ~join ())))
 
 (* Flush one connection's ARX accumulator: one context-queue descriptor,
    one 32B DMA and one host wakeup stand in for [aa_count] of each.
@@ -596,7 +610,7 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
 let arx_flush t acc =
   if not acc.aa_flushed then begin
     acc.aa_flushed <- true;
-    Hashtbl.remove t.arx_pending acc.aa_conn;
+    Nfp.Conn_table.remove t.arx_pending acc.aa_conn;
     let gseqs = List.rev acc.aa_gseqs in
     (match t.scope with
     | Some sc -> Sim.Scope.record sc "batch/arx/coalesced" acc.aa_count
@@ -630,7 +644,7 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
     (* An error notification overtaking coalesced data would reorder
        the host's view: drain the window first. *)
     (if desc.Meta.x_err then
-       match Hashtbl.find_opt t.arx_pending conn_idx with
+       match Nfp.Conn_table.find_opt t.arx_pending conn_idx with
        | Some acc -> arx_flush t acc
        | None -> ());
     arx_deliver t cs ~id:gseq ~gseqs:[ gseq ] ~tokens:[] desc
@@ -642,7 +656,7 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
     let tok =
       match t.san with Some s -> Some (San.token_send s) | None -> None
     in
-    match Hashtbl.find_opt t.arx_pending conn_idx with
+    match Nfp.Conn_table.find_opt t.arx_pending conn_idx with
     | Some acc ->
         acc.aa_count <- acc.aa_count + 1;
         acc.aa_rx <- acc.aa_rx + desc.Meta.x_rx_bytes;
@@ -667,7 +681,7 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
             aa_flushed = false;
           }
         in
-        Hashtbl.replace t.arx_pending conn_idx acc;
+        Nfp.Conn_table.replace t.arx_pending conn_idx acc;
         if acc.aa_fin then arx_flush t acc
         else
           Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
@@ -708,8 +722,11 @@ let build_ack_frame t cs (a : Meta.ack_info) =
   in
   S.make_frame ~src_mac:t.mac ~dst_mac:pre.Conn_state.peer_mac seg
 
-(* Send one data frame, counting how its payload went out. *)
-let transmit_data t f ~len =
+(* Every frame the NBI builds leaves here: the capture tap sees it,
+   then the wire. [len] is a data frame's payload, read out of the
+   host buffer before sending. *)
+let emit t ?(len = 0) f =
+  (match t.capture with Some cap -> cap Dir_tx f | None -> ());
   if len > 0 then t.st_tx_copied <- t.st_tx_copied + 1;
   Netsim.Fabric.transmit t.port f
 
@@ -723,18 +740,15 @@ let nbi_emit_one t eg =
   | Eg_data (d, _) | Eg_data_ref d -> (
       match conn t d.Meta.t_conn with
       | Some cs -> (
-          sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre Effects.Read;
+          sa t Pipeline.nbi ~flow:d.Meta.t_conn Effects.Conn_pre Effects.Read;
+          count_tx_frame t d;
           match eg with
           | Eg_data (_, payload) ->
-              let f = build_data_frame t cs d payload in
-              (match t.capture with Some cap -> cap Dir_tx f | None -> ());
-              count_tx_frame t d;
-              transmit_data t f ~len:d.Meta.t_len
+              emit t ~len:d.Meta.t_len (build_data_frame t cs d payload)
           | _ ->
               (* A first transmission waits for the wire as integers:
                  the fabric builds its frame, header, payload and
                  checksum, when it leaves the switch. *)
-              count_tx_frame t d;
               if
                 Netsim.Fabric.transmit_segment t.port (tx_source cs)
                   ~seq:d.Meta.t_seq ~ack:d.Meta.t_ack ~flags:(data_flags d)
@@ -749,17 +763,14 @@ let nbi_emit_one t eg =
   | Eg_ack a -> (
       match conn t a.Meta.a_conn with
       | Some cs ->
-          sa t ~stage:"nbi" ~flow:a.Meta.a_conn Effects.Conn_pre Effects.Read;
-          let f = build_ack_frame t cs a in
-          (match t.capture with Some cap -> cap Dir_tx f | None -> ());
+          sa t Pipeline.nbi ~flow:a.Meta.a_conn Effects.Conn_pre Effects.Read;
           t.st_tx_acks <- t.st_tx_acks + 1;
           sc_count t "nbi/tx_acks";
-          Netsim.Fabric.transmit t.port f
+          emit t (build_ack_frame t cs a)
       | None -> ())
   | Eg_ctl f ->
-      (match t.capture with Some cap -> cap Dir_tx f | None -> ());
       sc_count t "nbi/tx_ctl";
-      Netsim.Fabric.transmit t.port f);
+      emit t f);
   (* A data segment's buffer (credit) frees on transmission. *)
   match eg with
   | Eg_data _ | Eg_data_ref _ -> Scheduler.credit_return t.sch
@@ -794,8 +805,7 @@ let nbi_emit t eg =
       | None -> nbi_emit_one t eg  (* teardown: the one-frame path
                                       already closes the lifecycle *)
       | Some cs ->
-          sa t ~stage:"nbi" ~flow:d.Meta.t_conn Effects.Conn_pre
-            Effects.Read;
+          sa t Pipeline.nbi ~flow:d.Meta.t_conn Effects.Conn_pre Effects.Read;
           let chunks =
             Coalesce.split_desc ~mss:t.cfg.Config.mss d payload
           in
@@ -805,11 +815,9 @@ let nbi_emit t eg =
           | None -> ());
           List.iter
             (fun (dc, chunk) ->
-              let f = build_data_frame t cs dc chunk in
-              (match t.capture with Some cap -> cap Dir_tx f | None -> ());
               t.st_tx <- t.st_tx + 1;
               sc_count t "nbi/tx_frames";
-              transmit_data t f ~len:dc.Meta.t_len)
+              emit t ~len:dc.Meta.t_len (build_data_frame t cs dc chunk))
             chunks;
           sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
           Scheduler.credit_return t.sch
@@ -886,7 +894,6 @@ type dma_work = {
 let dma_stage t (w : dma_work) =
   let c = t.cfg.Config.costs in
   let fpc = next_dma_fpc t in
-  let extra = trace_cycles t "dma" in
   (* Doorbell amortization: in batched mode the MMIO ring costs
      [dma_doorbell] once per [b] descriptors instead of being
      folded into [dma_desc]. Unbatched mode leaves the counter (and
@@ -899,11 +906,9 @@ let dma_stage t (w : dma_work) =
       if t.st_dma_work mod b = 0 then c.Config.dma_doorbell else 0
     end
   in
-  Nfp.Fpc.submit fpc
-    [ Compute (c.Config.dma_desc + extra + db) ]
-    (sc_span t ~stage:"dma" ~conn:w.dw_conn ~id:w.dw_gseq
-       ~cycles:(c.Config.dma_desc + extra + db) (fun () ->
-      sa t ~stage:"dma" ~flow:w.dw_conn Effects.Conn_db Effects.Read;
+  run_stage t Pipeline.dma fpc ~conn:w.dw_conn ~id:w.dw_gseq
+    (c.Config.dma_desc + db) (fun () ->
+      sa t Pipeline.dma ~flow:w.dw_conn Effects.Conn_db Effects.Read;
       let cs = conn t w.dw_conn in
       let finish () =
         (* An RX segment's datapath work ends here (notification and
@@ -938,14 +943,15 @@ let dma_stage t (w : dma_work) =
              bytes the DMA has not written yet. *)
           if Defect.is t.defect Defect.Notify_before_payload then finish ();
           (* RX: payload to host receive buffer. *)
-          sc_instant t ~track:"dma" ~name:"payload_rx_issue" ~conn:w.dw_conn
+          sc_instant t Pipeline.dma ~name:"payload_rx_issue" ~conn:w.dw_conn
             ~arg:(Bytes.length bytes);
           Nfp.Dma.issue t.dma ~queue:0 ~bytes:(Bytes.length bytes)
             (fun () ->
-              sc_instant t ~track:"dma" ~name:"payload_rx_complete"
+              sc_instant t Pipeline.dma ~name:"payload_rx_complete"
                 ~conn:w.dw_conn ~arg:(Bytes.length bytes);
-              sa_range t ~stage:"dma" ~flow:w.dw_conn Effects.Rx_payload
-                ~range:(pos, Bytes.length bytes) Effects.Write;
+              sa t Pipeline.dma ~flow:w.dw_conn
+                ~range:(pos, Bytes.length bytes) Effects.Rx_payload
+                Effects.Write;
               Host.Payload_buf.write
                 cs.Conn_state.post.Conn_state.rx_buf ~off:pos ~src:bytes
                 ~src_off:0 ~len:(Bytes.length bytes);
@@ -955,11 +961,11 @@ let dma_stage t (w : dma_work) =
           (* TX: fetch payload from host transmit buffer. *)
           let pos = desc.Meta.t_pos and len = desc.Meta.t_len in
           Nfp.Dma.issue t.dma ~queue:0 ~bytes:len (fun () ->
-              sc_instant t ~track:"dma" ~name:"payload_tx_fetched"
+              sc_instant t Pipeline.dma ~name:"payload_tx_fetched"
                 ~conn:w.dw_conn ~arg:len;
               (if len > 0 then
-                 sa_range t ~stage:"dma" ~flow:w.dw_conn Effects.Tx_payload
-                   ~range:(pos, len) Effects.Read);
+                 sa t Pipeline.dma ~flow:w.dw_conn ~range:(pos, len)
+                   Effects.Tx_payload Effects.Read);
               let eg =
                 if len = 0 then Eg_data (desc, Bytes.empty)
                 else begin
@@ -987,11 +993,12 @@ let dma_stage t (w : dma_work) =
              sequence number must still be released or the whole TX
              reorder stream stalls, and the buffer credit must come
              back. *)
+          t.st_tx_vanished <- t.st_tx_vanished + 1;
           Sequencer.skip t.tx_gro ~seq:desc.Meta.t_gseq;
           sc_seg_end t ~track:"seg_tx" ~id:desc.Meta.t_gseq;
           Scheduler.credit_return t.sch;
           finish ()
-      | _ -> finish ()))
+      | _ -> finish ())
 
 (* --- Post-processing stage ----------------------------------------- *)
 
@@ -1065,23 +1072,16 @@ let postproc_stage t fg (w : post_work) =
           * c.Config.tso_split
     | Post_tx _ | Post_hc _ -> c.Config.postproc_tx
   in
-  let capture_extra =
-    (* tcpdump on egress taps the post-processor. *)
-    match (t.capture, w) with
-    | Some _, Post_tx _ -> c.Config.pcap_capture
-    | _ -> 0
-  in
-  let extra = trace_cycles t "postproc" in
   let gseq = match w with Post_rx (v, _) -> v.Meta.v_gseq | _ -> -1 in
-  Nfp.Fpc.submit fpc
-    [ Nfp.Fpc.Mem Nfp.Memory.Cls; Compute (cost + extra + capture_extra) ]
-    (sc_span t ~stage:"postproc" ~conn:conn_idx ~id:gseq
-       ~cycles:(cost + extra + capture_extra) (fun () ->
-      sa t ~stage:"postproc" ~flow:conn_idx Effects.Conn_db Effects.Read;
-      (match (t.san, conn t conn_idx) with
-      | Some s, Some cs ->
-          San.access s ~stage:"postproc" ~flow:conn_idx
-            ~obj:Effects.Conn_post Effects.Write;
+  (* tcpdump on egress taps the post-processor. *)
+  let tap = match w with Post_tx _ -> true | Post_rx _ | Post_hc _ -> false in
+  run_stage t Pipeline.postproc ~tap ~before:[ Nfp.Fpc.Mem Nfp.Memory.Cls ]
+    fpc ~conn:conn_idx ~id:gseq cost (fun () ->
+      sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_db Effects.Read;
+      (match conn t conn_idx with
+      | Some cs ->
+          sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_post
+            Effects.Write;
           if Defect.is t.defect Defect.Postproc_writes_conn then begin
             (* Defect: poke the protocol partition from an
                unserialized stage. The store is value-preserving (the
@@ -1089,19 +1089,21 @@ let postproc_stage t fg (w : post_work) =
                would race the protocol stage's writes. *)
             let p = cs.Conn_state.proto in
             p.Conn_state.last_progress <- p.Conn_state.last_progress;
-            San.access s ~stage:"postproc" ~flow:conn_idx
-              ~obj:Effects.Conn_proto Effects.Write
+            sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_proto
+              Effects.Write
           end
-      | _ -> ());
+      | None -> ());
       match (w, conn t conn_idx) with
       | _, None -> begin
           (* Connection vanished mid-pipeline: drop cleanly. *)
           match w with
           | Post_tx (d, _) ->
+              t.st_tx_vanished <- t.st_tx_vanished + 1;
               Sequencer.skip t.tx_gro ~seq:d.Meta.t_gseq;
               sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
               tx_nothing_sent t ~conn:conn_idx
           | Post_rx (v, (order, seq)) ->
+              t.st_rx_vanished <- t.st_rx_vanished + 1;
               Sequencer.submit order ~seq (fun () ->
                   sc_seg_end t ~track:"seg_rx" ~id:v.Meta.v_gseq;
                   match v.Meta.v_ack with
@@ -1110,6 +1112,7 @@ let postproc_stage t fg (w : post_work) =
           | Post_hc (_, r) ->
               (* Release the window-update's egress slot and the HC
                  descriptor, or both leak on teardown races. *)
+              t.st_tx_vanished <- t.st_tx_vanished + 1;
               (match r.Protocol.hc_window_update with
               | Some a -> Sequencer.skip t.tx_gro ~seq:a.Meta.a_gseq
               | None -> ());
@@ -1146,7 +1149,7 @@ let postproc_stage t fg (w : post_work) =
                   dw_notify = None;
                 }
           | None -> ());
-          t.hc_descs_free <- t.hc_descs_free + 1))
+          t.hc_descs_free <- t.hc_descs_free + 1)
 
 (* --- Protocol stage ------------------------------------------------- *)
 
@@ -1159,25 +1162,20 @@ let proto_span_begin t conn_idx =
   match t.san with
   | None -> ()
   | Some s ->
-      San.span_begin s ~stage:"protocol" ~flow:conn_idx;
-      San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Conn_pre
-        Effects.Read;
-      San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Conn_proto
-        Effects.Read
+      San.span_begin s ~stage:(Pipeline.name Pipeline.protocol) ~flow:conn_idx;
+      sa t Pipeline.protocol ~flow:conn_idx Effects.Conn_pre Effects.Read;
+      sa t Pipeline.protocol ~flow:conn_idx Effects.Conn_proto Effects.Read
 
 let proto_writeback t conn_idx ~reasm =
   match t.san with
   | None -> ()
   | Some s ->
-      San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Conn_proto
-        Effects.Write;
+      sa t Pipeline.protocol ~flow:conn_idx Effects.Conn_proto Effects.Write;
       if reasm then begin
-        San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Reasm
-          Effects.Read;
-        San.access s ~stage:"protocol" ~flow:conn_idx ~obj:Effects.Reasm
-          Effects.Write
+        sa t Pipeline.protocol ~flow:conn_idx Effects.Reasm Effects.Read;
+        sa t Pipeline.protocol ~flow:conn_idx Effects.Reasm Effects.Write
       end;
-      San.span_end s ~stage:"protocol" ~flow:conn_idx
+      San.span_end s ~stage:(Pipeline.name Pipeline.protocol) ~flow:conn_idx
 
 (* The protocol stage's one critical section, shared by RX, TX and HC
    work: take the connection's lock, fetch its state through the cache
@@ -1193,16 +1191,12 @@ let protocol_section t cs ~cost ~id ~reasm body k =
          after — the classic too-early unlock. *)
       let early = Defect.is t.defect Defect.Early_release in
       if early then release t idx;
-      let phases = proto_state_phases t cs in
-      let extra = trace_cycles t "protocol" in
-      Nfp.Fpc.submit (proto_fpc_for t cs)
-        (phases @ [ Compute (cost + extra) ])
-        (sc_span t ~stage:"protocol" ~conn:idx ~id ~cycles:(cost + extra)
-           (fun () ->
-             let r = body (Sim.Engine.now t.engine) in
-             proto_writeback t idx ~reasm;
-             if not early then release t idx;
-             k r)))
+      run_stage t Pipeline.protocol ~before:(proto_state_phases t cs)
+        (proto_fpc_for t cs) ~conn:idx ~id cost (fun () ->
+          let r = body (Sim.Engine.now t.engine) in
+          proto_writeback t idx ~reasm;
+          if not early then release t idx;
+          k r))
 
 let alloc_tx_gseq t () = Sequencer.next_seq t.tx_gro
 
@@ -1244,7 +1238,7 @@ let protocol_tx t ~conn:conn_idx =
                 if first then
                   f.Conn_state.tf_high <- d.Meta.t_pos + d.Meta.t_len
               end;
-              trace_event t "protocol" "tx_seg";
+              trace_event t Pipeline.protocol "tx_seg";
               sc_seg_begin t ~track:"seg_tx" ~conn:conn_idx ~id:d.Meta.t_gseq;
               postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
                 (Post_tx (d, first))
@@ -1277,14 +1271,9 @@ let protocol_hc t (d : Meta.hc_desc) =
    paid once per descriptor, plus [gro_merge] per absorbed segment. *)
 let gro_submit t ~merged (s : Meta.rx_summary) =
   let c = t.cfg.Config.costs in
-  let extra = trace_cycles t "gro" in
-  let cycles =
-    c.Config.sequencer + extra + ((merged - 1) * c.Config.gro_merge)
-  in
-  Nfp.Fpc.submit t.gro_fpc
-    [ Compute cycles ]
-    (sc_span t ~stage:"gro" ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
-       ~cycles (fun () -> protocol_rx t s))
+  run_stage t Pipeline.gro t.gro_fpc ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
+    (c.Config.sequencer + ((merged - 1) * c.Config.gro_merge))
+    (fun () -> protocol_rx t s)
 
 (* Flush a connection's GRO window: merge the accumulated run into one
    descriptor carrying the head's identity. Absorbed segments' RX
@@ -1296,7 +1285,7 @@ let gro_flush t acc =
     match acc.gc_segs with
     | [] -> ()
     | newest :: _ ->
-        Hashtbl.remove t.gro_pending newest.Meta.conn;
+        Nfp.Conn_table.remove t.gro_pending newest.Meta.conn;
         let segs = List.rev acc.gc_segs in
         let merged = Coalesce.merge segs in
         List.iter
@@ -1322,7 +1311,7 @@ let gro_release t (s : Meta.rx_summary) =
   let b = Config.batch_degree t.cfg in
   if b <= 1 then gro_submit t ~merged:1 s
   else begin
-    let pending = Hashtbl.find_opt t.gro_pending s.Meta.conn in
+    let pending = Nfp.Conn_table.find_opt t.gro_pending s.Meta.conn in
     match pending with
     | Some acc when Coalesce.chainable ~next:acc.gc_next s
                     && acc.gc_count < b ->
@@ -1343,7 +1332,7 @@ let gro_release t (s : Meta.rx_summary) =
               gc_flushed = false;
             }
           in
-          Hashtbl.replace t.gro_pending s.Meta.conn acc;
+          Nfp.Conn_table.replace t.gro_pending s.Meta.conn acc;
           Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
               gro_flush t acc)
         end
@@ -1356,7 +1345,7 @@ let forward_to_control t frame =
   (match t.guard with
   | Some g ->
       t.cp_pending <- t.cp_pending + 1;
-      Guard.note_depth g ~stage:"cp" t.cp_pending
+      Guard.note_depth g ~queue:"cp" t.cp_pending
   | None -> ());
   let c = t.cfg.Config.costs in
   let fpc = t.ctx_fpcs.(0) in
@@ -1406,34 +1395,20 @@ let preproc_rx t gseq (frame : S.frame) =
   let seg = frame.S.seg in
   let flow = Tcp.Flow.of_segment_rx seg in
   let hash = Tcp.Flow.hash flow in
-  let lookup_phases = preproc_lookup_phases t hash in
-  let capture_extra =
-    match t.capture with Some _ -> c.Config.pcap_capture | None -> 0
+  let after =
+    preproc_lookup_phases t hash @ [ Nfp.Fpc.Compute c.Config.preproc_summary ]
   in
-  let extra = trace_cycles t "preproc" in
-  let span_cycles =
-    c.Config.preproc_validate + csum_cycles t frame + capture_extra + extra
-    + c.Config.preproc_lookup_hit + c.Config.preproc_summary
-  in
-  let fpc = next_preproc t in
-  Nfp.Fpc.submit fpc
-    ([
-       Nfp.Fpc.Compute
-         (c.Config.preproc_validate + csum_cycles t frame + capture_extra
-        + extra);
-     ]
-    @ lookup_phases
-    @ [ Nfp.Fpc.Compute c.Config.preproc_summary ])
-    (sc_span t ~stage:"preproc" ~conn:(-1) ~id:gseq ~cycles:span_cycles
-       (fun () ->
-      sa t ~stage:"preproc" ~flow:(-1) Effects.Conn_db Effects.Read;
+  (* tcpdump on ingress taps the pre-processor. *)
+  run_stage t Pipeline.preproc ~tap:true ~after (next_preproc t) ~conn:(-1)
+    ~id:gseq (c.Config.preproc_validate + csum_cycles t frame) (fun () ->
+      sa t Pipeline.preproc ~flow:(-1) Effects.Conn_db Effects.Read;
       if not (S.csum_ok frame) then begin
         (* Corrupted in flight: drop at pre-processing so it never
            reaches GRO or the protocol stage. The sender recovers via
            retransmission (dup-ACK or RTO), exactly as for loss. *)
         t.st_drop_csum <- t.st_drop_csum + 1;
-        sa t ~stage:"preproc" ~flow:(-1) Effects.Global_stats Effects.Write;
-        trace_event t "preproc" "seg_invalid";
+        sa t Pipeline.preproc ~flow:(-1) Effects.Global_stats Effects.Write;
+        trace_event t Pipeline.preproc "seg_invalid";
         sc_count t "preproc/drop_csum";
         sc_seg_end t ~track:"seg_rx" ~id:gseq;
         Sequencer.skip t.rx_gro ~seq:gseq
@@ -1445,7 +1420,7 @@ let preproc_rx t gseq (frame : S.frame) =
          reading [reasm] state outside the lock. *)
       (match (conn_idx, Defect.is t.defect Defect.Preproc_reads_proto) with
       | Some idx, true ->
-          sa t ~stage:"preproc" ~flow:idx Effects.Conn_proto Effects.Read
+          sa t Pipeline.preproc ~flow:idx Effects.Conn_proto Effects.Read
       | _ -> ());
       match conn_idx with
       | Some idx when on_data_path frame ->
@@ -1456,7 +1431,7 @@ let preproc_rx t gseq (frame : S.frame) =
           sc_count t "preproc/to_control";
           sc_seg_end t ~track:"seg_rx" ~id:gseq;
           Sequencer.skip t.rx_gro ~seq:gseq;
-          forward_to_control t frame))
+          forward_to_control t frame)
 
 (* --- Run-to-completion baseline (Table 3, row 1) --------------------- *)
 
@@ -1645,19 +1620,13 @@ let dispatch_tx t ~conn:conn_idx =
   if not (pipelined t) then rtc_tx t ~conn:conn_idx
   else begin
     let c = t.cfg.Config.costs in
-    let extra = trace_cycles t "sch" in
-    Nfp.Fpc.submit t.sch_fpc
-      [ Compute (c.Config.scheduler_pick + extra) ]
-      (sc_span t ~stage:"sched" ~conn:conn_idx ~id:(-1)
-         ~cycles:(c.Config.scheduler_pick + extra) (fun () ->
-           sa t ~stage:"sched" ~flow:conn_idx Effects.Sched_state
-             Effects.Write;
-           (* Pre-processing: segment alloc + Ethernet/IP headers. *)
-           let fpc = next_preproc t in
-           let pre_extra = trace_cycles t "preproc" in
-           Nfp.Fpc.submit fpc
-             [ Compute (c.Config.preproc_summary + pre_extra) ]
-             (fun () -> protocol_tx t ~conn:conn_idx)))
+    run_stage t Pipeline.sched t.sch_fpc ~conn:conn_idx ~id:(-1)
+      c.Config.scheduler_pick (fun () ->
+        sa t Pipeline.sched ~flow:conn_idx Effects.Sched_state Effects.Write;
+        (* Pre-processing: segment alloc + Ethernet/IP headers. *)
+        run_stage t Pipeline.preproc ~span:false (next_preproc t)
+          ~conn:conn_idx ~id:(-1) c.Config.preproc_summary (fun () ->
+            protocol_tx t ~conn:conn_idx))
   end
 
 (* --- Host-control path ------------------------------------------------- *)
@@ -1692,11 +1661,9 @@ and atx_drain_body t ctx =
       | None -> ()
       | Some desc ->
           t.hc_descs_free <- t.hc_descs_free - 1;
-          let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-          let extra = trace_cycles t "ctx" in
-          Nfp.Fpc.submit fpc
-            [ Compute (c.Config.ctx_desc + extra) ]
-            (fun () ->
+          run_stage t Pipeline.ctx ~span:false
+            t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs)
+            ~conn:desc.Meta.h_conn ~id:(-1) c.Config.ctx_desc (fun () ->
               (* Fetch the descriptor from the host context queue. *)
               Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
                   if pipelined t then begin
@@ -1717,7 +1684,7 @@ let atx_push t ~ctx (d : Meta.hc_desc) =
   let ok = Nfp.Ring.push t.atx.(ctx) d in
   (match t.guard with
   | Some g ->
-      Guard.note_depth g ~stage:"atx" (Nfp.Ring.length t.atx.(ctx))
+      Guard.note_depth g ~queue:"atx" (Nfp.Ring.length t.atx.(ctx))
   | None -> ());
   let b = Config.batch_degree t.cfg in
   if ok && not t.atx_scheduled.(ctx) then begin
@@ -1861,6 +1828,8 @@ let stats t =
     tx_fetch_part_acked = t.st_fetch_part_acked;
     tx_deferred = t.st_tx_deferred;
     tx_copied = t.st_tx_copied;
+    rx_vanished = t.st_rx_vanished;
+    tx_vanished = t.st_tx_vanished;
   }
 
 let cache_stats t =
@@ -1922,25 +1891,6 @@ let fpc_pools t = t.pools
 let atx_rings t = t.atx
 
 (* --- Construction ----------------------------------------------------------- *)
-
-let trace_point_names =
-  (* 48 tracepoints across the pipeline (§5.1). *)
-  [
-    ("preproc", [ "seg_valid"; "seg_invalid"; "conn_hit"; "conn_miss";
-                  "steer"; "ctl_fwd" ]);
-    ("gro", [ "in_order"; "reordered"; "queue_occupancy"; "released" ]);
-    ("protocol",
-     [ "rx_seg"; "tx_seg"; "hc_op"; "ooo_seg"; "dup_ack"; "fast_retx";
-       "win_update"; "fin"; "crit_section"; "drop_merge"; "drop_window" ]);
-    ("postproc", [ "ack_gen"; "stamp"; "stats"; "notify"; "ecn_echo" ]);
-    ("dma", [ "payload_rx"; "payload_tx"; "desc"; "queue_depth" ]);
-    ("ctx", [ "arx_notify"; "atx_fetch"; "doorbell"; "pool_empty" ]);
-    ("sch",
-     [ "dispatch"; "rr_pick"; "wheel_park"; "wheel_fire"; "credit_stall" ]);
-    ("nbi", [ "rx_frame"; "tx_frame"; "tx_ack"; "ctl_inject" ]);
-    ("cp", [ "retransmit"; "rate_set"; "conn_install"; "conn_remove";
-             "stats_read" ]);
-  ]
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
     ?defect ?(pipeline = Pipeline.builtin) () =
@@ -2007,7 +1957,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   List.iter
     (fun (group, names) ->
       List.iter (fun n -> ignore (Sim.Trace.register traces ~group n)) names)
-    trace_point_names;
+    (Pipeline.trace_points pipeline);
   (* FlexScope (host-side observation, like FlexSan): constructed once
      here so every data-path hook is a single branch on an immutable
      option when profiling is off. *)
@@ -2118,8 +2068,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         atx_scheduled = Array.make ctx_queues false;
         arx_handlers = Array.make ctx_queues (fun _ -> ());
         hc_descs_free = Pipeline.hc_descs;
-        gro_pending = Hashtbl.create 64;
-        arx_pending = Hashtbl.create 64;
+        gro_pending = Nfp.Conn_table.create ();
+        arx_pending = Nfp.Conn_table.create ();
         atx_flush_armed = Array.make ctx_queues false;
         st_dma_work = 0;
         control_rx = (fun _ -> ());
@@ -2139,6 +2089,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         st_fetch_part_acked = 0;
         st_tx_deferred = 0;
         st_tx_copied = 0;
+        st_rx_vanished = 0;
+        st_tx_vanished = 0;
       }
   in
   let t = Lazy.force t in

@@ -218,6 +218,11 @@ type stats = {
           retransmissions, captured or TSO-split frames, frames a TX
           fault hook sees or that cross LPs, and every frame of the
           run-to-completion baseline. *)
+  rx_vanished : int;
+      (** RX verdicts a post-processor found without their connection. *)
+  tx_vanished : int;
+      (** TX descriptors, TX fetches and host-control results that
+          found their connection gone mid-pipeline. *)
 }
 
 val stats : t -> stats

@@ -180,14 +180,14 @@ let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
       flow postproc dma "payload-dma" ~lookahead:island_hop;
       (* The PCIe DMA engine: per-queue in-flight window; issuing
          blocks when full, completions are unconditional and FIFO. *)
-      e dma dma "pcie-dma"
+      e dma dma (serial_queue dma)
         ~drain:"PCIe completions are unconditional and FIFO per queue"
         (Credit { cr_tokens = p.Nfp.Params.dma_inflight });
       (* Notification + ACK leave only after the payload DMA lands:
          this ordered edge is the declared obligation the
          Notify_before_payload / Skip_notify_dma defects violate at
          runtime (the declaration stays intact — dynamic-only). *)
-      flow dma ctx "ctx";
+      flow dma ctx (serial_queue ctx);
       e ctx ctx "arx-accum"
         ~drain:"batch_delay timer flushes partial batches"
         (Queue

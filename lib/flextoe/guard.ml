@@ -55,13 +55,13 @@ let established_shed t = counter t "established_shed"
 
 (* --- Queue-depth high-water marks ----------------------------------- *)
 
-let note_depth t ~stage depth =
-  match Hashtbl.find_opt t.peaks stage with
+let note_depth t ~queue depth =
+  match Hashtbl.find_opt t.peaks queue with
   | Some r -> if depth > !r then r := depth
-  | None -> Hashtbl.replace t.peaks stage (ref depth)
+  | None -> Hashtbl.replace t.peaks queue (ref depth)
 
-let peak_depth t ~stage =
-  match Hashtbl.find_opt t.peaks stage with Some r -> !r | None -> 0
+let peak_depth t ~queue =
+  match Hashtbl.find_opt t.peaks queue with Some r -> !r | None -> 0
 
 (* --- SYN cookies ------------------------------------------------------ *)
 

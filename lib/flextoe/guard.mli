@@ -34,8 +34,8 @@ val established_shed : t -> int
 
 (** {1 Queue-depth high-water marks} *)
 
-val note_depth : t -> stage:string -> int -> unit
-val peak_depth : t -> stage:string -> int
+val note_depth : t -> queue:string -> int -> unit
+val peak_depth : t -> queue:string -> int
 
 (** {1 SYN cookies}
 

@@ -2,14 +2,15 @@
 
     One row per stage: its effect contract (whose [c_stage] is the
     stage's name), what executes it (an FPC pool sized from
-    {!Config.t}, or a fixed number of non-FPC units), its LP class and
-    its entry functions in [datapath.ml]. The shared edge constants
-    sit beside the rows. Everything else is a projection of this
-    table: [Datapath.create]'s FPC pools, ring, descriptor-pool and
-    scheduler capacities and its layer-1 contract check, the FlexProve
-    graph ({!Graph_ir.builtin}) and FlexInfer's stage map. Only
-    construction and the analysis tools read it; the hot path holds
-    the arrays it built. *)
+    {!Config.t}, or a fixed number of non-FPC units), its LP class,
+    its entry functions in [datapath.ml] and its tracepoints. The
+    shared edge constants sit beside the rows. Everything else is a
+    projection of this table: [Datapath.create]'s FPC pools, ring,
+    descriptor-pool and scheduler capacities, tracepoint registry and
+    its layer-1 contract check, the FlexProve graph
+    ({!Graph_ir.builtin}) and FlexInfer's stage map. The datapath
+    runs every stage execution from its row, which names its
+    tracepoint group, FlexScope span and FlexSan label. *)
 
 (** Logical-process class of a stage's executions, for the parallel
     simulator's partition. Per-flow-group stages carry the island
@@ -48,13 +49,17 @@ type stage = {
   s_entries : string list;
       (** Functions in [datapath.ml] that FlexInfer analyzes as the
           stage body. *)
+  s_points : string list;
+      (** The stage's tracepoints (§5.1), in the group named after the
+          stage: each enabled one costs every execution [tracepoint]
+          cycles. *)
 }
 
 type t = stage list
 
 let name s = s.s_contract.Effects.c_stage
 
-let row name ~reads ~writes domain exec lp entries =
+let row name ~reads ~writes ?(points = []) domain exec lp entries =
   {
     s_contract =
       { Effects.c_stage = name; c_reads = reads; c_writes = writes;
@@ -62,6 +67,7 @@ let row name ~reads ~writes domain exec lp entries =
     s_exec = exec name;
     s_lp = lp;
     s_entries = entries;
+    s_points = points;
   }
 
 (* A pool named after its stage and FPCs named after their pool, unless
@@ -82,6 +88,8 @@ open Effects
 
 let preproc =
   row "preproc" ~reads:[ Conn_db ] ~writes:[ Global_stats ] Serial_none
+    ~points:[ "seg_valid"; "seg_invalid"; "conn_hit"; "conn_miss"; "steer";
+              "ctl_fwd" ]
     (pool ~striped:true ~prefix:"pre" (fun p -> p.Config.preproc_replicas))
     (Lp_island 0)
     [ "rx_frame"; "rx_datapath"; "guard_shed_rx"; "preproc_rx";
@@ -89,6 +97,7 @@ let preproc =
 
 let gro =
   row "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro")
+    ~points:[ "in_order"; "reordered"; "queue_occupancy"; "released" ]
     (pool (fun _ -> 1)) Lp_service
     [ "gro_release"; "gro_flush"; "gro_submit" ]
 
@@ -99,6 +108,9 @@ let protocol =
   row "protocol"
     ~reads:[ Conn_db; Conn_pre; Conn_proto; Reasm; Conn_post ]
     ~writes:[ Conn_proto; Reasm; Sched_state; Global_stats ] Serial_conn
+    ~points:[ "rx_seg"; "tx_seg"; "hc_op"; "ooo_seg"; "dup_ack"; "fast_retx";
+              "win_update"; "fin"; "crit_section"; "drop_merge";
+              "drop_window" ]
     (pool ~prefix:"proto" (fun p -> p.Config.proto_replicas))
     (Lp_island 0)
     [ "protocol_rx"; "protocol_tx"; "protocol_hc" ]
@@ -106,30 +118,36 @@ let protocol =
 let postproc =
   row "postproc" ~reads:[ Conn_db ]
     ~writes:[ Conn_post; Global_stats; Sched_state ] Serial_none
+    ~points:[ "ack_gen"; "stamp"; "stats"; "notify"; "ecn_echo" ]
     (pool ~prefix:"post" (fun p -> p.Config.postproc_replicas))
     (Lp_island 0) [ "postproc_stage" ]
 
 let dma =
   row "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
     ~writes:[ Rx_payload; Global_stats; Sched_state ]
+    ~points:[ "payload_rx"; "payload_tx"; "desc"; "queue_depth" ]
     (Serial_queue "pcie-dma")
-    (pool (fun p -> p.Config.dma_replicas))
+    (pool (fun _ -> 4))  (* DMA-manager FPCs on the service island *)
     Lp_service [ "dma_stage" ]
 
 let ctx =
   row "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
     ~writes:[ Desc_ring ] (Serial_queue "ctx")
-    (pool (fun p -> p.Config.ctx_replicas))
+    ~points:[ "arx_notify"; "atx_fetch"; "doorbell"; "pool_empty" ]
+    (pool (fun _ -> 4))  (* context-queue FPCs *)
     Lp_service
     [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
       "atx_drain_body" ]
 
 let sched =
   row "sched" ~reads:[ Sched_state ] ~writes:[ Sched_state ] Serial_none
+    ~points:
+      [ "dispatch"; "rr_pick"; "wheel_park"; "wheel_fire"; "credit_stall" ]
     (pool ~name:"sch" (fun _ -> 1)) Lp_service [ "dispatch_tx" ]
 
 let nbi =
   row "nbi" ~reads:[ Conn_pre; Conn_db ] ~writes:[ Global_stats; Sched_state ]
+    ~points:[ "rx_frame"; "tx_frame"; "tx_ack"; "ctl_inject" ]
     (Serial_flow_group "tx-gro") (units 1) Lp_service
     [ "nbi_emit"; "nbi_emit_one" ]
 
@@ -142,6 +160,16 @@ let builtin = [ preproc; gro; protocol; postproc; dma; ctx; sched; nbi ]
 let host =
   row "host" ~reads:[ Rx_payload; Desc_ring ] ~writes:[ Tx_payload; Desc_ring ]
     Serial_none (units 4) Lp_host []
+
+(* The control plane's tracepoints belong to no stage: group "cp". *)
+let cp_points =
+  ( "cp",
+    [ "retransmit"; "rate_set"; "conn_install"; "conn_remove"; "stats_read" ] )
+
+(* The label FlexSan sees on a protocol-state access made through the
+   wrong flow group's steering: a stage no row declares, so the access
+   is a contract breach. *)
+let shard_steer = "shard-steer"
 
 (* XDP modules run on the islands' spare FPCs ahead of the pipeline. *)
 let xdp = fpc_pool ~striped:true (fun _ -> 3) "xdp"
@@ -173,6 +201,16 @@ let contracts ?defect (t : t) =
     t
 
 let stage_map (t : t) = List.map (fun s -> (name s, s.s_entries)) t
+
+(* Every tracepoint by group: each row's, then the control plane's. *)
+let trace_points (t : t) =
+  List.map (fun s -> (name s, s.s_points)) t @ [ cp_points ]
+
+(* The queue a [Serial_queue] stage serializes on. *)
+let serial_queue s =
+  match s.s_contract.c_domain with
+  | Serial_queue q -> q
+  | _ -> invalid_arg ("Pipeline.serial_queue: " ^ name s)
 let threads (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.fpc_threads
 let groups (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.flow_groups
 

@@ -285,7 +285,65 @@ let test_rx_vanished_conn_releases_egress () =
   Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
   let after = Host.Rpc.Stats.ops stats in
   check_bool "the other connections keep completing" true
-    (after - mid > (mid - before) / 2 && after - mid > 1_000)
+    (after - mid > (mid - before) / 2 && after - mid > 1_000);
+  check_bool "an RX verdict found its connection gone" true
+    ((Flextoe.Datapath.stats dp).Flextoe.Datapath.rx_vanished > 0)
+
+(* The tracepoints are the pipeline rows' own: each row's group is the
+   row's name, and enabling one group charges exactly that stage
+   [tracepoint] cycles per point on every execution, which its
+   FlexScope span shows. *)
+let test_tracepoints_belong_to_rows () =
+  let module P = Flextoe.Pipeline in
+  let rows = List.map P.name P.builtin in
+  let points (dp : Flextoe.Datapath.t) =
+    Sim.Trace.points (Flextoe.Datapath.traces dp)
+  in
+  let group p =
+    let n = Sim.Trace.point_name p in
+    String.sub n 0 (String.index n ':')
+  in
+  let _, a, _ = mk_pair () in
+  let all = points (Flextoe.datapath a) in
+  check_int "48 tracepoints" 48 (List.length all);
+  List.iter
+    (fun p ->
+      check_bool (Sim.Trace.point_name p ^ " is a row's or the CP's") true
+        (List.mem (group p) ("cp" :: rows)))
+    all;
+  let config =
+    { Flextoe.Config.default with
+      Flextoe.Config.scope = Flextoe.Config.Scope_metrics }
+  in
+  let min_cycles ?group () =
+    let engine, a, b = mk_pair ~config () in
+    let dp = Flextoe.datapath a in
+    Option.iter
+      (fun group ->
+        ignore (Sim.Trace.enable (Flextoe.Datapath.traces dp) ~group ()))
+      group;
+    ignore (echo_load engine a b ~conns:4 ~ms:4);
+    let sc = Option.get (Flextoe.Datapath.scope dp) in
+    List.filter_map
+      (fun (name, h) ->
+        match String.split_on_char '/' name with
+        | [ "stage"; stage ] -> Some (stage, Sim.Stats.Histogram.min h)
+        | _ -> None)
+      (Sim.Scope.histograms sc)
+  in
+  let base = min_cycles () in
+  let tracepoint = config.Flextoe.Config.costs.Flextoe.Config.tracepoint in
+  let spans = List.filter (fun s -> List.mem_assoc (P.name s) base) P.builtin in
+  check_int "stages with spans" 7 (List.length spans);
+  List.iter
+    (fun s ->
+      let name = P.name s in
+      let traced = min_cycles ~group:name () in
+      check_int
+        (name ^ ": minimum span cycles rise by its points' charge")
+        (List.assoc name base + (tracepoint * List.length s.P.s_points))
+        (List.assoc name traced))
+    spans
 
 (* --- First transmissions by reference ---------------------------------- *)
 
@@ -420,6 +478,8 @@ let suite =
       `Quick test_rx_order_under_capture;
     Alcotest.test_case "RX of a vanished connection releases its egress slot"
       `Quick test_rx_vanished_conn_releases_egress;
+    Alcotest.test_case "tracepoints belong to pipeline rows" `Quick
+      test_tracepoints_belong_to_rows;
   ]
 
 let test_vlan_ingress () =

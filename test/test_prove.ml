@@ -213,10 +213,9 @@ let projection_configs =
     ("default", Config.default);
     ("flow_groups 1", with_par (fun p -> { p with Config.flow_groups = 1 }));
     ("flow_groups 4", with_par (fun p -> { p with Config.flow_groups = 4 }));
-    ( "replicas 3/2/2/3",
+    ( "replicas 3/2",
       with_par (fun p ->
-          { p with Config.preproc_replicas = 3; postproc_replicas = 2;
-                   dma_replicas = 2; ctx_replicas = 3 }) );
+          { p with Config.preproc_replicas = 3; postproc_replicas = 2 }) );
     ("fpc_threads 1", with_par (fun p -> { p with Config.fpc_threads = 1 }));
     ("fpc_threads 8", with_par (fun p -> { p with Config.fpc_threads = 8 }));
     ("scale_of 4", { Config.default with Config.scale = Config.scale_of 4 });
@@ -242,8 +241,8 @@ let expected_pools (par : Config.parallelism) =
       ~first:(fun i -> i * 10)
   @ per_group "xdp" "xdp" 3 ~first:(fun i -> i * 3)
   @ [
-      ("dma", -1, names "dma" 0 (r par.Config.dma_replicas));
-      ("ctx", -1, names "ctx" 0 (r par.Config.ctx_replicas));
+      ("dma", -1, names "dma" 0 4);
+      ("ctx", -1, names "ctx" 0 4);
       ("sch", -1, [ "sch0" ]);
       ("gro", -1, [ "gro0" ]);
     ]
