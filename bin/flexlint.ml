@@ -1,13 +1,13 @@
 (* flexlint: FlexTOE static checkers from the command line.
 
-   Subcommands (see the top-level man page): [verify] (eBPF programs;
-   also the default so plain [flexlint --builtin] keeps working),
-   [san] (stage-effect contracts + dynamic race sanitizer), [graph]
-   (FlexProve whole-graph analysis: interference, deadlock, queue
-   bounds), [infer] (FlexInfer footprint inference and source lints),
-   [fsm] (teardown-FSM model check), [top] (FlexScope metrics
-   ranking), [trace-check] (trace_event schema validation),
-   [fuzz-wire] (wire-codec negative corpus).
+   Subcommands (see the top-level man page): [verify] (eBPF programs),
+   [san] (dynamic race sanitizer), [graph] (FlexProve whole-graph
+   analysis: interference, deadlock, queue bounds), [infer] (FlexInfer
+   footprint inference and source lints), [fsm] (teardown-FSM model
+   check), [top] (FlexScope metrics ranking), [trace-check]
+   (trace_event schema validation), [fuzz-wire] (wire-codec negative
+   corpus). A subcommand is always named: a bare [flexlint] is a
+   usage error.
 
    Exit status — uniform across subcommands: 0 all checks passed; 1 a
    checker's verdict failed; 2 usage, file-read or decode errors. *)
@@ -159,8 +159,6 @@ let files_t =
     & info [] ~docv:"PROGRAM"
         ~doc:"eBPF program file in the kernel instruction encoding.")
 
-let verify_term = Term.(const run_verify $ builtin_t $ dump_t $ maps_t $ files_t)
-
 let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~version
@@ -174,12 +172,11 @@ let verify_cmd =
               kernel instruction encoding. File programs take their map \
               shapes from repeated $(b,--map) options.";
          ])
-    verify_term
+    Term.(const run_verify $ builtin_t $ dump_t $ maps_t $ files_t)
 
-(* --- san: stage-effect contracts and the dynamic sanitizer ---------- *)
+(* --- san: the dynamic sanitizer ------------------------------------ *)
 
 module D = Flextoe.Datapath
-module E = Flextoe.Effects
 module San = Flextoe.San
 module Defect = Flextoe.Defect
 module PL = Flextoe.Pipeline
@@ -193,20 +190,6 @@ let defect_of_arg flag v =
       Format.printf "FAIL %-20s unknown variant %s (have: %s)@." flag v
         (String.concat ", " (List.map Defect.name Defect.all));
       exit 2
-
-let static_check () =
-  let contracts = PL.contracts PL.builtin in
-  List.iter (Format.printf "     %a@." E.pp_contract) contracts;
-  match E.check contracts with
-  | Ok () ->
-      Format.printf "OK   contracts            %d stages, pairwise compatible@."
-        (List.length contracts);
-      true
-  | Error cs ->
-      List.iter
-        (fun c -> Format.printf "FAIL contract             %s@." (E.conflict_to_string c))
-        cs;
-      false
 
 (* Boot two sanitized nodes, run an echo workload, return the nodes'
    sanitizers. [defect] seeds a defect for --seeded. *)
@@ -234,10 +217,11 @@ let print_reports s =
     (San.reports s)
 
 let run_san builtin seeded =
-  let ok = static_check () in
+  if (not builtin) && seeded = None then begin
+    Format.printf "nothing to check: pass --builtin or --seeded VARIANT@.";
+    exit 2
+  end;
   let ok =
-    ok
-    &&
     if builtin then begin
       let sans = run_pipeline () in
       let n = List.fold_left (fun a s -> a + San.report_count s) 0 sans in
@@ -264,10 +248,10 @@ let run_san builtin seeded =
     | Some variant -> (
         let defect = defect_of_arg "seeded" variant in
         match run_pipeline ~defect () with
-        | exception E.Contract_violation cs ->
-            (* Static-layer variants are caught at create. *)
+        | exception Flextoe.Prove.Graph_rejected fs ->
+            (* A mis-declared stage set is caught at create. *)
             Format.printf "OK   seeded:%-13s caught statically: %s@." variant
-              (E.conflict_to_string (List.hd cs));
+              (Flextoe.Prove.finding_to_string (List.hd fs));
             true
         | sans ->
             let n =
@@ -292,8 +276,8 @@ let san_builtin_t =
     value & flag
     & info [ "builtin" ]
         ~doc:
-          "Also run the dynamic sanitizer: boot a sanitized pipeline under \
-           an echo workload and require zero reports.")
+          "Boot a sanitized pipeline under an echo workload and require \
+           zero reports.")
 
 let seeded_t =
   Arg.(
@@ -313,21 +297,19 @@ let seeded_t =
 let san_cmd =
   Cmd.v
     (Cmd.info "san" ~version
-       ~doc:
-         "Check the datapath stage-effect contracts (FlexSan layer 1) and \
-          optionally the dynamic race sanitizer (layer 2)"
+       ~doc:"Run the dynamic race sanitizer (FlexSan) over the datapath"
        ~exits:exit_info
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "Checks the built-in stage set's effect contracts pairwise. \
-              With $(b,--builtin), additionally boots a sanitized two-node \
-              pipeline under an echo workload and requires zero dynamic \
-              reports; with $(b,--seeded) $(i,VARIANT), runs a \
-              deliberately-broken datapath and requires the sanitizer to \
-              catch it (detector self-test). The whole-graph generalization \
-              of the pairwise check lives in $(b,flexlint graph).";
+             "With $(b,--builtin), boots a sanitized two-node pipeline \
+              under an echo workload and requires zero dynamic reports; \
+              with $(b,--seeded) $(i,VARIANT), runs a deliberately-broken \
+              datapath and requires it to be caught (detector self-test): \
+              at creation, by FlexProve over the declared contracts, or \
+              by the sanitizer at runtime. The static contract check is \
+              $(b,flexlint graph)'s interference pass.";
          ])
     Term.(const run_san $ san_builtin_t $ seeded_t)
 
@@ -745,9 +727,8 @@ let graph_cmd =
              "Extracts the built-in pipeline as a typed graph (stages with \
               effect contracts and serialization domains, queues with \
               capacities and overflow policies, credit edges) and runs the \
-              FlexProve passes: whole-graph interference — the transitive \
-              generalization of the pairwise contract check in \
-              $(b,flexlint san) — deadlock freedom of the \
+              FlexProve passes: whole-graph interference of the stage \
+              contracts (the static contract check), deadlock freedom of the \
               credit/backpressure wait-for graph, worst-case queue \
               occupancy against configured capacities, and soundness of \
               the LP partition for the parallel simulator (positive \
@@ -906,7 +887,7 @@ let infer_classify_variant ~root defect =
   let name = Defect.name defect in
   match
     I.infer_repo_diff ~defect
-      ~declared:(PL.contracts ~defect PL.builtin) ~root ()
+      ~declared:(PL.contracts (PL.declare ~defect PL.builtin)) ~root ()
   with
   | Error e ->
       Format.printf "FAIL infer:%-13s %s@." name e;
@@ -1047,8 +1028,8 @@ let group =
            `P
              "Static checkers for the FlexTOE reproduction, one \
               subcommand per analysis surface:";
-           `P "$(b,verify) — eBPF extension programs (also the default).";
-           `P "$(b,san) — stage-effect contracts + dynamic race sanitizer.";
+           `P "$(b,verify) — eBPF extension programs.";
+           `P "$(b,san) — dynamic race sanitizer (FlexSan).";
            `P
              "$(b,graph) — FlexProve whole-graph analysis: interference, \
               deadlock, queue bounds.";
@@ -1063,7 +1044,6 @@ let group =
              "All subcommands share the exit contract: 0 passed, 1 a \
               verdict failed, 2 input or usage error.";
          ])
-    ~default:verify_term
     [
       verify_cmd; san_cmd; graph_cmd; infer_cmd; fsm_cmd; top_cmd;
       trace_check_cmd; fuzz_wire_cmd;

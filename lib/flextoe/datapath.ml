@@ -1897,22 +1897,17 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
   Pipeline.check pipeline;
-  let contracts = Pipeline.contracts ?defect pipeline in
-  (* Layer 1: the stage graph must be statically sound before any FPC
-     is wired. An unserialized write/write or write/read overlap on a
-     non-atomic, non-partitioned region fails construction with the
-     conflicting (stage, region) pairs. *)
-  (match Effects.check contracts with
-  | Ok () -> ()
-  | Error cs -> raise (Effects.Contract_violation cs));
-  (* Layer 0: FlexProve over the declared graph — whole-graph
-     interference, deadlock freedom of the credit/backpressure loops,
-     worst-case queue occupancy. Checked once per node on the wiring
-     the node *declares* (seeded as-built defects are FlexSan's and
-     [flexlint graph --classify]'s business), so an unsound
-     composition — a capacity that no longer covers a reorder buffer,
-     a credit loop without a drain — fails construction before any
-     FPC exists, at zero per-segment cost. *)
+  let pipeline = Pipeline.declare ?defect pipeline in
+  let contracts = Pipeline.contracts pipeline in
+  (* The node's one static check: FlexProve over the graph of its
+     declared contracts — whole-graph interference, deadlock freedom
+     of the credit/backpressure loops, worst-case queue occupancy.
+     Seeded as-built defects are FlexSan's and [flexlint graph
+     --classify]'s business, so an unsound declaration (an
+     unserialized write/write or write/read overlap on a non-atomic,
+     non-partitioned region, a capacity that no longer covers a
+     reorder buffer, a credit loop without a drain) fails construction
+     before any FPC exists, at zero per-segment cost. *)
   (match Prove.check_graph (Graph_ir.builtin ~pipeline ~config:cfg ()) with
   | Ok _ -> ()
   | Error fs -> raise (Prove.Graph_rejected fs));

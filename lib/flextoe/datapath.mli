@@ -45,15 +45,16 @@ val create :
   unit ->
   t
 (** Wires the stages of [pipeline] (default {!Pipeline.builtin}): its
-    FPC pools, its contracts (checked by FlexSan layer 1 and, through
-    {!Graph_ir.builtin}, by FlexProve) and its edge capacities.
-    [defect] seeds one entry of the race corpus ({!Defect}); the node
-    behaves like a healthy one under the single-threaded simulator, so
-    only the checkers can tell them apart. Raises [Invalid_argument]
-    if {!Pipeline.check} rejects [pipeline], and
-    {!Effects.Contract_violation} if the stage set's contracts are
-    statically incompatible (layer 1 fails fast, before any FPC is
-    wired): the [Bad_contract] defect. *)
+    FPC pools, its contracts (checked by FlexProve over
+    {!Graph_ir.builtin}, and at runtime by FlexSan when
+    [config.san] is set) and its edge capacities. [defect] seeds one
+    entry of the race corpus ({!Defect}); the node behaves like a
+    healthy one under the single-threaded simulator, so only the
+    checkers can tell them apart. Raises [Invalid_argument] if
+    {!Pipeline.check} rejects [pipeline], and {!Prove.Graph_rejected}
+    if the graph of the contracts the node declares
+    ({!Pipeline.declare}) fails a FlexProve pass, before any FPC is
+    wired: the [Bad_contract] defect. *)
 
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t

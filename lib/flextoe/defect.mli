@@ -7,11 +7,11 @@
     the simulated TCP behavior: the simulator is single-threaded, so
     the races they open are visible only to the checkers, exactly like
     a latent race on real silicon. The checkers are FlexProve over the
-    as-built graph ([Graph_ir.builtin ?defect]), FlexInfer over the
-    stage sources ([Infer.infer_footprints ?defect]), the layer-1
-    contract check at [Datapath.create], and FlexSan's happens-before
-    layer at runtime. Every defect is caught by at least one of them;
-    a static analyzer that cannot see a defect says why
+    as-built graph ([Graph_ir.builtin ?defect]) and, at
+    [Datapath.create], over the declared one, FlexInfer over the stage
+    sources ([Infer.infer_footprints ?defect]), and FlexSan's
+    happens-before layer at runtime. Every defect is caught by at least
+    one of them; a static analyzer that cannot see a defect says why
     ({!dynamic_only}). *)
 
 type t =
@@ -52,6 +52,6 @@ val dynamic_only : analyzer -> t -> string option
     that owns the defect instead. *)
 
 val rejected_at_create : t -> bool
-(** The layer-1 contract check rejects the declared stage set at
+(** FlexProve rejects the graph of the declared contracts at
     [Datapath.create] (only [Bad_contract]); every other defect builds
     and FlexSan reports it at runtime. *)

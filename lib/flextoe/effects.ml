@@ -1,23 +1,16 @@
-(** Stage-effect contracts for the parallel datapath (FlexSan layer 1).
+(** Stage-effect contracts for the parallel datapath.
 
     FlexTOE's one-touch parallelism claim (§3.2) is that every stage
     except the serialized protocol stage touches disjoint per-flow
     state, so replicating stages and pipelining segments is safe
-    without locks. This module makes that argument a checkable
-    artifact: each datapath stage declares the memory regions it may
-    read and write — keyed by logical object and annotated with the
-    {!Nfp.Memory.level} the object lives at — plus the serialization
-    domain its executions are ordered under. {!check} then verifies
-    the contracts pairwise: two stages that may run concurrently for
-    the same flow must have disjoint write footprints and no
-    write/read overlap, unless the region is accessed only with
-    hardware atomics or is address-partitioned (in which case FlexSan
-    layer 2, {!San}, checks the actual byte ranges at runtime).
-
-    [Datapath.create] runs {!check} over its built-in stage set and
-    raises {!Contract_violation} on any conflict, so an unsound stage
-    graph fails fast with a diagnostic naming the conflicting
-    (stage, region) pair. *)
+    without locks. This module is the vocabulary that makes that
+    argument a checkable artifact: each datapath stage declares the
+    memory regions it may read and write — keyed by logical object and
+    annotated with the {!Nfp.Memory.level} the object lives at — plus
+    the serialization domain its executions are ordered under.
+    {!Prove} checks the contracts over the whole stage graph;
+    {!Infer} checks the declarations against the stage sources; {!San}
+    checks the actual accesses at runtime. *)
 
 (** Logical objects of the datapath memory map. *)
 type obj =
@@ -146,68 +139,4 @@ let conflict_to_string c =
     c.k_stage1 (kind_name c.k_kind1) (obj_name c.k_obj) c.k_stage2
     (kind_name c.k_kind2) (obj_name c.k_obj) Nfp.Memory.pp_level r.r_level
 
-exception Contract_violation of conflict list
-
-let () =
-  Printexc.register_printer (function
-    | Contract_violation cs ->
-        Some
-          ("Effects.Contract_violation: "
-          ^ String.concat "; " (List.map conflict_to_string cs))
-    | _ -> None)
-
-(* Two stages are mutually serialized for a given flow when their
-   executions share an ordering mechanism: the same sequencer, the
-   same FIFO queue, or the per-connection lock. *)
-let serialized_together s1 s2 =
-  match (s1.c_domain, s2.c_domain) with
-  | Serial_conn, Serial_conn -> true
-  | Serial_flow_group a, Serial_flow_group b -> a = b
-  | Serial_queue a, Serial_queue b -> a = b
-  | _ -> false
-
 let mem o l = List.exists (fun x -> obj_tag x = obj_tag o) l
-
-(* One direction: writes of [s1] against reads+writes of [s2]. *)
-let conflicts_of_pair s1 s2 =
-  List.filter_map
-    (fun o ->
-      let r = region o in
-      if r.r_atomic || r.r_disjoint then None
-      else if mem o s2.c_writes then
-        Some
-          { k_stage1 = s1.c_stage; k_kind1 = Write; k_stage2 = s2.c_stage;
-            k_kind2 = Write; k_obj = o }
-      else if mem o s2.c_reads then
-        Some
-          { k_stage1 = s1.c_stage; k_kind1 = Write; k_stage2 = s2.c_stage;
-            k_kind2 = Read; k_obj = o }
-      else None)
-    s1.c_writes
-
-(** Check a stage set for contract compatibility. Every pair of
-    stages (including a replicated stage against itself) that may run
-    concurrently for the same flow must have disjoint write
-    footprints and no write/read overlap, modulo atomic and
-    address-partitioned regions. *)
-let check contracts =
-  let rec pairs = function
-    | [] -> []
-    | s :: rest -> (s, s) :: List.map (fun s' -> (s, s')) rest @ pairs rest
-  in
-  let conflicts =
-    List.concat_map
-      (fun (s1, s2) ->
-        if serialized_together s1 s2 then []
-        else if s1.c_stage = s2.c_stage then
-          (* Self-pair: a replicated stage races its own replicas. *)
-          conflicts_of_pair s1 s2
-        else conflicts_of_pair s1 s2 @ conflicts_of_pair s2 s1)
-      (pairs contracts)
-  in
-  match conflicts with [] -> Ok () | cs -> Error cs
-
-let pp_contract fmt c =
-  let names l = String.concat "," (List.map obj_name l) in
-  Format.fprintf fmt "%-10s reads:[%s] writes:[%s] domain:%s" c.c_stage
-    (names c.c_reads) (names c.c_writes) (domain_name c.c_domain)

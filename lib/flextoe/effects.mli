@@ -1,17 +1,16 @@
-(** Stage-effect contracts for the parallel datapath (FlexSan layer 1).
+(** Stage-effect contracts for the parallel datapath.
 
     FlexTOE's one-touch parallelism claim (§3.2) is that every stage
     except the serialized protocol stage touches disjoint per-flow
     state, so replicating stages and pipelining segments is safe
-    without locks. This module makes that argument a checkable
-    artifact: each datapath stage declares the memory regions it may
-    read and write — keyed by logical object and annotated with the
-    {!Nfp.Memory.level} the object lives at — plus the serialization
-    domain its executions are ordered under. {!check} verifies the
-    contracts pairwise; {!Prove} generalizes the check to the whole
-    stage graph; {!Infer} checks the declarations against the stage
-    sources; {!San} (layer 2) checks the actual accesses at
-    runtime. *)
+    without locks. This module is the vocabulary that makes that
+    argument a checkable artifact: each datapath stage declares the
+    memory regions it may read and write — keyed by logical object and
+    annotated with the {!Nfp.Memory.level} the object lives at — plus
+    the serialization domain its executions are ordered under.
+    {!Prove} checks the contracts over the whole stage graph;
+    {!Infer} checks the declarations against the stage sources; {!San}
+    checks the actual accesses at runtime. *)
 
 (** Logical objects of the datapath memory map. *)
 type obj =
@@ -79,7 +78,8 @@ type contract = {
 type kind = Read | Write
 
 (** A static conflict: two (stage, region) accesses that may run
-    concurrently for the same flow and overlap unsafely. *)
+    concurrently for the same flow and overlap unsafely ({!Prove}'s
+    interference pass). *)
 type conflict = {
   k_stage1 : string;
   k_kind1 : kind;
@@ -90,24 +90,4 @@ type conflict = {
 
 val conflict_to_string : conflict -> string
 
-exception Contract_violation of conflict list
-(** Raised by [Datapath.create] when its stage set fails {!check}. *)
-
-val serialized_together : contract -> contract -> bool
-(** Do two stages share an ordering mechanism (same sequencer, same
-    FIFO queue, or the per-connection lock)? *)
-
 val mem : obj -> obj list -> bool
-
-val conflicts_of_pair : contract -> contract -> conflict list
-(** One direction: writes of the first against reads+writes of the
-    second, modulo atomic and address-partitioned regions. *)
-
-val check : contract list -> (unit, conflict list) result
-(** Check a stage set for contract compatibility. Every pair of
-    stages (including a replicated stage against itself) that may run
-    concurrently for the same flow must have disjoint write
-    footprints and no write/read overlap, modulo atomic and
-    address-partitioned regions. *)
-
-val pp_contract : Format.formatter -> contract -> unit

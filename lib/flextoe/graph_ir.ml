@@ -124,19 +124,18 @@ let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
         { c with c_writes = Conn_proto :: c.c_writes }
     | _ -> c
   in
-  let rows = pipeline @ [ host ] in
   let nodes =
-    List.map2
-      (fun s c ->
+    List.map
+      (fun s ->
         {
           n_name = name s;
-          n_contract = patch s c;
+          n_contract = patch s s.s_contract;
           n_slots = slots config s;
           n_serialized_writes =
             not (is s protocol && Defect.is defect Defect.Early_release);
           n_lp = s.s_lp;
         })
-      rows (contracts ?defect rows)
+      (declare ?defect (pipeline @ [ host ]))
   in
   (* Cross-LP hand-off latencies, claimable as lookahead: an island
      boundary costs at least one distributed-switch push into the

@@ -6,11 +6,11 @@
     its entry functions in [datapath.ml] and its tracepoints. The
     shared edge constants sit beside the rows. Everything else is a
     projection of this table: [Datapath.create]'s FPC pools, ring,
-    descriptor-pool and scheduler capacities, tracepoint registry and
-    its layer-1 contract check, the FlexProve graph
-    ({!Graph_ir.builtin}) and FlexInfer's stage map. The datapath
-    runs every stage execution from its row, which names its
-    tracepoint group, FlexScope span and FlexSan label. *)
+    descriptor-pool and scheduler capacities and tracepoint registry,
+    the FlexProve graph ({!Graph_ir.builtin}) that [create] checks,
+    and FlexInfer's stage map. The datapath runs every stage execution
+    from its row, which names its tracepoint group, FlexScope span and
+    FlexSan label. *)
 
 (** Logical-process class of a stage's executions, for the parallel
     simulator's partition. Per-flow-group stages carry the island
@@ -43,7 +43,9 @@ type pool = {
 type exec = Fpcs of pool | Units of int
 
 type stage = {
-  s_contract : Effects.contract;  (** The healthy declaration. *)
+  s_contract : Effects.contract;
+      (** The stage's declaration: healthy in the table's rows, a
+          seeded defect's after {!declare}. *)
   s_exec : exec;
   s_lp : lp;
   s_entries : string list;
@@ -188,17 +190,20 @@ let seg_credits (p : Nfp.Params.t) = Int.min 256 p.Nfp.Params.seg_buffers
 
 (* --- Projections ------------------------------------------------------ *)
 
-(* [Bad_contract] declares a post-processor that claims a
-   protocol-partition write: statically incompatible with the
+(* The rows as a node seeded with [defect] declares them. Only
+   [Bad_contract] changes a declaration: a post-processor that claims
+   a protocol-partition write, statically incompatible with the
    (serialized) protocol stage. *)
-let contracts ?defect (t : t) =
+let declare ?defect (t : t) =
   List.map
     (fun s ->
       let c = s.s_contract in
       if name s = name postproc && Defect.is defect Defect.Bad_contract then
-        { c with c_writes = Conn_proto :: c.c_writes }
-      else c)
+        { s with s_contract = { c with c_writes = Conn_proto :: c.c_writes } }
+      else s)
     t
+
+let contracts (t : t) = List.map (fun s -> s.s_contract) t
 
 let stage_map (t : t) = List.map (fun s -> (name s, s.s_entries)) t
 

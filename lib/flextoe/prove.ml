@@ -2,13 +2,13 @@
 
     Six passes, each a pure function of the IR:
 
-    - {!interference}: the whole-graph generalization of the pairwise
-      {!Effects.check} — computes which stage executions may happen in
+    - {!interference}: computes which stage executions may happen in
       parallel (serialization domains, early-release defects, replica
-      self-races), footprint-checks every such pair, verifies every
-      named serialization domain is realized by an edge of the graph,
-      and demands an ordered dataflow path from writer to reader for
-      every address-partitioned ([r_disjoint]) region hand-off;
+      self-races), footprint-checks every such pair against the
+      {!Effects} contracts, verifies every named serialization domain
+      is realized by an edge of the graph, and demands an ordered
+      dataflow path from writer to reader for every
+      address-partitioned ([r_disjoint]) region hand-off;
     - {!deadlock}: cycles in the wait-for graph of blocking edges
       (credits, backpressured queues) must contain a draining edge;
     - {!bounds}: worst-case occupancy of every queue, evaluated from
@@ -31,10 +31,11 @@
       transition table ({!Conn_state.step}) against the RFC-793/6191
       teardown spec, producing a path-to-violation counterexample.
 
-    [Datapath.create] runs the five graph passes once per node (after
-    the pairwise {!Effects.check}) and raises {!Graph_rejected} on any
-    finding, so an unsound composition fails before any FPC is wired —
-    and at zero per-segment cost. *)
+    [Datapath.create] runs the five graph passes once per node, over
+    the graph of its declared contracts, and raises {!Graph_rejected}
+    on any finding: it is the node's one static check, so an unsound
+    composition fails before any FPC is wired — and at zero
+    per-segment cost. *)
 
 module G = Graph_ir
 module E = Effects
@@ -88,6 +89,33 @@ let wellformed_findings (g : G.t) =
 
 (* --- Pass 1: whole-graph interference --------------------------------- *)
 
+(* Two contracts share an ordering mechanism: the same sequencer, the
+   same FIFO queue, or the per-connection lock. *)
+let serialized_together (a : E.contract) (b : E.contract) =
+  match (a.E.c_domain, b.E.c_domain) with
+  | E.Serial_conn, E.Serial_conn -> true
+  | E.Serial_flow_group x, E.Serial_flow_group y
+  | E.Serial_queue x, E.Serial_queue y ->
+      x = y
+  | _ -> false
+
+(* One direction: writes of [a] against reads and writes of [b],
+   except on atomic and address-partitioned regions. *)
+let conflicts_of_pair (a : E.contract) (b : E.contract) =
+  List.filter_map
+    (fun o ->
+      let r = E.region o in
+      let clash k2 =
+        Some
+          { E.k_stage1 = a.E.c_stage; k_kind1 = E.Write;
+            k_stage2 = b.E.c_stage; k_kind2 = k2; k_obj = o }
+      in
+      if r.E.r_atomic || r.E.r_disjoint then None
+      else if E.mem o b.E.c_writes then clash E.Write
+      else if E.mem o b.E.c_reads then clash E.Read
+      else None)
+    a.E.c_writes
+
 (* May two executions (one of [a], one of [b]) run concurrently for
    the same flow? Serialization domains order them only if both
    stages' writes actually stay inside the critical section; an
@@ -95,7 +123,7 @@ let wellformed_findings (g : G.t) =
    races itself when it has multiple slots and no domain. *)
 let may_run_concurrently a b =
   let serialized =
-    E.serialized_together a.G.n_contract b.G.n_contract
+    serialized_together a.G.n_contract b.G.n_contract
     && a.G.n_serialized_writes && b.G.n_serialized_writes
   in
   if serialized then false
@@ -133,7 +161,7 @@ let interference (g : G.t) : report =
   in
   let wf = wellformed_findings g in
   (* (a) Footprint compatibility over the may-happen-in-parallel
-     relation, reusing the pairwise conflict enumeration. *)
+     relation. *)
   let rec pairs = function
     | [] -> []
     | n :: rest -> (n, n) :: List.map (fun m -> (n, m)) rest @ pairs rest
@@ -145,8 +173,8 @@ let interference (g : G.t) : report =
         else
           let ca = a.G.n_contract and cb = b.G.n_contract in
           let cs =
-            if a.G.n_name = b.G.n_name then E.conflicts_of_pair ca cb
-            else E.conflicts_of_pair ca cb @ E.conflicts_of_pair cb ca
+            if a.G.n_name = b.G.n_name then conflicts_of_pair ca cb
+            else conflicts_of_pair ca cb @ conflicts_of_pair cb ca
           in
           List.map
             (fun c ->
@@ -158,7 +186,7 @@ let interference (g : G.t) : report =
   in
   (* (b) Domain realization: a Serial_queue / Serial_flow_group claim
      is only as good as the queue or sequencer that implements it —
-     it must exist as an edge of the graph. Unrealizable pairwise. *)
+     it must exist as an edge of the graph. *)
   let labels = List.map (fun e -> e.G.e_label) g.G.g_edges in
   let domains =
     List.filter_map
@@ -439,7 +467,7 @@ let partition (g : G.t) : report =
     List.filter_map
       (fun ((a : G.node), (b : G.node)) ->
         if
-          E.serialized_together a.G.n_contract b.G.n_contract
+          serialized_together a.G.n_contract b.G.n_contract
           && a.G.n_lp <> b.G.n_lp
           && family a.G.n_name <> family b.G.n_name
         then

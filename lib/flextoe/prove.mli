@@ -1,9 +1,9 @@
 (** FlexProve: whole-graph static analysis of the datapath.
 
     Five graph passes over the {!Graph_ir} — whole-graph interference
-    (the transitive generalization of the pairwise {!Effects.check}),
-    deadlock freedom of the credit/backpressure wait-for graph,
-    worst-case queue occupancy against configured capacities,
+    of the stages' {!Effects} contracts, deadlock freedom of the
+    credit/backpressure wait-for graph, worst-case queue occupancy
+    against configured capacities,
     soundness of the LP partition for conservative parallel simulation
     (positive lookahead on every cross-LP edge, serialization domains
     co-located), and soundness of FlexScale replica families (shard
@@ -12,10 +12,12 @@
     exhaustive model check of the shared teardown transition table
     ({!Conn_state.step}) against an RFC-793/6191 spec.
 
-    [Datapath.create] runs the graph passes once per node and raises
-    {!Graph_rejected} on any finding, so an unsound composition fails
-    before any FPC is wired — at zero per-segment cost. [flexlint
-    graph] and [flexlint fsm] expose all six passes offline. *)
+    [Datapath.create] runs the graph passes once per node, over the
+    graph of its declared contracts, as its one static check, and
+    raises {!Graph_rejected} on any finding, so an unsound composition
+    fails before any FPC is wired — at zero per-segment cost.
+    [flexlint graph] and [flexlint fsm] expose all six passes
+    offline. *)
 
 type finding = { f_pass : string; f_subject : string; f_detail : string }
 
@@ -32,7 +34,10 @@ exception Graph_rejected of finding list
 val interference : Graph_ir.t -> report
 (** May-happen-in-parallel pairs (serialization domains × slot counts,
     including stage-vs-itself replica races and early-release defects)
-    footprint-checked via the {!Effects} conflict rules; every named
+    footprint-checked: a write may meet no read or write of the same
+    region unless the region is atomic or address-partitioned, and
+    each conflict is reported with {!Effects.conflict_to_string}. A
+    stage with one slot cannot race itself. Every named
     serialization domain must be realized by an edge of the graph; and
     every address-partitioned ([r_disjoint]) region hand-off must be
     covered by an ordered dataflow path from writer to reader. *)

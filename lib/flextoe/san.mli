@@ -1,7 +1,7 @@
 (** FlexSan layer 2: the dynamic race and atomicity sanitizer.
 
-    Layer 1 ({!Effects.check}) verified the declared contracts are
-    pairwise compatible; this layer checks the accesses the datapath
+    FlexProve ({!Prove}) checked the declared contracts when the node
+    was created; this layer checks the accesses the datapath
     {e actually performs} against the happens-before order its
     synchronization {e actually establishes}. Every stage execution
     runs under {!run_as} as a logical thread; FPC submissions, DMA

@@ -1,9 +1,11 @@
 (* A ring of [size] bytes stored as fixed chunks that exist only while
    they hold unreleased bytes. Chunk [c] covers ring indices
-   [c * chunk, min size ((c + 1) * chunk)); an unmapped chunk is the
-   shared empty sentinel. [hi.(c)] is the end of the highest stream
-   range written into chunk [c] since it was mapped: once [release]
-   passes it, the chunk holds nothing live and goes to [spare]. *)
+   [c * chunk, min size ((c + 1) * chunk)); an unmapped chunk is empty
+   and a mapped one holds [clen >= 1] bytes, so the length tells them
+   apart in any marshalled copy too. [hi.(c)] is the end of the highest
+   stream range written into chunk [c] since it was mapped: once
+   [release] passes it, the chunk holds nothing live and goes to
+   [spare]. *)
 
 let chunk_bits = 12
 let chunk = 1 lsl chunk_bits
@@ -77,7 +79,7 @@ let write t ~off ~src ~src_off ~len =
       let c = !r lsr chunk_bits in
       let n = Int.min !left (chunk_end t !r - !r) in
       let b = t.chunks.(c) in
-      let b = if b == unmapped then map t c else b in
+      let b = if Bytes.length b = 0 then map t c else b in
       Bytes.unsafe_blit src !src_off b (!r land (chunk - 1)) n;
       if !off + n > t.hi.(c) then t.hi.(c) <- !off + n;
       off := !off + n;
@@ -97,7 +99,8 @@ let read_into t ~off ~dst ~dst_off ~len =
     while !left > 0 do
       let n = Int.min !left (chunk_end t !r - !r) in
       let b = t.chunks.(!r lsr chunk_bits) in
-      if b == unmapped then invalid_arg "Payload_buf.read: unmapped chunk";
+      if Bytes.length b = 0 then
+        invalid_arg "Payload_buf.read: unmapped chunk";
       Bytes.unsafe_blit b (!r land (chunk - 1)) dst !dst_off n;
       dst_off := !dst_off + n;
       left := !left - n;
@@ -123,7 +126,7 @@ let release t ~upto =
       let r = ring t !pos in
       let c = r lsr chunk_bits in
       let b = t.chunks.(c) in
-      if b != unmapped && t.hi.(c) <= upto then begin
+      if Bytes.length b > 0 && t.hi.(c) <= upto then begin
         t.chunks.(c) <- unmapped;
         t.spare.(t.nspare) <- b;
         t.nspare <- t.nspare + 1;

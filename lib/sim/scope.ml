@@ -14,9 +14,13 @@ type flight_entry = {
   fl_arg : int;
 }
 
-(* A per-connection bounded ring of recent lifecycle events. *)
+(* A per-connection bounded ring of recent lifecycle events, one
+   array per field so that recording one allocates nothing. *)
 type flight_ring = {
-  ring : flight_entry option array;
+  f_time : Time.t array;
+  f_kind : string array;
+  f_name : string array;
+  f_arg : int array;
   mutable next : int;
   mutable total : int;
 }
@@ -57,6 +61,8 @@ type t = {
   mode : mode;
   hists : (string, Stats.Histogram.t) Hashtbl.t;
   mutable hist_order : string list;  (* reverse creation order *)
+  stage_hists : (string, Stats.Histogram.t) Hashtbl.t;
+      (* [hists]' "stage/<name>" entries, keyed by the bare name *)
   counters : (string, int ref) Hashtbl.t;
   mutable events : ev list;  (* newest first *)
   mutable n_events : int;
@@ -78,6 +84,7 @@ let create ?(mode = Full) ?(max_events = 200_000) ?(flight_capacity = 32)
     mode;
     hists = Hashtbl.create 32;
     hist_order = [];
+    stage_hists = Hashtbl.create 16;
     counters = Hashtbl.create 32;
     events = [];
     n_events = 0;
@@ -119,22 +126,29 @@ let push_event t ev =
 
 (* --- Flight recorder -------------------------------------------------- *)
 
-let flight_push t ~conn entry =
+let flight_add t fr ~time ~kind ~name ~arg =
+  let i = fr.next in
+  fr.f_time.(i) <- time;
+  fr.f_kind.(i) <- kind;
+  fr.f_name.(i) <- name;
+  fr.f_arg.(i) <- arg;
+  fr.next <- (i + 1) mod t.flight_capacity;
+  fr.total <- fr.total + 1
+
+let flight_push t ~conn ~time ~kind ~name ~arg =
   if conn >= 0 then begin
-    match Hashtbl.find_opt t.flight conn with
-    | Some fr ->
-        fr.ring.(fr.next) <- Some entry;
-        fr.next <- (fr.next + 1) mod t.flight_capacity;
-        fr.total <- fr.total + 1
-    | None ->
+    match Hashtbl.find t.flight conn with
+    | fr -> flight_add t fr ~time ~kind ~name ~arg
+    | exception Not_found ->
         if Hashtbl.length t.flight < t.max_flight_conns then begin
+          let n = t.flight_capacity in
           let fr =
-            { ring = Array.make t.flight_capacity None; next = 0; total = 0 }
+            { f_time = Array.make n Time.zero; f_kind = Array.make n "";
+              f_name = Array.make n ""; f_arg = Array.make n 0; next = 0;
+              total = 0 }
           in
-          fr.ring.(0) <- Some entry;
-          fr.next <- 1 mod t.flight_capacity;
-          fr.total <- 1;
-          Hashtbl.replace t.flight conn fr
+          Hashtbl.replace t.flight conn fr;
+          flight_add t fr ~time ~kind ~name ~arg
         end
   end
 
@@ -142,14 +156,13 @@ let flight t ~conn =
   match Hashtbl.find_opt t.flight conn with
   | None -> []
   | Some fr ->
-      (* Oldest first: entries from [next] wrapping around. *)
-      let out = ref [] in
-      for i = t.flight_capacity - 1 downto 0 do
-        match fr.ring.((fr.next + i) mod t.flight_capacity) with
-        | Some e -> out := e :: !out
-        | None -> ()
-      done;
-      !out
+      (* Oldest first: the last [n] entries, ending before [next]. *)
+      let cap = t.flight_capacity in
+      let n = Int.min fr.total cap in
+      List.init n (fun k ->
+          let i = (fr.next - n + k + cap) mod cap in
+          { fl_time = fr.f_time.(i); fl_kind = fr.f_kind.(i);
+            fl_name = fr.f_name.(i); fl_arg = fr.f_arg.(i) })
 
 let flight_total t ~conn =
   match Hashtbl.find_opt t.flight conn with Some fr -> fr.total | None -> 0
@@ -174,16 +187,22 @@ let flight_dumps t = t.flight_dumps
 let span_begin t ~stage ~conn ~id =
   { sp_stage = stage; sp_conn = conn; sp_id = id; sp_t0 = now t }
 
+(* A span finds its stage's histogram by the bare stage name, so it
+   builds no key. "stage/<name>" is registered at the stage's first
+   span, which keeps the metrics snapshot's histogram order. *)
+let stage_hist t stage =
+  match Hashtbl.find t.stage_hists stage with
+  | h -> h
+  | exception Not_found ->
+      let h = hist t ("stage/" ^ stage) in
+      Hashtbl.replace t.stage_hists stage h;
+      h
+
 let span_end t sp ~cycles =
-  record t ("stage/" ^ sp.sp_stage) cycles;
+  Stats.Histogram.add (stage_hist t sp.sp_stage) cycles;
   let t1 = now t in
-  flight_push t ~conn:sp.sp_conn
-    {
-      fl_time = t1;
-      fl_kind = "span";
-      fl_name = sp.sp_stage;
-      fl_arg = cycles;
-    };
+  flight_push t ~conn:sp.sp_conn ~time:t1 ~kind:"span" ~name:sp.sp_stage
+    ~arg:cycles;
   if t.mode = Full then
     push_event t
       (Ev_complete
@@ -203,8 +222,7 @@ let seg_begin t ~track ~conn ~id =
   let ts = now t in
   if Hashtbl.length t.open_segs < max_open_segs then
     Hashtbl.replace t.open_segs (track, id) (ts, conn);
-  flight_push t ~conn
-    { fl_time = ts; fl_kind = "begin"; fl_name = track; fl_arg = id };
+  flight_push t ~conn ~time:ts ~kind:"begin" ~name:track ~arg:id;
   if t.mode = Full then
     push_event t (Ev_async { track; first = true; id; ts; conn })
 
@@ -216,15 +234,13 @@ let seg_end t ~track ~id =
       Hashtbl.remove t.open_segs (track, id);
       record t ("lifecycle_ns/" ^ track)
         (int_of_float (Time.to_ns (ts - t0)));
-      flight_push t ~conn
-        { fl_time = ts; fl_kind = "end"; fl_name = track; fl_arg = id };
+      flight_push t ~conn ~time:ts ~kind:"end" ~name:track ~arg:id;
       if t.mode = Full then
         push_event t (Ev_async { track; first = false; id; ts; conn })
 
 let instant t ~track ~name ~conn ~arg =
   let ts = now t in
-  flight_push t ~conn
-    { fl_time = ts; fl_kind = "instant"; fl_name = name; fl_arg = arg };
+  flight_push t ~conn ~time:ts ~kind:"instant" ~name ~arg;
   if t.mode = Full then push_event t (Ev_instant { track; name; ts; conn; arg })
 
 let sample t ~series ~value =
@@ -521,9 +537,7 @@ module Shard = struct
         if scope.mode = Full then
           push_event scope (Ev_counter { series; ts = e.e_ts; value })
     | Op_instant { track; name; conn; arg } ->
-        flight_push scope ~conn
-          { fl_time = e.e_ts; fl_kind = "instant"; fl_name = name;
-            fl_arg = arg };
+        flight_push scope ~conn ~time:e.e_ts ~kind:"instant" ~name ~arg;
         if scope.mode = Full then
           push_event scope (Ev_instant { track; name; ts = e.e_ts; conn; arg })
 

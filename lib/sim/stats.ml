@@ -20,7 +20,7 @@ module Histogram = struct
   type t = {
     buckets : int array;
     mutable count : int;
-    mutable total : float;
+    mutable total : int;  (* exact, and unboxed: [add] allocates nothing *)
     mutable min_v : int;
     mutable max_v : int;
   }
@@ -29,7 +29,7 @@ module Histogram = struct
     {
       buckets = Array.make ((octaves + 1) * sub_count) 0;
       count = 0;
-      total = 0.;
+      total = 0;
       min_v = max_int;
       max_v = 0;
     }
@@ -63,7 +63,7 @@ module Histogram = struct
     let v = if v < 0 then 0 else v in
     t.buckets.(index_of v) <- t.buckets.(index_of v) + 1;
     t.count <- t.count + 1;
-    t.total <- t.total +. float_of_int v;
+    t.total <- t.total + v;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
 
@@ -72,7 +72,8 @@ module Histogram = struct
   let max_opt t = if t.count = 0 then None else Some t.max_v
   let min t = match min_opt t with Some v -> v | None -> 0
   let max t = match max_opt t with Some v -> v | None -> 0
-  let mean t = if t.count = 0 then 0. else t.total /. float_of_int t.count
+  let mean t =
+    if t.count = 0 then 0. else float_of_int t.total /. float_of_int t.count
 
   let percentile_opt t p =
     if t.count = 0 then None
@@ -114,7 +115,7 @@ module Histogram = struct
   let merge dst src =
     Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
     dst.count <- dst.count + src.count;
-    dst.total <- dst.total +. src.total;
+    dst.total <- dst.total + src.total;
     if src.count > 0 then begin
       if src.min_v < dst.min_v then dst.min_v <- src.min_v;
       if src.max_v > dst.max_v then dst.max_v <- src.max_v
@@ -123,7 +124,7 @@ module Histogram = struct
   let reset t =
     Array.fill t.buckets 0 (Array.length t.buckets) 0;
     t.count <- 0;
-    t.total <- 0.;
+    t.total <- 0;
     t.min_v <- max_int;
     t.max_v <- 0
 end

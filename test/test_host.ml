@@ -97,6 +97,31 @@ let test_payload_oversize_rejected () =
     (Invalid_argument "Payload_buf.write: larger than buffer") (fun () ->
       Host.Payload_buf.write b ~off:0 ~src:(Bytes.create 9) ~src_off:0 ~len:9)
 
+(* A marshalled copy of a buffer (a forked world) has its own empty
+   chunks: they must still read as unmapped, and map on first write.
+   The read is checked first, so a copy that takes an empty chunk for
+   a mapped one fails before anything writes into it. *)
+let test_payload_marshal_copy () =
+  let module B = Host.Payload_buf in
+  let b = B.create ~size:(3 * B.chunk) in
+  B.write b ~off:0 ~src:(Bytes.of_string "head") ~src_off:0 ~len:4;
+  let copy : B.t = Marshal.from_string (Marshal.to_string b []) 0 in
+  let unmapped = Invalid_argument "Payload_buf.read: unmapped chunk" in
+  let second = B.chunk + 8 in
+  Alcotest.check_raises "original: unmapped" unmapped (fun () ->
+      ignore (B.read b ~off:second ~len:4));
+  Alcotest.check_raises "copy: unmapped" unmapped (fun () ->
+      ignore (B.read copy ~off:second ~len:4));
+  Alcotest.(check string)
+    "copy keeps written bytes" "head"
+    (Bytes.to_string (B.read copy ~off:0 ~len:4));
+  B.write copy ~off:second ~src:(Bytes.of_string "tail") ~src_off:0 ~len:4;
+  Alcotest.(check string)
+    "copy maps on write" "tail"
+    (Bytes.to_string (B.read copy ~off:second ~len:4));
+  Alcotest.check_raises "original untouched" unmapped (fun () ->
+      ignore (B.read b ~off:second ~len:4))
+
 (* Model check of the chunked ring against a flat [Bytes] ring of the
    same size, which is what a buffer is meant to behave as. Random
    appends at the write head, in-window rewrites and out-of-order
@@ -347,6 +372,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_payload_chunked_model;
     Alcotest.test_case "payload oversize rejected" `Quick
       test_payload_oversize_rejected;
+    Alcotest.test_case "payload buffer survives a marshalled copy" `Quick
+      test_payload_marshal_copy;
     Alcotest.test_case "framing simple" `Quick test_framing_simple;
     QCheck_alcotest.to_alcotest prop_framing_chunking_invariant;
     Alcotest.test_case "framing partial header" `Quick test_framing_buffered;

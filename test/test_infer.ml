@@ -341,7 +341,7 @@ let test_repo_seq32_clean () =
 let defect_diff defect =
   match
     I.infer_repo_diff ~defect
-      ~declared:(PL.contracts ~defect PL.builtin)
+      ~declared:(PL.contracts (PL.declare ~defect PL.builtin))
       ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
@@ -396,8 +396,8 @@ let test_ordering_defects_footprint_identical () =
     Defect.all
 
 (* The rest of the corpus table: every catalogue name round-trips, and
-   the layer-1 check at [Datapath.create] rejects exactly the defects
-   the catalogue says it does. The FlexProve column is test_prove's
+   FlexProve at [Datapath.create] rejects exactly the defects the
+   catalogue says it does. The FlexProve column is test_prove's
    "sabotage classification"; FlexSan's runtime verdict on every defect
    that builds is test_san's corpus. *)
 let test_corpus_owners () =
@@ -409,7 +409,7 @@ let test_corpus_owners () =
         ~defect ()
     with
     | _ -> false
-    | exception E.Contract_violation _ -> true
+    | exception Flextoe.Prove.Graph_rejected _ -> true
   in
   List.iter
     (fun d ->

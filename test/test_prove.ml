@@ -1,6 +1,7 @@
-(* FlexProve tests: the Effects negative corpus (diagnostics must name
-   the right stage and region, and the atomic/partitioned escapes must
-   hold), the four graph passes on the real extracted pipeline and on
+(* FlexProve tests: the pairwise corpus of the interference pass
+   (diagnostics must name the right stages and region, and the
+   serialization, single-slot, atomic and partitioned escapes must
+   hold), the graph passes on the real extracted pipeline and on
    synthetic counterexample graphs, sabotage classification (every
    catalogue defect's FlexProve verdict matches its owner), a seeded
    defect that still constructs, and the teardown-FSM model check with
@@ -21,103 +22,140 @@ let contract stage ?(reads = []) ?(writes = []) domain =
   { E.c_stage = stage; c_reads = reads; c_writes = writes;
     c_domain = domain }
 
-(* --- Effects negative corpus ----------------------------------------- *)
+(* --- Synthetic graphs ---------------------------------------------------- *)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
 
-let expect_conflict name contracts ~stages ~obj =
-  match E.check contracts with
-  | Ok () -> Alcotest.failf "%s: overlap not detected" name
-  | Error cs ->
-      check_bool (name ^ ": conflict names the stages and region") true
-        (List.exists
-           (fun c ->
-             c.E.k_obj = obj
-             && List.mem c.E.k_stage1 stages
-             && List.mem c.E.k_stage2 stages)
-           cs);
-      (* The rendered diagnostic carries the same names. *)
-      let rendered = String.concat "; " (List.map E.conflict_to_string cs) in
-      List.iter
-        (fun s ->
-          check_bool (name ^ ": diagnostic names " ^ s) true
-            (contains rendered s))
-        stages;
-      check_bool
-        (name ^ ": diagnostic names " ^ E.obj_name obj)
-        true
-        (contains rendered (E.obj_name obj))
+let node ?(slots = 2) ?(serialized = true) ?(lp = G.Lp_service) name c =
+  { G.n_name = name; n_contract = c; n_slots = slots;
+    n_serialized_writes = serialized; n_lp = lp }
 
-let expect_clean name contracts =
-  match E.check contracts with
-  | Ok () -> ()
-  | Error cs ->
-      Alcotest.failf "%s: spurious conflict: %s" name
-        (String.concat "; " (List.map E.conflict_to_string cs))
+let idle name = contract name E.Serial_none
+
+let credit ?drain ?(lookahead = Sim.Time.zero) src dst label tokens =
+  { G.e_src = src; e_dst = dst; e_label = label;
+    e_kind = G.Credit { cr_tokens = tokens }; e_drain = drain;
+    e_lookahead = lookahead }
+
+let flow ?(ordered = true) ?(lookahead = Sim.Time.zero) src dst label =
+  { G.e_src = src; e_dst = dst; e_label = label;
+    e_kind = G.Dataflow { df_ordered = ordered }; e_drain = None;
+    e_lookahead = lookahead }
+
+let graph name nodes edges =
+  { G.g_name = name; g_nodes = nodes; g_edges = edges }
+
+(* A node named after its stage. *)
+let stage ?slots name ?reads ?writes domain =
+  node ?slots name (contract name ?reads ?writes domain)
+
+(* --- Pairwise corpus: the interference pass on two-stage graphs ------ *)
+
+(* Rejected, with an interference finding on the pair [a]/[b] (either
+   order) whose diagnostic names both stages and the region. *)
+let expect_conflict name ?(edges = []) nodes ~stages:(a, b) ~obj =
+  match P.check_graph (graph name nodes edges) with
+  | Ok _ -> Alcotest.failf "%s: overlap not detected" name
+  | Error fs ->
+      check_bool (name ^ ": a finding names the stages and region") true
+        (List.exists
+           (fun f ->
+             let names x = contains f.P.f_detail x in
+             f.P.f_pass = "interference"
+             && (f.P.f_subject = a ^ "/" ^ b || f.P.f_subject = b ^ "/" ^ a)
+             && names (a ^ ":") && names (b ^ ":")
+             && names ("(" ^ E.obj_name obj ^ ")"))
+           fs)
+
+let expect_clean name ?(edges = []) nodes =
+  match P.check_graph (graph name nodes edges) with
+  | Ok _ -> ()
+  | Error fs ->
+      Alcotest.failf "%s: spurious finding: %s" name
+        (String.concat "; " (List.map P.finding_to_string fs))
 
 let test_effects_ww () =
   expect_conflict "W/W unserialized"
     [
-      contract "alpha" ~writes:[ E.Conn_proto ] E.Serial_none;
-      contract "beta" ~writes:[ E.Conn_proto ] E.Serial_none;
+      stage "alpha" ~writes:[ E.Conn_proto ] E.Serial_none;
+      stage "beta" ~writes:[ E.Conn_proto ] E.Serial_none;
     ]
-    ~stages:[ "alpha"; "beta" ] ~obj:E.Conn_proto
+    ~stages:("alpha", "beta") ~obj:E.Conn_proto;
+  expect_conflict "W/R unserialized"
+    [
+      stage "writer" ~writes:[ E.Reasm ] E.Serial_none;
+      stage "reader" ~reads:[ E.Reasm ] E.Serial_none;
+    ]
+    ~stages:("writer", "reader") ~obj:E.Reasm
 
 let test_effects_wr_cross_domain () =
   (* Different FIFO queues do not order each other. *)
   expect_conflict "W/R across distinct queues"
+    ~edges:[ flow "writer" "reader" "q-a"; flow "reader" "writer" "q-b" ]
     [
-      contract "writer" ~writes:[ E.Reasm ] (E.Serial_queue "q-a");
-      contract "reader" ~reads:[ E.Reasm ] (E.Serial_queue "q-b");
+      stage "writer" ~writes:[ E.Reasm ] (E.Serial_queue "q-a");
+      stage "reader" ~reads:[ E.Reasm ] (E.Serial_queue "q-b");
     ]
-    ~stages:[ "writer"; "reader" ] ~obj:E.Reasm;
-  (* Same queue: ordered, no conflict. *)
-  expect_clean "W/R within one queue"
+    ~stages:("writer", "reader") ~obj:E.Reasm;
+  (* Same queue: ordered, no conflict, for reads and writes alike. *)
+  expect_clean "W/W and W/R within one queue"
+    ~edges:[ flow "writer" "reader" "q" ]
     [
-      contract "writer" ~writes:[ E.Reasm ] (E.Serial_queue "q");
-      contract "reader" ~reads:[ E.Reasm ] (E.Serial_queue "q");
+      stage "writer" ~writes:[ E.Reasm ] (E.Serial_queue "q");
+      stage "reader" ~reads:[ E.Reasm ] ~writes:[ E.Reasm ]
+        (E.Serial_queue "q");
     ];
   (* Distinct flow-group sequencers likewise do not order. *)
   expect_conflict "W/W across distinct flow groups"
+    ~edges:[ flow "fg1" "fg2" "g-a"; flow "fg2" "fg1" "g-b" ]
     [
-      contract "fg1" ~writes:[ E.Conn_proto ] (E.Serial_flow_group "g-a");
-      contract "fg2" ~writes:[ E.Conn_proto ] (E.Serial_flow_group "g-b");
+      stage "fg1" ~writes:[ E.Conn_proto ] (E.Serial_flow_group "g-a");
+      stage "fg2" ~writes:[ E.Conn_proto ] (E.Serial_flow_group "g-b");
     ]
-    ~stages:[ "fg1"; "fg2" ] ~obj:E.Conn_proto
+    ~stages:("fg1", "fg2") ~obj:E.Conn_proto;
+  (* The per-connection lock orders every stage that takes it. *)
+  expect_clean "W/W under the per-conn lock"
+    [
+      stage "alpha" ~writes:[ E.Conn_proto ] E.Serial_conn;
+      stage "beta" ~reads:[ E.Conn_proto ] ~writes:[ E.Conn_proto ]
+        E.Serial_conn;
+    ]
 
 let test_effects_self_pair () =
-  (* A replicated unserialized stage races its own replicas. *)
-  (match
-     E.check [ contract "solo" ~writes:[ E.Conn_proto ] E.Serial_none ]
-   with
-  | Ok () -> Alcotest.fail "replica self-race not detected"
-  | Error cs ->
-      check_bool "self conflict names the stage twice" true
-        (List.exists
-           (fun c -> c.E.k_stage1 = "solo" && c.E.k_stage2 = "solo")
-           cs));
-  (* The per-conn lock covers the self-pair. *)
+  (* A replicated unserialized stage races its own replicas... *)
+  expect_conflict "2-slot unserialized writer"
+    [ stage ~slots:2 "solo" ~writes:[ E.Conn_proto ] E.Serial_none ]
+    ~stages:("solo", "solo") ~obj:E.Conn_proto;
+  (* ... but one execution slot cannot race itself... *)
+  expect_clean "1-slot unserialized writer"
+    [ stage ~slots:1 "solo" ~writes:[ E.Conn_proto ] E.Serial_none ];
+  (* ... and the per-conn lock covers the self-pair. *)
   expect_clean "serialized self-pair"
-    [ contract "solo" ~writes:[ E.Conn_proto ] E.Serial_conn ]
+    [ stage "solo" ~writes:[ E.Conn_proto ] E.Serial_conn ]
 
 let test_effects_escapes () =
   (* Atomic regions (counters, rings): concurrent writes are safe by
      construction and must not be flagged. *)
   expect_clean "atomic escape"
     [
-      contract "a" ~writes:[ E.Conn_post; E.Global_stats ] E.Serial_none;
-      contract "b" ~writes:[ E.Conn_post; E.Global_stats ] E.Serial_none;
+      stage "alpha" ~writes:[ E.Conn_post; E.Global_stats ] E.Serial_none;
+      stage "beta" ~writes:[ E.Conn_post; E.Global_stats ] E.Serial_none;
     ];
-  (* Address-partitioned payload buffers: writer and reader touch
-     disjoint ranges; the pairwise layer must stay quiet (the graph
-     layer separately demands the ordered hand-off). *)
-  expect_clean "partitioned escape"
+  (* Address-partitioned payload buffers: concurrent accesses touch
+     disjoint ranges (FlexSan checks the ranges at runtime), so only a
+     reader needs its ordered hand-off from the writer. *)
+  expect_clean "partitioned escape, W/W"
     [
-      contract "w" ~writes:[ E.Rx_payload ] E.Serial_none;
-      contract "r" ~reads:[ E.Rx_payload ] E.Serial_none;
+      stage "alpha" ~writes:[ E.Rx_payload ] E.Serial_none;
+      stage "beta" ~writes:[ E.Rx_payload ] E.Serial_none;
+    ];
+  expect_clean "partitioned escape, W/R" ~edges:[ flow "writer" "reader" "wr" ]
+    [
+      stage "writer" ~writes:[ E.Rx_payload ] E.Serial_none;
+      stage "reader" ~reads:[ E.Rx_payload ] E.Serial_none;
     ]
 
 (* --- Graph passes: the real pipeline --------------------------------- *)
@@ -183,10 +221,10 @@ let test_sabotage_classification () =
     (List.length caught >= 5)
 
 let test_healthy_create_unaffected () =
-  (* The create-time layer-0 check runs on the declared graph; a
-     node seeded with a defect must still construct (FlexSan owns the
-     as-built defects at runtime), except bad_contract which layer 1
-     rejects. *)
+  (* The create-time check runs on the declared graph; a node seeded
+     with an as-built defect must still construct (FlexSan owns it at
+     runtime). Only bad_contract changes a declaration (test_infer's
+     corpus owners). *)
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
   let dp =
@@ -335,25 +373,6 @@ let test_pipeline_broken_tables () =
        pools)
 
 (* --- Graph passes: synthetic counterexamples ------------------------- *)
-
-let node ?(slots = 2) ?(serialized = true) ?(lp = G.Lp_service) name c =
-  { G.n_name = name; n_contract = c; n_slots = slots;
-    n_serialized_writes = serialized; n_lp = lp }
-
-let idle name = contract name E.Serial_none
-
-let credit ?drain ?(lookahead = Sim.Time.zero) src dst label tokens =
-  { G.e_src = src; e_dst = dst; e_label = label;
-    e_kind = G.Credit { cr_tokens = tokens }; e_drain = drain;
-    e_lookahead = lookahead }
-
-let flow ?(ordered = true) ?(lookahead = Sim.Time.zero) src dst label =
-  { G.e_src = src; e_dst = dst; e_label = label;
-    e_kind = G.Dataflow { df_ordered = ordered }; e_drain = None;
-    e_lookahead = lookahead }
-
-let graph name nodes edges =
-  { G.g_name = name; g_nodes = nodes; g_edges = edges }
 
 let test_deadlock_cycle () =
   let nodes = [ node "a" (idle "a"); node "b" (idle "b") ] in

@@ -1,5 +1,5 @@
-(* FlexSan tests: the static contract checker (layer 1), the dynamic
-   happens-before sanitizer's core machinery (layer 2, synthetic
+(* FlexSan tests: a mis-declared contract refused at create, the
+   dynamic happens-before sanitizer's core machinery (synthetic
    histories), a clean-pipeline gate, and the seeded-race corpus —
    every deliberately-broken datapath variant must be flagged with a
    diagnostic naming the conflicting accesses. *)
@@ -19,86 +19,7 @@ let ip_b = 0x0A000002
 let san_config =
   { Flextoe.Config.default with Flextoe.Config.san = true }
 
-(* --- Layer 1: static contract checking ------------------------------ *)
-
-let test_builtin_contracts_sound () =
-  match E.check (PL.contracts PL.builtin) with
-  | Ok () -> ()
-  | Error cs ->
-      Alcotest.failf "builtin stage set rejected: %s"
-        (String.concat "; " (List.map E.conflict_to_string cs))
-
-let mk_contract stage ?(reads = []) ?(writes = []) domain =
-  { E.c_stage = stage; c_reads = reads; c_writes = writes;
-    c_domain = domain }
-
-let test_static_conflicts () =
-  (* Two unserialized stages writing the protocol partition. *)
-  let bad =
-    [
-      mk_contract "a" ~writes:[ E.Conn_proto ] E.Serial_none;
-      mk_contract "b" ~writes:[ E.Conn_proto ] E.Serial_none;
-    ]
-  in
-  (match E.check bad with
-  | Ok () -> Alcotest.fail "W/W overlap not detected"
-  | Error cs ->
-      check_bool "conflict names both stages and the region" true
-        (List.exists
-           (fun c ->
-             c.E.k_obj = E.Conn_proto
-             && ((c.E.k_stage1 = "a" && c.E.k_stage2 = "b")
-                || (c.E.k_stage1 = "b" && c.E.k_stage2 = "a")))
-           cs));
-  (* Write/read overlap. *)
-  let wr =
-    [
-      mk_contract "w" ~writes:[ E.Reasm ] E.Serial_none;
-      mk_contract "r" ~reads:[ E.Reasm ] E.Serial_none;
-    ]
-  in
-  (match E.check wr with
-  | Ok () -> Alcotest.fail "W/R overlap not detected"
-  | Error _ -> ());
-  (* A replicated (Serial_none) stage races its own replicas. *)
-  (match E.check [ mk_contract "solo" ~writes:[ E.Conn_proto ] E.Serial_none ]
-   with
-  | Ok () -> Alcotest.fail "self-race of a replicated stage not detected"
-  | Error _ -> ())
-
-let test_static_serialization_admits () =
-  (* The same overlaps are fine under a shared serialization domain. *)
-  let ok_sets =
-    [
-      [
-        mk_contract "a" ~writes:[ E.Conn_proto ] E.Serial_conn;
-        mk_contract "b" ~reads:[ E.Conn_proto ] ~writes:[ E.Conn_proto ]
-          E.Serial_conn;
-      ];
-      [
-        mk_contract "a" ~writes:[ E.Reasm ] (E.Serial_queue "q");
-        mk_contract "b" ~writes:[ E.Reasm ] (E.Serial_queue "q");
-      ];
-      (* Atomic regions never conflict statically. *)
-      [
-        mk_contract "a" ~writes:[ E.Global_stats ] E.Serial_none;
-        mk_contract "b" ~writes:[ E.Global_stats ] E.Serial_none;
-      ];
-      (* Address-partitioned regions are deferred to layer 2. *)
-      [
-        mk_contract "a" ~writes:[ E.Rx_payload ] E.Serial_none;
-        mk_contract "b" ~writes:[ E.Rx_payload ] E.Serial_none;
-      ];
-    ]
-  in
-  List.iter
-    (fun set ->
-      match E.check set with
-      | Ok () -> ()
-      | Error cs ->
-          Alcotest.failf "spurious static conflict: %s"
-            (E.conflict_to_string (List.hd cs)))
-    ok_sets
+(* --- Create-time check ---------------------------------------------- *)
 
 let test_bad_contract_fails_fast () =
   let engine = Sim.Engine.create () in
@@ -108,16 +29,25 @@ let test_bad_contract_fails_fast () =
       ~defect:Defect.Bad_contract ~ip:ip_a ()
   with
   | _ -> Alcotest.fail "bad contract accepted at create"
-  | exception E.Contract_violation cs ->
+  | exception Flextoe.Prove.Graph_rejected fs ->
+      let conflict s1 s2 =
+        E.conflict_to_string
+          { E.k_stage1 = s1; k_kind1 = E.Write; k_stage2 = s2;
+            k_kind2 = E.Write; k_obj = E.Conn_proto }
+      in
       check_bool "diagnostic names postproc x protocol on conn.proto" true
         (List.exists
-           (fun c ->
-             c.E.k_obj = E.Conn_proto
-             && List.mem c.E.k_stage1 [ "postproc"; "protocol" ]
-             && List.mem c.E.k_stage2 [ "postproc"; "protocol" ])
-           cs)
+           (fun f ->
+             List.mem f.Flextoe.Prove.f_detail
+               [ conflict "protocol" "postproc";
+                 conflict "postproc" "protocol" ])
+           fs)
 
-(* --- Layer 2: synthetic histories ----------------------------------- *)
+(* --- Synthetic histories -------------------------------------------- *)
+
+let mk_contract stage ?(reads = []) ?(writes = []) domain =
+  { E.c_stage = stage; c_reads = reads; c_writes = writes;
+    c_domain = domain }
 
 let mk_san ?(contracts = []) () =
   let engine = Sim.Engine.create () in
@@ -428,12 +358,6 @@ let test_variants_behavior_preserved () =
 
 let suite =
   [
-    Alcotest.test_case "static: builtin contracts sound" `Quick
-      test_builtin_contracts_sound;
-    Alcotest.test_case "static: conflicts detected" `Quick
-      test_static_conflicts;
-    Alcotest.test_case "static: serialization admits overlap" `Quick
-      test_static_serialization_admits;
     Alcotest.test_case "static: bad contract fails at create" `Quick
       test_bad_contract_fails_fast;
     Alcotest.test_case "dynamic: unordered writes race" `Quick

@@ -345,6 +345,31 @@ let test_disabled_has_no_scope () =
   check_bool "no scope by default" true (Flextoe.scope n = None);
   check_bool "no sampler by default" true (Flextoe.flexscope n = None)
 
+(* A metrics-only stage span costs its span record and nothing else:
+   the stage's histogram is found without building its key, and the
+   flight recorder stores the span's fields in place. *)
+let test_span_allocation () =
+  let sc = Scope.create ~mode:Scope.Metrics_only (Sim.Engine.create ()) in
+  let pair () =
+    let sp = Scope.span_begin sc ~stage:"preproc" ~conn:3 ~id:(-1) in
+    Scope.span_end sc sp ~cycles:100
+  in
+  for _ = 1 to 100 do
+    pair ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    pair ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  (* A four-field record: one header word and four fields. *)
+  if words > 5.1 then
+    Alcotest.failf "%.2f minor words per span (bound 5.1)" words;
+  check_int "recorded" (n + 100)
+    (H.count (List.assoc "stage/preproc" (Scope.histograms sc)));
+  check_int "flight total" (n + 100) (Scope.flight_total sc ~conn:3)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -366,4 +391,6 @@ let suite =
       test_metrics_snapshot_shape;
     Alcotest.test_case "disabled config has no scope" `Quick
       test_disabled_has_no_scope;
+    Alcotest.test_case "metrics-only span allocation" `Quick
+      test_span_allocation;
   ]
