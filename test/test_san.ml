@@ -1,4 +1,6 @@
-(* FlexSan tests: a mis-declared contract refused at create, the
+(* FlexSan tests: the static contract check (FlexProve's graph passes
+   over contract sets, as create runs them) and a mis-declared contract
+   refused at create, the
    dynamic happens-before sanitizer's core machinery (synthetic
    histories), a clean-pipeline gate, and the seeded-race corpus —
    every deliberately-broken datapath variant must be flagged with a
@@ -9,6 +11,8 @@ module San = Flextoe.San
 module D = Flextoe.Datapath
 module Defect = Flextoe.Defect
 module PL = Flextoe.Pipeline
+module G = Flextoe.Graph_ir
+module P = Flextoe.Prove
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -18,6 +22,135 @@ let ip_b = 0x0A000002
 
 let san_config =
   { Flextoe.Config.default with Flextoe.Config.san = true }
+
+(* --- Static contract check ------------------------------------------ *)
+
+let mk_contract stage ?(reads = []) ?(writes = []) domain =
+  { E.c_stage = stage; c_reads = reads; c_writes = writes;
+    c_domain = domain }
+
+(* The graph of a bare contract set: one 2-slot node per stage, and
+   each named serialization domain realized by an ordered edge from its
+   first member to every other (a self-edge for a lone member). *)
+let contracts_graph cs =
+  let nodes =
+    List.map
+      (fun c ->
+        { G.n_name = c.E.c_stage; n_contract = c; n_slots = 2;
+          n_serialized_writes = true; n_lp = G.Lp_service })
+      cs
+  in
+  let named c =
+    match c.E.c_domain with
+    | E.Serial_queue l | E.Serial_flow_group l -> Some l
+    | E.Serial_none | E.Serial_conn -> None
+  in
+  let edges =
+    List.concat_map
+      (fun l ->
+        let members =
+          List.filter_map
+            (fun c -> if named c = Some l then Some c.E.c_stage else None)
+            cs
+        in
+        let first = List.hd members in
+        let dsts = match List.tl members with [] -> [ first ] | t -> t in
+        List.map
+          (fun dst ->
+            { G.e_src = first; e_dst = dst; e_label = l;
+              e_kind = G.Dataflow { df_ordered = true }; e_drain = None;
+              e_lookahead = Sim.Time.zero })
+          dsts)
+      (List.sort_uniq compare (List.filter_map named cs))
+  in
+  { G.g_name = "contracts"; g_nodes = nodes; g_edges = edges }
+
+let check_contracts cs = P.check_graph (contracts_graph cs)
+
+let findings_text fs = String.concat "; " (List.map P.finding_to_string fs)
+
+let test_builtin_contracts_sound () =
+  (* The builtin stage set as declared, wired as create wires it. *)
+  let pipeline = PL.declare PL.builtin in
+  check_int "every builtin stage declares a contract"
+    (List.length PL.builtin)
+    (List.length (PL.contracts pipeline));
+  match
+    P.check_graph (G.builtin ~pipeline ~config:Flextoe.Config.default ())
+  with
+  | Ok _ -> ()
+  | Error fs -> Alcotest.failf "builtin stage set rejected: %s" (findings_text fs)
+
+let test_static_conflicts () =
+  (* Two unserialized stages writing the protocol partition. *)
+  let bad =
+    [
+      mk_contract "a" ~writes:[ E.Conn_proto ] E.Serial_none;
+      mk_contract "b" ~writes:[ E.Conn_proto ] E.Serial_none;
+    ]
+  in
+  (match check_contracts bad with
+  | Ok _ -> Alcotest.fail "W/W overlap not detected"
+  | Error fs ->
+      let conflict s1 s2 =
+        E.conflict_to_string
+          { E.k_stage1 = s1; k_kind1 = E.Write; k_stage2 = s2;
+            k_kind2 = E.Write; k_obj = E.Conn_proto }
+      in
+      check_bool "conflict names both stages and the region" true
+        (List.exists
+           (fun f ->
+             f.P.f_pass = "interference"
+             && List.mem f.P.f_detail [ conflict "a" "b"; conflict "b" "a" ])
+           fs));
+  (* Write/read overlap. *)
+  let wr =
+    [
+      mk_contract "w" ~writes:[ E.Reasm ] E.Serial_none;
+      mk_contract "r" ~reads:[ E.Reasm ] E.Serial_none;
+    ]
+  in
+  (match check_contracts wr with
+  | Ok _ -> Alcotest.fail "W/R overlap not detected"
+  | Error _ -> ());
+  (* A replicated (Serial_none) stage races its own replicas. *)
+  match
+    check_contracts [ mk_contract "solo" ~writes:[ E.Conn_proto ] E.Serial_none ]
+  with
+  | Ok _ -> Alcotest.fail "self-race of a replicated stage not detected"
+  | Error _ -> ()
+
+let test_static_serialization_admits () =
+  (* The same overlaps are fine under a shared serialization domain. *)
+  let ok_sets =
+    [
+      [
+        mk_contract "a" ~writes:[ E.Conn_proto ] E.Serial_conn;
+        mk_contract "b" ~reads:[ E.Conn_proto ] ~writes:[ E.Conn_proto ]
+          E.Serial_conn;
+      ];
+      [
+        mk_contract "a" ~writes:[ E.Reasm ] (E.Serial_queue "q");
+        mk_contract "b" ~writes:[ E.Reasm ] (E.Serial_queue "q");
+      ];
+      (* Atomic regions never conflict statically. *)
+      [
+        mk_contract "a" ~writes:[ E.Global_stats ] E.Serial_none;
+        mk_contract "b" ~writes:[ E.Global_stats ] E.Serial_none;
+      ];
+      (* Address-partitioned regions are deferred to the dynamic layer. *)
+      [
+        mk_contract "a" ~writes:[ E.Rx_payload ] E.Serial_none;
+        mk_contract "b" ~writes:[ E.Rx_payload ] E.Serial_none;
+      ];
+    ]
+  in
+  List.iter
+    (fun set ->
+      match check_contracts set with
+      | Ok _ -> ()
+      | Error fs -> Alcotest.failf "spurious static conflict: %s" (findings_text fs))
+    ok_sets
 
 (* --- Create-time check ---------------------------------------------- *)
 
@@ -44,10 +177,6 @@ let test_bad_contract_fails_fast () =
            fs)
 
 (* --- Synthetic histories -------------------------------------------- *)
-
-let mk_contract stage ?(reads = []) ?(writes = []) domain =
-  { E.c_stage = stage; c_reads = reads; c_writes = writes;
-    c_domain = domain }
 
 let mk_san ?(contracts = []) () =
   let engine = Sim.Engine.create () in
@@ -358,6 +487,12 @@ let test_variants_behavior_preserved () =
 
 let suite =
   [
+    Alcotest.test_case "static: builtin contracts sound" `Quick
+      test_builtin_contracts_sound;
+    Alcotest.test_case "static: conflicts detected" `Quick
+      test_static_conflicts;
+    Alcotest.test_case "static: serialization admits overlap" `Quick
+      test_static_serialization_admits;
     Alcotest.test_case "static: bad contract fails at create" `Quick
       test_bad_contract_fails_fast;
     Alcotest.test_case "dynamic: unordered writes race" `Quick
