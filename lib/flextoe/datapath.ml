@@ -167,6 +167,8 @@ type t = {
   mutable st_tx : int;
   mutable st_tx_acks : int;
   mutable st_ctl : int;
+  mutable st_tx_ctl : int;  (* control-plane frames the NBI sent *)
+  mutable st_pre_ctl : int;  (* frames pre-processing sent to the CP *)
   mutable st_drop : int;
   mutable st_drop_csum : int;
   mutable st_fretx : int;
@@ -211,10 +213,6 @@ let sc_instant t row ~name ~conn ~arg =
   | None -> ()
   | Some sc -> Sim.Scope.instant sc ~track:(Pipeline.name row) ~name ~conn ~arg
 
-let sc_count t name =
-  match t.scope with
-  | None -> ()
-  | Some sc -> Sim.Scope.count sc ~name ()
 let mac t = t.mac
 let ip t = t.ip
 let num_ctx t = t.n_ctx
@@ -732,7 +730,6 @@ let emit t ?(len = 0) f =
 
 let count_tx_frame t (d : Meta.tx_desc) =
   t.st_tx <- t.st_tx + 1;
-  sc_count t "nbi/tx_frames";
   sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq
 
 let nbi_emit_one t eg =
@@ -765,11 +762,10 @@ let nbi_emit_one t eg =
       | Some cs ->
           sa t Pipeline.nbi ~flow:a.Meta.a_conn Effects.Conn_pre Effects.Read;
           t.st_tx_acks <- t.st_tx_acks + 1;
-          sc_count t "nbi/tx_acks";
           emit t (build_ack_frame t cs a)
       | None -> ())
   | Eg_ctl f ->
-      sc_count t "nbi/tx_ctl";
+      t.st_tx_ctl <- t.st_tx_ctl + 1;
       emit t f);
   (* A data segment's buffer (credit) frees on transmission. *)
   match eg with
@@ -816,7 +812,6 @@ let nbi_emit t eg =
           List.iter
             (fun (dc, chunk) ->
               t.st_tx <- t.st_tx + 1;
-              sc_count t "nbi/tx_frames";
               emit t ~len:dc.Meta.t_len (build_data_frame t cs dc chunk))
             chunks;
           sc_seg_end t ~track:"seg_tx" ~id:d.Meta.t_gseq;
@@ -1409,7 +1404,6 @@ let preproc_rx t gseq (frame : S.frame) =
         t.st_drop_csum <- t.st_drop_csum + 1;
         sa t Pipeline.preproc ~flow:(-1) Effects.Global_stats Effects.Write;
         trace_event t Pipeline.preproc "seg_invalid";
-        sc_count t "preproc/drop_csum";
         sc_seg_end t ~track:"seg_rx" ~id:gseq;
         Sequencer.skip t.rx_gro ~seq:gseq
       end
@@ -1428,7 +1422,7 @@ let preproc_rx t gseq (frame : S.frame) =
             (rx_summary t ~gseq ~conn:idx frame)
       | _ ->
           (* Control segment, VLAN-tagged, or unknown connection. *)
-          sc_count t "preproc/to_control";
+          t.st_pre_ctl <- t.st_pre_ctl + 1;
           sc_seg_end t ~track:"seg_rx" ~id:gseq;
           Sequencer.skip t.rx_gro ~seq:gseq;
           forward_to_control t frame)
@@ -1560,7 +1554,6 @@ let rtc_hc t (d : Meta.hc_desc) =
 
 let rx_datapath t frame =
   t.st_rx <- t.st_rx + 1;
-  sc_count t "nbi/rx_frames";
   if pipelined t then begin
     let gseq = Sequencer.next_seq t.rx_gro in
     sc_seg_begin t ~track:"seg_rx" ~conn:(-1) ~id:gseq;
@@ -2075,6 +2068,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         st_tx = 0;
         st_tx_acks = 0;
         st_ctl = 0;
+        st_tx_ctl = 0;
+        st_pre_ctl = 0;
         st_drop = 0;
         st_drop_csum = 0;
         st_fretx = 0;
@@ -2089,13 +2084,26 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
       }
   in
   let t = Lazy.force t in
-  (* Guard counters mirror into the FlexScope metrics snapshot under
-     "guard/<name>" when both subsystems are on. *)
-  (match (t.guard, t.scope) with
-  | Some g, Some sc ->
-      Guard.set_on_count g (fun name ->
-          Sim.Scope.count sc ~name:("guard/" ^ name) ())
-  | _ -> ());
+  (* The FlexScope snapshot reads the data path's counters, and
+     FlexGuard's under "guard/<name>", from their owners. *)
+  (match t.scope with
+  | Some sc ->
+      Sim.Scope.add_counters sc (fun () ->
+          [
+            ("nbi/rx_frames", t.st_rx);
+            ("nbi/tx_frames", t.st_tx);
+            ("nbi/tx_acks", t.st_tx_acks);
+            ("nbi/tx_ctl", t.st_tx_ctl);
+            ("preproc/drop_csum", t.st_drop_csum);
+            ("preproc/to_control", t.st_pre_ctl);
+          ]
+          @
+          match t.guard with
+          | Some g ->
+              List.map (fun (name, n) -> ("guard/" ^ name, n))
+                (Guard.counters g)
+          | None -> [])
+  | None -> ());
   (* Doorbell/completion batching on the PCIe engine ([set_batch] at
      degree 1 is a no-op, but skipping the call keeps the unbatched
      engine provably untouched). *)

@@ -21,7 +21,6 @@ type t = {
   mutable tw_births : int;
   counters : (string, int ref) Hashtbl.t;
   peaks : (string, int ref) Hashtbl.t;
-  mutable on_count : (string -> unit) option;
 }
 
 let create ~g ~secret () =
@@ -32,17 +31,14 @@ let create ~g ~secret () =
     tw_births = 0;
     counters = Hashtbl.create 32;
     peaks = Hashtbl.create 8;
-    on_count = None;
   }
 
 let config t = t.g
-let set_on_count t f = t.on_count <- Some f
 
 let count t name =
-  (match Hashtbl.find_opt t.counters name with
+  match Hashtbl.find_opt t.counters name with
   | Some r -> incr r
-  | None -> Hashtbl.replace t.counters name (ref 1));
-  match t.on_count with Some f -> f name | None -> ()
+  | None -> Hashtbl.replace t.counters name (ref 1)
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0

@@ -19,9 +19,9 @@ val config : t -> Config.guard
 
 (** {1 Counters}
 
-    Every guard event increments a named counter; with FlexScope
-    enabled the data path mirrors each increment into the metrics
-    snapshot under ["guard/<name>"]. *)
+    Every guard event increments a named counter. With FlexScope
+    enabled, the metrics snapshot reads {!counters} under
+    ["guard/<name>"]. *)
 
 val count : t -> string -> unit
 val counter : t -> string -> int
@@ -72,9 +72,3 @@ val tw_reap : t -> now:Sim.Time.t -> int
 (** Expire entries past their deadline; returns how many. *)
 
 val tw_length : t -> int
-
-(**/**)
-
-val set_on_count : t -> (string -> unit) -> unit
-(** Wired by the data path to mirror counter increments into
-    FlexScope. *)

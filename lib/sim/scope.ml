@@ -56,6 +56,15 @@ type series_state = {
   mutable s_n : int;
 }
 
+type open_seg = { o_t0 : Time.t; o_conn : int }
+
+(* One lifecycle track: its open spans by id, and its
+   "lifecycle_ns/<track>" histogram, resolved at the first end. *)
+type seg_track = {
+  sg_open : (int, open_seg) Hashtbl.t;
+  mutable sg_hist : Stats.Histogram.t option;
+}
+
 type t = {
   engine : Engine.t;
   mode : mode;
@@ -63,14 +72,15 @@ type t = {
   mutable hist_order : string list;  (* reverse creation order *)
   stage_hists : (string, Stats.Histogram.t) Hashtbl.t;
       (* [hists]' "stage/<name>" entries, keyed by the bare name *)
-  counters : (string, int ref) Hashtbl.t;
+  mutable sources : (unit -> (string * int) list) list;
+      (* counter sources, read at snapshot time *)
   mutable events : ev list;  (* newest first *)
   mutable n_events : int;
   max_events : int;
   mutable dropped_events : int;
   series : (string, series_state) Hashtbl.t;
-  (* Open lifecycle spans: (track, id) -> (start, conn). *)
-  open_segs : (string * int, Time.t * int) Hashtbl.t;
+  seg_tracks : (string, seg_track) Hashtbl.t;
+  mutable n_open : int;  (* open lifecycle spans, across tracks *)
   flight_capacity : int;
   flight : (int, flight_ring) Hashtbl.t;
   max_flight_conns : int;
@@ -85,13 +95,14 @@ let create ?(mode = Full) ?(max_events = 200_000) ?(flight_capacity = 32)
     hists = Hashtbl.create 32;
     hist_order = [];
     stage_hists = Hashtbl.create 16;
-    counters = Hashtbl.create 32;
+    sources = [];
     events = [];
     n_events = 0;
     max_events;
     dropped_events = 0;
     series = Hashtbl.create 32;
-    open_segs = Hashtbl.create 1024;
+    seg_tracks = Hashtbl.create 4;
+    n_open = 0;
     flight_capacity;
     flight = Hashtbl.create 256;
     max_flight_conns = 4096;
@@ -112,10 +123,7 @@ let hist t name =
 
 let record t name v = Stats.Histogram.add (hist t name) v
 
-let count t ~name ?(n = 1) () =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t.counters name (ref n)
+let add_counters t source = t.sources <- source :: t.sources
 
 let push_event t ev =
   if t.n_events < t.max_events then begin
@@ -220,23 +228,45 @@ let max_open_segs = 65536
 
 let seg_begin t ~track ~conn ~id =
   let ts = now t in
-  if Hashtbl.length t.open_segs < max_open_segs then
-    Hashtbl.replace t.open_segs (track, id) (ts, conn);
+  let tr =
+    match Hashtbl.find t.seg_tracks track with
+    | tr -> tr
+    | exception Not_found ->
+        let tr = { sg_open = Hashtbl.create 1024; sg_hist = None } in
+        Hashtbl.replace t.seg_tracks track tr;
+        tr
+  in
+  if t.n_open < max_open_segs then begin
+    let n = Hashtbl.length tr.sg_open in
+    Hashtbl.replace tr.sg_open id { o_t0 = ts; o_conn = conn };
+    t.n_open <- t.n_open + Hashtbl.length tr.sg_open - n
+  end;
   flight_push t ~conn ~time:ts ~kind:"begin" ~name:track ~arg:id;
   if t.mode = Full then
     push_event t (Ev_async { track; first = true; id; ts; conn })
 
 let seg_end t ~track ~id =
-  let ts = now t in
-  match Hashtbl.find_opt t.open_segs (track, id) with
-  | None -> ()
-  | Some (t0, conn) ->
-      Hashtbl.remove t.open_segs (track, id);
-      record t ("lifecycle_ns/" ^ track)
-        (int_of_float (Time.to_ns (ts - t0)));
-      flight_push t ~conn ~time:ts ~kind:"end" ~name:track ~arg:id;
-      if t.mode = Full then
-        push_event t (Ev_async { track; first = false; id; ts; conn })
+  match Hashtbl.find t.seg_tracks track with
+  | exception Not_found -> ()
+  | tr -> (
+      match Hashtbl.find tr.sg_open id with
+      | exception Not_found -> ()
+      | { o_t0; o_conn = conn } ->
+          let ts = now t in
+          Hashtbl.remove tr.sg_open id;
+          t.n_open <- t.n_open - 1;
+          let h =
+            match tr.sg_hist with
+            | Some h -> h
+            | None ->
+                let h = hist t ("lifecycle_ns/" ^ track) in
+                tr.sg_hist <- Some h;
+                h
+          in
+          Stats.Histogram.add h (int_of_float (Time.to_ns (ts - o_t0)));
+          flight_push t ~conn ~time:ts ~kind:"end" ~name:track ~arg:id;
+          if t.mode = Full then
+            push_event t (Ev_async { track; first = false; id; ts; conn }))
 
 let instant t ~track ~name ~conn ~arg =
   let ts = now t in
@@ -401,8 +431,9 @@ let hist_json h =
       ("p999", p 99.9);
     ]
 
-(* Hashtable keys are unique, so ordering the pairs by key alone is
-   the order a structural sort of the pairs gives. *)
+(* Keys are unique (a hashtable's, or distinct across counter
+   sources), so ordering the pairs by key alone is the order a
+   structural sort of the pairs gives. *)
 let by_name (a, _) (b, _) = String.compare a b
 
 let metrics t =
@@ -412,7 +443,9 @@ let metrics t =
       t.hist_order
   in
   let counters =
-    Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) t.counters []
+    List.concat_map (fun source -> source ()) t.sources
+    |> List.filter_map (fun (k, n) ->
+           if n > 0 then Some (k, Json.Int n) else None)
     |> List.sort by_name
   in
   let series =
@@ -458,116 +491,3 @@ let dropped_events t = t.dropped_events
 
 let histograms t =
   List.rev_map (fun n -> (n, Hashtbl.find t.hists n)) t.hist_order
-
-(* --- Domain-safe shards ------------------------------------------------ *)
-
-(* Aliases for use inside [Shard], where [record]/[count] are
-   shadowed by the shard-local recorders. *)
-let record_scope = record
-let count_scope = count
-
-module Shard = struct
-  type scope = t
-
-  (* One buffered recorder operation. Timestamps are explicit: a
-     shard belongs to one LP and must not read the merge target's
-     engine clock from another domain. *)
-  type op =
-    | Op_record of string * int
-    | Op_count of string * int
-    | Op_sample of string * float
-    | Op_instant of { track : string; name : string; conn : int; arg : int }
-
-  type entry = { e_ts : Time.t; e_gseq : int; e_op : op }
-
-  type t = {
-    sh_id : int;
-    sh_capacity : int;
-    mutable sh_buf : entry list;  (* newest first *)
-    mutable sh_len : int;
-    mutable sh_gseq : int;
-    mutable sh_dropped : int;
-  }
-
-  let create ?(capacity = 65_536) ~id () =
-    {
-      sh_id = id;
-      sh_capacity = capacity;
-      sh_buf = [];
-      sh_len = 0;
-      sh_gseq = 0;
-      sh_dropped = 0;
-    }
-
-  let id sh = sh.sh_id
-  let pending sh = sh.sh_len
-  let dropped sh = sh.sh_dropped
-
-  let push sh ~now op =
-    if sh.sh_len < sh.sh_capacity then begin
-      sh.sh_buf <- { e_ts = now; e_gseq = sh.sh_gseq; e_op = op } :: sh.sh_buf;
-      sh.sh_gseq <- sh.sh_gseq + 1;
-      sh.sh_len <- sh.sh_len + 1
-    end
-    else sh.sh_dropped <- sh.sh_dropped + 1
-
-  let record sh ~now name v = push sh ~now (Op_record (name, v))
-  let count sh ~now ~name ?(n = 1) () = push sh ~now (Op_count (name, n))
-  let sample sh ~now ~series ~value = push sh ~now (Op_sample (series, value))
-
-  let instant sh ~now ~track ~name ~conn ~arg =
-    push sh ~now (Op_instant { track; name; conn; arg })
-
-  let apply scope e =
-    match e.e_op with
-    | Op_record (name, v) -> record_scope scope name v
-    | Op_count (name, n) -> count_scope scope ~name ~n ()
-    | Op_sample (series, value) ->
-        (match Hashtbl.find_opt scope.series series with
-        | Some s ->
-            s.s_last <- value;
-            if value < s.s_min then s.s_min <- value;
-            if value > s.s_max then s.s_max <- value;
-            s.s_sum <- s.s_sum +. value;
-            s.s_n <- s.s_n + 1
-        | None ->
-            Hashtbl.replace scope.series series
-              { s_last = value; s_min = value; s_max = value; s_sum = value;
-                s_n = 1 });
-        if scope.mode = Full then
-          push_event scope (Ev_counter { series; ts = e.e_ts; value })
-    | Op_instant { track; name; conn; arg } ->
-        flight_push scope ~conn ~time:e.e_ts ~kind:"instant" ~name ~arg;
-        if scope.mode = Full then
-          push_event scope (Ev_instant { track; name; ts = e.e_ts; conn; arg })
-
-  (* Merge at a sync point: apply every shard's buffered operations
-     to [scope] in (timestamp, gseq, shard id) order — an order fixed
-     by the LPs' deterministic executions, not by how the domains
-     interleaved. Each shard's gseq is monotone, so entries of one
-     shard keep their program order; across shards at equal
-     timestamps the (gseq, shard) rank is reproducible because per-LP
-     event counts at any virtual time are. *)
-  let merge scope shards =
-    let entries =
-      List.concat_map
-        (fun sh ->
-          let es = List.rev_map (fun e -> (sh.sh_id, e)) sh.sh_buf in
-          sh.sh_buf <- [];
-          sh.sh_len <- 0;
-          es)
-        shards
-    in
-    let entries =
-      List.stable_sort
-        (fun (id1, e1) (id2, e2) ->
-          match Int.compare e1.e_ts e2.e_ts with
-          | 0 -> (
-              match Int.compare e1.e_gseq e2.e_gseq with
-              | 0 -> Int.compare id1 id2
-              | c -> c)
-          | c -> c)
-        entries
-    in
-    List.iter (fun (_, e) -> apply scope e) entries
-end

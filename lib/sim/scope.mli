@@ -6,7 +6,13 @@
     This module is deliberately generic (it knows nothing about the
     FlexTOE pipeline); [Flextoe.Flexscope] wires it to the datapath.
     The datapath holds a [Scope.t option] and every hook costs one
-    branch when profiling is disabled. *)
+    branch when profiling is disabled. Scope keeps no event counters
+    of its own: the snapshot reads them from the layers that own them
+    ({!add_counters}).
+
+    A recorder is single-domain state. Under the parallel engine each
+    node's recorder lives on its own node's LP, so no recorder is
+    shared across domains and none needs merging. *)
 
 type mode =
   | Metrics_only
@@ -50,7 +56,8 @@ val span_end : t -> span -> cycles:int -> unit
 
     Keyed by [(track, id)]; the elapsed wall time is recorded into
     the ["lifecycle_ns/<track>"] histogram at [seg_end]. Ends without
-    a matching begin are ignored. *)
+    a matching begin are ignored. At most 65536 spans are open at
+    once, across tracks: a begin beyond that is not tracked. *)
 
 val seg_begin : t -> track:string -> conn:int -> id:int -> unit
 val seg_end : t -> track:string -> id:int -> unit
@@ -63,7 +70,11 @@ val record : t -> string -> int -> unit
 (** [record t name v] adds [v] to histogram [name] (created on first
     use). *)
 
-val count : t -> name:string -> ?n:int -> unit -> unit
+val add_counters : t -> (unit -> (string * int) list) -> unit
+(** [add_counters t source] registers a counter source. {!metrics}
+    calls every source at snapshot time and reports the counters
+    whose value is positive, sorted by name. Names must be distinct
+    across sources. *)
 
 val sample : t -> series:string -> value:float -> unit
 (** Append a point to a named time series. Aggregates (last, min,
@@ -99,9 +110,10 @@ val validate_trace_line : Json.t -> (unit, string) result
     ["b"]/["e"]. Used by [flexlint trace-check] and the tests. *)
 
 val metrics : t -> Json.t
-(** Snapshot: counters, histograms (count/mean/min/max/p50/p90/p99/
-    p999 via the [_opt] queries — empty reads as [null], not 0),
-    series aggregates, and event/drop/dump totals. *)
+(** Snapshot: counters (read from the registered sources),
+    histograms (count/mean/min/max/p50/p90/p99/p999 via the [_opt]
+    queries — empty reads as [null], not 0), series aggregates, and
+    event/drop/dump totals. *)
 
 val write_metrics : t -> out_channel -> unit
 
@@ -110,56 +122,3 @@ val dropped_events : t -> int
 
 val histograms : t -> (string * Stats.Histogram.t) list
 (** Name/histogram pairs in creation order. *)
-
-(** {1 Domain-safe shards}
-
-    A parallel run must not funnel every LP's instrumentation through
-    one shared recorder — the [t] above is single-domain state. A
-    {!Shard.t} is a per-domain bounded buffer of recorder operations
-    (histogram adds, counter bumps, series samples, instants), each
-    stamped with the recording LP's virtual time and a per-shard
-    monotone sequence number (gseq). At a sync point — between
-    {!Engine.Cluster.run} phases, or at the end of a run — the
-    coordinator calls {!Shard.merge}, which applies all buffered
-    operations to a target recorder in (timestamp, gseq, shard id)
-    order. That order is fixed by the LPs' deterministic executions,
-    not by domain interleaving, so merged metrics are bit-identical
-    at any domain count. *)
-
-module Shard : sig
-  type scope = t
-
-  type t
-  (** A per-domain bounded operation buffer. Only the owning LP's
-      domain may record into it; only the coordinator (with all
-      workers stopped) may merge it. *)
-
-  val create : ?capacity:int -> id:int -> unit -> t
-  (** [capacity] (default 65536) bounds buffered operations; excess
-      operations are counted in {!dropped}, never silently lost. *)
-
-  val id : t -> int
-
-  val record : t -> now:Time.t -> string -> int -> unit
-  (** Buffered {!val-record}. [now] is the owning LP's clock — shards
-      never read the merge target's engine. *)
-
-  val count : t -> now:Time.t -> name:string -> ?n:int -> unit -> unit
-  val sample : t -> now:Time.t -> series:string -> value:float -> unit
-
-  val instant :
-    t -> now:Time.t -> track:string -> name:string -> conn:int -> arg:int ->
-    unit
-
-  val pending : t -> int
-  (** Operations currently buffered. *)
-
-  val dropped : t -> int
-  (** Operations discarded because the buffer was full. *)
-
-  val merge : scope -> t list -> unit
-  (** Apply every shard's buffered operations to the target recorder
-      in (timestamp, gseq, shard id) order, emptying the shards.
-      Dropped-operation counts are per-shard and survive the
-      merge. *)
-end

@@ -15,8 +15,9 @@
      a byte- and time-identical trace at every domain count, equal to
      the same fabric with both ports on one solo engine.
 
-   - Scope/Trace shard merges are independent of cross-shard
-     interleaving. *)
+   - Metrics need no merge: each profiled node's FlexScope recorder
+     lives on its own LP, and the golden metrics digest is the same
+     at every domain count. *)
 
 module Cl = Sim.Engine.Cluster
 module W = Golden_worlds
@@ -437,45 +438,6 @@ let test_partitioned_stream_across_domains () =
   check_str "payload digest at domains=2" one.W.run.W.payload_digest
     two.W.run.W.payload_digest
 
-(* --- Scope / Trace shard merges ---------------------------------------- *)
-
-let test_scope_shard_merge_deterministic () =
-  let digest_of fill =
-    let e = Sim.Engine.create () in
-    let sc = Sim.Scope.create ~mode:Sim.Scope.Metrics_only e in
-    let s0 = Sim.Scope.Shard.create ~id:0 () in
-    let s1 = Sim.Scope.Shard.create ~id:1 () in
-    fill s0 s1;
-    Sim.Scope.Shard.merge sc [ s0; s1 ];
-    check_int "shard 0 drained" 0 (Sim.Scope.Shard.pending s0);
-    md5 (Sim.Json.to_string (Sim.Scope.metrics sc))
-  in
-  let module S = Sim.Scope.Shard in
-  (* Same per-shard operation sequences, opposite cross-shard
-     interleavings: the merge must not care. *)
-  let d1 =
-    digest_of (fun s0 s1 ->
-        S.record s0 ~now:(Sim.Time.ns 10) "h" 5;
-        S.count s1 ~now:(Sim.Time.ns 10) ~name:"c" ();
-        S.record s0 ~now:(Sim.Time.ns 20) "h" 7;
-        S.sample s1 ~now:(Sim.Time.ns 30) ~series:"s" ~value:1.5)
-  in
-  let d2 =
-    digest_of (fun s0 s1 ->
-        S.count s1 ~now:(Sim.Time.ns 10) ~name:"c" ();
-        S.sample s1 ~now:(Sim.Time.ns 30) ~series:"s" ~value:1.5;
-        S.record s0 ~now:(Sim.Time.ns 10) "h" 5;
-        S.record s0 ~now:(Sim.Time.ns 20) "h" 7)
-  in
-  check_str "merge independent of cross-shard interleaving" d1 d2;
-  (* Bounded: overflow is counted, never silently lost. *)
-  let s = S.create ~capacity:2 ~id:3 () in
-  S.record s ~now:Sim.Time.zero "h" 1;
-  S.record s ~now:Sim.Time.zero "h" 2;
-  S.record s ~now:Sim.Time.zero "h" 3;
-  check_int "capacity respected" 2 (S.pending s);
-  check_int "overflow counted" 1 (S.dropped s)
-
 let suite =
   [
     Alcotest.test_case "golden worlds bit-identical at domains=1,2,4,8"
@@ -503,6 +465,4 @@ let suite =
       test_fabric_partition_freezes_ports;
     Alcotest.test_case "partitioned FlexTOE stream at domains=1,2" `Quick
       test_partitioned_stream_across_domains;
-    Alcotest.test_case "scope shard merge deterministic" `Quick
-      test_scope_shard_merge_deterministic;
   ]

@@ -10,6 +10,7 @@ let check_bool = Alcotest.(check bool)
 module J = Sim.Json
 module Scope = Sim.Scope
 module H = Sim.Stats.Histogram
+module Guard = Flextoe.Guard
 
 (* --- Json ------------------------------------------------------------- *)
 
@@ -338,6 +339,103 @@ let test_metrics_snapshot_shape () =
         stage
   | _ -> Alcotest.fail "snapshot has no histograms object"
 
+(* The snapshot's counters are read from the layers that own them:
+   each "guard/<name>" is FlexGuard's counter, each "nbi/*" and
+   "preproc/*" the data-path counter it names. The profiled server
+   runs guarded under an echo load, a short SYN flood and bit flips
+   on its ingress, so the guard counts and frames fail checksums. *)
+let test_snapshot_counters () =
+  let engine = Sim.Engine.create ~seed:7L () in
+  let fabric = Netsim.Fabric.create engine () in
+  let config =
+    {
+      Flextoe.Config.default with
+      Flextoe.Config.scope = Flextoe.Config.Scope_metrics;
+      guard = Flextoe.Config.guard_default;
+    }
+  in
+  let server = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
+  let client = Flextoe.create_node engine ~fabric ~ip:ip_b () in
+  let dp = Flextoe.datapath server in
+  let faults =
+    Netsim.Faults.create engine ~seed:3L
+      [ Netsim.Faults.Corrupt { prob = 0.01; header_prob = 0.5 } ]
+  in
+  Netsim.Faults.attach_rx faults (Flextoe.Datapath.fabric_port dp);
+  (* Every frame the NBI sends passes the capture tap. *)
+  let tx_frames = ref 0 in
+  Flextoe.Datapath.set_capture dp
+    (Some (fun dir _ -> if dir = Flextoe.Datapath.Dir_tx then incr tx_frames));
+  let stats = Host.Rpc.Stats.create engine in
+  Host.Rpc.server ~endpoint:(Flextoe.endpoint server) ~port:7 ~app_cycles:100
+    ~handler:Host.Rpc.echo_handler ();
+  ignore
+    (Host.Rpc.closed_loop_client ~endpoint:(Flextoe.endpoint client) ~engine
+       ~server_ip:ip_a ~server_port:7 ~conns:4 ~pipeline:4 ~req_bytes:256
+       ~stats ());
+  let flood =
+    Netsim.Faults.Churn.syn_flood engine fabric ~src_ip:0x0A0000EE
+      ~dst_ip:ip_a ~dst_port:7 ~rate_pps:1_000_000 ()
+  in
+  Sim.Engine.run ~until:(Sim.Time.ms 2) engine;
+  Netsim.Faults.Churn.stop flood;
+  Sim.Engine.run ~until:(Sim.Time.ms 3) engine;
+  let sc = Option.get (Flextoe.scope server) in
+  let g = Option.get (Flextoe.Datapath.guard dp) in
+  let counters =
+    match J.member "counters" (Scope.metrics sc) with
+    | Some (J.Obj kvs) -> kvs
+    | _ -> Alcotest.fail "snapshot has no counters object"
+  in
+  (* Absent keys read 0: the snapshot keeps only positive counters. *)
+  let snap k =
+    match List.assoc_opt k counters with
+    | Some v -> Option.get (J.to_int_opt v)
+    | None -> 0
+  in
+  let guard_key = String.starts_with ~prefix:"guard/" in
+  (* A Guard counter exists once it has counted, so every one is in
+     the snapshot, in the same order. *)
+  Alcotest.(check (list (pair string int)))
+    "guard/<name> = Guard.counters" (Guard.counters g)
+    (List.filter_map
+       (fun (k, _) ->
+         if guard_key k then
+           Some (String.sub k 6 (String.length k - 6), snap k)
+         else None)
+       counters);
+  check_bool "the flood reached the guard" true (snap "guard/syn_rx" > 100);
+  let {
+    Flextoe.Datapath.rx_segments;
+    tx_segments;
+    tx_acks;
+    rx_dropped_csum;
+    rx_to_control;
+    _;
+  } =
+    Flextoe.Datapath.stats dp
+  in
+  check_bool "frames failed their checksum" true (rx_dropped_csum > 0);
+  let owned =
+    [
+      ("nbi/rx_frames", rx_segments);
+      ("nbi/tx_frames", tx_segments);
+      ("nbi/tx_acks", tx_acks);
+      (* Every other frame the NBI sent came from the control plane. *)
+      ("nbi/tx_ctl", !tx_frames - tx_segments - tx_acks);
+      ("preproc/drop_csum", rx_dropped_csum);
+      (* Pipelined, without XDP: every control forward leaves from
+         pre-processing. *)
+      ("preproc/to_control", rx_to_control);
+    ]
+  in
+  List.iter (fun (k, n) -> check_int k n (snap k)) owned;
+  List.iter
+    (fun (k, _) ->
+      if not (guard_key k || List.mem_assoc k owned) then
+        Alcotest.failf "counter %s has no owner" k)
+    counters
+
 let test_disabled_has_no_scope () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
@@ -370,6 +468,32 @@ let test_span_allocation () =
     (H.count (List.assoc "stage/preproc" (Scope.histograms sc)));
   check_int "flight total" (n + 100) (Scope.flight_total sc ~conn:3)
 
+(* A metrics-only lifecycle pair costs its open-span entry (the
+   table's bucket and the start/conn record) and nothing else: no
+   tuple key per lookup, no [Some], and no histogram key per end. *)
+let test_seg_allocation () =
+  let sc = Scope.create ~mode:Scope.Metrics_only (Sim.Engine.create ()) in
+  let pair id =
+    Scope.seg_begin sc ~track:"seg_rx" ~conn:3 ~id;
+    Scope.seg_end sc ~track:"seg_rx" ~id
+  in
+  for id = 1 to 100 do
+    pair id
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for id = 1 to n do
+    pair id
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  (* A hashtable bucket (header + key, data, next) and a two-field
+     record. *)
+  if words > 7.1 then
+    Alcotest.failf "%.2f minor words per lifecycle pair (bound 7.1)" words;
+  check_int "recorded" (n + 100)
+    (H.count (List.assoc "lifecycle_ns/seg_rx" (Scope.histograms sc)));
+  check_int "flight total" (2 * (n + 100)) (Scope.flight_total sc ~conn:3)
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -389,8 +513,12 @@ let suite =
       test_trace_schema_and_nesting;
     Alcotest.test_case "metrics snapshot shape" `Quick
       test_metrics_snapshot_shape;
+    Alcotest.test_case "snapshot counters read from their owners" `Quick
+      test_snapshot_counters;
     Alcotest.test_case "disabled config has no scope" `Quick
       test_disabled_has_no_scope;
     Alcotest.test_case "metrics-only span allocation" `Quick
       test_span_allocation;
+    Alcotest.test_case "metrics-only lifecycle allocation" `Quick
+      test_seg_allocation;
   ]
