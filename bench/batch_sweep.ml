@@ -73,8 +73,8 @@ let run () =
    overhead + scheduling — and because each LP is seeded and isolated,
    the measured mOps must be BIT-IDENTICAL at every domain count.
    Both are gated: determinism always, and the parallelism of the
-   domains=8 run against a threshold scaled to the cores actually
-   available. *)
+   domains=8 run against a threshold scaled to the workers actually
+   available and to how evenly the work splits across the LPs. *)
 
 module Cl = Sim.Engine.Cluster
 
@@ -86,7 +86,8 @@ let cpu_s () =
   t.Unix.tms_utime +. t.Unix.tms_stime
 
 (* One cluster run: per-degree mOps, wall seconds, the process CPU
-   seconds its workers spent, and the worker count. *)
+   seconds its workers spent, the worker count, and each LP's events
+   (deterministic: the same at every domain count). *)
 let par_sweep ~domains =
   let cl = Cl.create ~seed:9L ~domains () in
   let stats =
@@ -108,7 +109,17 @@ let par_sweep ~domains =
   ( List.map (fun (b, st) -> (b, Host.Rpc.Stats.mops st)) stats,
     wall,
     cpu,
-    Cl.workers_used cl )
+    Cl.workers_used cl,
+    List.map Sim.Engine.events_processed (Cl.lps cl) )
+
+(* One degree world alone on a solo engine for the cluster's horizon:
+   the CPU seconds its LP costs. *)
+let solo_cpu b =
+  let w = mk_world ~seed:42L () in
+  ignore (build_degree w b);
+  let c0 = cpu_s () in
+  Sim.Engine.run ~until:par_horizon w.engine;
+  cpu_s () -. c0
 
 type par = {
   results : (int * float) list;  (* mOps per degree *)
@@ -119,6 +130,9 @@ type par = {
   workers : int;
   cores : int;
   deterministic : bool;
+  event_shares : (int * float) list;  (* each LP's share of the events *)
+  cpu_shares : (int * float) list;  (* ... of the LPs' solo CPU time *)
+  reach : float;  (* the events' [Bench_record.lp_reach] *)
   threshold : float;
 }
 
@@ -139,24 +153,32 @@ let par_results () =
         let one = par_sweep ~domains:1 in
         (one, par_sweep ~domains:8))
   in
-  let (r1, _, _, _), (_, _, _, workers) = List.hd sweeps in
-  (* Every sweep, at either domain count, must give the same mOps. *)
+  let (r1, _, _, _, events), (_, _, _, workers, _) = List.hd sweeps in
+  (* Every sweep, at either domain count, must give the same mOps and
+     the same events per LP. *)
   let deterministic =
-    List.for_all (fun ((a, _, _, _), (b, _, _, _)) -> a = r1 && b = r1) sweeps
+    List.for_all
+      (fun ((a, _, _, _, e), (b, _, _, _, e')) ->
+        a = r1 && b = r1 && e = events && e' = events)
+      sweeps
   in
   let fastest side =
     List.map side sweeps
-    |> List.sort (fun (_, w, _, _) (_, w', _, _) -> Float.compare w w')
+    |> List.sort (fun (_, w, _, _, _) (_, w', _, _, _) -> Float.compare w w')
     |> List.hd
   in
-  let _, wall1, _, _ = fastest fst and _, walln, cpun, _ = fastest snd in
+  let _, wall1, _, _, _ = fastest fst and _, walln, cpun, _, _ = fastest snd in
   let cores = Domain.recommended_domain_count () in
-  let n_lps = List.length degrees in
-  (* Ideal speedup is bounded by whichever is scarcest: requested
-     domains, physical cores, or the 4 LPs there are to spread. Gate
-     at 75% of that bound, capped at the 3x the issue asks for (on a
-     >=4-core box the bound is 4, so the gate is exactly 3x). *)
-  let w = min (min 8 cores) n_lps in
+  (* With one LP per worker a run is no shorter than its largest LP,
+     so the ideal parallelism is the smaller of the workers and the
+     LPs' total work over the largest's. The gate holds the run to
+     75% of that, capped at 3x; the work is each LP's events, which
+     track its CPU time (both shares are recorded). *)
+  let work = List.map float_of_int events in
+  let shares l =
+    let total = List.fold_left ( +. ) 0. l in
+    List.map2 (fun b x -> (b, x /. Float.max total 1e-9)) degrees l
+  in
   {
     results = r1;
     wall1;
@@ -166,7 +188,10 @@ let par_results () =
     workers;
     cores;
     deterministic;
-    threshold = Float.min 3.0 (0.75 *. float_of_int w);
+    event_shares = shares work;
+    cpu_shares = shares (List.map solo_cpu degrees);
+    reach = R.lp_reach work;
+    threshold = R.par_threshold ~workers ~work;
   }
 
 let print_par p =
@@ -176,7 +201,14 @@ let print_par p =
     "  domains=1 %.2fs, domains=8 %.2fs (best of %d) -> %.2fx; parallelism \
      %.2fx (threshold %.2fx; %d worker(s), %d core(s))\n"
     p.wall1 p.walln par_rounds p.speedup p.parallelism p.threshold p.workers
-    p.cores
+    p.cores;
+  let pct l =
+    String.concat "/"
+      (List.map (fun (_, x) -> Printf.sprintf "%.0f" (100. *. x)) l)
+  in
+  Printf.printf
+    "  LP shares (b=1/2/4/8): events %s%%, solo CPU %s%% -> reach %.2fx\n"
+    (pct p.event_shares) (pct p.cpu_shares) p.reach
 
 let run_par () =
   header "FlexPar speedup: 4 batch-degree worlds as conservative LPs";
@@ -203,9 +235,12 @@ let par_gate ~baseline ~out () =
            ("wall_s.domains_8", p.walln);
            ("speedup", p.speedup);
            ("parallelism", p.parallelism);
+           ("lp_reach", p.reach);
            ("threshold", p.threshold);
            ("deterministic", if p.deterministic then 1. else 0.);
-         ]))
+         ]
+       @ R.series "event_share" fst snd p.event_shares
+       @ R.series "cpu_share" fst snd p.cpu_shares))
     [
       R.check "determinism" (Cur "deterministic") Eq (Num 1.);
       (* With one worker both runs are the same sequential loop: their

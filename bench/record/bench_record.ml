@@ -38,6 +38,13 @@ let make ~experiment ~workload ~workers metrics =
     metrics;
   }
 
+let lp_reach work =
+  let largest = List.fold_left Float.max 0. work in
+  if largest > 0. then List.fold_left ( +. ) 0. work /. largest else 1.
+
+let par_threshold ~workers ~work =
+  Float.min 3.0 (0.75 *. Float.min (float_of_int workers) (lp_reach work))
+
 let series name label value xs =
   List.map (fun x -> (Printf.sprintf "%s.%d" name (label x), value x)) xs
 

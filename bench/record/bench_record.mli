@@ -74,3 +74,14 @@ val gate : baseline:string -> out:string -> t -> check list -> bool
 (** Write the record to [out], then print one [OK]/[FAIL]/[SKIP] line
     per check. The baseline file is read at most once, and only if a
     check names a [Base] key. [false] iff some check FAILs. *)
+
+(** {1 Bounds} *)
+
+val lp_reach : float list -> float
+(** [lp_reach work]: the most parallelism LPs of the given work can
+    reach with one LP per worker, [Σwork / max work]: no run is shorter
+    than its largest LP. 1 for no work. *)
+
+val par_threshold : workers:int -> work:float list -> float
+(** The parallelism a cluster run of LPs with the given work is gated
+    at: 75% of [min workers (lp_reach work)], capped at 3. *)

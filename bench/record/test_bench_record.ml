@@ -127,6 +127,19 @@ let test_skip () =
   Alcotest.(check bool) "skip and pass" true (gate [ skip; pass ] a);
   Alcotest.(check bool) "skip and fail" false (gate [ skip; fail ] a)
 
+(* The par gate's bound follows the LPs' work: a run is no shorter
+   than its largest LP, so unequal LPs lower it below the worker
+   count, which still bounds it. *)
+let test_par_threshold () =
+  let close = Alcotest.(check (float 0.005)) in
+  let unequal = [ 35.; 25.; 20.; 20. ] and equal = [ 1.; 1.; 1.; 1. ] in
+  close "35/25/20/20 reach" 2.857 (R.lp_reach unequal);
+  close "35/25/20/20 at 4 workers" 2.143 (R.par_threshold ~workers:4 ~work:unequal);
+  close "four equal LPs" 3.0 (R.par_threshold ~workers:4 ~work:equal);
+  close "2 workers" 1.5 (R.par_threshold ~workers:2 ~work:unequal);
+  close "2 workers, equal LPs" 1.5 (R.par_threshold ~workers:2 ~work:equal);
+  close "no work" 0.75 (R.par_threshold ~workers:4 ~work:[])
+
 let () =
   Alcotest.run "bench_record"
     [
@@ -140,5 +153,7 @@ let () =
           Alcotest.test_case "records without rev and profile read" `Quick
             test_old_format;
           Alcotest.test_case "rev and profile filled" `Quick test_provenance;
+          Alcotest.test_case "par threshold follows the LPs' work" `Quick
+            test_par_threshold;
         ] );
     ]

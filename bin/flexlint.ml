@@ -179,7 +179,6 @@ let verify_cmd =
 module D = Flextoe.Datapath
 module San = Flextoe.San
 module Defect = Flextoe.Defect
-module PL = Flextoe.Pipeline
 
 (* Resolve a VARIANT argument against the defect catalogue, or fail
    naming every variant. [flag] fills the FAIL line's subject column. *)
@@ -192,14 +191,14 @@ let defect_of_arg flag v =
       exit 2
 
 (* Boot two sanitized nodes, run an echo workload, return the nodes'
-   sanitizers. [defect] seeds a defect for --seeded. *)
-let run_pipeline ?defect () =
+   sanitizers. [pipeline] is a seeded table for --seeded. *)
+let run_pipeline ?pipeline () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
   let config = { Flextoe.Config.default with Flextoe.Config.san = true } in
   let ip_a = 0x0A000001 and ip_b = 0x0A000002 in
-  let a = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_a () in
-  let b = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_b () in
+  let a = Flextoe.create_node engine ~fabric ~config ?pipeline ~ip:ip_a () in
+  let b = Flextoe.create_node engine ~fabric ~config ?pipeline ~ip:ip_b () in
   let stats = Host.Rpc.Stats.create engine in
   Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
     ~handler:Host.Rpc.echo_handler ();
@@ -247,7 +246,7 @@ let run_san builtin seeded =
     | None -> true
     | Some variant -> (
         let defect = defect_of_arg "seeded" variant in
-        match run_pipeline ~defect () with
+        match run_pipeline ~pipeline:(Defect.pipeline defect) () with
         | exception Flextoe.Prove.Graph_rejected fs ->
             (* A mis-declared stage set is caught at create. *)
             Format.printf "OK   seeded:%-13s caught statically: %s@." variant
@@ -642,7 +641,8 @@ let classify_variant defect =
   let name = Defect.name defect in
   match
     P.check_graph
-      (GI.builtin ~defect ~config:Flextoe.Config.default ())
+      (GI.builtin ~pipeline:(Defect.pipeline defect)
+         ~config:Flextoe.Config.default ())
   with
   | Error fs ->
       Format.printf "OK   caught:%-13s %s@." name
@@ -879,16 +879,13 @@ let print_footprints fps =
         (names fp.I.fp_reads) (names fp.I.fp_writes))
     fps
 
-(* One seeded defect: its source-level footprint (the analyzer sees
-   the defect's code via partial evaluation of the [Defect.is] guards)
-   diffed against its declared contracts must yield findings — or the
-   defect must be tagged dynamic-only. *)
+(* One seeded defect: the source-level footprint of its table's stage
+   map (a row's extra entry included) diffed against the table's
+   declared contracts must yield findings — or the defect must be
+   tagged dynamic-only. *)
 let infer_classify_variant ~root defect =
   let name = Defect.name defect in
-  match
-    I.infer_repo_diff ~defect
-      ~declared:(PL.contracts (PL.declare ~defect PL.builtin)) ~root ()
-  with
+  match I.infer_repo_diff ~pipeline:(Defect.pipeline defect) ~root () with
   | Error e ->
       Format.printf "FAIL infer:%-13s %s@." name e;
       false
@@ -914,7 +911,7 @@ let run_infer root_opt json footprints classify sabotage_v =
       if not (infer_classify_variant ~root (defect_of_arg "sabotage" v)) then
         exit 1
   | None -> (
-      match I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root () with
+      match I.analyze_repo ~root () with
       | Error e ->
           Format.printf "FAIL infer                %s@." e;
           exit 2

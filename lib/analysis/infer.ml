@@ -1,58 +1,17 @@
-(** FlexInfer: source-level effect inference over the real stage
-    sources, closing FlexProve's trusted-contract gap.
-
-    FlexProve ({!Prove}) proves the pipeline interference-free — but
-    only over the hand-declared {!Effects.contract}s. Nothing checked
-    declaration against implementation: a stage that silently grows a
-    new shared-state write invalidates every downstream proof without
-    any tool noticing. FlexInfer parses the actual stage sources with
-    compiler-libs and closes that gap with three analyses:
-
-    - {b Footprint inference}: a syntactic access-path walk over the
-      stage entry functions in [datapath.ml], tracking which
-      expressions denote the datapath record, the per-connection
-      state and its partitions, the connection tables, and the ATX
-      rings. Accesses are recognized two ways: by {e witness} — any
-      call carrying both a literal [Effects.<Obj>] and a literal
-      [Effects.Read]/[Effects.Write] argument (the [sa]/[San.access]
-      idiom) — and by {e mapping} — known module operations
-      ([Nfp.Conn_table.*] on the connection table, [Nfp.Lookup.*],
-      [Host.Payload_buf.*], [Scheduler.*], [Nfp.Ring.*] on ATX
-      rings, [Tcp.Reassembly.*]) plus field reads/writes on the
-      partition records and the [st_*] statistics counters. Calls
-      into the same file are expanded transitively; calls into the
-      declared helper modules ([Protocol], [Control_plane]) are
-      expanded crossing at most one module boundary; stage entry
-      points (pipeline hand-offs) and the run-to-completion baseline
-      are never expanded into a caller's footprint. The inferred
-      footprint is diffed against the declared contract: an
-      inferred-but-undeclared access is an error (the contract is
-      unsound and FlexProve's proofs are void), a
-      declared-but-never-inferred access is a warning (contract
-      drift).
-
-    - {b Seq32 wrap-safety lint}: [Tcp.Seq32.t = int], so structural
-      [<]/[compare]/[Stdlib.max] on sequence numbers typechecks and
-      breaks only at the 2^32 wrap. The lint seeds Seq32-typed
-      fields and function results from [.mli] signatures and [.ml]
-      type declarations, flows the taint through lets and matches,
-      and rejects structural comparison on tainted values. A
-      [(* flexinfer: seq32-exempt *)] comment on the same or the
-      preceding line exempts a deliberate use.
-
-    - {b Stage hygiene lint}: stage bodies must not block (I/O,
-      [Unix], threads) and should not allocate containers per
-      segment; [(* flexinfer: alloc-exempt *)] marks deliberate
-      amortized allocations.
-
-    Soundness caveats (documented in DESIGN.md §15): the analysis is
-    syntactic. It sees one module boundary of helper calls, does not
-    track values through containers or higher-order escapes beyond
-    literal closures, and partial-evaluates only the
-    [Defect.is t.defect] guards. It is exact on the current pipeline
-    by construction (the golden test pins the clean-tree diff to
-    empty) and is a tripwire, not a verifier: FlexSan layer 2 remains
-    the runtime authority. *)
+(* FlexInfer (documented in infer.mli). The footprint walk tracks
+   which expressions denote the datapath record, the per-connection
+   state and its partitions, the connection tables and the ATX rings.
+   An access is recognized by witness — a call carrying both a literal
+   [Effects.<Obj>] and a literal [Effects.Read]/[Effects.Write]
+   argument (the [sa]/[San.access] idiom) — or by mapping: known
+   module operations ([Nfp.Conn_table.*] on the connection table,
+   [Nfp.Lookup.*], [Host.Payload_buf.*], [Scheduler.*], [Nfp.Ring.*]
+   on ATX rings, [Tcp.Reassembly.*]) plus field reads and writes on
+   the partition records and the [st_*] counters. The walk visits
+   every branch, follows values through lets, matches and literal
+   closures but not through containers, and is exact on the current
+   pipeline by construction (the golden test pins the clean-tree diff
+   to empty). *)
 
 open Flextoe
 module E = Effects
@@ -187,8 +146,6 @@ type tag =
   | T_atx_ring  (** one ATX descriptor ring *)
   | T_rxbuf
   | T_txbuf  (** host payload buffers *)
-  | T_defect  (** [t.defect], the seeded corpus entry *)
-  | T_bool of bool  (** statically-known boolean (defect guards) *)
   | T_none
 
 type fn_info = {
@@ -212,7 +169,6 @@ type acc = {
 }
 
 type wctx = {
-  w_defect : Defect.t option;  (* the seeded defect the walk assumes *)
   w_stage : string;
   w_entries : string list;  (* stage entries: never expanded (hand-offs) *)
   w_excluded : string list;  (* rtc baseline &c.: never expanded *)
@@ -317,18 +273,6 @@ let rec bind_pat env (p : Parsetree.pattern) tag =
       bind_pat env sub sub_tag
   | _ -> List.fold_left (fun env v -> (v, T_none) :: env) env (pat_vars p)
 
-(* Does a pattern definitely not match a statically-known boolean? *)
-let rec pat_excludes (p : Parsetree.pattern) tag =
-  match (p.ppat_desc, tag) with
-  | Ppat_construct (lid, None), T_bool b -> (
-      match lid_last lid.txt with
-      | Some "true" -> not b
-      | Some "false" -> b
-      | _ -> false)
-  | Ppat_or (a, b), _ -> pat_excludes a tag && pat_excludes b tag
-  | Ppat_alias (p, _), _ | Ppat_constraint (p, _), _ -> pat_excludes p tag
-  | _ -> false
-
 (* --- Module-operation effect mapping -------------------------------- *)
 
 let starts_with pfx s =
@@ -390,20 +334,6 @@ let witness_of_args args =
   in
   match (obj, kind) with Some o, Some k -> Some (o, k) | _ -> None
 
-(* [Defect.is t.defect Defect.C] is true exactly when the walk assumes
-   defect [C], whose constructor is its catalogue name capitalized. An
-   argument that is not a literal constructor stays unknown. *)
-let defect_guard ctx args =
-  match args with
-  | [ _; (_, { Parsetree.pexp_desc = Pexp_construct (lid, None); _ }) ] -> (
-      let is_c d =
-        Some (String.capitalize_ascii (Defect.name d)) = lid_last lid.txt
-      in
-      match List.find_opt is_c Defect.all with
-      | Some d -> T_bool (Defect.is ctx.w_defect d)
-      | None -> T_none)
-  | _ -> T_none
-
 let rec walk ctx (ms : mod_scope) env seen (e : Parsetree.expression) : tag =
   let w = walk ctx ms env seen in
   match e.pexp_desc with
@@ -413,8 +343,6 @@ let rec walk ctx (ms : mod_scope) env seen (e : Parsetree.expression) : tag =
   | Pexp_construct (lid, arg) -> (
       let at = match arg with Some a -> Some (w a) | None -> None in
       match (lid_last lid.txt, at) with
-      | Some "true", _ -> T_bool true
-      | Some "false", _ -> T_bool false
       | Some "Some", Some T_conn -> T_conn_opt
       | _ -> T_none)
   | Pexp_field (recv, fld) -> walk_field ctx ms env seen recv fld e.pexp_loc
@@ -445,14 +373,11 @@ let rec walk ctx (ms : mod_scope) env seen (e : Parsetree.expression) : tag =
       in
       walk_cases ctx ms env seen tags cases;
       T_none
-  | Pexp_ifthenelse (c, e1, e2) -> (
-      match w c with
-      | T_bool true -> w e1
-      | T_bool false -> ( match e2 with Some e -> w e | None -> T_none)
-      | _ ->
-          let t1 = w e1 in
-          let t2 = match e2 with Some e -> Some (w e) | None -> None in
-          if t2 = Some t1 then t1 else T_none)
+  | Pexp_ifthenelse (c, e1, e2) ->
+      ignore (w c);
+      let t1 = w e1 in
+      let t2 = match e2 with Some e -> Some (w e) | None -> None in
+      if t2 = Some t1 then t1 else T_none
   | Pexp_sequence (a, b) ->
       ignore (w a);
       w b
@@ -519,30 +444,17 @@ and walk_bindings ctx ms env seen rf vbs =
 and walk_cases ctx ms env seen tags cases =
   List.iter
     (fun (c : Parsetree.case) ->
-      let dead =
+      let env' =
         match (c.pc_lhs.ppat_desc, tags) with
-        | Ppat_tuple ps, _ :: _ :: _ when List.length ps = List.length tags
-          ->
-            List.exists2 pat_excludes ps tags
-        | _, [ t ] -> pat_excludes c.pc_lhs t
-        | _ -> false
+        | Ppat_tuple ps, _ :: _ :: _ when List.length ps = List.length tags ->
+            List.fold_left2 bind_pat env ps tags
+        | _, [ t ] -> bind_pat env c.pc_lhs t
+        | _ -> bind_pat env c.pc_lhs T_none
       in
-      if not dead then begin
-        let env' =
-          match (c.pc_lhs.ppat_desc, tags) with
-          | Ppat_tuple ps, _ :: _ :: _ when List.length ps = List.length tags
-            ->
-              List.fold_left2 bind_pat env ps tags
-          | _, [ t ] -> bind_pat env c.pc_lhs t
-          | _ -> bind_pat env c.pc_lhs T_none
-        in
-        let guard_false =
-          match c.pc_guard with
-          | Some g -> walk ctx ms env' seen g = T_bool false
-          | None -> false
-        in
-        if not guard_false then ignore (walk ctx ms env' seen c.pc_rhs)
-      end)
+      (match c.pc_guard with
+      | Some g -> ignore (walk ctx ms env' seen g)
+      | None -> ());
+      ignore (walk ctx ms env' seen c.pc_rhs))
     cases
 
 and walk_field ctx ms env seen recv fld loc =
@@ -552,7 +464,6 @@ and walk_field ctx ms env seen recv fld loc =
   | T_dp, "conns" -> T_conns_tbl
   | T_dp, "conn_db" -> T_conn_db
   | T_dp, "atx" -> T_atx_arr
-  | T_dp, "defect" -> T_defect
   | T_dp, f when starts_with "st_" f ->
       record_access ctx E.Read E.Global_stats loc;
       T_none
@@ -619,7 +530,6 @@ and walk_apply ctx ms env seen head args loc =
         | Some mf -> mf
         | None -> ("", "")
       in
-      let m, f = name2 in
       (* Locally-bound closures shadow everything. *)
       match
         match lid.Location.txt with
@@ -629,22 +539,9 @@ and walk_apply ctx ms env seen head args loc =
       | Some _ -> T_none
       | None -> (
           hygiene ctx name2 loc;
-          (* Defect guards and boolean operators over them. *)
-          match (m, f, arg_tags) with
-          | "Defect", "is", [ (_, T_defect); _ ] -> defect_guard ctx args
-          | "", "not", [ (_, T_bool b) ] -> T_bool (not b)
-          | "", "&&", [ (_, T_bool a); (_, T_bool b) ] -> T_bool (a && b)
-          | "", "&&", [ (_, T_bool false); _ ] | "", "&&", [ _, (T_bool false) ]
-            ->
-              T_bool false
-          | "", "||", [ (_, T_bool a); (_, T_bool b) ] -> T_bool (a || b)
-          | "", "||", [ (_, T_bool true); _ ] | "", "||", [ _, (T_bool true) ]
-            ->
-              T_bool true
-          | _ -> (
-              match effect_of_call ctx name2 a0 loc with
-              | Some t -> t
-              | None -> expand_call ctx ms seen lid.Location.txt args arg_tags)))
+          match effect_of_call ctx name2 a0 loc with
+          | Some t -> t
+          | None -> expand_call ctx ms seen lid.Location.txt args arg_tags))
   | _ ->
       ignore (walk ctx ms env seen head);
       T_none
@@ -841,12 +738,11 @@ let dedup_objs l =
 
 (* Infer per-stage footprints from source.
 
-   [defect] is the seeded defect the [Defect.is t.defect] guards
-   assume (the clean tree has none); [helper_files] maps helper
-   module names to paths; [stage_map] lists each stage's entry functions in
-   [dp_file]. Returns the footprints plus the analysis findings
-   (hygiene lint, missing entries). *)
-let infer_footprints ?defect ~dp_file
+   [helper_files] maps helper module names to paths; [stage_map] lists
+   each stage's entry functions: a bare name is in [dp_file], a
+   "Module.fn" one in that helper module. Returns the footprints plus
+   the analysis findings (hygiene lint, missing entries). *)
+let infer_footprints ~dp_file
     ?(helper_files : (string * string) list = [])
     ?(stage_map = Pipeline.stage_map Pipeline.builtin)
     ?(excluded = Pipeline.excluded) () =
@@ -879,7 +775,6 @@ let infer_footprints ?defect ~dp_file
             let acc = { ac_reads = []; ac_writes = []; ac_findings = [] } in
             let ctx =
               {
-                w_defect = defect;
                 w_stage = stage;
                 w_entries = entries;
                 w_excluded = excluded;
@@ -889,29 +784,43 @@ let infer_footprints ?defect ~dp_file
                 w_budget = 4000;
               }
             in
-            let ms = { m_name = dp_mod; m_fns = dp_fns; m_crossed = false } in
+            let dp_ms =
+              { m_name = dp_mod; m_fns = dp_fns; m_crossed = false }
+            in
+            (* A "Module.fn" entry is a helper's function, walked as one
+               boundary crossed. *)
+            let resolve entry =
+              match String.split_on_char '.' entry with
+              | [ m; fn ] ->
+                  let fns = List.assoc_opt m helpers in
+                  ( { m_name = m; m_crossed = true;
+                      m_fns = Option.value fns ~default:(Hashtbl.create 0) },
+                    fn,
+                    Option.value (List.assoc_opt m helper_files) ~default:m )
+              | _ -> (dp_ms, entry, dp_file)
+            in
             List.iter
               (fun entry ->
-                match Hashtbl.find_opt dp_fns entry with
+                let ms, fn, file = resolve entry in
+                match Hashtbl.find_opt ms.m_fns fn with
                 | None ->
                     acc.ac_findings <-
                       {
                         f_rule = "missing-entry";
                         f_severity = Sev_error;
                         f_stage = Some stage;
-                        f_file = dp_file;
+                        f_file = file;
                         f_line = 1;
                         f_msg =
                           Printf.sprintf
                             "stage entry function '%s' not found in %s \
                              (renamed? update the stage map)"
-                            entry dp_file;
+                            fn file;
                       }
                       :: acc.ac_findings
                 | Some fi ->
                     let env = default_entry_env fi.fn_params in
-                    ignore
-                      (walk ctx ms env [ (dp_mod, entry) ] fi.fn_body))
+                    ignore (walk ctx ms env [ (ms.m_name, fn) ] fi.fn_body))
               stage_entries;
             ( {
                 fp_stage = stage;
@@ -1634,27 +1543,29 @@ let repo_helper_files root =
     [
       ("Protocol", "lib/flextoe/protocol.ml");
       ("Control_plane", "lib/flextoe/control_plane.ml");
+      ("Defect", "lib/flextoe/defect.ml");
     ]
 
-(* Footprints + contract diff only (no Seq32 sweep): the per-variant
-   classification path, where the lint result would be identical
-   every time. *)
-let infer_repo_diff ?defect ~declared ~root () =
+(* Footprints of [pipeline]'s stage map diffed against its declared
+   contracts, with no Seq32 sweep: the per-variant classification
+   path, where the lint result would be identical every time. *)
+let infer_repo_diff ?(pipeline = Pipeline.builtin) ~root () =
   let dp_file = repo_dp_file root in
   match
-    infer_footprints ?defect ~dp_file ~helper_files:(repo_helper_files root) ()
+    infer_footprints ~dp_file ~helper_files:(repo_helper_files root)
+      ~stage_map:(Pipeline.stage_map pipeline) ()
   with
   | Error e -> Error e
   | Ok (footprints, hygiene, locs) ->
-      Ok (footprints, hygiene @ diff_contracts ~declared ~footprints ~locs ~dp_file)
+      let declared = Pipeline.contracts pipeline in
+      Ok
+        ( footprints,
+          hygiene @ diff_contracts ~declared ~footprints ~locs ~dp_file )
 
-let analyze_repo ?defect ~declared ~root () =
-  let dp_file = repo_dp_file root in
-  let helper_files = repo_helper_files root in
-  match infer_footprints ?defect ~dp_file ~helper_files () with
+let analyze_repo ?pipeline ~root () =
+  match infer_repo_diff ?pipeline ~root () with
   | Error e -> Error e
-  | Ok (footprints, hygiene, locs) ->
-      let diff = diff_contracts ~declared ~footprints ~locs ~dp_file in
+  | Ok (footprints, diff) ->
       let lint_dirs =
         List.map (Filename.concat root)
           [
@@ -1678,7 +1589,7 @@ let analyze_repo ?defect ~declared ~root () =
         {
           rp_footprints = footprints;
           rp_findings =
-            hygiene @ diff @ seq_findings @ poly_findings
+            diff @ seq_findings @ poly_findings
             @ lint_stdlib_queue ~files:lib_files ();
           rp_seq32_exempted = exempted;
           rp_files_linted = List.length lib_files;

@@ -8,13 +8,14 @@
     four analyses:
 
     + {b Footprint inference} over the stage entry functions in
-      [datapath.ml]: a syntactic access-path walk recognizing both
+      [datapath.ml], and a row's extra entry ({!Pipeline.extra}) in a
+      helper module: a syntactic access-path walk recognizing both
       sanitizer witnesses (calls carrying literal [Effects.<Obj>] +
       [Effects.Read]/[Write] constructors) and known module
       operations on tracked values (the connection table, partition
       records, payload buffers, scheduler, ATX rings, reassembler).
       Same-file helper calls expand transitively; calls into the
-      declared helper modules ([Protocol], [Control_plane]) cross at
+      declared helper modules ([Protocol], [Control_plane], [Defect]) cross at
       most one module boundary; stage hand-offs never leak a callee
       stage's footprint into the caller. The result is diffed
       against the declared contracts.
@@ -69,7 +70,6 @@ type footprint = {
 }
 
 val infer_footprints :
-  ?defect:Defect.t ->
   dp_file:string ->
   ?helper_files:(string * string) list ->
   ?stage_map:(string * string list) list ->
@@ -80,12 +80,11 @@ val infer_footprints :
     * ((string * Effects.kind * Effects.obj) * (string * int)) list,
     string )
   result
-(** Parse [dp_file] and infer each stage's footprint. The analyzer
-    partial-evaluates the [Defect.is t.defect] guards against
-    [defect], so a clean run (no defect) skips every defect's block
-    and a seeded run sees its own. [helper_files] maps module names
-    ([Protocol], ...) to their sources for the one-boundary call
-    summaries. [stage_map] (stage name → entry functions) and
+(** Parse [dp_file] and infer each stage's footprint. [helper_files]
+    maps module names ([Protocol], ...) to their sources for the
+    one-boundary call summaries. [stage_map] (stage name → entry
+    functions: a bare name in [dp_file], a ["Module.fn"] one in that
+    helper module, such as a row's extra entry) and
     [excluded] (functions never expanded) default to the pipeline
     table's ({!Pipeline.stage_map}, {!Pipeline.excluded}). Returns
     (footprints, hygiene/structural findings, first-occurrence
@@ -146,17 +145,17 @@ val find_root : ?start:string -> unit -> string option
     [lib/flextoe/datapath.ml]. *)
 
 val infer_repo_diff :
-  ?defect:Defect.t ->
-  declared:Effects.contract list ->
+  ?pipeline:Pipeline.t ->
   root:string ->
   unit ->
   (footprint list * finding list, string) result
-(** Footprint inference + contract diff only (no Seq32 sweep) — the
-    per-defect classification path. *)
+(** Footprint inference over [pipeline]'s stage map (default
+    {!Pipeline.builtin}) diffed against its declared contracts, with
+    no Seq32 sweep: the per-variant classification path
+    ([~pipeline:(Defect.pipeline d)]). *)
 
 val analyze_repo :
-  ?defect:Defect.t ->
-  declared:Effects.contract list ->
+  ?pipeline:Pipeline.t ->
   root:string ->
   unit ->
   (report, string) result

@@ -101,7 +101,7 @@ type t = {
   (* Host deliveries waiting out the fixed [libtoe_poll] delay: a
      constant delay from a growing clock, so they form one stream. *)
   poll : Sim.Engine.Stream.t;
-  defect : Defect.t option;  (* seeded-race corpus; None = healthy *)
+  departing : Pipeline.t;  (* rows built otherwise than declared *)
   san : San.t option;
   scope : Sim.Scope.t option;
   guard : Guard.t option;  (* FlexGuard overload control; None = dormant *)
@@ -195,6 +195,9 @@ let sa t row ~flow ?range obj kind =
   match t.san with
   | None -> ()
   | Some s -> San.access s ~stage:(Pipeline.name row) ~flow ~obj ?range kind
+
+(* Is [row] built with departure [d] ([Pipeline.departure])? *)
+let departs t row d = Pipeline.departs d (Pipeline.departure t.departing row)
 
 (* FlexScope shorthands: like the sanitizer's, each is one test of an
    immutable option when profiling is off. *)
@@ -304,10 +307,10 @@ let conn_lock t idx =
       l
 
 let acquire t idx k =
-  if Defect.is t.defect Defect.No_lock then
-    (* Defect: the critical section runs unserialized. No
-       happens-before edge is recorded either — exactly what omitting
-       the lock on hardware would mean. *)
+  if departs t Pipeline.protocol Pipeline.Lock_skipped then
+    (* The critical section runs unserialized. No happens-before edge
+       is recorded either — exactly what omitting the lock on hardware
+       would mean. *)
     k ()
   else begin
     let k =
@@ -327,7 +330,7 @@ let acquire t idx k =
   end
 
 let release t idx =
-  if Defect.is t.defect Defect.No_lock then ()
+  if departs t Pipeline.protocol Pipeline.Lock_skipped then ()
   else begin
     (match t.san with
     | Some s -> San.lock_release s ~flow:idx
@@ -340,15 +343,14 @@ let release t idx =
 
 (* --- State-access cost model (§4.1 caching) ----------------------- *)
 
-(* The effective flow group a protocol-stage access indexes with. The
-   steering invariant is that this equals the group pinned in the
-   connection's pre state; [Mis_steer] breaks it for every odd
-   connection index, modelling a steering bug that sends a flow to a
-   neighbor group's caches and FPC pool. *)
+(* The flow group a protocol-stage access indexes with: the one pinned
+   in the connection's pre state (the steering invariant), unless the
+   protocol row has a steering function. *)
 let steer_fg t ~idx ~fg =
-  if Defect.is t.defect Defect.Mis_steer && idx land 1 = 1 then
-    (fg + 1) mod Array.length t.proto_cam
-  else fg
+  match Pipeline.departure t.departing Pipeline.protocol with
+  | Some (Pipeline.Steer steer) ->
+      steer ~conn:idx ~fg ~groups:(Array.length t.proto_cam)
+  | _ -> fg
 
 (* Steering self-check: the per-flow-group serialization argument (and
    at scale, shard disjointness) rests on every state access using the
@@ -442,6 +444,13 @@ let alloc_conn_idx t =
   i
 
 let conn t idx = Nfp.Conn_table.find_opt t.conns idx
+
+(* Row [row]'s extra entry, if it has one, run on connection [idx]. *)
+let run_extra t row idx =
+  match Pipeline.departure t.departing row with
+  | Some (Pipeline.Extra x) ->
+      Option.iter (x.Pipeline.x_run ~access:(sa t row ~flow:idx)) (conn t idx)
+  | _ -> ()
 
 let has_flow t flow =
   Nfp.Lookup.lookup t.conn_db ~hash:(Tcp.Flow.hash flow) flow <> None
@@ -583,10 +592,10 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
     (c.Config.ctx_desc + ((List.length gseqs - 1) * c.Config.notify_coalesce))
     (fun () ->
       sa t Pipeline.ctx ~flow:conn_idx Effects.Desc_ring Effects.Write;
-      if Defect.is t.defect Defect.Skip_notify_dma then
-        (* Defect: hand the descriptor to the host without the DMA
-           completion edge — the poll delay still elapses, but nothing
-           orders the handler after the payload write. *)
+      if departs t Pipeline.ctx Pipeline.No_dma_wait then
+        (* The descriptor reaches the host without the DMA completion
+           edge: the poll delay still elapses, but nothing orders the
+           handler after the payload write. *)
         Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll (fun () ->
             deliver ~join:None ())
       else
@@ -933,10 +942,10 @@ let dma_stage t (w : dma_work) =
       in
       match (w.dw_payload, w.dw_fetch, cs) with
       | Some (pos, bytes), _, Some cs ->
-          (* Defect: notification and ACK escape before the payload
-             lands — the host (or the peer, via the ACK) can read
-             bytes the DMA has not written yet. *)
-          if Defect.is t.defect Defect.Notify_before_payload then finish ();
+          (* Without the wait, notification and ACK escape before the
+             payload lands: host or peer can read bytes not yet written. *)
+          let waits = not (departs t Pipeline.dma Pipeline.No_dma_wait) in
+          if not waits then finish ();
           (* RX: payload to host receive buffer. *)
           sc_instant t Pipeline.dma ~name:"payload_rx_issue" ~conn:w.dw_conn
             ~arg:(Bytes.length bytes);
@@ -950,8 +959,7 @@ let dma_stage t (w : dma_work) =
               Host.Payload_buf.write
                 cs.Conn_state.post.Conn_state.rx_buf ~off:pos ~src:bytes
                 ~src_off:0 ~len:(Bytes.length bytes);
-              if not (Defect.is t.defect Defect.Notify_before_payload) then
-                finish ())
+              if waits then finish ())
       | None, Some (desc, first), Some cs ->
           (* TX: fetch payload from host transmit buffer. *)
           let pos = desc.Meta.t_pos and len = desc.Meta.t_len in
@@ -1074,19 +1082,10 @@ let postproc_stage t fg (w : post_work) =
     fpc ~conn:conn_idx ~id:gseq cost (fun () ->
       sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_db Effects.Read;
       (match conn t conn_idx with
-      | Some cs ->
+      | Some _ ->
           sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_post
             Effects.Write;
-          if Defect.is t.defect Defect.Postproc_writes_conn then begin
-            (* Defect: poke the protocol partition from an
-               unserialized stage. The store is value-preserving (the
-               TCP state machine cannot tell), but on hardware it
-               would race the protocol stage's writes. *)
-            let p = cs.Conn_state.proto in
-            p.Conn_state.last_progress <- p.Conn_state.last_progress;
-            sa t Pipeline.postproc ~flow:conn_idx Effects.Conn_proto
-              Effects.Write
-          end
+          run_extra t Pipeline.postproc conn_idx
       | None -> ());
       match (w, conn t conn_idx) with
       | _, None -> begin
@@ -1182,9 +1181,9 @@ let protocol_section t cs ~cost ~id ~reasm body k =
   let idx = cs.Conn_state.idx in
   acquire t idx (fun () ->
       proto_span_begin t idx;
-      (* Defect: drop the lock before the critical section instead of
-         after — the classic too-early unlock. *)
-      let early = Defect.is t.defect Defect.Early_release in
+      (* A row built to drop the lock before the critical section
+         instead of after: the classic too-early unlock. *)
+      let early = departs t Pipeline.protocol Pipeline.Lock_released_early in
       if early then release t idx;
       run_stage t Pipeline.protocol ~before:(proto_state_phases t cs)
         (proto_fpc_for t cs) ~conn:idx ~id cost (fun () ->
@@ -1409,13 +1408,9 @@ let preproc_rx t gseq (frame : S.frame) =
       end
       else
       let conn_idx = Nfp.Lookup.lookup t.conn_db ~hash flow in
-      (* Defect: peek at the protocol partition from the replicated
-         pre-processor — e.g. "optimizing" the in-window test by
-         reading [reasm] state outside the lock. *)
-      (match (conn_idx, Defect.is t.defect Defect.Preproc_reads_proto) with
-      | Some idx, true ->
-          sa t Pipeline.preproc ~flow:idx Effects.Conn_proto Effects.Read
-      | _ -> ());
+      (match conn_idx with
+      | Some idx -> run_extra t Pipeline.preproc idx
+      | None -> ());
       match conn_idx with
       | Some idx when on_data_path frame ->
           Sequencer.submit t.rx_gro ~seq:gseq
@@ -1886,22 +1881,24 @@ let atx_rings t = t.atx
 (* --- Construction ----------------------------------------------------------- *)
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
-    ?defect ?(pipeline = Pipeline.builtin) () =
+    ?(pipeline = Pipeline.builtin) () =
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
   Pipeline.check pipeline;
-  let pipeline = Pipeline.declare ?defect pipeline in
   let contracts = Pipeline.contracts pipeline in
   (* The node's one static check: FlexProve over the graph of its
-     declared contracts — whole-graph interference, deadlock freedom
-     of the credit/backpressure loops, worst-case queue occupancy.
-     Seeded as-built defects are FlexSan's and [flexlint graph
+     declared rows — whole-graph interference, deadlock freedom of the
+     credit/backpressure loops, worst-case queue occupancy. Rows built
+     otherwise than declared are FlexSan's and [flexlint graph
      --classify]'s business, so an unsound declaration (an
      unserialized write/write or write/read overlap on a non-atomic,
      non-partitioned region, a capacity that no longer covers a
      reorder buffer, a credit loop without a drain) fails construction
      before any FPC exists, at zero per-segment cost. *)
-  (match Prove.check_graph (Graph_ir.builtin ~pipeline ~config:cfg ()) with
+  (match
+     Prove.check_graph
+       (Graph_ir.builtin ~pipeline:(Pipeline.declared pipeline) ~config:cfg ())
+   with
   | Ok _ -> ()
   | Error fs -> raise (Prove.Graph_rejected fs));
   (* Layer 2 only makes sense for the parallel pipeline: the
@@ -1975,7 +1972,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         engine;
         cfg;
         poll = Sim.Engine.Stream.create engine;
-        defect;
+        departing =
+          List.filter (fun s -> Option.is_some s.Pipeline.s_departure) pipeline;
         san;
         scope;
         guard;

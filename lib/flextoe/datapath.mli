@@ -40,21 +40,21 @@ val create :
   mac:int ->
   ip:int ->
   ?ctx_queues:int ->
-  ?defect:Defect.t ->
   ?pipeline:Pipeline.t ->
   unit ->
   t
 (** Wires the stages of [pipeline] (default {!Pipeline.builtin}): its
     FPC pools, its contracts (checked by FlexProve over
     {!Graph_ir.builtin}, and at runtime by FlexSan when
-    [config.san] is set) and its edge capacities. [defect] seeds one
-    entry of the race corpus ({!Defect}); the node behaves like a
-    healthy one under the single-threaded simulator, so only the
-    checkers can tell them apart. Raises [Invalid_argument] if
-    {!Pipeline.check} rejects [pipeline], and {!Prove.Graph_rejected}
-    if the graph of the contracts the node declares
-    ({!Pipeline.declare}) fails a FlexProve pass, before any FPC is
-    wired: the [Bad_contract] defect. *)
+    [config.san] is set), its edge capacities and each row's
+    departure from its declaration ({!Pipeline.departure}). A seeded
+    race of the corpus is such a table ({!Defect.pipeline}); the node
+    behaves like a healthy one under the single-threaded
+    simulator, so only the checkers can tell them apart. Raises
+    [Invalid_argument] if {!Pipeline.check} rejects [pipeline], and
+    {!Prove.Graph_rejected} if the graph of the rows as declared
+    ({!Pipeline.declared}) fails a FlexProve pass, before any FPC is
+    wired: the [Bad_contract] variant. *)
 
 val engine : t -> Sim.Engine.t
 val config : t -> Config.t
@@ -236,8 +236,9 @@ val shards : t -> int
 val cross_shard_accesses : t -> int
 (** Steering self-check trips: protocol-stage accesses whose effective
     flow group differed from the one pinned at installation. Zero on a
-    healthy node — nonzero means shard disjointness is broken (see
-    {!Defect.Mis_steer}). *)
+    healthy node — nonzero means shard disjointness is broken (a
+    protocol row with a steering function, such as
+    {!Defect.Mis_steer}'s). *)
 
 val emem_bytes_per_flow : t -> int
 (** Peak resident connection-state bytes per peak resident flow from

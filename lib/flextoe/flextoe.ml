@@ -53,7 +53,7 @@ type verifier_violation = Verifier.violation = {
 let mac_of_ip = Control_plane.mac_of_ip
 
 let create_node engine ~fabric ?(config = Config.default) ?(app_cores = 1)
-    ?defect ~ip () =
+    ?pipeline ~ip () =
   let cpu = Host.Host_cpu.create engine ~cores:(app_cores + 1) () in
   (* Host jitter: small — libTOE busy-polls in user space and the TCP
      stack is on the NIC, but the application core still takes
@@ -62,7 +62,7 @@ let create_node engine ~fabric ?(config = Config.default) ?(app_cores = 1)
     ~mean_cycles:30_000;
   let dp =
     Datapath.create engine ~config ~fabric ~mac:(mac_of_ip ip) ~ip
-      ~ctx_queues:app_cores ?defect ()
+      ~ctx_queues:app_cores ?pipeline ()
   in
   let cp_core = Host.Host_cpu.core cpu app_cores in
   let cp = Control_plane.create engine ~config ~datapath:dp ~core:cp_core () in

@@ -73,15 +73,16 @@ val create_node :
   fabric:Netsim.Fabric.t ->
   ?config:Config.t ->
   ?app_cores:int ->
-  ?defect:Defect.t ->
+  ?pipeline:Pipeline.t ->
   ip:int ->
   unit ->
   t
 (** Build a node: host CPU with [app_cores] application cores (default
     1) plus one control-plane core, NIC data path with one context
     queue per application core, control plane, and libTOE.
-    [defect] (default none) seeds one deliberate synchronization
-    defect of the race corpus ({!Defect}). *)
+    The data path wires [pipeline] (default {!Pipeline.builtin}); a
+    seeded race of the corpus is the table {!Defect.pipeline}
+    builds. *)
 
 val endpoint : t -> Host.Api.endpoint
 val datapath : t -> Datapath.t

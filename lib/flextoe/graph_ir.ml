@@ -1,19 +1,3 @@
-(** FlexProve graph IR: an explicit typed model of the datapath.
-
-    The datapath's safety argument lives in its wiring — which stages
-    exist, what serializes them, which queues sit between them, which
-    credits gate them. This module states that wiring as data so the
-    FlexProve passes ({!Prove}) can check an *arbitrary* stage graph,
-    not just the built-in one: whole-graph interference, deadlock
-    freedom in the credit/backpressure graph, and worst-case queue
-    occupancy against configured capacities.
-
-    {!builtin} projects the pipeline table ({!Pipeline}) onto a graph:
-    nodes, slots and LPs come from the table's rows, edge capacities
-    from its shared constants and {!Config.t}. On request it patches
-    in a seeded {!Defect.t}, so `flexlint graph` can classify each
-    defect as statically caught or dynamic-only. *)
-
 (* --- Types (documented in graph_ir.mli) ------------------------------- *)
 
 type capacity = Bounded of int | Unbounded
@@ -101,27 +85,25 @@ let is_cross_lp g e =
 
 (* The two pseudo-nodes [host] (libTOE + applications) and the NBI
    bracket the PCIe and wire boundaries so payload-ordering obligations
-   are visible to the passes. A seeded [defect] that changes the
-   as-built wiring or footprints patches the graph; the notify-ordering
-   and steering defects leave the declared wiring intact
-   ({!Defect.dynamic_only}). The contracts stay the *declared* ones:
-   [No_lock] is precisely a stage whose declaration says [Serial_conn]
-   while the implementation takes no lock, which the extraction models
-   by patching the graph's domain, not the contract. *)
-let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
+   are visible to the passes. Each node and edge is as built: a row
+   built without its lock has no [Serial_conn] domain, one that
+   releases it early lets its writes escape the section, an extra
+   entry's accesses join the row's footprint, and a row whose hand-off
+   to the next notify stage does not wait for its DMA leaves that edge
+   unordered. The other contract fields stay the declared ones. *)
+let builtin ?(pipeline = Pipeline.builtin) ~config () =
   let open Effects in
   let open Pipeline in
   let p = config.Config.params in
   let b = Config.batch_degree config in
   let gc = config.Config.guard in
-  let is s row = name s = name row in
-  let patch s c =
-    match defect with
-    | Some Defect.No_lock when is s protocol -> { c with c_domain = Serial_none }
-    | Some Defect.Preproc_reads_proto when is s preproc ->
-        { c with c_reads = Conn_proto :: c.c_reads }
-    | Some Defect.Postproc_writes_conn when is s postproc ->
-        { c with c_writes = Conn_proto :: c.c_writes }
+  let as_built s =
+    let c = s.s_contract in
+    match s.s_departure with
+    | Some Lock_skipped -> { c with c_domain = Serial_none }
+    | Some (Extra x) ->
+        { c with c_reads = x.x_reads @ c.c_reads;
+                 c_writes = x.x_writes @ c.c_writes }
     | _ -> c
   in
   let nodes =
@@ -129,14 +111,15 @@ let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
       (fun s ->
         {
           n_name = name s;
-          n_contract = patch s s.s_contract;
+          n_contract = as_built s;
           n_slots = slots config s;
           n_serialized_writes =
-            not (is s protocol && Defect.is defect Defect.Early_release);
+            not (departs Lock_released_early s.s_departure);
           n_lp = s.s_lp;
         })
-      (declare ?defect (pipeline @ [ host ]))
+      (pipeline @ [ host ])
   in
+  let waits row = not (departs No_dma_wait (departure pipeline row)) in
   (* Cross-LP hand-off latencies, claimable as lookahead: an island
      boundary costs at least one distributed-switch push into the
      neighbour's CTM; host-bound notifications ride a PCIe
@@ -182,11 +165,10 @@ let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
       e dma dma (serial_queue dma)
         ~drain:"PCIe completions are unconditional and FIFO per queue"
         (Credit { cr_tokens = p.Nfp.Params.dma_inflight });
-      (* Notification + ACK leave only after the payload DMA lands:
-         this ordered edge is the declared obligation the
-         Notify_before_payload / Skip_notify_dma defects violate at
-         runtime (the declaration stays intact — dynamic-only). *)
-      flow dma ctx (serial_queue ctx);
+      (* Notification + ACK leave only after the payload DMA lands,
+         and reach the host only after the descriptor DMA: ordered
+         edges, unless the row hands off without waiting. *)
+      flow ~ordered:(waits dma) dma ctx (serial_queue ctx);
       e ctx ctx "arx-accum"
         ~drain:"batch_delay timer flushes partial batches"
         (Queue
@@ -196,7 +178,8 @@ let builtin ?defect ?(pipeline = Pipeline.builtin) ~config () =
              q_batch = b;
              q_bound = Const b;
            });
-      flow ctx host "arx-notify" ~lookahead:p.Nfp.Params.pcie_base_latency;
+      flow ~ordered:(waits ctx) ctx host "arx-notify"
+        ~lookahead:p.Nfp.Params.pcie_base_latency;
       (* Control-path frames to the CP: unguarded they are bounded
          only by the NBI pool; FlexGuard bounds them explicitly and
          names the shed policy. *)

@@ -6,7 +6,9 @@
     passes ({!Prove}) can check an arbitrary stage graph, not just the
     built-in one. {!builtin} projects the pipeline table
     ({!Pipeline}), parameterized by {!Config.t} (capacities, batch
-    degree, guard bounds) and optionally by a seeded {!Defect.t}. *)
+    degree, guard bounds), with each row as the table builds it, so
+    `flexlint graph` can classify each seeded variant
+    ({!Defect.pipeline}) as caught or dynamic-only. *)
 
 type capacity = Bounded of int | Unbounded
 
@@ -107,18 +109,19 @@ val is_cross_lp : t -> edge -> bool
 (** Does the edge cross an LP boundary? [false] when an endpoint is
     missing (well-formedness reports that separately). *)
 
-val builtin :
-  ?defect:Defect.t -> ?pipeline:Pipeline.t -> config:Config.t -> unit -> t
+val builtin : ?pipeline:Pipeline.t -> config:Config.t -> unit -> t
 (** The graph of [pipeline] (default {!Pipeline.builtin}) as built for
     [config]: one node per row plus the host pseudo-node, with the
     row's contract, slots and LP; queue capacities from [Nfp.Params]
     and the table's edge constants, the batch degree from
     [Config.batch_degree], the CP-queue bound from [Config.guard].
-    A [defect] that changes the as-built wiring is patched in:
-    [No_lock] drops the protocol stage's [Serial_conn] domain,
-    [Early_release] lets its writes escape the critical section,
-    [Preproc_reads_proto] / [Postproc_writes_conn] add the stray
-    access, and [Bad_contract] takes its declared contract. *)
+    A row's departure ({!Pipeline.departure}) is built in: a skipped
+    lock drops the row's [Serial_conn] domain, an early release lets
+    its writes escape the critical section, an extra entry adds its
+    accesses to the row's footprint, and a [dma] or [ctx] row that
+    does not wait for its DMA leaves its notify edge ([dma]→[ctx] or
+    [ctx]→[host]) unordered. [Datapath.create] checks the graph of
+    {!Pipeline.declared}, which has none. *)
 
 val bound_to_string : bound -> string
 

@@ -10,7 +10,10 @@
     the FlexProve graph ({!Graph_ir.builtin}) that [create] checks,
     and FlexInfer's stage map. The datapath runs every stage execution
     from its row, which names its tracepoint group, FlexScope span and
-    FlexSan label. *)
+    FlexSan label.
+
+    A row also says where it is built otherwise than it declares
+    ({!departure}): no builtin row is, a seeded race ({!Defect}) is. *)
 
 (** Logical-process class of a stage's executions, for the parallel
     simulator's partition. Per-flow-group stages carry the island
@@ -42,10 +45,32 @@ type pool = {
     or a fixed number of execution units that are not FPCs. *)
 type exec = Fpcs of pool | Units of int
 
+(** Accesses a row makes beyond its stage body: [x_run] runs in the
+    stage on the work's connection, reporting each through [access].
+    FlexInfer analyzes [x_entry] ("Module.fn") with the stage's
+    entries; [x_reads]/[x_writes] are its as-built footprint. *)
+type extra = {
+  x_entry : string;
+  x_reads : Effects.obj list;
+  x_writes : Effects.obj list;
+  x_run : access:(Effects.obj -> Effects.kind -> unit) -> Conn_state.t -> unit;
+}
+
+(** How a row is built otherwise than it declares: [protocol] without
+    its per-connection lock, releasing it before the critical section,
+    or with a steering function (a connection's flow group, given its
+    pinned one); [preproc] or [postproc] with an extra access; [dma]
+    passing an RX verdict's notification and ACK on before its payload
+    DMA lands, or [ctx] a notification before its descriptor DMA. *)
+type departure =
+  | Lock_skipped
+  | Lock_released_early
+  | Steer of (conn:int -> fg:int -> groups:int -> int)
+  | Extra of extra
+  | No_dma_wait
+
 type stage = {
-  s_contract : Effects.contract;
-      (** The stage's declaration: healthy in the table's rows, a
-          seeded defect's after {!declare}. *)
+  s_contract : Effects.contract;  (** The stage's declaration. *)
   s_exec : exec;
   s_lp : lp;
   s_entries : string list;
@@ -55,6 +80,7 @@ type stage = {
       (** The stage's tracepoints (§5.1), in the group named after the
           stage: each enabled one costs every execution [tracepoint]
           cycles. *)
+  s_departure : departure option;  (** [None]: built as declared. *)
 }
 
 type t = stage list
@@ -70,6 +96,7 @@ let row name ~reads ~writes ?(points = []) domain exec lp entries =
     s_lp = lp;
     s_entries = entries;
     s_points = points;
+    s_departure = None;
   }
 
 (* A pool named after its stage and FPCs named after their pool, unless
@@ -190,22 +217,29 @@ let seg_credits (p : Nfp.Params.t) = Int.min 256 p.Nfp.Params.seg_buffers
 
 (* --- Projections ------------------------------------------------------ *)
 
-(* The rows as a node seeded with [defect] declares them. Only
-   [Bad_contract] changes a declaration: a post-processor that claims
-   a protocol-partition write, statically incompatible with the
-   (serialized) protocol stage. *)
-let declare ?defect (t : t) =
-  List.map
-    (fun s ->
-      let c = s.s_contract in
-      if name s = name postproc && Defect.is defect Defect.Bad_contract then
-        { s with s_contract = { c with c_writes = Conn_proto :: c.c_writes } }
-      else s)
-    t
+(* How [t] builds [row] otherwise than declared, and whether that is
+   [d], a departure without arguments. *)
+let rec departure (t : t) row =
+  match t with
+  | [] -> None
+  | s :: t -> if name s = name row then s.s_departure else departure t row
+
+let departs d = function Some d' -> d' == d | None -> false
+
+(* The rows as declared: every departure dropped. *)
+let declared (t : t) = List.map (fun s -> { s with s_departure = None }) t
 
 let contracts (t : t) = List.map (fun s -> s.s_contract) t
 
-let stage_map (t : t) = List.map (fun s -> (name s, s.s_entries)) t
+(* Each stage's entries, its extra entry's too. *)
+let stage_map (t : t) =
+  List.map
+    (fun s ->
+      ( name s,
+        match s.s_departure with
+        | Some (Extra x) -> s.s_entries @ [ x.x_entry ]
+        | _ -> s.s_entries ))
+    t
 
 (* Every tracepoint by group: each row's, then the control plane's. *)
 let trace_points (t : t) =
@@ -239,9 +273,10 @@ let slots cfg s =
         (fpc_names cfg p s.s_lp)
       * threads cfg
 
-(* The datapath implements exactly the builtin stages: a row whose
-   contract names any other stage, a builtin stage with no row, or two
-   rows for one stage is a broken table. *)
+(* The datapath implements exactly the builtin stages, and each
+   departure at the rows [departure] names: a row whose contract names
+   any other stage, a builtin stage with no row, two rows for one stage
+   or a departure at another row is a broken table. *)
 let check (t : t) =
   let names = List.map name t and known = List.map name builtin in
   let fail fmt = Printf.ksprintf invalid_arg ("Pipeline.check: " ^^ fmt) in
@@ -251,6 +286,15 @@ let check (t : t) =
       if List.length (List.filter (String.equal n) names) > 1 then
         fail "two rows for stage %s" n)
     names;
+  List.iter
+    (fun s ->
+      match (s.s_departure, name s) with
+      | Some (Lock_skipped | Lock_released_early | Steer _), "protocol"
+      | Some (Extra _), ("preproc" | "postproc")
+      | Some No_dma_wait, ("dma" | "ctx")
+      | None, _ -> ()
+      | Some _, n -> fail "row %s cannot be built with its departure" n)
+    t;
   List.iter
     (fun n -> if not (List.mem n names) then fail "no row for stage %s" n)
     known

@@ -312,9 +312,7 @@ let test_stdlib_queue_lint () =
 (* --- Golden pin: the real tree --------------------------------------- *)
 
 let test_golden_clean () =
-  match
-    I.infer_repo_diff ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
-  with
+  match I.infer_repo_diff ~root:(root ()) () with
   | Error e -> Alcotest.fail e
   | Ok (footprints, findings) ->
       check_int "all builtin stages inferred"
@@ -327,9 +325,7 @@ let test_golden_clean () =
         (List.length findings)
 
 let test_repo_seq32_clean () =
-  match
-    I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
-  with
+  match I.analyze_repo ~root:(root ()) () with
   | Error e -> Alcotest.fail e
   | Ok r ->
       check_int "no findings across lib/" 0
@@ -340,9 +336,7 @@ let test_repo_seq32_clean () =
 
 let defect_diff defect =
   match
-    I.infer_repo_diff ~defect
-      ~declared:(PL.contracts (PL.declare ~defect PL.builtin))
-      ~root:(root ()) ()
+    I.infer_repo_diff ~pipeline:(Defect.pipeline defect) ~root:(root ()) ()
   with
   | Error e -> Alcotest.fail e
   | Ok (_, findings) -> findings
@@ -406,7 +400,7 @@ let test_corpus_owners () =
     let fabric = Netsim.Fabric.create engine () in
     match
       D.create engine ~config:Config.default ~fabric ~mac:1 ~ip:0x0A000001
-        ~defect ()
+        ~pipeline:(Defect.pipeline defect) ()
     with
     | _ -> false
     | exception Flextoe.Prove.Graph_rejected _ -> true
@@ -424,9 +418,7 @@ let test_corpus_owners () =
 (* --- JSON surface ----------------------------------------------------- *)
 
 let test_json_shape () =
-  match
-    I.analyze_repo ~declared:(PL.contracts PL.builtin) ~root:(root ()) ()
-  with
+  match I.analyze_repo ~root:(root ()) () with
   | Error e -> Alcotest.fail e
   | Ok r -> (
       let j = I.report_json r in

@@ -4,7 +4,8 @@
    hold), the graph passes on the real extracted pipeline and on
    synthetic counterexample graphs, sabotage classification (every
    catalogue defect's FlexProve verdict matches its owner), a seeded
-   defect that still constructs, and the teardown-FSM model check with
+   defect that still constructs, each seeded variant's difference from
+   the builtin table, and the teardown-FSM model check with
    its seeded mutations. *)
 
 module E = Flextoe.Effects
@@ -202,7 +203,10 @@ let test_builtin_graph_dot () =
    the rationale is stale), and at least five are caught statically. *)
 let test_sabotage_classification () =
   let graph_caught defect =
-    match P.check_graph (G.builtin ~defect ~config:Config.default ()) with
+    match
+      P.check_graph
+        (G.builtin ~pipeline:(Defect.pipeline defect) ~config:Config.default ())
+    with
     | Error _ -> true
     | Ok _ -> false
   in
@@ -229,7 +233,7 @@ let test_healthy_create_unaffected () =
   let fabric = Netsim.Fabric.create engine () in
   let dp =
     D.create engine ~config:Config.default ~fabric ~mac:1 ~ip:0x0A000001
-      ~defect:Defect.No_lock ()
+      ~pipeline:(Defect.pipeline Defect.No_lock) ()
   in
   ignore dp
 
@@ -356,6 +360,13 @@ let test_pipeline_broken_tables () =
   raises "stage with no contract row"
     (List.filter (fun s -> PL.name s <> PL.name PL.gro) PL.builtin);
   raises "two rows for one stage" (PL.builtin @ [ PL.gro ]);
+  raises "departure at a row that cannot build it"
+    (List.map
+       (fun s ->
+         if PL.name s = PL.name PL.gro then
+           { s with PL.s_departure = Some PL.Lock_skipped }
+         else s)
+       PL.builtin);
   (* A well-formed edit of the table reaches the wiring. *)
   let wider =
     List.map
@@ -371,6 +382,59 @@ let test_pipeline_broken_tables () =
     (List.for_all
        (fun (n, _, a) -> n <> "protocol" || Array.length a = 3)
        pools)
+
+(* Each seeded variant is the builtin table with the one row its
+   defect names changed, in its departure or (Bad_contract) its
+   declaration, and nothing else. In the as-built graph at most that
+   row's node, or one edge leaving it, differs; only a steering
+   function leaves the graph unchanged. The builtin table itself
+   departs nowhere. *)
+let test_variants_differ_only_where_named () =
+  List.iter
+    (fun s ->
+      check_bool (PL.name s ^ ": builtin row built as declared") true
+        (Option.is_none s.PL.s_departure))
+    PL.builtin;
+  let graph pipeline = G.builtin ~pipeline ~config:Config.default () in
+  let clean = graph PL.builtin in
+  List.iter
+    (fun d ->
+      let name = Defect.name d and row = Defect.row d in
+      let variant = Defect.pipeline d in
+      check_int (name ^ ": as many rows") (List.length PL.builtin)
+        (List.length variant);
+      List.iter2
+        (fun b v ->
+          if PL.name b <> row then
+            check_bool (name ^ ": keeps row " ^ PL.name b) true (b == v)
+          else
+            check_bool (name ^ ": changes only the departure or contract of "
+                        ^ row) true
+              (v.PL.s_exec == b.PL.s_exec && v.PL.s_lp = b.PL.s_lp
+              && v.PL.s_entries = b.PL.s_entries
+              && v.PL.s_points = b.PL.s_points
+              && Option.is_some v.PL.s_departure
+                 <> (v.PL.s_contract <> b.PL.s_contract)))
+        PL.builtin variant;
+      let g = graph variant in
+      let fresh base l = List.filter (fun x -> not (List.mem x base)) l in
+      let steers =
+        match (List.find (fun s -> PL.name s = row) variant).PL.s_departure with
+        | Some (PL.Steer _) -> true
+        | _ -> false
+      in
+      check_bool (name ^ ": one node or edge of row " ^ row ^ " differs") true
+        (List.length g.G.g_nodes = List.length clean.G.g_nodes
+        && List.length g.G.g_edges = List.length clean.G.g_edges
+        &&
+        match
+          (fresh clean.G.g_nodes g.G.g_nodes, fresh clean.G.g_edges g.G.g_edges)
+        with
+        | [], [] -> steers
+        | [ n ], [] -> n.G.n_name = row
+        | [], [ e ] -> e.G.e_src = row
+        | _ -> false))
+    Defect.all
 
 (* --- Graph passes: synthetic counterexamples ------------------------- *)
 
@@ -680,6 +744,8 @@ let suite =
       `Quick test_pipeline_projections;
     Alcotest.test_case "pipeline: broken tables rejected at create" `Quick
       test_pipeline_broken_tables;
+    Alcotest.test_case "seeded variants differ only where their defect says"
+      `Quick test_variants_differ_only_where_named;
     Alcotest.test_case "graph: credit-cycle deadlock" `Quick
       test_deadlock_cycle;
     Alcotest.test_case "graph: queue-bound overflow" `Quick

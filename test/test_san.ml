@@ -71,7 +71,7 @@ let findings_text fs = String.concat "; " (List.map P.finding_to_string fs)
 
 let test_builtin_contracts_sound () =
   (* The builtin stage set as declared, wired as create wires it. *)
-  let pipeline = PL.declare PL.builtin in
+  let pipeline = PL.declared PL.builtin in
   check_int "every builtin stage declares a contract"
     (List.length PL.builtin)
     (List.length (PL.contracts pipeline));
@@ -159,7 +159,7 @@ let test_bad_contract_fails_fast () =
   let fabric = Netsim.Fabric.create engine () in
   match
     Flextoe.create_node engine ~fabric ~config:san_config
-      ~defect:Defect.Bad_contract ~ip:ip_a ()
+      ~pipeline:(Defect.pipeline Defect.Bad_contract) ~ip:ip_a ()
   with
   | _ -> Alcotest.fail "bad contract accepted at create"
   | exception Flextoe.Prove.Graph_rejected fs ->
@@ -352,8 +352,12 @@ let test_overtaking_delivery () =
 let echo_pair ?(config = san_config) ?defect ~conns ~pipeline ~ms () =
   let engine = Sim.Engine.create () in
   let fabric = Netsim.Fabric.create engine () in
-  let a = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_a () in
-  let b = Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_b () in
+  let node ip =
+    Flextoe.create_node engine ~fabric ~config
+      ?pipeline:(Option.map Defect.pipeline defect) ~ip ()
+  in
+  let a = node ip_a in
+  let b = node ip_b in
   let stats = Host.Rpc.Stats.create engine in
   Host.Rpc.server ~endpoint:(Flextoe.endpoint a) ~port:7 ~app_cycles:100
     ~handler:Host.Rpc.echo_handler ();

@@ -138,9 +138,12 @@ let run_sharded ?(mis_steer = false) ~shards () =
       scale = Flextoe.Config.scale_of shards;
     }
   in
-  let defect = if mis_steer then Some Flextoe.Defect.Mis_steer else None in
+  let pipeline =
+    if mis_steer then Some (Flextoe.Defect.pipeline Flextoe.Defect.Mis_steer)
+    else None
+  in
   let a =
-    Flextoe.create_node engine ~fabric ~config ?defect ~ip:ip_a ()
+    Flextoe.create_node engine ~fabric ~config ?pipeline ~ip:ip_a ()
   in
   let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   let stats = Host.Rpc.Stats.create engine in
