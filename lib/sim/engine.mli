@@ -30,7 +30,9 @@ type handle
 
 val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] is a fresh solo engine at time zero whose
-    {!Local.rng} stream is seeded with [seed] (default [1L]). *)
+    {!Local.rng} stream is seeded with [seed] (default [1L]). It also
+    stops the parked workers of past {!Cluster.run}s, which would
+    otherwise slow every minor collection of the solo run. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -175,11 +177,12 @@ module Cluster : sig
 
   val create : ?seed:int64 -> ?domains:int -> unit -> t
   (** [create ~seed ~domains ()] is an empty partition. [domains]
-      (default 1) bounds the worker domains used by {!run}; the
-      actual worker count is [min domains (number of LPs)], further
-      capped at [Domain.recommended_domain_count ()] (oversubscribing
-      cores only buys GC-barrier stalls). Results never depend on
-      [domains]. *)
+      (default 1) bounds the workers used by {!run}; the actual
+      worker count is [min domains (number of LPs)], further capped
+      at {!worker_cap} of the [FLEXPAR_WORKERS] environment variable
+      ([Domain.recommended_domain_count ()] when it is unset:
+      oversubscribing cores only buys GC-barrier stalls). Results
+      never depend on [domains]. *)
 
   val domains : t -> int
   val set_domains : t -> int -> unit
@@ -221,15 +224,43 @@ module Cluster : sig
 
   val run : until:Time.t -> t -> unit
   (** Advance every LP to [until] (events at exactly [until]
-      included, like the solo {!run}). Uses up to [domains] worker
-      domains; with one worker (or one LP) this is the sequential
-      loop. Re-runnable with a larger [until] to continue — warmup /
-      measurement-window phasing works as it does on a solo engine.
+      included, like the solo {!run}). Uses up to [domains] workers
+      (see {!create}); with one worker (or one LP) this is the
+      sequential loop on the calling domain. Re-runnable with a larger
+      [until] to continue — warmup / measurement-window phasing works
+      as it does on a solo engine.
+
+      Worker 0 is the calling domain; workers 1 and up are domains of
+      one process-wide pool, which parks them on condition variables
+      between runs. The pool holds exactly the workers the last run
+      used: a run with more workers spawns the missing ones, and a
+      run with fewer, a new solo engine ({!val:create}) or the
+      process's exit ([at_exit]) stops and joins the spares, because
+      every live domain, parked or not, takes part in every
+      stop-the-world collection. Runs with an unchanged worker count
+      spawn and join nothing. The LP created [i]-th runs on worker
+      [i mod n] of an [n]-worker run: the same domain on every such
+      run, of any cluster.
+
       An exception raised by an event is re-raised here after all
-      workers have stopped. *)
+      workers have stopped; the pool stays usable. Only one run may be
+      in progress in the process: a run entered while another is
+      (from another thread, or from inside an LP event) raises
+      [Invalid_argument], as does an invalid [FLEXPAR_WORKERS]. *)
+
+  val max_workers : int
+  (** The most workers [FLEXPAR_WORKERS] can ask for: 8. *)
+
+  val worker_cap : string option -> int
+  (** [worker_cap v] is the cap on a run's workers for the value [v]
+      of [FLEXPAR_WORKERS]: [Domain.recommended_domain_count ()] when
+      unset, else [v] clamped to {!max_workers}. Setting it
+      oversubscribes a small host, so that a 1-core runner still
+      exercises real parallel workers. Raises [Invalid_argument] on a
+      value that is not a positive decimal integer. *)
 
   val workers_used : t -> int
-  (** Worker domains used by the last {!run}. *)
+  (** Workers used by the last {!run}, the calling domain included. *)
 
   val gvt : t -> Time.t
   (** Global virtual time: the minimum LP clock ([until] after a

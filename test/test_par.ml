@@ -249,7 +249,7 @@ let test_slack_property () =
    lookaheads, plus same-instant local ticks on both sides. The
    per-LP observation logs (each written only by its owning LP) must
    be identical at every domain count. *)
-let pingpong ~domains =
+let pingpong ?fail_round ~domains () =
   let cl = Cl.create ~seed:11L ~domains () in
   let a = Cl.add_lp ~name:"a" cl in
   let b = Cl.add_lp ~name:"b" cl in
@@ -258,6 +258,7 @@ let pingpong ~domains =
   let log_a = Buffer.create 1024 and log_b = Buffer.create 1024 in
   let rounds = 200 in
   let rec on_b n =
+    if Some n = fail_round then failwith "pingpong: seeded failure";
     Buffer.add_string log_b (Printf.sprintf "b:%d@%d\n" n (Sim.Engine.now b));
     if n < rounds then
       Cl.send ba
@@ -285,11 +286,11 @@ let pingpong ~domains =
     Cl.workers_used cl )
 
 let test_pingpong_across_domains () =
-  let ref_digest, ref_events, _ = pingpong ~domains:1 in
+  let ref_digest, ref_events, _ = pingpong ~domains:1 () in
   check_bool "made progress" true (ref_events > 400);
   List.iter
     (fun domains ->
-      let digest, events, workers = pingpong ~domains in
+      let digest, events, workers = pingpong ~domains () in
       check_str
         (Printf.sprintf "ping-pong trace at domains=%d" domains)
         ref_digest digest;
@@ -403,6 +404,114 @@ let test_fabric_partition_freezes_ports () =
   expect_invalid "partition twice" (fun () ->
       Netsim.Fabric.partition fab ~cluster:cl)
 
+(* --- The worker pool ------------------------------------------------- *)
+
+(* The workers a 2-LP cluster at domains=8 uses: the host's cores or
+   FLEXPAR_WORKERS, at most 2. *)
+let workers_used () =
+  let _, _, workers = pingpong ~domains:8 () in
+  workers
+
+(* A 2-LP cluster whose LP 1 records the domain that runs each of its
+   events; with one worker (a 1-core host without FLEXPAR_WORKERS)
+   that is the calling domain. *)
+let lp1_domains () =
+  let cl = Cl.create ~domains:2 () in
+  let _ = Cl.add_lp cl in
+  let lp1 = Cl.add_lp cl in
+  let seen = ref [] in
+  let step () =
+    Sim.Engine.schedule lp1 (Sim.Time.ns 10) (fun () ->
+        seen := (Domain.self () :> int) :: !seen)
+  in
+  let run_to t =
+    step ();
+    Cl.run ~until:t cl
+  in
+  (cl, seen, run_to)
+
+let test_pool_keeps_lp_domain () =
+  let cl, seen, run_to = lp1_domains () in
+  for i = 1 to 100 do
+    run_to (Sim.Time.us i)
+  done;
+  check_int "one event per run" 100 (List.length !seen);
+  let d = List.hd !seen in
+  check_bool "LP 1 ran on one domain in 100 runs" true
+    (List.for_all (( = ) d) !seen);
+  let main = (Domain.self () :> int) in
+  check_bool "LP 1 ran off the calling domain iff there were 2 workers"
+    (Cl.workers_used cl = 2) (d <> main);
+  let cl2, seen2, run_to2 = lp1_domains () in
+  run_to2 (Sim.Time.us 1);
+  check_int "same worker count" (Cl.workers_used cl) (Cl.workers_used cl2);
+  check_int "a second cluster reuses LP 1's domain" d (List.hd !seen2);
+  (* A parked worker would slow solo work: a solo engine, or a run
+     with fewer workers, joins it, and the next 2-worker run spawns a
+     new domain (domain ids are never reused). *)
+  if Cl.workers_used cl = 2 then begin
+    ignore (Sim.Engine.create ());
+    run_to (Sim.Time.us 101);
+    let d' = List.hd !seen in
+    check_bool "a solo engine retired the worker" true (d' <> d);
+    Cl.set_domains cl 1;
+    run_to (Sim.Time.us 102);
+    Cl.set_domains cl 2;
+    run_to (Sim.Time.us 103);
+    check_bool "a 1-worker run retired the worker" true (List.hd !seen <> d')
+  end
+
+let test_pool_survives_failure () =
+  let ref_digest, ref_events, _ = pingpong ~domains:2 () in
+  (match pingpong ~fail_round:50 ~domains:2 () with
+  | _ -> Alcotest.fail "the failing event's exception was not re-raised"
+  | exception Failure m ->
+      check_str "re-raised exception" "pingpong: seeded failure" m);
+  let digest, events, _ = pingpong ~domains:2 () in
+  check_str "digest after a failed run" ref_digest digest;
+  check_int "events after a failed run" ref_events events
+
+let test_nested_run_refused () =
+  let outer = Cl.create ~domains:2 () in
+  let a = Cl.add_lp outer in
+  let _ = Cl.add_lp outer in
+  let other = Cl.create ~domains:2 () in
+  let o = Cl.add_lp other in
+  let _ = Cl.add_lp other in
+  let o_ran = ref false in
+  Sim.Engine.schedule o (Sim.Time.ns 5) (fun () -> o_ran := true);
+  let refused = ref [] in
+  let try_run name cl =
+    match Cl.run ~until:(Sim.Time.us 1) cl with
+    | () -> ()
+    | exception Invalid_argument _ -> refused := name :: !refused
+  in
+  Sim.Engine.schedule a (Sim.Time.ns 10) (fun () ->
+      try_run "same" outer;
+      try_run "other" other);
+  Cl.run ~until:(Sim.Time.us 1) outer;
+  Alcotest.(check (list string))
+    "both nested runs refused" [ "other"; "same" ] !refused;
+  check_bool "the refused cluster did not run" false !o_ran;
+  Cl.run ~until:(Sim.Time.us 1) other;
+  check_bool "the refused cluster runs afterwards" true !o_ran
+
+let test_worker_cap () =
+  check_int "unset: the host's domains"
+    (Domain.recommended_domain_count ()) (Cl.worker_cap None);
+  check_int "2" 2 (Cl.worker_cap (Some "2"));
+  check_int "clamped" Cl.max_workers (Cl.worker_cap (Some "64"));
+  check_int "clamped past int range" Cl.max_workers
+    (Cl.worker_cap (Some "99999999999999999999999"));
+  List.iter
+    (fun v ->
+      expect_invalid (Printf.sprintf "FLEXPAR_WORKERS=%S" v) (fun () ->
+          Cl.worker_cap (Some v)))
+    [ "0"; "-1"; ""; "two"; "2x"; " 2"; "+2"; "0x2" ];
+  check_int "a run's workers follow the cap"
+    (Int.min 2 (Cl.worker_cap (Sys.getenv_opt "FLEXPAR_WORKERS")))
+    (workers_used ())
+
 (* FlexTOE nodes on two LPs of a partitioned fabric: every frame
    crosses LPs, and a data frame whose payload the sender's fabric
    port would carry by reference is built on the source LP before
@@ -465,4 +574,12 @@ let suite =
       test_fabric_partition_freezes_ports;
     Alcotest.test_case "partitioned FlexTOE stream at domains=1,2" `Quick
       test_partitioned_stream_across_domains;
+    Alcotest.test_case "pool keeps LP 1's domain until solo work" `Quick
+      test_pool_keeps_lp_domain;
+    Alcotest.test_case "pool survives a failed run" `Quick
+      test_pool_survives_failure;
+    Alcotest.test_case "run inside an LP event is refused" `Quick
+      test_nested_run_refused;
+    Alcotest.test_case "FLEXPAR_WORKERS cap" `Quick test_worker_cap;
   ]
+
