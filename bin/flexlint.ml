@@ -586,18 +586,23 @@ module GI = Flextoe.Graph_ir
 module P = Flextoe.Prove
 
 (* The acceptance matrix: batching off and the two CI-exercised
-   degrees, each with FlexGuard off and on — the four structural
-   shapes the extraction can take (bounded vs unbounded CP queue,
-   coalesced vs unit batches). *)
+   degrees, each with FlexGuard off and on, unsharded and at four
+   FlexScale shards — the structural shapes the extraction can take
+   (bounded vs unbounded CP queue, coalesced vs unit batches, one copy
+   of each island stage vs a replica family per stage). *)
 let graph_degrees = [ 1; 8; 16 ]
+let graph_shards = [ 1; 4 ]
 
-let graph_config ~batch ~guard =
+let graph_config ~batch ~guard ~shards =
   {
     Flextoe.Config.default with
     Flextoe.Config.batch;
     guard =
       (if guard then Flextoe.Config.guard_default
        else Flextoe.Config.guard_none);
+    scale =
+      (if shards > 1 then Flextoe.Config.scale_of shards
+       else Flextoe.Config.scale_none);
   }
 
 let write_out path s =
@@ -612,11 +617,12 @@ let write_out path s =
         Format.printf "FAIL %-20s unwritable: %s@." path e;
         exit 2
 
-let check_combo ~batch ~guard =
-  let mode = Printf.sprintf "batch=%-2d guard=%s" batch
-      (if guard then "on " else "off") in
+let check_combo ~batch ~guard ~shards =
+  let mode = Printf.sprintf "batch=%-2d guard=%s shards=%d" batch
+      (if guard then "on " else "off") shards in
   match
-    P.check_graph (GI.builtin ~config:(graph_config ~batch ~guard) ())
+    P.check_graph
+      (GI.builtin ~config:(graph_config ~batch ~guard ~shards) ())
   with
   | Ok reports ->
       List.iter
@@ -672,11 +678,14 @@ let run_graph dot classify sabotage_v =
     | None ->
         let clean =
           List.fold_left
-            (fun acc batch ->
+            (fun acc shards ->
               List.fold_left
-                (fun acc guard -> check_combo ~batch ~guard && acc)
-                acc [ false; true ])
-            true graph_degrees
+                (fun acc batch ->
+                  List.fold_left
+                    (fun acc guard -> check_combo ~batch ~guard ~shards && acc)
+                    acc [ false; true ])
+                acc graph_degrees)
+            true graph_shards
         in
         if classify then
           List.fold_left
@@ -718,7 +727,7 @@ let graph_cmd =
     (Cmd.info "graph" ~version
        ~doc:
          "FlexProve: whole-graph static analysis of the pipeline \
-          (interference, deadlock freedom, queue bounds)"
+          (interference, deadlock freedom, queue bounds, sharding)"
        ~exits:exit_info
        ~man:
          [
@@ -731,12 +740,12 @@ let graph_cmd =
               contracts (the static contract check), deadlock freedom of the \
               credit/backpressure wait-for graph, worst-case queue \
               occupancy against configured capacities, and soundness of \
-              the LP partition for the parallel simulator (positive \
-              lookahead on cross-LP edges, serialization domains \
-              co-located). The healthy matrix \
-              covers batch degrees 1, 8 and 16, each with FlexGuard off \
-              and on. The same passes run at node construction; this \
-              command is the offline/CI surface.";
+              the FlexScale replica families (shard copies \
+              footprint-identical, replicated writes under a domain \
+              steering realizes per shard). The healthy matrix covers \
+              batch degrees 1, 8 and 16, each with FlexGuard off and on, \
+              unsharded and at four shards. The same passes run at node \
+              construction; this command is the offline/CI surface.";
          ])
     Term.(const run_graph $ graph_dot_t $ graph_classify_t $ graph_sabotage_t)
 

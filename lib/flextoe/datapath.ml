@@ -1917,22 +1917,22 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
     Nfp.Fpc.create engine ~params:p ~threads ~name ()
   in
   (* Every row's FPC pool, island by island, keyed by stage. *)
-  let build pool lp =
+  let build pool place =
     List.map
       (fun (island, names) ->
         (pool.Pipeline.p_name, island, Array.map mk names))
-      (Pipeline.fpc_names cfg pool lp)
+      (Pipeline.fpc_names cfg pool place)
   in
   let built =
     List.map
       (fun s ->
         ( Pipeline.name s,
           match s.Pipeline.s_exec with
-          | Pipeline.Fpcs pool -> build pool s.Pipeline.s_lp
+          | Pipeline.Fpcs pool -> build pool s.Pipeline.s_place
           | Pipeline.Units _ -> [] ))
       pipeline
   in
-  let xdp = build Pipeline.xdp (Pipeline.Lp_island 0) in
+  let xdp = build Pipeline.xdp Pipeline.Islands in
   let fpcs s =
     Array.of_list
       (List.map (fun (_, _, a) -> a) (List.assoc (Pipeline.name s) built))

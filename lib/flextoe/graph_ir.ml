@@ -6,24 +6,16 @@ type overflow = Backpressure | Drop of string | Reject
 
 type bound =
   | Const of int
-  | Slots of string
   | Tokens of string
   | Cap of string
   | Sum of bound list
-  | Prod of bound list
-  | Min_of of bound list
   | Unbounded_by of string
-
-type lp = Pipeline.lp = Lp_host | Lp_service | Lp_island of int
-
-let lp_name = Pipeline.lp_name
 
 type node = {
   n_name : string;
   n_contract : Effects.contract;
   n_slots : int;
   n_serialized_writes : bool;
-  n_lp : lp;
 }
 
 type edge_kind =
@@ -42,7 +34,6 @@ type edge = {
   e_label : string;
   e_kind : edge_kind;
   e_drain : string option;
-  e_lookahead : Sim.Time.t;
 }
 
 type t = { g_name : string; g_nodes : node list; g_edges : edge list }
@@ -72,14 +63,6 @@ let is_blocking e =
   | Credit _ -> true
   | Queue { q_overflow = Backpressure; _ } -> true
   | Queue _ | Dataflow _ -> false
-
-let edge_lps g e =
-  match (find_node g e.e_src, find_node g e.e_dst) with
-  | Some a, Some b -> Some (a.n_lp, b.n_lp)
-  | _ -> None
-
-let is_cross_lp g e =
-  match edge_lps g e with Some (a, b) -> a <> b | None -> false
 
 (* --- Builtin-pipeline extraction -------------------------------------- *)
 
@@ -115,30 +98,22 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
           n_slots = slots config s;
           n_serialized_writes =
             not (departs Lock_released_early s.s_departure);
-          n_lp = s.s_lp;
         })
       (pipeline @ [ host ])
   in
   let waits row = not (departs No_dma_wait (departure pipeline row)) in
-  (* Cross-LP hand-off latencies, claimable as lookahead: an island
-     boundary costs at least one distributed-switch push into the
-     neighbour's CTM; host-bound notifications ride a PCIe
-     transaction; host doorbells a posted MMIO write. *)
-  let island_hop =
-    Sim.Time.Freq.cycles p.Nfp.Params.fpc_freq p.Nfp.Params.island_hop_cycles
-  in
-  let e ?drain ?(lookahead = Sim.Time.zero) src dst label kind =
+  let e ?drain src dst label kind =
     { e_src = name src; e_dst = name dst; e_label = label; e_kind = kind;
-      e_drain = drain; e_lookahead = lookahead }
+      e_drain = drain }
   in
-  let flow ?(ordered = true) ?lookahead src dst label =
-    e ?lookahead src dst label (Dataflow { df_ordered = ordered })
+  let flow ?(ordered = true) src dst label =
+    e src dst label (Dataflow { df_ordered = ordered })
   in
   let edges =
     [
       (* RX: wire → NBI buffer pool → preproc → flow-group sequencer
          (GRO) → protocol → postproc → payload DMA → notify. *)
-      e nbi preproc "nbi-pool" ~lookahead:island_hop
+      e nbi preproc "nbi-pool"
         (Queue
            {
              q_capacity = Bounded p.Nfp.Params.seg_buffers;
@@ -149,7 +124,7 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
       (* The rx-gro sequencer's reorder buffer is unbounded in code;
          the bounds pass proves its occupancy is capped by the NBI
          pool (every queued summary pins a segment buffer). *)
-      e preproc gro "rx-gro" ~lookahead:island_hop
+      e preproc gro "rx-gro"
         (Queue
            {
              q_capacity = Unbounded;
@@ -157,9 +132,9 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
              q_batch = b;
              q_bound = Cap "nbi-pool";
            });
-      flow gro protocol "rx-proto" ~lookahead:island_hop;
+      flow gro protocol "rx-proto";
       flow protocol postproc "rx-post";
-      flow postproc dma "payload-dma" ~lookahead:island_hop;
+      flow postproc dma "payload-dma";
       (* The PCIe DMA engine: per-queue in-flight window; issuing
          blocks when full, completions are unconditional and FIFO. *)
       e dma dma (serial_queue dma)
@@ -178,12 +153,11 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
              q_batch = b;
              q_bound = Const b;
            });
-      flow ~ordered:(waits ctx) ctx host "arx-notify"
-        ~lookahead:p.Nfp.Params.pcie_base_latency;
+      flow ~ordered:(waits ctx) ctx host "arx-notify";
       (* Control-path frames to the CP: unguarded they are bounded
          only by the NBI pool; FlexGuard bounds them explicitly and
          names the shed policy. *)
-      e nbi host "cp-queue" ~lookahead:p.Nfp.Params.pcie_base_latency
+      e nbi host "cp-queue"
         (Queue
            {
              q_capacity =
@@ -199,7 +173,7 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
            });
       (* TX / HC: ATX doorbells → ctx drain (gated by the HC
          descriptor pool) → protocol → scheduler dispatch. *)
-      e host ctx "atx" ~lookahead:p.Nfp.Params.mmio_latency
+      e host ctx "atx"
         (Queue
            {
              q_capacity = Bounded atx_slots;
@@ -207,12 +181,11 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
              q_batch = b;
              q_bound = Cap "atx";
            });
-      e ctx protocol "hc-pool" ~lookahead:island_hop
-        (Credit { cr_tokens = hc_descs });
-      flow ctx protocol "hc-dispatch" ~lookahead:island_hop;
-      flow ~ordered:false sched preproc "tx-dispatch" ~lookahead:island_hop;
+      e ctx protocol "hc-pool" (Credit { cr_tokens = hc_descs });
+      flow ctx protocol "hc-dispatch";
+      flow ~ordered:false sched preproc "tx-dispatch";
       e sched nbi "seg-credits" (Credit { cr_tokens = seg_credits p });
-      flow ~ordered:false postproc sched "sched-update" ~lookahead:island_hop;
+      flow ~ordered:false postproc sched "sched-update";
       (* TX reorder at the NBI: data descriptors are credit-gated,
          ACK egress is pinned to RX segments in flight. *)
       e dma nbi "tx-gro"
@@ -226,9 +199,9 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
     ]
   in
   (* FlexScale: replicate the island stages across shard islands. Each
-     shard k gets its own copy of every [Lp_island] stage on
-     [Lp_island k] (slots split evenly, rounded up) and its own copies
-     of every edge touching a sharded endpoint; edges whose endpoints
+     shard k gets its own copy of every [Islands] row's node (slots
+     split evenly, rounded up) and its own copies of every edge
+     touching a sharded endpoint; edges whose endpoints
      are both sharded pair same-k, because flow-group steering keeps a
      segment inside one shard end to end. Shard 0 keeps the unsuffixed
      names and labels so bound expressions ([Cap "nbi-pool"]) and
@@ -242,9 +215,9 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
     else begin
       let sharded =
         List.filter_map
-          (fun n ->
-            match n.n_lp with Lp_island _ -> Some n.n_name | _ -> None)
-          nodes
+          (fun s ->
+            match s.s_place with Islands -> Some (name s) | Service -> None)
+          pipeline
       in
       let is_sharded n = List.mem n sharded in
       let suffix name k =
@@ -258,7 +231,6 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
                   {
                     n with
                     n_name = suffix n.n_name k;
-                    n_lp = Lp_island k;
                     n_slots = Int.max 1 ((n.n_slots + shards - 1) / shards);
                   })
             else [ n ])
@@ -292,12 +264,9 @@ let dot_escape s =
 let bound_to_string b =
   let rec go = function
     | Const n -> string_of_int n
-    | Slots s -> "slots(" ^ s ^ ")"
     | Tokens l -> "tokens(" ^ l ^ ")"
     | Cap l -> "cap(" ^ l ^ ")"
     | Sum bs -> "(" ^ String.concat " + " (List.map go bs) ^ ")"
-    | Prod bs -> "(" ^ String.concat " * " (List.map go bs) ^ ")"
-    | Min_of bs -> "min(" ^ String.concat ", " (List.map go bs) ^ ")"
     | Unbounded_by s -> "unbounded-by:" ^ s
   in
   go b
@@ -314,8 +283,8 @@ let to_dot g =
   List.iter
     (fun n ->
       let d = Effects.domain_name n.n_contract.Effects.c_domain in
-      pf "  \"%s\" [label=\"%s\\n%s | slots=%d | lp=%s%s\"];\n" n.n_name
-        n.n_name d n.n_slots (lp_name n.n_lp)
+      pf "  \"%s\" [label=\"%s\\n%s | slots=%d%s\"];\n" n.n_name
+        n.n_name d n.n_slots
         (if n.n_serialized_writes then "" else " | EARLY-RELEASE"))
     g.g_nodes;
   List.iter
@@ -333,11 +302,6 @@ let to_dot g =
               "bold" )
         | Credit c ->
             (Printf.sprintf "%s credits=%d" e.e_label c.cr_tokens, "dashed")
-      in
-      let label =
-        if e.e_lookahead > Sim.Time.zero then
-          Format.asprintf "%s la=%a" label Sim.Time.pp e.e_lookahead
-        else label
       in
       pf "  \"%s\" -> \"%s\" [label=\"%s\", style=%s%s];\n" e.e_src e.e_dst
         (dot_escape label) style

@@ -20,25 +20,16 @@ type capacity = Bounded of int | Unbounded
 type overflow = Backpressure | Drop of string | Reject
 
 (** Worst-case-occupancy expressions, evaluated by the bounds pass
-    against the graph itself: [Slots s] is stage [s]'s concurrent
-    execution slots, [Tokens l] / [Cap l] the token count / capacity
-    of the edge labelled [l]. [Unbounded_by s] declares open-loop
-    inflow limited only by [s] — never acceptable on a [Reject]
-    queue. *)
+    against the graph itself: [Tokens l] / [Cap l] is the token count
+    / capacity of the edge labelled [l]. [Unbounded_by s] declares
+    open-loop inflow limited only by [s] — never acceptable on a
+    [Reject] queue. *)
 type bound =
   | Const of int
-  | Slots of string
   | Tokens of string
   | Cap of string
   | Sum of bound list
-  | Prod of bound list
-  | Min_of of bound list
   | Unbounded_by of string
-
-(** Logical-process assignment, declared per stage in {!Pipeline}. *)
-type lp = Pipeline.lp = Lp_host | Lp_service | Lp_island of int
-
-val lp_name : lp -> string
 
 type node = {
   n_name : string;
@@ -47,7 +38,6 @@ type node = {
   n_serialized_writes : bool;
       (** Writes happen inside the serialization domain's critical
           section; [false] models an early-release defect. *)
-  n_lp : lp;  (** Logical process this stage's executions live on. *)
 }
 
 type edge_kind =
@@ -75,12 +65,6 @@ type edge = {
           help from the blocked side (timer flush, unconditional
           completion). [None] = clearing needs the far side to make
           progress — such an edge cannot break a deadlock cycle. *)
-  e_lookahead : Sim.Time.t;
-      (** Minimum hand-off latency of this edge: the conservative
-          parallel simulator may claim it as lookahead on the channel
-          realizing the edge. The partition pass requires it positive
-          on every cross-LP edge; [Sim.Time.zero] is expected on
-          edges whose endpoints share an LP. *)
 }
 
 type t = { g_name : string; g_nodes : node list; g_edges : edge list }
@@ -102,19 +86,16 @@ val is_blocking : edge -> bool
 (** Blocking edges: the source can stall until the far side clears
     them. These form the wait-for graph of the deadlock pass. *)
 
-val edge_lps : t -> edge -> (lp * lp) option
-(** The LPs of an edge's endpoints, when both resolve. *)
-
-val is_cross_lp : t -> edge -> bool
-(** Does the edge cross an LP boundary? [false] when an endpoint is
-    missing (well-formedness reports that separately). *)
-
 val builtin : ?pipeline:Pipeline.t -> config:Config.t -> unit -> t
 (** The graph of [pipeline] (default {!Pipeline.builtin}) as built for
     [config]: one node per row plus the host pseudo-node, with the
-    row's contract, slots and LP; queue capacities from [Nfp.Params]
+    row's contract and slots; queue capacities from [Nfp.Params]
     and the table's edge constants, the batch degree from
     [Config.batch_degree], the CP-queue bound from [Config.guard].
+    With more than one FlexScale shard, each {!Pipeline.Islands} row
+    is one node per shard k ([s], then [s#1], [s#2], ...; slots split
+    evenly), and each edge touching one is copied per shard, joining
+    replicas of the same k.
     A row's departure ({!Pipeline.departure}) is built in: a skipped
     lock drops the row's [Serial_conn] domain, an early release lets
     its writes escape the critical section, an extra entry adds its

@@ -2,7 +2,7 @@
 
     One row per stage: its effect contract (whose [c_stage] is the
     stage's name), what executes it (an FPC pool sized from
-    {!Config.t}, or a fixed number of non-FPC units), its LP class,
+    {!Config.t}, or a fixed number of non-FPC units), where it sits,
     its entry functions in [datapath.ml] and its tracepoints. The
     shared edge constants sit beside the rows. Everything else is a
     projection of this table: [Datapath.create]'s FPC pools, ring,
@@ -15,19 +15,12 @@
     A row also says where it is built otherwise than it declares
     ({!departure}): no builtin row is, a seeded race ({!Defect}) is. *)
 
-(** Logical-process class of a stage's executions, for the parallel
-    simulator's partition. Per-flow-group stages carry the island
-    class [Lp_island g]; the table uses the representative index 0,
-    asserting that flow-group steering keeps a segment's pipeline
-    processing inside one island. Service-island hardware (GRO
-    sequencer, DMA, context queues, scheduler, NBI) is [Lp_service];
-    libTOE and the applications are [Lp_host]. *)
-type lp = Lp_host | Lp_service | Lp_island of int
-
-let lp_name = function
-  | Lp_host -> "host"
-  | Lp_service -> "service"
-  | Lp_island g -> "island" ^ string_of_int g
+(** Where a row's executions sit: [Islands], once per flow group on
+    the general-purpose islands, which flow-group steering keeps a
+    segment's processing inside (and FlexScale replicates per shard);
+    [Service], once on the service island (GRO sequencer, DMA, context
+    queues, scheduler, NBI), or on the host for the [host] row. *)
+type place = Islands | Service
 
 type pool = {
   p_name : string;  (** [Datapath.fpc_pools] name (perfbench's [nfp.*] keys). *)
@@ -72,7 +65,7 @@ type departure =
 type stage = {
   s_contract : Effects.contract;  (** The stage's declaration. *)
   s_exec : exec;
-  s_lp : lp;
+  s_place : place;
   s_entries : string list;
       (** Functions in [datapath.ml] that FlexInfer analyzes as the
           stage body. *)
@@ -87,13 +80,13 @@ type t = stage list
 
 let name s = s.s_contract.Effects.c_stage
 
-let row name ~reads ~writes ?(points = []) domain exec lp entries =
+let row name ~reads ~writes ?(points = []) domain exec place entries =
   {
     s_contract =
       { Effects.c_stage = name; c_reads = reads; c_writes = writes;
         c_domain = domain };
     s_exec = exec name;
-    s_lp = lp;
+    s_place = place;
     s_entries = entries;
     s_points = points;
     s_departure = None;
@@ -120,14 +113,14 @@ let preproc =
     ~points:[ "seg_valid"; "seg_invalid"; "conn_hit"; "conn_miss"; "steer";
               "ctl_fwd" ]
     (pool ~striped:true ~prefix:"pre" (fun p -> p.Config.preproc_replicas))
-    (Lp_island 0)
+    Islands
     [ "rx_frame"; "rx_datapath"; "guard_shed_rx"; "preproc_rx";
       "forward_to_control" ]
 
 let gro =
   row "gro" ~reads:[] ~writes:[] (Serial_flow_group "rx-gro")
     ~points:[ "in_order"; "reordered"; "queue_occupancy"; "released" ]
-    (pool (fun _ -> 1)) Lp_service
+    (pool (fun _ -> 1)) Service
     [ "gro_release"; "gro_flush"; "gro_submit" ]
 
 (* Global_stats: the FlexScale steering self-check counter
@@ -141,7 +134,7 @@ let protocol =
               "win_update"; "fin"; "crit_section"; "drop_merge";
               "drop_window" ]
     (pool ~prefix:"proto" (fun p -> p.Config.proto_replicas))
-    (Lp_island 0)
+    Islands
     [ "protocol_rx"; "protocol_tx"; "protocol_hc" ]
 
 let postproc =
@@ -149,7 +142,7 @@ let postproc =
     ~writes:[ Conn_post; Global_stats; Sched_state ] Serial_none
     ~points:[ "ack_gen"; "stamp"; "stats"; "notify"; "ecn_echo" ]
     (pool ~prefix:"post" (fun p -> p.Config.postproc_replicas))
-    (Lp_island 0) [ "postproc_stage" ]
+    Islands [ "postproc_stage" ]
 
 let dma =
   row "dma" ~reads:[ Conn_db; Conn_post; Tx_payload ]
@@ -157,14 +150,14 @@ let dma =
     ~points:[ "payload_rx"; "payload_tx"; "desc"; "queue_depth" ]
     (Serial_queue "pcie-dma")
     (pool (fun _ -> 4))  (* DMA-manager FPCs on the service island *)
-    Lp_service [ "dma_stage" ]
+    Service [ "dma_stage" ]
 
 let ctx =
   row "ctx" ~reads:[ Rx_payload; Desc_ring; Conn_db; Conn_post ]
     ~writes:[ Desc_ring ] (Serial_queue "ctx")
     ~points:[ "arx_notify"; "atx_fetch"; "doorbell"; "pool_empty" ]
     (pool (fun _ -> 4))  (* context-queue FPCs *)
-    Lp_service
+    Service
     [ "notify_libtoe"; "arx_deliver"; "arx_flush"; "atx_drain";
       "atx_drain_body" ]
 
@@ -172,12 +165,12 @@ let sched =
   row "sched" ~reads:[ Sched_state ] ~writes:[ Sched_state ] Serial_none
     ~points:
       [ "dispatch"; "rr_pick"; "wheel_park"; "wheel_fire"; "credit_stall" ]
-    (pool ~name:"sch" (fun _ -> 1)) Lp_service [ "dispatch_tx" ]
+    (pool ~name:"sch" (fun _ -> 1)) Service [ "dispatch_tx" ]
 
 let nbi =
   row "nbi" ~reads:[ Conn_pre; Conn_db ] ~writes:[ Global_stats; Sched_state ]
     ~points:[ "rx_frame"; "tx_frame"; "tx_ack"; "ctl_inject" ]
-    (Serial_flow_group "tx-gro") (units 1) Lp_service
+    (Serial_flow_group "tx-gro") (units 1) Service
     [ "nbi_emit"; "nbi_emit_one" ]
 
 let builtin = [ preproc; gro; protocol; postproc; dma; ctx; sched; nbi ]
@@ -188,7 +181,7 @@ let builtin = [ preproc; gro; protocol; postproc; dma; ctx; sched; nbi ]
    consumer per side (atomic region). *)
 let host =
   row "host" ~reads:[ Rx_payload; Desc_ring ] ~writes:[ Tx_payload; Desc_ring ]
-    Serial_none (units 4) Lp_host []
+    Serial_none (units 4) Service []
 
 (* The control plane's tracepoints belong to no stage: group "cp". *)
 let cp_points =
@@ -253,16 +246,16 @@ let serial_queue s =
 let threads (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.fpc_threads
 let groups (cfg : Config.t) = Int.max 1 cfg.Config.parallelism.Config.flow_groups
 
-(* A pool's FPC names by island: one entry per flow group on an island
-   LP, one entry with island -1 on the service island. *)
-let fpc_names (cfg : Config.t) p lp =
+(* A pool's FPC names by island: one entry per flow group on the
+   islands, one entry with island -1 on the service island. *)
+let fpc_names (cfg : Config.t) p place =
   let r = Int.max 1 (p.p_replicas cfg.Config.parallelism) in
   let fpc i = Array.init r (fun j -> p.p_prefix ^ string_of_int (i + j)) in
-  match lp with
-  | Lp_island _ ->
+  match place with
+  | Islands ->
       List.init (groups cfg) (fun g ->
           (g, fpc (if p.p_striped then g * r else g * 10)))
-  | Lp_service | Lp_host -> [ (-1, fpc 0) ]
+  | Service -> [ (-1, fpc 0) ]
 
 (* Concurrent execution slots: FPCs × hardware threads. *)
 let slots cfg s =
@@ -270,7 +263,7 @@ let slots cfg s =
   | Units n -> n
   | Fpcs p ->
       List.fold_left (fun n (_, fpcs) -> n + Array.length fpcs) 0
-        (fpc_names cfg p s.s_lp)
+        (fpc_names cfg p s.s_place)
       * threads cfg
 
 (* The datapath implements exactly the builtin stages, and each

@@ -1,6 +1,7 @@
 (** FlexProve: whole-graph static analysis over the {!Graph_ir}.
 
-    Six passes, each a pure function of the IR:
+    Four graph passes, each a pure function of the IR, and a model
+    check:
 
     - {!interference}: computes which stage executions may happen in
       parallel (serialization domains, early-release defects, replica
@@ -12,26 +13,20 @@
     - {!deadlock}: cycles in the wait-for graph of blocking edges
       (credits, backpressured queues) must contain a draining edge;
     - {!bounds}: worst-case occupancy of every queue, evaluated from
-      the graph's own slots/tokens/capacities, must fit the configured
+      the graph's own tokens and capacities, must fit the configured
       capacity wherever overflow would be a bug;
-    - {!partition}: the LP partition is sound for conservative
-      parallel simulation — every cross-LP edge carries a positive
-      lookahead (a zero-lookahead boundary would stall the
-      null-message protocol), and stages that share a serialization
-      domain are co-located on one LP (a critical section cannot span
-      logical processes);
     - {!sharding}: FlexScale replica families (nodes named [stage] /
       [stage#k]) are sound shardings — members are footprint-identical
-      copies of one stage, each on its own LP, and everything they
-      write outside atomic/partitioned regions sits under a per-conn
-      or per-flow-group serialization domain, so flow-group steering
+      copies of one stage, and everything they write outside
+      atomic/partitioned regions sits under a per-conn or
+      per-flow-group serialization domain, so flow-group steering
       (which pins each connection to exactly one member) makes their
       conn-state footprints disjoint across members;
     - {!check_fsm}: exhaustive model check of the shared teardown
       transition table ({!Conn_state.step}) against the RFC-793/6191
       teardown spec, producing a path-to-violation counterexample.
 
-    [Datapath.create] runs the five graph passes once per node, over
+    [Datapath.create] runs the four graph passes once per node, over
     the graph of its declared contracts, and raises {!Graph_rejected}
     on any finding: it is the node's one static check, so an unsound
     composition fails before any FPC is wired — and at zero
@@ -335,10 +330,6 @@ let rec eval_bound (g : G.t) b : (int, string) result =
   in
   match b with
   | G.Const n -> Ok n
-  | G.Slots s -> (
-      match G.find_node g s with
-      | Some n -> Ok n.G.n_slots
-      | None -> Error (Printf.sprintf "bound references unknown stage %s" s))
   | G.Tokens l -> (
       match Option.bind (G.find_edge g l) G.edge_tokens with
       | Some t -> Ok t
@@ -351,8 +342,6 @@ let rec eval_bound (g : G.t) b : (int, string) result =
           Error (Printf.sprintf "bound references unbounded queue %s" l)
       | None -> Error (Printf.sprintf "bound references no queue edge %s" l))
   | G.Sum bs -> combine ( + ) bs
-  | G.Prod bs -> combine ( * ) bs
-  | G.Min_of bs -> combine Int.min bs
   | G.Unbounded_by s -> Error (Printf.sprintf "open-loop inflow from %s" s)
 
 let bounds (g : G.t) : report =
@@ -402,30 +391,7 @@ let bounds (g : G.t) : report =
     r_findings = findings;
   }
 
-(* --- Pass 4: partition soundness --------------------------------------- *)
-
-(* The conservative parallel simulator maps each node's LP onto a
-   Cluster LP and each cross-LP edge onto a channel whose lookahead is
-   the edge's declared minimum hand-off latency. Two obligations make
-   that mapping sound:
-
-   (a) every cross-LP edge needs [e_lookahead > 0] — a channel's
-       lookahead is what lets the receiving LP execute ahead of the
-       sender; a zero-lookahead boundary forces lockstep and, in a
-       cycle, stalls the null-message protocol entirely;
-
-   (b) stages whose contracts share a serialization domain must live
-       on the same LP — the critical section realizing the domain is
-       LP-local state, it cannot span domains of the OCaml runtime.
-       (The Early_release defect is irrelevant here: the *claim* of a
-       shared domain already implies shared placement.)
-
-   FlexScale exemption for (b): members of one replica family
-   ([stage] / [stage#k]) deliberately live on different LPs while
-   sharing a per-conn domain — flow-group steering pins each
-   connection to exactly one member, so the critical section is
-   realized member-locally. The {!sharding} pass discharges the
-   obligations that make that exemption sound. *)
+(* --- Pass 4: sharding soundness ---------------------------------------- *)
 
 (* Replica family of a node name: the part before the "#k" shard
    suffix ("protocol#2" -> "protocol"; shard 0 is unsuffixed). *)
@@ -434,91 +400,19 @@ let family name =
   | Some i -> String.sub name 0 i
   | None -> name
 
-let partition (g : G.t) : report =
-  let fail subject detail =
-    { f_pass = "partition"; f_subject = subject; f_detail = detail }
-  in
-  (* Unknown endpoints are already reported by the interference pass's
-     well-formedness prelude; [edge_lps] returns [None] for them, so
-     this pass just skips such edges. *)
-  let cross = List.filter (fun e -> G.is_cross_lp g e) g.G.g_edges in
-  let zero_lookahead =
-    List.filter_map
-      (fun e ->
-        if e.G.e_lookahead > Sim.Time.zero then None
-        else
-          match G.edge_lps g e with
-          | Some (a, b) ->
-              Some
-                (fail e.G.e_label
-                   (Printf.sprintf
-                      "cross-LP edge %s -> %s (%s -> %s) has no positive \
-                       lookahead: the conservative channel cannot make \
-                       progress guarantees"
-                      e.G.e_src e.G.e_dst (G.lp_name a) (G.lp_name b)))
-          | None -> None)
-      cross
-  in
-  let rec pairs = function
-    | [] -> []
-    | n :: rest -> List.map (fun m -> (n, m)) rest @ pairs rest
-  in
-  let split_domains =
-    List.filter_map
-      (fun ((a : G.node), (b : G.node)) ->
-        if
-          serialized_together a.G.n_contract b.G.n_contract
-          && a.G.n_lp <> b.G.n_lp
-          && family a.G.n_name <> family b.G.n_name
-        then
-          Some
-            (fail
-               (a.G.n_name ^ "/" ^ b.G.n_name)
-               (Printf.sprintf
-                  "stages share serialization domain %s but live on \
-                   different LPs (%s vs %s): a critical section cannot \
-                   span logical processes"
-                  (E.domain_name a.G.n_contract.E.c_domain)
-                  (G.lp_name a.G.n_lp) (G.lp_name b.G.n_lp)))
-        else None)
-      (pairs g.G.g_nodes)
-  in
-  let lps =
-    (* flexinfer: poly-compare-exempt — dedup of LP variants *)
-    List.sort_uniq compare (List.map (fun n -> n.G.n_lp) g.G.g_nodes)
-  in
-  {
-    r_pass = "partition";
-    r_notes =
-      [
-        Printf.sprintf
-          "%d LP(s), %d cross-LP edge(s) with positive lookahead, \
-           serialization domains co-located"
-          (List.length lps)
-          (List.length cross);
-      ];
-    r_findings = zero_lookahead @ split_domains;
-  }
-
-(* --- Pass 5: sharding soundness ---------------------------------------- *)
-
-(* FlexScale replicates per-flow-group stages across shard LPs and
+(* FlexScale replicates per-flow-group stages across shard islands and
    claims their conn-state footprints are disjoint because flow-group
-   steering maps each connection to exactly one replica. That claim —
-   which both the interference pass (replicas treated as mutually
-   serialized) and the partition pass (same-family exemption) lean on
-   — reduces to three checkable obligations per replica family:
+   steering maps each connection to exactly one replica. That claim,
+   which the interference pass leans on when it treats replicas as
+   serialized by their shared domain, reduces to two checkable
+   obligations per replica family:
 
    (a) members are footprint-identical: same reads, writes and
        serialization domain (a replica with a different footprint is
-       not a shard of the same stage, and the family exemptions would
-       be unsound for it);
+       not a shard of the same stage, and serializing it with the
+       others by their shared domain would be unsound);
 
-   (b) members live on pairwise distinct LPs: two members sharing an
-       LP would mean steering does not partition the family's work,
-       so "member-local critical section" stops being meaningful;
-
-   (c) every object a member writes outside atomic / address-
+   (b) every object a member writes outside atomic / address-
        partitioned regions sits under a [Serial_conn] or
        [Serial_flow_group] domain — exactly the domains steering
        realizes member-locally by pinning a connection (and its flow
@@ -563,18 +457,6 @@ let sharding (g : G.t) : report =
                         n.G.n_name rep.G.n_name)))
             ns
         in
-        let lps = List.map (fun n -> n.G.n_lp) ns in
-        let colocated =
-          (* flexinfer: poly-compare-exempt — dedup of LP variants *)
-          if List.length (List.sort_uniq compare lps) = List.length ns
-          then []
-          else
-            [
-              fail fam
-                "replica family members share an LP: steering cannot \
-                 partition the family's work across them";
-            ]
-        in
         let unprotected =
           List.filter_map
             (fun o ->
@@ -595,7 +477,7 @@ let sharding (g : G.t) : report =
                             (E.obj_name o))))
             E.all_objs
         in
-        footprints @ colocated @ unprotected)
+        footprints @ unprotected)
       replicated
   in
   {
@@ -607,7 +489,7 @@ let sharding (g : G.t) : report =
         | fs ->
             Printf.sprintf
               "%d replica family(ies) [%s]: footprint-identical, \
-               LP-disjoint, writes steering-partitioned"
+               writes steering-partitioned"
               (List.length fs)
               (String.concat ", "
                  (List.map
@@ -621,12 +503,12 @@ let sharding (g : G.t) : report =
 (* --- Graph driver ------------------------------------------------------ *)
 
 let check_graph g =
-  let rs = [ interference g; deadlock g; bounds g; partition g; sharding g ] in
+  let rs = [ interference g; deadlock g; bounds g; sharding g ] in
   match List.concat_map (fun r -> r.r_findings) rs with
   | [] -> Ok rs
   | fs -> Error fs
 
-(* --- Pass 4: teardown FSM model check ---------------------------------- *)
+(* --- Teardown FSM model check ---------------------------------- *)
 
 module C = Conn_state
 

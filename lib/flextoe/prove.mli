@@ -1,13 +1,10 @@
 (** FlexProve: whole-graph static analysis of the datapath.
 
-    Five graph passes over the {!Graph_ir} — whole-graph interference
+    Four graph passes over the {!Graph_ir} — whole-graph interference
     of the stages' {!Effects} contracts, deadlock freedom of the
     credit/backpressure wait-for graph, worst-case queue occupancy
-    against configured capacities,
-    soundness of the LP partition for conservative parallel simulation
-    (positive lookahead on every cross-LP edge, serialization domains
-    co-located), and soundness of FlexScale replica families (shard
-    copies footprint-identical, LP-disjoint, with every replicated
+    against configured capacities, and soundness of FlexScale replica
+    families (shard copies footprint-identical, with every replicated
     write covered by a steering-partitioned domain) — plus an
     exhaustive model check of the shared teardown transition table
     ({!Conn_state.step}) against an RFC-793/6191 spec.
@@ -16,7 +13,7 @@
     graph of its declared contracts, as its one static check, and
     raises {!Graph_rejected} on any finding, so an unsound composition
     fails before any FPC is wired — at zero per-segment cost.
-    [flexlint graph] and [flexlint fsm] expose all six passes
+    [flexlint graph] and [flexlint fsm] expose all five checks
     offline. *)
 
 type finding = { f_pass : string; f_subject : string; f_detail : string }
@@ -53,28 +50,18 @@ val bounds : Graph_ir.t -> report
     bounded. Findings name the overflowing edge and the bound that
     exceeded it. *)
 
-val partition : Graph_ir.t -> report
-(** Soundness of the LP partition for the conservative parallel
-    simulator ({!Sim.Engine.Cluster}): every cross-LP edge must carry
-    a positive [e_lookahead] (the channel realizing it cannot
-    guarantee progress otherwise), and stages whose contracts share a
-    serialization domain must be assigned the same LP — a critical
-    section cannot span logical processes. FlexScale replica families
-    ([stage] / [stage#k]) are exempt from co-location: steering
-    realizes their shared per-conn domain member-locally, and
-    {!sharding} discharges the obligations that make that sound. *)
-
 val sharding : Graph_ir.t -> report
 (** Soundness of FlexScale replica families: members of each family
     with ≥ 2 members must be footprint-identical (same reads, writes
-    and domain), live on pairwise distinct LPs, and write outside
-    atomic/partitioned regions only under [Serial_conn] or
-    [Serial_flow_group] — the domains flow-group steering realizes
-    member-locally, which is what makes members' conn-state
-    footprints disjoint. Vacuously holds on unsharded graphs. *)
+    and domain), and write outside atomic/partitioned regions only
+    under [Serial_conn] or [Serial_flow_group] — the domains
+    flow-group steering realizes member-locally, which is what makes
+    members' conn-state footprints disjoint. Vacuously holds on
+    unsharded graphs. *)
 
 val check_graph : Graph_ir.t -> (report list, finding list) result
-(** All five passes; [Error] carries every finding. *)
+(** The four graph passes (interference, deadlock, bounds, sharding);
+    [Error] carries every finding. *)
 
 (** {1 Teardown FSM model check} *)
 

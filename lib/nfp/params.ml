@@ -5,7 +5,6 @@ type t = {
   local_mem_cycles : int;
   cls_cycles : int;
   ctm_cycles : int;
-  island_hop_cycles : int;
   imem_cycles : int;
   emem_cycles : int;
   emem_cache_cycles : int;
@@ -30,7 +29,6 @@ let default =
     local_mem_cycles = 2;
     cls_cycles = 100;
     ctm_cycles = 100;
-    island_hop_cycles = 100;
     imem_cycles = 250;
     emem_cycles = 500;
     emem_cache_cycles = 150;

@@ -13,13 +13,6 @@ type t = {
   local_mem_cycles : int;  (** FPC local memory / registers. *)
   cls_cycles : int;  (** Island-local scratch, up to 100 cycles. *)
   ctm_cycles : int;  (** Island target memory, up to 100 cycles. *)
-  island_hop_cycles : int;
-      (** Cross-island hand-off: a push through the distributed
-          switch fabric into the neighbour island's CTM ring (a CTM
-          write, ~100 cycles = 125 ns at 800 MHz). This is the
-          minimum latency of any inter-island boundary, i.e. the
-          lookahead the parallel simulator may claim on island-to-
-          island and island-to-service edges. *)
   imem_cycles : int;  (** 4 MB SRAM, up to 250 cycles. *)
   emem_cycles : int;  (** 2 GB DRAM (+3MB cache), up to 500 cycles. *)
   emem_cache_cycles : int;  (** EMEM SRAM-cache hit. *)

@@ -1,8 +1,9 @@
 (* FlexProve tests: the pairwise corpus of the interference pass
    (diagnostics must name the right stages and region, and the
    serialization, single-slot, atomic and partitioned escapes must
-   hold), the graph passes on the real extracted pipeline and on
-   synthetic counterexample graphs, sabotage classification (every
+   hold), the graph passes on the real extracted pipeline (unsharded
+   and at four FlexScale shards) and on synthetic counterexample
+   graphs, sabotage classification (every
    catalogue defect's FlexProve verdict matches its owner), a seeded
    defect that still constructs, each seeded variant's difference from
    the builtin table, and the teardown-FSM model check with
@@ -30,21 +31,19 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
 
-let node ?(slots = 2) ?(serialized = true) ?(lp = G.Lp_service) name c =
+let node ?(slots = 2) ?(serialized = true) name c =
   { G.n_name = name; n_contract = c; n_slots = slots;
-    n_serialized_writes = serialized; n_lp = lp }
+    n_serialized_writes = serialized }
 
 let idle name = contract name E.Serial_none
 
-let credit ?drain ?(lookahead = Sim.Time.zero) src dst label tokens =
+let credit ?drain src dst label tokens =
   { G.e_src = src; e_dst = dst; e_label = label;
-    e_kind = G.Credit { cr_tokens = tokens }; e_drain = drain;
-    e_lookahead = lookahead }
+    e_kind = G.Credit { cr_tokens = tokens }; e_drain = drain }
 
-let flow ?(ordered = true) ?(lookahead = Sim.Time.zero) src dst label =
+let flow ?(ordered = true) src dst label =
   { G.e_src = src; e_dst = dst; e_label = label;
-    e_kind = G.Dataflow { df_ordered = ordered }; e_drain = None;
-    e_lookahead = lookahead }
+    e_kind = G.Dataflow { df_ordered = ordered }; e_drain = None }
 
 let graph name nodes edges =
   { G.g_name = name; g_nodes = nodes; g_edges = edges }
@@ -178,9 +177,9 @@ let test_builtin_graph_clean () =
           with
           | Ok reports ->
               check_int
-                (Printf.sprintf "five passes ran (batch=%d guard=%b)" batch
+                (Printf.sprintf "four passes ran (batch=%d guard=%b)" batch
                    guard)
-                5 (List.length reports)
+                4 (List.length reports)
           | Error fs ->
               Alcotest.failf "builtin graph rejected (batch=%d guard=%b): %s"
                 batch guard
@@ -410,7 +409,7 @@ let test_variants_differ_only_where_named () =
           else
             check_bool (name ^ ": changes only the departure or contract of "
                         ^ row) true
-              (v.PL.s_exec == b.PL.s_exec && v.PL.s_lp = b.PL.s_lp
+              (v.PL.s_exec == b.PL.s_exec && v.PL.s_place = b.PL.s_place
               && v.PL.s_entries = b.PL.s_entries
               && v.PL.s_points = b.PL.s_points
               && Option.is_some v.PL.s_departure
@@ -476,7 +475,6 @@ let test_bounds_overflow () =
           { q_capacity = cap; q_overflow = G.Reject; q_batch = 1;
             q_bound = bound };
       e_drain = None;
-      e_lookahead = Sim.Time.zero;
     }
   in
   let nodes = [ node "a" (idle "a"); node "b" (idle "b") ] in
@@ -557,63 +555,134 @@ let test_partitioned_handoff_needs_order () =
   | Ok _ -> Alcotest.fail "unordered hand-off accepted"
   | Error _ -> ()
 
-(* --- Partition pass: synthetic counterexamples ----------------------- *)
+(* --- Sharding pass: synthetic replica families ---------------------- *)
 
-let test_partition_zero_lookahead () =
-  let a = node ~lp:(G.Lp_island 0) "a" (idle "a") in
-  let b = node ~lp:G.Lp_service "b" (idle "b") in
-  (* A cross-LP hand-off with no declared minimum latency: the
-     conservative channel realizing it could never let the receiver
-     run ahead. *)
-  (match P.check_graph (graph "zero-la" [ a; b ] [ flow "a" "b" "ab" ]) with
-  | Ok _ -> Alcotest.fail "zero-lookahead cross-LP edge not detected"
+(* Rejected with a sharding finding on family [fam] whose detail
+   mentions [needle]. *)
+let expect_sharding name nodes ~fam ~needle =
+  match P.check_graph (graph name nodes []) with
+  | Ok _ -> Alcotest.failf "%s: unsound replica family accepted" name
   | Error fs ->
-      check_bool "finding names the edge and both LPs" true
+      check_bool (name ^ ": a sharding finding names the family") true
         (List.exists
            (fun f ->
-             f.P.f_pass = "partition" && f.P.f_subject = "ab"
-             && contains f.P.f_detail "island0"
-             && contains f.P.f_detail "service")
-           fs));
-  (* A positive lookahead discharges the obligation... *)
-  (match
-     P.check_graph
-       (graph "pos-la" [ a; b ]
-          [ flow ~lookahead:(Sim.Time.ns 125) "a" "b" "ab" ])
-   with
-  | Ok _ -> ()
+             f.P.f_pass = "sharding" && f.P.f_subject = fam
+             && contains f.P.f_detail needle)
+           fs)
+
+let test_sharding_divergent_replica () =
+  (* Shard 1 grew an access shard 0 does not make: it is not a copy of
+     the same stage. *)
+  expect_sharding "divergent replica"
+    [
+      stage "p" ~writes:[ E.Conn_proto ] E.Serial_conn;
+      stage "p#1" ~writes:[ E.Conn_proto; E.Reasm ] E.Serial_conn;
+    ]
+    ~fam:"p" ~needle:"p#1";
+  (* Identical copies under the per-conn lock are a sound family. *)
+  match
+    P.check_graph
+      (graph "identical replicas"
+         [
+           stage "p" ~writes:[ E.Conn_proto ] E.Serial_conn;
+           stage "p#1" ~writes:[ E.Conn_proto ] E.Serial_conn;
+         ]
+         [])
+  with
+  | Ok reports ->
+      check_bool "sharding note names the family" true
+        (List.exists
+           (fun r ->
+             r.P.r_pass = "sharding"
+             && List.exists (fun n -> contains n "p x2") r.P.r_notes)
+           reports)
   | Error fs ->
-      Alcotest.failf "positive-lookahead edge spuriously rejected: %s"
-        (String.concat "; " (List.map P.finding_to_string fs)));
-  (* ... and co-located endpoints need none. *)
-  let b' = node ~lp:(G.Lp_island 0) "b" (idle "b") in
-  match P.check_graph (graph "same-lp" [ a; b' ] [ flow "a" "b" "ab" ]) with
-  | Ok _ -> ()
-  | Error fs ->
-      Alcotest.failf "same-LP zero-lookahead edge spuriously rejected: %s"
+      Alcotest.failf "identical replicas spuriously rejected: %s"
         (String.concat "; " (List.map P.finding_to_string fs))
 
-let test_partition_split_domain () =
-  (* Two stages sharing a per-connection critical section cannot live
-     on different LPs — the lock is LP-local state. *)
-  let a = node ~lp:(G.Lp_island 0) "a" (contract "a" E.Serial_conn) in
-  let b = node ~lp:(G.Lp_island 1) "b" (contract "b" E.Serial_conn) in
-  (match P.check_graph (graph "split" [ a; b ] []) with
-  | Ok _ -> Alcotest.fail "split serialization domain not detected"
-  | Error fs ->
-      check_bool "finding names the pair and the domain" true
+let test_sharding_unprotected_write () =
+  (* A replicated write to a region that is neither atomic nor
+     address-partitioned, with no domain steering realizes per shard. *)
+  expect_sharding "replicated Serial_none write"
+    [
+      stage ~slots:1 "w" ~writes:[ E.Reasm ] E.Serial_none;
+      stage ~slots:1 "w#1" ~writes:[ E.Reasm ] E.Serial_none;
+    ]
+    ~fam:"w" ~needle:(E.obj_name E.Reasm);
+  (* The same write to an atomic region needs no steering argument. *)
+  expect_clean "replicated atomic write"
+    [
+      stage ~slots:1 "w" ~writes:[ E.Global_stats ] E.Serial_none;
+      stage ~slots:1 "w#1" ~writes:[ E.Global_stats ] E.Serial_none;
+    ]
+
+(* The builtin graph at four shards: every island row is four replicas
+   [s], [s#1]..[s#3], every other row one node, an edge between two
+   island rows joins replicas of one shard, and the passes hold with a
+   note listing the replica families. *)
+let test_builtin_sharded () =
+  let shards = 4 in
+  let config = { Config.default with Config.scale = Config.scale_of shards } in
+  let g = G.builtin ~config () in
+  let base_and_shard n =
+    match String.index_opt n '#' with
+    | Some i ->
+        ( String.sub n 0 i,
+          int_of_string (String.sub n (i + 1) (String.length n - i - 1)) )
+    | None -> (n, 0)
+  in
+  let rows = PL.builtin @ [ PL.host ] in
+  let island =
+    List.filter_map
+      (fun s ->
+        match s.PL.s_place with
+        | PL.Islands -> Some (PL.name s)
+        | PL.Service -> None)
+      rows
+  in
+  let expected =
+    List.concat_map
+      (fun s ->
+        let n = PL.name s in
+        if List.mem n island then
+          n :: List.init (shards - 1) (fun k -> n ^ "#" ^ string_of_int (k + 1))
+        else [ n ])
+      rows
+  in
+  Alcotest.(check (list string))
+    "island rows once per shard, the others once"
+    (List.sort compare expected)
+    (List.sort compare (List.map (fun n -> n.G.n_name) g.G.g_nodes));
+  let between_islands =
+    List.filter
+      (fun e ->
+        List.mem (fst (base_and_shard e.G.e_src)) island
+        && List.mem (fst (base_and_shard e.G.e_dst)) island)
+      g.G.g_edges
+  in
+  check_bool "some edges join two island rows" true (between_islands <> []);
+  List.iter
+    (fun e ->
+      check_int
+        (Printf.sprintf "%s: %s -> %s in one shard" e.G.e_label e.G.e_src
+           e.G.e_dst)
+        (snd (base_and_shard e.G.e_src))
+        (snd (base_and_shard e.G.e_dst)))
+    between_islands;
+  match P.check_graph g with
+  | Ok reports ->
+      check_bool "sharding note lists the replica families" true
         (List.exists
-           (fun f ->
-             f.P.f_pass = "partition" && contains f.P.f_subject "a/b"
-             && contains f.P.f_detail "island0"
-             && contains f.P.f_detail "island1")
-           fs));
-  (* Same pair co-located is sound. *)
-  let b' = node ~lp:(G.Lp_island 0) "b" (contract "b" E.Serial_conn) in
-  match P.check_graph (graph "colocated" [ a; b' ] []) with
-  | Ok _ -> ()
+           (fun r ->
+             r.P.r_pass = "sharding"
+             && List.exists
+                  (fun n ->
+                    contains n "replica family"
+                    && contains n (Printf.sprintf "protocol x%d" shards))
+                  r.P.r_notes)
+           reports)
   | Error fs ->
-      Alcotest.failf "co-located domain spuriously rejected: %s"
+      Alcotest.failf "sharded builtin graph rejected: %s"
         (String.concat "; " (List.map P.finding_to_string fs))
 
 (* --- Teardown FSM: the real table ------------------------------------ *)
@@ -754,10 +823,12 @@ let suite =
       test_unrealized_domain;
     Alcotest.test_case "graph: partitioned hand-off ordering" `Quick
       test_partitioned_handoff_needs_order;
-    Alcotest.test_case "graph: cross-LP edge needs lookahead" `Quick
-      test_partition_zero_lookahead;
-    Alcotest.test_case "graph: serialization domain split across LPs" `Quick
-      test_partition_split_domain;
+    Alcotest.test_case "graph: divergent replica breaks sharding" `Quick
+      test_sharding_divergent_replica;
+    Alcotest.test_case "graph: replicated unprotected write" `Quick
+      test_sharding_unprotected_write;
+    Alcotest.test_case "graph: builtin at four shards" `Quick
+      test_builtin_sharded;
     Alcotest.test_case "fsm: real table passes all modes" `Quick
       test_fsm_real_table;
     Alcotest.test_case "fsm: seeded mutations rejected" `Quick

@@ -37,7 +37,7 @@ let contracts_graph cs =
     List.map
       (fun c ->
         { G.n_name = c.E.c_stage; n_contract = c; n_slots = 2;
-          n_serialized_writes = true; n_lp = G.Lp_service })
+          n_serialized_writes = true })
       cs
   in
   let named c =
@@ -58,8 +58,7 @@ let contracts_graph cs =
         List.map
           (fun dst ->
             { G.e_src = first; e_dst = dst; e_label = l;
-              e_kind = G.Dataflow { df_ordered = true }; e_drain = None;
-              e_lookahead = Sim.Time.zero })
+              e_kind = G.Dataflow { df_ordered = true }; e_drain = None })
           dsts)
       (List.sort_uniq compare (List.filter_map named cs))
   in
