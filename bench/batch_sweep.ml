@@ -64,17 +64,17 @@ let run () =
   note "degree 1 is bit-identical to the unbatched seed pipeline;";
   note "gains come from amortized doorbells, GRO merges, ARX coalescing."
 
-(* --- PR9: conservative-parallel speedup -------------------------------- *)
+(* --- Parallel speedup ----------------------------------------------------- *)
 
 (* The four batch-degree worlds are independent (disjoint fabrics), so
-   they make an embarrassingly-parallel cluster: one LP per degree, no
-   channels. Running them under the conservative engine at domains=1
-   vs domains=8 gives a wall-clock speedup that is pure engine
-   overhead + scheduling — and because each LP is seeded and isolated,
-   the measured mOps must be BIT-IDENTICAL at every domain count.
-   Both are gated: determinism always, and the parallelism of the
-   domains=8 run against a threshold scaled to the workers actually
-   available and to how evenly the work splits across the LPs. *)
+   they make an embarrassingly-parallel cluster: one LP per degree.
+   Running them at domains=1 vs domains=8 gives a wall-clock speedup
+   that is pure engine overhead + scheduling — and because each LP is
+   seeded and isolated, the measured mOps must be BIT-IDENTICAL at
+   every domain count. Both are gated: determinism always, and the
+   parallelism of the domains=8 run against a threshold scaled to the
+   workers actually available and to how evenly the work splits across
+   the LPs. *)
 
 module Cl = Sim.Engine.Cluster
 

@@ -674,6 +674,8 @@ let endpoint t = Option.get !(t.endpoint)
 
 let create engine ~fabric ~profile:prof ~ip ?(app_cores = 1)
     ?(wire_gbps = 40.0) () =
+  if Netsim.Fabric.engine fabric != engine then
+    invalid_arg "Stack.create: the node's engine is not its fabric's";
   let extra =
     match prof.Profile.placement with
     | Profile.Inline -> 0

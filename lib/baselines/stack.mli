@@ -23,6 +23,8 @@ val create :
   ?wire_gbps:float ->
   unit ->
   t
+(** Raises [Invalid_argument] unless [engine] is [fabric]'s
+    ({!Netsim.Fabric.engine}). *)
 
 val endpoint : t -> Host.Api.endpoint
 val fabric_port : t -> Netsim.Fabric.port

@@ -1882,6 +1882,8 @@ let atx_rings t = t.atx
 
 let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
     ?(pipeline = Pipeline.builtin) () =
+  if Netsim.Fabric.engine fabric != engine then
+    invalid_arg "Datapath.create: the node's engine is not its fabric's";
   let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
   Pipeline.check pipeline;
@@ -1979,7 +1981,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         guard;
         cp_pending = 0;
         port =
-          Netsim.Fabric.add_port fabric ~engine
+          Netsim.Fabric.add_port fabric
             ~rate_gbps:p.Nfp.Params.wire_gbps ~mac ~ip
             ~rx:(fun frame -> rx_frame (Lazy.force t) frame)
             ();

@@ -51,8 +51,9 @@ val create :
     race of the corpus is such a table ({!Defect.pipeline}); the node
     behaves like a healthy one under the single-threaded
     simulator, so only the checkers can tell them apart. Raises
-    [Invalid_argument] if {!Pipeline.check} rejects [pipeline], and
-    {!Prove.Graph_rejected} if the graph of the rows as declared
+    [Invalid_argument] if the engine is not [fabric]'s
+    ({!Netsim.Fabric.engine}) or {!Pipeline.check} rejects
+    [pipeline], and {!Prove.Graph_rejected} if the graph of the rows as declared
     ({!Pipeline.declared}) fails a FlexProve pass, before any FPC is
     wired: the [Bad_contract] variant. *)
 
@@ -217,8 +218,8 @@ type stats = {
   tx_copied : int;
       (** Data frames with a payload read before the fabric took them:
           retransmissions, captured or TSO-split frames, frames a TX
-          fault hook sees or that cross LPs, and every frame of the
-          run-to-completion baseline. *)
+          fault hook sees, and every frame of the run-to-completion
+          baseline. *)
   rx_vanished : int;
       (** RX verdicts a post-processor found without their connection. *)
   tx_vanished : int;

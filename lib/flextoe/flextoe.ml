@@ -54,6 +54,8 @@ let mac_of_ip = Control_plane.mac_of_ip
 
 let create_node engine ~fabric ?(config = Config.default) ?(app_cores = 1)
     ?pipeline ~ip () =
+  if Netsim.Fabric.engine fabric != engine then
+    invalid_arg "Flextoe.create_node: the node's engine is not its fabric's";
   let cpu = Host.Host_cpu.create engine ~cores:(app_cores + 1) () in
   (* Host jitter: small — libTOE busy-polls in user space and the TCP
      stack is on the NIC, but the application core still takes

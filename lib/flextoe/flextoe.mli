@@ -82,7 +82,8 @@ val create_node :
     queue per application core, control plane, and libTOE.
     The data path wires [pipeline] (default {!Pipeline.builtin}); a
     seeded race of the corpus is the table {!Defect.pipeline}
-    builds. *)
+    builds. Raises [Invalid_argument] unless [engine] is [fabric]'s
+    ({!Netsim.Fabric.engine}). *)
 
 val endpoint : t -> Host.Api.endpoint
 val datapath : t -> Datapath.t

@@ -22,23 +22,17 @@ type source = {
 }
 
 type t = {
-  engine : Sim.Engine.t;  (* default home of a port *)
+  engine : Sim.Engine.t;  (* every port's serialisation and delivery *)
   switch_latency : Sim.Time.t;
   seed : int64;
   mutable loss : float;
   mutable ports : port list;
   by_mac : port Int_tbl.t;
   by_ip : port Int_tbl.t;
-  (* One conservative channel per ordered pair of distinct port-home
-     LPs, keyed by [lp_pair], with the switch latency as lookahead;
-     empty until [partition]. *)
-  mutable partitioned : bool;
-  channels : Sim.Engine.Cluster.channel Int_tbl.t;
 }
 
 and port = {
   fabric : t;
-  home : Sim.Engine.t;  (* home LP: serialisation + delivery run here *)
   mac : int;
   ip : int;
   rate_gbps : float;
@@ -46,9 +40,9 @@ and port = {
   mutable tx_free : Sim.Time.t;  (* ingress serialisation *)
   mutable egress_free : Sim.Time.t;
   (* Both links are FIFO servers whose finish times only grow, so each
-     keeps its in-flight frames in a stream on [home] rather than one
-     wheel entry per frame: [tx_stream] holds same-LP arrivals at the
-     switch output, [egress_stream] deliveries off the egress link. *)
+     keeps its in-flight frames in a stream rather than one wheel
+     entry per frame: [tx_stream] holds arrivals at the switch output,
+     [egress_stream] deliveries off the egress link. *)
   tx_stream : Sim.Engine.Stream.t;
   egress_stream : Sim.Engine.Stream.t;
   (* The deferred-segment FIFO (see [transmit_segment]): a ring of
@@ -64,8 +58,7 @@ and port = {
   mutable shaping : shaping option;
   mutable tx_fault : fault_hook option;
   mutable rx_fault : fault_hook option;
-  (* Per-port statistics: bumped on the port's home LP, summed by the
-     fabric-wide accessors. *)
+  (* Per-port statistics, summed by the fabric-wide accessors. *)
   mutable p_delivered : int;
   mutable p_dropped_queue : int;
   mutable p_ecn_marked : int;
@@ -88,35 +81,10 @@ let create engine ?(switch_latency = Sim.Time.us 1) ?(seed = 42L) () =
     ports = [];
     by_mac = Int_tbl.create 16;
     by_ip = Int_tbl.create 16;
-    partitioned = false;
-    channels = Int_tbl.create 16;
   }
 
+let engine t = t.engine
 let set_loss t p = t.loss <- p
-
-(* The (src, dst) pair of LP ids as one int key, allocating nothing:
-   LP ids count the LPs of one cluster, far below 2^31. *)
-let lp_pair src dst =
-  (Sim.Engine.Local.id src lsl 31) lor Sim.Engine.Local.id dst
-
-let partition t ~cluster =
-  if t.partitioned then invalid_arg "Fabric.partition: already partitioned";
-  t.partitioned <- true;
-  List.iter
-    (fun (src : port) ->
-      List.iter
-        (fun (dst : port) ->
-          if src.home != dst.home then begin
-            let key = lp_pair src.home dst.home in
-            if not (Int_tbl.mem t.channels key) then
-              Int_tbl.replace t.channels key
-                (Sim.Engine.Cluster.channel cluster ~src:src.home
-                   ~dst:dst.home ~min_latency:t.switch_latency)
-          end)
-        t.ports)
-    t.ports
-
-let partitioned t = t.partitioned
 
 let shape_port _t port ~rate_gbps ~queue_bytes ~ecn_threshold_bytes =
   port.shaping <- Some { rate_gbps; queue_bytes; ecn_threshold_bytes }
@@ -131,9 +99,8 @@ let wire_time ~rate_gbps ~bytes =
 let rx_into (dst : port) frame =
   match dst.rx_fault with None -> dst.rx frame | Some hook -> hook frame dst.rx
 
-(* Runs on the destination port's home LP. *)
 let deliver (dst : port) frame =
-  let now = Sim.Engine.now dst.home in
+  let now = Sim.Engine.now dst.fabric.engine in
   let bytes = Tcp.Segment.frame_wire_len frame in
   match dst.shaping with
   | None ->
@@ -179,12 +146,12 @@ let route t ~mac ~ip =
 
 (* Ingress serialisation of [bytes] and the loss draw, both at
    transmit time: [false] for a frame lost in the fabric. The loss draw
-   comes from the source port's own stream (keyed by mac), so the draws
-   do not depend on how ports are spread over LPs. *)
+   comes from the source port's own stream (keyed by mac), so one
+   port's draws do not depend on the other ports' traffic. *)
 let serialise port ~bytes =
   let t = port.fabric in
   let ser = wire_time ~rate_gbps:port.rate_gbps ~bytes in
-  port.tx_free <- Int.max (Sim.Engine.now port.home) port.tx_free + ser;
+  port.tx_free <- Int.max (Sim.Engine.now t.engine) port.tx_free + ser;
   if t.loss > 0. && Sim.Rng.bool port.p_rng t.loss then begin
     port.p_dropped_loss <- port.p_dropped_loss + 1;
     false
@@ -193,15 +160,7 @@ let serialise port ~bytes =
 
 let arrival port = port.tx_free + port.fabric.switch_latency
 
-(* Send a frame that crosses LPs. It was built on the source LP, which
-   owns the payload's buffer. *)
-let send_across port dst frame =
-  let t = port.fabric in
-  let ch = Int_tbl.find t.channels (lp_pair port.home dst.home) in
-  Sim.Engine.Cluster.send ch ~at:(arrival port) (fun () -> deliver dst frame)
-
-(* Routing happens at transmit time: the destination LP must be known
-   to pick the channel. *)
+(* Routing happens at transmit time. *)
 let transmit_clean port frame =
   let t = port.fabric in
   if serialise port ~bytes:(Tcp.Segment.frame_wire_len frame) then
@@ -210,10 +169,9 @@ let transmit_clean port frame =
     with
     | exception Not_found ->
         port.p_dropped_unroutable <- port.p_dropped_unroutable + 1
-    | dst when dst.home == port.home ->
+    | dst ->
         Sim.Engine.Stream.schedule_at port.tx_stream (arrival port) (fun () ->
             deliver dst frame)
-    | dst -> send_across port dst frame
 
 let transmit port frame =
   match port.tx_fault with
@@ -310,11 +268,6 @@ let transmit_segment port src ~seq ~ack ~flags ~window ~tsval ~tsecr ~pos
         | exception Not_found ->
             port.p_dropped_unroutable <- port.p_dropped_unroutable + 1;
             true
-        | dst when dst.home != port.home ->
-            send_across port dst
-              (segment_frame src ~seq ~ack ~flags ~window ~tsval ~tsecr
-                 ~payload:(src.s_read ~off:pos ~len));
-            false
         | dst ->
             if port.q_len = Array.length port.q_src then grow_fifo port dst;
             let slot =
@@ -336,22 +289,18 @@ let transmit_segment port src ~seq ~ack ~flags ~window ~tsval ~tsecr ~pos
               port.q_pop;
             true)
 
-let add_port t ?engine ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
-  if t.partitioned then
-    invalid_arg "Fabric.add_port: fabric is already partitioned";
-  let engine = match engine with Some e -> e | None -> t.engine in
+let add_port t ?(rate_gbps = 40.0) ~mac ~ip ~rx () =
   let port =
     {
       fabric = t;
-      home = engine;
       mac;
       ip;
       rate_gbps;
       rx;
       tx_free = Sim.Time.zero;
       egress_free = Sim.Time.zero;
-      tx_stream = Sim.Engine.Stream.create engine;
-      egress_stream = Sim.Engine.Stream.create engine;
+      tx_stream = Sim.Engine.Stream.create t.engine;
+      egress_stream = Sim.Engine.Stream.create t.engine;
       q_src = [||];
       q_dst = [||];
       q_int = [||];

@@ -10,16 +10,10 @@
     Frames are delivered to the destination port's receive callback at
     the virtual time the last byte arrives.
 
-    Each port names a home engine (its node's LP). A frame is routed,
-    and its loss drawn from the source port's own RNG stream (keyed by
-    MAC), when the port transmits it. A frame between ports that share
-    a home is scheduled on that engine; so a solo-engine fabric is
-    simply one whose ports all share one home. For the parallel
-    simulator, {!partition} builds one conservative channel per
-    ordered pair of distinct port LPs, with the switch's forwarding
-    latency as the lookahead — the physical justification being that
-    no frame crosses the switch in less than its store-and-forward
-    time. *)
+    A fabric and all of its ports live on one engine: its nodes must
+    be built on that engine ({!engine}). A frame is routed, and its
+    loss drawn from the source port's own RNG stream (keyed by MAC),
+    when the port transmits it. *)
 
 type t
 
@@ -30,6 +24,10 @@ val create :
 (** [switch_latency] defaults to 1 us (store-and-forward through a
     data-center ToR). *)
 
+val engine : t -> Sim.Engine.t
+(** The engine every port's serialisation, shaping and delivery run
+    on. *)
+
 val set_loss : t -> float -> unit
 (** Uniform random drop probability applied to every frame. The draw
     is made per source port, at transmit time, from that port's own
@@ -37,7 +35,6 @@ val set_loss : t -> float -> unit
 
 val add_port :
   t ->
-  ?engine:Sim.Engine.t ->
   ?rate_gbps:float ->
   mac:int ->
   ip:int ->
@@ -45,18 +42,7 @@ val add_port :
   unit ->
   port
 (** Attach a NIC port. [rate_gbps] (default 40.0) bounds both ingress
-    and egress serialisation. [engine] (default: the fabric's own) is
-    the port's home LP: serialisation state, shaping and the receive
-    callback live there. Raises [Invalid_argument] once the fabric is
-    partitioned. *)
-
-val partition : t -> cluster:Sim.Engine.Cluster.t -> unit
-(** Enter partitioned mode: create a {!Sim.Engine.Cluster.channel}
-    (lookahead = the switch latency) for every ordered pair of
-    distinct port home-LPs. All ports must already be attached, and
-    every port engine must be an LP of [cluster]. *)
-
-val partitioned : t -> bool
+    and egress serialisation. *)
 
 val shape_port :
   t -> port -> rate_gbps:float -> queue_bytes:int -> ecn_threshold_bytes:int
@@ -129,12 +115,11 @@ val transmit_segment :
     position [pos]. Serialisation (by the full wire length, computed
     without building anything), the loss draw and routing happen now,
     exactly as for {!transmit} of the built frame, and the frame
-    arrives when and as that frame would. A segment for a port on the
-    same LP waits in the port's FIFO and is built, reading its payload
-    once, when it leaves the switch; a dropped one is never read. With
-    a TX fault hook on the port, or a destination on another LP, the
-    frame is built during the call. Returns [false] if it was, [true]
-    otherwise. *)
+    arrives when and as that frame would. The segment waits in the
+    port's FIFO and is built, reading its payload once, when it leaves
+    the switch; a dropped one is never read. With a TX fault hook on
+    the port, the frame is built during the call. Returns [false] if
+    it was, [true] otherwise. *)
 
 (** {1 Fault injection}
 
@@ -153,8 +138,7 @@ val set_rx_fault : port -> fault_hook option -> unit
 (** Intercept frames delivered to this port, at arrival time, before
     the receive callback. *)
 
-(** Fabric-wide statistics (summed over ports; on a partitioned
-    fabric read them only while the cluster is not running). *)
+(** Fabric-wide statistics (summed over ports). *)
 
 val delivered : t -> int
 val dropped_loss : t -> int

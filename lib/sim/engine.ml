@@ -2,34 +2,29 @@ type handle = Event_queue.handle
 
 (* An engine is one logical process (LP): a private event wheel, a
    private clock, a private RNG stream. A solo engine ([create]) is an
-   LP with no cluster attached and behaves exactly like the historical
-   single-threaded event loop. Cluster LPs ([Cluster.add_lp]) are
-   driven by [Cluster.run] under the conservative (Chandy-Misra-Bryant
-   null-message) protocol: cross-LP messages travel on channels with a
-   declared positive [min_latency] (the lookahead), and each LP only
-   executes events strictly below the minimum lower-bound-on-timestamp
-   (lbts) promised by its input channels. *)
+   LP with no cluster attached. Cluster LPs ([Cluster.add_lp]) never
+   talk to each other: [Cluster.run] advances each of them to the
+   horizon exactly as a solo [run ~until] would, on a pool of worker
+   domains. *)
 type t = {
-  (* Seven words written only while the cluster is wired, then the
-     fields every dispatch or slice writes, then seven words of
-     padding: at least 56 bytes of this record lie on each side of the
-     written fields, so their cache line holds no other heap object.
-     Cluster LPs run on different domains, but one thread allocates
-     them and their worlds, so two LPs' records can land side by side;
-     sharing a line, each domain's dispatches would keep invalidating
-     the other's clock. *)
-  lp_id : int;
+  (* Seven words written only when the LP is built, then the fields
+     every dispatch writes, then seven words of padding: at least 56
+     bytes of this record lie on each side of the written fields, so
+     their cache line holds no other heap object. Cluster LPs run on
+     different domains, but one thread allocates them and their
+     worlds, so two LPs' records can land side by side; sharing a
+     line, each domain's dispatches would keep invalidating the
+     other's clock. *)
   lp_name : string;
   queue : (unit -> unit) Event_queue.t;
   lp_rng : Rng.t;
   cluster : cluster option;  (* [None] = solo engine *)
-  mutable inputs : channel list;
-  mutable outputs : channel list;
+  _lead0 : int;
+  _lead1 : int;
+  _lead2 : int;
   mutable clock : Time.t;
   mutable processed : int;
   mutable held : int;  (* stream entries queued behind their stream's head *)
-  mutable worker : int;
-  mutable lp_done : bool;  (* no more work below this run's horizon *)
   _pad0 : int;
   _pad1 : int;
   _pad2 : int;
@@ -39,61 +34,28 @@ type t = {
   _pad6 : int;
 }
 
-and channel = {
-  ch_id : int;
-  ch_src : t;
-  ch_dst : t;
-  ch_latency : Time.t;
-  ch_mu : Mutex.t;
-  (* In-flight messages, newest first; drained by the destination's
-     worker into its wheel at slice start. Protected by [ch_mu]. *)
-  mutable ch_pending : (Time.t * (unit -> unit)) list;
-  (* The source's promise: no future arrival on this channel will be
-     timestamped below [ch_lbts]. Monotone. Protected by [ch_mu], and
-     always read in the same critical section that drains
-     [ch_pending] — otherwise a message sent between the drain and
-     the read could be missed while the horizon advances past it. *)
-  mutable ch_lbts : Time.t;
-  mutable ch_sent : int;
-  mutable ch_delivered : int;
-  (* Smallest observed (arrival - source clock at send): the slack
-     the lookahead claim actually had. [max_int] until the first
-     send. *)
-  mutable ch_min_slack : Time.t;
-}
-
 and cluster = {
   cl_seed : int64;
   mutable cl_domains : int;
   mutable cl_lps : t list;  (* reverse creation order *)
-  mutable cl_channels : channel list;
   mutable cl_next_lp : int;
-  mutable cl_next_ch : int;
-  cl_mu : Mutex.t;
-  cl_cond : Condition.t;
-  (* Bumped (under [cl_mu], with a broadcast) whenever any channel
-     state changes; blocked workers re-evaluate their horizons when
-     it moves. *)
-  mutable cl_epoch : int;
   mutable cl_running : bool;
   mutable cl_workers : int;  (* workers used by the last run *)
-  mutable cl_poison : exn option;
+  cl_poison : exn option Atomic.t;  (* the first exception of a run *)
 }
 
-let mk_lp ~id ~name ~rng ~cluster =
+let mk_lp ~name ~rng ~cluster =
   {
-    lp_id = id;
     lp_name = name;
-    clock = Time.zero;
     queue = Event_queue.create ();
     lp_rng = rng;
+    cluster;
+    _lead0 = 0;
+    _lead1 = 0;
+    _lead2 = 0;
+    clock = Time.zero;
     processed = 0;
     held = 0;
-    cluster;
-    inputs = [];
-    outputs = [];
-    worker = 0;
-    lp_done = false;
     _pad0 = 0;
     _pad1 = 0;
     _pad2 = 0;
@@ -231,7 +193,7 @@ end
 
 let create ?(seed = 1L) () =
   Pool.retire ();
-  mk_lp ~id:0 ~name:"main" ~rng:(Rng.create seed) ~cluster:None
+  mk_lp ~name:"main" ~rng:(Rng.create seed) ~cluster:None
 
 let now t = t.clock
 
@@ -291,17 +253,19 @@ let step t =
   solo_only t "step";
   drain t ~limit:max_int ~budget:1 = 1
 
-(* The clock moves to [until] only once nothing due at or before it is
-   left: a run cut short by its budget leaves the clock at its last
-   event, so the next run dispatches the rest at their own times. *)
-let run ?until ?(max_events = max_int) t =
+(* Runs [t] to [until]. The clock moves to [until] only once nothing
+   due at or before it is left: a run cut short by its budget leaves
+   the clock at its last event, so the next run dispatches the rest at
+   their own times. A solo [run] and every LP of a [Cluster.run] take
+   this path. *)
+let advance t ~until ~budget =
+  ignore (drain t ~limit:until ~budget);
+  if t.clock < until && Event_queue.next_time t.queue > until then
+    t.clock <- until
+
+let run ?(until = max_int) ?(max_events = max_int) t =
   solo_only t "run";
-  let limit = Option.value until ~default:max_int in
-  ignore (drain t ~limit ~budget:max_events);
-  match until with
-  | Some u when t.clock < u && Event_queue.next_time t.queue > u ->
-      t.clock <- u
-  | _ -> ()
+  advance t ~until ~budget:max_events
 
 let events_processed t = t.processed
 let pending t = Event_queue.length t.queue + t.held
@@ -420,14 +384,12 @@ module Stream = struct
 end
 
 module Local = struct
-  let id t = t.lp_id
   let name t = t.lp_name
   let rng t = t.lp_rng
 end
 
 module Cluster = struct
   type lp = t
-  type nonrec channel = channel
   type t = cluster
 
   let create ?(seed = 1L) ?(domains = 1) () =
@@ -436,15 +398,10 @@ module Cluster = struct
       cl_seed = seed;
       cl_domains = domains;
       cl_lps = [];
-      cl_channels = [];
       cl_next_lp = 0;
-      cl_next_ch = 0;
-      cl_mu = Mutex.create ();
-      cl_cond = Condition.create ();
-      cl_epoch = 0;
       cl_running = false;
       cl_workers = 0;
-      cl_poison = None;
+      cl_poison = Atomic.make None;
     }
 
   let domains cl = cl.cl_domains
@@ -473,173 +430,22 @@ module Cluster = struct
       | Some s -> Rng.create s
       | None -> Rng.stream ~seed:cl.cl_seed ~key:id
     in
-    let lp = mk_lp ~id ~name ~rng ~cluster:(Some cl) in
+    let lp = mk_lp ~name ~rng ~cluster:(Some cl) in
     cl.cl_lps <- lp :: cl.cl_lps;
     lp
 
   let lps cl = List.rev cl.cl_lps
 
-  let member cl lp =
-    match lp.cluster with Some c -> c == cl | None -> false
+  let poison cl e = ignore (Atomic.compare_and_set cl.cl_poison None (Some e))
 
-  let channel cl ~src ~dst ~min_latency =
-    not_running cl "channel";
-    if min_latency <= 0 then
-      invalid_arg "Cluster.channel: min_latency (lookahead) must be positive";
-    if src == dst then invalid_arg "Cluster.channel: src = dst";
-    if not (member cl src && member cl dst) then
-      invalid_arg "Cluster.channel: LP belongs to a different cluster";
-    let ch =
-      {
-        ch_id = cl.cl_next_ch;
-        ch_src = src;
-        ch_dst = dst;
-        ch_latency = min_latency;
-        ch_mu = Mutex.create ();
-        ch_pending = [];
-        ch_lbts = src.clock + min_latency;
-        ch_sent = 0;
-        ch_delivered = 0;
-        ch_min_slack = max_int;
-      }
-    in
-    cl.cl_next_ch <- cl.cl_next_ch + 1;
-    cl.cl_channels <- ch :: cl.cl_channels;
-    src.outputs <- ch :: src.outputs;
-    dst.inputs <- ch :: dst.inputs;
-    ch
-
-  let latency ch = ch.ch_latency
-
-  let bump_epoch cl =
-    Mutex.lock cl.cl_mu;
-    cl.cl_epoch <- cl.cl_epoch + 1;
-    Condition.broadcast cl.cl_cond;
-    Mutex.unlock cl.cl_mu
-
-  let send ch ~at k =
-    let src = ch.ch_src in
-    if at < src.clock + ch.ch_latency then
-      invalid_arg
-        (Format.asprintf
-           "Cluster.send: arrival %a violates the declared lookahead \
-            (source now %a, min latency %a)"
-           Time.pp at Time.pp src.clock Time.pp ch.ch_latency);
-    Mutex.lock ch.ch_mu;
-    ch.ch_pending <- (at, k) :: ch.ch_pending;
-    ch.ch_sent <- ch.ch_sent + 1;
-    if at - src.clock < ch.ch_min_slack then
-      ch.ch_min_slack <- at - src.clock;
-    Mutex.unlock ch.ch_mu;
-    match src.cluster with Some cl -> bump_epoch cl | None -> ()
-
-  let channel_sent ch = ch.ch_sent
-  let channel_delivered ch = ch.ch_delivered
-
-  let min_slack ch =
-    if ch.ch_min_slack = max_int then None else Some ch.ch_min_slack
-
-  (* Drain every input channel into the wheel and compute the safe
-     horizon: the minimum lbts over the inputs. Each drain reads the
-     channel's pending list and its lbts in one critical section. The
-     wheel entries carry (major 0, minor ch_id), so at equal
-     timestamps channel messages execute before local events, in
-     channel-id order, and within a channel in FIFO order — all
-     independent of when this drain happened to run. *)
-  let drain_inputs lp =
-    List.fold_left
-      (fun acc ch ->
-        Mutex.lock ch.ch_mu;
-        let pend = ch.ch_pending in
-        if pend <> [] then begin
-          ch.ch_pending <- [];
-          ch.ch_delivered <- ch.ch_delivered + List.length pend
-        end;
-        let lb = ch.ch_lbts in
-        Mutex.unlock ch.ch_mu;
-        List.iter
-          (fun (at, k) ->
-            Event_queue.push_keyed lp.queue at ~major:0 ~minor:ch.ch_id k)
-          (List.rev pend);
-        Int.min acc lb)
-      max_int lp.inputs
-
-  (* One scheduling slice of one LP: drain inputs, execute everything
-     strictly below the horizon (and at or below [until]), then
-     re-announce this LP's output guarantees. Returns whether any
-     progress was made. Only ever called by the LP's owning worker. *)
-  let slice cl ~until lp =
-    if lp.lp_done then false
-    else begin
-      let horizon = drain_inputs lp in
-      let limit =
-        Int.min (if horizon = max_int then max_int else horizon - 1) until
-      in
-      let progressed = ref (drain lp ~limit ~budget:max_int > 0) in
-      (* The earliest virtual time at which this LP could still
-         execute anything: its next local event or the first instant
-         an input could deliver. Any future send leaves at or after
-         this, so (earliest + latency) is a sound, monotone output
-         promise. *)
-      let earliest = Int.min (Event_queue.next_time lp.queue) horizon in
-      if earliest > until then begin
-        lp.lp_done <- true;
-        if lp.clock < until then lp.clock <- until;
-        progressed := true
-      end;
-      let changed = ref false in
-      List.iter
-        (fun ch ->
-          let v =
-            if lp.lp_done || earliest >= max_int - ch.ch_latency then max_int
-            else earliest + ch.ch_latency
-          in
-          Mutex.lock ch.ch_mu;
-          if v > ch.ch_lbts then begin
-            ch.ch_lbts <- v;
-            changed := true
-          end;
-          Mutex.unlock ch.ch_mu)
-        lp.outputs;
-      if !changed then bump_epoch cl;
-      !progressed
-    end
-
-  let poison cl e =
-    Mutex.lock cl.cl_mu;
-    if cl.cl_poison = None then cl.cl_poison <- Some e;
-    cl.cl_epoch <- cl.cl_epoch + 1;
-    Condition.broadcast cl.cl_cond;
-    Mutex.unlock cl.cl_mu
-
+  (* A worker runs each of its LPs to [until] in turn; once any LP's
+     event has raised, it starts no further LP. *)
   let worker_loop cl ~until my_lps =
-    let all_done () = List.for_all (fun lp -> lp.lp_done) my_lps in
-    let rec go () =
-      if cl.cl_poison = None && not (all_done ()) then begin
-        Mutex.lock cl.cl_mu;
-        let epoch0 = cl.cl_epoch in
-        Mutex.unlock cl.cl_mu;
-        let progressed =
-          List.fold_left
-            (fun acc lp -> slice cl ~until lp || acc)
-            false my_lps
-        in
-        if not progressed then begin
-          (* Nothing safe to run: sleep until some channel's promise
-             moves. The LP holding the globally minimal next event is
-             always able to progress (every input promise exceeds its
-             own earliest time by at least one positive lookahead), so
-             the cluster as a whole never sleeps forever. *)
-          Mutex.lock cl.cl_mu;
-          while cl.cl_epoch = epoch0 && cl.cl_poison = None do
-            Condition.wait cl.cl_cond cl.cl_mu
-          done;
-          Mutex.unlock cl.cl_mu
-        end;
-        go ()
-      end
-    in
-    go ()
+    List.iter
+      (fun lp ->
+        if Atomic.get cl.cl_poison = None then
+          advance lp ~until ~budget:max_int)
+      my_lps
 
   let max_workers = 8
 
@@ -667,8 +473,7 @@ module Cluster = struct
        FLEXPAR_WORKERS overrides it: oversubscribed domains only add
        stop-the-world GC barrier stalls (every domain must reach the
        barrier, but the scheduler runs them one at a time). Worker
-       count never affects results — the merge order is fixed by
-       (time, kind, channel id, seq). *)
+       count never affects results: no LP reads another's state. *)
     let n_workers =
       Int.max 1
         (Int.min cl.cl_domains
@@ -678,20 +483,8 @@ module Cluster = struct
     if not (Pool.try_enter ()) then
       invalid_arg "Cluster.run: another run is in progress";
     cl.cl_running <- true;
-    cl.cl_poison <- None;
-    List.iter (fun lp -> lp.lp_done <- false) lps;
-    (* Re-arm every channel's promise at its conservative floor for
-       this run: the source cannot send an arrival below its current
-       clock plus the lookahead. *)
-    List.iter
-      (fun ch ->
-        Mutex.lock ch.ch_mu;
-        ch.ch_lbts <- ch.ch_src.clock + ch.ch_latency;
-        Mutex.unlock ch.ch_mu)
-      cl.cl_channels;
     cl.cl_workers <- n_workers;
-    List.iteri (fun i lp -> lp.worker <- i mod n_workers) lps;
-    let mine w = List.filter (fun lp -> lp.worker = w) lps in
+    let mine w = List.filteri (fun i _ -> i mod n_workers = w) lps in
     (* Only [Domain.spawn] can raise here; the pool and the cluster
        must still be free for the next run. *)
     Fun.protect
@@ -701,11 +494,7 @@ module Cluster = struct
       (fun () ->
         Pool.run n_workers (fun w ->
             try worker_loop cl ~until (mine w) with e -> poison cl e));
-    match cl.cl_poison with
-    | Some e ->
-        cl.cl_poison <- None;
-        raise e
-    | None -> ()
+    Option.iter raise (Atomic.exchange cl.cl_poison None)
 
   let workers_used cl = cl.cl_workers
 

@@ -3,25 +3,19 @@
     An engine is one {e logical process} (LP): a private event wheel,
     a private virtual clock and a private deterministic RNG stream.
 
-    Used solo ({!create}), it is the historical single-threaded event
-    loop: all actors in the model schedule continuation callbacks on
-    one engine and execution is sequential and deterministic.
+    Used solo ({!create}), it is the single-threaded event loop: all
+    actors in the model schedule continuation callbacks on one engine
+    and execution is sequential and deterministic.
 
-    Under {!Cluster}, several LPs run concurrently on OCaml 5 domains
-    with a conservative (lookahead-based, null-message) protocol:
-    cross-LP messages travel on {!Cluster.channel}s that declare a
-    positive minimum latency, and an LP only executes events strictly
-    below the minimum arrival time its input channels can still
-    produce. Because every LP sees its channel messages merged into
-    its wheel in a fixed order — (time, then channel id, then
-    per-channel FIFO), with channel messages ahead of same-instant
-    local events — results are bit-identical for any number of
-    domains, including [domains = 1], which degenerates to the
-    sequential loop.
+    Under {!Cluster}, several independent LPs run to a common horizon
+    on a pool of OCaml 5 domains. LPs never exchange events: each one
+    is a whole world (its nodes and their fabric), and {!Cluster.run}
+    advances each exactly as a solo {!run} [~until] would. Results
+    are therefore bit-identical for any number of domains.
 
-    Stage and actor code should confine itself to the {!Local}
-    surface; partition construction and the run loop belong to the
-    coordinator via {!Cluster}. *)
+    Stage and actor code should confine itself to the top-level
+    scheduling functions and {!Local}; building LPs and running them
+    belong to the coordinator via {!Cluster}. *)
 
 type t
 
@@ -141,42 +135,34 @@ module Stream : sig
   (** [schedule s delay k] is [schedule_at s (now + max 0 delay) k]. *)
 end
 
-(** An LP's identity and private random stream. Stage and actor code
+(** An LP's name and private random stream. Stage and actor code
     schedule on their own LP with the top-level functions above; like
     those, everything here acts on the calling LP's private state,
     which only the domain currently running that LP ever touches. *)
 module Local : sig
-  val id : t -> int
-  (** LP id: 0 for a solo engine, creation order within a cluster. *)
-
   val name : t -> string
 
   val rng : t -> Rng.t
   (** This LP's deterministic stream. For a solo engine this is the
       root stream seeded at {!create} (so existing worlds reproduce
       their traces bit-for-bit); for a cluster LP created without an
-      explicit seed it is {!Rng.stream} keyed by (cluster seed,
-      LP id), independent of domain interleaving. Actors needing
+      explicit seed it is {!Rng.stream} keyed by (cluster seed, the
+      LP's creation index), independent of domain interleaving. Actors needing
       their own streams should {!Rng.split} it at construction
       time. *)
 end
 
-(** The coordinator surface: partition construction (LPs and the
-    channels between them, each with its declared lookahead) and the
+(** The coordinator surface: a set of independent LPs and the
     parallel run loop. *)
 module Cluster : sig
   type lp = t
   (** A logical process is just an engine. *)
 
-  type channel
-  (** A unidirectional cross-LP message channel with a declared
-      minimum latency (its lookahead). *)
-
   type t
-  (** A partition: LPs plus channels plus the worker configuration. *)
+  (** A set of LPs plus the worker configuration. *)
 
   val create : ?seed:int64 -> ?domains:int -> unit -> t
-  (** [create ~seed ~domains ()] is an empty partition. [domains]
+  (** [create ~seed ~domains ()] is an empty cluster. [domains]
       (default 1) bounds the workers used by {!run}; the actual
       worker count is [min domains (number of LPs)], further capped
       at {!worker_cap} of the [FLEXPAR_WORKERS] environment variable
@@ -191,44 +177,19 @@ module Cluster : sig
   (** Add an LP. With an explicit [seed] its stream is exactly the
       stream of a solo engine created with that seed (the golden
       worlds rely on this); by default the stream is {!Rng.stream}
-      derived from the cluster seed and the LP id. Raises
-      [Invalid_argument] while the cluster is running. *)
+      derived from the cluster seed and the LP's creation index.
+      Raises [Invalid_argument] while the cluster is running. *)
 
   val lps : t -> lp list
   (** In creation order. *)
 
-  val channel : t -> src:lp -> dst:lp -> min_latency:Time.t -> channel
-  (** Declare that [src] may send events to [dst], always at least
-      [min_latency] in [src]'s future. The bound is the conservative
-      protocol's lookahead and must be positive (a zero-latency
-      cross-LP edge would serialize the two LPs); violating it in
-      {!send} raises [Invalid_argument], as does a non-positive
-      [min_latency], [src == dst], or an LP from another cluster. *)
-
-  val send : channel -> at:Time.t -> (unit -> unit) -> unit
-  (** [send ch ~at k] delivers [k] into the destination LP's wheel at
-      absolute time [at]. Must be called from the source LP (i.e.
-      from within one of its events, or before the run starts), with
-      [at >= Local.now src + latency ch]. *)
-
-  val latency : channel -> Time.t
-
-  val channel_sent : channel -> int
-  val channel_delivered : channel -> int
-  (** Messages handed to the destination's wheel so far. *)
-
-  val min_slack : channel -> Time.t option
-  (** Smallest observed (arrival - source clock at send) over all
-      sends, i.e. the slack the declared lookahead actually had.
-      [None] before the first send. Always [>= latency ch]. *)
-
   val run : until:Time.t -> t -> unit
-  (** Advance every LP to [until] (events at exactly [until]
-      included, like the solo {!run}). Uses up to [domains] workers
-      (see {!create}); with one worker (or one LP) this is the
-      sequential loop on the calling domain. Re-runnable with a larger
-      [until] to continue — warmup / measurement-window phasing works
-      as it does on a solo engine.
+  (** Advance every LP to [until], each exactly as the solo {!run}
+      [~until] would (events at exactly [until] included). Uses up to
+      [domains] workers (see {!create}); with one worker (or one LP)
+      the LPs run one after another on the calling domain.
+      Re-runnable with a larger [until] to continue — warmup /
+      measurement-window phasing works as it does on a solo engine.
 
       Worker 0 is the calling domain; workers 1 and up are domains of
       one process-wide pool, which parks them on condition variables
@@ -243,9 +204,10 @@ module Cluster : sig
       run, of any cluster.
 
       An exception raised by an event is re-raised here after all
-      workers have stopped; the pool stays usable. Only one run may be
-      in progress in the process: a run entered while another is
-      (from another thread, or from inside an LP event) raises
+      workers have stopped (a worker starts no further LP once one
+      has raised); the pool stays usable. Only one run may be in
+      progress in the process: a run entered while another is (from
+      another thread, or from inside an LP event) raises
       [Invalid_argument], as does an invalid [FLEXPAR_WORKERS]. *)
 
   val max_workers : int

@@ -12,8 +12,8 @@
    - the same-instant lane: a FIFO ring of plain pushes that were due
      at the time of the last pop ("start on the next tick" events,
      which a cycle-level model issues for a third of its pushes). All
-     of its entries share one time, [lane_time], and have plain rank
-     with seqs in push order, so the ring is sorted as it stands and
+     of its entries share one time, [lane_time], and have seqs in
+     push order, so the ring is sorted as it stands and
      pushing or popping it is O(1). [lane_ref] is [lnot] of the entry's
      handler id, or [0] when its value is in [lane_value].
 
@@ -29,23 +29,10 @@
    cell, and the pop clears it, so a popped value is never kept
    reachable. Free value slots form a stack, [free.(0 .. free_n - 1)].
 
-   [key] packs the tie-break (major, minor, seq) into one non-negative
-   int, most significant first, so (time, key) compares as
-   (time, major, minor, seq):
-
-     bits 60-61  major  (0..3)
-     bits 40-59  minor  (0 .. 2^20 - 1)
-     bits  0-39  seq    (insertion counter, unique per wheel)
-
-   Plain pushes use rank (1, 0), so among themselves they keep the
-   historical (time, insertion-seq) order. The parallel engine inserts
-   cross-LP channel deliveries with [push_keyed] at major 0 and minor =
-   the channel id: at equal timestamps, channel messages run before
-   local events, ordered across channels by channel id and within a
-   channel by FIFO arrival — none of which depends on when the
-   scheduler happened to drain them into the wheel. Since seq is
-   unique, no two entries compare equal, and the pop order is fixed by
-   the pushes alone, whatever the heap's shape.
+   [key] is the entry's seq, the wheel's insertion counter, so
+   (time, key) orders entries by time and then in push order. Since
+   seq is unique, no two entries compare equal, and the pop order is
+   fixed by the pushes alone, whatever the heap's shape.
 
    [tag] says whether a value slot can be cancelled: [not_cancellable],
    the entry's seq while it is a live cancellable entry (its handle
@@ -58,13 +45,6 @@
 
 type handle = { h_slot : int; h_seq : int }
 
-let seq_bits = 40
-let minor_bits = 20
-let seq_limit = 1 lsl seq_bits
-let minor_limit = 1 lsl minor_bits
-let major_limit = 4
-let rank ~major ~minor = (major lsl (minor_bits + seq_bits)) lor (minor lsl seq_bits)
-let plain_rank = rank ~major:1 ~minor:0
 let not_cancellable = -1
 let cancelled = -2
 
@@ -253,7 +233,6 @@ let rec sift_down q i n time key =
 
 let take_seq q =
   let seq = q.next_seq in
-  if seq = seq_limit then failwith "Event_queue: insertion sequence exhausted";
   q.next_seq <- seq + 1;
   seq
 
@@ -284,50 +263,41 @@ let push_lane q time r v =
   let seq = take_seq q in
   if q.lane_len = Array.length q.lane_key then grow_lane q;
   let i = (q.lane_head + q.lane_len) land (Array.length q.lane_key - 1) in
-  Array.unsafe_set q.lane_key i (plain_rank lor seq);
+  Array.unsafe_set q.lane_key i seq;
   Array.unsafe_set q.lane_ref i r;
   if r >= 0 then Array.unsafe_set q.lane_value i v;
   q.lane_time <- time;
   q.lane_len <- q.lane_len + 1
 
-(* A plain push due now joins the lane; its rank and fresh seq put it
-   after every lane entry, and the lane holds only entries of one
+(* A plain push due now joins the lane; its fresh seq puts it after
+   every lane entry, and the lane holds only entries of one
    time. *)
 let lane_open q time =
   time = q.last_pop && (q.lane_len = 0 || time = q.lane_time)
 
 let push q time v =
   if lane_open q time then push_lane q time 0 v
-  else
-    let key = plain_rank lor take_seq q in
-    insert q time key (take_slot q v ~tag:not_cancellable)
+  else insert q time (take_seq q) (take_slot q v ~tag:not_cancellable)
 
 let push_handler q time h =
   let r = handler_ref q h in
   if lane_open q time then push_lane q time r (filler ())
-  else insert q time (plain_rank lor take_seq q) r
+  else insert q time (take_seq q) r
 
 (* A stream's key is taken when its entry is scheduled, and its heap
    push happens later, when the entry before it pops. *)
-let reserve q = plain_rank lor take_seq q
+let reserve = take_seq
 
 let push_reserved q time ~key h =
   let r = handler_ref q h in
-  if key lsr seq_bits <> plain_rank lsr seq_bits
-     || key land (seq_limit - 1) >= q.next_seq
-  then invalid_arg "Event_queue.push_reserved: not a reserved key";
+  if key < 0 || key >= q.next_seq then
+    invalid_arg "Event_queue.push_reserved: not a reserved key";
   insert q time key r
-
-let push_keyed q time ~major ~minor v =
-  if major < 0 || major >= major_limit || minor < 0 || minor >= minor_limit then
-    invalid_arg "Event_queue.push_keyed: major or minor out of range";
-  let key = rank ~major ~minor lor take_seq q in
-  insert q time key (take_slot q v ~tag:not_cancellable)
 
 let push_cancellable q time v =
   let seq = take_seq q in
   let s = take_slot q v ~tag:seq in
-  insert q time (plain_rank lor seq) s;
+  insert q time seq s;
   { h_slot = s; h_seq = seq }
 
 let cancel q h =

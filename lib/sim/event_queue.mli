@@ -2,8 +2,8 @@
 
     Two sorted sources, merged at pop time. The main one is a binary
     min-heap stored as a structure of arrays: flat [int] arrays hold
-    each entry's time, its packed tie-break key and where its value
-    is, and per-slot arrays hold the values and cancellation tags. The
+    each entry's time, its seq and where its value is, and per-slot
+    arrays hold the values and cancellation tags. The
     other is the {e same-instant lane}, a FIFO ring for plain pushes
     due at the time of the last pop, the "start on the next tick"
     events a cycle-level model issues in bulk. Its entries share one
@@ -24,20 +24,17 @@
     it on another raises [Invalid_argument]. Any other value takes the
     ordinary path, and its slot is cleared when it pops.
 
-    {b Ordering.} Entries pop in increasing (time, major, minor, seq)
-    order, where seq is the wheel's insertion counter. {!push} and
-    {!push_handler} use rank (major 1, minor 0), so plain events with
-    equal timestamps pop in insertion order; {!push_keyed} chooses the
-    rank. Seq is unique, so this is a total order: the pop sequence
-    depends only on the pushes (and cancellations), never on heap
-    tie-breaking accidents, on which source an entry sat in or on
-    whether it was a handler, which is what makes simulations
-    deterministic. A pop compares the lane's head with the heap's top
-    under that order, once. Only plain and handler pushes take the
-    lane; keyed, cancellable and reserved ones always go to the heap.
-    {!reserve} takes a plain key ahead of its {!push_reserved}. The key
-    packs seq into 40 bits: a wheel accepts 2^40 pushes over its life,
-    and the next one raises [Failure].
+    {b Ordering.} Entries pop in increasing (time, seq) order, where
+    seq is the wheel's insertion counter, so events with equal
+    timestamps pop in insertion order. Seq is unique, so this is a
+    total order: the pop sequence depends only on the pushes (and
+    cancellations), never on heap tie-breaking accidents, on which
+    source an entry sat in or on whether it was a handler, which is
+    what makes simulations deterministic. A pop compares the lane's
+    head with the heap's top under that order, once. Only plain and
+    handler pushes take the lane; cancellable and reserved ones always
+    go to the heap. {!reserve} takes a seq ahead of its
+    {!push_reserved}.
 
     {b Cancellation.} {!cancel} marks a {!push_cancellable} event dead
     at once ({!length} drops); its slot is reclaimed when it reaches
@@ -71,28 +68,17 @@ val set_handler : 'a handler -> 'a -> unit
 val push : 'a t -> Time.t -> 'a -> unit
 (** [push q time v] schedules [v] at [time]. *)
 
-val push_keyed : 'a t -> Time.t -> major:int -> minor:int -> 'a -> unit
-(** [push_keyed q time ~major ~minor v] schedules [v] with an explicit
-    tie-break rank: entries order by (time, major, minor, insertion
-    seq), and {!push} uses rank (1, 0). The parallel engine inserts
-    cross-LP channel deliveries at [major = 0] with [minor] set to the
-    channel id, so at equal timestamps channel messages run before
-    local events, in channel-id order — an order independent of when
-    the scheduler drained them into the wheel, which is what makes
-    multi-domain runs bit-reproducible. Raises [Invalid_argument]
-    unless [0 <= major < 4] and [0 <= minor < 2^20]. *)
-
 val push_handler : 'a t -> Time.t -> 'a handler -> unit
 (** [push_handler q time h] schedules [h]'s value at [time], exactly as
     {!push} of that value would, without storing a pointer. Raises
     [Invalid_argument] if [h] was registered on another wheel. *)
 
 val reserve : 'a t -> int
-(** [reserve q] takes, now, the key a {!push} made now would get: plain
-    rank (1, 0) and a fresh seq. Nothing is queued. The key is for one
-    later {!push_reserved}, which places its entry exactly where a
-    {!push} at the time of [reserve] would have placed it. This is what
-    lets a FIFO of entries with non-decreasing times keep only its head
+(** [reserve q] takes, now, the key a {!push} made now would get: a
+    fresh seq. Nothing is queued. The key is for one later
+    {!push_reserved}, which places its entry exactly where a {!push}
+    at the time of [reserve] would have placed it. This is what lets
+    a FIFO of entries with non-decreasing times keep only its head
     in the wheel (see [Engine.Stream]): each entry's key is taken when
     it is scheduled, and its push waits until the entry before it pops.
     Entries of one FIFO then pop in FIFO order, since their keys and

@@ -20,7 +20,7 @@ val stream : seed:int64 -> key:int -> t
     [(seed, key)] pair — unlike {!split} it consumes no state, so the
     resulting stream does not depend on how many draws (or splits)
     happened before it was created. The parallel engine keys each
-    logical process's stream by its LP id this way, making RNG draws
+    logical process's stream by its creation index this way, making RNG draws
     independent of domain interleaving. Raises [Invalid_argument] on
     a negative [key]. *)
 

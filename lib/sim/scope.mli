@@ -11,7 +11,7 @@
     ({!add_counters}).
 
     A recorder is single-domain state. Under the parallel engine each
-    node's recorder lives on its own node's LP, so no recorder is
+    node's recorder lives on its own world's LP, so no recorder is
     shared across domains and none needs merging. *)
 
 type mode =

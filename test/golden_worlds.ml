@@ -249,21 +249,16 @@ type stream_result = {
 
 (* [conns] connections from a client (node b) each stream [total]
    bytes in 16 KB writes into a sink on node a, which checks every
-   byte it reads. The client may live on its own engine
-   ([client_engine], an LP of [cluster] like [engine]): the fabric is
-   then partitioned, so every frame crosses LPs. [loss] is the
-   fabric's random drop probability. Unpinned: tests compare its
-   digests across runs of one build. *)
+   byte it reads. [loss] is the fabric's random drop probability.
+   Unpinned: tests compare its digests across runs of one build. *)
 let setup_stream ?(conns = 2) ?(total = 256 * 1024) ?(loss = 0.)
-    ?client_engine ?cluster ?(nodes = ref []) ~engine () =
+    ?(nodes = ref []) ~engine () =
   let fabric = Netsim.Fabric.create engine () in
   Netsim.Fabric.set_loss fabric loss;
   let config = cfg ~batch:1 ~scope:false ~san:false ~scale:0 in
-  let client_engine = Option.value client_engine ~default:engine in
   let a = Flextoe.create_node engine ~fabric ~config ~ip:ip_a () in
-  let b = Flextoe.create_node client_engine ~fabric ~config ~ip:ip_b () in
+  let b = Flextoe.create_node engine ~fabric ~config ~ip:ip_b () in
   nodes := [ a; b ];
-  Option.iter (fun cluster -> Netsim.Fabric.partition fabric ~cluster) cluster;
   let streams = Array.init conns (fun _ -> Buffer.create total) in
   let corrupt = ref 0 and next = ref 0 in
   (Flextoe.endpoint a).Host.Api.listen ~port:5001 ~on_accept:(fun sock ->

@@ -166,6 +166,21 @@ let test_lock_factor_scales_costs () =
   let c1 = run 1 and c8 = run 8 in
   check_bool "contention inflates per-request cycles" true (c8 > c1 *. 1.5)
 
+(* A baseline node on another engine than its fabric's would run its
+   port's events on the fabric's LP, so construction refuses it. *)
+let test_node_on_foreign_engine_refused () =
+  let engine = Sim.Engine.create () and other = Sim.Engine.create () in
+  let fabric = Netsim.Fabric.create engine () in
+  (match
+     Baselines.Stack.create other ~fabric ~profile:Baselines.Profile.linux
+       ~ip:0x0A000001 ()
+   with
+  | _ -> Alcotest.fail "a node on another engine was built"
+  | exception Invalid_argument _ -> ());
+  ignore
+    (Baselines.Stack.create engine ~fabric ~profile:Baselines.Profile.linux
+       ~ip:0x0A000001 ())
+
 let suite =
   [
     Alcotest.test_case "clean transfers complete (all profiles)" `Quick
@@ -180,4 +195,6 @@ let suite =
       test_tas_uses_dedicated_cores;
     Alcotest.test_case "kernel lock contention scaling" `Quick
       test_lock_factor_scales_costs;
+    Alcotest.test_case "node on another engine than its fabric's refused"
+      `Quick test_node_on_foreign_engine_refused;
   ]

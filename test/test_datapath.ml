@@ -451,9 +451,33 @@ let test_stream_promotion_budget () =
   if ratio > 0.025 then
     Alcotest.failf "promoted/minor words %.3f over 1-6 ms (bound 0.025)" ratio
 
+(* A node runs its port's events on its fabric's engine: one built on
+   another LP (here, the second LP of a cluster) would race with the
+   fabric's LP across domains, so construction refuses it. *)
+let test_node_on_foreign_engine_refused () =
+  let cl = Sim.Engine.Cluster.create () in
+  let home = Sim.Engine.Cluster.add_lp cl in
+  let other = Sim.Engine.Cluster.add_lp cl in
+  let fabric = Netsim.Fabric.create home () in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a node on another engine was built" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "Flextoe.create_node" (fun () ->
+      Flextoe.create_node other ~fabric ~ip:ip_a ());
+  refused "Datapath.create" (fun () ->
+      Flextoe.Datapath.create other ~config:Flextoe.Config.default ~fabric
+        ~mac:(Flextoe.mac_of_ip ip_a) ~ip:ip_a ());
+  let node = Flextoe.create_node home ~fabric ~ip:ip_a () in
+  check_bool "a node on the fabric's engine is built" true
+    (Flextoe.Datapath.engine (Flextoe.datapath node) == home)
+
 let suite =
   [
     Alcotest.test_case "connection database lookup" `Quick test_has_flow;
+    Alcotest.test_case "node on another engine than its fabric's refused"
+      `Quick test_node_on_foreign_engine_refused;
     Alcotest.test_case "stream promotion budget" `Quick
       test_stream_promotion_budget;
     Alcotest.test_case "TX by reference equals eager TX" `Quick

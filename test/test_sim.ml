@@ -89,7 +89,7 @@ let test_queue_stale_handle () =
 
 (* Plain pushes due at the last-popped time take the same-instant
    lane; they must still interleave with heap entries of that time
-   by (major, minor, seq). *)
+   by seq. *)
 let test_queue_same_instant () =
   let module Q = Sim.Event_queue in
   let q = Q.create () in
@@ -98,16 +98,15 @@ let test_queue_same_instant () =
   Q.push q 9 "z";
   Alcotest.(check (option (pair int string))) "a" (Some (5, "a")) (Q.pop q);
   Q.push q 5 "c";
-  Q.push_keyed q 5 ~major:0 ~minor:3 "k";
   let h = Q.push_cancellable q 5 "x" in
   Q.push q 5 "d";
   Q.cancel q h;
   let order =
-    List.init 5 (fun _ ->
+    List.init 4 (fun _ ->
         match Q.pop q with Some (t, v) -> Printf.sprintf "%s@%d" v t | None -> "-")
   in
   Alcotest.(check (list string))
-    "keyed first, then seq order" [ "k@5"; "b@5"; "c@5"; "d@5"; "z@9" ] order;
+    "seq order" [ "b@5"; "c@5"; "d@5"; "z@9" ] order;
   (* Many same-instant pushes, popped in waves: the lane wraps and
      grows and stays FIFO. *)
   let q = Q.create () in
@@ -128,17 +127,16 @@ let test_queue_same_instant () =
   check_int "left" (!next - !expect) (Q.length q)
 
 (* Model-based check of the wheel against a plain list. Times are drawn
-   from a tiny range so that equal timestamps, and so the (major,
-   minor, seq) tie-break, decide most pops. Closures push their seq as
+   from a tiny range so that equal timestamps, and so the seq
+   tie-break, decide most pops. Closures push their seq as
    their value; the handler pushes use a pool of four handlers whose
    values are negative, so a pop names the entry it returned either
    way. *)
-type now_kind = Now_plain | Now_cancellable | Now_keyed of int | Now_handler of int
+type now_kind = Now_plain | Now_cancellable | Now_handler of int
 
 type queue_op =
   | Push of int
   | Push_now of now_kind  (* at the last-popped time *)
-  | Push_keyed of int * int  (* time, minor; major 0 *)
   | Push_cancellable of int
   | Push_handler of int * int  (* time, handler *)
   | Cancel of int  (* index into the handles issued so far *)
@@ -165,10 +163,8 @@ let queue_op_gen =
              [
                (3, return Now_plain);
                (1, return Now_cancellable);
-               (1, map (fun m -> Now_keyed m) (int_bound 3));
                (2, map (fun h -> Now_handler h) handler);
              ]) );
-      (2, map2 (fun t m -> Push_keyed (t, m)) time (int_bound 3));
       (2, map (fun t -> Push_cancellable t) time);
       (3, map2 (fun t h -> Push_handler (t, h)) time handler);
       (2, map (fun i -> Cancel i) (int_bound 8));
@@ -182,9 +178,7 @@ let show_queue_op = function
   | Push t -> Printf.sprintf "push %d" t
   | Push_now Now_plain -> "push now"
   | Push_now Now_cancellable -> "push_cancellable now"
-  | Push_now (Now_keyed m) -> Printf.sprintf "push_keyed now minor:%d" m
   | Push_now (Now_handler h) -> Printf.sprintf "push_handler now h%d" h
-  | Push_keyed (t, m) -> Printf.sprintf "push_keyed %d minor:%d" t m
   | Push_cancellable t -> Printf.sprintf "push_cancellable %d" t
   | Push_handler (t, h) -> Printf.sprintf "push_handler %d h%d" t h
   | Cancel i -> Printf.sprintf "cancel #%d" i
@@ -205,31 +199,29 @@ let prop_queue_model =
       let handlers =
         Array.init n_queue_handlers (fun i -> Q.register q (handler_value i))
       in
-      (* Model entries are (time, major, minor, seq, value). *)
+      (* Model entries are (time, seq, value). *)
       let model = ref [] and seq = ref 0 in
       let handles = ref [||] in
-      let add ?value time ~major ~minor =
+      let add ?value time =
         let s = !seq in
         incr seq;
         let v = Option.value value ~default:s in
-        model := List.sort compare ((time, major, minor, s, v) :: !model);
+        model := List.sort compare ((time, s, v) :: !model);
         v
       in
-      let add_handler time h =
-        ignore (add ~value:(handler_value h) time ~major:1 ~minor:0)
-      in
+      let add_handler time h = ignore (add ~value:(handler_value h) time) in
       (* The time of the last pop: what "now" is to the wheel. *)
       let now = ref 0 in
       let model_pop () =
         match !model with
         | [] -> None
-        | (t, _, _, _, v) :: rest ->
+        | (t, _, v) :: rest ->
             model := rest;
             now := t;
             Some (t, v)
       in
       let push_cancellable t =
-        let s = add t ~major:1 ~minor:0 in
+        let s = add t in
         handles := Array.append !handles [| (Q.push_cancellable q t s, s) |]
       in
       let push_handler t h =
@@ -251,20 +243,17 @@ let prop_queue_model =
         | Pop | Pop_next | Pop_due _ -> push_reserved ()
         | _ -> ());
         (match op with
-        | Push t -> Q.push q t (add t ~major:1 ~minor:0)
-        | Push_now Now_plain -> Q.push q !now (add !now ~major:1 ~minor:0)
+        | Push t -> Q.push q t (add t)
+        | Push_now Now_plain -> Q.push q !now (add !now)
         | Push_now Now_cancellable -> push_cancellable !now
-        | Push_now (Now_keyed m) ->
-            Q.push_keyed q !now ~major:0 ~minor:m (add !now ~major:0 ~minor:m)
         | Push_now (Now_handler h) -> push_handler !now h
-        | Push_keyed (t, m) -> Q.push_keyed q t ~major:0 ~minor:m (add t ~major:0 ~minor:m)
         | Push_cancellable t -> push_cancellable t
         | Push_handler (t, h) -> push_handler t h
         | Cancel i ->
             if i < Array.length !handles then begin
               let h, s = !handles.(i) in
               Q.cancel q h;
-              model := List.filter (fun (_, _, _, s', _) -> s' <> s) !model
+              model := List.filter (fun (_, s', _) -> s' <> s) !model
             end
         | Reserve (t, h) ->
             let key = Q.reserve q in
@@ -279,7 +268,7 @@ let prop_queue_model =
         | Pop_due limit ->
             let expected =
               match !model with
-              | (t, _, _, _, _) :: _ when t <= limit -> model_pop ()
+              | (t, _, _) :: _ when t <= limit -> model_pop ()
               | _ -> None
             in
             let v = Q.pop_due q ~limit ~none:max_int in
@@ -290,7 +279,7 @@ let prop_queue_model =
           QCheck.Test.fail_reportf "length %d + %d reserved, model %d"
             (Q.length q) held (List.length !model);
         let model_next =
-          match !model with (t, _, _, _, _) :: _ -> t | [] -> max_int
+          match !model with (t, _, _) :: _ -> t | [] -> max_int
         in
         if held = 0 && Q.next_time q <> model_next then
           QCheck.Test.fail_reportf "next_time %d, model %d" (Q.next_time q)
@@ -621,11 +610,10 @@ let test_stream_contract () =
   check_int "a negative delay means now" 30 (Sim.Engine.now e);
   check_int "drained" 0 (Sim.Engine.pending e)
 
-(* Model-based: one random script runs twice on a two-LP cluster. In
-   the reference every event is an ordinary wheel entry; in the other
-   run the stream ops use two [Engine.Stream]s. Plain, cancellable,
-   cancel and stream ops are drawn from the script as events run, and
-   keyed pushes come from channel messages sent into the LP. The runs
+(* Model-based: one random script runs twice on a solo engine. In the
+   reference every event is an ordinary wheel entry; in the other run
+   the stream ops use two [Engine.Stream]s. Plain, cancellable, cancel
+   and stream ops are drawn from the script as events run. The runs
    must log the same (time, id, pending) at every event and count the
    same events. *)
 type stream_op =
@@ -651,11 +639,9 @@ let show_stream_op = function
   | S_cancel i -> Printf.sprintf "cancel #%d" i
   | S_stream (s, g) -> Printf.sprintf "stream%d +%d" s g
 
-let run_stream_script ~streams ops msgs =
+let run_stream_script ~streams ops =
   let module E = Sim.Engine in
-  let cl = E.Cluster.create () in
-  let src = E.Cluster.add_lp cl and lp = E.Cluster.add_lp cl in
-  let ch = E.Cluster.channel cl ~src ~dst:lp ~min_latency:2 in
+  let lp = E.create () in
   let ops = Array.of_list ops in
   let cursor = ref 0 and next_id = ref 0 and log = ref [] in
   let handles = ref [||] in
@@ -687,9 +673,8 @@ let run_stream_script ~streams ops msgs =
       run_ops (n - 1)
     end
   in
-  List.iter (fun at -> E.Cluster.send ch ~at:(2 + at) (event ())) msgs;
   run_ops 4;
-  E.Cluster.run ~until:1_000_000 cl;
+  E.run ~until:1_000_000 lp;
   (List.rev !log, E.events_processed lp, E.pending lp)
 
 let prop_stream_matches_heap =
@@ -697,19 +682,13 @@ let prop_stream_matches_heap =
     ~count:300
     QCheck.(
       make
-        ~print:(fun (ops, msgs) ->
-          String.concat "; " (List.map show_stream_op ops)
-          ^ " | msgs at " ^ String.concat "," (List.map string_of_int msgs))
-        Gen.(
-          pair
-            (list_size (int_range 0 150) stream_op_gen)
-            (list_size (int_range 0 8) (int_bound 12))))
-    (fun (ops, msgs) ->
-      let with_streams = run_stream_script ~streams:true ops msgs in
-      let reference = run_stream_script ~streams:false ops msgs in
-      let _, processed, pending = with_streams in
-      with_streams = reference && pending = 0
-      && processed >= List.length msgs)
+        ~print:(fun ops -> String.concat "; " (List.map show_stream_op ops))
+        Gen.(list_size (int_range 0 150) stream_op_gen))
+    (fun ops ->
+      let with_streams = run_stream_script ~streams:true ops in
+      let reference = run_stream_script ~streams:false ops in
+      let _, _, pending = with_streams in
+      with_streams = reference && pending = 0)
 
 (* --- RNG ---------------------------------------------------------------- *)
 
