@@ -32,7 +32,7 @@ type outcome = {
   c_mops : float;
   c_syns : int;  (* flood SYNs actually injected *)
   c_cookies : int;
-  c_shed : int;  (* shed_backlog + shed_admission + shed_queue *)
+  c_shed : int;  (* shed_admission + shed_queue + shed_paused *)
   c_shed_queue : int;  (* SYNs shed at a full CP queue *)
   c_est_shed : int;  (* must be 0 *)
   c_cp_peak : int;
@@ -103,8 +103,7 @@ let measure_mult ?cp_queue mult =
     c_mops = Host.Rpc.Stats.mops stats;
     c_syns = (match flood with Some f -> Netsim.Faults.Churn.sent f | None -> 0);
     c_cookies = c "cookie_sent";
-    c_shed = c "shed_backlog" + c "shed_admission" + c "shed_queue"
-             + c "shed_paused";
+    c_shed = c "shed_admission" + c "shed_queue" + c "shed_paused";
     c_shed_queue = c "shed_queue";
     c_est_shed = Flextoe.Guard.established_shed g;
     c_cp_peak = Flextoe.Guard.peak_depth g ~queue:"cp";

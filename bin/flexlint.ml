@@ -751,32 +751,30 @@ let graph_cmd =
 
 (* --- fsm: teardown-FSM model check ------------------------------------ *)
 
-let fsm_modes =
-  [ (false, false); (false, true); (true, false); (true, true) ]
+(* The two modes the control plane builds: unguarded, and guarded
+   with its TIME_WAIT hold. *)
+let fsm_modes = [ false; true ]
 
-let fsm_mode_name (guard, tw) =
-  Printf.sprintf "guard=%s tw=%s" (if guard then "on " else "off")
-    (if tw then "on " else "off")
+let fsm_mode_name guard = if guard then "guard=on " else "guard=off"
 
 let run_fsm mutate dot =
   (match dot with
-  | Some path -> write_out path (P.fsm_dot ~guard:true ~tw:true ())
+  | Some path -> write_out path (P.fsm_dot ~guard:true ())
   | None -> ());
   match mutate with
   | None ->
       let ok =
         List.fold_left
-          (fun acc mode ->
-            let guard, tw = mode in
-            match P.check_fsm ~guard ~tw () with
+          (fun acc guard ->
+            match P.check_fsm ~guard () with
             | Ok notes ->
                 List.iter
                   (fun n ->
-                    Format.printf "OK   fsm %-16s %s@." (fsm_mode_name mode) n)
+                    Format.printf "OK   fsm %-9s %s@." (fsm_mode_name guard) n)
                   notes;
                 acc
             | Error c ->
-                Format.printf "FAIL fsm %-16s %s@." (fsm_mode_name mode)
+                Format.printf "FAIL fsm %-9s %s@." (fsm_mode_name guard)
                   (P.counterexample_to_string c);
                 false)
           true fsm_modes
@@ -791,13 +789,13 @@ let run_fsm mutate dot =
           exit 2
       | Some step -> (
           (* Checker self-test: the mutated table must be rejected in
-             at least one feature mode, with a path-to-violation
+             at least one guard mode, with a path-to-violation
              counterexample. A surviving mutant is a blind spot. *)
           let rejections =
             List.filter_map
-              (fun (guard, tw) ->
-                match P.check_fsm ~step ~guard ~tw () with
-                | Error c -> Some ((guard, tw), c)
+              (fun guard ->
+                match P.check_fsm ~step ~guard () with
+                | Error c -> Some (guard, c)
                 | Ok _ -> None)
               fsm_modes
           in
@@ -830,8 +828,8 @@ let fsm_dot_t =
     & opt (some string) None
     & info [ "dot" ] ~docv:"FILE"
         ~doc:
-          "Write the reachable teardown transition graph (guard and \
-           TIME_WAIT on) in Graphviz DOT format to $(docv) (- for stdout).")
+          "Write the reachable teardown transition graph (guard on) in \
+           Graphviz DOT format to $(docv) (- for stdout).")
 
 let fsm_cmd =
   Cmd.v

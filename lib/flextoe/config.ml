@@ -38,68 +38,18 @@ type stage_costs = {
     connection churn. Everything is off by default ([guard_none]) —
     the guarded code paths are never entered and no extra engine
     events are scheduled, keeping default-config runs bit-identical
-    to the unguarded pipeline. *)
+    to the unguarded pipeline. The mechanisms' fixed limits are
+    [Guard]'s constants. *)
 type guard = {
   g_on : bool;  (** Master enable; false = all mechanisms dormant. *)
-  g_syn_backlog : int;
-      (** Max half-open handshakes held statefully; 0 = unbounded. *)
-  g_syn_cookies : bool;
-      (** Stateless SYN-cookie fallback once the backlog is full. *)
-  g_syn_retries : int;  (** Max SYN / SYN-ACK retransmissions. *)
-  g_syn_retry_base : Sim.Time.t;  (** First retry delay (doubles). *)
-  g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
-  g_time_wait : Sim.Time.t;
-      (** TIME_WAIT hold after both directions close; 0 = immediate
-          free (the pre-FlexGuard behavior). *)
-  g_time_wait_max : int;
-      (** TIME_WAIT table cap; under pressure the oldest entry is
-          recycled. 0 = unbounded. *)
-  g_idle_timeout : Sim.Time.t;
-      (** Reap FIN_WAIT/half-closed connections idle this long. *)
-  g_reap_interval : Sim.Time.t;  (** Reaper loop period. *)
   g_cp_queue : int;
       (** Bound on control-path frames in flight to the CP; beyond it
           the NBI sheds newest SYNs first (never established-flow
           segments). 0 = unbounded. *)
-  g_rst : bool;  (** RST generation and handling. *)
-  g_evict_caches : bool;
-      (** Invalidate the CAM/CLS/EMEM entries of a removed connection
-          so churn does not poison the cache hierarchy. *)
 }
 
-let guard_none =
-  {
-    g_on = false;
-    g_syn_backlog = 0;
-    g_syn_cookies = false;
-    g_syn_retries = 10;
-    g_syn_retry_base = Sim.Time.ms 5;
-    g_syn_retry_max = Sim.Time.ms 5;
-    g_time_wait = Sim.Time.zero;
-    g_time_wait_max = 0;
-    g_idle_timeout = Sim.Time.zero;
-    g_reap_interval = Sim.Time.ms 1;
-    g_cp_queue = 0;
-    g_rst = false;
-    g_evict_caches = false;
-  }
-
-let guard_default =
-  {
-    g_on = true;
-    g_syn_backlog = 64;
-    g_syn_cookies = true;
-    g_syn_retries = 6;
-    g_syn_retry_base = Sim.Time.ms 1;
-    g_syn_retry_max = Sim.Time.ms 8;
-    g_time_wait = Sim.Time.ms 10;
-    g_time_wait_max = 4096;
-    g_idle_timeout = Sim.Time.ms 20;
-    g_reap_interval = Sim.Time.ms 1;
-    g_cp_queue = 64;
-    g_rst = true;
-    g_evict_caches = true;
-  }
+let guard_none = { g_on = false; g_cp_queue = 0 }
+let guard_default = { g_on = true; g_cp_queue = 64 }
 
 (** FlexScale: sharded flow-group pipelines (DESIGN.md §17). Off by
     default ([scale_none]) — the sharded code paths are never entered

@@ -58,45 +58,24 @@ type stage_costs = {
 }
 
 (** FlexGuard: overload control and graceful degradation under
-    connection churn (DESIGN.md §13). Listen-path protection (bounded
-    SYN backlog with a stateless SYN-cookie fallback, bounded
-    handshake retransmission with exponential backoff), a full
-    teardown lifecycle (TIME_WAIT with recycling under pressure,
-    idle-timeout reaping, RST generation/handling), and load shedding
-    (bounded control-path queue; the shed policy drops newest SYNs
-    first and {e never} an established-flow segment). The connection
-    cap is not a guard knob: it is [Control_plane.set_connection_limit],
-    and the guard only counts its refusals. With {!guard_none} (the
-    default) every mechanism is dormant: no extra engine events are
-    scheduled and behavior is bit-identical to the unguarded
-    pipeline. *)
+    connection churn (DESIGN.md §13): one switch and one CP-queue
+    bound. Armed, it runs listen-path protection (a SYN backlog of
+    {!Guard.syn_backlog} half-open handshakes with a stateless
+    SYN-cookie fallback, {!Guard.syn_retries} handshake
+    retransmissions backing off exponentially), a full teardown
+    lifecycle (a {!Guard.time_wait} TIME_WAIT hold in a table of at
+    most {!Guard.time_wait_max} entries, recycled oldest-first under
+    pressure; idle-timeout reaping; RST generation and handling), cache
+    eviction of removed connections, and load shedding at the
+    control-path queue (the shed policy drops newest SYNs first and
+    {e never} an established-flow segment). Those limits are [Guard]'s
+    constants, not settings. The connection cap is not a guard knob:
+    it is [Control_plane.set_connection_limit], and the guard only
+    counts its refusals. With {!guard_none} (the default) every
+    mechanism is dormant: no extra engine events are scheduled and
+    behavior is bit-identical to the unguarded pipeline. *)
 type guard = {
   g_on : bool;  (** Master enable. *)
-  g_syn_backlog : int;
-      (** Max half-open handshakes held statefully; 0 = unbounded. *)
-  g_syn_cookies : bool;
-      (** Stateless SYN-cookie fallback once the backlog is full: the
-          SYN-ACK's ISN encodes the flow, a secret and a coarse time
-          epoch, so the connection installs from the completing ACK
-          without ever holding half-open state. *)
-  g_syn_retries : int;  (** Max SYN / SYN-ACK retransmissions. *)
-  g_syn_retry_base : Sim.Time.t;
-      (** First retry delay; doubles per attempt (exponential
-          backoff). On exhaustion a [connect] surfaces ["Etimedout"]. *)
-  g_syn_retry_max : Sim.Time.t;  (** Backoff ceiling. *)
-  g_time_wait : Sim.Time.t;
-      (** TIME_WAIT hold after both directions close; 0 = free
-          immediately (the pre-FlexGuard behavior). A fresh SYN for a
-          TIME_WAIT 4-tuple recycles the entry only when its ISN is
-          strictly beyond the old connection's final receive point
-          (Seq32 wraparound-aware), as in RFC 6191. *)
-  g_time_wait_max : int;
-      (** TIME_WAIT table cap; under pressure the oldest entry is
-          recycled. 0 = unbounded. *)
-  g_idle_timeout : Sim.Time.t;
-      (** Reap closing connections (FIN_WAIT / half-closed) that have
-          made no progress for this long. *)
-  g_reap_interval : Sim.Time.t;  (** Reaper loop period. *)
   g_cp_queue : int;
       (** Bound on control-path frames in flight to the CP; beyond it
           the NBI sheds newest SYNs first ({e never} established-flow
@@ -104,21 +83,13 @@ type guard = {
           of ctx-FPC and DMA work that carries it to the CP, so at the
           default of 64 the shed never engages, even under a 4 Mpps
           SYN flood; the churn tests and gate use 2 (DESIGN.md §13). *)
-  g_rst : bool;
-      (** RST generation (to no-such-connection, to cookie failures)
-          and handling (abort on RST, including during half-close). *)
-  g_evict_caches : bool;
-      (** Invalidate the CAM/CLS/EMEM entries of a removed connection
-          so churn does not poison the cache hierarchy. *)
 }
 
 val guard_none : guard
 (** All mechanisms off: bit-identical to the unguarded pipeline. *)
 
 val guard_default : guard
-(** The tuned churn defaults: backlog 64 with cookies, 6 retries from
-    1 ms backing off to 8 ms, 10 ms TIME_WAIT (max 4096 entries),
-    20 ms idle reap, CP queue bound 64, RST on, cache eviction on. *)
+(** The guard armed, with a CP queue bound of 64 frames. *)
 
 (** FlexScale: sharded flow-group pipelines (DESIGN.md §17). Per-flow
     state is sharded across [s_shards] replicated protocol-stage

@@ -173,7 +173,7 @@ type close_event =
   | Ev_fin_acked  (* our FIN was cumulatively acknowledged *)
   | Ev_rst  (* RST received (guarded mode only; unguarded RSTs no-op) *)
   | Ev_abort  (* CP abort: retransmission retries exhausted *)
-  | Ev_reap_idle  (* FlexGuard reaper: idle past g_idle_timeout *)
+  | Ev_reap_idle  (* FlexGuard reaper: idle past Guard.idle_timeout *)
   | Ev_teardown  (* CP teardown poll found the flow fully closed *)
   | Ev_tw_fin  (* peer retransmitted its FIN into our TIME_WAIT *)
   | Ev_tw_syn  (* acceptable fresh SYN recycles the tuple (RFC 6191) *)
@@ -228,9 +228,9 @@ let output_name = function
   | Out_free -> "free"
 
 (* Total transition function. [guard] arms the FlexGuard-only events
-   (RST handling, idle reaper); [tw] says a TIME_WAIT hold is
-   configured ([g_time_wait > 0]). Events that do not apply in a state
-   are no-ops: [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
+   (RST handling, idle reaper) and the TIME_WAIT hold, which only the
+   guard keeps. Events that do not apply in a state are no-ops:
+   [(s, [])]. The abort path ([Ev_rst]/[Ev_abort]) always
    notifies — the application must learn the connection died — except
    in TIME_WAIT, where an RST is ignored (RFC 1337: TIME-WAIT
    assassination refused). The reaper exempts Established (the
@@ -239,7 +239,7 @@ let output_name = function
    of the reaped states, Fin_wait_2 and Closed are orphans — our FIN
    was acked, every byte delivered — reclaimed quietly, while
    Fin_wait_1/Closing mean a vanished peer, a genuine abort. *)
-let step ~guard ~tw state event =
+let step ~guard state event =
   let abort = (Reclaimed, [ Out_notify_err; Out_free ]) in
   let stay = (state, []) in
   match (state, event) with
@@ -263,7 +263,7 @@ let step ~guard ~tw state event =
   | Phase Closing, Ev_abort -> abort
   | Phase Closing, Ev_reap_idle when guard -> abort
   | Phase Closed, Ev_teardown ->
-      if tw then (Time_wait, [ Out_enter_tw; Out_free ])
+      if guard then (Time_wait, [ Out_enter_tw; Out_free ])
       else (Reclaimed, [ Out_free ])
   | Phase Closed, Ev_rst when guard -> abort
   | Phase Closed, Ev_reap_idle when guard -> (Reclaimed, [ Out_free ])

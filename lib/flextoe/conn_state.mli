@@ -178,7 +178,7 @@ type close_event =
   | Ev_fin_acked  (** Our FIN was cumulatively acknowledged. *)
   | Ev_rst  (** RST received (guarded mode; unguarded RSTs no-op). *)
   | Ev_abort  (** CP abort: retransmission retries exhausted. *)
-  | Ev_reap_idle  (** FlexGuard reaper: idle past [g_idle_timeout]. *)
+  | Ev_reap_idle  (** FlexGuard reaper: idle past {!Guard.idle_timeout}. *)
   | Ev_teardown  (** CP teardown poll found the flow fully closed. *)
   | Ev_tw_fin  (** Peer retransmitted its FIN into our TIME_WAIT. *)
   | Ev_tw_syn  (** Acceptable fresh SYN recycles the tuple (RFC 6191). *)
@@ -198,13 +198,12 @@ val event_name : close_event -> string
 val output_name : close_output -> string
 
 val step :
-  guard:bool -> tw:bool -> lifecycle -> close_event ->
-  lifecycle * close_output list
+  guard:bool -> lifecycle -> close_event -> lifecycle * close_output list
 (** Total: events that do not apply in a state are no-ops [(s, [])].
     [guard] arms the FlexGuard-only events (RST handling, idle
-    reaper); [tw] says a TIME_WAIT hold is configured
-    ([g_time_wait > 0]), steering [Ev_teardown] from [Phase Closed]
-    into [Time_wait] instead of immediate reclamation. *)
+    reaper) and the TIME_WAIT hold: guarded, [Ev_teardown] from
+    [Phase Closed] enters [Time_wait] instead of reclaiming at
+    once. *)
 
 val tx_seq_of_pos : t -> int -> Tcp.Seq32.t
 (** Sequence number of a transmit-stream position. *)

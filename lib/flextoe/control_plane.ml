@@ -58,7 +58,6 @@ type t = {
   mutable next_ctx : int;
   mutable rto_count : int;
   mutable rto_aborts : int;
-  mutable rto_log : (int * Sim.Time.t) list;  (* newest first *)
   mutable conn_limit : int option;
   mutable partitions : (int * int * int) list;  (* lo, hi, app *)
   shard_installed : int array;
@@ -73,24 +72,15 @@ let gcount t name = match t.guard with Some g -> Guard.count g name | None -> ()
 
 (* Teardown decisions go through the shared pure transition table
    ([Conn_state.step]) that FlexProve model-checks: [lstep] fixes the
-   table's mode bits from this CP's guard configuration. *)
-let tw_enabled t =
-  match t.guard with
-  | Some g -> (Guard.config g).Config.g_time_wait > Sim.Time.zero
-  | None -> false
-
-let lstep t state ev =
-  Conn_state.step ~guard:(t.guard <> None) ~tw:(tw_enabled t) state ev
+   table's mode from whether this CP's guard is armed. *)
+let lstep t state ev = Conn_state.step ~guard:(t.guard <> None) state ev
 
 let phase_of t conn =
   Option.map
     (fun cs -> Conn_state.Phase (Conn_state.close_phase cs))
     (Datapath.conn t.dp conn)
-let guard_rst t =
-  match t.guard with Some g -> (Guard.config g).Config.g_rst | None -> false
 let retransmit_timeouts t = t.rto_count
 let retransmit_aborts t = t.rto_aborts
-let rto_events t = List.rev t.rto_log
 
 let cp_cycles = 1800  (* handshake step on the CP core *)
 let cc_flow_cycles = 250  (* per-flow CC iteration *)
@@ -218,25 +208,24 @@ let port_owner t port =
 (* Handshake packets can be lost; the CP retries SYN / SYN-ACK while
    the connection is still pending. Unguarded: a fixed 5 ms period and
    10 attempts (the historical behavior, kept bit-identical). Guarded:
-   [g_syn_retries] attempts with exponential backoff from
-   [g_syn_retry_base] capped at [g_syn_retry_max], and exhaustion
+   [Guard.syn_retries] attempts with exponential backoff from
+   [Guard.syn_retry_base] capped at [Guard.syn_retry_max], and exhaustion
    surfaces ["Etimedout"] — a connect to a blackholed peer fails in
    bounded time instead of hanging. *)
 let retry_delay t attempt =
   match t.guard with
   | None -> Sim.Time.ms 5
-  | Some g ->
-      let gc = Guard.config g in
-      let d = ref gc.Config.g_syn_retry_base in
+  | Some _ ->
+      let d = ref Guard.syn_retry_base in
       for _ = 1 to attempt do
-        d := Int.min (2 * !d) gc.Config.g_syn_retry_max
+        d := Int.min (2 * !d) Guard.syn_retry_max
       done;
       !d
 
 let max_handshake_retries t =
   match t.guard with
   | None -> 10
-  | Some g -> (Guard.config g).Config.g_syn_retries
+  | Some _ -> Guard.syn_retries
 
 let timeout_error t =
   match t.guard with None -> "connection timed out" | Some _ -> "Etimedout"
@@ -291,10 +280,10 @@ let handle_syn t (frame : S.frame) =
   match Hashtbl.find_opt t.listeners seg.S.dst_port with
   | None ->
       (* No listener. Unguarded: silent drop (no RST modelled).
-         Guarded with [g_rst]: refuse actively so the peer fails fast
-         instead of retrying into the void. *)
+         Guarded: refuse actively so the peer fails fast instead of
+         retrying into the void. *)
       let flow = Tcp.Flow.of_segment_rx seg in
-      if guard_rst t then send_rst t ~flow seg
+      if t.guard <> None then send_rst t ~flow seg
   | Some (win, on_accept) ->
       let flow = Tcp.Flow.of_segment_rx seg in
       (* TIME_WAIT disambiguation: a fresh SYN may recycle a 4-tuple
@@ -327,40 +316,33 @@ let handle_syn t (frame : S.frame) =
            accept queue; defer the handshake to the client's retry. *)
         gcount t "shed_paused"
       else begin
-        let backlog_full =
+        let cookie_guard =
           match t.guard with
-          | None -> false
-          | Some g ->
-              let gc = Guard.config g in
-              gc.Config.g_syn_backlog > 0
-              && Tcp.Flow.Tbl.length t.pending >= gc.Config.g_syn_backlog
+          | Some g when Tcp.Flow.Tbl.length t.pending >= Guard.syn_backlog ->
+              Some g
+          | _ -> None
         in
-        match admission_full t flow with
-        | Some shed ->
+        match (admission_full t flow, cookie_guard) with
+        | Some shed, _ ->
             (* Connection-table pressure: shedding the SYN (newest
                first) is the only safe move — a cookie would only
                defer the failure past the handshake. *)
             gcount t shed
-        | None when backlog_full -> (
-          match t.guard with
-          | Some g when (Guard.config g).Config.g_syn_cookies ->
-              (* Backlog full: answer statelessly. The SYN-ACK's ISN
-                 is a cookie over (flow, secret, epoch); the
-                 completing ACK re-derives everything, so this costs
-                 zero half-open state and is never retransmitted. *)
-              Guard.count g "cookie_sent";
-              let isn =
-                Guard.cookie_isn g ~now:(Sim.Engine.now t.engine) ~flow
-              in
-              Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles
-                (fun () ->
-                  Datapath.control_tx t.dp
-                    (ctl_frame t ?win ~flow ~seq:isn
-                       ~ack_seq:(Tcp.Seq32.succ seg.S.seq)
-                       ~flags:{ S.no_flags with S.syn = true; ack = true }
-                       ~mss:true ()))
-          | _ -> gcount t "shed_backlog")
-        | None when not (Tcp.Flow.Tbl.mem t.pending flow) ->
+        | None, Some g ->
+            (* Backlog full: answer statelessly. The SYN-ACK's ISN is a
+               cookie over (flow, secret, epoch); the completing ACK
+               re-derives everything, so this costs zero half-open
+               state and is never retransmitted. *)
+            Guard.count g "cookie_sent";
+            let isn = Guard.cookie_isn g ~now:(Sim.Engine.now t.engine) ~flow in
+            Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles
+              (fun () ->
+                Datapath.control_tx t.dp
+                  (ctl_frame t ?win ~flow ~seq:isn
+                     ~ack_seq:(Tcp.Seq32.succ seg.S.seq)
+                     ~flags:{ S.no_flags with S.syn = true; ack = true }
+                     ~mss:true ()))
+        | None, None when not (Tcp.Flow.Tbl.mem t.pending flow) ->
           gcount t "syn_accepted";
           let our_isn = Tcp.Seq32.of_int (Sim.Rng.int t.rng 0x3FFFFFFF) in
           let p =
@@ -383,7 +365,7 @@ let handle_syn t (frame : S.frame) =
                    ~flags:{ S.no_flags with S.syn = true; ack = true }
                    ~mss:true ()));
           handshake_retry t flow 0
-        | None -> ()
+        | None, None -> ()
       end
 
 let handle_synack t (p : pending) (frame : S.frame) =
@@ -470,7 +452,7 @@ let control_rx t (frame : S.frame) =
   let flow = Tcp.Flow.of_segment_rx seg in
   match Tcp.Flow.Tbl.find_opt t.pending flow with
   | Some p ->
-      if seg.S.flags.S.rst && guard_rst t then begin
+      if seg.S.flags.S.rst && t.guard <> None then begin
         (* RST against a half-open handshake: fail it immediately
            (connects surface "Econnreset"; accepts just forget). *)
         gcount t "rst_rx";
@@ -496,7 +478,7 @@ let control_rx t (frame : S.frame) =
         (* RST to an installed connection aborts it (including during
            half-close); RST to nothing is ignored. Unguarded, RSTs
            keep their historical no-op semantics. *)
-        if guard_rst t then
+        if t.guard <> None then
           match Datapath.conn_of_flow t.dp flow with
           | Some conn -> abort_on_rst t ~conn
           | None -> ()
@@ -514,10 +496,9 @@ let control_rx t (frame : S.frame) =
         match t.guard with
         | None -> ()  (* Stale segment of a dead connection: drop. *)
         | Some g -> (
-            let gc = Guard.config g in
             let listener = Hashtbl.find_opt t.listeners seg.S.dst_port in
             if
-              gc.Config.g_syn_cookies && seg.S.flags.S.ack
+              seg.S.flags.S.ack
               && (not seg.S.flags.S.syn)
               && listener <> None
               && Guard.cookie_check g
@@ -554,7 +535,7 @@ let control_rx t (frame : S.frame) =
               | None ->
                   (* No connection, no cookie, no TIME_WAIT: actively
                      refuse so the peer aborts instead of timing out. *)
-                  if gc.Config.g_rst then send_rst t ~flow seg)
+                  send_rst t ~flow seg)
 
 (* --- Public connection API ------------------------------------------ *)
 
@@ -685,7 +666,6 @@ let iterate_flow t now (f : cc_flow) =
       end
       else begin
         t.rto_count <- t.rto_count + 1;
-        t.rto_log <- (f.cf_conn, now) :: t.rto_log;
         Datapath.cp_push t.dp
           { Meta.h_conn = f.cf_conn; h_op = Meta.Retransmit };
         f.cf_acc_fretx <- f.cf_acc_fretx + 1;
@@ -725,18 +705,18 @@ let iterate_flow t now (f : cc_flow) =
           (Cc.Timely.update tm ~wire_bps:(wire_bps t.cfg) obs)
     | No_cc -> ()
   end;
-  (* Teardown: both directions closed. Guarded with a TIME_WAIT hold,
-     the 4-tuple parks in the guard's table (so late segments are
-     re-ACKed and only sufficiently-new SYNs recycle it) while the
-     data-path state frees immediately — TIME_WAIT costs a table
-     entry, never a connection slot. *)
+  (* Teardown: both directions closed. Guarded, the 4-tuple parks in
+     the guard's TIME_WAIT table (so late segments are re-ACKed and
+     only sufficiently-new SYNs recycle it) while the data-path state
+     frees immediately — TIME_WAIT costs a table entry, never a
+     connection slot. *)
   if f.cf_closing then begin
     match Datapath.conn t.dp f.cf_conn with
     | Some cs -> (
         (* The table reclaims on [Ev_teardown] only from CLOSED
            (fin_acked implies tx_fin, so CLOSED is exactly the old
-           fin_acked && rx_fin test), entering TIME_WAIT when a hold
-           is configured. *)
+           fin_acked && rx_fin test), entering TIME_WAIT when the
+           guard is armed. *)
         match
           lstep t
             (Conn_state.Phase (Conn_state.close_phase cs))
@@ -778,37 +758,34 @@ let iterate_flow t now (f : cc_flow) =
 let rec guard_loop t g () =
   let now = Sim.Engine.now t.engine in
   ignore (Guard.tw_reap g ~now);
-  let gc = Guard.config g in
-  if gc.Config.g_idle_timeout > Sim.Time.zero then begin
-    let stale =
-      Hashtbl.fold
-        (fun _ f acc ->
-          match Datapath.conn t.dp f.cf_conn with
-          | Some cs
-            when now - cs.Conn_state.proto.Conn_state.last_progress
-                 > gc.Config.g_idle_timeout -> (
-              match
-                lstep t
-                  (Conn_state.Phase (Conn_state.close_phase cs))
-                  Conn_state.Ev_reap_idle
-              with
-              | Conn_state.Reclaimed, outs ->
-                  (f, not (List.mem Conn_state.Out_notify_err outs)) :: acc
-              | _ -> acc)
-          | _ -> acc)
-        t.flows []
-    in
-    List.iter
-      (fun (f, orphan) ->
-        if orphan then Guard.count g "reaped_orphan"
-        else begin
-          Guard.count g "reaped_idle";
-          Datapath.notify_abort t.dp ~conn:f.cf_conn
-        end;
-        forget_flow t ~conn:f.cf_conn)
-      stale
-  end;
-  Sim.Engine.schedule t.engine gc.Config.g_reap_interval (guard_loop t g)
+  let stale =
+    Hashtbl.fold
+      (fun _ f acc ->
+        match Datapath.conn t.dp f.cf_conn with
+        | Some cs
+          when now - cs.Conn_state.proto.Conn_state.last_progress
+               > Guard.idle_timeout -> (
+            match
+              lstep t
+                (Conn_state.Phase (Conn_state.close_phase cs))
+                Conn_state.Ev_reap_idle
+            with
+            | Conn_state.Reclaimed, outs ->
+                (f, not (List.mem Conn_state.Out_notify_err outs)) :: acc
+            | _ -> acc)
+        | _ -> acc)
+      t.flows []
+  in
+  List.iter
+    (fun (f, orphan) ->
+      if orphan then Guard.count g "reaped_orphan"
+      else begin
+        Guard.count g "reaped_idle";
+        Datapath.notify_abort t.dp ~conn:f.cf_conn
+      end;
+      forget_flow t ~conn:f.cf_conn)
+    stale;
+  Sim.Engine.schedule t.engine Guard.reap_interval (guard_loop t g)
 
 let set_listener_paused t ~port paused =
   if paused then Hashtbl.replace t.paused port ()
@@ -842,7 +819,6 @@ let create engine ~config ~datapath ~core () =
       next_ctx = 0;
       rto_count = 0;
       rto_aborts = 0;
-      rto_log = [];
       conn_limit = None;
       partitions = [];
       shard_installed =
@@ -853,8 +829,6 @@ let create engine ~config ~datapath ~core () =
   Sim.Engine.schedule engine config.Config.cc_interval (cc_loop t);
   (match t.guard with
   | Some g ->
-      Sim.Engine.schedule engine
-        (Guard.config g).Config.g_reap_interval
-        (guard_loop t g)
+      Sim.Engine.schedule engine Guard.reap_interval (guard_loop t g)
   | None -> ());
   t

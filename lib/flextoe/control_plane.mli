@@ -89,11 +89,6 @@ val retransmit_aborts : t -> int
     timeouts without forward progress. The application is notified
     through its context queue ([x_err]). *)
 
-val rto_events : t -> (int * Sim.Time.t) list
-(** Every timeout-triggered retransmission as (connection, time), in
-    chronological order — consecutive gaps for one connection expose
-    the exponential backoff. *)
-
 (** {1 Control-plane policies (§3.4)}
 
     Beyond congestion control, the control plane enforces

@@ -530,12 +530,12 @@ let remove_conn t ~conn =
          invalidate its CAM/CLS/EMEM entries so short-lived flows
          cannot crowd out the working set of established ones. *)
       (match t.guard with
-      | Some g when (Guard.config g).Config.g_evict_caches ->
+      | Some g ->
           Nfp.Cam.remove t.proto_cam.(fg) conn;
           Nfp.Direct_cache.invalidate t.fg_cls.(fg) conn;
           Nfp.Lru.remove t.emem_lru.(fg mod Array.length t.emem_lru) conn;
           Guard.count g "evicted_cache"
-      | _ -> ());
+      | None -> ());
       (match t.san with
       | Some s -> San.flow_forget s ~flow:conn
       | None -> ())

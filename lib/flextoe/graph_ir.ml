@@ -40,7 +40,6 @@ type t = { g_name : string; g_nodes : node list; g_edges : edge list }
 
 (* --- Accessors -------------------------------------------------------- *)
 
-let find_node g name = List.find_opt (fun n -> n.n_name = name) g.g_nodes
 let find_edge g label = List.find_opt (fun e -> e.e_label = label) g.g_edges
 
 let edge_capacity e =

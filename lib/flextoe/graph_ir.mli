@@ -69,7 +69,6 @@ type edge = {
 
 type t = { g_name : string; g_nodes : node list; g_edges : edge list }
 
-val find_node : t -> string -> node option
 val find_edge : t -> string -> edge option
 val edge_capacity : edge -> capacity option
 val edge_tokens : edge -> int option

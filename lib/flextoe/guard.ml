@@ -6,6 +6,16 @@
    admission decisions themselves live in the control plane, which
    counts each one here. *)
 
+(* The mechanisms' fixed limits (DESIGN.md §13). *)
+let syn_backlog = 64
+let syn_retries = 6
+let syn_retry_base = Sim.Time.ms 1
+let syn_retry_max = Sim.Time.ms 8
+let time_wait = Sim.Time.ms 10
+let time_wait_max = 4096
+let idle_timeout = Sim.Time.ms 20
+let reap_interval = Sim.Time.ms 1
+
 type tw_entry = {
   tw_flow : Tcp.Flow.t;
   tw_snd_nxt : Tcp.Seq32.t;  (* our seq after the FIN *)
@@ -62,17 +72,14 @@ let peak_depth t ~queue =
 (* --- SYN cookies ------------------------------------------------------ *)
 
 (* A cookie ISN folds the 4-tuple, a per-node secret and a coarse time
-   epoch through an avalanche mix. Validation accepts the current and
-   previous epoch, so a cookie stays good for one to two epochs — the
-   stateless analogue of the bounded SYN-ACK retransmission window. *)
+   epoch (one TIME_WAIT hold long) through an avalanche mix. Validation
+   accepts the current and previous epoch, so a cookie stays good for
+   one to two epochs — the stateless analogue of the bounded SYN-ACK
+   retransmission window. *)
 
 let mix h v =
   let h = (h lxor v) * 0x9E3779B1 land max_int in
   (h lxor (h lsr 16)) land max_int
-
-let cookie_epoch_len t =
-  if t.g.Config.g_time_wait > Sim.Time.zero then t.g.Config.g_time_wait
-  else Sim.Time.ms 4
 
 let cookie_of_epoch t ~flow ~epoch =
   let open Tcp.Flow in
@@ -83,10 +90,10 @@ let cookie_of_epoch t ~flow ~epoch =
   Tcp.Seq32.of_int (h land 0x3FFFFFFF)
 
 let cookie_isn t ~now ~flow =
-  cookie_of_epoch t ~flow ~epoch:(now / cookie_epoch_len t)
+  cookie_of_epoch t ~flow ~epoch:(now / time_wait)
 
 let cookie_check t ~now ~flow ~isn =
-  let epoch = now / cookie_epoch_len t in
+  let epoch = now / time_wait in
   Tcp.Seq32.diff isn (cookie_of_epoch t ~flow ~epoch) = 0
   || (epoch > 0
      && Tcp.Seq32.diff isn (cookie_of_epoch t ~flow ~epoch:(epoch - 1)) = 0)
@@ -103,8 +110,7 @@ let tw_find t ~flow =
 let tw_remove t ~flow = Tcp.Flow.Tbl.remove t.tw flow
 
 let tw_add t ~now ~flow ~snd_nxt ~rcv_nxt =
-  let cap = t.g.Config.g_time_wait_max in
-  if cap > 0 && tw_length t >= cap && not (Tcp.Flow.Tbl.mem t.tw flow) then begin
+  if tw_length t >= time_wait_max && not (Tcp.Flow.Tbl.mem t.tw flow) then begin
     (* Pressure: recycle the oldest entry so teardown can't be wedged
        by a full table. *)
     let oldest =
@@ -127,7 +133,7 @@ let tw_add t ~now ~flow ~snd_nxt ~rcv_nxt =
       tw_flow = flow;
       tw_snd_nxt = snd_nxt;
       tw_rcv_nxt = rcv_nxt;
-      tw_deadline = now + t.g.Config.g_time_wait;
+      tw_deadline = now + time_wait;
       tw_born = t.tw_births;
     };
   count t "tw_installed"

@@ -12,6 +12,43 @@
     every decision here, and tests assert on these counters. Cookie
     and TIME_WAIT checks take explicit [now] arguments. *)
 
+(** {1 Limits}
+
+    Fixed whenever the guard is armed; [Config.guard] has no knob for
+    them. *)
+
+val syn_backlog : int
+(** Half-open handshakes held statefully (64); beyond them a SYN is
+    answered with a cookie. *)
+
+val syn_retries : int
+(** SYN / SYN-ACK retransmissions before a [connect] surfaces
+    ["Etimedout"] (6). *)
+
+val syn_retry_base : Sim.Time.t
+(** First handshake retry delay (1 ms); it doubles per attempt. *)
+
+val syn_retry_max : Sim.Time.t
+(** Handshake backoff ceiling (8 ms). *)
+
+val time_wait : Sim.Time.t
+(** TIME_WAIT hold after both directions close (10 ms); also the SYN
+    cookie's time epoch. A fresh SYN for a TIME_WAIT 4-tuple recycles
+    the entry only when its ISN is strictly beyond the old
+    connection's final receive point (Seq32 wraparound-aware), as in
+    RFC 6191. *)
+
+val time_wait_max : int
+(** TIME_WAIT table cap (4096); under pressure the oldest entry is
+    recycled. *)
+
+val idle_timeout : Sim.Time.t
+(** Closing connections (FIN_WAIT / half-closed) that made no progress
+    for this long are reaped (20 ms). *)
+
+val reap_interval : Sim.Time.t
+(** Reaper loop period (1 ms). *)
+
 type t
 
 val create : g:Config.guard -> secret:int -> unit -> t
@@ -55,7 +92,7 @@ val tw_add :
   snd_nxt:Tcp.Seq32.t ->
   rcv_nxt:Tcp.Seq32.t ->
   unit
-(** Install a TIME_WAIT entry; at [g_time_wait_max] capacity the
+(** Install a TIME_WAIT entry; at {!time_wait_max} capacity the
     oldest entry is recycled (counted). *)
 
 val tw_find : t -> flow:Tcp.Flow.t -> (Tcp.Seq32.t * Tcp.Seq32.t) option

@@ -513,7 +513,7 @@ let check_graph g =
 module C = Conn_state
 
 type fsm_step =
-  guard:bool -> tw:bool -> C.lifecycle -> C.close_event ->
+  guard:bool -> C.lifecycle -> C.close_event ->
   C.lifecycle * C.close_output list
 
 type fsm_counterexample = {
@@ -553,9 +553,9 @@ let closed_dirs = function
 let local_events = [ C.Ev_teardown; C.Ev_reap_idle; C.Ev_tw_expire;
                      C.Ev_abort ]
 
-let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
+let check_fsm ?(step : fsm_step = C.step) ~guard () :
     (string list, fsm_counterexample) result =
-  let step = step ~guard ~tw in
+  let step = step ~guard in
   (* BFS of the reachable state space, recording one shortest event
      path per state for counterexamples. *)
   let paths : (C.lifecycle * (C.lifecycle * C.close_event) list) list ref =
@@ -607,13 +607,14 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
   in
   let checks =
     [
-      (* No unreachable-but-live states: with the matching features
-         on, every lifecycle state must be reachable (a state nothing
-         can enter is dead weight the CP would never exercise). *)
+      (* No unreachable-but-live states: every lifecycle state the
+         mode keeps (TIME_WAIT only guarded) must be reachable (a
+         state nothing can enter is dead weight the CP would never
+         exercise). *)
       (fun () ->
         let expected =
           List.filter
-            (fun s -> (s <> C.Time_wait) || tw)
+            (fun s -> (s <> C.Time_wait) || guard)
             C.all_lifecycles
         in
         match List.find_opt (fun s -> not (List.mem s reachable)) expected with
@@ -627,11 +628,12 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
                     (C.lifecycle_name s);
               }
         | None -> Ok ());
-      (* TIME_WAIT without a hold configured must stay unreachable. *)
+      (* Unguarded, nothing holds a TIME_WAIT tuple: it must stay
+         unreachable. *)
       (fun () ->
-        if (not tw) && List.mem C.Time_wait reachable then
+        if (not guard) && List.mem C.Time_wait reachable then
           violation C.Time_wait
-            "TIME_WAIT reachable although no hold is configured"
+            "TIME_WAIT reachable although the guard is off"
         else Ok ());
       (* Monotonicity: no transition reopens a closed direction. *)
       (fun () ->
@@ -692,7 +694,7 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
          must be re-acknowledged) — the edge the seeded mutation
          drops. *)
       (fun () ->
-        if not (tw && List.mem C.Time_wait reachable) then Ok ()
+        if not (List.mem C.Time_wait reachable) then Ok ()
         else
           match step C.Time_wait C.Ev_tw_fin with
           | C.Time_wait, outs when List.mem C.Out_reack outs -> Ok ()
@@ -771,8 +773,8 @@ let check_fsm ?(step : fsm_step = C.step) ~guard ~tw () :
    counterexample — the moral equivalent of [flexlint san --seeded]
    for the model checker. *)
 let mutate f : fsm_step =
- fun ~guard ~tw s e ->
-  match f s e with Some r -> r | None -> C.step ~guard ~tw s e
+ fun ~guard s e ->
+  match f s e with Some r -> r | None -> C.step ~guard s e
 
 let fsm_mutations : (string * fsm_step) list =
   [
@@ -807,8 +809,8 @@ let fsm_mutations : (string * fsm_step) list =
           | _ -> None) );
   ]
 
-let fsm_dot ?(step : fsm_step = C.step) ~guard ~tw () =
-  let step = step ~guard ~tw in
+let fsm_dot ?(step : fsm_step = C.step) ~guard () =
+  let step = step ~guard in
   let buf = Buffer.create 2048 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "digraph teardown {\n  rankdir=LR;\n  node [shape=ellipse];\n";

@@ -67,7 +67,6 @@ val check_graph : Graph_ir.t -> (report list, finding list) result
 
 type fsm_step =
   guard:bool ->
-  tw:bool ->
   Conn_state.lifecycle ->
   Conn_state.close_event ->
   Conn_state.lifecycle * Conn_state.close_output list
@@ -84,12 +83,13 @@ val counterexample_to_string : fsm_counterexample -> string
 val check_fsm :
   ?step:fsm_step ->
   guard:bool ->
-  tw:bool ->
   unit ->
   (string list, fsm_counterexample) result
 (** Model-checks [step] (default {!Conn_state.step}) against the
-    teardown spec: no dead states among the feature-enabled lifecycle
-    states, TIME_WAIT unreachable unless a hold is configured, no
+    teardown spec in one of the two modes the control plane builds
+    (guard off; guard on, which holds TIME_WAIT): no dead states among
+    the mode's lifecycle states, TIME_WAIT unreachable unless
+    [guard], no
     transition reopens a closed direction, RECLAIMED absorbing and
     silent, TIME_WAIT entered only by tearing down a fully-closed
     flow, a retransmitted peer FIN into TIME_WAIT re-ACKed (RFC 793
@@ -101,9 +101,9 @@ val check_fsm :
 
 val fsm_mutations : (string * fsm_step) list
 (** Seeded single-transition mutations of {!Conn_state.step} — each
-    must be rejected by {!check_fsm} in at least one (guard, tw) mode;
+    must be rejected by {!check_fsm} in at least one guard mode;
     the checker's own negative test suite ([flexlint fsm --mutate]). *)
 
-val fsm_dot : ?step:fsm_step -> guard:bool -> tw:bool -> unit -> string
+val fsm_dot : ?step:fsm_step -> guard:bool -> unit -> string
 (** Graphviz rendering of the reachable transition graph, edges
     labelled [event / outputs]. *)

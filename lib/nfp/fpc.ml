@@ -121,10 +121,7 @@ and thread_done t hw =
     run_phases t hw
   end
 
-let create engine ~params ?threads ~name () =
-  let threads =
-    match threads with Some n -> n | None -> params.Params.fpc_threads
-  in
+let create engine ~params ~threads ~name () =
   if threads <= 0 then invalid_arg "Fpc.create: threads must be positive";
   let hws =
     Array.init threads (fun slot ->

@@ -39,8 +39,9 @@ type tracer = {
 }
 
 val create :
-  Sim.Engine.t -> params:Params.t -> ?threads:int -> name:string -> unit -> t
-(** [threads] defaults to [params.fpc_threads]. *)
+  Sim.Engine.t -> params:Params.t -> threads:int -> name:string -> unit -> t
+(** [threads] hardware threads ([Config.parallelism.fpc_threads] in the
+    data path: 8 on the NFP-4000). *)
 
 val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the work-item tracer. Zero cost when unset. *)

@@ -1,7 +1,5 @@
 type t = {
   fpc_freq : Sim.Time.Freq.t;
-  fpc_threads : int;
-  islands : int;
   local_mem_cycles : int;
   cls_cycles : int;
   ctm_cycles : int;
@@ -24,8 +22,6 @@ type t = {
 let default =
   {
     fpc_freq = Sim.Time.Freq.of_mhz 800;
-    fpc_threads = 8;
-    islands = 5;
     local_mem_cycles = 2;
     cls_cycles = 100;
     ctm_cycles = 100;

@@ -8,8 +8,6 @@
 
 type t = {
   fpc_freq : Sim.Time.Freq.t;  (** 800 MHz. *)
-  fpc_threads : int;  (** 8 hardware threads per FPC. *)
-  islands : int;  (** General-purpose islands (5 on the CX). *)
   local_mem_cycles : int;  (** FPC local memory / registers. *)
   cls_cycles : int;  (** Island-local scratch, up to 100 cycles. *)
   ctm_cycles : int;  (** Island target memory, up to 100 cycles. *)

@@ -14,8 +14,7 @@ let check_string = Alcotest.(check string)
 
 (* --- Mechanism unit tests --------------------------------------------- *)
 
-let mk_guard ?(g = Config.guard_default) () =
-  Guard.create ~g ~secret:0x5EED ()
+let mk_guard () = Guard.create ~g:Config.guard_default ~secret:0x5EED ()
 
 let test_cookie_roundtrip () =
   let g = mk_guard () in
@@ -28,11 +27,11 @@ let test_cookie_roundtrip () =
   check_bool "cookie validates at issue time" true
     (Guard.cookie_check g ~now ~flow ~isn);
   (* Still valid one epoch later (previous-epoch acceptance)... *)
-  let later = now + Config.guard_default.Config.g_time_wait in
+  let later = now + Guard.time_wait in
   check_bool "cookie validates next epoch" true
     (Guard.cookie_check g ~now:later ~flow ~isn);
   (* ...but not two epochs later. *)
-  let much_later = now + (3 * Config.guard_default.Config.g_time_wait) in
+  let much_later = now + (3 * Guard.time_wait) in
   check_bool "cookie expires after two epochs" false
     (Guard.cookie_check g ~now:much_later ~flow ~isn);
   (* A different 4-tuple never validates. *)
@@ -68,25 +67,25 @@ let test_tw_wraparound () =
     (Guard.tw_syn_acceptable g ~flow:other ~isn:Tcp.Seq32.zero)
 
 let test_tw_capacity_recycles_oldest () =
-  let g =
-    mk_guard ~g:{ Config.guard_default with Config.g_time_wait_max = 4 } ()
-  in
+  let g = mk_guard () in
+  let cap = Guard.time_wait_max in
   let flow i =
     Tcp.Flow.v ~local_ip:1 ~local_port:7 ~remote_ip:2 ~remote_port:(100 + i)
   in
-  for i = 0 to 5 do
+  for i = 0 to cap + 1 do
     Guard.tw_add g ~now:(Sim.Time.us i) ~flow:(flow i)
       ~snd_nxt:Tcp.Seq32.zero ~rcv_nxt:Tcp.Seq32.zero
   done;
-  check_int "capacity respected" 4 (Guard.tw_length g);
+  check_int "capacity respected" cap (Guard.tw_length g);
   check_int "two pressure recycles" 2 (Guard.counter g "tw_recycled_pressure");
   check_bool "oldest entries recycled first" true
     (Guard.tw_find g ~flow:(flow 0) = None
     && Guard.tw_find g ~flow:(flow 1) = None
-    && Guard.tw_find g ~flow:(flow 5) <> None);
+    && Guard.tw_find g ~flow:(flow 2) <> None
+    && Guard.tw_find g ~flow:(flow (cap + 1)) <> None);
   (* Expiry reaps the rest. *)
   let past = Sim.Time.ms 1000 in
-  check_int "reap expires remaining entries" 4 (Guard.tw_reap g ~now:past);
+  check_int "reap expires remaining entries" cap (Guard.tw_reap g ~now:past);
   check_int "table empty after reap" 0 (Guard.tw_length g)
 
 (* --- End-to-end worlds ------------------------------------------------ *)
@@ -301,15 +300,37 @@ let test_rst_to_no_connection () =
 
 let test_connect_blackhole_etimedout () =
   let w = mk_world () in
+  let ip_dead = 0x0A0000FD in
+  (* A port owns this IP but never answers (open-loop blackhole), so
+     the test sees each SYN arrive. Bounded retries must surface
+     Etimedout on the guard's schedule. *)
+  let syns = ref [] in
+  ignore
+    (Netsim.Fabric.add_port w.fabric ~mac:(mac_of_ip ip_dead) ~ip:ip_dead
+       ~rx:(fun (frame : S.frame) ->
+         if frame.S.seg.S.flags.S.syn then
+           syns := Sim.Engine.now w.engine :: !syns)
+       ());
   let result = ref None in
-  (* No node owns this IP: the fabric drops every SYN (open-loop
-     blackhole). Bounded retries must surface Etimedout. *)
-  (Flextoe.endpoint w.client).Host.Api.connect ~remote_ip:0x0A0000FD
-    ~remote_port:7 ~on_connected:(fun r -> result := Some r);
+  (Flextoe.endpoint w.client).Host.Api.connect ~remote_ip:ip_dead
+    ~remote_port:7 ~on_connected:(fun r ->
+      result := Some (Sim.Engine.now w.engine, r));
   run_for w (Sim.Time.ms 80);
+  (* The first SYN lands 2.794123 us after the connect. Each retry
+     leaves the CP when its backoff timer fires, 1 ms after the
+     connect doubling to the 8 ms ceiling (1, 3, 7, 15, 23, 31 ms), and
+     lands 1.894123 us later. The sixth retry spent, one more 8 ms
+     wait ends the attempt. *)
+  let retry_at ms = Sim.Time.ms ms + Sim.Time.ps 1_894_123 in
+  Alcotest.(check (list int))
+    "SYN arrival times"
+    (Sim.Time.ps 2_794_123 :: List.map retry_at [ 1; 3; 7; 15; 23; 31 ])
+    (List.rev !syns);
   (match !result with
-  | Some (Error e) -> check_string "connect error" "Etimedout" e
-  | Some (Ok _) -> Alcotest.fail "connect to a blackhole succeeded"
+  | Some (t, Error e) ->
+      check_string "connect error" "Etimedout" e;
+      check_int "Etimedout time" (Sim.Time.ms 39) t
+  | Some (_, Ok _) -> Alcotest.fail "connect to a blackhole succeeded"
   | None -> Alcotest.fail "connect still pending after retry budget");
   check_int "no half-open state leaked" 0
     (Flextoe.Control_plane.active_flows (Flextoe.control w.client))
@@ -352,8 +373,7 @@ let test_syn_flood_cookies_and_shed () =
   check_bool "backlog overflow answered with cookies" true
     (Guard.counter g "cookie_sent" > 0);
   check_bool "stateful backlog stayed bounded" true
-    (Guard.counter g "syn_accepted"
-     <= g_cfg.Config.g_syn_backlog * g_cfg.Config.g_syn_retries);
+    (Guard.counter g "syn_accepted" <= Guard.syn_backlog * Guard.syn_retries);
   check_int "only the established flow is installed" 1
     (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
   check_int "established-flow segments never shed" 0
@@ -504,37 +524,19 @@ let scripted ?limit g =
   (w, mk_peer w)
 
 let test_replay_backlog_and_cookies () =
-  let g =
-    { Config.guard_default with Config.g_syn_backlog = 8; g_syn_cookies = true }
-  in
-  (* 100 SYNs, none ever ACKed: the first 8 fill the backlog, the rest
-     are answered statelessly. Nothing is shed. *)
-  let syns = List.init 100 (fun i -> Syn i) in
-  let w, p = scripted g in
-  play p syns;
+  (* 100 SYNs, none ever ACKed: the first 64 fill the backlog, the
+     other 36 are answered statelessly. Nothing is shed. *)
+  let w, p = scripted Config.guard_default in
+  play p (List.init 100 (fun i -> Syn i));
   let gd = server_guard w in
-  check_int "backlog absorbed 8" 8 (Guard.counter gd "syn_accepted");
-  check_int "92 answered with cookies" 92 (Guard.counter gd "cookie_sent");
-  check_int "nothing shed with cookies on" 0
-    (Guard.counter gd "shed_backlog" + Guard.counter gd "shed_admission");
-  (* Same flood without cookies: the overflow is shed. *)
-  let w, p = scripted { g with Config.g_syn_cookies = false } in
-  play p syns;
-  let gd = server_guard w in
-  check_int "backlog absorbed 8 without cookies" 8
+  check_int "backlog absorbed its 64 slots" Guard.syn_backlog
     (Guard.counter gd "syn_accepted");
-  check_int "without cookies the overflow sheds" 92
-    (Guard.counter gd "shed_backlog");
-  check_int "no cookies issued" 0 (Guard.counter gd "cookie_sent")
+  check_int "36 answered with cookies" (100 - Guard.syn_backlog)
+    (Guard.counter gd "cookie_sent");
+  check_int "nothing shed" 0 (Guard.counter gd "shed_admission")
 
 let test_replay_established_never_shed () =
-  let g =
-    {
-      Config.guard_default with
-      Config.g_syn_backlog = 2;
-      g_syn_cookies = false;
-    }
-  in
+  let g = Config.guard_default in
   (* Four established flows exchanging segments under a SYN flood that
      meets a full connection table: every established segment must
      still pass. *)
@@ -574,11 +576,8 @@ let test_replay_established_never_shed () =
     (Guard.established_shed gd)
 
 let test_replay_close_and_timewait () =
-  let g =
-    { Config.guard_default with Config.g_syn_backlog = 0; g_time_wait_max = 2 }
-  in
   let conn i = [ Syn i; Ack i; Close i ] in
-  let w, p = scripted g in
+  let w, p = scripted Config.guard_default in
   play p (List.concat (List.init 5 conn));
   run_for w (Sim.Time.ms 1);
   let gd = server_guard w in
@@ -587,31 +586,26 @@ let test_replay_close_and_timewait () =
     (Flextoe.Control_plane.active_flows (Flextoe.control w.server));
   check_int "five TIME_WAIT entries installed" 5
     (Guard.counter gd "tw_installed");
-  (* TIME_WAIT capacity 2: three of the five closes recycled an
-     entry. *)
-  check_int "time-wait recycles under pressure" 3
+  (* Far below the table's cap, and within the hold: every entry
+     stays. "TIME_WAIT capacity recycles oldest" drives the cap. *)
+  check_int "no recycles below the cap" 0
     (Guard.counter gd "tw_recycled_pressure");
-  check_int "table held at its cap" 2 (Guard.tw_length gd)
+  check_int "table holds all five" 5 (Guard.tw_length gd)
 
 (* The connection limit holds through SYN cookies: cookies defer the
    table commitment to the completing ACK, so that ACK must meet the
-   same cap as a SYN. *)
+   same cap as a SYN. 72 SYNs against a cap of 66: 64 fill the backlog
+   and 8 draw cookies; then every handshake completes, and only the
+   first two cookie ACKs find room. *)
 let test_cap_holds_through_cookies () =
-  let g =
-    { Config.guard_default with Config.g_syn_backlog = 2; g_syn_cookies = true }
-  in
-  let w = mk_world ~config:{ Config.default with Config.guard = g } () in
-  (Flextoe.endpoint w.server).Host.Api.listen ~port:7
-    ~on_accept:(fun _ -> ());
+  let cap = Guard.syn_backlog + 2 in
+  let n = Guard.syn_backlog + 8 in
+  let w, p = scripted ~limit:cap Config.guard_default in
+  play p (List.init n (fun i -> Syn i));
+  play p (List.init n (fun i -> Ack i));
   let cp = Flextoe.control w.server in
-  Flextoe.Control_plane.set_connection_limit cp (Some 4);
-  for _ = 1 to 8 do
-    (Flextoe.endpoint w.client).Host.Api.connect ~remote_ip:ip_server
-      ~remote_port:7 ~on_connected:(fun _ -> ())
-  done;
-  run_for w (Sim.Time.ms 2);
   let gd = server_guard w in
-  check_int "server installed exactly the cap" 4
+  check_int "server installed exactly the cap" cap
     (Flextoe.Control_plane.active_flows cp);
   check_bool "the overflow went through cookies" true
     (Guard.counter gd "cookie_sent" > Guard.counter gd "cookie_accepted");

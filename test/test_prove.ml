@@ -687,15 +687,17 @@ let test_builtin_sharded () =
 
 (* --- Teardown FSM: the real table ------------------------------------ *)
 
-let modes = [ (false, false); (false, true); (true, false); (true, true) ]
+(* The two modes the control plane builds: unguarded, and guarded
+   with its TIME_WAIT hold. *)
+let modes = [ false; true ]
 
 let test_fsm_real_table () =
   List.iter
-    (fun (guard, tw) ->
-      match P.check_fsm ~guard ~tw () with
+    (fun guard ->
+      match P.check_fsm ~guard () with
       | Ok _notes -> ()
       | Error c ->
-          Alcotest.failf "real table rejected (guard=%b tw=%b): %s" guard tw
+          Alcotest.failf "real table rejected (guard=%b): %s" guard
             (P.counterexample_to_string c))
     modes
 
@@ -704,8 +706,8 @@ let test_fsm_mutations_rejected () =
     (fun (name, step) ->
       let rejected =
         List.exists
-          (fun (guard, tw) ->
-            match P.check_fsm ~step ~guard ~tw () with
+          (fun guard ->
+            match P.check_fsm ~step ~guard () with
             | Error _ -> true
             | Ok _ -> false)
           modes
@@ -717,7 +719,7 @@ let test_fsm_mutations_rejected () =
      back with a path-to-violation counterexample that walks into
      TIME_WAIT. *)
   let step = List.assoc "drop_tw_reack" P.fsm_mutations in
-  match P.check_fsm ~step ~guard:true ~tw:true () with
+  match P.check_fsm ~step ~guard:true () with
   | Ok _ -> Alcotest.fail "drop_tw_reack not rejected"
   | Error c ->
       let s = P.counterexample_to_string c in
@@ -740,12 +742,12 @@ let closed_dirs = function
 
 let test_step_monotone () =
   List.iter
-    (fun (guard, tw) ->
+    (fun guard ->
       List.iter
         (fun s ->
           List.iter
             (fun e ->
-              let s', _ = C.step ~guard ~tw s e in
+              let s', _ = C.step ~guard s e in
               let txc, rxc = closed_dirs s in
               let txc', rxc' = closed_dirs s' in
               check_bool
@@ -764,16 +766,16 @@ let test_step_teardown_equivalence () =
      ignores the poll — the invariant the control-plane refactor onto
      [step] relies on. *)
   List.iter
-    (fun (guard, tw) ->
+    (fun guard ->
       List.iter
         (fun s ->
-          let s', outs = C.step ~guard ~tw s C.Ev_teardown in
+          let s', outs = C.step ~guard s C.Ev_teardown in
           match s with
           | C.Phase C.Closed ->
               check_bool "teardown frees datapath state" true
                 (List.mem C.Out_free outs);
-              check_bool "teardown parks iff tw" true
-                (s' = if tw then C.Time_wait else C.Reclaimed)
+              check_bool "teardown parks iff guarded" true
+                (s' = if guard then C.Time_wait else C.Reclaimed)
           | C.Reclaimed ->
               check_bool "reclaimed absorbs" true (s' = C.Reclaimed)
           | _ ->
@@ -786,7 +788,7 @@ let test_step_teardown_equivalence () =
     modes
 
 let test_fsm_dot () =
-  let dot = P.fsm_dot ~guard:true ~tw:true () in
+  let dot = P.fsm_dot ~guard:true () in
   List.iter
     (fun needle ->
       check_bool ("fsm dot mentions " ^ needle) true (contains dot needle))

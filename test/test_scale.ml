@@ -451,23 +451,19 @@ let test_fully_pinned_evicts_loudly () =
   check_bool "newest key resident" true (Nfp.Lru.mem lru 99)
 
 let test_guard_tw_pressure_recycles_oldest () =
-  let g =
-    {
-      Flextoe.Config.guard_default with
-      Flextoe.Config.g_time_wait = Sim.Time.ms 10;
-      g_time_wait_max = 4;
-    }
+  let guard =
+    Flextoe.Guard.create ~g:Flextoe.Config.guard_default ~secret:7 ()
   in
-  let guard = Flextoe.Guard.create ~g ~secret:7 () in
+  let cap = Flextoe.Guard.time_wait_max in
   let tw_flow i = flow_of i in
-  for i = 0 to 5 do
+  for i = 0 to cap + 1 do
     Flextoe.Guard.tw_add guard
       ~now:(Sim.Time.us (i + 1))
       ~flow:(tw_flow i)
       ~snd_nxt:(Tcp.Seq32.of_int 100)
       ~rcv_nxt:(Tcp.Seq32.of_int 200)
   done;
-  check_int "table capped" 4 (Flextoe.Guard.tw_length guard);
+  check_int "table capped" cap (Flextoe.Guard.tw_length guard);
   check_int "two oldest recycled under pressure" 2
     (Flextoe.Guard.counter guard "tw_recycled_pressure");
   (* Precisely the two oldest entries made room. *)
@@ -477,12 +473,10 @@ let test_guard_tw_pressure_recycles_oldest () =
       true
       (Flextoe.Guard.tw_find guard ~flow:(tw_flow i) = None)
   done;
-  for i = 2 to 5 do
-    check_bool
-      (Printf.sprintf "entry %d resident" i)
-      true
-      (Flextoe.Guard.tw_find guard ~flow:(tw_flow i) <> None)
-  done
+  check_bool "every later entry resident" true
+    (List.for_all
+       (fun i -> Flextoe.Guard.tw_find guard ~flow:(tw_flow i) <> None)
+       (List.init cap (fun i -> i + 2)))
 
 (* --- Per-shard admission ---------------------------------------------- *)
 
