@@ -24,8 +24,7 @@ let rows =
 
 let measure_row parallelism =
   let w = mk_world () in
-  let config = Flextoe.Config.with_parallelism Flextoe.Config.default
-      parallelism in
+  let config = { Flextoe.Config.default with Flextoe.Config.parallelism } in
   let server = mk_node w FlexTOE ~app_cores:8 ~config ip_server in
   let client = mk_node w FlexTOE ~app_cores:8 (ip_client 0) in
   let stats = Host.Rpc.Stats.create w.engine in

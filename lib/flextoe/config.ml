@@ -7,33 +7,6 @@ type parallelism = {
   flow_groups : int;
 }
 
-type stage_costs = {
-  preproc_validate : int;
-  preproc_csum : int;
-  preproc_lookup_hit : int;
-  preproc_summary : int;
-  protocol_rx : int;
-  protocol_rx_ack : int;
-  protocol_tx : int;
-  protocol_hc : int;
-  postproc_rx : int;
-  postproc_tx : int;
-  dma_desc : int;
-  ctx_desc : int;
-  sequencer : int;
-  scheduler_pick : int;
-  xdp_dispatch : int;
-  tracepoint : int;
-  pcap_capture : int;
-  (* Batching cost model: one fixed cost per batch (the stage's usual
-     cost) plus a per-unit variable cost below for each extra unit the
-     batch carries. Charged only on batch>1 paths. *)
-  gro_merge : int;  (** Per absorbed segment when GRO coalesces. *)
-  tso_split : int;  (** Per extra wire frame split from a TSO descriptor. *)
-  dma_doorbell : int;  (** Fixed per doorbell-batch flush. *)
-  notify_coalesce : int;  (** Per absorbed ARX notification. *)
-}
-
 (** FlexGuard: overload control and graceful degradation under
     connection churn. Everything is off by default ([guard_none]) —
     the guarded code paths are never entered and no extra engine
@@ -77,58 +50,18 @@ type congestion_control = Dctcp | Timely | Cc_none
 type scope_mode = Scope_off | Scope_metrics | Scope_full
 
 type t = {
-  params : Nfp.Params.t;
   parallelism : parallelism;
-  costs : stage_costs;
   rx_buf_bytes : int;
   tx_buf_bytes : int;
-  mss : int;
   delayed_acks : bool;
-  window_scale : int;
-  rto : Sim.Time.t;
-  rto_max : Sim.Time.t;
-  max_rto_retries : int;
   cc : congestion_control;
   cc_interval : Sim.Time.t;
-  wheel_slot : Sim.Time.t;
-  wheel_slots : int;
-  libtoe_poll : Sim.Time.t;
-  sockets_api_cycles : int;
-  notify_cycles : int;
   san : bool;  (** Enable the FlexSan dynamic sanitizer (layer 2). *)
   scope : scope_mode;  (** FlexScope profiling (off / metrics / full). *)
   batch : int;  (** Batching degree at every boundary; see [batch_degree]. *)
-  batch_delay : Sim.Time.t;
-      (** How long a partial batch (GRO window, doorbell ring, ARX
-          accumulator) may be held before a timer flushes it. *)
   guard : guard;  (** FlexGuard overload control ([guard_none] off). *)
   scale : scale;  (** FlexScale sharding ([scale_none] off). *)
 }
-
-let default_costs =
-  {
-    preproc_validate = 50;
-    preproc_csum = 30;
-    preproc_lookup_hit = 25;
-    preproc_summary = 55;
-    protocol_rx = 90;
-    protocol_rx_ack = 45;
-    protocol_tx = 60;
-    protocol_hc = 40;
-    postproc_rx = 100;
-    postproc_tx = 70;
-    dma_desc = 50;
-    ctx_desc = 50;
-    sequencer = 15;
-    scheduler_pick = 25;
-    xdp_dispatch = 45;
-    tracepoint = 6;
-    pcap_capture = 650;
-    gro_merge = 20;
-    tso_split = 15;
-    dma_doorbell = 30;
-    notify_coalesce = 25;
-  }
 
 let t3_flow_groups =
   {
@@ -174,31 +107,17 @@ let guard_env =
 
 let default =
   {
-    params = Nfp.Params.default;
     parallelism = t3_flow_groups;
-    costs = default_costs;
     rx_buf_bytes = 256 * 1024;
     tx_buf_bytes = 256 * 1024;
-    mss = Tcp.Segment.mss_with_timestamps;
     delayed_acks = false;
-    window_scale = 7;
-    rto = Sim.Time.ms 2;
-    rto_max = Sim.Time.ms 32;
-    max_rto_retries = 8;
     cc = Dctcp;
     cc_interval = Sim.Time.us 50;
-    wheel_slot = Sim.Time.us 2;
-    wheel_slots = 4096;
-    libtoe_poll = Sim.Time.us 1;
-    sockets_api_cycles = 310;
-    notify_cycles = 60;
     san = san_env;
     scope = scope_env;
     batch = 1;
-    batch_delay = Sim.Time.us 1;
     guard = guard_env;
     scale = scale_none;
   }
 
 let batch_degree t = Int.max 1 t.batch
-let with_parallelism t p = { t with parallelism = p }

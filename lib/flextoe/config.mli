@@ -1,5 +1,17 @@
-(** FlexTOE configuration: parallelism knobs, stage cost model, and
-    protocol parameters.
+(** FlexTOE configuration: what a caller chooses per node. That is the
+    parallelism, the host buffer sizes, the ACK policy, congestion
+    control, the batching degree, and the FlexSan, FlexScope, FlexGuard
+    and FlexScale switches.
+
+    The NIC model is not configuration. Each fixed value is a constant
+    in the module that owns it (DESIGN.md §6): the NFP-4000 parameters
+    in {!Nfp.Params}, the per-stage cycle budgets in {!Cost},
+    the window scale in {!Protocol.window_scale}, the time-wheel
+    geometry in {!Scheduler.wheel_slot} and {!Scheduler.wheel_slots},
+    the partial-batch hold in {!Nfp.Dma.batch_delay}, the MSS in
+    {!Tcp.Segment.mss_with_timestamps}, and the retransmission timeout
+    schedule, the host-call cycles and the poll delay in
+    [Control_plane], [Libtoe] and [Datapath].
 
     The parallelism record exposes exactly the levers of the paper's
     Table 3 ablation: run-to-completion vs pipelined stages, hardware
@@ -20,41 +32,6 @@ type parallelism = {
           connection-scalability benchmark runs the protocol stage on
           8 FPCs, two per island). *)
   flow_groups : int;  (** Protocol islands (1..4 on the Agilio CX). *)
-}
-
-(** Per-stage instruction budgets, in FPC cycles. These calibrate the
-    simulation; see DESIGN.md §6 for how they were chosen. *)
-type stage_costs = {
-  preproc_validate : int;
-  preproc_csum : int;
-      (** TCP checksum verification: fixed overhead of driving the CRC
-          unit; the per-byte part is derived from the frame length in
-          the pre-processor. *)
-  preproc_lookup_hit : int;  (** Local lookup-cache hit. *)
-  preproc_summary : int;
-  protocol_rx : int;  (** Data-bearing segment. *)
-  protocol_rx_ack : int;  (** Pure-ACK segment. *)
-  protocol_tx : int;
-  protocol_hc : int;
-  postproc_rx : int;
-  postproc_tx : int;
-  dma_desc : int;
-  ctx_desc : int;
-  sequencer : int;
-  scheduler_pick : int;
-  xdp_dispatch : int;  (** Fixed overhead of an enabled XDP hook. *)
-  tracepoint : int;  (** Per enabled tracepoint, per segment. *)
-  pcap_capture : int;  (** Per captured packet. *)
-  gro_merge : int;
-      (** Per absorbed segment when GRO coalesces adjacent in-order
-          segments into one descriptor (batch>1 only). *)
-  tso_split : int;
-      (** Per extra wire frame split out of a TSO descriptor at the
-          NBI boundary (batch>1 only). *)
-  dma_doorbell : int;  (** Fixed cost per doorbell-batch flush. *)
-  notify_coalesce : int;
-      (** Per absorbed ARX notification when coalescing (batch>1
-          only). *)
 }
 
 (** FlexGuard: overload control and graceful degradation under
@@ -133,12 +110,9 @@ type congestion_control = Dctcp | Timely | Cc_none
 type scope_mode = Scope_off | Scope_metrics | Scope_full
 
 type t = {
-  params : Nfp.Params.t;
   parallelism : parallelism;
-  costs : stage_costs;
   rx_buf_bytes : int;
   tx_buf_bytes : int;
-  mss : int;
   delayed_acks : bool;
       (** The paper's FlexTOE acknowledges every incoming data segment
           (the default here, matching §5.2); enabling this coalesces
@@ -147,27 +121,8 @@ type t = {
           and the control plane flushing stragglers (FPCs have no
           timers). Listed by the paper as a further improvement for
           large bidirectional flows. *)
-  window_scale : int;
-      (** Fixed window-scale shift assumed on both ends (no SYN
-          negotiation is modelled); data-center defaults need windows
-          larger than 64 KB. *)
-  rto : Sim.Time.t;
-      (** Control-plane retransmission timeout (initial value; the
-          per-connection timeout doubles on each consecutive timeout —
-          exponential backoff — and resets on forward progress). *)
-  rto_max : Sim.Time.t;  (** Backoff ceiling. *)
-  max_rto_retries : int;
-      (** Consecutive timeouts without progress before the control
-          plane aborts the connection and notifies the application. *)
   cc : congestion_control;
   cc_interval : Sim.Time.t;  (** Control-plane iteration interval. *)
-  wheel_slot : Sim.Time.t;  (** Carousel time-wheel slot granularity. *)
-  wheel_slots : int;  (** Time-wheel horizon, in slots. *)
-  libtoe_poll : Sim.Time.t;  (** libTOE context-queue polling period. *)
-  sockets_api_cycles : int;
-      (** Host cycles charged per socket call (Table 1: 0.74 kc per
-          request covers send+recv+poll). *)
-  notify_cycles : int;  (** Host cycles to consume one ARX entry. *)
   san : bool;
       (** Enable the FlexSan dynamic sanitizer (layer 2): instrument
           every stage's shared-state accesses and check them against
@@ -193,10 +148,8 @@ type t = {
           notifications per connection coalesced into one
           context-queue DMA and host wakeup. 1 (the default) keeps the
           per-segment pipeline bit for bit: the batch>1 code paths are
-          never entered. Read it through {!batch_degree}. *)
-  batch_delay : Sim.Time.t;
-      (** How long a partial batch (GRO window, doorbell ring, ARX
-          accumulator) may be held before a timer flushes it. *)
+          never entered. A partial batch is flushed after
+          {!Nfp.Dma.batch_delay}. Read it through {!batch_degree}. *)
   guard : guard;
       (** FlexGuard overload control ({!guard_none} by default). *)
   scale : scale;
@@ -214,8 +167,6 @@ val default : t
 
 val batch_degree : t -> int
 (** [t.batch] clamped to >= 1: the one place a degree is clamped. *)
-
-val with_parallelism : t -> parallelism -> t
 
 (** Table 3 presets, cumulative left to right. *)
 

@@ -85,20 +85,27 @@ let retransmit_aborts t = t.rto_aborts
 let cp_cycles = 1800  (* handshake step on the CP core *)
 let cc_flow_cycles = 250  (* per-flow CC iteration *)
 
-let wire_bps cfg =
-  int_of_float (cfg.Config.params.Nfp.Params.wire_gbps *. 1e9)
+let wire_bps = int_of_float (Nfp.Params.wire_gbps *. 1e9)
+
+(* Retransmission timeout: the initial value, doubled on each
+   consecutive timeout up to [rto_max] and reset on forward progress;
+   past [max_rto_retries] consecutive timeouts the connection is
+   aborted and the application notified. *)
+let rto = Sim.Time.ms 2
+let rto_max = Sim.Time.ms 32
+let max_rto_retries = 8
 
 (* --- Segment builders ---------------------------------------------- *)
 
 let ctl_frame t ?win ~flow ~seq ~ack_seq ~flags ~mss () =
   let default_win =
-    Int.min 0xFFFF (t.cfg.Config.rx_buf_bytes lsr t.cfg.Config.window_scale)
+    Int.min 0xFFFF (t.cfg.Config.rx_buf_bytes lsr Protocol.window_scale)
   in
   let seg =
     S.make ~flags
       ~options:
         {
-          S.mss = (if mss then Some t.cfg.Config.mss else None);
+          S.mss = (if mss then Some S.mss_with_timestamps else None);
           ts = None;
         }
       ~window:(Option.value ~default:default_win win)
@@ -148,7 +155,7 @@ let finalize t ?remote_win (p : pending) k =
           cf_acc_fretx = 0;
           cf_last_decision = Sim.Engine.now t.engine;
           cf_closing = false;
-          cf_rto = t.cfg.Config.rto;
+          cf_rto = rto;
           cf_retries = 0;
         };
       Tcp.Flow.Tbl.remove t.pending p.p_flow;
@@ -377,7 +384,7 @@ let handle_synack t (p : pending) (frame : S.frame) =
       Tcp.Flow.Tbl.replace t.pending p.p_flow p;
       Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles (fun () ->
           finalize t
-            ~remote_win:(seg.S.window lsl t.cfg.Config.window_scale)
+            ~remote_win:(seg.S.window lsl Protocol.window_scale)
             p
             (fun handle ->
               Datapath.control_tx t.dp
@@ -394,7 +401,7 @@ let handle_handshake_ack t (p : pending) (frame : S.frame) =
       p.p_installing <- true;
       Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles (fun () ->
           finalize t
-            ~remote_win:(frame.S.seg.S.window lsl t.cfg.Config.window_scale)
+            ~remote_win:(frame.S.seg.S.window lsl Protocol.window_scale)
             p
             (fun handle ->
               on_accept handle;
@@ -424,7 +431,7 @@ let install_from_cookie t (frame : S.frame) ~flow ~win ~on_accept =
   Tcp.Flow.Tbl.replace t.pending flow p;
   Host.Host_cpu.exec t.core ~category:"cp" ~cycles:cp_cycles (fun () ->
       finalize t
-        ~remote_win:(seg.S.window lsl t.cfg.Config.window_scale)
+        ~remote_win:(seg.S.window lsl Protocol.window_scale)
         p
         (fun handle ->
           on_accept handle;
@@ -644,7 +651,7 @@ let iterate_flow t now (f : cc_flow) =
   f.cf_acc_fretx <- f.cf_acc_fretx + st.Datapath.fretx;
   (* Forward progress re-arms the timeout at its base value. *)
   if st.Datapath.ackb > 0 then begin
-    f.cf_rto <- t.cfg.Config.rto;
+    f.cf_rto <- rto;
     f.cf_retries <- 0
   end;
   (* Retransmission timeout monitoring (§3.4): only data actually in
@@ -658,7 +665,7 @@ let iterate_flow t now (f : cc_flow) =
       st.Datapath.tx_inflight > 0
       && now - st.Datapath.last_progress > f.cf_rto
     then
-      if f.cf_retries >= t.cfg.Config.max_rto_retries then begin
+      if f.cf_retries >= max_rto_retries then begin
         t.rto_aborts <- t.rto_aborts + 1;
         Datapath.notify_abort t.dp ~conn:f.cf_conn;
         forget_flow t ~conn:f.cf_conn;
@@ -670,7 +677,7 @@ let iterate_flow t now (f : cc_flow) =
           { Meta.h_conn = f.cf_conn; h_op = Meta.Retransmit };
         f.cf_acc_fretx <- f.cf_acc_fretx + 1;
         f.cf_retries <- f.cf_retries + 1;
-        f.cf_rto <- Int.min (2 * f.cf_rto) t.cfg.Config.rto_max;
+        f.cf_rto <- Int.min (2 * f.cf_rto) rto_max;
         false
       end
     else false
@@ -699,10 +706,10 @@ let iterate_flow t now (f : cc_flow) =
     f.cf_last_decision <- now;
     match f.cf_state with
     | Dctcp d ->
-        apply_decision t f (Cc.Dctcp.update d ~wire_bps:(wire_bps t.cfg) obs)
+        apply_decision t f (Cc.Dctcp.update d ~wire_bps obs)
     | Timely tm ->
         apply_decision t f
-          (Cc.Timely.update tm ~wire_bps:(wire_bps t.cfg) obs)
+          (Cc.Timely.update tm ~wire_bps obs)
     | No_cc -> ()
   end;
   (* Teardown: both directions closed. Guarded, the 4-tuple parks in

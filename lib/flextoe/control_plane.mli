@@ -85,8 +85,9 @@ val retransmit_timeouts : t -> int
 (** Timeout-triggered go-back-N retransmissions issued so far. *)
 
 val retransmit_aborts : t -> int
-(** Connections torn down after [max_rto_retries] consecutive
-    timeouts without forward progress. The application is notified
+(** Connections torn down after 8 consecutive timeouts without
+    forward progress (the timeout starts at 2 ms and doubles on each,
+    up to 32 ms). The application is notified
     through its context queue ([x_err]). *)
 
 (** {1 Control-plane policies (§3.4)}

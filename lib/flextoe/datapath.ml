@@ -1,5 +1,9 @@
 module S = Tcp.Segment
 
+(* libTOE's context-queue polling period: a notification reaches the
+   host this long after its context-queue DMA lands. *)
+let libtoe_poll = Sim.Time.us 1
+
 type xdp_action =
   | Xdp_pass of S.frame
   | Xdp_drop
@@ -229,7 +233,7 @@ let trace_cycles t row =
   if Sim.Trace.enabled_count t.traces = 0 then 0
   else
     Sim.Trace.group_enabled t.traces (Pipeline.name row)
-    * t.cfg.Config.costs.Config.tracepoint
+    * Cost.tracepoint
 
 (* Record a semantic event on one of [row]'s tracepoints (counts only
    when that point is enabled). Tracing disabled costs one branch,
@@ -255,7 +259,7 @@ let run_stage t row ?(tap = false) ?(span = true) ?(before = []) ?(after = [])
     cycles + trace_cycles t row
     +
     match t.capture with
-    | Some _ when tap -> t.cfg.Config.costs.Config.pcap_capture
+    | Some _ when tap -> Cost.pcap_capture
     | _ -> 0
   in
   let k =
@@ -399,7 +403,6 @@ let proto_state_phases t conn_state =
           | Some pr ->
               let extra =
                 Nfp.Memory.Pressure.extra_miss_cycles pr
-                  t.cfg.Config.params
               in
               if extra = 0 then [ Mem Nfp.Memory.Emem ]
               else [ Mem Nfp.Memory.Emem; Compute extra ]
@@ -407,10 +410,9 @@ let proto_state_phases t conn_state =
 
 let preproc_lookup_phases t hash =
   let open Nfp.Fpc in
-  let c = t.cfg.Config.costs in
   if Nfp.Direct_cache.access t.pre_lookup_cache hash then
-    [ Compute c.Config.preproc_lookup_hit ]
-  else [ Mem Nfp.Memory.Imem; Compute c.Config.preproc_lookup_hit ]
+    [ Compute Cost.preproc_lookup_hit ]
+  else [ Mem Nfp.Memory.Imem; Compute Cost.preproc_lookup_hit ]
 
 let proto_fpc_for t cs =
   let fg = cs.Conn_state.pre.Conn_state.flow_group in
@@ -565,7 +567,6 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
   cs.Conn_state.rx_notified <- off + len;
   let ctx = cs.Conn_state.post.Conn_state.ctx_id mod t.n_ctx in
   let fpc = t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs) in
-  let c = t.cfg.Config.costs in
   let deliver ~join () =
     List.iter
       (fun g ->
@@ -589,14 +590,14 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
             San.chan_send s ("arx#" ^ string_of_int conn_idx))
   in
   run_stage t Pipeline.ctx fpc ~conn:conn_idx ~id
-    (c.Config.ctx_desc + ((List.length gseqs - 1) * c.Config.notify_coalesce))
+    (Cost.ctx_desc + ((List.length gseqs - 1) * Cost.notify_coalesce))
     (fun () ->
       sa t Pipeline.ctx ~flow:conn_idx Effects.Desc_ring Effects.Write;
       if departs t Pipeline.ctx Pipeline.No_dma_wait then
         (* The descriptor reaches the host without the DMA completion
            edge: the poll delay still elapses, but nothing orders the
            handler after the payload write. *)
-        Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll (fun () ->
+        Sim.Engine.Stream.schedule t.poll libtoe_poll (fun () ->
             deliver ~join:None ())
       else
         Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
@@ -605,7 +606,7 @@ let arx_deliver t cs ~id ~gseqs ~tokens (desc : Meta.arx_desc) =
               | Some s -> Some (San.token_send s)
               | None -> None
             in
-            Sim.Engine.Stream.schedule t.poll t.cfg.Config.libtoe_poll
+            Sim.Engine.Stream.schedule t.poll libtoe_poll
               (fun () -> deliver ~join ())))
 
 (* Flush one connection's ARX accumulator: one context-queue descriptor,
@@ -691,7 +692,7 @@ let notify_libtoe t ?(gseq = -1) cs (desc : Meta.arx_desc) =
         Nfp.Conn_table.replace t.arx_pending conn_idx acc;
         if acc.aa_fin then arx_flush t acc
         else
-          Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+          Sim.Engine.schedule t.engine Nfp.Dma.batch_delay (fun () ->
               arx_flush t acc)
   end
 
@@ -790,7 +791,7 @@ let nbi_emit t eg =
   let eg =
     match eg with
     | Eg_data_ref d
-      when Option.is_some t.capture || d.Meta.t_len > t.cfg.Config.mss -> (
+      when Option.is_some t.capture || d.Meta.t_len > S.mss_with_timestamps -> (
         (* The one place a first transmission's payload is read before
            the fabric has the frame: a captured frame or a TSO
            descriptor. *)
@@ -805,14 +806,14 @@ let nbi_emit t eg =
   in
   match eg with
   | Eg_data (d, payload)
-    when Bytes.length payload > t.cfg.Config.mss -> begin
+    when Bytes.length payload > S.mss_with_timestamps -> begin
       match conn t d.Meta.t_conn with
       | None -> nbi_emit_one t eg  (* teardown: the one-frame path
                                       already closes the lifecycle *)
       | Some cs ->
           sa t Pipeline.nbi ~flow:d.Meta.t_conn Effects.Conn_pre Effects.Read;
           let chunks =
-            Coalesce.split_desc ~mss:t.cfg.Config.mss d payload
+            Coalesce.split_desc ~mss:S.mss_with_timestamps d payload
           in
           (match t.scope with
           | Some sc ->
@@ -896,7 +897,6 @@ type dma_work = {
 }
 
 let dma_stage t (w : dma_work) =
-  let c = t.cfg.Config.costs in
   let fpc = next_dma_fpc t in
   (* Doorbell amortization: in batched mode the MMIO ring costs
      [dma_doorbell] once per [b] descriptors instead of being
@@ -907,11 +907,11 @@ let dma_stage t (w : dma_work) =
     if b <= 1 then 0
     else begin
       t.st_dma_work <- t.st_dma_work + 1;
-      if t.st_dma_work mod b = 0 then c.Config.dma_doorbell else 0
+      if t.st_dma_work mod b = 0 then Cost.dma_doorbell else 0
     end
   in
   run_stage t Pipeline.dma fpc ~conn:w.dw_conn ~id:w.dw_gseq
-    (c.Config.dma_desc + db) (fun () ->
+    (Cost.dma_desc + db) (fun () ->
       sa t Pipeline.dma ~flow:w.dw_conn Effects.Conn_db Effects.Read;
       let cs = conn t w.dw_conn in
       let finish () =
@@ -1055,7 +1055,6 @@ let rx_post_work t cs ~slot (v : Meta.rx_verdict) =
   }
 
 let postproc_stage t fg (w : post_work) =
-  let c = t.cfg.Config.costs in
   let fpc = next_postproc t fg in
   let conn_idx =
     match w with
@@ -1065,15 +1064,15 @@ let postproc_stage t fg (w : post_work) =
   in
   let cost =
     match w with
-    | Post_rx _ -> c.Config.postproc_rx
-    | Post_tx (d, _) when d.Meta.t_len > t.cfg.Config.mss ->
+    | Post_rx _ -> Cost.postproc_rx
+    | Post_tx (d, _) when d.Meta.t_len > S.mss_with_timestamps ->
         (* A TSO descriptor (batch degree > 1 only): laying out the
            per-frame DMA gather list costs [tso_split] per extra wire
            frame on top of the ordinary descriptor work. *)
-        c.Config.postproc_tx
-        + (Coalesce.split_count ~mss:t.cfg.Config.mss d.Meta.t_len - 1)
-          * c.Config.tso_split
-    | Post_tx _ | Post_hc _ -> c.Config.postproc_tx
+        Cost.postproc_tx
+        + (Coalesce.split_count ~mss:S.mss_with_timestamps d.Meta.t_len - 1)
+          * Cost.tso_split
+    | Post_tx _ | Post_hc _ -> Cost.postproc_tx
   in
   let gseq = match w with Post_rx (v, _) -> v.Meta.v_gseq | _ -> -1 in
   (* tcpdump on egress taps the post-processor. *)
@@ -1198,11 +1197,10 @@ let protocol_rx t (s : Meta.rx_summary) =
   match conn t s.Meta.conn with
   | None -> ()
   | Some cs ->
-      let c = t.cfg.Config.costs in
       let cost =
         if Bytes.length s.Meta.payload = 0 && not s.Meta.fin then
-          c.Config.protocol_rx_ack
-        else c.Config.protocol_rx
+          Cost.protocol_rx_ack
+        else Cost.protocol_rx
       in
       protocol_section t cs ~cost ~id:s.Meta.rx_gseq ~reasm:true
         (fun now -> Protocol.rx t.cfg ~now cs s ~alloc_gseq:(alloc_tx_gseq t))
@@ -1217,7 +1215,7 @@ let protocol_tx t ~conn:conn_idx =
   match conn t conn_idx with
   | None -> tx_nothing_sent t ~conn:conn_idx
   | Some cs ->
-      protocol_section t cs ~cost:t.cfg.Config.costs.Config.protocol_tx
+      protocol_section t cs ~cost:Cost.protocol_tx
         ~id:(-1) ~reasm:false
         (fun now -> Protocol.tx t.cfg ~now cs ~alloc_gseq:(alloc_tx_gseq t))
         (function
@@ -1250,10 +1248,10 @@ let protocol_hc t (d : Meta.hc_desc) =
       | Some s, Meta.Rx_credit _ ->
           San.chan_recv s ("arx#" ^ string_of_int d.Meta.h_conn)
       | _ -> ());
-      protocol_section t cs ~cost:t.cfg.Config.costs.Config.protocol_hc
+      protocol_section t cs ~cost:Cost.protocol_hc
         ~id:(-1) ~reasm:false
         (fun now ->
-          Protocol.hc t.cfg ~now cs d.Meta.h_op ~alloc_gseq:(alloc_tx_gseq t))
+          Protocol.hc ~now cs d.Meta.h_op ~alloc_gseq:(alloc_tx_gseq t))
         (fun r ->
           postproc_stage t cs.Conn_state.pre.Conn_state.flow_group
             (Post_hc (d.Meta.h_conn, r)))
@@ -1264,9 +1262,8 @@ let protocol_hc t (d : Meta.hc_desc) =
    is the number of wire segments it carries: the sequencer cost is
    paid once per descriptor, plus [gro_merge] per absorbed segment. *)
 let gro_submit t ~merged (s : Meta.rx_summary) =
-  let c = t.cfg.Config.costs in
   run_stage t Pipeline.gro t.gro_fpc ~conn:s.Meta.conn ~id:s.Meta.rx_gseq
-    (c.Config.sequencer + ((merged - 1) * c.Config.gro_merge))
+    (Cost.sequencer + ((merged - 1) * Cost.gro_merge))
     (fun () -> protocol_rx t s)
 
 (* Flush a connection's GRO window: merge the accumulated run into one
@@ -1327,7 +1324,7 @@ let gro_release t (s : Meta.rx_summary) =
             }
           in
           Nfp.Conn_table.replace t.gro_pending s.Meta.conn acc;
-          Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+          Sim.Engine.schedule t.engine Nfp.Dma.batch_delay (fun () ->
               gro_flush t acc)
         end
   end
@@ -1341,10 +1338,9 @@ let forward_to_control t frame =
       t.cp_pending <- t.cp_pending + 1;
       Guard.note_depth g ~queue:"cp" t.cp_pending
   | None -> ());
-  let c = t.cfg.Config.costs in
   let fpc = t.ctx_fpcs.(0) in
   Nfp.Fpc.submit fpc
-    [ Compute c.Config.ctx_desc ]
+    [ Compute Cost.ctx_desc ]
     (fun () ->
       Nfp.Dma.issue t.dma ~queue:1
         ~bytes:(S.frame_wire_len frame)
@@ -1355,8 +1351,8 @@ let forward_to_control t frame =
 (* Checksum verification cost: driving the CRC/checksum unit has a
    fixed overhead plus a per-16B streaming component over the frame
    (the NFP checksums at near line rate). *)
-let csum_cycles t frame =
-  t.cfg.Config.costs.Config.preproc_csum + (S.frame_wire_len frame / 16)
+let csum_cycles frame =
+  Cost.preproc_csum + (S.frame_wire_len frame / 16)
 
 (* Whether a segment of an installed flow stays on the data path:
    control segments and VLAN-tagged frames go to the control plane. *)
@@ -1385,16 +1381,15 @@ let rx_summary t ~gseq ~conn (frame : S.frame) =
   }
 
 let preproc_rx t gseq (frame : S.frame) =
-  let c = t.cfg.Config.costs in
   let seg = frame.S.seg in
   let flow = Tcp.Flow.of_segment_rx seg in
   let hash = Tcp.Flow.hash flow in
   let after =
-    preproc_lookup_phases t hash @ [ Nfp.Fpc.Compute c.Config.preproc_summary ]
+    preproc_lookup_phases t hash @ [ Nfp.Fpc.Compute Cost.preproc_summary ]
   in
   (* tcpdump on ingress taps the pre-processor. *)
   run_stage t Pipeline.preproc ~tap:true ~after (next_preproc t) ~conn:(-1)
-    ~id:gseq (c.Config.preproc_validate + csum_cycles t frame) (fun () ->
+    ~id:gseq (Cost.preproc_validate + csum_cycles frame) (fun () ->
       sa t Pipeline.preproc ~flow:(-1) Effects.Conn_db Effects.Read;
       if not (S.csum_ok frame) then begin
         (* Corrupted in flight: drop at pre-processing so it never
@@ -1424,16 +1419,14 @@ let preproc_rx t gseq (frame : S.frame) =
 
 (* --- Run-to-completion baseline (Table 3, row 1) --------------------- *)
 
-let rtc_pcie_sleep t bytes =
-  let p = t.cfg.Config.params in
+let rtc_pcie_sleep bytes =
   let ser =
     int_of_float
-      (Float.round (float_of_int (8 * bytes) *. 1000. /. p.Nfp.Params.pcie_gbps))
+      (Float.round (float_of_int (8 * bytes) *. 1000. /. Nfp.Params.pcie_gbps))
   in
-  Nfp.Fpc.Sleep (p.Nfp.Params.pcie_base_latency + ser)
+  Nfp.Fpc.Sleep (Nfp.Params.pcie_base_latency + ser)
 
 let rtc_rx t (frame : S.frame) =
-  let c = t.cfg.Config.costs in
   let seg = frame.S.seg in
   let flow = Tcp.Flow.of_segment_rx seg in
   let hash = Tcp.Flow.hash flow in
@@ -1441,16 +1434,16 @@ let rtc_rx t (frame : S.frame) =
   let phases =
     [
       Nfp.Fpc.Compute
-        (c.Config.preproc_validate + csum_cycles t frame
-       + c.Config.preproc_lookup_hit + c.Config.preproc_summary
-       + c.Config.protocol_rx + c.Config.postproc_rx + c.Config.dma_desc
-       + c.Config.ctx_desc);
+        (Cost.preproc_validate + csum_cycles frame
+       + Cost.preproc_lookup_hit + Cost.preproc_summary
+       + Cost.protocol_rx + Cost.postproc_rx + Cost.dma_desc
+       + Cost.ctx_desc);
       Mem Nfp.Memory.Imem;
       Mem Nfp.Memory.Emem;
       Mem Nfp.Memory.Emem;
       Mem Nfp.Memory.Emem;
-      rtc_pcie_sleep t plen;
-      rtc_pcie_sleep t 32;
+      rtc_pcie_sleep plen;
+      rtc_pcie_sleep 32;
     ]
   in
   Nfp.Fpc.submit t.rtc_fpc phases (fun () ->
@@ -1486,16 +1479,15 @@ let rtc_rx t (frame : S.frame) =
       | _ -> forward_to_control t frame)
 
 let rtc_tx t ~conn:conn_idx =
-  let c = t.cfg.Config.costs in
   let phases =
     [
       Nfp.Fpc.Compute
-        (c.Config.scheduler_pick + c.Config.preproc_summary
-       + c.Config.protocol_tx + c.Config.postproc_tx + c.Config.dma_desc);
+        (Cost.scheduler_pick + Cost.preproc_summary
+       + Cost.protocol_tx + Cost.postproc_tx + Cost.dma_desc);
       Mem Nfp.Memory.Emem;
       Mem Nfp.Memory.Emem;
       Mem Nfp.Memory.Emem;
-      rtc_pcie_sleep t t.cfg.Config.mss;
+      rtc_pcie_sleep S.mss_with_timestamps;
     ]
   in
   Nfp.Fpc.submit t.rtc_fpc phases (fun () ->
@@ -1521,13 +1513,12 @@ let rtc_tx t ~conn:conn_idx =
         end)
 
 let rtc_hc t (d : Meta.hc_desc) =
-  let c = t.cfg.Config.costs in
   let phases =
     [
       Nfp.Fpc.Compute
-        (c.Config.ctx_desc + c.Config.protocol_hc + c.Config.postproc_tx);
+        (Cost.ctx_desc + Cost.protocol_hc + Cost.postproc_tx);
       Mem Nfp.Memory.Emem;
-      rtc_pcie_sleep t 32;
+      rtc_pcie_sleep 32;
     ]
   in
   Nfp.Fpc.submit t.rtc_fpc phases (fun () ->
@@ -1535,7 +1526,7 @@ let rtc_hc t (d : Meta.hc_desc) =
       | None -> ()
       | Some cs ->
           let r =
-            Protocol.hc t.cfg ~now:(Sim.Engine.now t.engine) cs d.Meta.h_op
+            Protocol.hc ~now:(Sim.Engine.now t.engine) cs d.Meta.h_op
               ~alloc_gseq:(alloc_tx_gseq t)
           in
           if r.Protocol.hc_wake_tx then
@@ -1587,12 +1578,11 @@ let rx_frame t frame =
       (* XDP modules run on the islands' spare FPCs, before the
          data-path pipeline; FlexTOE re-sequences afterwards (§3.3). *)
       let cycles, action = hook.xdp_run frame in
-      let c = t.cfg.Config.costs in
       let fpc =
         t.xdp_fpcs.(t.st_rx mod Array.length t.xdp_fpcs)
       in
       Nfp.Fpc.submit fpc
-        [ Compute (c.Config.xdp_dispatch + cycles) ]
+        [ Compute (Cost.xdp_dispatch + cycles) ]
         (fun () ->
           match action with
           | Xdp_pass f -> rx_datapath t f
@@ -1607,13 +1597,12 @@ let rx_frame t frame =
 let dispatch_tx t ~conn:conn_idx =
   if not (pipelined t) then rtc_tx t ~conn:conn_idx
   else begin
-    let c = t.cfg.Config.costs in
     run_stage t Pipeline.sched t.sch_fpc ~conn:conn_idx ~id:(-1)
-      c.Config.scheduler_pick (fun () ->
+      Cost.scheduler_pick (fun () ->
         sa t Pipeline.sched ~flow:conn_idx Effects.Sched_state Effects.Write;
         (* Pre-processing: segment alloc + Ethernet/IP headers. *)
         run_stage t Pipeline.preproc ~span:false (next_preproc t)
-          ~conn:conn_idx ~id:(-1) c.Config.preproc_summary (fun () ->
+          ~conn:conn_idx ~id:(-1) Cost.preproc_summary (fun () ->
             protocol_tx t ~conn:conn_idx))
   end
 
@@ -1634,7 +1623,6 @@ let rec atx_drain t ctx =
 and atx_drain_body t ctx =
   t.atx_scheduled.(ctx) <- false;
   let ring = t.atx.(ctx) in
-  let c = t.cfg.Config.costs in
   if not (Nfp.Ring.is_empty ring) then begin
     if t.hc_descs_free <= 0 then begin
       (* Descriptor pool exhausted: flow-control, retry shortly. *)
@@ -1651,7 +1639,7 @@ and atx_drain_body t ctx =
           t.hc_descs_free <- t.hc_descs_free - 1;
           run_stage t Pipeline.ctx ~span:false
             t.ctx_fpcs.(ctx mod Array.length t.ctx_fpcs)
-            ~conn:desc.Meta.h_conn ~id:(-1) c.Config.ctx_desc (fun () ->
+            ~conn:desc.Meta.h_conn ~id:(-1) Cost.ctx_desc (fun () ->
               (* Fetch the descriptor from the host context queue. *)
               Nfp.Dma.issue t.dma ~queue:1 ~bytes:32 (fun () ->
                   if pipelined t then begin
@@ -1659,7 +1647,7 @@ and atx_drain_body t ctx =
                        protocol stage. *)
                     let pre = next_preproc t in
                     Nfp.Fpc.submit pre
-                      [ Compute c.Config.preproc_lookup_hit ]
+                      [ Compute Cost.preproc_lookup_hit ]
                       (fun () -> protocol_hc t desc)
                   end
                   else rtc_hc t desc));
@@ -1680,21 +1668,21 @@ let atx_push t ~ctx (d : Meta.hc_desc) =
       t.atx_scheduled.(ctx) <- true;
       (* MMIO doorbell posts to the NIC. *)
       Sim.Engine.schedule t.engine
-        t.cfg.Config.params.Nfp.Params.mmio_latency (fun () ->
+        Nfp.Params.mmio_latency (fun () ->
           atx_drain t ctx)
     end
     else if not t.atx_flush_armed.(ctx) then begin
       (* Held doorbell: ring when the batch fills (above) or when the
          hold timer expires on a partial batch, whichever is first. *)
       t.atx_flush_armed.(ctx) <- true;
-      Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+      Sim.Engine.schedule t.engine Nfp.Dma.batch_delay (fun () ->
           t.atx_flush_armed.(ctx) <- false;
           if (not t.atx_scheduled.(ctx))
              && not (Nfp.Ring.is_empty t.atx.(ctx))
           then begin
             t.atx_scheduled.(ctx) <- true;
             Sim.Engine.schedule t.engine
-              t.cfg.Config.params.Nfp.Params.mmio_latency (fun () ->
+              Nfp.Params.mmio_latency (fun () ->
                 atx_drain t ctx)
           end)
     end
@@ -1789,7 +1777,7 @@ let set_rate t ~conn:conn_idx ~bps =
   (match conn t conn_idx with
   | Some cs -> cs.Conn_state.post.Conn_state.rate_bps <- bps
   | None -> ());
-  Sim.Engine.schedule t.engine t.cfg.Config.params.Nfp.Params.mmio_latency
+  Sim.Engine.schedule t.engine Nfp.Params.mmio_latency
     (fun () -> Scheduler.set_interval t.sch ~conn:conn_idx ~ps_per_byte)
 
 let sched_peak_ready t = Scheduler.peak_ready t.sch
@@ -1884,7 +1872,6 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
     ?(pipeline = Pipeline.builtin) () =
   if Netsim.Fabric.engine fabric != engine then
     invalid_arg "Datapath.create: the node's engine is not its fabric's";
-  let p = cfg.Config.params in
   let par = cfg.Config.parallelism in
   Pipeline.check pipeline;
   let contracts = Pipeline.contracts pipeline in
@@ -1916,7 +1903,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   let scale = cfg.Config.scale in
   let shards = Flow_group.shards_of scale in
   let mk ?(threads = Pipeline.threads cfg) name =
-    Nfp.Fpc.create engine ~params:p ~threads ~name ()
+    Nfp.Fpc.create engine ~threads ~name ()
   in
   (* Every row's FPC pool, island by island, keyed by stage. *)
   let build pool place =
@@ -1982,7 +1969,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         cp_pending = 0;
         port =
           Netsim.Fabric.add_port fabric
-            ~rate_gbps:p.Nfp.Params.wire_gbps ~mac ~ip
+            ~rate_gbps:Nfp.Params.wire_gbps ~mac ~ip
             ~rx:(fun frame -> rx_frame (Lazy.force t) frame)
             ();
         mac;
@@ -2005,17 +1992,17 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
         rr_pre = 0;
         rr_post = 0;
         rr_dma = 0;
-        dma = Nfp.Dma.create engine ~params:p;
+        dma = Nfp.Dma.create engine;
         pre_lookup_cache =
           Nfp.Direct_cache.create
-            ~entries:p.Nfp.Params.preproc_cache_entries;
+            ~entries:Nfp.Params.preproc_cache_entries;
         proto_cam =
           Array.init groups (fun _ ->
-              Nfp.Cam.create ~entries:p.Nfp.Params.cam_entries);
+              Nfp.Cam.create ~entries:Nfp.Params.cam_entries);
         fg_cls =
           Array.init groups (fun _ ->
               Nfp.Direct_cache.create
-                ~entries:p.Nfp.Params.cls_cache_entries);
+                ~entries:Nfp.Params.cls_cache_entries);
         emem_lru =
           (* Shards split the shared EMEM cache's working set; at
              shards = 1 this is the single full-size LRU of the
@@ -2023,7 +2010,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
           Array.init shards (fun _ ->
               Nfp.Lru.create
                 ~entries:
-                  (Int.max 1 (p.Nfp.Params.emem_cache_entries / shards)));
+                  (Int.max 1 (Nfp.Params.emem_cache_entries / shards)));
         shards;
         emem_pressure =
           (if scale.Config.s_on then
@@ -2045,8 +2032,8 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
                   Flow_group.shard_of_group
                     cs.Conn_state.pre.Conn_state.flow_group ~shards
               | None -> 0)
-            engine ~slot:cfg.Config.wheel_slot ~slots:cfg.Config.wheel_slots
-            ~credits:(Pipeline.seg_credits p)
+            engine ~slot:Scheduler.wheel_slot ~slots:Scheduler.wheel_slots
+            ~credits:Pipeline.seg_credits
             ~dispatch:(fun ~conn -> dispatch_tx (Lazy.force t) ~conn);
         atx =
           Array.init ctx_queues (fun i ->
@@ -2108,7 +2095,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      degree 1 is a no-op, but skipping the call keeps the unbatched
      engine provably untouched). *)
   let b = Config.batch_degree cfg in
-  if b > 1 then Nfp.Dma.set_batch t.dma b ~delay:cfg.Config.batch_delay;
+  if b > 1 then Nfp.Dma.set_batch t.dma b;
   (* Layer 2 wiring: give every execution context an identity and
      every ordering mechanism a happens-before edge. The RTC baseline
      FPC is deliberately left untraced (san is None for it anyway). *)

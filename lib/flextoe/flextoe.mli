@@ -30,6 +30,7 @@ module Scheduler = Scheduler
 module Effects = Effects
 module Defect = Defect
 module Pipeline = Pipeline
+module Cost = Cost
 module Graph_ir = Graph_ir
 module Prove = Prove
 module San = San

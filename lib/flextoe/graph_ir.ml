@@ -76,7 +76,6 @@ let is_blocking e =
 let builtin ?(pipeline = Pipeline.builtin) ~config () =
   let open Effects in
   let open Pipeline in
-  let p = config.Config.params in
   let b = Config.batch_degree config in
   let gc = config.Config.guard in
   let as_built s =
@@ -115,7 +114,7 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
       e nbi preproc "nbi-pool"
         (Queue
            {
-             q_capacity = Bounded p.Nfp.Params.seg_buffers;
+             q_capacity = Bounded Nfp.Params.seg_buffers;
              q_overflow = Drop "tail-drop at the NBI segment-buffer pool";
              q_batch = 1;
              q_bound = Cap "nbi-pool";
@@ -138,7 +137,7 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
          blocks when full, completions are unconditional and FIFO. *)
       e dma dma (serial_queue dma)
         ~drain:"PCIe completions are unconditional and FIFO per queue"
-        (Credit { cr_tokens = p.Nfp.Params.dma_inflight });
+        (Credit { cr_tokens = Nfp.Params.dma_inflight });
       (* Notification + ACK leave only after the payload DMA lands,
          and reach the host only after the descriptor DMA: ordered
          edges, unless the row hands off without waiting. *)
@@ -183,7 +182,7 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
       e ctx protocol "hc-pool" (Credit { cr_tokens = hc_descs });
       flow ctx protocol "hc-dispatch";
       flow ~ordered:false sched preproc "tx-dispatch";
-      e sched nbi "seg-credits" (Credit { cr_tokens = seg_credits p });
+      e sched nbi "seg-credits" (Credit { cr_tokens = seg_credits });
       flow ~ordered:false postproc sched "sched-update";
       (* TX reorder at the NBI: data descriptors are credit-gated,
          ACK egress is pinned to RX segments in flight. *)

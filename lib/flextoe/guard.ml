@@ -28,6 +28,11 @@ type t = {
   g : Config.guard;
   secret : int;
   tw : tw_entry Tcp.Flow.Tbl.t;
+  (* Every entry ever added, oldest first. Each add is at the engine's
+     clock, so this is also deadline order. An entry is stale once its
+     flow left [tw] or was re-added with a newer [tw_born]; stale
+     entries are dropped when they reach the head. *)
+  tw_order : tw_entry Sim.Fifo.t;
   mutable tw_births : int;
   counters : (string, int ref) Hashtbl.t;
   peaks : (string, int ref) Hashtbl.t;
@@ -38,6 +43,7 @@ let create ~g ~secret () =
     g;
     secret = secret land 0x3FFFFFFF;
     tw = Tcp.Flow.Tbl.create 256;
+    tw_order = Sim.Fifo.create ();
     tw_births = 0;
     counters = Hashtbl.create 32;
     peaks = Hashtbl.create 8;
@@ -109,33 +115,42 @@ let tw_find t ~flow =
 
 let tw_remove t ~flow = Tcp.Flow.Tbl.remove t.tw flow
 
+let live t e =
+  match Tcp.Flow.Tbl.find_opt t.tw e.tw_flow with
+  | Some cur -> cur.tw_born = e.tw_born
+  | None -> false
+
+(* Drop stale entries from the head of [tw_order]: afterwards its head,
+   if any, is the oldest entry in the table. *)
+let rec tw_skip_stale t =
+  if (not (Sim.Fifo.is_empty t.tw_order))
+     && not (live t (Sim.Fifo.peek t.tw_order))
+  then begin
+    ignore (Sim.Fifo.pop t.tw_order);
+    tw_skip_stale t
+  end
+
 let tw_add t ~now ~flow ~snd_nxt ~rcv_nxt =
   if tw_length t >= time_wait_max && not (Tcp.Flow.Tbl.mem t.tw flow) then begin
     (* Pressure: recycle the oldest entry so teardown can't be wedged
        by a full table. *)
-    let oldest =
-      Tcp.Flow.Tbl.fold
-        (fun _ e acc ->
-          match acc with
-          | Some o when o.tw_born <= e.tw_born -> acc
-          | _ -> Some e)
-        t.tw None
-    in
-    match oldest with
-    | Some o ->
-        Tcp.Flow.Tbl.remove t.tw o.tw_flow;
-        count t "tw_recycled_pressure"
-    | None -> ()
+    tw_skip_stale t;
+    let oldest = Sim.Fifo.pop t.tw_order in
+    Tcp.Flow.Tbl.remove t.tw oldest.tw_flow;
+    count t "tw_recycled_pressure"
   end;
   t.tw_births <- t.tw_births + 1;
-  Tcp.Flow.Tbl.replace t.tw flow
+  let e =
     {
       tw_flow = flow;
       tw_snd_nxt = snd_nxt;
       tw_rcv_nxt = rcv_nxt;
       tw_deadline = now + time_wait;
       tw_born = t.tw_births;
-    };
+    }
+  in
+  Tcp.Flow.Tbl.replace t.tw flow e;
+  Sim.Fifo.push e t.tw_order;
   count t "tw_installed"
 
 (* A fresh SYN may take over a TIME_WAIT 4-tuple only when its ISN is
@@ -147,15 +162,18 @@ let tw_syn_acceptable t ~flow ~isn =
   | None -> true
   | Some e -> Tcp.Seq32.gt isn e.tw_rcv_nxt
 
+(* Live entries leave in deadline order, so the first one still
+   waiting ends the pass. *)
 let tw_reap t ~now =
-  let dead =
-    Tcp.Flow.Tbl.fold
-      (fun flow e acc -> if now >= e.tw_deadline then flow :: acc else acc)
-      t.tw []
+  let rec go n =
+    tw_skip_stale t;
+    if (not (Sim.Fifo.is_empty t.tw_order))
+       && now >= (Sim.Fifo.peek t.tw_order).tw_deadline
+    then begin
+      Tcp.Flow.Tbl.remove t.tw (Sim.Fifo.pop t.tw_order).tw_flow;
+      count t "tw_expired";
+      go (n + 1)
+    end
+    else n
   in
-  List.iter
-    (fun flow ->
-      Tcp.Flow.Tbl.remove t.tw flow;
-      count t "tw_expired")
-    dead;
-  List.length dead
+  go 0

@@ -92,8 +92,13 @@ val tw_add :
   snd_nxt:Tcp.Seq32.t ->
   rcv_nxt:Tcp.Seq32.t ->
   unit
-(** Install a TIME_WAIT entry; at {!time_wait_max} capacity the
-    oldest entry is recycled (counted). *)
+(** Install a TIME_WAIT entry, due to expire at [now + time_wait];
+    at {!time_wait_max} capacity the oldest entry is recycled
+    (counted). [now] must not decrease from one call to the next (it
+    is the engine clock): entries are kept in insertion order, which
+    is then also deadline order. Neither this nor {!tw_reap} passes
+    over the table: each entry costs amortized O(1) to add and to
+    remove. *)
 
 val tw_find : t -> flow:Tcp.Flow.t -> (Tcp.Seq32.t * Tcp.Seq32.t) option
 (** [(snd_nxt, rcv_nxt)] of the dead incarnation, if any. *)

@@ -1,3 +1,10 @@
+(* Host cycles charged per socket call (Table 1: 0.74 kc per request
+   covers send+recv+poll). *)
+let sockets_api_cycles = 310
+
+(* Host cycles to consume one ARX entry. *)
+let notify_cycles = 60
+
 type sock = {
   handle : Control_plane.conn_handle;
   api : Host.Api.socket;
@@ -85,7 +92,7 @@ let rec flush_hc t sock =
 let do_send t sock data =
   if sock.closed then 0
   else begin
-    charge sock t.cfg.Config.sockets_api_cycles;
+    charge sock sockets_api_cycles;
     let n = Int.min (Bytes.length data) sock.tx_free in
     if n > 0 then begin
       let buf = sock.handle.Control_plane.ch_state.Conn_state.post
@@ -103,11 +110,11 @@ let do_send t sock data =
          append, exactly as before. *)
       if
         Config.batch_degree t.cfg <= 1
-        || sock.tx_avail_pending >= t.cfg.Config.mss
+        || sock.tx_avail_pending >= Tcp.Segment.mss_with_timestamps
       then flush_hc t sock
       else if not sock.hc_batch_armed then begin
         sock.hc_batch_armed <- true;
-        Sim.Engine.schedule t.engine t.cfg.Config.batch_delay (fun () ->
+        Sim.Engine.schedule t.engine Nfp.Dma.batch_delay (fun () ->
             sock.hc_batch_armed <- false;
             flush_hc t sock)
       end
@@ -116,7 +123,7 @@ let do_send t sock data =
   end
 
 let do_recv t sock ~max =
-  charge sock t.cfg.Config.sockets_api_cycles;
+  charge sock sockets_api_cycles;
   let n = Int.min max sock.rx_ready in
   if n <= 0 then Bytes.empty
   else begin
@@ -139,7 +146,7 @@ let do_recv t sock ~max =
 let do_close t sock =
   if not sock.closed then begin
     sock.closed <- true;
-    charge sock t.cfg.Config.sockets_api_cycles;
+    charge sock sockets_api_cycles;
     sock.fin_pending <- true;
     flush_hc t sock;
     (* The FIN rides the sock's own context ring, ordered behind any
@@ -196,7 +203,7 @@ let on_arx t (d : Meta.arx_desc) =
   | None -> ()
   | Some sock ->
       Host.Host_cpu.exec sock.core ~category:"sockets"
-        ~cycles:t.cfg.Config.notify_cycles (fun () ->
+        ~cycles:notify_cycles (fun () ->
           if d.Meta.x_err then begin
             (* Connection aborted by the control plane: the data-path
                state is gone, so pending HC updates are moot and no

@@ -206,7 +206,7 @@ let atx_slots = 512  (* per-context-queue ATX descriptor ring *)
 let hc_descs = 128  (* host-control descriptor pool *)
 
 (* Scheduler segment credits: one per NBI segment buffer, at most 256. *)
-let seg_credits (p : Nfp.Params.t) = Int.min 256 p.Nfp.Params.seg_buffers
+let seg_credits = Int.min 256 Nfp.Params.seg_buffers
 
 (* --- Projections ------------------------------------------------------ *)
 

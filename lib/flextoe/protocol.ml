@@ -2,10 +2,12 @@ open Conn_state
 
 let us_of_time t = (t / 1_000_000) land 0xFFFF_FFFF
 
-let scaled_window cfg avail =
-  Int.min 0xFFFF (avail lsr cfg.Config.window_scale)
+let window_scale = 7
+let mss = Tcp.Segment.mss_with_timestamps
 
-let make_ack cfg conn ~gseq =
+let scaled_window avail = Int.min 0xFFFF (avail lsr window_scale)
+
+let make_ack conn ~gseq =
   let p = conn.proto in
   let ack = Tcp.Reassembly.next p.reasm in
   {
@@ -13,15 +15,14 @@ let make_ack cfg conn ~gseq =
     a_gseq = gseq;
     a_seq = tx_seq_of_pos conn p.tx_next_pos;
     a_ack = ack;
-    a_wnd = scaled_window cfg p.rx_avail;
+    a_wnd = scaled_window p.rx_avail;
     a_ts_ecr = p.next_ts;
     a_ece = p.ece_pending;
   }
 
 (* Cumulative-ACK processing: returns (freed, ack_bytes, ecn_bytes,
    rtt_ns, wake, fast_retx). *)
-let process_ack cfg ~now conn (s : Meta.rx_summary) =
-  ignore cfg;
+let process_ack ~now conn (s : Meta.rx_summary) =
   let p = conn.proto in
   let fin_adj = if p.fin_sent || p.fin_acked then 1 else 0 in
   let ack_pos = tx_pos_of_seq conn s.Meta.ack_seq in
@@ -34,7 +35,7 @@ let process_ack cfg ~now conn (s : Meta.rx_summary) =
   else begin
     let old_win = p.remote_win in
     let old_usable = p.remote_win - tx_unacked conn in
-    p.remote_win <- s.Meta.wnd lsl cfg.Config.window_scale;
+    p.remote_win <- s.Meta.wnd lsl window_scale;
     let acked_data = Int.min ack_pos p.tx_tail_pos in
     let freed = acked_data - p.tx_acked_pos in
     if freed > 0 || (p.fin_sent && ack_pos > p.tx_tail_pos) then begin
@@ -108,7 +109,7 @@ let rx cfg ~now conn (s : Meta.rx_summary) ~alloc_gseq =
   if s.Meta.ecn_ce then p.ece_pending <- true;
   if s.Meta.cwr then p.ece_pending <- false;
   let freed, ackb, ecnb, rtt, wake_ack, fretx =
-    if s.Meta.has_ack then process_ack cfg ~now conn s
+    if s.Meta.has_ack then process_ack ~now conn s
     else (0, 0, 0, 0, false, false)
   in
   let plen = Bytes.length s.Meta.payload in
@@ -172,13 +173,13 @@ let rx cfg ~now conn (s : Meta.rx_summary) ~alloc_gseq =
       p.delack_segs <- p.delack_segs + 1;
       if p.delack_segs >= 2 then begin
         p.delack_segs <- 0;
-        Some (make_ack cfg conn ~gseq:(alloc_gseq ()))
+        Some (make_ack conn ~gseq:(alloc_gseq ()))
       end
       else None
     end
     else begin
       p.delack_segs <- 0;
-      Some (make_ack cfg conn ~gseq:(alloc_gseq ()))
+      Some (make_ack conn ~gseq:(alloc_gseq ()))
     end
   in
   {
@@ -203,7 +204,7 @@ let tx cfg ~now conn ~alloc_gseq =
   (* TSO (§3.4): one descriptor may carry up to batch-degree MSS
      units; the NBI splits it back into wire frames. At degree 1 the
      cap is exactly [mss], today's per-segment behavior. *)
-  let cap = cfg.Config.mss * Config.batch_degree cfg in
+  let cap = mss * Config.batch_degree cfg in
   let len = Int.min cap (Int.min (tx_avail conn) usable) in
   let emit ~len ~fin =
     let pos = p.tx_next_pos in
@@ -223,7 +224,7 @@ let tx cfg ~now conn ~alloc_gseq =
         t_len = len;
         t_seq = seq;
         t_ack = Tcp.Reassembly.next p.reasm;
-        t_wnd = scaled_window cfg p.rx_avail;
+        t_wnd = scaled_window p.rx_avail;
         t_fin = fin;
         t_cwr =
           (if p.cwr_pending then begin
@@ -249,7 +250,7 @@ type hc_result = {
   hc_window_update : Meta.ack_info option;
 }
 
-let hc cfg ~now conn op ~alloc_gseq =
+let hc ~now conn op ~alloc_gseq =
   let p = conn.proto in
   match op with
   | Meta.Tx_avail n ->
@@ -266,15 +267,15 @@ let hc cfg ~now conn op ~alloc_gseq =
         { hc_wake_tx = true; hc_window_update = None }
       end
   | Meta.Rx_credit n ->
-      let was_closed = p.rx_avail < cfg.Config.mss in
+      let was_closed = p.rx_avail < mss in
       (* Defensive: libTOE is untrusted (§3); never credit beyond the
          buffer the control plane allocated (a static per-connection
          size, so reading it does not breach stage-state separation). *)
       let buf_size = Host.Payload_buf.size conn.post.Conn_state.rx_buf in
       p.rx_avail <- Int.min (p.rx_avail + n) buf_size;
       let update =
-        if was_closed && p.rx_avail >= cfg.Config.mss then
-          Some (make_ack cfg conn ~gseq:(alloc_gseq ()))
+        if was_closed && p.rx_avail >= mss then
+          Some (make_ack conn ~gseq:(alloc_gseq ()))
         else None
       in
       { hc_wake_tx = false; hc_window_update = update }
@@ -299,7 +300,7 @@ let hc cfg ~now conn op ~alloc_gseq =
         p.delack_segs <- 0;
         {
           hc_wake_tx = false;
-          hc_window_update = Some (make_ack cfg conn ~gseq:(alloc_gseq ()));
+          hc_window_update = Some (make_ack conn ~gseq:(alloc_gseq ()));
         }
       end
       else { hc_wake_tx = false; hc_window_update = None }

@@ -9,6 +9,11 @@
     Time is passed as [now_us] where 32-bit TCP timestamps are
     involved. *)
 
+val window_scale : int
+(** Fixed window-scale shift assumed on both ends: 7 (no SYN
+    negotiation is modelled); data-center defaults need windows larger
+    than 64 KB. *)
+
 val rx :
   Config.t ->
   now:Sim.Time.t ->
@@ -43,7 +48,6 @@ type hc_result = {
 }
 
 val hc :
-  Config.t ->
   now:Sim.Time.t ->
   Conn_state.t ->
   Meta.hc_op ->

@@ -37,6 +37,9 @@ type t = {
   mutable tracer : tracer option;
 }
 
+let wheel_slot = Sim.Time.us 2
+let wheel_slots = 4096
+
 let create ?(shards = 1) ?(shard_of = fun ~conn:_ -> 0) engine ~slot ~slots
     ~credits ~dispatch =
   if slot <= 0 || slots <= 0 then

@@ -30,6 +30,12 @@ type tracer = {
 val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the tracer. Zero cost when unset. *)
 
+val wheel_slot : Sim.Time.t
+(** The data path's wheel slot granularity: 2 µs. *)
+
+val wheel_slots : int
+(** The data path's wheel horizon, in slots: 4096 (8.2 ms). *)
+
 val create :
   ?shards:int ->
   ?shard_of:(conn:int -> int) ->

@@ -38,7 +38,6 @@ type fault = { f_rng : Sim.Rng.t; f_rate : float; f_max_retries : int }
 
 type t = {
   engine : Sim.Engine.t;
-  params : Params.t;
   (* Completions in flight: each is due [pcie_base_latency] after the
      shared link frees, and [link_free] only grows, so they form one
      stream. *)
@@ -56,17 +55,17 @@ type t = {
      completions coalesced per delivery. 1 by default, which keeps
      every code path bit-identical to the unbatched engine. *)
   mutable batch : int;
-  mutable batch_delay : Sim.Time.t;  (* partial-batch hold bound *)
   mutable doorbells : int;  (* flushes rung (batched mode only) *)
 }
 
-let create engine ~params =
+let batch_delay = Sim.Time.us 1
+
+let create engine =
   {
     engine;
-    params;
     completions = Sim.Engine.Stream.create engine;
     queues =
-      Array.init params.Params.dma_queues (fun _ ->
+      Array.init Params.dma_queues (fun _ ->
           {
             inflight = 0;
             waiting = Sim.Fifo.create ();
@@ -83,25 +82,22 @@ let create engine ~params =
     retries_exhausted = 0;
     tracer = None;
     batch = 1;
-    batch_delay = Sim.Time.us 1;
     doorbells = 0;
   }
 
 let set_tracer t tr = t.tracer <- tr
 
-let set_batch t degree ~delay =
-  t.batch <- degree;
-  t.batch_delay <- delay
+let set_batch t degree = t.batch <- degree
 
 let set_fault t ?(seed = 0xD0AL) ~rate ?(max_retries = 8) () =
   t.fault <-
     Some { f_rng = Sim.Rng.create seed; f_rate = rate; f_max_retries = max_retries }
 
-let serialization_time t bytes =
+let serialization_time bytes =
   if bytes <= 0 then 0
   else
     (* bits / (Gb/s) = ns; work in picoseconds. *)
-    let ps = float_of_int (8 * bytes) *. 1000. /. t.params.Params.pcie_gbps in
+    let ps = float_of_int (8 * bytes) *. 1000. /. Params.pcie_gbps in
     int_of_float (Float.round ps)
 
 (* Release finished tickets from the head of the queue's issue order:
@@ -142,11 +138,11 @@ let drain_order t qi q =
 let rec start t qi q tk =
   q.inflight <- q.inflight + 1;
   let now = Sim.Engine.now t.engine in
-  let ser = serialization_time t tk.tk_bytes in
+  let ser = serialization_time tk.tk_bytes in
   let start_time = Int.max now t.link_free in
   t.link_free <- start_time + ser;
   Sim.Engine.Stream.schedule_at t.completions
-    (t.link_free + t.params.Params.pcie_base_latency) (fun () ->
+    (t.link_free + Params.pcie_base_latency) (fun () ->
       q.inflight <- q.inflight - 1;
       (* Free slot: admit a waiter, if any. *)
       if not (Sim.Fifo.is_empty q.waiting) then
@@ -174,7 +170,7 @@ let rec start t qi q tk =
           drain_order t qi q)
 
 and admit t qi q tk =
-  if q.inflight < t.params.Params.dma_inflight then start t qi q tk
+  if q.inflight < Params.dma_inflight then start t qi q tk
   else Sim.Fifo.push tk q.waiting
 
 (* Ring the doorbell: admit every pending descriptor in one go. *)
@@ -206,7 +202,7 @@ let issue t ~queue ~bytes k =
     if Sim.Fifo.length q.pending >= t.batch then flush_doorbell t qi q
     else if not q.db_armed then begin
       q.db_armed <- true;
-      Sim.Engine.schedule t.engine t.batch_delay (fun () ->
+      Sim.Engine.schedule t.engine batch_delay (fun () ->
           q.db_armed <- false;
           flush_doorbell t qi q)
     end

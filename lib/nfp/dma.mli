@@ -21,17 +21,23 @@ type tracer = {
   dt_complete : queue:int -> token:int -> (unit -> unit) -> unit;
 }
 
-val create : Sim.Engine.t -> params:Params.t -> t
+val create : Sim.Engine.t -> t
+
+val batch_delay : Sim.Time.t
+(** How long a partial batch may be held before a timer flushes it:
+    1 µs. It bounds every batching boundary (§3.4): this engine's
+    doorbell ring, the data path's GRO window and ARX accumulator, and
+    libTOE's coalesced HC updates. *)
 
 val set_tracer : t -> tracer option -> unit
 (** Install (or clear) the completion tracer. Zero cost when unset. *)
 
-val set_batch : t -> int -> delay:Sim.Time.t -> unit
-(** [set_batch t n ~delay] sets the batching degree (§3.4); [n <= 1]
-    (the default is 1) is bit-identical to the unbatched engine. Above
-    1, issued descriptors accumulate and are admitted [n] at a time
-    (or when [delay] elapses on a partial batch); the issue-order FIFO
-    and the sanitizer's issue tokens are fixed at issue time, so
+val set_batch : t -> int -> unit
+(** [set_batch t n] sets the batching degree (§3.4); [n <= 1] (the
+    default is 1) is bit-identical to the unbatched engine. Above 1,
+    issued descriptors accumulate and are admitted [n] at a time (or
+    when {!batch_delay} elapses on a partial batch); the issue-order
+    FIFO and the sanitizer's issue tokens are fixed at issue time, so
     completion semantics are unchanged. A ready run of completions
     shorter than [n] is held until it fills or the queue goes idle —
     the last completion of any burst observes the idle queue and

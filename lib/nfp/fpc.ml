@@ -34,7 +34,6 @@ type hw = {
 
 type t = {
   engine : Sim.Engine.t;
-  params : Params.t;
   name : string;
   threads : int;
   (* Idle hardware threads, a stack whose top is [idle.(idle_n - 1)]:
@@ -56,15 +55,14 @@ let set_tracer t tr = t.tracer <- tr
 
 let name t = t.name
 
-let mem_latency t level =
-  Sim.Time.Freq.cycles t.params.Params.fpc_freq
-    (Memory.latency_cycles t.params level)
+let mem_latency level =
+  Sim.Time.Freq.cycles Params.fpc_freq (Memory.latency_cycles level)
 
 (* Grant the core to [hw]'s compute burst; [hw.core_done] hands it to
    the next waiter. *)
 let grant_core t hw cycles =
   t.core_busy <- true;
-  let dur = Sim.Time.Freq.cycles t.params.Params.fpc_freq cycles in
+  let dur = Sim.Time.Freq.cycles Params.fpc_freq cycles in
   t.busy <- t.busy + dur;
   Sim.Engine.schedule_handler t.engine dur hw.core_done
 
@@ -97,7 +95,7 @@ let rec run_phases t hw =
       request_core t hw cycles
   | Mem level :: rest ->
       hw.phases <- rest;
-      let lat = mem_latency t level in
+      let lat = mem_latency level in
       t.stall <- t.stall + lat;
       Sim.Engine.schedule_handler t.engine lat hw.resume
   | Sleep d :: rest ->
@@ -121,7 +119,7 @@ and thread_done t hw =
     run_phases t hw
   end
 
-let create engine ~params ~threads ~name () =
+let create engine ~threads ~name () =
   if threads <= 0 then invalid_arg "Fpc.create: threads must be positive";
   let hws =
     Array.init threads (fun slot ->
@@ -138,7 +136,6 @@ let create engine ~params ~threads ~name () =
   let t =
     {
       engine;
-      params;
       name;
       threads;
       (* Slot 0 on top, as the first thread handed out. *)
@@ -190,12 +187,10 @@ let utilization t ~total =
 
 let items_completed t = t.completed
 
-let phase_cost params phases =
-  let freq = params.Params.fpc_freq in
+let phase_cost phases =
   List.fold_left
     (fun acc -> function
-      | Compute c -> acc + Sim.Time.Freq.cycles freq c
-      | Mem l ->
-          acc + Sim.Time.Freq.cycles freq (Memory.latency_cycles params l)
+      | Compute c -> acc + Sim.Time.Freq.cycles Params.fpc_freq c
+      | Mem l -> acc + mem_latency l
       | Sleep d -> acc + d)
     0 phases

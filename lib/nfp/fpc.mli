@@ -38,8 +38,7 @@ type tracer = {
   tr_run : slot:int -> token:int -> (unit -> unit) -> unit;
 }
 
-val create :
-  Sim.Engine.t -> params:Params.t -> threads:int -> name:string -> unit -> t
+val create : Sim.Engine.t -> threads:int -> name:string -> unit -> t
 (** [threads] hardware threads ([Config.parallelism.fpc_threads] in the
     data path: 8 on the NFP-4000). *)
 
@@ -76,6 +75,6 @@ val utilization : t -> total:Sim.Time.t -> float
 
 val items_completed : t -> int
 
-val phase_cost : Params.t -> phase list -> Sim.Time.t
+val phase_cost : phase list -> Sim.Time.t
 (** Lower-bound latency of a phase list on an unloaded core (used by
     tests and by the run-to-completion baseline accounting). *)

@@ -1,12 +1,12 @@
 type level = Local | Cls | Ctm | Imem | Emem_cached | Emem
 
-let latency_cycles (p : Params.t) = function
-  | Local -> p.local_mem_cycles
-  | Cls -> p.cls_cycles
-  | Ctm -> p.ctm_cycles
-  | Imem -> p.imem_cycles
-  | Emem_cached -> p.emem_cache_cycles
-  | Emem -> p.emem_cycles
+let latency_cycles = function
+  | Local -> Params.local_mem_cycles
+  | Cls -> Params.cls_cycles
+  | Ctm -> Params.ctm_cycles
+  | Imem -> Params.imem_cycles
+  | Emem_cached -> Params.emem_cache_cycles
+  | Emem -> Params.emem_cycles
 
 let pp_level fmt l =
   Format.pp_print_string fmt
@@ -57,9 +57,10 @@ module Pressure = struct
      overcommit. Linear in the overcommit ratio, clamped at 4x the
      base DRAM latency: at 1x capacity the penalty is 0, at 2x it is
      one extra emem_cycles, saturating at 5x total. *)
-  let extra_miss_cycles t (p : Params.t) =
+  let extra_miss_cycles t =
     if t.capacity_flows <= 0 || t.flows <= t.capacity_flows then 0
     else
       let over = t.flows - t.capacity_flows in
-      Int.min (4 * p.emem_cycles) (p.emem_cycles * over / t.capacity_flows)
+      Int.min (4 * Params.emem_cycles)
+        (Params.emem_cycles * over / t.capacity_flows)
 end

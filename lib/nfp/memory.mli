@@ -8,7 +8,7 @@ type level =
   | Emem_cached  (** EMEM access hitting the 3 MB SRAM cache. *)
   | Emem  (** External DRAM (2 GB). *)
 
-val latency_cycles : Params.t -> level -> int
+val latency_cycles : level -> int
 val pp_level : Format.formatter -> level -> unit
 
 (** FlexScale capacity-pressure accounting for the shared EMEM
@@ -35,7 +35,7 @@ module Pressure : sig
       footprint number the "scale" bench gate pins. 0 before any
       install. *)
 
-  val extra_miss_cycles : t -> Params.t -> int
+  val extra_miss_cycles : t -> int
   (** Extra cycles an EMEM miss pays beyond [emem_cycles]: 0 at or
       under capacity, growing linearly with overcommit and clamped at
       [4 * emem_cycles]. Deterministic (a pure function of the

@@ -88,6 +88,98 @@ let test_tw_capacity_recycles_oldest () =
   check_int "reap expires remaining entries" cap (Guard.tw_reap g ~now:past);
   check_int "table empty after reap" 0 (Guard.tw_length g)
 
+(* The TIME_WAIT table against a reference that finds the oldest entry
+   and the expired ones by folding over every entry: random adds,
+   re-adds, removes, reaps and rare clock jumps past the hold, over a
+   flow universe half again the cap, so the table fills and
+   recycles. *)
+let test_tw_order_matches_fold () =
+  let g = mk_guard () in
+  let cap = Guard.time_wait_max in
+  let flow i =
+    Tcp.Flow.v ~local_ip:1 ~local_port:7 ~remote_ip:2 ~remote_port:(100 + i)
+  in
+  (* flow -> (born, deadline) *)
+  let model : (int, int * Sim.Time.t) Hashtbl.t = Hashtbl.create 8192 in
+  let births = ref 0 and recycled = ref 0 and expired = ref 0 in
+  let universe = cap + (cap / 2) in
+  let now = ref Sim.Time.zero in
+  let rng = Sim.Rng.create 0x7A17L in
+  let model_add i =
+    let victim =
+      if Hashtbl.length model >= cap && not (Hashtbl.mem model i) then begin
+        let oldest =
+          Hashtbl.fold
+            (fun k (b, _) acc ->
+              match acc with
+              | Some (_, ob) when ob <= b -> acc
+              | _ -> Some (k, b))
+            model None
+        in
+        let v = fst (Option.get oldest) in
+        Hashtbl.remove model v;
+        incr recycled;
+        Some v
+      end
+      else None
+    in
+    incr births;
+    Hashtbl.replace model i (!births, !now + Guard.time_wait);
+    victim
+  in
+  let model_reap () =
+    let dead =
+      Hashtbl.fold
+        (fun k (_, d) acc -> if !now >= d then k :: acc else acc)
+        model []
+    in
+    List.iter (Hashtbl.remove model) dead;
+    expired := !expired + List.length dead;
+    List.length dead
+  in
+  let same_contents () =
+    Guard.tw_length g = Hashtbl.length model
+    && Hashtbl.fold
+         (fun k _ ok -> ok && Guard.tw_find g ~flow:(flow k) <> None)
+         model true
+  in
+  for step = 1 to 40_000 do
+    (* About 0.5 us per step: some 20,000 steps per TIME_WAIT hold. *)
+    now := !now + Sim.Time.ns (Sim.Rng.int rng 1_000);
+    let r = Sim.Rng.int rng 1000 in
+    if r < 750 then begin
+      let i = Sim.Rng.int rng universe in
+      Guard.tw_add g ~now:!now ~flow:(flow i) ~snd_nxt:Tcp.Seq32.zero
+        ~rcv_nxt:Tcp.Seq32.zero;
+      match model_add i with
+      | Some v when Guard.tw_find g ~flow:(flow v) <> None ->
+          Alcotest.failf "step %d: oldest entry %d not recycled" step v
+      | _ -> ()
+    end
+    else if r < 850 then begin
+      let i = Sim.Rng.int rng universe in
+      Guard.tw_remove g ~flow:(flow i);
+      Hashtbl.remove model i
+    end
+    else begin
+      if Sim.Rng.int rng 1_500 = 0 then
+        now := !now + Sim.Time.ms (1 + Sim.Rng.int rng 12);
+      let want = model_reap () and got = Guard.tw_reap g ~now:!now in
+      if got <> want then
+        Alcotest.failf "step %d: reaped %d, the scan %d" step got want
+    end;
+    if Guard.tw_length g <> Hashtbl.length model then
+      Alcotest.failf "step %d: %d entries, the scan %d" step
+        (Guard.tw_length g) (Hashtbl.length model);
+    if step mod 500 = 0 && not (same_contents ()) then
+      Alcotest.failf "step %d: table differs from the reference" step
+  done;
+  check_bool "same contents at the end" true (same_contents ());
+  check_int "recycles" !recycled (Guard.counter g "tw_recycled_pressure");
+  check_int "expiries" !expired (Guard.counter g "tw_expired");
+  check_bool "the cap was reached and recycled" true (!recycled > 100);
+  check_bool "reaps expired entries" true (!expired > 100)
+
 (* --- End-to-end worlds ------------------------------------------------ *)
 
 let ip_server = 0x0A000001
@@ -640,6 +732,8 @@ let suite =
       test_tw_wraparound;
     Alcotest.test_case "TIME_WAIT capacity recycles oldest" `Quick
       test_tw_capacity_recycles_oldest;
+    Alcotest.test_case "TIME_WAIT order matches a full scan" `Quick
+      test_tw_order_matches_fold;
     Alcotest.test_case "replay: backlog and cookies" `Quick
       test_replay_backlog_and_cookies;
     Alcotest.test_case "replay: established never shed" `Quick

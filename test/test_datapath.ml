@@ -120,8 +120,8 @@ let test_fpc_busy_reporting () =
     (List.assoc "rtc0" busy = 0)
 
 let rtc_config =
-  Flextoe.Config.with_parallelism Flextoe.Config.default
-    Flextoe.Config.t3_baseline
+  { Flextoe.Config.default with
+    Flextoe.Config.parallelism = Flextoe.Config.t3_baseline }
 
 let test_rtc_uses_only_rtc_fpc () =
   let engine, a, b = mk_pair ~config:rtc_config () in
@@ -332,7 +332,7 @@ let test_tracepoints_belong_to_rows () =
       (Sim.Scope.histograms sc)
   in
   let base = min_cycles () in
-  let tracepoint = config.Flextoe.Config.costs.Flextoe.Config.tracepoint in
+  let tracepoint = Flextoe.Cost.tracepoint in
   let spans = List.filter (fun s -> List.mem_assoc (P.name s) base) P.builtin in
   check_int "stages with spans" 7 (List.length spans);
   List.iter

@@ -245,15 +245,15 @@ let test_tx_segments_stream () =
   c.C.proto.C.tx_tail_pos <- 3000;
   let d1 = Option.get (P.tx cfg ~now:0 c ~alloc_gseq) in
   check_int "first at 0" 0 d1.M.t_pos;
-  check_int "mss-sized" cfg.Flextoe.Config.mss d1.M.t_len;
+  check_int "mss-sized" Tcp.Segment.mss_with_timestamps d1.M.t_len;
   check_int "seq" (C.tx_seq_of_pos c 0) d1.M.t_seq;
   check_bool "more to send" true d1.M.t_more;
   let d2 = Option.get (P.tx cfg ~now:0 c ~alloc_gseq) in
-  check_int "second chunk" cfg.Flextoe.Config.mss d2.M.t_pos;
-  check_int "full mss again" cfg.Flextoe.Config.mss d2.M.t_len;
+  check_int "second chunk" Tcp.Segment.mss_with_timestamps d2.M.t_pos;
+  check_int "full mss again" Tcp.Segment.mss_with_timestamps d2.M.t_len;
   check_bool "still more" true d2.M.t_more;
   let d3 = Option.get (P.tx cfg ~now:0 c ~alloc_gseq) in
-  check_int "remainder" (3000 - (2 * cfg.Flextoe.Config.mss)) d3.M.t_len;
+  check_int "remainder" (3000 - (2 * Tcp.Segment.mss_with_timestamps)) d3.M.t_len;
   check_bool "no more" false d3.M.t_more;
   check_bool "fourth is none" true (P.tx cfg ~now:0 c ~alloc_gseq = None)
 
@@ -295,18 +295,18 @@ let test_tx_cwr_set_once () =
 
 let test_hc_tx_avail () =
   let c = mk_conn () in
-  let r = P.hc cfg ~now:0 c (M.Tx_avail 500) ~alloc_gseq in
+  let r = P.hc ~now:0 c (M.Tx_avail 500) ~alloc_gseq in
   check_bool "wakes" true r.P.hc_wake_tx;
   check_int "tail moved" 500 c.C.proto.C.tx_tail_pos
 
 let test_hc_rx_credit_window_update () =
   let c = mk_conn ~rx_buf:4096 () in
   c.C.proto.C.rx_avail <- 0;  (* app stopped reading; window closed *)
-  let r = P.hc cfg ~now:0 c (M.Rx_credit 4096) ~alloc_gseq in
+  let r = P.hc ~now:0 c (M.Rx_credit 4096) ~alloc_gseq in
   check_bool "window update emitted" true (r.P.hc_window_update <> None);
   check_int "window restored" 4096 c.C.proto.C.rx_avail;
   (* Small credits above the threshold don't spam updates. *)
-  let r2 = P.hc cfg ~now:0 c (M.Rx_credit 100) ~alloc_gseq in
+  let r2 = P.hc ~now:0 c (M.Rx_credit 100) ~alloc_gseq in
   check_bool "no update when open" true (r2.P.hc_window_update = None)
 
 let test_hc_retransmit_reset () =
@@ -316,7 +316,7 @@ let test_hc_retransmit_reset () =
   c.C.proto.C.tx_max_pos <- 1500;
   c.C.proto.C.tx_acked_pos <- 300;
   c.C.proto.C.fin_sent <- true;
-  let r = P.hc cfg ~now:77 c M.Retransmit ~alloc_gseq in
+  let r = P.hc ~now:77 c M.Retransmit ~alloc_gseq in
   check_bool "wakes" true r.P.hc_wake_tx;
   check_int "go-back-N" 300 c.C.proto.C.tx_next_pos;
   check_bool "fin resend allowed" false c.C.proto.C.fin_sent
@@ -689,10 +689,10 @@ let test_delayed_ack_flush_op () =
     (P.rx dcfg ~now:0 c
        (summary ~seq:9001 ~payload:(Bytes.make 100 'a') ())
        ~alloc_gseq);
-  let r = P.hc dcfg ~now:0 c M.Ack_flush ~alloc_gseq in
+  let r = P.hc ~now:0 c M.Ack_flush ~alloc_gseq in
   check_bool "flush emits the ack" true (r.P.hc_window_update <> None);
   check_int "pending cleared" 0 c.C.proto.C.delack_segs;
-  let r2 = P.hc dcfg ~now:0 c M.Ack_flush ~alloc_gseq in
+  let r2 = P.hc ~now:0 c M.Ack_flush ~alloc_gseq in
   check_bool "idempotent" true (r2.P.hc_window_update = None)
 
 let delayed_ack_suite =
@@ -724,7 +724,7 @@ let test_wraparound_transfer () =
       ~opaque:0 ~ctx_id:0 ~rx_buf_bytes:65536 ~tx_buf_bytes:65536 ()
   in
   (* Transmit 8 KB (the sequence space wraps after 1 KB). *)
-  ignore (P.hc cfg ~now:0 c (M.Tx_avail 8192) ~alloc_gseq);
+  ignore (P.hc ~now:0 c (M.Tx_avail 8192) ~alloc_gseq);
   let descs = ref [] in
   let rec drain () =
     match P.tx cfg ~now:0 c ~alloc_gseq with

@@ -292,8 +292,8 @@ let test_rtc_baseline_mode_works () =
   (* Run-to-completion (Table 3 row 1) must be functional, just slow. *)
   let w = mk_world () in
   let cfg =
-    Flextoe.Config.with_parallelism Flextoe.Config.default
-      Flextoe.Config.t3_baseline
+    { Flextoe.Config.default with
+      Flextoe.Config.parallelism = Flextoe.Config.t3_baseline }
   in
   let a = flextoe_ep w ~config:cfg ip_a in
   let b = flextoe_ep w ip_b in

@@ -2,7 +2,6 @@
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let params = Nfp.Params.default
 
 (* --- CAM (LRU) --------------------------------------------------------- *)
 
@@ -94,7 +93,7 @@ let prop_lru_working_set =
 
 let test_fpc_compute_serialises () =
   let e = Sim.Engine.create () in
-  let fpc = Nfp.Fpc.create e ~params ~threads:8 ~name:"t" () in
+  let fpc = Nfp.Fpc.create e ~threads:8 ~name:"t" () in
   let done_at = ref [] in
   for _ = 1 to 4 do
     Nfp.Fpc.submit fpc [ Nfp.Fpc.Compute 100 ] (fun () ->
@@ -109,7 +108,7 @@ let test_fpc_compute_serialises () =
 let test_fpc_threads_hide_memory_latency () =
   let run threads =
     let e = Sim.Engine.create () in
-    let fpc = Nfp.Fpc.create e ~params ~threads ~name:"t" () in
+    let fpc = Nfp.Fpc.create e ~threads ~name:"t" () in
     let finish = ref 0 in
     for _ = 1 to 8 do
       Nfp.Fpc.submit fpc
@@ -128,7 +127,7 @@ let test_fpc_threads_hide_memory_latency () =
 
 let test_fpc_queue_when_threads_busy () =
   let e = Sim.Engine.create () in
-  let fpc = Nfp.Fpc.create e ~params ~threads:2 ~name:"t" () in
+  let fpc = Nfp.Fpc.create e ~threads:2 ~name:"t" () in
   for _ = 1 to 5 do
     Nfp.Fpc.submit fpc [ Nfp.Fpc.Sleep (Sim.Time.us 10) ] ignore
   done;
@@ -140,7 +139,7 @@ let test_fpc_queue_when_threads_busy () =
 
 let test_fpc_utilization () =
   let e = Sim.Engine.create () in
-  let fpc = Nfp.Fpc.create e ~params ~threads:1 ~name:"t" () in
+  let fpc = Nfp.Fpc.create e ~threads:1 ~name:"t" () in
   Nfp.Fpc.submit fpc [ Nfp.Fpc.Compute 800 ] ignore;
   Sim.Engine.run e;
   (* 800 cycles at 800 MHz = 1 us busy. *)
@@ -158,7 +157,7 @@ let test_fpc_utilization () =
 let test_fpc_contention_trace () =
   let open Nfp.Fpc in
   let e = Sim.Engine.create () in
-  let fpc = create e ~params ~threads:3 ~name:"t" () in
+  let fpc = create e ~threads:3 ~name:"t" () in
   let next_token = ref 0 and log = ref [] in
   set_tracer fpc
     (Some
@@ -207,7 +206,7 @@ let test_fpc_contention_trace () =
    no per-phase closure, no queued (cycles, k) pair. *)
 let test_fpc_compute_allocation () =
   let e = Sim.Engine.create () in
-  let fpc = Nfp.Fpc.create e ~params ~threads:8 ~name:"t" () in
+  let fpc = Nfp.Fpc.create e ~threads:8 ~name:"t" () in
   let phases = [ Nfp.Fpc.Compute 10 ] in
   (* Each completion submits the next item, which an idle thread picks
      up: one engine run drives the whole chain. *)
@@ -254,24 +253,24 @@ let test_cam_find_allocation () =
 
 let test_phase_cost () =
   check_int "cost sums"
-    ((100 * 1250) + (params.Nfp.Params.emem_cycles * 1250) + 7)
-    (Nfp.Fpc.phase_cost params
+    ((100 * 1250) + (Nfp.Params.emem_cycles * 1250) + 7)
+    (Nfp.Fpc.phase_cost
        [ Compute 100; Mem Nfp.Memory.Emem; Sleep 7 ])
 
 (* --- DMA ---------------------------------------------------------------------- *)
 
 let test_dma_base_latency () =
   let e = Sim.Engine.create () in
-  let dma = Nfp.Dma.create e ~params in
+  let dma = Nfp.Dma.create e in
   let t = ref 0 in
   Nfp.Dma.issue dma ~queue:0 ~bytes:0 (fun () -> t := Sim.Engine.now e);
   Sim.Engine.run e;
-  check_int "zero-byte pays base latency" params.Nfp.Params.pcie_base_latency
+  check_int "zero-byte pays base latency" Nfp.Params.pcie_base_latency
     !t
 
 let test_dma_serialisation () =
   let e = Sim.Engine.create () in
-  let dma = Nfp.Dma.create e ~params in
+  let dma = Nfp.Dma.create e in
   let times = ref [] in
   for _ = 1 to 3 do
     Nfp.Dma.issue dma ~queue:0 ~bytes:65_000 (fun () ->
@@ -281,15 +280,15 @@ let test_dma_serialisation () =
   let times = List.rev !times in
   (* 65 kB at 52 Gb/s = 10 us serialisation; transfers share the link. *)
   let ser = int_of_float (65_000. *. 8. *. 1000. /. 52.) in
-  check_int "first" (ser + params.Nfp.Params.pcie_base_latency)
+  check_int "first" (ser + Nfp.Params.pcie_base_latency)
     (List.nth times 0);
   check_int "second queued behind first"
-    ((2 * ser) + params.Nfp.Params.pcie_base_latency)
+    ((2 * ser) + Nfp.Params.pcie_base_latency)
     (List.nth times 1)
 
 let test_dma_inflight_cap () =
   let e = Sim.Engine.create () in
-  let dma = Nfp.Dma.create e ~params in
+  let dma = Nfp.Dma.create e in
   for _ = 1 to 200 do
     Nfp.Dma.issue dma ~queue:0 ~bytes:64 ignore
   done;
@@ -300,7 +299,7 @@ let test_dma_inflight_cap () =
 
 let test_dma_queues_independent_windows () =
   let e = Sim.Engine.create () in
-  let dma = Nfp.Dma.create e ~params in
+  let dma = Nfp.Dma.create e in
   for _ = 1 to 128 do
     Nfp.Dma.issue dma ~queue:0 ~bytes:64 ignore
   done;

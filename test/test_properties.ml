@@ -50,7 +50,7 @@ let prop_protocol_invariants =
         | 0 ->
             (* App writes. *)
             ignore
-              (P.hc cfg ~now c (M.Tx_avail (Sim.Rng.int rng 5000 + 1))
+              (P.hc ~now c (M.Tx_avail (Sim.Rng.int rng 5000 + 1))
                  ~alloc_gseq)
         | 1 ->
             (* Transmit whatever is allowed. *)
@@ -95,7 +95,7 @@ let prop_protocol_invariants =
               if Sim.Rng.bool rng 0.5 then M.Retransmit
               else M.Rx_credit (Sim.Rng.int rng 4096)
             in
-            ignore (P.hc cfg ~now c op ~alloc_gseq));
+            ignore (P.hc ~now c op ~alloc_gseq));
         if not (invariants c) then ok := false
       done;
       !ok)

@@ -246,8 +246,8 @@ let new_dp ?pipeline config =
   D.create engine ~config ~fabric ~mac:1 ~ip:0x0A000001 ?pipeline ()
 
 let with_par f =
-  Config.with_parallelism Config.default
-    (f Config.default.Config.parallelism)
+  { Config.default with
+    Config.parallelism = f Config.default.Config.parallelism }
 
 let projection_configs =
   [

@@ -20,9 +20,9 @@
 
    - Pinning / pressure: an Established flow's pinned state is never
      evicted while any cold (handshake / TIME_WAIT) entry exists; a
-     fully-pinned cache still evicts but loudly (pinned_evictions);
-     FlexGuard's TIME_WAIT table recycles its oldest entry under
-     capacity pressure. *)
+     fully-pinned cache still evicts but loudly (pinned_evictions).
+     FlexGuard's TIME_WAIT table under capacity pressure is
+     test_churn.ml's. *)
 
 module D = Flextoe.Datapath
 module FG = Flextoe.Flow_group
@@ -450,34 +450,6 @@ let test_fully_pinned_evicts_loudly () =
   check_bool "the LRU pinned key was taken" false (Nfp.Lru.mem lru 0);
   check_bool "newest key resident" true (Nfp.Lru.mem lru 99)
 
-let test_guard_tw_pressure_recycles_oldest () =
-  let guard =
-    Flextoe.Guard.create ~g:Flextoe.Config.guard_default ~secret:7 ()
-  in
-  let cap = Flextoe.Guard.time_wait_max in
-  let tw_flow i = flow_of i in
-  for i = 0 to cap + 1 do
-    Flextoe.Guard.tw_add guard
-      ~now:(Sim.Time.us (i + 1))
-      ~flow:(tw_flow i)
-      ~snd_nxt:(Tcp.Seq32.of_int 100)
-      ~rcv_nxt:(Tcp.Seq32.of_int 200)
-  done;
-  check_int "table capped" cap (Flextoe.Guard.tw_length guard);
-  check_int "two oldest recycled under pressure" 2
-    (Flextoe.Guard.counter guard "tw_recycled_pressure");
-  (* Precisely the two oldest entries made room. *)
-  for i = 0 to 1 do
-    check_bool
-      (Printf.sprintf "entry %d recycled" i)
-      true
-      (Flextoe.Guard.tw_find guard ~flow:(tw_flow i) = None)
-  done;
-  check_bool "every later entry resident" true
-    (List.for_all
-       (fun i -> Flextoe.Guard.tw_find guard ~flow:(tw_flow i) <> None)
-       (List.init cap (fun i -> i + 2)))
-
 (* --- Per-shard admission ---------------------------------------------- *)
 
 (* With a connection limit of 4 over two shards, each shard may hold
@@ -560,8 +532,6 @@ let suite =
       test_established_survives_cold_churn;
     Alcotest.test_case "fully-pinned cache evicts loudly" `Quick
       test_fully_pinned_evicts_loudly;
-    Alcotest.test_case "TIME_WAIT pressure recycles the oldest" `Quick
-      test_guard_tw_pressure_recycles_oldest;
     Alcotest.test_case "per-shard admission slice" `Quick
       test_shard_admission_slice;
   ]

@@ -167,7 +167,7 @@ let test_stage_means_match_model () =
     | Some sc -> sc
     | None -> Alcotest.fail "scope missing on profiled node"
   in
-  let c = Flextoe.Config.default.Flextoe.Config.costs in
+  let module C = Flextoe.Cost in
   let mean name =
     match List.assoc_opt ("stage/" ^ name) (Scope.histograms sc) with
     | Some h when H.count h > 0 -> H.mean h
@@ -175,22 +175,22 @@ let test_stage_means_match_model () =
   in
   (* Constant-cost stages: attribution must equal the model's charged
      cycles (no tracepoints enabled, so no extras). *)
-  within_pct "gro" (float_of_int c.Flextoe.Config.sequencer) 20. (mean "gro");
+  within_pct "gro" (float_of_int C.sequencer) 20. (mean "gro");
   within_pct "sched"
-    (float_of_int c.Flextoe.Config.scheduler_pick)
+    (float_of_int C.scheduler_pick)
     20. (mean "sched");
-  within_pct "dma" (float_of_int c.Flextoe.Config.dma_desc) 20. (mean "dma");
-  within_pct "ctx" (float_of_int c.Flextoe.Config.ctx_desc) 20. (mean "ctx");
+  within_pct "dma" (float_of_int C.dma_desc) 20. (mean "dma");
+  within_pct "ctx" (float_of_int C.ctx_desc) 20. (mean "ctx");
   (* Mixed-cost stages: the mean must stay inside the cost envelope of
      the operations blended into them. *)
   let proto = mean "protocol" in
   check_bool "protocol mean within [rx_ack, rx]" true
-    (proto >= float_of_int c.Flextoe.Config.protocol_hc
-    && proto <= float_of_int c.Flextoe.Config.protocol_rx);
+    (proto >= float_of_int C.protocol_hc
+    && proto <= float_of_int C.protocol_rx);
   let post = mean "postproc" in
   check_bool "postproc mean within [tx, rx]" true
-    (post >= float_of_int c.Flextoe.Config.postproc_tx
-    && post <= float_of_int c.Flextoe.Config.postproc_rx);
+    (post >= float_of_int C.postproc_tx
+    && post <= float_of_int C.postproc_rx);
   (* Lifecycle histograms exist for both directions. *)
   List.iter
     (fun track ->
