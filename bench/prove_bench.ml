@@ -31,7 +31,7 @@ let out_path () =
 let run () =
   header "FlexProve overhead: create-time graph checks";
   let micros = check_micros ~iters:1000 in
-  Printf.printf "  check_graph: %.1f us per full run (4 passes, once per \
+  Printf.printf "  check_graph: %.1f us per full run (3 passes, once per \
                  node create)\n"
     micros;
   let out = out_path () in

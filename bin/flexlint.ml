@@ -586,23 +586,19 @@ module GI = Flextoe.Graph_ir
 module P = Flextoe.Prove
 
 (* The acceptance matrix: batching off and the two CI-exercised
-   degrees, each with FlexGuard off and on, unsharded and at four
-   FlexScale shards — the structural shapes the extraction can take
-   (bounded vs unbounded CP queue, coalesced vs unit batches, one copy
-   of each island stage vs a replica family per stage). *)
+   degrees, each with FlexGuard off and on — the structural shapes the
+   extraction can take (bounded vs unbounded CP queue, coalesced vs
+   unit batches). The FlexScale shard count is no dimension: the graph
+   is the same at every one. *)
 let graph_degrees = [ 1; 8; 16 ]
-let graph_shards = [ 1; 4 ]
 
-let graph_config ~batch ~guard ~shards =
+let graph_config ~batch ~guard =
   {
     Flextoe.Config.default with
     Flextoe.Config.batch;
     guard =
       (if guard then Flextoe.Config.guard_default
        else Flextoe.Config.guard_none);
-    scale =
-      (if shards > 1 then Flextoe.Config.scale_of shards
-       else Flextoe.Config.scale_none);
   }
 
 let write_out path s =
@@ -617,12 +613,11 @@ let write_out path s =
         Format.printf "FAIL %-20s unwritable: %s@." path e;
         exit 2
 
-let check_combo ~batch ~guard ~shards =
-  let mode = Printf.sprintf "batch=%-2d guard=%s shards=%d" batch
-      (if guard then "on " else "off") shards in
+let check_combo ~batch ~guard =
+  let mode = Printf.sprintf "batch=%-2d guard=%s" batch
+      (if guard then "on " else "off") in
   match
-    P.check_graph
-      (GI.builtin ~config:(graph_config ~batch ~guard ~shards) ())
+    P.check_graph (GI.builtin ~config:(graph_config ~batch ~guard) ())
   with
   | Ok reports ->
       List.iter
@@ -678,14 +673,11 @@ let run_graph dot classify sabotage_v =
     | None ->
         let clean =
           List.fold_left
-            (fun acc shards ->
+            (fun acc batch ->
               List.fold_left
-                (fun acc batch ->
-                  List.fold_left
-                    (fun acc guard -> check_combo ~batch ~guard ~shards && acc)
-                    acc [ false; true ])
-                acc graph_degrees)
-            true graph_shards
+                (fun acc guard -> check_combo ~batch ~guard && acc)
+                acc [ false; true ])
+            true graph_degrees
         in
         if classify then
           List.fold_left
@@ -727,7 +719,7 @@ let graph_cmd =
     (Cmd.info "graph" ~version
        ~doc:
          "FlexProve: whole-graph static analysis of the pipeline \
-          (interference, deadlock freedom, queue bounds, sharding)"
+          (interference, deadlock freedom, queue bounds)"
        ~exits:exit_info
        ~man:
          [
@@ -738,13 +730,11 @@ let graph_cmd =
               capacities and overflow policies, credit edges) and runs the \
               FlexProve passes: whole-graph interference of the stage \
               contracts (the static contract check), deadlock freedom of the \
-              credit/backpressure wait-for graph, worst-case queue \
-              occupancy against configured capacities, and soundness of \
-              the FlexScale replica families (shard copies \
-              footprint-identical, replicated writes under a domain \
-              steering realizes per shard). The healthy matrix covers \
-              batch degrees 1, 8 and 16, each with FlexGuard off and on, \
-              unsharded and at four shards. The same passes run at node \
+              credit/backpressure wait-for graph, and worst-case queue \
+              occupancy against configured capacities. The healthy \
+              matrix covers batch degrees 1, 8 and 16, each with \
+              FlexGuard off and on; the graph is the same at every \
+              FlexScale shard count. The same passes run at node \
               construction; this command is the offline/CI surface.";
          ])
     Term.(const run_graph $ graph_dot_t $ graph_classify_t $ graph_sabotage_t)

@@ -1896,7 +1896,7 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
      cannot exist. *)
   let san =
     if cfg.Config.san && par.Config.pipelined then
-      Some (San.create ~engine ~contracts ())
+      Some (San.create ~engine ~contracts)
     else None
   in
   let groups = Pipeline.groups cfg in
@@ -1905,12 +1905,21 @@ let create engine ~config:cfg ~fabric ~mac ~ip ?(ctx_queues = 4)
   let mk ?(threads = Pipeline.threads cfg) name =
     Nfp.Fpc.create engine ~threads ~name ()
   in
-  (* Every row's FPC pool, island by island, keyed by stage. *)
+  (* Every row's FPC pool, island by island, keyed by stage. FlexSan
+     keys its threads by FPC name, so two FPCs of a pool may not share
+     one (a non-striped pool numbers group g's FPCs from 10g). *)
   let build pool place =
+    let islands = Pipeline.fpc_names cfg pool place in
+    let names = List.concat_map (fun (_, a) -> Array.to_list a) islands in
+    if List.length (List.sort_uniq String.compare names) < List.length names
+    then
+      invalid_arg
+        ("Datapath.create: two FPCs of pool " ^ pool.Pipeline.p_name
+       ^ " share a name");
     List.map
       (fun (island, names) ->
         (pool.Pipeline.p_name, island, Array.map mk names))
-      (Pipeline.fpc_names cfg pool place)
+      islands
   in
   let built =
     List.map

@@ -1,12 +1,13 @@
 (** FlexScale flow-group steering (DESIGN.md §17).
 
-    Sharding assigns every connection to one of [shards] replicated
-    protocol-stage pipelines. The assignment is a pure function of
-    the 4-tuple: [shard = (crc32 of the 4-tuple) mod groups mod
+    Sharding assigns every connection to one of [shards] shards: a
+    slice of the CAM/CLS caches, scheduler rings and admission
+    budget; the FPCs are the node's. The assignment is a pure function
+    of the 4-tuple: [shard = (crc32 of the 4-tuple) mod groups mod
     shards]. No load, time or table state enters the computation, so
     the same flow always lands on the same shard — the property the
-    FlexProve shard-disjointness pass and the FlexSan cross-shard
-    audit both rest on. *)
+    datapath's steering self-check and the FlexSan cross-shard audit
+    both rest on. *)
 
 val group_of_flow : Tcp.Flow.t -> groups:int -> int
 (** The flow-group hash ([Tcp.Flow.flow_group]); raises

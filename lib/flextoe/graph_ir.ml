@@ -72,7 +72,11 @@ let is_blocking e =
    releases it early lets its writes escape the section, an extra
    entry's accesses join the row's footprint, and a row whose hand-off
    to the next notify stage does not wait for its DMA leaves that edge
-   unordered. The other contract fields stay the declared ones. *)
+   unordered. The other contract fields stay the declared ones. The
+   graph is the same at every FlexScale shard count: shards split flow
+   groups over cache slices, scheduler rings and admission slices, add
+   no FPC, and leave one lock table and one [rx-gro] sequencer per
+   node. *)
 let builtin ?(pipeline = Pipeline.builtin) ~config () =
   let open Effects in
   let open Pipeline in
@@ -195,62 +199,6 @@ let builtin ?(pipeline = Pipeline.builtin) ~config () =
              q_bound = Sum [ Tokens "seg-credits"; Cap "nbi-pool" ];
            });
     ]
-  in
-  (* FlexScale: replicate the island stages across shard islands. Each
-     shard k gets its own copy of every [Islands] row's node (slots
-     split evenly, rounded up) and its own copies of every edge
-     touching a sharded endpoint; edges whose endpoints
-     are both sharded pair same-k, because flow-group steering keeps a
-     segment inside one shard end to end. Shard 0 keeps the unsuffixed
-     names and labels so bound expressions ([Cap "nbi-pool"]) and
-     serialization-domain realization ([Serial_flow_group "rx-gro"])
-     keep resolving; replicas append ["#k"], which {!Prove}'s sharding
-     pass parses back into replica families. At one shard the graph is
-     exactly the unsharded one. *)
-  let shards = Flow_group.shards_of config.Config.scale in
-  let nodes, edges =
-    if shards <= 1 then (nodes, edges)
-    else begin
-      let sharded =
-        List.filter_map
-          (fun s ->
-            match s.s_place with Islands -> Some (name s) | Service -> None)
-          pipeline
-      in
-      let is_sharded n = List.mem n sharded in
-      let suffix name k =
-        if k = 0 then name else name ^ "#" ^ string_of_int k
-      in
-      let nodes =
-        List.concat_map
-          (fun n ->
-            if is_sharded n.n_name then
-              List.init shards (fun k ->
-                  {
-                    n with
-                    n_name = suffix n.n_name k;
-                    n_slots = Int.max 1 ((n.n_slots + shards - 1) / shards);
-                  })
-            else [ n ])
-          nodes
-      in
-      let edges =
-        List.concat_map
-          (fun e ->
-            let ss = is_sharded e.e_src and sd = is_sharded e.e_dst in
-            if not (ss || sd) then [ e ]
-            else
-              List.init shards (fun k ->
-                  {
-                    e with
-                    e_src = (if ss then suffix e.e_src k else e.e_src);
-                    e_dst = (if sd then suffix e.e_dst k else e.e_dst);
-                    e_label = suffix e.e_label k;
-                  }))
-          edges
-      in
-      (nodes, edges)
-    end
   in
   { g_name = "flextoe-builtin"; g_nodes = nodes; g_edges = edges }
 

@@ -5,8 +5,9 @@
     credits gate them. This module states it as data so the FlexProve
     passes ({!Prove}) can check an arbitrary stage graph, not just the
     built-in one. {!builtin} projects the pipeline table
-    ({!Pipeline}), parameterized by {!Config.t} (capacities, batch
-    degree, guard bounds), with each row as the table builds it, so
+    ({!Pipeline}) as one node per row, parameterized by {!Config.t}
+    (slots, batch degree, guard bounds; the FlexScale shard count
+    changes nothing), with each row as the table builds it, so
     `flexlint graph` can classify each seeded variant
     ({!Defect.pipeline}) as caught or dynamic-only. *)
 
@@ -91,10 +92,8 @@ val builtin : ?pipeline:Pipeline.t -> config:Config.t -> unit -> t
     row's contract and slots; queue capacities from [Nfp.Params]
     and the table's edge constants, the batch degree from
     [Config.batch_degree], the CP-queue bound from [Config.guard].
-    With more than one FlexScale shard, each {!Pipeline.Islands} row
-    is one node per shard k ([s], then [s#1], [s#2], ...; slots split
-    evenly), and each edge touching one is copied per shard, joining
-    replicas of the same k.
+    [config.scale] is not read: FlexScale shards add no FPC, lock
+    table or sequencer, so the graph is the same at every shard count.
     A row's departure ({!Pipeline.departure}) is built in: a skipped
     lock drops the row's [Serial_conn] domain, an early release lets
     its writes escape the critical section, an extra entry adds its

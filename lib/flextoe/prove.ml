@@ -1,6 +1,6 @@
 (** FlexProve: whole-graph static analysis over the {!Graph_ir}.
 
-    Four graph passes, each a pure function of the IR, and a model
+    Three graph passes, each a pure function of the IR, and a model
     check:
 
     - {!interference}: computes which stage executions may happen in
@@ -15,18 +15,11 @@
     - {!bounds}: worst-case occupancy of every queue, evaluated from
       the graph's own tokens and capacities, must fit the configured
       capacity wherever overflow would be a bug;
-    - {!sharding}: FlexScale replica families (nodes named [stage] /
-      [stage#k]) are sound shardings — members are footprint-identical
-      copies of one stage, and everything they write outside
-      atomic/partitioned regions sits under a per-conn or
-      per-flow-group serialization domain, so flow-group steering
-      (which pins each connection to exactly one member) makes their
-      conn-state footprints disjoint across members;
     - {!check_fsm}: exhaustive model check of the shared teardown
       transition table ({!Conn_state.step}) against the RFC-793/6191
       teardown spec, producing a path-to-violation counterexample.
 
-    [Datapath.create] runs the four graph passes once per node, over
+    [Datapath.create] runs the three graph passes once per node, over
     the graph of its declared contracts, and raises {!Graph_rejected}
     on any finding: it is the node's one static check, so an unsound
     composition fails before any FPC is wired — and at zero
@@ -391,119 +384,10 @@ let bounds (g : G.t) : report =
     r_findings = findings;
   }
 
-(* --- Pass 4: sharding soundness ---------------------------------------- *)
-
-(* Replica family of a node name: the part before the "#k" shard
-   suffix ("protocol#2" -> "protocol"; shard 0 is unsuffixed). *)
-let family name =
-  match String.index_opt name '#' with
-  | Some i -> String.sub name 0 i
-  | None -> name
-
-(* FlexScale replicates per-flow-group stages across shard islands and
-   claims their conn-state footprints are disjoint because flow-group
-   steering maps each connection to exactly one replica. That claim,
-   which the interference pass leans on when it treats replicas as
-   serialized by their shared domain, reduces to two checkable
-   obligations per replica family:
-
-   (a) members are footprint-identical: same reads, writes and
-       serialization domain (a replica with a different footprint is
-       not a shard of the same stage, and serializing it with the
-       others by their shared domain would be unsound);
-
-   (b) every object a member writes outside atomic / address-
-       partitioned regions sits under a [Serial_conn] or
-       [Serial_flow_group] domain — exactly the domains steering
-       realizes member-locally by pinning a connection (and its flow
-       group) to one shard. A [Serial_none] or [Serial_queue] write
-       has no per-conn partitioning argument, so replicating it
-       across shards is a race. *)
-let sharding (g : G.t) : report =
-  let fail subject detail =
-    { f_pass = "sharding"; f_subject = subject; f_detail = detail }
-  in
-  let families =
-    List.fold_left
-      (fun acc n ->
-        let f = family n.G.n_name in
-        match List.assoc_opt f acc with
-        | Some ns -> (f, n :: ns) :: List.remove_assoc f acc
-        | None -> (f, [ n ]) :: acc)
-      [] g.G.g_nodes
-  in
-  let replicated =
-    List.filter (fun (_, ns) -> List.length ns > 1) families
-  in
-  let findings =
-    List.concat_map
-      (fun (fam, ns) ->
-        let rep = List.hd ns in
-        let footprints =
-          List.filter_map
-            (fun n ->
-              if
-                n.G.n_contract.E.c_reads = rep.G.n_contract.E.c_reads
-                && n.G.n_contract.E.c_writes = rep.G.n_contract.E.c_writes
-                && n.G.n_contract.E.c_domain = rep.G.n_contract.E.c_domain
-              then None
-              else
-                Some
-                  (fail fam
-                     (Printf.sprintf
-                        "replica %s is not footprint-identical to %s: \
-                         a divergent copy is not a shard of the same \
-                         stage"
-                        n.G.n_name rep.G.n_name)))
-            ns
-        in
-        let unprotected =
-          List.filter_map
-            (fun o ->
-              let r = E.region o in
-              if r.E.r_atomic || r.E.r_disjoint then None
-              else if not (E.mem o rep.G.n_contract.E.c_writes) then None
-              else
-                match rep.G.n_contract.E.c_domain with
-                | E.Serial_conn | E.Serial_flow_group _ -> None
-                | E.Serial_none | E.Serial_queue _ ->
-                    Some
-                      (fail fam
-                         (Printf.sprintf
-                            "replicated write of %s is not under a \
-                             per-conn or per-flow-group domain: \
-                             steering gives no disjointness argument \
-                             for it"
-                            (E.obj_name o))))
-            E.all_objs
-        in
-        footprints @ unprotected)
-      replicated
-  in
-  {
-    r_pass = "sharding";
-    r_notes =
-      [
-        (match replicated with
-        | [] -> "no replica families: graph is unsharded"
-        | fs ->
-            Printf.sprintf
-              "%d replica family(ies) [%s]: footprint-identical, \
-               writes steering-partitioned"
-              (List.length fs)
-              (String.concat ", "
-                 (List.map
-                    (fun (f, ns) ->
-                      Printf.sprintf "%s x%d" f (List.length ns))
-                    fs)));
-      ];
-    r_findings = findings;
-  }
-
 (* --- Graph driver ------------------------------------------------------ *)
 
 let check_graph g =
-  let rs = [ interference g; deadlock g; bounds g; sharding g ] in
+  let rs = [ interference g; deadlock g; bounds g ] in
   match List.concat_map (fun r -> r.r_findings) rs with
   | [] -> Ok rs
   | fs -> Error fs

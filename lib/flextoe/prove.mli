@@ -1,19 +1,20 @@
 (** FlexProve: whole-graph static analysis of the datapath.
 
-    Four graph passes over the {!Graph_ir} — whole-graph interference
+    Three graph passes over the {!Graph_ir} — whole-graph interference
     of the stages' {!Effects} contracts, deadlock freedom of the
-    credit/backpressure wait-for graph, worst-case queue occupancy
-    against configured capacities, and soundness of FlexScale replica
-    families (shard copies footprint-identical, with every replicated
-    write covered by a steering-partitioned domain) — plus an
-    exhaustive model check of the shared teardown transition table
-    ({!Conn_state.step}) against an RFC-793/6191 spec.
+    credit/backpressure wait-for graph, and worst-case queue occupancy
+    against configured capacities — plus an exhaustive model check of
+    the shared teardown transition table ({!Conn_state.step}) against
+    an RFC-793/6191 spec. The graph has one node per pipeline row at
+    every FlexScale shard count, so a node's slots are all the FPC
+    threads of its stage and the interference pass's self-pair check
+    covers them all.
 
     [Datapath.create] runs the graph passes once per node, over the
     graph of its declared contracts, as its one static check, and
     raises {!Graph_rejected} on any finding, so an unsound composition
     fails before any FPC is wired — at zero per-segment cost.
-    [flexlint graph] and [flexlint fsm] expose all five checks
+    [flexlint graph] and [flexlint fsm] expose all four checks
     offline. *)
 
 type finding = { f_pass : string; f_subject : string; f_detail : string }
@@ -50,18 +51,9 @@ val bounds : Graph_ir.t -> report
     bounded. Findings name the overflowing edge and the bound that
     exceeded it. *)
 
-val sharding : Graph_ir.t -> report
-(** Soundness of FlexScale replica families: members of each family
-    with ≥ 2 members must be footprint-identical (same reads, writes
-    and domain), and write outside atomic/partitioned regions only
-    under [Serial_conn] or [Serial_flow_group] — the domains
-    flow-group steering realizes member-locally, which is what makes
-    members' conn-state footprints disjoint. Vacuously holds on
-    unsharded graphs. *)
-
 val check_graph : Graph_ir.t -> (report list, finding list) result
-(** The four graph passes (interference, deadlock, bounds, sharding);
-    [Error] carries every finding. *)
+(** The three graph passes (interference, deadlock, bounds); [Error]
+    carries every finding. *)
 
 (** {1 Teardown FSM model check} *)
 

@@ -161,7 +161,7 @@ type t = {
 
 let max_kept_reports = 64
 
-let create ~engine ~contracts ?(record_spans = false) () =
+let create ~engine ~contracts =
   let tbl = Hashtbl.create 16 in
   List.iter (fun (c : E.contract) -> Hashtbl.replace tbl c.c_stage c) contracts;
   let names = Array.make 64 "" in
@@ -187,7 +187,7 @@ let create ~engine ~contracts ?(record_spans = false) () =
       open_spans = Hashtbl.create 64;
       n_spans = 0;
       span_overlaps = 0;
-      record_spans;
+      record_spans = false;
       closed_spans = [];
       reports = [];
       n_reports = 0;

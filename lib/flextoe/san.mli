@@ -51,12 +51,7 @@ val report_to_string : report -> string
 
 type t
 
-val create :
-  engine:Sim.Engine.t ->
-  contracts:Effects.contract list ->
-  ?record_spans:bool ->
-  unit ->
-  t
+val create : engine:Sim.Engine.t -> contracts:Effects.contract list -> t
 
 (** {1 Thread and ordering edges}
 

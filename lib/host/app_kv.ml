@@ -112,8 +112,11 @@ let server ~endpoint ~port ~app_cycles () =
 
 let entries t = Store.length t.store
 
+(* Client-side cycles to generate and parse one transaction. *)
+let client_think_cycles = 200
+
 let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
-    ~key_bytes ~value_bytes ~set_ratio ?(think_cycles = 200) ~stats () =
+    ~key_bytes ~value_bytes ~set_ratio ~stats () =
   let rng = Sim.Rng.split (Sim.Engine.Local.rng engine) in
   let keyspace = 1024 in
   let key i =
@@ -137,7 +140,7 @@ let client ~endpoint ~engine ~server_ip ~server_port ~conns ~pipeline
             let outstanding = Sim.Fifo.create () in
             let send_one () =
               Host_cpu.exec sock.Api.core ~category:"app"
-                ~cycles:think_cycles (fun () ->
+                ~cycles:client_think_cycles (fun () ->
                   let msg =
                     Framing.encode (encode_request (make_request ()))
                   in

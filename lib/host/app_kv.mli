@@ -41,14 +41,12 @@ val client :
   key_bytes:int ->
   value_bytes:int ->
   set_ratio:float ->
-  ?think_cycles:int ->
   stats:Rpc.Stats.t ->
   unit ->
   unit
 (** memtier-style closed-loop transaction generator: each connection
     keeps [pipeline] transactions outstanding, each SET with
     probability [set_ratio] else GET, over a small keyspace so GETs
-    hit. [think_cycles] (default 200) is the client-side work to
-    generate/parse each transaction, charged to the client's core —
-    it also spreads requests so they are not artificially batched
-    into single segments. *)
+    hit. Generating and parsing each transaction costs the client's
+    core 200 cycles, which also spreads requests so they are not
+    artificially batched into single segments. *)

@@ -77,10 +77,7 @@ end
 let echo_handler req = req
 let const_handler n _req = Bytes.make n 'R'
 
-let server ?(send_batch = 1) ?engine ?(batch_delay = 1_000_000) ~endpoint
-    ~port ~app_cycles ~handler () =
-  if send_batch > 1 && engine = None then
-    invalid_arg "Rpc.server: send_batch > 1 needs ~engine for the flush timer";
+let server ~endpoint ~port ~app_cycles ~handler () =
   endpoint.Api.listen ~port ~on_accept:(fun sock ->
       let decoder = Framing.create () in
       (* Responses can exceed the socket buffer: keep an app-side
@@ -106,46 +103,12 @@ let server ?(send_batch = 1) ?engine ?(batch_delay = 1_000_000) ~endpoint
         in
         go ()
       in
-      (* Response batching ([send_batch > 1]): completed responses are
-         held and pushed into the socket as one concatenated write per
-         [send_batch] responses (or when [batch_delay] expires on a
-         partial batch) — one send-side doorbell amortized over the
-         batch. Degree 1 sends each response as it completes. *)
-      let pending = ref [] in
-      let npending = ref 0 in
-      let timer_armed = ref false in
-      let queue_pending () =
-        if !npending > 0 then begin
-          let msgs = List.rev !pending in
-          pending := [];
-          npending := 0;
-          backlog := !backlog @ [ (Bytes.concat Bytes.empty msgs, 0) ];
-          flush ()
-        end
-      in
       sock.Api.on_writable <- flush;
       let process req =
         Host_cpu.exec sock.Api.core ~category:"app" ~cycles:app_cycles
           (fun () ->
-            let resp = handler req in
-            if send_batch <= 1 then begin
-              backlog := !backlog @ [ (Framing.encode resp, 0) ];
-              flush ()
-            end
-            else begin
-              pending := Framing.encode resp :: !pending;
-              incr npending;
-              if !npending >= send_batch then queue_pending ()
-              else if not !timer_armed then begin
-                timer_armed := true;
-                match engine with
-                | Some e ->
-                    Sim.Engine.schedule e batch_delay (fun () ->
-                        timer_armed := false;
-                        queue_pending ())
-                | None -> ()
-              end
-            end)
+            backlog := !backlog @ [ (Framing.encode (handler req), 0) ];
+            flush ())
       in
       sock.Api.on_readable <-
         (fun () ->

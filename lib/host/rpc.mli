@@ -39,9 +39,6 @@ module Stats : sig
 end
 
 val server :
-  ?send_batch:int ->
-  ?engine:Sim.Engine.t ->
-  ?batch_delay:Sim.Time.t ->
   endpoint:Api.endpoint ->
   port:int ->
   app_cycles:int ->
@@ -50,14 +47,7 @@ val server :
   unit
 (** Framed-RPC server: for each complete request message, charge
     [app_cycles] to the endpoint's app core and send
-    [handler request] back on the same socket.
-
-    [send_batch > 1] holds completed responses and pushes them into
-    the socket as one concatenated write per [send_batch] responses,
-    or when [batch_delay] (default 1 us) expires on a partial batch —
-    the send-side analogue of the datapath's notification coalescing.
-    Requires [engine] for the flush timer. The default (1) sends each
-    response as it completes, exactly the unbatched behavior. *)
+    [handler request] back on the same socket as it completes. *)
 
 val echo_handler : Bytes.t -> Bytes.t
 val const_handler : int -> Bytes.t -> Bytes.t

@@ -1,8 +1,8 @@
 (* FlexProve tests: the pairwise corpus of the interference pass
    (diagnostics must name the right stages and region, and the
    serialization, single-slot, atomic and partitioned escapes must
-   hold), the graph passes on the real extracted pipeline (unsharded
-   and at four FlexScale shards) and on synthetic counterexample
+   hold), the graph passes on the real extracted pipeline (one graph
+   at every FlexScale shard count) and on synthetic counterexample
    graphs, sabotage classification (every
    catalogue defect's FlexProve verdict matches its owner), a seeded
    defect that still constructs, each seeded variant's difference from
@@ -177,9 +177,9 @@ let test_builtin_graph_clean () =
           with
           | Ok reports ->
               check_int
-                (Printf.sprintf "four passes ran (batch=%d guard=%b)" batch
+                (Printf.sprintf "three passes ran (batch=%d guard=%b)" batch
                    guard)
-                4 (List.length reports)
+                3 (List.length reports)
           | Error fs ->
               Alcotest.failf "builtin graph rejected (batch=%d guard=%b): %s"
                 batch guard
@@ -303,33 +303,18 @@ let test_pipeline_projections () =
         (label ^ ": fpc_pools names, islands and FPCs")
         (List.sort compare (expected_pools config.Config.parallelism))
         (List.sort compare got);
-      (* Every FPC-backed graph node's slots are the threads of the FPCs
-         built for its stage (of its shard's islands, when sharded). *)
-      let shards = Flextoe.Flow_group.shards_of config.Config.scale in
+      (* Every FPC-backed graph node's slots are the threads of all the
+         FPCs built for its stage, on every island. *)
       let checked = ref 0 in
       List.iter
         (fun (n : G.node) ->
-          let base, shard =
-            match String.index_opt n.G.n_name '#' with
-            | Some i ->
-                ( String.sub n.G.n_name 0 i,
-                  int_of_string
-                    (String.sub n.G.n_name (i + 1)
-                       (String.length n.G.n_name - i - 1)) )
-            | None -> (n.G.n_name, 0)
-          in
-          match List.find_opt (fun s -> PL.name s = base) PL.builtin with
+          match List.find_opt (fun s -> PL.name s = n.G.n_name) PL.builtin with
           | Some { PL.s_exec = PL.Fpcs pool; _ } ->
               incr checked;
               let threads =
                 List.fold_left
-                  (fun acc (name, island, a) ->
-                    if
-                      name = pool.PL.p_name
-                      && (island < 0
-                         || Flextoe.Flow_group.shard_of_group island ~shards
-                            = shard)
-                    then
+                  (fun acc (name, _, a) ->
+                    if name = pool.PL.p_name then
                       Array.fold_left (fun acc f -> acc + Nfp.Fpc.threads f)
                         acc a
                     else acc)
@@ -344,6 +329,30 @@ let test_pipeline_projections () =
       check_bool (label ^ ": every FPC stage checked") true
         (!checked >= 7))
     projection_configs
+
+(* A non-striped pool numbers group g's FPCs from 10g: at 11 replicas
+   per group, group 0's eleventh FPC and group 1's first would share a
+   name (and so a FlexSan thread), so create refuses the config and
+   names the pool; at 10 the names stay distinct. *)
+let test_pipeline_fpc_name_clash () =
+  let par f = with_par (fun p -> f { p with Config.flow_groups = 2 }) in
+  List.iter
+    (fun (pool, config) ->
+      match new_dp config with
+      | exception Invalid_argument msg ->
+          check_bool
+            (Printf.sprintf "%s: the error names the pool (%s)" pool msg)
+            true
+            (contains msg ("pool " ^ pool))
+      | _ -> Alcotest.failf "%s: 11 replicas per group accepted" pool)
+    [
+      ("protocol", par (fun p -> { p with Config.proto_replicas = 11 }));
+      ("postproc", par (fun p -> { p with Config.postproc_replicas = 11 }));
+    ];
+  ignore
+    (new_dp
+       (par (fun p ->
+            { p with Config.proto_replicas = 10; postproc_replicas = 10 })))
 
 let test_pipeline_broken_tables () =
   let raises label table =
@@ -555,135 +564,33 @@ let test_partitioned_handoff_needs_order () =
   | Ok _ -> Alcotest.fail "unordered hand-off accepted"
   | Error _ -> ()
 
-(* --- Sharding pass: synthetic replica families ---------------------- *)
+(* --- The builtin graph at FlexScale shard counts ------------------- *)
 
-(* Rejected with a sharding finding on family [fam] whose detail
-   mentions [needle]. *)
-let expect_sharding name nodes ~fam ~needle =
-  match P.check_graph (graph name nodes []) with
-  | Ok _ -> Alcotest.failf "%s: unsound replica family accepted" name
-  | Error fs ->
-      check_bool (name ^ ": a sharding finding names the family") true
-        (List.exists
-           (fun f ->
-             f.P.f_pass = "sharding" && f.P.f_subject = fam
-             && contains f.P.f_detail needle)
-           fs)
-
-let test_sharding_divergent_replica () =
-  (* Shard 1 grew an access shard 0 does not make: it is not a copy of
-     the same stage. *)
-  expect_sharding "divergent replica"
-    [
-      stage "p" ~writes:[ E.Conn_proto ] E.Serial_conn;
-      stage "p#1" ~writes:[ E.Conn_proto; E.Reasm ] E.Serial_conn;
-    ]
-    ~fam:"p" ~needle:"p#1";
-  (* Identical copies under the per-conn lock are a sound family. *)
-  match
-    P.check_graph
-      (graph "identical replicas"
-         [
-           stage "p" ~writes:[ E.Conn_proto ] E.Serial_conn;
-           stage "p#1" ~writes:[ E.Conn_proto ] E.Serial_conn;
-         ]
-         [])
-  with
-  | Ok reports ->
-      check_bool "sharding note names the family" true
-        (List.exists
-           (fun r ->
-             r.P.r_pass = "sharding"
-             && List.exists (fun n -> contains n "p x2") r.P.r_notes)
-           reports)
-  | Error fs ->
-      Alcotest.failf "identical replicas spuriously rejected: %s"
-        (String.concat "; " (List.map P.finding_to_string fs))
-
-let test_sharding_unprotected_write () =
-  (* A replicated write to a region that is neither atomic nor
-     address-partitioned, with no domain steering realizes per shard. *)
-  expect_sharding "replicated Serial_none write"
-    [
-      stage ~slots:1 "w" ~writes:[ E.Reasm ] E.Serial_none;
-      stage ~slots:1 "w#1" ~writes:[ E.Reasm ] E.Serial_none;
-    ]
-    ~fam:"w" ~needle:(E.obj_name E.Reasm);
-  (* The same write to an atomic region needs no steering argument. *)
-  expect_clean "replicated atomic write"
-    [
-      stage ~slots:1 "w" ~writes:[ E.Global_stats ] E.Serial_none;
-      stage ~slots:1 "w#1" ~writes:[ E.Global_stats ] E.Serial_none;
-    ]
-
-(* The builtin graph at four shards: every island row is four replicas
-   [s], [s#1]..[s#3], every other row one node, an edge between two
-   island rows joins replicas of one shard, and the passes hold with a
-   note listing the replica families. *)
-let test_builtin_sharded () =
-  let shards = 4 in
-  let config = { Config.default with Config.scale = Config.scale_of shards } in
-  let g = G.builtin ~config () in
-  let base_and_shard n =
-    match String.index_opt n '#' with
-    | Some i ->
-        ( String.sub n 0 i,
-          int_of_string (String.sub n (i + 1) (String.length n - i - 1)) )
-    | None -> (n, 0)
-  in
-  let rows = PL.builtin @ [ PL.host ] in
-  let island =
-    List.filter_map
-      (fun s ->
-        match s.PL.s_place with
-        | PL.Islands -> Some (PL.name s)
-        | PL.Service -> None)
-      rows
-  in
-  let expected =
-    List.concat_map
-      (fun s ->
-        let n = PL.name s in
-        if List.mem n island then
-          n :: List.init (shards - 1) (fun k -> n ^ "#" ^ string_of_int (k + 1))
-        else [ n ])
-      rows
-  in
-  Alcotest.(check (list string))
-    "island rows once per shard, the others once"
-    (List.sort compare expected)
-    (List.sort compare (List.map (fun n -> n.G.n_name) g.G.g_nodes));
-  let between_islands =
-    List.filter
-      (fun e ->
-        List.mem (fst (base_and_shard e.G.e_src)) island
-        && List.mem (fst (base_and_shard e.G.e_dst)) island)
-      g.G.g_edges
-  in
-  check_bool "some edges join two island rows" true (between_islands <> []);
+(* Shards split flow groups over cache slices, scheduler rings and
+   admission slices and add no FPC, lock table or sequencer: the graph
+   at any shard count is the unsharded one, over [flexlint graph]'s
+   whole batch/guard matrix. *)
+let test_builtin_shard_invariant () =
   List.iter
-    (fun e ->
-      check_int
-        (Printf.sprintf "%s: %s -> %s in one shard" e.G.e_label e.G.e_src
-           e.G.e_dst)
-        (snd (base_and_shard e.G.e_src))
-        (snd (base_and_shard e.G.e_dst)))
-    between_islands;
-  match P.check_graph g with
-  | Ok reports ->
-      check_bool "sharding note lists the replica families" true
-        (List.exists
-           (fun r ->
-             r.P.r_pass = "sharding"
-             && List.exists
-                  (fun n ->
-                    contains n "replica family"
-                    && contains n (Printf.sprintf "protocol x%d" shards))
-                  r.P.r_notes)
-           reports)
-  | Error fs ->
-      Alcotest.failf "sharded builtin graph rejected: %s"
-        (String.concat "; " (List.map P.finding_to_string fs))
+    (fun batch ->
+      List.iter
+        (fun guard ->
+          let config = { (cfg ~batch ~guard ()) with
+                         Config.scale = Config.scale_none } in
+          let unsharded = G.builtin ~config () in
+          List.iter
+            (fun shards ->
+              check_bool
+                (Printf.sprintf "batch=%d guard=%b: scale_of %d graph = \
+                                 scale_none graph" batch guard shards)
+                true
+                (G.builtin
+                   ~config:{ config with Config.scale = Config.scale_of shards }
+                   ()
+                = unsharded))
+            [ 2; 3; 4; 8 ])
+        [ false; true ])
+    [ 1; 8; 16 ]
 
 (* --- Teardown FSM: the real table ------------------------------------ *)
 
@@ -815,6 +722,8 @@ let suite =
       `Quick test_pipeline_projections;
     Alcotest.test_case "pipeline: broken tables rejected at create" `Quick
       test_pipeline_broken_tables;
+    Alcotest.test_case "pipeline: clashing FPC names rejected" `Quick
+      test_pipeline_fpc_name_clash;
     Alcotest.test_case "seeded variants differ only where their defect says"
       `Quick test_variants_differ_only_where_named;
     Alcotest.test_case "graph: credit-cycle deadlock" `Quick
@@ -825,12 +734,8 @@ let suite =
       test_unrealized_domain;
     Alcotest.test_case "graph: partitioned hand-off ordering" `Quick
       test_partitioned_handoff_needs_order;
-    Alcotest.test_case "graph: divergent replica breaks sharding" `Quick
-      test_sharding_divergent_replica;
-    Alcotest.test_case "graph: replicated unprotected write" `Quick
-      test_sharding_unprotected_write;
-    Alcotest.test_case "graph: builtin at four shards" `Quick
-      test_builtin_sharded;
+    Alcotest.test_case "graph: builtin same at every shard count" `Quick
+      test_builtin_shard_invariant;
     Alcotest.test_case "fsm: real table passes all modes" `Quick
       test_fsm_real_table;
     Alcotest.test_case "fsm: seeded mutations rejected" `Quick

@@ -189,7 +189,7 @@ let mk_san ?(contracts = []) () =
       ]
     else contracts
   in
-  San.create ~engine ~contracts ()
+  San.create ~engine ~contracts
 
 let has_race s =
   List.exists (function San.Race _ -> true | _ -> false) (San.reports s)
